@@ -216,11 +216,6 @@ impl<M> SendBatch<M> {
         }
     }
 
-    /// Queued frame count.
-    pub fn len(&self) -> usize {
-        self.frames.len()
-    }
-
     /// Returns `true` when nothing is queued.
     pub fn is_empty(&self) -> bool {
         self.frames.is_empty()

@@ -41,7 +41,11 @@ pub(crate) fn reserve_loopback_addrs(n: usize) -> io::Result<Vec<SocketAddr>> {
     Ok(addrs)
 }
 
-/// Per-node datagram accounting, split by protocol plane.
+/// Per-node traffic accounting, split by protocol plane, in *frames*:
+/// logical protocol messages and their bytes on the wire. The thread
+/// runtime sends one per datagram; the mux runtime bundles them
+/// ([`crate::codec::push_bundle_frame`]) and charges a bundle's header
+/// byte to its first frame, so bytes still sum to the UDP payload.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrafficCounts {
     /// Aggregation-plane datagrams sent (requests, replies, notices).
@@ -63,10 +67,10 @@ pub struct TrafficCounts {
     pub membership_bytes_sent: u64,
     /// Wire bytes of the query-plane datagrams sent.
     pub query_bytes_sent: u64,
-    /// Datagrams (either plane) the kernel refused to send — the visible
-    /// face of outbound backpressure. A send that fails is NOT counted in
-    /// the per-plane `*_sent` fields, so at high load loss shows up here
-    /// instead of silently vanishing.
+    /// Frames (any plane) in datagrams the kernel refused to send — the
+    /// visible face of outbound backpressure. A send that fails is NOT
+    /// counted in the per-plane `*_sent` fields, so at high load loss
+    /// shows up here instead of silently vanishing.
     pub send_errors: u64,
     /// Bootstrap `Join` datagrams re-sent after the first went unanswered
     /// (counted inside `membership_sent`). Non-zero means the introducer

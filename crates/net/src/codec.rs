@@ -63,13 +63,22 @@
 //! addresses spread the address book without introducer round trips.
 //!
 //! The multiplexed runtime ([`crate::mux`]) hosts many protocol nodes
-//! behind one socket, so its datagrams carry a routing prefix in front of
-//! the regular message ([`encode_mux_frame`]):
+//! behind one socket, so a frame carries a routing prefix in front of the
+//! regular message. A lone frame ([`encode_mux_frame`], which tools and
+//! the benchmark replay use) is `u8 mux version (=2) · u64 destination
+//! virtual-node id · the message bytes`. What the runtime puts on the
+//! wire is a **bundle** ([`push_bundle_frame`] / [`decode_bundle`]):
+//! every frame a worker has queued for one destination socket, in
+//! datagrams of at most [`BUNDLE_BUDGET`] bytes. The length prefix takes
+//! the place of the per-frame version byte, so a frame under 128 bytes
+//! costs the same 9 bytes of prefix either way:
 //!
 //! ```text
-//! u8  mux version (=2)
-//! u64 destination virtual-node id
-//! ... the v1 message bytes ...
+//! u8  bundle version (=0xB5)
+//! then, until the datagram ends, per frame:
+//!   varint length of the rest of the frame (LEB128, at most 3 bytes)
+//!   u64    destination virtual-node id
+//!   ...    the message bytes (version + tag + body) ...
 //! ```
 //!
 //! Every encoder has an exact size twin (`*_len`) so traffic models can
@@ -110,6 +119,8 @@ pub enum DecodeError {
     BadTag(u8),
     /// A carried string (query name) was not valid UTF-8.
     BadName,
+    /// A bundle frame's length prefix was longer than any datagram.
+    BadLength,
 }
 
 impl fmt::Display for DecodeError {
@@ -119,6 +130,7 @@ impl fmt::Display for DecodeError {
             DecodeError::BadVersion(v) => write!(f, "unsupported wire version {v}"),
             DecodeError::BadTag(t) => write!(f, "unknown tag {t}"),
             DecodeError::BadName => write!(f, "query name is not valid UTF-8"),
+            DecodeError::BadLength => write!(f, "bundle frame length is over-long"),
         }
     }
 }
@@ -196,7 +208,11 @@ impl WireRead for &[u8] {
 
 /// Encodes a message into a fresh buffer.
 pub fn encode_message(msg: &Message) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64);
+    WireFrame::Aggregation(msg).encode()
+}
+
+/// Appends [`encode_message`]'s bytes to `buf` without allocating.
+pub fn encode_message_into(buf: &mut Vec<u8>, msg: &Message) {
     buf.put_u8(WIRE_VERSION);
     let (tag, states): (u8, Option<&[InstanceState]>) = match &msg.body {
         MessageBody::Request(s) => (0, Some(s)),
@@ -226,7 +242,6 @@ pub fn encode_message(msg: &Message) -> Vec<u8> {
             }
         }
     }
-    buf
 }
 
 /// Decodes a datagram produced by [`encode_message`].
@@ -325,6 +340,11 @@ pub fn encoded_len(msg: &Message) -> usize {
 /// the sender's full view (tags 4/5).
 pub fn encode_view_message(payload: &ViewPayload, reply: bool, delta: bool) -> Vec<u8> {
     let mut buf = Vec::with_capacity(view_encoded_len(payload));
+    put_view(&mut buf, payload, reply, delta);
+    buf
+}
+
+fn put_view(buf: &mut Vec<u8>, payload: &ViewPayload, reply: bool, delta: bool) {
     buf.put_u8(WIRE_VERSION);
     buf.put_u8(match (delta, reply) {
         (false, false) => 4,
@@ -338,7 +358,6 @@ pub fn encode_view_message(payload: &ViewPayload, reply: bool, delta: bool) -> V
         buf.put_u32_le(d.node);
         buf.put_u32_le(d.timestamp);
     }
-    buf
 }
 
 /// Decodes a datagram produced by [`encode_view_message`], returning the
@@ -392,13 +411,50 @@ pub const fn view_message_len(descriptors: usize) -> usize {
     1 + 1 + 4 + 2 + 8 * descriptors
 }
 
+/// Writes a socket address: u8 kind (4 IPv4, 6 IPv6), ip bytes, u16 port.
+fn put_addr(buf: &mut Vec<u8>, addr: SocketAddr) {
+    match addr.ip() {
+        IpAddr::V4(ip) => {
+            buf.put_u8(4);
+            buf.extend_from_slice(&ip.octets());
+        }
+        IpAddr::V6(ip) => {
+            buf.put_u8(6);
+            buf.extend_from_slice(&ip.octets());
+        }
+    }
+    buf.put_u16_le(addr.port());
+}
+
+/// Bytes [`put_addr`] writes after the kind byte: ip and port.
+fn addr_len(addr: SocketAddr) -> usize {
+    2 + if addr.is_ipv4() { 4 } else { 16 }
+}
+
+/// Reads the ip bytes and port that follow an address `kind` byte.
+fn get_addr(kind: u8, data: &mut &[u8]) -> Result<SocketAddr, DecodeError> {
+    let ip_len = match kind {
+        4 => 4,
+        6 => 16,
+        t => return Err(DecodeError::BadTag(t)),
+    };
+    if data.remaining() < ip_len + 2 {
+        return Err(DecodeError::Truncated);
+    }
+    let (ip, rest) = data.split_at(ip_len);
+    *data = rest;
+    let ip = match <[u8; 4]>::try_from(ip) {
+        Ok(v4) => IpAddr::from(v4),
+        Err(_) => IpAddr::from(<[u8; 16]>::try_from(ip).expect("ip_len is 4 or 16")),
+    };
+    Ok(SocketAddr::new(ip, data.get_u16_le()))
+}
+
 /// Encodes a bootstrap join request (tag 6): "introduce me, `from`".
-pub fn encode_join_message(from: u32) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(join_message_len());
+fn put_join(buf: &mut Vec<u8>, from: u32) {
     buf.put_u8(WIRE_VERSION);
     buf.put_u8(6);
     buf.put_u32_le(from);
-    buf
 }
 
 /// Exact encoded size of a join message.
@@ -408,8 +464,7 @@ pub const fn join_message_len() -> usize {
 
 /// Encodes a bootstrap introduction (tag 7): a snapshot of the
 /// introducer's view with optional peer addresses.
-pub fn encode_introduce_message(from: u32, peers: &[IntroduceEntry]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(introduce_message_len(peers));
+fn put_introduce(buf: &mut Vec<u8>, from: u32, peers: &[IntroduceEntry]) {
     buf.put_u8(WIRE_VERSION);
     buf.put_u8(7);
     buf.put_u32_le(from);
@@ -419,42 +474,33 @@ pub fn encode_introduce_message(from: u32, peers: &[IntroduceEntry]) -> Vec<u8> 
         buf.put_u32_le(entry.timestamp);
         match entry.addr {
             None => buf.put_u8(0),
-            Some(SocketAddr::V4(a)) => {
-                buf.put_u8(4);
-                buf.extend_from_slice(&a.ip().octets());
-                buf.put_u16_le(a.port());
-            }
-            Some(SocketAddr::V6(a)) => {
-                buf.put_u8(6);
-                buf.extend_from_slice(&a.ip().octets());
-                buf.put_u16_le(a.port());
-            }
+            Some(addr) => put_addr(buf, addr),
         }
     }
-    buf
 }
 
-/// Exact encoded size of [`encode_introduce_message`]'s output.
+/// Exact encoded size of an introduce message (tag 7).
 pub fn introduce_message_len(peers: &[IntroduceEntry]) -> usize {
     // version + tag + sender + entry count
     let mut len = 1 + 1 + 4 + 2;
     for entry in peers {
         len += 4 + 4 + 1; // node + timestamp + addr kind
-        len += match entry.addr {
-            None => 0,
-            Some(SocketAddr::V4(_)) => 4 + 2,
-            Some(SocketAddr::V6(_)) => 16 + 2,
-        };
+        len += entry.addr.map_or(0, addr_len);
     }
     len
 }
 
 /// Encodes any membership-plane payload (tags 4–9).
 pub fn encode_directory_message(payload: &DirectoryPayload) -> Vec<u8> {
+    WireFrame::Directory(payload).encode()
+}
+
+/// Appends [`encode_directory_message`]'s bytes to `buf`.
+pub fn encode_directory_message_into(buf: &mut Vec<u8>, payload: &DirectoryPayload) {
     match payload {
-        DirectoryPayload::View { view, reply, delta } => encode_view_message(view, *reply, *delta),
-        DirectoryPayload::Join { from } => encode_join_message(*from),
-        DirectoryPayload::Introduce { from, peers } => encode_introduce_message(*from, peers),
+        DirectoryPayload::View { view, reply, delta } => put_view(buf, view, *reply, *delta),
+        DirectoryPayload::Join { from } => put_join(buf, *from),
+        DirectoryPayload::Introduce { from, peers } => put_introduce(buf, *from, peers),
     }
 }
 
@@ -505,29 +551,7 @@ pub fn decode_directory_message(data: &[u8]) -> Result<DirectoryPayload, DecodeE
                 let timestamp = data.get_u32_le();
                 let addr = match data.get_u8() {
                     0 => None,
-                    4 => {
-                        if data.remaining() < 6 {
-                            return Err(DecodeError::Truncated);
-                        }
-                        let mut octets = [0u8; 4];
-                        for b in &mut octets {
-                            *b = data.get_u8();
-                        }
-                        let port = data.get_u16_le();
-                        Some(SocketAddr::new(IpAddr::from(octets), port))
-                    }
-                    6 => {
-                        if data.remaining() < 18 {
-                            return Err(DecodeError::Truncated);
-                        }
-                        let mut octets = [0u8; 16];
-                        for b in &mut octets {
-                            *b = data.get_u8();
-                        }
-                        let port = data.get_u16_le();
-                        Some(SocketAddr::new(IpAddr::from(octets), port))
-                    }
-                    t => return Err(DecodeError::BadTag(t)),
+                    kind => Some(get_addr(kind, &mut data)?),
                 };
                 peers.push(IntroduceEntry {
                     node,
@@ -549,7 +573,11 @@ pub fn decode_directory_message(data: &[u8]) -> Result<DirectoryPayload, DecodeE
 /// (tag 10): a few descriptors (and optionally their addresses) riding on
 /// a datagram that was leaving the socket anyway.
 pub fn encode_piggyback_message(msg: &Message, piggyback: &Piggyback) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(piggyback_message_len(msg, piggyback));
+    WireFrame::Piggybacked(msg, piggyback).encode()
+}
+
+/// Appends [`encode_piggyback_message`]'s bytes to `buf`.
+pub fn encode_piggyback_message_into(buf: &mut Vec<u8>, msg: &Message, piggyback: &Piggyback) {
     buf.put_u8(WIRE_VERSION);
     buf.put_u8(10);
     buf.put_u32_le(piggyback.from);
@@ -561,21 +589,9 @@ pub fn encode_piggyback_message(msg: &Message, piggyback: &Piggyback) -> Vec<u8>
     buf.put_u8(piggyback.addrs.len() as u8);
     for &(node, addr) in &piggyback.addrs {
         buf.put_u32_le(node);
-        match addr {
-            SocketAddr::V4(a) => {
-                buf.put_u8(4);
-                buf.extend_from_slice(&a.ip().octets());
-                buf.put_u16_le(a.port());
-            }
-            SocketAddr::V6(a) => {
-                buf.put_u8(6);
-                buf.extend_from_slice(&a.ip().octets());
-                buf.put_u16_le(a.port());
-            }
-        }
+        put_addr(buf, addr);
     }
-    buf.extend_from_slice(&encode_message(msg));
-    buf
+    encode_message_into(buf, msg);
 }
 
 /// Decodes a datagram produced by [`encode_piggyback_message`].
@@ -614,31 +630,8 @@ pub fn decode_piggyback_message(mut data: &[u8]) -> Result<(Message, Piggyback),
             return Err(DecodeError::Truncated);
         }
         let node = data.get_u32_le();
-        let addr = match data.get_u8() {
-            4 => {
-                if data.remaining() < 6 {
-                    return Err(DecodeError::Truncated);
-                }
-                let mut octets = [0u8; 4];
-                for b in &mut octets {
-                    *b = data.get_u8();
-                }
-                let port = data.get_u16_le();
-                SocketAddr::new(IpAddr::from(octets), port)
-            }
-            6 => {
-                if data.remaining() < 18 {
-                    return Err(DecodeError::Truncated);
-                }
-                let mut octets = [0u8; 16];
-                for b in &mut octets {
-                    *b = data.get_u8();
-                }
-                let port = data.get_u16_le();
-                SocketAddr::new(IpAddr::from(octets), port)
-            }
-            t => return Err(DecodeError::BadTag(t)),
-        };
+        let kind = data.get_u8();
+        let addr = get_addr(kind, &mut data)?;
         addrs.push((node, addr));
     }
     let message = decode_message(data)?;
@@ -664,11 +657,7 @@ pub fn piggyback_trailer_len(piggyback: &Piggyback) -> usize {
     // version + tag + sender + descriptor count + descriptors + addr count
     let mut len = 1 + 1 + 4 + 1 + 8 * piggyback.descriptors.len() + 1;
     for &(_, addr) in &piggyback.addrs {
-        len += 4 + 1; // node + addr kind
-        len += match addr {
-            SocketAddr::V4(_) => 4 + 2,
-            SocketAddr::V6(_) => 16 + 2,
-        };
+        len += 4 + 1 + addr_len(addr); // node + addr kind + ip and port
     }
     len
 }
@@ -741,19 +730,22 @@ fn descriptor_len(d: &QueryDescriptor) -> usize {
 /// Encodes a catalog gossip push (tag 11): the sender's full entry list,
 /// tombstones included.
 pub fn encode_catalog_message(from: NodeId, entries: &[CatalogEntry]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(catalog_message_len(entries));
+    WireFrame::Catalog(from, entries).encode()
+}
+
+/// Appends [`encode_catalog_message`]'s bytes to `buf`.
+pub fn encode_catalog_message_into(buf: &mut Vec<u8>, from: NodeId, entries: &[CatalogEntry]) {
     buf.put_u8(WIRE_VERSION);
     buf.put_u8(11);
     buf.put_u64_le(from.as_u64());
     buf.put_u16_le(entries.len() as u16);
     for entry in entries {
-        put_descriptor(&mut buf, &entry.descriptor);
+        put_descriptor(buf, &entry.descriptor);
         buf.put_u32_le(entry.version);
         buf.put_u8(u8::from(entry.deleted));
         buf.put_u64_le(entry.installed_at);
         buf.put_u64_le(entry.expires_at);
     }
-    buf
 }
 
 /// Decodes a datagram produced by [`encode_catalog_message`].
@@ -812,12 +804,15 @@ pub fn catalog_message_len(entries: &[CatalogEntry]) -> usize {
 /// name followed by a complete aggregation message, so concurrent named
 /// queries multiplex over one socket without interfering.
 pub fn encode_query_message(query: &str, msg: &Message) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(query_message_len(query, msg));
+    WireFrame::Query(query, msg).encode()
+}
+
+/// Appends [`encode_query_message`]'s bytes to `buf`.
+pub fn encode_query_message_into(buf: &mut Vec<u8>, query: &str, msg: &Message) {
     buf.put_u8(WIRE_VERSION);
     buf.put_u8(12);
-    put_name(&mut buf, query);
-    buf.extend_from_slice(&encode_message(msg));
-    buf
+    put_name(buf, query);
+    encode_message_into(buf, msg);
 }
 
 /// Decodes a datagram produced by [`encode_query_message`].
@@ -978,31 +973,13 @@ pub const fn rpc_response_len() -> usize {
 /// Wraps an encoded catalog gossip push in a mux routing frame addressed
 /// to the virtual node `to`.
 pub fn encode_mux_catalog_frame(to: NodeId, from: NodeId, entries: &[CatalogEntry]) -> Vec<u8> {
-    mux_wrap(
-        to,
-        &encode_catalog_message(from, entries),
-        mux_catalog_frame_len(entries),
-    )
-}
-
-/// Exact encoded size of [`encode_mux_catalog_frame`]'s output.
-pub fn mux_catalog_frame_len(entries: &[CatalogEntry]) -> usize {
-    1 + 8 + catalog_message_len(entries)
+    mux_wrap(to, &WireFrame::Catalog(from, entries))
 }
 
 /// Wraps an encoded query aggregation frame in a mux routing frame
 /// addressed to the virtual node `to`.
 pub fn encode_mux_query_frame(to: NodeId, query: &str, msg: &Message) -> Vec<u8> {
-    mux_wrap(
-        to,
-        &encode_query_message(query, msg),
-        mux_query_frame_len(query, msg),
-    )
-}
-
-/// Exact encoded size of [`encode_mux_query_frame`]'s output.
-pub fn mux_query_frame_len(query: &str, msg: &Message) -> usize {
-    1 + 8 + query_message_len(query, msg)
+    mux_wrap(to, &WireFrame::Query(query, msg))
 }
 
 /// Any decodable datagram body: an aggregation-plane [`Message`]
@@ -1035,6 +1012,53 @@ pub enum WirePayload {
     Rpc(RpcRequest),
     /// A client RPC response (tag 14).
     RpcReply(RpcResponse),
+}
+
+/// The borrowed, encode-side twin of [`WirePayload`]: any body a runtime
+/// frames for a peer (client RPC never rides a protocol socket).
+#[derive(Debug, Clone, Copy)]
+pub enum WireFrame<'a> {
+    /// Aggregation protocol traffic.
+    Aggregation(&'a Message),
+    /// Membership / bootstrap traffic.
+    Directory(&'a DirectoryPayload),
+    /// Aggregation traffic with a membership trailer riding along.
+    Piggybacked(&'a Message, &'a Piggyback),
+    /// Query catalog gossip (tag 11): sending node, its full entry list.
+    Catalog(NodeId, &'a [CatalogEntry]),
+    /// A named query's aggregation frame (tag 12): owning query, message.
+    Query(&'a str, &'a Message),
+}
+
+impl WireFrame<'_> {
+    /// Exact size of the body's encoding.
+    pub fn encoded_len(&self) -> usize {
+        match *self {
+            WireFrame::Aggregation(msg) => encoded_len(msg),
+            WireFrame::Directory(payload) => directory_encoded_len(payload),
+            WireFrame::Piggybacked(msg, pb) => piggyback_message_len(msg, pb),
+            WireFrame::Catalog(_, entries) => catalog_message_len(entries),
+            WireFrame::Query(query, msg) => query_message_len(query, msg),
+        }
+    }
+
+    /// Appends the body's plain (version + tag + …) encoding to `buf`.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+        match *self {
+            WireFrame::Aggregation(msg) => encode_message_into(buf, msg),
+            WireFrame::Directory(payload) => encode_directory_message_into(buf, payload),
+            WireFrame::Piggybacked(msg, pb) => encode_piggyback_message_into(buf, msg, pb),
+            WireFrame::Catalog(from, entries) => encode_catalog_message_into(buf, from, entries),
+            WireFrame::Query(query, msg) => encode_query_message_into(buf, query, msg),
+        }
+    }
+
+    /// Encodes the body into a fresh, exactly sized buffer.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut buf);
+        buf
+    }
 }
 
 /// Decodes any datagram, routing by plane (tags 0–3 vs 4–9 vs 10 vs
@@ -1077,45 +1101,21 @@ pub fn decode_datagram(data: &[u8]) -> Result<WirePayload, DecodeError> {
 /// remainder to `to`'s state machine, and decodes it with
 /// [`decode_message`].
 pub fn encode_mux_frame(to: NodeId, msg: &Message) -> Vec<u8> {
-    mux_wrap(to, &encode_message(msg), mux_frame_len(msg))
+    mux_wrap(to, &WireFrame::Aggregation(msg))
 }
 
 /// Wraps an encoded membership payload in a mux routing frame addressed
 /// to the virtual node `to` (the membership twin of
 /// [`encode_mux_frame`]).
 pub fn encode_mux_directory_frame(to: NodeId, payload: &DirectoryPayload) -> Vec<u8> {
-    mux_wrap(
-        to,
-        &encode_directory_message(payload),
-        mux_directory_frame_len(payload),
-    )
+    mux_wrap(to, &WireFrame::Directory(payload))
 }
 
-/// Exact encoded size of [`encode_mux_directory_frame`]'s output.
-pub fn mux_directory_frame_len(payload: &DirectoryPayload) -> usize {
-    1 + 8 + directory_encoded_len(payload)
-}
-
-/// Wraps a piggybacked aggregation message (tag 10) in a mux routing
-/// frame addressed to the virtual node `to`.
-pub fn encode_mux_piggyback_frame(to: NodeId, msg: &Message, piggyback: &Piggyback) -> Vec<u8> {
-    mux_wrap(
-        to,
-        &encode_piggyback_message(msg, piggyback),
-        mux_piggyback_frame_len(msg, piggyback),
-    )
-}
-
-/// Exact encoded size of [`encode_mux_piggyback_frame`]'s output.
-pub fn mux_piggyback_frame_len(msg: &Message, piggyback: &Piggyback) -> usize {
-    1 + 8 + piggyback_message_len(msg, piggyback)
-}
-
-fn mux_wrap(to: NodeId, body: &[u8], capacity: usize) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(capacity);
+fn mux_wrap(to: NodeId, frame: &WireFrame<'_>) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(1 + 8 + frame.encoded_len());
     buf.put_u8(MUX_WIRE_VERSION);
     buf.put_u64_le(to.as_u64());
-    buf.extend_from_slice(body);
+    frame.encode_into(&mut buf);
     buf
 }
 
@@ -1126,42 +1126,131 @@ fn mux_wrap(to: NodeId, body: &[u8], capacity: usize) -> Vec<u8> {
 ///
 /// Returns a [`DecodeError`] if the routing prefix is truncated or has
 /// the wrong version, or if the carried payload fails to decode.
-pub fn decode_mux_datagram(mut data: &[u8]) -> Result<(NodeId, WirePayload), DecodeError> {
-    if data.remaining() < 9 {
-        return Err(DecodeError::Truncated);
-    }
-    let version = data.get_u8();
-    if version != MUX_WIRE_VERSION {
-        return Err(DecodeError::BadVersion(version));
-    }
-    let to = NodeId::new(data.get_u64_le());
-    let payload = decode_datagram(data)?;
-    Ok((to, payload))
+pub fn decode_mux_datagram(data: &[u8]) -> Result<(NodeId, WirePayload), DecodeError> {
+    decode_routed(strip_version(data, MUX_WIRE_VERSION)?)
 }
 
-/// Decodes a datagram produced by [`encode_mux_frame`] into the
-/// destination virtual-node id and the carried message.
+fn strip_version(data: &[u8], expected: u8) -> Result<&[u8], DecodeError> {
+    match data.split_first() {
+        None => Err(DecodeError::Truncated),
+        Some((&version, rest)) if version == expected => Ok(rest),
+        Some((&version, _)) => Err(DecodeError::BadVersion(version)),
+    }
+}
+
+/// Decodes `u64 destination vnode · message` — what a lone mux frame and
+/// a bundled one share.
+fn decode_routed(mut data: &[u8]) -> Result<(NodeId, WirePayload), DecodeError> {
+    if data.remaining() < 8 {
+        return Err(DecodeError::Truncated);
+    }
+    let to = NodeId::new(data.get_u64_le());
+    Ok((to, decode_datagram(data)?))
+}
+
+/// First byte of a bundle datagram. Distinct from [`MUX_WIRE_VERSION`]
+/// and from every [`WIRE_VERSION`] ever emitted (1, 3, 4) — a future one
+/// must skip it — so the three framings can never be confused.
+pub const BUNDLE_VERSION: u8 = 0xB5;
+
+/// Most bytes the mux runtime packs into one bundle: 1500-byte Ethernet
+/// MTU − 40 (IPv6 header) − 8 (UDP header), so a bundle never
+/// IP-fragments. A single frame larger than this travels alone.
+pub const BUNDLE_BUDGET: usize = 1452;
+
+/// Frame lengths are LEB128 varints of at most three bytes: 21 bits,
+/// more than any UDP datagram can carry.
+fn varint_len(value: usize) -> usize {
+    match value {
+        0..=0x7F => 1,
+        0x80..=0x3FFF => 2,
+        _ => 3,
+    }
+}
+
+fn put_varint(buf: &mut Vec<u8>, mut value: usize) {
+    debug_assert!(value < 1 << 21, "frame longer than any datagram");
+    while value >= 0x80 {
+        buf.put_u8(value as u8 | 0x80);
+        value >>= 7;
+    }
+    buf.put_u8(value as u8);
+}
+
+fn get_varint(data: &mut &[u8]) -> Result<usize, DecodeError> {
+    let mut value = 0;
+    for shift in [0, 7, 14] {
+        if data.remaining() < 1 {
+            return Err(DecodeError::Truncated);
+        }
+        let byte = data.get_u8();
+        value |= usize::from(byte & 0x7F) << shift;
+        if byte & 0x80 == 0 {
+            return Ok(value);
+        }
+    }
+    Err(DecodeError::BadLength)
+}
+
+/// Bytes [`push_bundle_frame`] appends for `frame` to a bundle that is
+/// already open (an empty buffer costs one more: the header byte).
+pub fn bundle_frame_len(frame: &WireFrame<'_>) -> usize {
+    let body = 8 + frame.encoded_len();
+    varint_len(body) + body
+}
+
+/// Appends `frame`, addressed to virtual node `to`, to the bundle in
+/// `buf`; an empty `buf` is opened with the [`BUNDLE_VERSION`] byte first.
+pub fn push_bundle_frame(buf: &mut Vec<u8>, to: NodeId, frame: &WireFrame<'_>) {
+    if buf.is_empty() {
+        buf.put_u8(BUNDLE_VERSION);
+    }
+    put_varint(buf, 8 + frame.encoded_len());
+    buf.put_u64_le(to.as_u64());
+    frame.encode_into(buf);
+}
+
+/// Opens a bundle datagram for reading.
 ///
 /// # Errors
 ///
-/// Returns a [`DecodeError`] if the routing prefix is truncated or has the
-/// wrong version, or if the carried message fails to decode.
-pub fn decode_mux_frame(mut data: &[u8]) -> Result<(NodeId, Message), DecodeError> {
-    if data.remaining() < 9 {
-        return Err(DecodeError::Truncated);
-    }
-    let version = data.get_u8();
-    if version != MUX_WIRE_VERSION {
-        return Err(DecodeError::BadVersion(version));
-    }
-    let to = NodeId::new(data.get_u64_le());
-    let msg = decode_message(data)?;
-    Ok((to, msg))
+/// [`DecodeError::Truncated`] for an empty datagram, otherwise
+/// [`DecodeError::BadVersion`] unless it starts with [`BUNDLE_VERSION`].
+pub fn decode_bundle(data: &[u8]) -> Result<BundleFrames<'_>, DecodeError> {
+    Ok(BundleFrames {
+        rest: strip_version(data, BUNDLE_VERSION)?,
+    })
 }
 
-/// Exact encoded size of [`encode_mux_frame`]'s output for `msg`.
-pub fn mux_frame_len(msg: &Message) -> usize {
-    1 + 8 + encoded_len(msg)
+/// The frames of one bundle, in wire order. A frame whose body fails to
+/// decode yields its error and the walk continues; a length that is
+/// over-long ([`DecodeError::BadLength`]) or runs past the datagram
+/// ([`DecodeError::Truncated`]) is reported once and the tail dropped.
+#[derive(Debug, Clone)]
+pub struct BundleFrames<'a> {
+    rest: &'a [u8],
+}
+
+impl Iterator for BundleFrames<'_> {
+    type Item = Result<(NodeId, WirePayload), DecodeError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.rest.is_empty() {
+            return None;
+        }
+        let body = get_varint(&mut self.rest).and_then(|len| {
+            if len > self.rest.len() {
+                return Err(DecodeError::Truncated);
+            }
+            let (body, rest) = self.rest.split_at(len);
+            self.rest = rest;
+            Ok(body)
+        });
+        if body.is_err() {
+            self.rest = &[];
+        }
+        Some(body.and_then(decode_routed))
+    }
 }
 
 #[cfg(test)]
@@ -1357,10 +1446,10 @@ mod tests {
     fn round_trip_mux_frame() {
         let msg = Message::request(NodeId::new(77), 3, vec![InstanceState::Scalar(1.5)]);
         let frame = encode_mux_frame(NodeId::new(1023), &msg);
-        assert_eq!(frame.len(), mux_frame_len(&msg));
-        let (to, decoded) = decode_mux_frame(&frame).expect("decode");
+        assert_eq!(frame.len(), 1 + 8 + encoded_len(&msg));
+        let (to, decoded) = decode_mux_datagram(&frame).expect("decode");
         assert_eq!(to, NodeId::new(1023));
-        assert_eq!(decoded, msg);
+        assert_eq!(decoded, WirePayload::Aggregation(msg));
     }
 
     #[test]
@@ -1368,13 +1457,13 @@ mod tests {
         let msg = Message::refuse(NodeId::new(1), 0);
         // A v1 datagram hitting a mux socket must not decode.
         assert_eq!(
-            decode_mux_frame(&encode_message(&msg)),
+            decode_mux_datagram(&encode_message(&msg)),
             Err(DecodeError::BadVersion(WIRE_VERSION))
         );
         let frame = encode_mux_frame(NodeId::new(5), &msg);
         for len in 0..frame.len() {
             assert_eq!(
-                decode_mux_frame(&frame[..len]),
+                decode_mux_datagram(&frame[..len]),
                 Err(DecodeError::Truncated),
                 "prefix of length {len}"
             );
@@ -1449,7 +1538,7 @@ mod tests {
                 "prefix of length {len}"
             );
         }
-        let join = encode_join_message(9);
+        let join = encode_directory_message(&DirectoryPayload::Join { from: 9 });
         for len in 0..join.len() {
             assert_eq!(
                 decode_directory_message(&join[..len]),
@@ -1608,7 +1697,7 @@ mod tests {
         }
         // The mux framing routes to the right virtual node.
         let frame = encode_mux_query_frame(NodeId::new(77), "load.p99", &msg);
-        assert_eq!(frame.len(), mux_query_frame_len("load.p99", &msg));
+        assert_eq!(frame.len(), 1 + 8 + query_message_len("load.p99", &msg));
         let (to, payload) = decode_mux_datagram(&frame).expect("decode");
         assert_eq!(to, NodeId::new(77));
         assert_eq!(
@@ -1624,7 +1713,7 @@ mod tests {
     fn mux_catalog_frames_round_trip() {
         let entries = sample_entries();
         let frame = encode_mux_catalog_frame(NodeId::new(5), NodeId::new(2), &entries);
-        assert_eq!(frame.len(), mux_catalog_frame_len(&entries));
+        assert_eq!(frame.len(), 1 + 8 + catalog_message_len(&entries));
         let (to, payload) = decode_mux_datagram(&frame).expect("decode");
         assert_eq!(to, NodeId::new(5));
         assert_eq!(
@@ -1772,21 +1861,6 @@ mod tests {
     }
 
     #[test]
-    fn mux_piggyback_frames_round_trip() {
-        let msg = Message::reply(NodeId::new(8), 1, vec![InstanceState::Scalar(2.0)]);
-        let pb = Piggyback {
-            from: 8,
-            descriptors: vec![Descriptor::new(9, 10)],
-            addrs: vec![],
-        };
-        let frame = encode_mux_piggyback_frame(NodeId::new(31), &msg, &pb);
-        assert_eq!(frame.len(), mux_piggyback_frame_len(&msg, &pb));
-        let (to, decoded) = decode_mux_datagram(&frame).expect("decode");
-        assert_eq!(to, NodeId::new(31));
-        assert_eq!(decoded, WirePayload::Piggybacked(msg, pb));
-    }
-
-    #[test]
     fn mux_directory_frames_round_trip() {
         let payload = DirectoryPayload::Introduce {
             from: 2,
@@ -1797,7 +1871,7 @@ mod tests {
             }],
         };
         let frame = encode_mux_directory_frame(NodeId::new(900), &payload);
-        assert_eq!(frame.len(), mux_directory_frame_len(&payload));
+        assert_eq!(frame.len(), 1 + 8 + directory_encoded_len(&payload));
         let (to, decoded) = decode_mux_datagram(&frame).expect("decode");
         assert_eq!(to, NodeId::new(900));
         assert_eq!(decoded, WirePayload::Directory(payload));

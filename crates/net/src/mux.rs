@@ -12,8 +12,8 @@
 //!   single-socket runtime exactly). Local vnode `i` is homed on socket
 //!   `i % readers`: its datagrams arrive there and its outbound frames
 //!   leave from there, preserving per-vnode datagram ordering. Each
-//!   reader routes by the virtual-node id in the mux frame
-//!   ([`crate::codec::decode_mux_datagram`]) and — on the batched I/O
+//!   reader walks each bundle datagram ([`crate::codec::decode_bundle`]),
+//!   routes every frame by its virtual-node id, and — on the batched I/O
 //!   backend ([`crate::batch::IoBackend`]) — drains up to
 //!   [`crate::batch::BATCH`] datagrams per `recvmmsg` syscall;
 //! * a *timer* thread drives one [`ShardedTimerWheel`] shard per reader
@@ -27,10 +27,13 @@
 //!   thread ever blocks on an exchange: a node that initiated one simply
 //!   parks a timeout deadline in the wheel and yields its worker — the
 //!   pending exchange is a timer-guarded continuation inside the sans-io
-//!   [`GossipNode`]. Outbound frames accumulate per home socket in a
-//!   [`crate::batch::SendBatch`] while the work queue is hot and flush
-//!   as one `sendmmsg` burst; kernel-refused sends are counted in
-//!   [`TrafficCounts::send_errors`] instead of being silently dropped.
+//!   [`GossipNode`]. While the work queue is hot, outbound frames are
+//!   encoded per home socket into bundle datagrams — one destination
+//!   socket each, at most [`crate::codec::BUNDLE_BUDGET`] bytes — and
+//!   flush as one `sendmmsg` burst: full bundles in a one-process
+//!   cluster, across hosts only what shares a remote socket. Refused
+//!   sends are counted in [`TrafficCounts::send_errors`], never dropped
+//!   silently.
 //!
 //! # Cross-host sharding
 //!
@@ -91,9 +94,8 @@
 use crate::batch::{IoBackend, RecvBatch, SendBatch, BATCH};
 use crate::cluster::{Cluster, TrafficCell, TrafficCounts};
 use crate::codec::{
-    decode_datagram, decode_mux_datagram, encode_mux_catalog_frame, encode_mux_directory_frame,
-    encode_mux_frame, encode_mux_piggyback_frame, encode_mux_query_frame, encode_rpc_response,
-    piggyback_trailer_len, WirePayload,
+    bundle_frame_len, decode_bundle, decode_datagram, encode_rpc_response, piggyback_trailer_len,
+    push_bundle_frame, WireFrame, WirePayload, BUNDLE_BUDGET,
 };
 use crate::directory::{
     Destination, DirectoryMessage, DirectoryPayload, DirectorySpec, GossipDirectory, Introducer,
@@ -482,6 +484,87 @@ enum FrameKind {
     Query,
 }
 
+/// One queued frame's accounting: the packer datagram carrying it, the
+/// sending local node, its plane, and its bytes there (the header byte is
+/// charged to a datagram's first frame, so charges sum to the payload).
+#[derive(Debug, Clone, Copy)]
+struct Charge {
+    datagram: usize,
+    node: u32,
+    kind: FrameKind,
+    bytes: u32,
+}
+
+/// Packs one home socket's outbound frames into bundle datagrams: frames
+/// for the same destination socket share a datagram, in push order, up
+/// to [`BUNDLE_BUDGET`] bytes; a frame that does not fit opens the next,
+/// so one larger than the budget travels alone. Nothing is held back —
+/// [`Packer::flush`] runs exactly where the per-frame flush used to.
+#[derive(Debug, Default)]
+struct Packer {
+    /// This flush's datagrams, in creation order.
+    datagrams: Vec<(SocketAddr, Vec<u8>)>,
+    /// One entry per queued frame, in push order.
+    charges: Vec<Charge>,
+    batch: SendBatch<usize>,
+}
+
+impl Packer {
+    /// Encodes `frame` for vnode `to` behind socket `target` into that
+    /// destination's open datagram, returning the bytes it was charged.
+    fn push(
+        &mut self,
+        target: SocketAddr,
+        to: NodeId,
+        frame: &WireFrame<'_>,
+        node: u32,
+        kind: FrameKind,
+    ) -> u64 {
+        // Only a destination's newest datagram takes frames: keeps order.
+        let newest = self.datagrams.iter().rposition(|(addr, _)| *addr == target);
+        let open = newest
+            .filter(|&d| self.datagrams[d].1.len() + bundle_frame_len(frame) <= BUNDLE_BUDGET);
+        let datagram = open.unwrap_or_else(|| {
+            self.datagrams
+                .push((target, Vec::with_capacity(BUNDLE_BUDGET)));
+            self.datagrams.len() - 1
+        });
+        let buf = &mut self.datagrams[datagram].1;
+        let before = buf.len();
+        push_bundle_frame(buf, to, frame);
+        let bytes = (buf.len() - before) as u32;
+        self.charges.push(Charge {
+            datagram,
+            node,
+            kind,
+            bytes,
+        });
+        u64::from(bytes)
+    }
+
+    /// Transmits every queued datagram, reporting each frame's [`Charge`]
+    /// with its datagram's fate; returns `(syscalls, datagrams accepted)`.
+    fn flush(
+        &mut self,
+        socket: &UdpSocket,
+        io: IoBackend,
+        mut on_frame: impl FnMut(&Charge, bool),
+    ) -> (u64, u64) {
+        for (datagram, (target, buf)) in self.datagrams.drain(..).enumerate() {
+            self.batch.push(buf, target, datagram);
+        }
+        let mut accepted = 0;
+        let syscalls = self.batch.flush(socket, io, |&datagram, _len, ok| {
+            accepted += u64::from(ok);
+            for charge in self.charges.iter().filter(|c| c.datagram == datagram) {
+                on_frame(charge, ok);
+            }
+        });
+        self.charges.clear();
+        (syscalls, accepted)
+    }
+}
+
 /// One unit of protocol work, executed by whichever worker claims it.
 /// Node indices are local (shard-relative).
 #[derive(Debug)]
@@ -504,12 +587,21 @@ struct WorkQueue {
 }
 
 impl WorkQueue {
-    fn push(&self, work: Work) {
+    /// Appends any number of items — a whole datagram's frames — under
+    /// one lock acquisition and one notify.
+    fn push_many(&self, work: impl IntoIterator<Item = Work>) {
         let mut items = self.items.lock().unwrap();
-        items.push_back(work);
+        let before = items.len();
+        items.extend(work);
         self.depth.set(items.len() as f64);
+        let pushed = items.len() - before;
         drop(items);
-        self.available.notify_one();
+        // Several items can feed several workers; a lone one needs one.
+        match pushed {
+            0 => {}
+            1 => self.available.notify_one(),
+            _ => self.available.notify_all(),
+        }
     }
 
     /// Pops the next item if one is immediately available — lets a worker
@@ -565,9 +657,9 @@ impl VNode {
 }
 
 /// Cumulative kernel-boundary crossings of a running cluster — the
-/// denominator of the syscalls-per-datagram metric the batch backends
-/// exist to shrink. Backed by the `io.recv_syscalls` / `io.send_syscalls`
-/// registry counters, so both read zero under
+/// numerator of the syscalls-per-frame metric the batch backends and the
+/// bundle packer exist to shrink. Backed by the `io.recv_syscalls` /
+/// `io.send_syscalls` registry counters, so both read zero under
 /// [`MuxClusterConfig::without_telemetry`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SyscallCounts {
@@ -617,9 +709,16 @@ struct Shared {
     delta_bytes: Counter,
     /// `timer.fire_lag_us` — how late the wheel fired each deadline.
     fire_lag: Histogram,
-    /// `io.syscalls_per_datagram` — refreshed by the timer thread's
-    /// maintenance tick.
+    /// `io.datagrams_sent` — bundle datagrams the kernel accepted.
+    datagrams_sent: Counter,
+    /// `io.datagrams_received` — datagrams the reader threads drained.
+    datagrams_received: Counter,
+    /// `io.syscalls_per_datagram` — syscalls per *frame* moved (the name
+    /// predates bundling); refreshed on the timer's maintenance tick.
     syscalls_per_datagram: Gauge,
+    /// `io.frames_per_datagram` — frames sent per datagram sent, i.e.
+    /// how full the bundles run; same refresh slot.
+    frames_per_datagram: Gauge,
     /// `membership.view_mean_size` — sampled round-robin over vnodes.
     view_mean_size: Gauge,
     /// `membership.view_dead_fraction` — stale-entry share of the same
@@ -959,7 +1058,10 @@ impl MuxCluster {
             agg_exchanges: registry.counter("agg.exchanges"),
             delta_bytes: registry.counter("membership.delta_bytes"),
             fire_lag: registry.histogram("timer.fire_lag_us"),
+            datagrams_sent: registry.counter("io.datagrams_sent"),
+            datagrams_received: registry.counter("io.datagrams_received"),
             syscalls_per_datagram: registry.gauge("io.syscalls_per_datagram"),
+            frames_per_datagram: registry.gauge("io.frames_per_datagram"),
             view_mean_size: registry.gauge("membership.view_mean_size"),
             view_dead_fraction: registry.gauge("membership.view_dead_fraction"),
             rho: Mutex::new(RhoTracker {
@@ -981,9 +1083,9 @@ impl MuxCluster {
         });
         // Prime every node with an initial wake so its first deadline is
         // computed and parked (and gossip directories send their joins).
-        for i in 0..local_n {
-            shared.work.push(Work::Wake(i as u32));
-        }
+        shared
+            .work
+            .push_many((0..local_n).map(|i| Work::Wake(i as u32)));
 
         // Bind the client RPC listener (if any) before the protocol
         // threads start, so a bind failure leaks nothing.
@@ -1080,8 +1182,8 @@ impl MuxCluster {
     }
 
     /// Cumulative send/receive syscall counts across all threads since
-    /// spawn — divide by [`TrafficCounts`] datagram totals for the
-    /// syscalls-per-datagram figure the batched backend exists to shrink.
+    /// spawn — divide by [`TrafficCounts`] frame totals for the
+    /// syscalls-per-frame figure batching and bundling exist to shrink.
     pub fn syscall_counts(&self) -> SyscallCounts {
         SyscallCounts {
             recv_calls: self.shared.recv_calls.get(),
@@ -1263,7 +1365,7 @@ impl Cluster for MuxCluster {
             .install(descriptor, now);
         // A fresh install must start gossiping before the node's next
         // parked deadline; a wake recomputes and re-parks it.
-        self.shared.work.push(Work::Wake(index as u32));
+        self.shared.work.push_many([Work::Wake(index as u32)]);
         result
     }
 
@@ -1274,7 +1376,7 @@ impl Cluster for MuxCluster {
             .unwrap()
             .plane
             .remove(name, now);
-        self.shared.work.push(Work::Wake(index as u32));
+        self.shared.work.push_many([Work::Wake(index as u32)]);
         result
     }
 
@@ -1315,15 +1417,17 @@ impl Drop for MuxCluster {
     }
 }
 
-/// Blocks on reader socket `reader` and routes datagrams to state
-/// machines, draining up to [`BATCH`] per syscall on the batched backend.
+/// Blocks on reader socket `reader` (up to [`BATCH`] datagrams per syscall
+/// when batched) and hands each bundle's frames to their state machines.
 fn reader_loop(shared: &Shared, reader: usize) {
     let socket = &shared.sockets[reader];
     let mut batch = RecvBatch::new();
+    let mut deliveries: Vec<Work> = Vec::new();
     while !shared.stop.load(Ordering::Relaxed) {
         match batch.recv(socket, shared.io) {
             Ok(count) => {
                 shared.recv_calls.inc();
+                shared.datagrams_received.add(count as u64);
                 let socket_cell = &shared.socket_recvs[reader];
                 for i in 0..count {
                     socket_cell.datagrams.fetch_add(1, Ordering::Relaxed);
@@ -1335,16 +1439,20 @@ fn reader_loop(shared: &Shared, reader: usize) {
                             socket_cell.remote_datagrams.fetch_add(1, Ordering::Relaxed);
                         }
                     }
-                    let Ok((to, payload)) = decode_mux_datagram(batch.datagram(i)) else {
-                        continue; // corrupt datagram: drop, stay alive
+                    let Ok(frames) = decode_bundle(batch.datagram(i)) else {
+                        continue; // not a bundle: drop, stay alive
                     };
-                    let Some(local) = to.index().checked_sub(shared.base) else {
-                        continue; // foreign shard's vnode: misrouted, drop
-                    };
-                    if local < shared.nodes.len() {
-                        // A piggybacked frame is an aggregation datagram
+                    // Corrupt frames and a cut-off tail drop; the rest arrive.
+                    for (to, payload) in frames.flatten() {
+                        let Some(local) = to.index().checked_sub(shared.base) else {
+                            continue; // foreign shard's vnode: misrouted, drop
+                        };
+                        if local >= shared.nodes.len() {
+                            continue;
+                        }
+                        // A piggybacked frame is an aggregation frame
                         // (its membership trailer is charged in bytes on
-                        // the send side, not as a datagram).
+                        // the send side, not as a frame).
                         match &payload {
                             WirePayload::Directory(_) => {
                                 shared.traffic[local].count_received(true);
@@ -1354,8 +1462,9 @@ fn reader_loop(shared: &Shared, reader: usize) {
                             }
                             _ => shared.traffic[local].count_received(false),
                         }
-                        shared.work.push(Work::Deliver(local as u32, payload));
+                        deliveries.push(Work::Deliver(local as u32, payload));
                     }
+                    shared.work.push_many(deliveries.drain(..));
                 }
             }
             // Read timeout (or spurious wake): re-check the stop flag.
@@ -1390,7 +1499,7 @@ fn timer_loop(shared: &Shared, cycle_ms: u64) {
         let now = shared.now_ms();
         wheel.advance_entries(now, |deadline, node| {
             shared.fire_lag.record(now.saturating_sub(deadline) * 1_000);
-            shared.work.push(Work::Wake(node));
+            shared.work.push_many([Work::Wake(node)]);
         });
         ticks += 1;
         // The wheel ticks every millisecond; derived gauges only need to
@@ -1404,27 +1513,33 @@ fn timer_loop(shared: &Shared, cycle_ms: u64) {
 }
 
 /// Recomputes the gauges that are ratios or samples over shared state:
-/// `io.syscalls_per_datagram` from the syscall counters and traffic
-/// cells, and the `membership.view_*` health pair from one vnode's
-/// directory per call (round-robin, skipping vnodes a worker holds
-/// locked — a gauge sample must never stall the protocol path).
+/// `io.syscalls_per_datagram` and `io.frames_per_datagram` from the I/O
+/// counters and traffic cells, and the `membership.view_*` health pair
+/// from one vnode's directory per call (round-robin, skipping vnodes a
+/// worker holds locked — a gauge sample must never stall the protocol
+/// path).
 fn refresh_derived_gauges(shared: &Shared, now: u64, health_cursor: &mut usize) {
     if !shared.registry.is_enabled() {
         return;
     }
     let syscalls = shared.recv_calls.get() + shared.send_calls.get();
-    let datagrams: u64 = shared
+    let (sent, received) = shared
         .traffic
         .iter()
-        .map(|cell| {
+        .fold((0, 0), |(sent, received), cell| {
             let counts = cell.snapshot();
-            counts.sent() + counts.received()
-        })
-        .sum();
-    if datagrams > 0 {
+            (sent + counts.sent(), received + counts.received())
+        });
+    if sent + received > 0 {
         shared
             .syscalls_per_datagram
-            .set(syscalls as f64 / datagrams as f64);
+            .set(syscalls as f64 / (sent + received) as f64);
+    }
+    let datagrams_sent = shared.datagrams_sent.get();
+    if datagrams_sent > 0 {
+        shared
+            .frames_per_datagram
+            .set(sent as f64 / datagrams_sent as f64);
     }
     for _ in 0..shared.nodes.len().min(8) {
         let index = *health_cursor % shared.nodes.len();
@@ -1441,14 +1556,13 @@ fn refresh_derived_gauges(shared: &Shared, now: u64, health_cursor: &mut usize) 
 }
 
 /// Executes per-node protocol steps until shutdown. Outbound frames are
-/// queued per home socket and flushed as one burst (`sendmmsg` on the
+/// bundled per home socket and flushed as one burst (`sendmmsg` on the
 /// batched backend) once the work queue runs dry or [`BATCH`] frames have
 /// accumulated — frames never wait on a sleeping worker.
 fn worker_loop(shared: &Shared) {
     let mut dir_out: Vec<DirectoryMessage> = Vec::new();
-    // One send batch per reader socket; meta = (local node, frame kind).
-    let mut pending: Vec<SendBatch<(u32, FrameKind)>> = (0..shared.sockets.len())
-        .map(|_| SendBatch::new())
+    let mut pending: Vec<Packer> = (0..shared.sockets.len())
+        .map(|_| Packer::default())
         .collect();
     while let Some(mut work) = shared.work.pop(&shared.stop) {
         let mut queued = 0usize;
@@ -1466,13 +1580,13 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Runs one unit of work against its vnode, queueing outbound frames on
-/// the vnode's home-socket batch. Returns how many frames were queued.
+/// Runs one unit of work against its vnode, encoding outbound frames into
+/// its home-socket packer. Returns how many frames were queued.
 fn step_vnode(
     shared: &Shared,
     work: Work,
     dir_out: &mut Vec<DirectoryMessage>,
-    pending: &mut [SendBatch<(u32, FrameKind)>],
+    pending: &mut [Packer],
 ) -> usize {
     let (index, is_wake) = match &work {
         Work::Wake(i) => (*i as usize, true),
@@ -1553,8 +1667,9 @@ fn step_vnode(
             }
         }
     }
-    let batch = &mut pending[shared.socket_of(index)];
-    let before = batch.len();
+    let packer = &mut pending[shared.socket_of(index)];
+    let before = packer.charges.len();
+    let node = index as u32;
     if let Some(out) = outbound {
         if let Some(target) = shared.dest_addr(out.to.index()) {
             let (frame, kind) = match &piggyback {
@@ -1562,16 +1677,13 @@ fn step_vnode(
                     let trailer = piggyback_trailer_len(pb) as u32;
                     shared.delta_bytes.add(u64::from(trailer));
                     (
-                        encode_mux_piggyback_frame(out.to, &out.message, pb),
+                        WireFrame::Piggybacked(&out.message, pb),
                         FrameKind::Piggybacked { trailer },
                     )
                 }
-                None => (
-                    encode_mux_frame(out.to, &out.message),
-                    FrameKind::Aggregation,
-                ),
+                None => (WireFrame::Aggregation(&out.message), FrameKind::Aggregation),
             };
-            batch.push(frame, target, (index as u32, kind));
+            packer.push(target, out.to, &frame, node, kind);
         }
     }
     for msg in dir_out.drain(..) {
@@ -1583,44 +1695,43 @@ fn step_vnode(
         let Some(target) = shared.dest_addr(to.index()) else {
             continue;
         };
-        let frame = encode_mux_directory_frame(to, &msg.payload);
+        let frame = WireFrame::Directory(&msg.payload);
+        let bytes = packer.push(target, to, &frame, node, FrameKind::Membership);
         if matches!(msg.payload, DirectoryPayload::View { delta: true, .. }) {
-            shared.delta_bytes.add(frame.len() as u64);
+            shared.delta_bytes.add(bytes);
         }
-        batch.push(frame, target, (index as u32, FrameKind::Membership));
     }
     let from = NodeId::new((shared.base + index) as u64);
-    for out in query_out {
+    for out in &query_out {
         let (to, frame) = match out {
             QueryOutbound::Aggregation { to, query, message } => {
-                (to, encode_mux_query_frame(to, &query, &message))
+                (*to, WireFrame::Query(query, message))
             }
-            QueryOutbound::Catalog { to, entries } => {
-                (to, encode_mux_catalog_frame(to, from, &entries))
-            }
+            QueryOutbound::Catalog { to, entries } => (*to, WireFrame::Catalog(from, entries)),
         };
         let Some(target) = shared.dest_addr(to.index()) else {
             continue;
         };
-        batch.push(frame, target, (index as u32, FrameKind::Query));
+        packer.push(target, to, &frame, node, FrameKind::Query);
     }
-    batch.len() - before
+    packer.charges.len() - before
 }
 
-/// Transmits every queued frame, charging each sender's traffic cell on
-/// success and its `send_errors` on kernel refusal.
-fn flush_pending(shared: &Shared, pending: &mut [SendBatch<(u32, FrameKind)>]) {
-    for (s, batch) in pending.iter_mut().enumerate() {
-        if batch.is_empty() {
+/// Transmits every queued bundle, charging each frame to its sender's
+/// traffic cell — or one `send_errors` if the kernel refused its datagram.
+fn flush_pending(shared: &Shared, pending: &mut [Packer]) {
+    for (s, packer) in pending.iter_mut().enumerate() {
+        if packer.charges.is_empty() {
             continue;
         }
-        let syscalls = batch.flush(&shared.sockets[s], shared.io, |&(node, kind), len, ok| {
-            let cell = &shared.traffic[node as usize];
+        let (syscalls, datagrams) = packer.flush(&shared.sockets[s], shared.io, |charge, ok| {
+            let cell = &shared.traffic[charge.node as usize];
+            let len = charge.bytes as usize;
             if !ok {
                 cell.count_send_error();
                 return;
             }
-            match kind {
+            match charge.kind {
                 FrameKind::Aggregation => cell.count_sent(false, len),
                 FrameKind::Membership => cell.count_sent(true, len),
                 FrameKind::Piggybacked { trailer } => {
@@ -1630,6 +1741,7 @@ fn flush_pending(shared: &Shared, pending: &mut [SendBatch<(u32, FrameKind)>]) {
             }
         });
         shared.send_calls.add(syscalls);
+        shared.datagrams_sent.add(datagrams);
     }
 }
 
@@ -1661,9 +1773,11 @@ fn rpc_loop(shared: &Shared, socket: &UdpSocket) {
                     shared.traffic[index].count_rpc_reject();
                     shared.rpc_rejects.inc();
                 }
-                // An install/remove moves the plane's gossip deadline;
-                // a wake recomputes and re-parks it immediately.
-                shared.work.push(Work::Wake(index as u32));
+                // An install/remove moves the plane's gossip deadline; a
+                // wake re-parks it. Submits and reads move nothing.
+                if request.changes_catalog() {
+                    shared.work.push_many([Work::Wake(index as u32)]);
+                }
                 let _ = socket.send_to(&encode_rpc_response(&response), src);
             }
             // Read timeout (or spurious wake): re-check the stop flag.
@@ -1681,7 +1795,8 @@ fn rpc_loop(shared: &Shared, socket: &UdpSocket) {
 mod tests {
     use super::*;
     use crate::directory::GossipDirectoryConfig;
-    use epidemic_aggregation::InstanceSpec;
+    use epidemic_aggregation::value::InstanceMap;
+    use epidemic_aggregation::{InstanceSpec, InstanceState, Message};
 
     fn node_config(gamma: u32, cycle_ms: u64) -> NodeConfig {
         NodeConfig::builder()
@@ -1758,6 +1873,65 @@ mod tests {
     #[should_panic(expected = "at least one socket")]
     fn peer_table_rejects_empty_socket_set() {
         PeerTable::split_sets(4, vec![vec!["127.0.0.1:9300".parse().unwrap()], vec![]]);
+    }
+
+    fn push(packer: &mut Packer, target: SocketAddr, i: u64, msg: &Message) {
+        let (to, kind) = (NodeId::new(i), FrameKind::Aggregation);
+        packer.push(target, to, &WireFrame::Aggregation(msg), i as u32, kind);
+    }
+
+    #[test]
+    fn packer_keeps_destinations_apart_in_order_and_inside_the_budget() {
+        let a: SocketAddr = "127.0.0.1:9401".parse().unwrap();
+        let b: SocketAddr = "127.0.0.1:9402".parse().unwrap();
+        // Larger than the budget on its own, in the middle of a's stream.
+        let map = InstanceMap::from_entries((0..100).map(|leader| (leader, 0.5)));
+        let big = Message::request(NodeId::new(40), 0, vec![InstanceState::Map(map)]);
+        let mut packer = Packer::default();
+        let mut pushed = [Vec::new(), Vec::new()];
+        for i in 0..240u64 {
+            let (dest, target) = if i % 3 == 0 { (1, b) } else { (0, a) };
+            let small = Message::refuse(NodeId::new(i), 0);
+            push(&mut packer, target, i, if i == 40 { &big } else { &small });
+            pushed[dest].push(i);
+        }
+        let mut packed = [Vec::new(), Vec::new()];
+        for (d, (target, buf)) in packer.datagrams.iter().enumerate() {
+            let frames = decode_bundle(buf).unwrap().map(|f| f.unwrap().0.as_u64());
+            let dest = &mut packed[usize::from(*target == b)];
+            let before = dest.len();
+            dest.extend(frames);
+            let lone = dest.len() == before + 1;
+            assert!(buf.len() <= BUNDLE_BUDGET || lone, "{} bytes", buf.len());
+            // Per-frame charges add up to the UDP payload exactly.
+            let charges = packer.charges.iter().filter(|c| c.datagram == d);
+            assert_eq!(charges.map(|c| c.bytes as usize).sum::<usize>(), buf.len());
+        }
+        assert_eq!(packed, pushed, "frames crossed destinations or lost order");
+        assert!(packer.datagrams.len() > 6, "budget and big frame split");
+    }
+
+    #[test]
+    fn packer_flush_reports_every_frame_and_an_empty_flush_sends_nothing() {
+        let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let mut packer = Packer::default();
+        let sent = packer.flush(&socket, IoBackend::Portable, |_, _| unreachable!());
+        assert_eq!(sent, (0, 0));
+        // An IPv6 destination on an IPv4 socket: the kernel refuses that
+        // datagram, and both of its frames must hear about it.
+        let bad: SocketAddr = "[::1]:9".parse().unwrap();
+        let msg = Message::refuse(NodeId::new(0), 0);
+        for (i, target) in [(0, bad), (1, socket.local_addr().unwrap()), (2, bad)] {
+            push(&mut packer, target, i, &msg);
+        }
+        let mut fates = Vec::new();
+        let sent = packer.flush(&socket, IoBackend::Portable, |c, ok| {
+            fates.push((c.node, ok))
+        });
+        assert_eq!(sent, (2, 1), "two datagrams, one accepted");
+        fates.sort_unstable();
+        assert_eq!(fates, [(0, false), (1, true), (2, false)]);
+        assert!(packer.charges.is_empty() && packer.datagrams.is_empty());
     }
 
     #[test]

@@ -5,17 +5,20 @@
 //! invariant pinned here is `encoded_len() == encode().len()` over
 //! arbitrary messages — aggregation bodies, view exchanges, and mux
 //! frames alike — plus decode round-trips for everything generated.
+//! The bundle properties at the end pin what the mux runtime actually
+//! puts on the wire: many frames per datagram, length-delimited, where a
+//! corrupt frame or a truncated tail never takes its neighbours along.
 
 use epidemic_aggregation::value::InstanceMap;
 use epidemic_aggregation::{InstanceState, Message};
 use epidemic_common::NodeId;
 use epidemic_net::codec::{
-    decode_datagram, decode_directory_message, decode_message, decode_mux_datagram,
-    decode_mux_frame, decode_piggyback_message, decode_view_message, directory_encoded_len,
+    bundle_frame_len, decode_bundle, decode_datagram, decode_directory_message, decode_message,
+    decode_mux_datagram, decode_piggyback_message, decode_view_message, directory_encoded_len,
     encode_directory_message, encode_message, encode_mux_directory_frame, encode_mux_frame,
-    encode_mux_piggyback_frame, encode_piggyback_message, encode_view_message, encoded_len,
-    mux_directory_frame_len, mux_frame_len, mux_piggyback_frame_len, piggyback_message_len,
-    piggyback_trailer_len, view_encoded_len,
+    encode_piggyback_message, encode_view_message, encoded_len, piggyback_message_len,
+    piggyback_trailer_len, push_bundle_frame, view_encoded_len, DecodeError, WireFrame,
+    WirePayload, BUNDLE_BUDGET, BUNDLE_VERSION, MUX_WIRE_VERSION, WIRE_VERSION,
 };
 use epidemic_net::directory::{DirectoryPayload, IntroduceEntry, Piggyback};
 use epidemic_newscast::node::ViewPayload;
@@ -49,6 +52,25 @@ fn query_descriptor(raw: DescriptorRaw) -> QueryDescriptor {
             burst,
         },
     }
+}
+
+/// Raw generated material for one catalog entry: `(descriptor, version,
+/// deleted, installed at, expires at)`.
+type EntryRaw = (DescriptorRaw, u32, bool, u64, u64);
+
+/// Builds catalog entries from generated raw material.
+fn catalog_entries(raw: Vec<EntryRaw>) -> Vec<CatalogEntry> {
+    raw.into_iter()
+        .map(
+            |(d, version, deleted, installed_at, expires_at)| CatalogEntry {
+                descriptor: query_descriptor(d),
+                version,
+                deleted,
+                installed_at,
+                expires_at,
+            },
+        )
+        .collect()
 }
 
 /// Query names: 1–19 chars from a wire-safe alphabet (stays well under
@@ -100,6 +122,98 @@ fn message(from: u64, epoch: u64, tag: u8, states_raw: Vec<StateRaw>) -> Message
         2 => Message::epoch_notice(from, epoch),
         _ => Message::refuse(from, epoch),
     }
+}
+
+/// One frame of any plane a mux socket carries, as the decoder reports it.
+fn wire_payload() -> impl Strategy<Value = WirePayload> {
+    (
+        (0u8..5, any::<u64>(), any::<u64>(), any::<u8>()),
+        prop::collection::vec(
+            (
+                any::<bool>(),
+                -1e6f64..1e6,
+                prop::collection::vec((any::<u64>(), 0.0f64..1.0), 0..4),
+            ),
+            0..3,
+        ),
+        prop::collection::vec((any::<u32>(), any::<u32>()), 0..6),
+        query_name(),
+        prop::collection::vec(
+            (
+                descriptor_raw(),
+                any::<u32>(),
+                any::<bool>(),
+                any::<u64>(),
+                any::<u64>(),
+            ),
+            0..3,
+        ),
+    )
+        .prop_map(
+            |((plane, from, epoch, tag), states, descs, name, entries)| {
+                let msg = message(from, epoch, tag, states);
+                let descriptors: Vec<Descriptor> =
+                    descs.iter().map(|&(n, t)| Descriptor::new(n, t)).collect();
+                match plane {
+                    0 => WirePayload::Aggregation(msg),
+                    1 => WirePayload::Directory(DirectoryPayload::View {
+                        view: ViewPayload {
+                            from: from as u32,
+                            descriptors,
+                        },
+                        reply: tag & 1 == 1,
+                        delta: tag & 2 == 2,
+                    }),
+                    2 => WirePayload::Piggybacked(
+                        msg,
+                        Piggyback {
+                            from: from as u32,
+                            descriptors,
+                            addrs: vec![],
+                        },
+                    ),
+                    3 => WirePayload::Catalog {
+                        from: NodeId::new(from),
+                        entries: catalog_entries(entries),
+                    },
+                    _ => WirePayload::Query {
+                        query: name,
+                        message: msg,
+                    },
+                }
+            },
+        )
+}
+
+/// The borrowed encode-side view of a generated payload.
+fn frame_of(payload: &WirePayload) -> WireFrame<'_> {
+    match payload {
+        WirePayload::Aggregation(msg) => WireFrame::Aggregation(msg),
+        WirePayload::Directory(payload) => WireFrame::Directory(payload),
+        WirePayload::Piggybacked(msg, pb) => WireFrame::Piggybacked(msg, pb),
+        WirePayload::Catalog { from, entries } => WireFrame::Catalog(*from, entries),
+        WirePayload::Query { query, message } => WireFrame::Query(query, message),
+        WirePayload::Rpc(_) | WirePayload::RpcReply(_) => unreachable!("not generated"),
+    }
+}
+
+/// Packs `frames` into one bundle; also returns where each frame ends.
+fn bundle_of(frames: &[(u64, WirePayload)]) -> (Vec<u8>, Vec<usize>) {
+    let mut bundle = Vec::new();
+    let mut ends = Vec::new();
+    for (to, payload) in frames {
+        push_bundle_frame(&mut bundle, NodeId::new(*to), &frame_of(payload));
+        ends.push(bundle.len());
+    }
+    (bundle, ends)
+}
+
+/// What walking an undamaged bundle of `frames` yields.
+fn expected(frames: &[(u64, WirePayload)]) -> Vec<Result<(NodeId, WirePayload), DecodeError>> {
+    frames
+        .iter()
+        .map(|(to, payload)| Ok((NodeId::new(*to), payload.clone())))
+        .collect()
 }
 
 proptest! {
@@ -194,14 +308,15 @@ proptest! {
             decode_datagram(&encoded).expect("datagram"),
             epidemic_net::codec::WirePayload::Piggybacked(msg.clone(), piggyback.clone())
         );
-        // And the mux framing routes it by destination vnode.
-        let frame = encode_mux_piggyback_frame(NodeId::new(mux_to), &msg, &piggyback);
-        prop_assert_eq!(mux_piggyback_frame_len(&msg, &piggyback), frame.len());
-        let (dst, decoded) = decode_mux_datagram(&frame).expect("mux round trip");
-        prop_assert_eq!(dst, NodeId::new(mux_to));
+        // And a bundle routes it by destination vnode.
+        let mut bundle = Vec::new();
+        let frame = WireFrame::Piggybacked(&msg, &piggyback);
+        push_bundle_frame(&mut bundle, NodeId::new(mux_to), &frame);
+        prop_assert_eq!(1 + bundle_frame_len(&frame), bundle.len());
+        let decoded: Vec<_> = decode_bundle(&bundle).expect("bundle").collect();
         prop_assert_eq!(
             decoded,
-            epidemic_net::codec::WirePayload::Piggybacked(msg, piggyback)
+            vec![Ok((NodeId::new(mux_to), WirePayload::Piggybacked(msg, piggyback)))]
         );
     }
 
@@ -218,10 +333,10 @@ proptest! {
     ) {
         let msg = message(from, epoch, tag, states_raw);
         let frame = encode_mux_frame(NodeId::new(to), &msg);
-        prop_assert_eq!(mux_frame_len(&msg), frame.len());
-        let (dst, decoded) = decode_mux_frame(&frame).expect("round trip");
+        prop_assert_eq!(1 + 8 + encoded_len(&msg), frame.len());
+        let (dst, decoded) = decode_mux_datagram(&frame).expect("round trip");
         prop_assert_eq!(dst, NodeId::new(to));
-        prop_assert_eq!(decoded, msg);
+        prop_assert_eq!(decoded, WirePayload::Aggregation(msg));
     }
 
     #[test]
@@ -284,7 +399,7 @@ proptest! {
                 .collect(),
         };
         let frame = encode_mux_directory_frame(NodeId::new(to), &payload);
-        prop_assert_eq!(mux_directory_frame_len(&payload), frame.len());
+        prop_assert_eq!(1 + 8 + directory_encoded_len(&payload), frame.len());
         let (dst, decoded) = decode_mux_datagram(&frame).expect("round trip");
         prop_assert_eq!(dst, NodeId::new(to));
         prop_assert_eq!(decoded, epidemic_net::codec::WirePayload::Directory(payload));
@@ -299,16 +414,7 @@ proptest! {
             0..6,
         ),
     ) {
-        let entries: Vec<CatalogEntry> = raw
-            .into_iter()
-            .map(|(d, version, deleted, installed_at, expires_at)| CatalogEntry {
-                descriptor: query_descriptor(d),
-                version,
-                deleted,
-                installed_at,
-                expires_at,
-            })
-            .collect();
+        let entries = catalog_entries(raw);
         let from = NodeId::new(from);
         let encoded = epidemic_net::codec::encode_catalog_message(from, &entries);
         prop_assert_eq!(epidemic_net::codec::catalog_message_len(&entries), encoded.len());
@@ -324,7 +430,7 @@ proptest! {
         // The mux framing routes it by destination vnode.
         let frame =
             epidemic_net::codec::encode_mux_catalog_frame(NodeId::new(mux_to), from, &entries);
-        prop_assert_eq!(epidemic_net::codec::mux_catalog_frame_len(&entries), frame.len());
+        prop_assert_eq!(1 + 8 + epidemic_net::codec::catalog_message_len(&entries), frame.len());
         let (dst, decoded) = decode_mux_datagram(&frame).expect("mux round trip");
         prop_assert_eq!(dst, NodeId::new(mux_to));
         prop_assert_eq!(
@@ -358,7 +464,10 @@ proptest! {
         );
         let frame =
             epidemic_net::codec::encode_mux_query_frame(NodeId::new(mux_to), &name, &msg);
-        prop_assert_eq!(epidemic_net::codec::mux_query_frame_len(&name, &msg), frame.len());
+        prop_assert_eq!(
+            1 + 8 + epidemic_net::codec::query_message_len(&name, &msg),
+            frame.len()
+        );
         let (dst, decoded) = decode_mux_datagram(&frame).expect("mux round trip");
         prop_assert_eq!(dst, NodeId::new(mux_to));
         prop_assert_eq!(
@@ -417,16 +526,7 @@ proptest! {
             0..3,
         ),
     ) {
-        let entries: Vec<CatalogEntry> = raw
-            .into_iter()
-            .map(|(d, version, deleted, installed_at, expires_at)| CatalogEntry {
-                descriptor: query_descriptor(d),
-                version,
-                deleted,
-                installed_at,
-                expires_at,
-            })
-            .collect();
+        let entries = catalog_entries(raw);
         let mut encoded = epidemic_net::codec::encode_catalog_message(NodeId::new(from), &entries);
         // A foreign wire version is rejected before any payload parsing…
         let foreign = encoded[0].wrapping_add(bump);
@@ -451,7 +551,6 @@ proptest! {
         // Arbitrary bytes: decoders must reject or decode, never panic.
         let _ = decode_message(&raw);
         let _ = decode_view_message(&raw);
-        let _ = decode_mux_frame(&raw);
         let _ = decode_directory_message(&raw);
         let _ = decode_piggyback_message(&raw);
         let _ = decode_datagram(&raw);
@@ -460,5 +559,103 @@ proptest! {
         let _ = epidemic_net::codec::decode_query_message(&raw);
         let _ = epidemic_net::codec::decode_rpc_request(&raw);
         let _ = epidemic_net::codec::decode_rpc_response(&raw);
+        // Bundles: as received, and behind a valid header so the frame
+        // walk itself sees the garbage.
+        if let Ok(frames) = decode_bundle(&raw) {
+            frames.for_each(drop);
+        }
+        let mut bundle = vec![BUNDLE_VERSION];
+        bundle.extend_from_slice(&raw);
+        decode_bundle(&bundle).expect("header is valid").for_each(drop);
     }
+
+    #[test]
+    fn bundle_len_twin_matches_and_mixed_planes_round_trip(
+        frames in prop::collection::vec((any::<u64>(), wire_payload()), 1..12),
+    ) {
+        let (bundle, ends) = bundle_of(&frames);
+        let mut start = 1; // the header byte
+        for ((_, payload), end) in frames.iter().zip(&ends) {
+            let frame = frame_of(payload);
+            prop_assert_eq!(bundle_frame_len(&frame), end - start, "len twin for {:?}", payload);
+            // The length prefix replaces the lone frame's version byte.
+            if frame.encoded_len() + 8 < 128 {
+                prop_assert_eq!(bundle_frame_len(&frame), 1 + 8 + frame.encoded_len());
+            }
+            start = *end;
+        }
+        let decoded: Vec<_> = decode_bundle(&bundle).expect("bundle").collect();
+        prop_assert_eq!(decoded, expected(&frames));
+    }
+
+    #[test]
+    fn truncated_bundle_yields_exactly_the_complete_frame_prefix(
+        frames in prop::collection::vec((any::<u64>(), wire_payload()), 1..6),
+    ) {
+        let (bundle, ends) = bundle_of(&frames);
+        prop_assert_eq!(decode_bundle(&[]).err(), Some(DecodeError::Truncated));
+        for cut in 1..bundle.len() {
+            let walked: Vec<_> = decode_bundle(&bundle[..cut]).expect("header").collect();
+            let complete = ends.iter().filter(|&&end| end <= cut).count();
+            // Whole frames decode; a cut-off tail is one error, then the end.
+            prop_assert_eq!(&walked[..complete], &expected(&frames)[..complete], "cut at {}", cut);
+            let tail: Vec<_> = walked[complete..].to_vec();
+            if cut == 1 || ends.contains(&cut) {
+                prop_assert!(tail.is_empty(), "cut at {}: {:?}", cut, tail);
+            } else {
+                prop_assert_eq!(tail, vec![Err(DecodeError::Truncated)], "cut at {}", cut);
+            }
+        }
+    }
+
+    #[test]
+    fn corrupt_bundle_frame_does_not_lose_its_neighbours(
+        frames in prop::collection::vec((any::<u64>(), wire_payload()), 2..6),
+        victim in any::<u32>(),
+    ) {
+        let (mut bundle, ends) = bundle_of(&frames);
+        let victim = victim as usize % frames.len();
+        // The victim's message starts with its wire-version byte.
+        let body = frame_of(&frames[victim].1).encoded_len();
+        bundle[ends[victim] - body] = 0xEE;
+        let walked: Vec<_> = decode_bundle(&bundle).expect("header").collect();
+        let mut want = expected(&frames);
+        want[victim] = Err(DecodeError::BadVersion(0xEE));
+        prop_assert_eq!(walked, want);
+    }
+
+    #[test]
+    fn bundle_rejects_foreign_headers_and_overlong_lengths(
+        to in any::<u64>(),
+        payload in wire_payload(),
+        header in any::<u8>(),
+        tail in prop::collection::vec(any::<u8>(), 0..16),
+    ) {
+        let frames = vec![(to, payload)];
+        let (mut bundle, _) = bundle_of(&frames);
+        // Neither a lone mux frame, nor a plain message of any version
+        // ever emitted, nor anything else that is not a bundle gets in.
+        for foreign in [header, MUX_WIRE_VERSION, WIRE_VERSION, 1, 3] {
+            if foreign != BUNDLE_VERSION {
+                let mut bad = bundle.clone();
+                bad[0] = foreign;
+                prop_assert_eq!(decode_bundle(&bad).err(), Some(DecodeError::BadVersion(foreign)));
+            }
+        }
+        // A fourth length byte loses the framing: reported once, the tail
+        // (whatever it holds) is dropped, the frame before it survives.
+        bundle.extend_from_slice(&[0x80, 0x80, 0x80]);
+        bundle.extend_from_slice(&tail);
+        let walked: Vec<_> = decode_bundle(&bundle).expect("header").collect();
+        let mut want = expected(&frames);
+        want.push(Err(DecodeError::BadLength));
+        prop_assert_eq!(walked, want);
+    }
+}
+
+/// The budget is the documented one: a 1500-byte MTU less IPv6 and UDP
+/// headers — bundles never IP-fragment.
+#[test]
+fn bundle_budget_fits_an_ethernet_mtu() {
+    assert_eq!(BUNDLE_BUDGET, 1500 - 40 - 8);
 }

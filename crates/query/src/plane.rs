@@ -123,6 +123,24 @@ struct RunningQuery {
     rejects: Counter,
 }
 
+impl RunningQuery {
+    /// Moves the node's completed epochs into `epochs`, remembering the
+    /// newest readable estimate.
+    fn harvest(&mut self, name: &str, epochs: &mut Vec<QueryEpoch>) {
+        for report in self.node.take_reports() {
+            let estimate = self.kind.extract(&report, 0);
+            if let Some(value) = estimate {
+                self.latest = Some((report.epoch, value));
+            }
+            epochs.push(QueryEpoch {
+                query: name.to_string(),
+                epoch: report.epoch,
+                estimate,
+            });
+        }
+    }
+}
+
 impl std::fmt::Debug for RunningQuery {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RunningQuery")
@@ -372,13 +390,13 @@ impl QueryPlane {
         message: &Message,
         now: u64,
     ) -> Option<QueryOutbound> {
-        let name = query.to_string();
-        let running = self.running.get_mut(&name)?;
+        let running = self.running.get_mut(query)?;
         let reply = running.node.handle(message, now);
-        self.harvest_reports();
+        // Only the touched query can have completed an epoch.
+        running.harvest(query, &mut self.epochs);
         reply.map(|outbound| QueryOutbound::Aggregation {
             to: outbound.to,
-            query: name,
+            query: query.to_string(),
             message: outbound.message,
         })
     }
@@ -408,17 +426,7 @@ impl QueryPlane {
 
     fn harvest_reports(&mut self) {
         for (name, query) in self.running.iter_mut() {
-            for report in query.node.take_reports() {
-                let estimate = query.kind.extract(&report, 0);
-                if let Some(value) = estimate {
-                    query.latest = Some((report.epoch, value));
-                }
-                self.epochs.push(QueryEpoch {
-                    query: name.clone(),
-                    epoch: report.epoch,
-                    estimate,
-                });
-            }
+            query.harvest(name, &mut self.epochs);
         }
     }
 

@@ -453,7 +453,7 @@ fn report(label: &str, cluster: &MuxCluster, truth_avg: f64, n: usize) -> Option
     }
     println!(
         "{label}: {epochs_seen} epoch reports from {avg_count} of {} local nodes; \
-         {} datagrams in / {} out, {} send errors \
+         {} frames in / {} out, {} send errors \
          (membership: {} in / {} out, byte overhead {:.3})",
         cluster.len(),
         totals.received(),
@@ -467,8 +467,8 @@ fn report(label: &str, cluster: &MuxCluster, truth_avg: f64, n: usize) -> Option
     let moved = totals.received() + totals.sent();
     if moved > 0 {
         println!(
-            "{label}: {} recv + {} send syscalls for {moved} datagrams \
-             ({:.3} syscalls/datagram, {:?} backend, {} readers)",
+            "{label}: {} recv + {} send syscalls for {moved} frames \
+             ({:.3} syscalls/frame, {:?} backend, {} readers)",
             syscalls.recv_calls,
             syscalls.send_calls,
             (syscalls.recv_calls + syscalls.send_calls) as f64 / moved as f64,
@@ -589,7 +589,7 @@ fn run_smoke(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         }
         let counts = shard.total_datagram_counts();
         if counts.sent() == 0 || counts.received() == 0 {
-            eprintln!("shard {s}: no datagrams moved");
+            eprintln!("shard {s}: no frames moved");
             ok = false;
         }
     }
@@ -628,6 +628,23 @@ fn run_smoke(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
                 ok = false;
             }
         }
+    }
+
+    // Bundling must be live: on average more than one frame per datagram,
+    // and — what the portable leg is there to catch, at one `send_to`
+    // per datagram — fewer send syscalls than frames sent.
+    match series_value(&body, "io_frames_per_datagram") {
+        Some(v) if v > 1.0 => println!("smoke: /metrics io_frames_per_datagram = {v:.4}"),
+        other => {
+            eprintln!("smoke: /metrics io_frames_per_datagram = {other:?}, frames never shared a datagram");
+            ok = false;
+        }
+    }
+    let send_calls = shards[0].syscall_counts().send_calls;
+    let frames_sent = shards[0].total_datagram_counts().sent();
+    if send_calls >= frames_sent {
+        eprintln!("smoke: {send_calls} send syscalls for {frames_sent} frames");
+        ok = false;
     }
 
     if let Some(path) = &smoke_args.trace_out {

@@ -228,6 +228,81 @@ fn mux_1024_nodes_multi_reader_converge_within_theory_bounds() {
     }
 }
 
+#[test]
+fn mux_256_nodes_bundle_frames_without_losing_any() {
+    // The bundle wire end to end. Nothing is ever held back to fill a
+    // bundle, so frames share a datagram only when work arrives in
+    // bursts: a 16 ms cycle makes the 1 ms timer tick wake ~16 of the 256
+    // vnodes at once. Many frames must then share each datagram, none may
+    // be lost or invented on the way through a bundle, and convergence
+    // must sit inside the same paper bound as the unbundled runtime did.
+    let n = 256usize;
+    let gamma = 20u32;
+    let config = NodeConfig::builder()
+        .gamma(gamma)
+        .cycle_length(16)
+        .timeout(6)
+        .instance(InstanceSpec::AVERAGE)
+        .build()
+        .unwrap();
+    let cluster = MuxCluster::spawn(
+        MuxClusterConfig::new(n, config)
+            .with_workers(2)
+            .with_readers(1)
+            .with_seed(7),
+        |i| i as f64, // truth: (n - 1) / 2 = 127.5
+    )
+    .unwrap();
+    std::thread::sleep(Duration::from_millis(1_000));
+    // Frames keep flowing, so "received == sent" is pinned as a sandwich
+    // around the frames in flight: everything sent by t0 has arrived by
+    // t1, and nothing has arrived by t1 that was not sent by t2.
+    let sent_t0 = cluster.total_datagram_counts().sent();
+    std::thread::sleep(Duration::from_millis(200));
+    let at_t1 = cluster.total_datagram_counts();
+    let datagrams_t1: u64 = cluster
+        .socket_recv_counts()
+        .iter()
+        .map(|socket| socket.datagrams)
+        .sum();
+    std::thread::sleep(Duration::from_millis(200));
+    let at_t2 = cluster.total_datagram_counts();
+    let reports = cluster.take_all_reports();
+    cluster.shutdown();
+
+    assert_eq!(at_t2.send_errors, 0, "loopback refused datagrams");
+    assert!(
+        sent_t0 <= at_t1.received() && at_t1.received() <= at_t2.sent(),
+        "frames lost or invented: sent {sent_t0} by t0, received {} by t1, sent {} by t2",
+        at_t1.received(),
+        at_t2.sent(),
+    );
+    // The socket counters were read after the frame counters, so this
+    // over-counts datagrams if anything — and still needs fewer than one
+    // per four frames.
+    assert!(
+        datagrams_t1 < at_t1.received() / 4,
+        "{datagrams_t1} datagrams carried only {} frames",
+        at_t1.received(),
+    );
+
+    let truth = (n as f64 - 1.0) / 2.0;
+    let bound = theory_bound(n, gamma, 100.0);
+    for r in reports.iter().flatten() {
+        let est = r.scalar(0).unwrap();
+        assert!(
+            (est - truth).abs() < bound,
+            "epoch {} estimate {est} vs truth {truth} (bound {bound:.3})",
+            r.epoch
+        );
+    }
+    let nodes_reporting = reports.iter().filter(|r| !r.is_empty()).count();
+    assert!(
+        nodes_reporting >= n * 3 / 4,
+        "only {nodes_reporting} of {n} nodes completed an epoch"
+    );
+}
+
 /// Whether the default-selected backend actually batches here (Linux,
 /// barring an `EPIDEMIC_NET_IO` override — the CI fallback leg sets it).
 fn cluster_io_is_batched() -> bool {
