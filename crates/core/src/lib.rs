@@ -36,6 +36,8 @@
 //!   (COUNT/SUM/PRODUCT/VARIANCE, trimmed combination of instances).
 //! * [`theory`] — closed-form results: convergence factors, Theorem 1
 //!   (crash-induced error), the link-failure bound.
+//! * [`convergence`] — the observed counterpart: per-epoch estimate
+//!   windows and the measured ρ every embedding exports.
 //! * [`baseline`] — the push-sum protocol of Kempe et al. (FOCS'03), the
 //!   paper's closest related work, used as an ablation baseline.
 //!
@@ -56,6 +58,7 @@
 pub mod aggregates;
 pub mod baseline;
 pub mod config;
+pub mod convergence;
 pub mod error;
 pub mod estimator;
 pub mod instance;

@@ -16,6 +16,7 @@
 //! exchanges), so the overhead of gossiped membership and of the
 //! multi-tenant query plane are both directly measurable.
 
+use crate::stack::Plane;
 use epidemic_aggregation::EpochReport;
 use epidemic_common::NodeId;
 use epidemic_query::{QueryDescriptor, QueryError, QueryEstimate};
@@ -159,54 +160,41 @@ pub(crate) struct TrafficCell {
 }
 
 impl TrafficCell {
-    pub(crate) fn count_sent(&self, membership: bool, bytes: usize) {
-        if membership {
-            self.membership_sent.fetch_add(1, Ordering::Relaxed);
+    /// Counts one frame of `bytes` wire bytes sent on `plane`. A
+    /// piggybacked frame is one aggregation frame whose trailer bytes go
+    /// to the membership ledger.
+    pub(crate) fn charge(&self, plane: Plane, bytes: u64) {
+        let (frames, ledger) = match plane {
+            Plane::Aggregation | Plane::Piggybacked { .. } => {
+                (&self.aggregation_sent, &self.aggregation_bytes_sent)
+            }
+            Plane::Membership => (&self.membership_sent, &self.membership_bytes_sent),
+            Plane::Query => (&self.query_sent, &self.query_bytes_sent),
+        };
+        let mut own = bytes;
+        if let Plane::Piggybacked { trailer } = plane {
+            own -= u64::from(trailer);
             self.membership_bytes_sent
-                .fetch_add(bytes as u64, Ordering::Relaxed);
-        } else {
-            self.aggregation_sent.fetch_add(1, Ordering::Relaxed);
-            self.aggregation_bytes_sent
-                .fetch_add(bytes as u64, Ordering::Relaxed);
+                .fetch_add(u64::from(trailer), Ordering::Relaxed);
         }
+        frames.fetch_add(1, Ordering::Relaxed);
+        ledger.fetch_add(own, Ordering::Relaxed);
     }
 
-    /// Counts one piggybacked datagram: an aggregation datagram whose
-    /// last `trailer_bytes` are a membership trailer. The datagram itself
-    /// is aggregation traffic; the trailer bytes are charged to the
-    /// membership plane so the byte-overhead ratio stays honest.
-    pub(crate) fn count_piggybacked_sent(&self, total_bytes: usize, trailer_bytes: usize) {
-        self.aggregation_sent.fetch_add(1, Ordering::Relaxed);
-        self.aggregation_bytes_sent
-            .fetch_add((total_bytes - trailer_bytes) as u64, Ordering::Relaxed);
-        self.membership_bytes_sent
-            .fetch_add(trailer_bytes as u64, Ordering::Relaxed);
+    /// Counts one frame received on `plane`.
+    pub(crate) fn count_received(&self, plane: Plane) {
+        let frames = match plane {
+            Plane::Aggregation | Plane::Piggybacked { .. } => &self.aggregation_received,
+            Plane::Membership => &self.membership_received,
+            Plane::Query => &self.query_received,
+        };
+        frames.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Publishes the directory's current join-retry count (a level, not a
     /// delta — the directory owns the counter).
     pub(crate) fn set_join_retries(&self, retries: u64) {
         self.join_retries.store(retries, Ordering::Relaxed);
-    }
-
-    pub(crate) fn count_received(&self, membership: bool) {
-        if membership {
-            self.membership_received.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.aggregation_received.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Counts one query-plane datagram sent (catalog gossip or a
-    /// named-query exchange frame).
-    pub(crate) fn count_query_sent(&self, bytes: usize) {
-        self.query_sent.fetch_add(1, Ordering::Relaxed);
-        self.query_bytes_sent
-            .fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
-    pub(crate) fn count_query_received(&self) {
-        self.query_received.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn count_rpc_reject(&self) {
@@ -388,13 +376,13 @@ mod tests {
     #[test]
     fn traffic_cell_snapshot_reflects_counting() {
         let cell = TrafficCell::default();
-        cell.count_sent(false, 40);
-        cell.count_sent(false, 60);
-        cell.count_sent(true, 8);
-        cell.count_received(false);
-        cell.count_received(true);
-        cell.count_query_sent(24);
-        cell.count_query_received();
+        cell.charge(Plane::Aggregation, 40);
+        cell.charge(Plane::Aggregation, 60);
+        cell.charge(Plane::Membership, 8);
+        cell.count_received(Plane::Aggregation);
+        cell.count_received(Plane::Membership);
+        cell.charge(Plane::Query, 24);
+        cell.count_received(Plane::Query);
         cell.count_rpc_reject();
         cell.count_send_error();
         cell.count_send_error();
@@ -417,8 +405,8 @@ mod tests {
     #[test]
     fn piggybacked_sends_split_bytes_across_planes() {
         let cell = TrafficCell::default();
-        cell.count_piggybacked_sent(100, 30);
-        cell.count_piggybacked_sent(50, 0);
+        cell.charge(Plane::Piggybacked { trailer: 30 }, 100);
+        cell.charge(Plane::Piggybacked { trailer: 0 }, 50);
         let snap = cell.snapshot();
         // Two datagrams, both on the aggregation plane…
         assert_eq!(snap.aggregation_sent, 2);

@@ -338,12 +338,6 @@ pub fn encoded_len(msg: &Message) -> usize {
 /// initiator's opening message; `delta` marks a payload carrying only the
 /// descriptors the partner was not known to hold (tags 8/9) instead of
 /// the sender's full view (tags 4/5).
-pub fn encode_view_message(payload: &ViewPayload, reply: bool, delta: bool) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(view_encoded_len(payload));
-    put_view(&mut buf, payload, reply, delta);
-    buf
-}
-
 fn put_view(buf: &mut Vec<u8>, payload: &ViewPayload, reply: bool, delta: bool) {
     buf.put_u8(WIRE_VERSION);
     buf.put_u8(match (delta, reply) {
@@ -358,47 +352,6 @@ fn put_view(buf: &mut Vec<u8>, payload: &ViewPayload, reply: bool, delta: bool) 
         buf.put_u32_le(d.node);
         buf.put_u32_le(d.timestamp);
     }
-}
-
-/// Decodes a datagram produced by [`encode_view_message`], returning the
-/// payload plus the `(reply, delta)` flags carried by the tag.
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] on truncation, an unknown version, or a tag
-/// that is not a view exchange.
-pub fn decode_view_message(mut data: &[u8]) -> Result<(ViewPayload, bool, bool), DecodeError> {
-    if data.remaining() < 8 {
-        return Err(DecodeError::Truncated);
-    }
-    let version = data.get_u8();
-    if version != WIRE_VERSION {
-        return Err(DecodeError::BadVersion(version));
-    }
-    let (reply, delta) = match data.get_u8() {
-        4 => (false, false),
-        5 => (true, false),
-        8 => (false, true),
-        9 => (true, true),
-        t => return Err(DecodeError::BadTag(t)),
-    };
-    let from = data.get_u32_le();
-    let count = data.get_u16_le() as usize;
-    if data.remaining() < count * 8 {
-        return Err(DecodeError::Truncated);
-    }
-    let mut descriptors = Vec::with_capacity(count);
-    for _ in 0..count {
-        let node = data.get_u32_le();
-        let timestamp = data.get_u32_le();
-        descriptors.push(Descriptor::new(node, timestamp));
-    }
-    Ok((ViewPayload { from, descriptors }, reply, delta))
-}
-
-/// Exact encoded size of [`encode_view_message`]'s output for `payload`.
-pub fn view_encoded_len(payload: &ViewPayload) -> usize {
-    view_message_len(payload.descriptors.len())
 }
 
 /// Encoded size of a view message carrying `descriptors` descriptors.
@@ -457,11 +410,6 @@ fn put_join(buf: &mut Vec<u8>, from: u32) {
     buf.put_u32_le(from);
 }
 
-/// Exact encoded size of a join message.
-pub const fn join_message_len() -> usize {
-    1 + 1 + 4 // version + tag + sender
-}
-
 /// Encodes a bootstrap introduction (tag 7): a snapshot of the
 /// introducer's view with optional peer addresses.
 fn put_introduce(buf: &mut Vec<u8>, from: u32, peers: &[IntroduceEntry]) {
@@ -479,23 +427,7 @@ fn put_introduce(buf: &mut Vec<u8>, from: u32, peers: &[IntroduceEntry]) {
     }
 }
 
-/// Exact encoded size of an introduce message (tag 7).
-pub fn introduce_message_len(peers: &[IntroduceEntry]) -> usize {
-    // version + tag + sender + entry count
-    let mut len = 1 + 1 + 4 + 2;
-    for entry in peers {
-        len += 4 + 4 + 1; // node + timestamp + addr kind
-        len += entry.addr.map_or(0, addr_len);
-    }
-    len
-}
-
-/// Encodes any membership-plane payload (tags 4–9).
-pub fn encode_directory_message(payload: &DirectoryPayload) -> Vec<u8> {
-    WireFrame::Directory(payload).encode()
-}
-
-/// Appends [`encode_directory_message`]'s bytes to `buf`.
+/// Appends a membership-plane payload's encoding (tags 4–9) to `buf`.
 pub fn encode_directory_message_into(buf: &mut Vec<u8>, payload: &DirectoryPayload) {
     match payload {
         DirectoryPayload::View { view, reply, delta } => put_view(buf, view, *reply, *delta),
@@ -504,12 +436,17 @@ pub fn encode_directory_message_into(buf: &mut Vec<u8>, payload: &DirectoryPaylo
     }
 }
 
-/// Exact encoded size of [`encode_directory_message`]'s output.
+/// Exact encoded size of a membership-plane payload.
 pub fn directory_encoded_len(payload: &DirectoryPayload) -> usize {
     match payload {
-        DirectoryPayload::View { view, .. } => view_encoded_len(view),
-        DirectoryPayload::Join { .. } => join_message_len(),
-        DirectoryPayload::Introduce { peers, .. } => introduce_message_len(peers),
+        DirectoryPayload::View { view, .. } => view_message_len(view.descriptors.len()),
+        DirectoryPayload::Join { .. } => 1 + 1 + 4, // version + tag + sender
+        DirectoryPayload::Introduce { peers, .. } => {
+            // version + tag + sender + entry count, then per entry
+            // node + timestamp + addr kind (+ ip and port)
+            let addrs: usize = peers.iter().map(|e| e.addr.map_or(0, addr_len)).sum();
+            1 + 1 + 4 + 2 + peers.len() * (4 + 4 + 1) + addrs
+        }
     }
 }
 
@@ -519,64 +456,66 @@ pub fn directory_encoded_len(payload: &DirectoryPayload) -> usize {
 ///
 /// Returns a [`DecodeError`] on truncation, an unknown version, or a tag
 /// outside the membership plane.
-pub fn decode_directory_message(data: &[u8]) -> Result<DirectoryPayload, DecodeError> {
+pub fn decode_directory_message(mut data: &[u8]) -> Result<DirectoryPayload, DecodeError> {
+    // version + tag + sender
+    if data.remaining() < 1 + 1 + 4 {
+        return Err(DecodeError::Truncated);
+    }
+    let version = data.get_u8();
+    if version != WIRE_VERSION {
+        return Err(DecodeError::BadVersion(version));
+    }
+    let tag = data.get_u8();
+    let from = data.get_u32_le();
+    if tag == 6 {
+        return Ok(DirectoryPayload::Join { from });
+    }
+    if !matches!(tag, 4 | 5 | 7 | 8 | 9) {
+        return Err(DecodeError::BadTag(tag));
+    }
     if data.remaining() < 2 {
         return Err(DecodeError::Truncated);
     }
-    match data[1] {
-        6 | 7 => {
-            let mut data = data;
-            if data.remaining() < join_message_len() {
+    let count = data.get_u16_le() as usize;
+    if tag == 7 {
+        let mut peers = Vec::with_capacity(count.min(256));
+        for _ in 0..count {
+            if data.remaining() < 9 {
                 return Err(DecodeError::Truncated);
             }
-            let version = data.get_u8();
-            if version != WIRE_VERSION {
-                return Err(DecodeError::BadVersion(version));
-            }
-            let tag = data.get_u8();
-            let from = data.get_u32_le();
-            if tag == 6 {
-                return Ok(DirectoryPayload::Join { from });
-            }
-            if data.remaining() < 2 {
-                return Err(DecodeError::Truncated);
-            }
-            let count = data.get_u16_le() as usize;
-            let mut peers = Vec::with_capacity(count.min(256));
-            for _ in 0..count {
-                if data.remaining() < 9 {
-                    return Err(DecodeError::Truncated);
-                }
-                let node = data.get_u32_le();
-                let timestamp = data.get_u32_le();
-                let addr = match data.get_u8() {
-                    0 => None,
-                    kind => Some(get_addr(kind, &mut data)?),
-                };
-                peers.push(IntroduceEntry {
-                    node,
-                    timestamp,
-                    addr,
-                });
-            }
-            Ok(DirectoryPayload::Introduce { from, peers })
+            let node = data.get_u32_le();
+            let timestamp = data.get_u32_le();
+            let addr = match data.get_u8() {
+                0 => None,
+                kind => Some(get_addr(kind, &mut data)?),
+            };
+            peers.push(IntroduceEntry {
+                node,
+                timestamp,
+                addr,
+            });
         }
-        _ => {
-            // Tags 4/5/8/9, plus version/tag error reporting for the rest.
-            let (view, reply, delta) = decode_view_message(data)?;
-            Ok(DirectoryPayload::View { view, reply, delta })
-        }
+        return Ok(DirectoryPayload::Introduce { from, peers });
     }
+    if data.remaining() < count * 8 {
+        return Err(DecodeError::Truncated);
+    }
+    let mut descriptors = Vec::with_capacity(count);
+    for _ in 0..count {
+        let node = data.get_u32_le();
+        let timestamp = data.get_u32_le();
+        descriptors.push(Descriptor::new(node, timestamp));
+    }
+    Ok(DirectoryPayload::View {
+        view: ViewPayload { from, descriptors },
+        reply: tag == 5 || tag == 9,
+        delta: tag >= 8,
+    })
 }
 
-/// Encodes an aggregation message with a piggybacked membership trailer
+/// Appends an aggregation message with a piggybacked membership trailer
 /// (tag 10): a few descriptors (and optionally their addresses) riding on
 /// a datagram that was leaving the socket anyway.
-pub fn encode_piggyback_message(msg: &Message, piggyback: &Piggyback) -> Vec<u8> {
-    WireFrame::Piggybacked(msg, piggyback).encode()
-}
-
-/// Appends [`encode_piggyback_message`]'s bytes to `buf`.
 pub fn encode_piggyback_message_into(buf: &mut Vec<u8>, msg: &Message, piggyback: &Piggyback) {
     buf.put_u8(WIRE_VERSION);
     buf.put_u8(10);
@@ -594,7 +533,7 @@ pub fn encode_piggyback_message_into(buf: &mut Vec<u8>, msg: &Message, piggyback
     encode_message_into(buf, msg);
 }
 
-/// Decodes a datagram produced by [`encode_piggyback_message`].
+/// Decodes a piggybacked aggregation datagram (tag 10).
 ///
 /// # Errors
 ///
@@ -645,7 +584,7 @@ pub fn decode_piggyback_message(mut data: &[u8]) -> Result<(Message, Piggyback),
     ))
 }
 
-/// Exact encoded size of [`encode_piggyback_message`]'s output.
+/// Exact encoded size of a piggybacked aggregation datagram.
 pub fn piggyback_message_len(msg: &Message, piggyback: &Piggyback) -> usize {
     piggyback_trailer_len(piggyback) + encoded_len(msg)
 }
@@ -727,13 +666,8 @@ fn descriptor_len(d: &QueryDescriptor) -> usize {
     1 + d.name.len() + 1 + 4 + 8 + 8 + 8 + 8 + 4 + 4
 }
 
-/// Encodes a catalog gossip push (tag 11): the sender's full entry list,
+/// Appends a catalog gossip push (tag 11): the sender's full entry list,
 /// tombstones included.
-pub fn encode_catalog_message(from: NodeId, entries: &[CatalogEntry]) -> Vec<u8> {
-    WireFrame::Catalog(from, entries).encode()
-}
-
-/// Appends [`encode_catalog_message`]'s bytes to `buf`.
 pub fn encode_catalog_message_into(buf: &mut Vec<u8>, from: NodeId, entries: &[CatalogEntry]) {
     buf.put_u8(WIRE_VERSION);
     buf.put_u8(11);
@@ -748,7 +682,7 @@ pub fn encode_catalog_message_into(buf: &mut Vec<u8>, from: NodeId, entries: &[C
     }
 }
 
-/// Decodes a datagram produced by [`encode_catalog_message`].
+/// Decodes a catalog gossip push (tag 11).
 ///
 /// # Errors
 ///
@@ -789,7 +723,7 @@ pub fn decode_catalog_message(mut data: &[u8]) -> Result<(NodeId, Vec<CatalogEnt
     Ok((from, entries))
 }
 
-/// Exact encoded size of [`encode_catalog_message`]'s output.
+/// Exact encoded size of a catalog gossip push.
 pub fn catalog_message_len(entries: &[CatalogEntry]) -> usize {
     // version + tag + sender + entry count
     let mut len = 1 + 1 + 8 + 2;
@@ -800,14 +734,9 @@ pub fn catalog_message_len(entries: &[CatalogEntry]) -> usize {
     len
 }
 
-/// Encodes a query-plane aggregation frame (tag 12): the owning query's
+/// Appends a query-plane aggregation frame (tag 12): the owning query's
 /// name followed by a complete aggregation message, so concurrent named
 /// queries multiplex over one socket without interfering.
-pub fn encode_query_message(query: &str, msg: &Message) -> Vec<u8> {
-    WireFrame::Query(query, msg).encode()
-}
-
-/// Appends [`encode_query_message`]'s bytes to `buf`.
 pub fn encode_query_message_into(buf: &mut Vec<u8>, query: &str, msg: &Message) {
     buf.put_u8(WIRE_VERSION);
     buf.put_u8(12);
@@ -815,7 +744,7 @@ pub fn encode_query_message_into(buf: &mut Vec<u8>, query: &str, msg: &Message) 
     encode_message_into(buf, msg);
 }
 
-/// Decodes a datagram produced by [`encode_query_message`].
+/// Decodes a query-plane aggregation frame (tag 12).
 ///
 /// # Errors
 ///
@@ -838,7 +767,7 @@ pub fn decode_query_message(mut data: &[u8]) -> Result<(String, Message), Decode
     Ok((query, message))
 }
 
-/// Exact encoded size of [`encode_query_message`]'s output.
+/// Exact encoded size of a query-plane aggregation frame.
 pub fn query_message_len(query: &str, msg: &Message) -> usize {
     // version + tag + name len + name + carried message
     1 + 1 + 1 + query.len() + encoded_len(msg)
@@ -1382,52 +1311,51 @@ mod tests {
         }
     }
 
+    fn view(descriptors: Vec<Descriptor>, reply: bool, delta: bool) -> DirectoryPayload {
+        DirectoryPayload::View {
+            view: ViewPayload {
+                from: 0xDEAD_BEEF,
+                descriptors,
+            },
+            reply,
+            delta,
+        }
+    }
+
     #[test]
     fn round_trip_view_messages() {
         for delta in [false, true] {
             for reply in [false, true] {
-                let payload = ViewPayload {
-                    from: 0xDEAD_BEEF,
-                    descriptors: vec![Descriptor::new(1, 9), Descriptor::new(u32::MAX, 0)],
-                };
-                let encoded = encode_view_message(&payload, reply, delta);
-                assert_eq!(encoded.len(), view_encoded_len(&payload));
-                let (decoded, was_reply, was_delta) =
-                    decode_view_message(&encoded).expect("decode");
-                assert_eq!(decoded, payload);
-                assert_eq!(was_reply, reply);
-                assert_eq!(was_delta, delta);
+                let descriptors = vec![Descriptor::new(1, 9), Descriptor::new(u32::MAX, 0)];
+                let payload = view(descriptors, reply, delta);
+                let encoded = WireFrame::Directory(&payload).encode();
+                assert_eq!(encoded.len(), directory_encoded_len(&payload));
+                assert_eq!(decode_directory_message(&encoded), Ok(payload));
             }
         }
     }
 
     #[test]
     fn delta_and_full_views_use_distinct_tags() {
-        let payload = ViewPayload {
-            from: 1,
-            descriptors: vec![Descriptor::new(2, 3)],
+        let encode = |reply, delta| {
+            WireFrame::Directory(&view(vec![Descriptor::new(2, 3)], reply, delta)).encode()
         };
-        assert_eq!(encode_view_message(&payload, false, false)[1], 4);
-        assert_eq!(encode_view_message(&payload, true, false)[1], 5);
-        assert_eq!(encode_view_message(&payload, false, true)[1], 8);
-        assert_eq!(encode_view_message(&payload, true, true)[1], 9);
+        assert_eq!(encode(false, false)[1], 4);
+        assert_eq!(encode(true, false)[1], 5);
+        assert_eq!(encode(false, true)[1], 8);
+        assert_eq!(encode(true, true)[1], 9);
         // Same body layout: only the tag byte differs.
-        let full = encode_view_message(&payload, false, false);
-        let delta = encode_view_message(&payload, false, true);
-        assert_eq!(full[2..], delta[2..]);
+        assert_eq!(encode(false, false)[2..], encode(false, true)[2..]);
     }
 
     #[test]
     fn view_decode_rejects_truncation_and_foreign_tags() {
-        let payload = ViewPayload {
-            from: 3,
-            descriptors: vec![Descriptor::new(4, 5), Descriptor::new(6, 7)],
-        };
+        let descriptors = vec![Descriptor::new(4, 5), Descriptor::new(6, 7)];
         for delta in [false, true] {
-            let encoded = encode_view_message(&payload, false, delta);
+            let encoded = WireFrame::Directory(&view(descriptors.clone(), false, delta)).encode();
             for len in 0..encoded.len() {
                 assert_eq!(
-                    decode_view_message(&encoded[..len]),
+                    decode_directory_message(&encoded[..len]),
                     Err(DecodeError::Truncated),
                     "prefix of length {len} (delta={delta})"
                 );
@@ -1439,7 +1367,7 @@ mod tests {
         }
         // An aggregation message is not a view message and vice versa.
         let agg = encode_message(&Message::refuse(NodeId::new(1), 0));
-        assert_eq!(decode_view_message(&agg), Err(DecodeError::BadTag(3)));
+        assert_eq!(decode_directory_message(&agg), Err(DecodeError::BadTag(3)));
     }
 
     #[test]
@@ -1474,17 +1402,18 @@ mod tests {
     fn view_exchange_size_arithmetic() {
         // A c=30 view exchange: each side ships 31 descriptors.
         assert_eq!(view_message_len(31), 1 + 1 + 4 + 2 + 31 * 8);
-        let payload = ViewPayload {
-            from: 0,
-            descriptors: (0..31).map(|i| Descriptor::new(i, i)).collect(),
-        };
-        assert_eq!(view_encoded_len(&payload), view_message_len(31));
+        let payload = view(
+            (0..31).map(|i| Descriptor::new(i, i)).collect(),
+            false,
+            false,
+        );
+        assert_eq!(directory_encoded_len(&payload), view_message_len(31));
     }
 
     #[test]
     fn round_trip_join_and_introduce() {
         let join = DirectoryPayload::Join { from: 0xBEEF };
-        let encoded = encode_directory_message(&join);
+        let encoded = WireFrame::Directory(&join).encode();
         assert_eq!(encoded.len(), directory_encoded_len(&join));
         assert_eq!(decode_directory_message(&encoded), Ok(join));
 
@@ -1508,7 +1437,7 @@ mod tests {
                 },
             ],
         };
-        let encoded = encode_directory_message(&intro);
+        let encoded = WireFrame::Directory(&intro).encode();
         assert_eq!(encoded.len(), directory_encoded_len(&intro));
         assert_eq!(decode_directory_message(&encoded), Ok(intro));
     }
@@ -1530,7 +1459,7 @@ mod tests {
                 },
             ],
         };
-        let encoded = encode_directory_message(&intro);
+        let encoded = WireFrame::Directory(&intro).encode();
         for len in 0..encoded.len() {
             assert_eq!(
                 decode_directory_message(&encoded[..len]),
@@ -1538,7 +1467,7 @@ mod tests {
                 "prefix of length {len}"
             );
         }
-        let join = encode_directory_message(&DirectoryPayload::Join { from: 9 });
+        let join = WireFrame::Directory(&DirectoryPayload::Join { from: 9 }).encode();
         for len in 0..join.len() {
             assert_eq!(
                 decode_directory_message(&join[..len]),
@@ -1564,13 +1493,13 @@ mod tests {
                 delta,
             };
             assert_eq!(
-                decode_datagram(&encode_directory_message(&view)),
+                decode_datagram(&WireFrame::Directory(&view).encode()),
                 Ok(WirePayload::Directory(view))
             );
         }
         let join = DirectoryPayload::Join { from: 11 };
         assert_eq!(
-            decode_datagram(&encode_directory_message(&join)),
+            decode_datagram(&WireFrame::Directory(&join).encode()),
             Ok(WirePayload::Directory(join))
         );
         let pb = Piggyback {
@@ -1580,7 +1509,7 @@ mod tests {
         };
         let inner = Message::refuse(NodeId::new(4), 7);
         assert_eq!(
-            decode_datagram(&encode_piggyback_message(&inner, &pb)),
+            decode_datagram(&WireFrame::Piggybacked(&inner, &pb).encode()),
             Ok(WirePayload::Piggybacked(inner, pb))
         );
         assert_eq!(
@@ -1626,7 +1555,7 @@ mod tests {
     #[test]
     fn round_trip_catalog_messages() {
         for entries in [vec![], sample_entries()] {
-            let encoded = encode_catalog_message(NodeId::new(42), &entries);
+            let encoded = WireFrame::Catalog(NodeId::new(42), &entries).encode();
             assert_eq!(encoded.len(), catalog_message_len(&entries));
             let (from, decoded) = decode_catalog_message(&encoded).expect("decode");
             assert_eq!(from, NodeId::new(42));
@@ -1644,7 +1573,7 @@ mod tests {
     #[test]
     fn catalog_decode_rejects_corruption() {
         let entries = sample_entries();
-        let encoded = encode_catalog_message(NodeId::new(1), &entries);
+        let encoded = WireFrame::Catalog(NodeId::new(1), &entries).encode();
         for len in 0..encoded.len() {
             assert_eq!(
                 decode_catalog_message(&encoded[..len]),
@@ -1676,7 +1605,7 @@ mod tests {
             4,
             vec![InstanceState::Scalar(1.5), InstanceState::Scalar(0.25)],
         );
-        let encoded = encode_query_message("load.p99", &msg);
+        let encoded = WireFrame::Query("load.p99", &msg).encode();
         assert_eq!(encoded.len(), query_message_len("load.p99", &msg));
         let (query, decoded) = decode_query_message(&encoded).expect("decode");
         assert_eq!(query, "load.p99");
@@ -1824,7 +1753,7 @@ mod tests {
                 ],
             },
         ] {
-            let encoded = encode_piggyback_message(&msg, &pb);
+            let encoded = WireFrame::Piggybacked(&msg, &pb).encode();
             assert_eq!(encoded.len(), piggyback_message_len(&msg, &pb));
             assert_eq!(
                 encoded.len(),
@@ -1845,7 +1774,7 @@ mod tests {
             descriptors: vec![Descriptor::new(4, 5)],
             addrs: vec![(4, "127.0.0.1:9000".parse().unwrap())],
         };
-        let encoded = encode_piggyback_message(&msg, &pb);
+        let encoded = WireFrame::Piggybacked(&msg, &pb).encode();
         for len in 0..encoded.len() {
             assert_eq!(
                 decode_piggyback_message(&encoded[..len]),

@@ -63,8 +63,9 @@ const DRAW_SEED_SALT: u64 = 0x5EED;
 /// Where a directory wants a message delivered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Destination {
-    /// A node known by identifier; the embedding resolves the address
-    /// (mux: peer table; threads: [`PeerDirectory::addr_of`]).
+    /// A node known by identifier. [`crate::stack::NodeStack`] turns it
+    /// into an address when [`PeerDirectory::addr_of`] knows one;
+    /// id-routed embeddings (the mux peer table) resolve what is left.
     Node(NodeId),
     /// An explicit socket address (introducer bootstrap before any
     /// identifier is known).

@@ -5,8 +5,15 @@
 //! answering) over an overlay-agnostic membership service — all the
 //! protocol ever asks of it is `GETNEIGHBOR()`. This crate provides
 //! exactly that embedding for the sans-io
-//! [`epidemic_aggregation::GossipNode`], factored along two seams:
+//! [`epidemic_aggregation::GossipNode`]: one [`stack::NodeStack`] that
+//! wires the node's three planes together, two seams around it, and two
+//! transports under it:
 //!
+//! * [`stack`] — the **node**: [`stack::NodeStack`] owns the base
+//!   aggregate, its directory and the query plane, and is the only place
+//!   that decides poll order, piggyback attachment, deadline folding and
+//!   which traffic ledger a frame lands on. Sans-io: `step(input, now,
+//!   sink)` in, borrowed frames out. Both runtimes embed it.
 //! * [`directory`] — the **membership seam**: [`directory::PeerDirectory`]
 //!   answers `GETNEIGHBOR()` and resolves peer addresses. Implementations:
 //!   [`directory::StaticDirectory`] (a static table, the out-of-band
@@ -23,7 +30,8 @@
 //!   bootstrap, virtual-node-routed mux frames, and exact `*_len` size
 //!   twins for traffic accounting.
 //! * [`runtime`] — the thread-per-node UDP runtime
-//!   ([`runtime::ThreadCluster`]): one OS thread and socket per node.
+//!   ([`runtime::ThreadCluster`]): a socket and a millisecond clock per
+//!   stack, one OS thread each — the cross-runtime reference.
 //! * [`mux`] — the multiplexed runtime ([`mux::MuxCluster`]): N virtual
 //!   nodes behind a small **reader socket set** (vnode `i` homed on
 //!   socket `i % readers`) and `workers + readers + 1` threads, driven
@@ -99,6 +107,7 @@ pub mod codec;
 pub mod directory;
 pub mod mux;
 pub mod runtime;
+pub mod stack;
 pub mod timer;
 
 pub use batch::IoBackend;

@@ -20,15 +20,15 @@
 //!   (each wheel holds only its socket's vnodes, and each shard has its
 //!   own schedule inbox, so the wheel path is never a single global
 //!   lock) over every node's self-reported deadline
-//!   ([`GossipNode::next_deadline`] merged with its directory's
-//!   [`PeerDirectory::next_deadline`]): cycle boundaries,
-//!   pending-exchange timeouts, joiner activations, membership gossip;
+//!   ([`NodeStack::next_deadline`]): cycle boundaries, pending-exchange
+//!   timeouts, joiner activations, membership and catalog gossip;
 //! * `workers` worker threads execute the per-node state machines. No
 //!   thread ever blocks on an exchange: a node that initiated one simply
 //!   parks a timeout deadline in the wheel and yields its worker — the
 //!   pending exchange is a timer-guarded continuation inside the sans-io
-//!   [`GossipNode`]. While the work queue is hot, outbound frames are
-//!   encoded per home socket into bundle datagrams — one destination
+//!   [`NodeStack`]. While the work queue is hot, the frames a stack
+//!   emits are encoded, borrowed, straight into its home socket's open
+//!   bundle datagram — one destination
 //!   socket each, at most [`crate::codec::BUNDLE_BUDGET`] bytes — and
 //!   flush as one `sendmmsg` burst: full bundles in a one-process
 //!   cluster, across hosts only what shares a remote socket. Refused
@@ -58,12 +58,16 @@
 //!
 //! Every datagram still crosses the kernel's UDP stack (loopback or
 //! otherwise), so the runtime exercises the real codec, real sockets, and
-//! real timing — only the thread-per-node cost model is gone. A node's
-//! protocol behavior is identical to [`crate::runtime::UdpNode`]'s by
-//! construction: same state machine, same seeds, and peer randomness
-//! drawn lazily per *initiated exchange* ([`GossipNode::poll_sampler`]),
-//! so a same-seed mux and thread-per-node cluster select the same peer
-//! sequence per node.
+//! real timing — only the thread-per-node cost model is gone. All the
+//! protocol wiring — poll order, piggyback attachment, deadline folding,
+//! plane classification, RPC dispatch — lives in [`crate::stack`]; what
+//! is left here is the transport: locking a vnode, parking its deadline,
+//! resolving a vnode id to a socket, and packing frames. A node's
+//! protocol behavior is therefore identical to
+//! [`crate::runtime::UdpNode`]'s by construction — the same
+//! [`NodeStack`], same seeds, peers drawn lazily per *initiated
+//! exchange* — so a same-seed mux and thread-per-node cluster select the
+//! same peer sequence per node.
 //!
 //! # Examples
 //!
@@ -94,28 +98,27 @@
 use crate::batch::{IoBackend, RecvBatch, SendBatch, BATCH};
 use crate::cluster::{Cluster, TrafficCell, TrafficCounts};
 use crate::codec::{
-    bundle_frame_len, decode_bundle, decode_datagram, encode_rpc_response, piggyback_trailer_len,
-    push_bundle_frame, WireFrame, WirePayload, BUNDLE_BUDGET,
+    bundle_frame_len, decode_bundle, decode_datagram, encode_rpc_response, push_bundle_frame,
+    WireFrame, WirePayload, BUNDLE_BUDGET,
 };
 use crate::directory::{
-    Destination, DirectoryMessage, DirectoryPayload, DirectorySpec, GossipDirectory, Introducer,
-    PeerDirectory, StaticDirectory,
+    Destination, DirectoryPayload, DirectorySpec, GossipDirectory, Introducer, PeerDirectory,
+    StaticDirectory,
 };
+use crate::stack::{Input, NodeStack, Plane};
 use crate::timer::ShardedTimerWheel;
-use epidemic_aggregation::node::GossipNode;
+use epidemic_aggregation::convergence::{observed_rho, EpochWindow};
 use epidemic_aggregation::{EpochReport, NodeConfig};
 use epidemic_common::stats::OnlineStats;
 use epidemic_common::NodeId;
-use epidemic_query::{
-    QueryDescriptor, QueryError, QueryEstimate, QueryOutbound, QueryPlane, QueryPlaneConfig,
-};
+use epidemic_query::{QueryDescriptor, QueryError, QueryEstimate, QueryPlaneConfig};
 use epidemic_telemetry::{Counter, Gauge, Histogram, MetricsServer, Registry, TraceEvent};
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Maps cluster-wide virtual-node ids to shard socket addresses.
@@ -469,21 +472,6 @@ impl MuxClusterConfig {
     }
 }
 
-/// What kind of frame a queued send is — decides which traffic-plane
-/// ledger its bytes land on at flush time.
-#[derive(Debug, Clone, Copy)]
-enum FrameKind {
-    Aggregation,
-    Membership,
-    /// An aggregation frame carrying a membership trailer of this many
-    /// bytes; the trailer bytes are charged to the membership plane.
-    Piggybacked {
-        trailer: u32,
-    },
-    /// A query-plane frame: catalog gossip or a named-query exchange.
-    Query,
-}
-
 /// One queued frame's accounting: the packer datagram carrying it, the
 /// sending local node, its plane, and its bytes there (the header byte is
 /// charged to a datagram's first frame, so charges sum to the payload).
@@ -491,7 +479,7 @@ enum FrameKind {
 struct Charge {
     datagram: usize,
     node: u32,
-    kind: FrameKind,
+    plane: Plane,
     bytes: u32,
 }
 
@@ -518,7 +506,7 @@ impl Packer {
         to: NodeId,
         frame: &WireFrame<'_>,
         node: u32,
-        kind: FrameKind,
+        plane: Plane,
     ) -> u64 {
         // Only a destination's newest datagram takes frames: keeps order.
         let newest = self.datagrams.iter().rposition(|(addr, _)| *addr == target);
@@ -536,7 +524,7 @@ impl Packer {
         self.charges.push(Charge {
             datagram,
             node,
-            kind,
+            plane,
             bytes,
         });
         u64::from(bytes)
@@ -630,30 +618,16 @@ impl WorkQueue {
     }
 }
 
-/// A virtual node: the sans-io state machine, its membership directory,
-/// and the earliest timer deadline already parked for it.
+/// A virtual node: its protocol stack and the earliest timer deadline
+/// already parked for it.
 #[derive(Debug)]
 struct VNode {
-    gossip: GossipNode,
-    directory: Box<dyn PeerDirectory>,
-    /// The node's multi-tenant query plane: catalog replica plus one
-    /// gossip instance per live named query.
-    plane: QueryPlane,
+    stack: NodeStack,
     /// Earliest deadline with a live wheel entry for this node, or
     /// `u64::MAX` when none is known — lets workers skip redundant
     /// schedule requests (stale extra wake-ups are harmless but cost
     /// queue traffic).
     next_wake: u64,
-}
-
-impl VNode {
-    /// The earliest tick any plane needs a wake-up at.
-    fn deadline(&self) -> u64 {
-        self.gossip
-            .next_deadline()
-            .min(self.directory.next_deadline())
-            .min(self.plane.next_deadline())
-    }
 }
 
 /// Cumulative kernel-boundary crossings of a running cluster — the
@@ -724,114 +698,32 @@ struct Shared {
     /// `membership.view_dead_fraction` — stale-entry share of the same
     /// sampled view.
     view_dead_fraction: Gauge,
-    /// Derives `epoch.variance_reduction_rho` / `epoch.estimate_drift`
-    /// from the epoch reports passing through [`MuxCluster::take_reports`].
-    rho: Mutex<RhoTracker>,
+    /// Variance of the spawn-time local values — the var_0 every epoch
+    /// restarts from (each epoch re-seeds estimates from local values).
+    var0: f64,
+    /// Epoch length γ in cycles.
+    gamma: u32,
+    /// The estimates of the epoch reports passing through
+    /// [`MuxCluster::take_reports`], folded per epoch into the two gauges
+    /// below.
+    epochs: Mutex<EpochWindow>,
+    /// `epoch.variance_reduction_rho` — the observed per-cycle variance
+    /// reduction, next to the theoretical 1/(2√e) in `epoch.rho_theory`.
+    rho: Gauge,
+    /// `epoch.estimate_drift` — spread of one epoch's estimates.
+    drift: Gauge,
     /// `rpc.requests` — client RPC datagrams the listener served.
     rpc_requests: Counter,
     /// `rpc.rejects` — the subset answered with a non-`Ok` status.
     rpc_rejects: Counter,
-    /// Derives `epoch.estimate_drift{query=…}` per named query from the
+    /// `epoch.estimate_drift{query=…}` per named query, from the
     /// completed query epochs the workers drain.
-    query_drift: Mutex<QueryDriftTracker>,
+    query_drift: Mutex<BTreeMap<String, (EpochWindow, Gauge)>>,
     /// Per-reader-socket datagram arrivals (total, from-remote-shard) —
     /// the observable proof that cross-shard senders fan across the whole
     /// published socket set.
     socket_recvs: Vec<SocketRecvCell>,
     start: Instant,
-}
-
-/// Folds per-epoch estimate snapshots into the paper's convergence
-/// figure: the observed per-cycle variance reduction factor
-/// ρ = (var_E / var_0)^(1/γ) (Eq. (3) run backwards), published as the
-/// `epoch.variance_reduction_rho` gauge next to the theoretical
-/// 1/(2√e) ≈ 0.3033 bound in `epoch.rho_theory`.
-#[derive(Debug)]
-struct RhoTracker {
-    /// Variance of the spawn-time local values — the var_0 every epoch
-    /// restarts from (each epoch re-seeds estimates from local values).
-    var0: f64,
-    gamma: f64,
-    /// Per-epoch estimate accumulators, pruned to a recent window so a
-    /// long-running cluster holds O(1) state.
-    epochs: Vec<(u64, OnlineStats)>,
-    rho: Gauge,
-    drift: Gauge,
-}
-
-impl RhoTracker {
-    /// Number of recent epochs kept live in the window.
-    const WINDOW: u64 = 4;
-
-    fn observe(&mut self, epoch: u64, estimate: f64) {
-        let stats = match self.epochs.iter_mut().find(|(e, _)| *e == epoch) {
-            Some((_, s)) => s,
-            None => {
-                self.epochs.push((epoch, OnlineStats::new()));
-                &mut self.epochs.last_mut().unwrap().1
-            }
-        };
-        stats.push(estimate);
-        // Publish from the newest epoch with at least two estimates —
-        // a single report has no variance to speak of.
-        if let Some((_, s)) = self
-            .epochs
-            .iter()
-            .filter(|(_, s)| s.count() >= 2)
-            .max_by_key(|(e, _)| *e)
-        {
-            let var_e = s.population_variance();
-            if self.var0 > 0.0 && var_e > 0.0 {
-                self.rho.set((var_e / self.var0).powf(1.0 / self.gamma));
-            }
-            self.drift.set(s.spread());
-        }
-        if let Some(newest) = self.epochs.iter().map(|(e, _)| *e).max() {
-            self.epochs
-                .retain(|(e, _)| *e + RhoTracker::WINDOW > newest);
-        }
-    }
-}
-
-/// The per-query twin of [`RhoTracker`]'s drift gauge: for every named
-/// query, publishes `epoch.estimate_drift{query=…}` — the spread of the
-/// newest completed epoch's estimates across local vnodes.
-#[derive(Debug)]
-struct QueryDriftTracker {
-    registry: Registry,
-    queries: BTreeMap<String, (Vec<(u64, OnlineStats)>, Gauge)>,
-}
-
-impl QueryDriftTracker {
-    fn observe(&mut self, query: &str, epoch: u64, estimate: f64) {
-        let registry = &self.registry;
-        let (epochs, gauge) = self.queries.entry(query.to_string()).or_insert_with(|| {
-            (
-                Vec::new(),
-                registry.gauge_with("epoch.estimate_drift", &[("query", query)]),
-            )
-        });
-        let stats = match epochs.iter_mut().find(|(e, _)| *e == epoch) {
-            Some((_, s)) => s,
-            None => {
-                epochs.push((epoch, OnlineStats::new()));
-                &mut epochs.last_mut().unwrap().1
-            }
-        };
-        stats.push(estimate);
-        // Publish from the newest epoch with at least two estimates —
-        // a single report has no spread to speak of.
-        if let Some((_, s)) = epochs
-            .iter()
-            .filter(|(_, s)| s.count() >= 2)
-            .max_by_key(|(e, _)| *e)
-        {
-            gauge.set(s.spread());
-        }
-        if let Some(newest) = epochs.iter().map(|(e, _)| *e).max() {
-            epochs.retain(|(e, _)| *e + RhoTracker::WINDOW > newest);
-        }
-    }
 }
 
 /// Atomic twin of [`SocketRecvCounts`], one per reader socket.
@@ -854,6 +746,15 @@ pub struct SocketRecvCounts {
 impl Shared {
     fn now_ms(&self) -> u64 {
         self.start.elapsed().as_millis() as u64
+    }
+
+    /// Locks local vnode `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range.
+    fn vnode(&self, index: usize) -> MutexGuard<'_, VNode> {
+        self.nodes[index].lock().unwrap()
     }
 
     fn schedule(&self, deadline: u64, node: u32) {
@@ -1013,21 +914,18 @@ impl MuxCluster {
             .clone()
             .map(|global| {
                 let id = NodeId::new(global as u64);
-                let mut dir: Box<dyn PeerDirectory> = match &directory {
+                let dir: Box<dyn PeerDirectory> = match &directory {
                     DirectorySpec::Static => Box::new(StaticDirectory::id_routed(n, id, seed)),
                     DirectorySpec::Gossip(g) => Box::new(GossipDirectory::id_routed(id, g, seed)),
                 };
                 let value = values(global);
                 spawn_stats.push(value);
-                let mut gossip = GossipNode::founder(id, node_config.clone(), value, seed);
-                if trace_capacity > 0 {
-                    gossip.set_trace_capacity(trace_capacity);
-                    dir.set_trace_capacity(trace_capacity);
-                }
+                let config = node_config.clone();
+                let mut stack =
+                    NodeStack::founder(id, config, value, seed, dir, query, registry.clone());
+                stack.set_trace_capacity(trace_capacity);
                 Mutex::new(VNode {
-                    gossip,
-                    directory: dir,
-                    plane: QueryPlane::new(id, query, seed, registry.clone()),
+                    stack,
                     next_wake: u64::MAX,
                 })
             })
@@ -1064,19 +962,14 @@ impl MuxCluster {
             frames_per_datagram: registry.gauge("io.frames_per_datagram"),
             view_mean_size: registry.gauge("membership.view_mean_size"),
             view_dead_fraction: registry.gauge("membership.view_dead_fraction"),
-            rho: Mutex::new(RhoTracker {
-                var0: spawn_stats.population_variance(),
-                gamma: f64::from(node_config.gamma()),
-                epochs: Vec::new(),
-                rho: registry.gauge("epoch.variance_reduction_rho"),
-                drift: registry.gauge("epoch.estimate_drift"),
-            }),
+            var0: spawn_stats.population_variance(),
+            gamma: node_config.gamma(),
+            epochs: Mutex::default(),
+            rho: registry.gauge("epoch.variance_reduction_rho"),
+            drift: registry.gauge("epoch.estimate_drift"),
             rpc_requests: registry.counter("rpc.requests"),
             rpc_rejects: registry.counter("rpc.rejects"),
-            query_drift: Mutex::new(QueryDriftTracker {
-                registry: registry.clone(),
-                queries: BTreeMap::new(),
-            }),
+            query_drift: Mutex::default(),
             registry,
             socket_recvs: (0..readers).map(|_| SocketRecvCell::default()).collect(),
             start: Instant::now(),
@@ -1212,10 +1105,7 @@ impl MuxCluster {
     ///
     /// Panics if `index` is out of range.
     pub fn take_trace(&self, index: usize) -> Vec<TraceEvent> {
-        let mut vnode = self.shared.nodes[index].lock().unwrap();
-        let mut events = vnode.gossip.take_trace();
-        events.extend(vnode.directory.take_trace());
-        events
+        self.shared.vnode(index).stack.take_trace()
     }
 
     /// Datagram arrivals per reader socket (indexed like
@@ -1263,21 +1153,24 @@ impl MuxCluster {
     ///
     /// Panics if `index` is out of range.
     pub fn take_reports(&self, index: usize) -> Vec<EpochReport> {
-        let reports = self.shared.nodes[index]
-            .lock()
-            .unwrap()
-            .gossip
-            .take_reports();
+        let reports = self.shared.vnode(index).stack.take_reports();
         // Fold the drained estimates into the convergence-health gauges:
         // every report is one node's end-of-epoch estimate, so the
         // cross-node variance of one epoch's reports against the spawn
         // variance yields the observed per-cycle ρ.
         if self.shared.registry.is_enabled() && !reports.is_empty() {
-            let mut rho = self.shared.rho.lock().unwrap();
+            let shared = &self.shared;
+            let mut epochs = shared.epochs.lock().unwrap();
             for r in &reports {
-                if let Some(est) = r.scalar(0) {
-                    rho.observe(r.epoch, est);
+                let Some(stats) = r.scalar(0).and_then(|est| epochs.observe(r.epoch, est)) else {
+                    continue;
+                };
+                if let Some(rho) =
+                    observed_rho(shared.var0, stats.population_variance(), shared.gamma)
+                {
+                    shared.rho.set(rho);
                 }
+                shared.drift.set(stats.spread());
             }
         }
         reports
@@ -1290,11 +1183,7 @@ impl MuxCluster {
     ///
     /// Panics if `index` is out of range.
     pub fn set_local_value(&self, index: usize, value: f64) {
-        self.shared.nodes[index]
-            .lock()
-            .unwrap()
-            .gossip
-            .set_local_value(value);
+        self.shared.vnode(index).stack.set_local_value(value);
     }
 
     /// Datagram counts of local node `index`, split by plane.
@@ -1358,11 +1247,7 @@ impl Cluster for MuxCluster {
 
     fn install_query(&self, index: usize, descriptor: QueryDescriptor) -> Result<(), QueryError> {
         let now = self.shared.now_ms();
-        let result = self.shared.nodes[index]
-            .lock()
-            .unwrap()
-            .plane
-            .install(descriptor, now);
+        let result = self.shared.vnode(index).stack.install(descriptor, now);
         // A fresh install must start gossiping before the node's next
         // parked deadline; a wake recomputes and re-parks it.
         self.shared.work.push_many([Work::Wake(index as u32)]);
@@ -1371,30 +1256,18 @@ impl Cluster for MuxCluster {
 
     fn remove_query(&self, index: usize, name: &str) -> Result<(), QueryError> {
         let now = self.shared.now_ms();
-        let result = self.shared.nodes[index]
-            .lock()
-            .unwrap()
-            .plane
-            .remove(name, now);
+        let result = self.shared.vnode(index).stack.remove(name, now);
         self.shared.work.push_many([Work::Wake(index as u32)]);
         result
     }
 
     fn submit_query(&self, index: usize, name: &str, value: f64) -> Result<(), QueryError> {
         let now = self.shared.now_ms();
-        self.shared.nodes[index]
-            .lock()
-            .unwrap()
-            .plane
-            .submit(name, value, now)
+        self.shared.vnode(index).stack.submit(name, value, now)
     }
 
     fn query_estimate(&self, index: usize, name: &str) -> Result<QueryEstimate, QueryError> {
-        self.shared.nodes[index]
-            .lock()
-            .unwrap()
-            .plane
-            .estimate(name)
+        self.shared.vnode(index).stack.estimate(name)
     }
 
     fn shutdown(self) {
@@ -1450,18 +1323,13 @@ fn reader_loop(shared: &Shared, reader: usize) {
                         if local >= shared.nodes.len() {
                             continue;
                         }
-                        // A piggybacked frame is an aggregation frame
-                        // (its membership trailer is charged in bytes on
-                        // the send side, not as a frame).
-                        match &payload {
-                            WirePayload::Directory(_) => {
-                                shared.traffic[local].count_received(true);
-                            }
-                            WirePayload::Catalog { .. } | WirePayload::Query { .. } => {
-                                shared.traffic[local].count_query_received();
-                            }
-                            _ => shared.traffic[local].count_received(false),
-                        }
+                        // Client RPC rides the dedicated listener
+                        // socket (`rpc_loop`); one arriving as a mux
+                        // frame is misrouted and dropped.
+                        let Some(plane) = Plane::of_received(&payload) else {
+                            continue;
+                        };
+                        shared.traffic[local].count_received(plane);
                         deliveries.push(Work::Deliver(local as u32, payload));
                     }
                     shared.work.push_many(deliveries.drain(..));
@@ -1547,7 +1415,7 @@ fn refresh_derived_gauges(shared: &Shared, now: u64, health_cursor: &mut usize) 
         let Ok(vnode) = shared.nodes[index].try_lock() else {
             continue;
         };
-        if let Some(health) = vnode.directory.view_health(now) {
+        if let Some(health) = vnode.stack.view_health(now) {
             shared.view_mean_size.set(health.mean_size);
             shared.view_dead_fraction.set(health.dead_entry_fraction);
         }
@@ -1560,14 +1428,13 @@ fn refresh_derived_gauges(shared: &Shared, now: u64, health_cursor: &mut usize) 
 /// batched backend) once the work queue runs dry or [`BATCH`] frames have
 /// accumulated — frames never wait on a sleeping worker.
 fn worker_loop(shared: &Shared) {
-    let mut dir_out: Vec<DirectoryMessage> = Vec::new();
     let mut pending: Vec<Packer> = (0..shared.sockets.len())
         .map(|_| Packer::default())
         .collect();
     while let Some(mut work) = shared.work.pop(&shared.stop) {
         let mut queued = 0usize;
         loop {
-            queued += step_vnode(shared, work, &mut dir_out, &mut pending);
+            queued += step_vnode(shared, work, &mut pending);
             if queued >= BATCH {
                 break;
             }
@@ -1580,139 +1447,70 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Runs one unit of work against its vnode, encoding outbound frames into
-/// its home-socket packer. Returns how many frames were queued.
-fn step_vnode(
-    shared: &Shared,
-    work: Work,
-    dir_out: &mut Vec<DirectoryMessage>,
-    pending: &mut [Packer],
-) -> usize {
-    let (index, is_wake) = match &work {
-        Work::Wake(i) => (*i as usize, true),
-        Work::Deliver(i, _) => (*i as usize, false),
+/// Runs one unit of work against its vnode's stack, encoding the frames
+/// it emits into the vnode's home-socket packer, then parks the stack's
+/// next deadline. Returns how many frames were queued.
+fn step_vnode(shared: &Shared, work: Work, pending: &mut [Packer]) -> usize {
+    let (index, input) = match &work {
+        Work::Wake(i) => (*i as usize, Input::Wake),
+        Work::Deliver(i, payload) => (*i as usize, Input::Frame(payload, None)),
     };
-    let mut vnode = shared.nodes[index].lock().unwrap();
+    let is_wake = matches!(input, Input::Wake);
+    let packer = &mut pending[shared.socket_of(index)];
+    let before = packer.charges.len();
+    let mut vnode = shared.vnode(index);
     let now = shared.now_ms();
-    let mut query_out: Vec<QueryOutbound> = Vec::new();
-    let outbound = match work {
-        Work::Wake(_) => {
-            // This wake consumed whatever wheel entry was parked.
-            vnode.next_wake = u64::MAX;
-            let VNode {
-                gossip,
-                directory,
-                plane,
-                ..
-            } = &mut *vnode;
-            let out = gossip.poll_sampler(now, directory);
-            query_out = plane.poll(now, directory);
-            directory.poll(now, dir_out);
-            out
+    if is_wake {
+        // This wake consumed whatever wheel entry was parked.
+        vnode.next_wake = u64::MAX;
+    }
+    vnode.stack.step(input, now, |to, frame, plane| {
+        // The only base-aggregate frame a wake emits opens an exchange.
+        if is_wake && matches!(plane, Plane::Aggregation | Plane::Piggybacked { .. }) {
+            shared.agg_exchanges.inc();
         }
-        Work::Deliver(_, WirePayload::Aggregation(msg)) => vnode.gossip.handle(&msg, now),
-        Work::Deliver(_, WirePayload::Piggybacked(msg, pb)) => {
-            let VNode {
-                gossip, directory, ..
-            } = &mut *vnode;
-            directory.absorb_piggyback(&pb, None, now);
-            gossip.handle(&msg, now)
-        }
-        Work::Deliver(_, WirePayload::Directory(payload)) => {
-            vnode.directory.handle(&payload, None, now, dir_out);
-            None
-        }
-        Work::Deliver(_, WirePayload::Catalog { entries, .. }) => {
-            // Merging may install/remove queries, which moves the plane
-            // deadline; the parking below picks that up.
-            vnode.plane.handle_catalog(&entries, now);
-            None
-        }
-        Work::Deliver(_, WirePayload::Query { query, message }) => {
-            if let Some(reply) = vnode.plane.handle_aggregation(&query, &message, now) {
-                query_out.push(reply);
+        // Mux frames route by vnode id; an address destination cannot be
+        // framed and is dropped, as is an id outside the peer table.
+        let Destination::Node(to) = to else {
+            return;
+        };
+        let Some(target) = shared.dest_addr(to.index()) else {
+            return;
+        };
+        let bytes = packer.push(target, to, &frame, index as u32, plane);
+        match (plane, frame) {
+            (Plane::Piggybacked { trailer }, _) => shared.delta_bytes.add(u64::from(trailer)),
+            (_, WireFrame::Directory(DirectoryPayload::View { delta: true, .. })) => {
+                shared.delta_bytes.add(bytes);
             }
-            None
+            _ => {}
         }
-        // Client RPC rides the dedicated listener socket (`rpc_loop`);
-        // one arriving as a mux frame is misrouted and dropped.
-        Work::Deliver(_, WirePayload::Rpc(_) | WirePayload::RpcReply(_)) => None,
-    };
+    });
     // Completed query epochs feed the per-query drift gauges (drained
     // unconditionally so a disabled registry never accumulates them).
-    let query_epochs = vnode.plane.take_epochs();
-    // An outbound aggregation frame is a free ride for membership news:
-    // ask the directory for a trailer worth attaching (None in steady
-    // state, and always None for a static directory).
-    let piggyback = outbound
-        .as_ref()
-        .and_then(|out| vnode.directory.piggyback(out.to, now));
-    shared.traffic[index].set_join_retries(vnode.directory.join_retries());
+    let query_epochs = vnode.stack.take_query_epochs();
+    shared.traffic[index].set_join_retries(vnode.stack.join_retries());
     // Park the node's next deadline unless an earlier (or equal)
     // wheel entry is already live. After a wake we always re-park.
-    let deadline = vnode.deadline();
+    let deadline = vnode.stack.next_deadline();
     if is_wake || deadline < vnode.next_wake {
         vnode.next_wake = deadline;
         shared.schedule(deadline, index as u32);
     }
     drop(vnode);
-    if is_wake && outbound.is_some() {
-        shared.agg_exchanges.inc();
-    }
     if shared.registry.is_enabled() && !query_epochs.is_empty() {
         let mut drift = shared.query_drift.lock().unwrap();
         for e in &query_epochs {
-            if let Some(est) = e.estimate {
-                drift.observe(&e.query, e.epoch, est);
+            let Some(est) = e.estimate else { continue };
+            let (window, gauge) = drift.entry(e.query.clone()).or_insert_with(|| {
+                let labels = [("query", e.query.as_str())];
+                let gauge = shared.registry.gauge_with("epoch.estimate_drift", &labels);
+                (EpochWindow::default(), gauge)
+            });
+            if let Some(stats) = window.observe(e.epoch, est) {
+                gauge.set(stats.spread());
             }
         }
-    }
-    let packer = &mut pending[shared.socket_of(index)];
-    let before = packer.charges.len();
-    let node = index as u32;
-    if let Some(out) = outbound {
-        if let Some(target) = shared.dest_addr(out.to.index()) {
-            let (frame, kind) = match &piggyback {
-                Some(pb) => {
-                    let trailer = piggyback_trailer_len(pb) as u32;
-                    shared.delta_bytes.add(u64::from(trailer));
-                    (
-                        WireFrame::Piggybacked(&out.message, pb),
-                        FrameKind::Piggybacked { trailer },
-                    )
-                }
-                None => (WireFrame::Aggregation(&out.message), FrameKind::Aggregation),
-            };
-            packer.push(target, out.to, &frame, node, kind);
-        }
-    }
-    for msg in dir_out.drain(..) {
-        // Mux membership is id-routed; address destinations cannot be
-        // framed (no vnode id to route by) and are dropped.
-        let Destination::Node(to) = msg.to else {
-            continue;
-        };
-        let Some(target) = shared.dest_addr(to.index()) else {
-            continue;
-        };
-        let frame = WireFrame::Directory(&msg.payload);
-        let bytes = packer.push(target, to, &frame, node, FrameKind::Membership);
-        if matches!(msg.payload, DirectoryPayload::View { delta: true, .. }) {
-            shared.delta_bytes.add(bytes);
-        }
-    }
-    let from = NodeId::new((shared.base + index) as u64);
-    for out in &query_out {
-        let (to, frame) = match out {
-            QueryOutbound::Aggregation { to, query, message } => {
-                (*to, WireFrame::Query(query, message))
-            }
-            QueryOutbound::Catalog { to, entries } => (*to, WireFrame::Catalog(from, entries)),
-        };
-        let Some(target) = shared.dest_addr(to.index()) else {
-            continue;
-        };
-        packer.push(target, to, &frame, node, FrameKind::Query);
     }
     packer.charges.len() - before
 }
@@ -1726,18 +1524,10 @@ fn flush_pending(shared: &Shared, pending: &mut [Packer]) {
         }
         let (syscalls, datagrams) = packer.flush(&shared.sockets[s], shared.io, |charge, ok| {
             let cell = &shared.traffic[charge.node as usize];
-            let len = charge.bytes as usize;
-            if !ok {
+            if ok {
+                cell.charge(charge.plane, u64::from(charge.bytes));
+            } else {
                 cell.count_send_error();
-                return;
-            }
-            match charge.kind {
-                FrameKind::Aggregation => cell.count_sent(false, len),
-                FrameKind::Membership => cell.count_sent(true, len),
-                FrameKind::Piggybacked { trailer } => {
-                    cell.count_piggybacked_sent(len, trailer as usize)
-                }
-                FrameKind::Query => cell.count_query_sent(len),
             }
         });
         shared.send_calls.add(syscalls);
@@ -1763,11 +1553,7 @@ fn rpc_loop(shared: &Shared, socket: &UdpSocket) {
                 let index = next % shared.nodes.len();
                 next = next.wrapping_add(1);
                 let now = shared.now_ms();
-                let response = shared.nodes[index]
-                    .lock()
-                    .unwrap()
-                    .plane
-                    .handle_rpc(&request, now);
+                let response = shared.vnode(index).stack.rpc(&request, now);
                 shared.rpc_requests.inc();
                 if response.status.is_reject() {
                     shared.traffic[index].count_rpc_reject();
@@ -1876,8 +1662,8 @@ mod tests {
     }
 
     fn push(packer: &mut Packer, target: SocketAddr, i: u64, msg: &Message) {
-        let (to, kind) = (NodeId::new(i), FrameKind::Aggregation);
-        packer.push(target, to, &WireFrame::Aggregation(msg), i as u32, kind);
+        let (to, plane) = (NodeId::new(i), Plane::Aggregation);
+        packer.push(target, to, &WireFrame::Aggregation(msg), i as u32, plane);
     }
 
     #[test]

@@ -1,10 +1,15 @@
 //! Thread-per-node UDP runtime.
 //!
-//! One OS thread per node realizes the paper's Figure 1: the *active*
-//! behavior initiates one exchange per cycle with a random peer from its
-//! [`PeerDirectory`], the *passive* behavior answers incoming datagrams.
-//! Both run in a single event loop over a non-blocking socket, driving the
-//! sans-io [`GossipNode`] with wall-clock milliseconds.
+//! One OS thread per node realizes the paper's Figure 1 literally: the
+//! *active* behavior initiates one exchange per cycle with a random peer,
+//! the *passive* behavior answers incoming datagrams. Both run in a single
+//! event loop over a non-blocking socket, and all of it is the sans-io
+//! [`NodeStack`] the multiplexed runtime ([`crate::mux`]) embeds too: this
+//! module adds only a socket, a wall clock in milliseconds, and
+//! [`WireFrame::encode`]. The node's handle and its thread share the stack
+//! behind a mutex, exactly as a mux vnode is shared, so every operator
+//! call — reports, local values, traces, named queries — is a direct call
+//! on the stack.
 //!
 //! Membership is pluggable (the `GETNEIGHBOR()` seam of
 //! [`crate::directory`]): a [`StaticDirectory`] over the cluster's address
@@ -13,32 +18,26 @@
 //! traffic — the node then knows nothing but its introducers at start-up
 //! and learns peer addresses from the wire.
 //!
-//! [`ThreadCluster`] wraps the per-node handles behind the
-//! [`Cluster`](crate::cluster::Cluster) operator seam shared with the
-//! multiplexed runtime ([`crate::mux`]).
+//! [`ThreadCluster`] wraps the per-node handles behind the [`Cluster`]
+//! operator seam shared with the multiplexed runtime. It is kept as the
+//! cross-runtime *reference*: the conformance suite pins a same-seed
+//! thread cluster against the mux runtime in every layout.
 
 use crate::cluster::{Cluster, TrafficCell, TrafficCounts};
-use crate::codec::{
-    decode_datagram, encode_catalog_message, encode_directory_message, encode_message,
-    encode_piggyback_message, encode_query_message, encode_rpc_response, piggyback_trailer_len,
-    WirePayload,
-};
+use crate::codec::{decode_datagram, encode_rpc_response, WireFrame, WirePayload};
 use crate::directory::{
-    Destination, DirectoryMessage, DirectorySpec, GossipDirectory, GossipDirectoryConfig,
-    Introducer, PeerDirectory, StaticDirectory,
+    Destination, DirectorySpec, GossipDirectory, GossipDirectoryConfig, Introducer, PeerDirectory,
+    StaticDirectory,
 };
-use epidemic_aggregation::node::GossipNode;
-use epidemic_aggregation::{EpochReport, Message, NodeConfig};
+use crate::stack::{Input, NodeStack, Plane};
+use epidemic_aggregation::{EpochReport, NodeConfig};
 use epidemic_common::NodeId;
-use epidemic_query::{
-    QueryDescriptor, QueryError, QueryEstimate, QueryOutbound, QueryPlane, QueryPlaneConfig,
-};
-use epidemic_telemetry::{Registry, TraceEvent, ViewHealth};
+use epidemic_query::{QueryDescriptor, QueryError, QueryEstimate, QueryPlaneConfig};
+use epidemic_telemetry::{Registry, TraceEvent};
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Shared description of a cluster: the address table mapping dense node
@@ -211,42 +210,26 @@ pub struct UdpNode {
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
+/// What the handle and the node's thread share: the protocol stack behind
+/// a lock — exactly as a mux vnode holds it — and the clock it runs on.
 #[derive(Debug)]
 struct Shared {
     stop: AtomicBool,
-    reports: Mutex<Vec<EpochReport>>,
-    local_value: Mutex<Option<f64>>,
+    start: Instant,
+    stack: Mutex<NodeStack>,
     traffic: TrafficCell,
-    /// Trace events drained from the node's rings (empty when tracing is
-    /// disabled).
-    traces: Mutex<Vec<TraceEvent>>,
-    /// Latest membership view-health snapshot (`None` for directories
-    /// without a membership plane).
-    view_health: Mutex<Option<ViewHealth>>,
-    /// In-process query commands bound for the node's thread, with
-    /// their ticketed replies — the thread-per-node twin of the mux
-    /// runtime's RPC listener (wire-level RPC datagrams are answered
-    /// directly in the node's recv loop).
-    query_mailbox: Mutex<QueryMailbox>,
 }
 
-/// One in-process query command and its reply slot (see
-/// [`UdpNode::install_query`] and friends).
-#[derive(Debug)]
-enum QueryCommand {
-    Install(QueryDescriptor),
-    Remove(String),
-    Submit(String, f64),
-    Estimate(String),
-}
+impl Shared {
+    fn now_ms(&self) -> u64 {
+        self.start.elapsed().as_millis() as u64
+    }
 
-/// Ticketed request/reply queues between the application's thread and
-/// the node's event loop.
-#[derive(Debug, Default)]
-struct QueryMailbox {
-    next_ticket: u64,
-    requests: Vec<(u64, QueryCommand)>,
-    replies: Vec<(u64, Result<Option<QueryEstimate>, QueryError>)>,
+    fn stack(&self) -> MutexGuard<'_, NodeStack> {
+        self.stack
+            .lock()
+            .expect("a step panicked holding the stack")
+    }
 }
 
 impl UdpNode {
@@ -266,23 +249,30 @@ impl UdpNode {
         socket.set_nonblocking(true)?;
         let id = NodeId::new(index as u64);
         // Built on the caller's thread so misconfiguration fails the
-        // spawn instead of killing the node thread silently.
-        let directory = cluster.build_directory(id)?;
+        // spawn instead of killing the node thread silently. Per-query
+        // metrics are the mux runtime's surface (one registry per
+        // cluster); a thread-per-node cluster runs the identical stack
+        // with disconnected handles.
+        let mut stack = NodeStack::founder(
+            id,
+            cluster.node_config.clone(),
+            local_value,
+            cluster.seed,
+            cluster.build_directory(id)?,
+            cluster.query,
+            Registry::disabled(),
+        );
+        stack.set_trace_capacity(cluster.trace_capacity);
         let shared = Arc::new(Shared {
             stop: AtomicBool::new(false),
-            reports: Mutex::new(Vec::new()),
-            local_value: Mutex::new(None),
+            start: Instant::now(),
+            stack: Mutex::new(stack),
             traffic: TrafficCell::default(),
-            traces: Mutex::new(Vec::new()),
-            view_health: Mutex::new(None),
-            query_mailbox: Mutex::new(QueryMailbox::default()),
         });
         let thread_shared = Arc::clone(&shared);
         let thread = std::thread::Builder::new()
             .name(format!("gossip-{index}"))
-            .spawn(move || {
-                run_loop(socket, id, local_value, cluster, directory, thread_shared);
-            })?;
+            .spawn(move || run_loop(&socket, &thread_shared))?;
         Ok(UdpNode {
             addr,
             id,
@@ -303,12 +293,12 @@ impl UdpNode {
 
     /// Drains the epoch reports produced since the last call.
     pub fn take_reports(&self) -> Vec<EpochReport> {
-        std::mem::take(&mut *self.shared.reports.lock().unwrap())
+        self.shared.stack().take_reports()
     }
 
     /// Updates the node's local value (takes effect at the next epoch).
     pub fn set_local_value(&self, value: f64) {
-        *self.shared.local_value.lock().unwrap() = Some(value);
+        self.shared.stack().set_local_value(value);
     }
 
     /// Datagram counts so far, split by protocol plane.
@@ -320,13 +310,7 @@ impl UdpNode {
     /// (always empty unless the cluster was built with
     /// [`ClusterConfig::with_trace`]).
     pub fn take_trace(&self) -> Vec<TraceEvent> {
-        std::mem::take(&mut *self.shared.traces.lock().unwrap())
-    }
-
-    /// The latest membership view-health snapshot, or `None` when the
-    /// node runs a static directory.
-    pub fn view_health(&self) -> Option<ViewHealth> {
-        *self.shared.view_health.lock().unwrap()
+        self.shared.stack().take_trace()
     }
 
     /// Installs a named query at this node; catalog gossip spreads it to
@@ -334,20 +318,20 @@ impl UdpNode {
     ///
     /// # Errors
     ///
-    /// Propagates [`QueryPlane::install`] failures.
+    /// Propagates [`NodeStack::install`] failures.
     pub fn install_query(&self, descriptor: QueryDescriptor) -> Result<(), QueryError> {
-        self.query_command(QueryCommand::Install(descriptor))
-            .map(|_| ())
+        let now = self.shared.now_ms();
+        self.shared.stack().install(descriptor, now)
     }
 
     /// Removes (tombstones) a named query at this node.
     ///
     /// # Errors
     ///
-    /// Propagates [`QueryPlane::remove`] failures.
+    /// Propagates [`NodeStack::remove`] failures.
     pub fn remove_query(&self, name: &str) -> Result<(), QueryError> {
-        self.query_command(QueryCommand::Remove(name.to_string()))
-            .map(|_| ())
+        let now = self.shared.now_ms();
+        self.shared.stack().remove(name, now)
     }
 
     /// Submits this node's contribution to a named query, subject to the
@@ -355,47 +339,19 @@ impl UdpNode {
     ///
     /// # Errors
     ///
-    /// Propagates [`QueryPlane::submit`] failures.
+    /// Propagates [`NodeStack::submit`] failures.
     pub fn submit_query(&self, name: &str, value: f64) -> Result<(), QueryError> {
-        self.query_command(QueryCommand::Submit(name.to_string(), value))
-            .map(|_| ())
+        let now = self.shared.now_ms();
+        self.shared.stack().submit(name, value, now)
     }
 
     /// Reads the named query's current estimate at this node.
     ///
     /// # Errors
     ///
-    /// Propagates [`QueryPlane::estimate`] failures.
+    /// Propagates [`NodeStack::estimate`] failures.
     pub fn query_estimate(&self, name: &str) -> Result<QueryEstimate, QueryError> {
-        self.query_command(QueryCommand::Estimate(name.to_string()))?
-            .ok_or(QueryError::NotReady)
-    }
-
-    /// Posts one command to the node thread's mailbox and waits for its
-    /// ticketed reply. The thread pumps the mailbox every poll interval
-    /// (~1 ms), so a simple sleep-poll wait keeps the hot loop free of
-    /// condvars.
-    fn query_command(&self, command: QueryCommand) -> Result<Option<QueryEstimate>, QueryError> {
-        let ticket = {
-            let mut mailbox = self.shared.query_mailbox.lock().unwrap();
-            mailbox.next_ticket += 1;
-            let ticket = mailbox.next_ticket;
-            mailbox.requests.push((ticket, command));
-            ticket
-        };
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            std::thread::sleep(Duration::from_millis(1));
-            let mut mailbox = self.shared.query_mailbox.lock().unwrap();
-            if let Some(pos) = mailbox.replies.iter().position(|(t, _)| *t == ticket) {
-                return mailbox.replies.remove(pos).1;
-            }
-            drop(mailbox);
-            // The node thread stopped (or wedged) before answering.
-            if self.shared.stop.load(Ordering::Relaxed) || Instant::now() >= deadline {
-                return Err(QueryError::NotReady);
-            }
-        }
+        self.shared.stack().estimate(name)
     }
 
     /// Stops the gossip thread and waits for it to exit.
@@ -417,272 +373,55 @@ impl Drop for UdpNode {
     }
 }
 
-/// Sends an encoded datagram, charging the node's traffic cell — or its
-/// `send_errors` counter when the kernel refuses, so outbound
-/// backpressure is visible instead of silent loss.
-fn transmit(
-    socket: &UdpSocket,
-    shared: &Shared,
-    target: SocketAddr,
-    bytes: &[u8],
-    membership: bool,
-) {
-    if socket.send_to(bytes, target).is_ok() {
-        shared.traffic.count_sent(membership, bytes.len());
-    } else {
-        shared.traffic.count_send_error();
-    }
-}
-
-/// Transmits an aggregation message to node `to`, piggybacking a
-/// membership trailer (descriptors + learned addresses) when the
-/// directory has one to offer. The datagram stays on the aggregation
-/// plane; only the trailer bytes are charged to the membership ledger.
-fn transmit_aggregation(
-    socket: &UdpSocket,
-    shared: &Shared,
-    directory: &mut dyn PeerDirectory,
-    to: NodeId,
-    msg: &Message,
-    now_ms: u64,
-) {
-    let Some(target) = directory.addr_of(to) else {
-        return;
-    };
-    match directory.piggyback(to, now_ms) {
-        Some(piggyback) => {
-            let bytes = encode_piggyback_message(msg, &piggyback);
-            if socket.send_to(&bytes, target).is_ok() {
-                shared
-                    .traffic
-                    .count_piggybacked_sent(bytes.len(), piggyback_trailer_len(&piggyback));
-            } else {
-                shared.traffic.count_send_error();
-            }
-        }
-        None => transmit(socket, shared, target, &encode_message(msg), false),
-    }
-}
-
-/// Transmits one query-plane frame (a named-query exchange or catalog
-/// gossip push), charging the query traffic ledger.
-fn transmit_query_outbound(
-    socket: &UdpSocket,
-    shared: &Shared,
-    directory: &dyn PeerDirectory,
-    from: NodeId,
-    out: QueryOutbound,
-) {
-    let (to, bytes) = match out {
-        QueryOutbound::Aggregation { to, query, message } => {
-            (to, encode_query_message(&query, &message))
-        }
-        QueryOutbound::Catalog { to, entries } => (to, encode_catalog_message(from, &entries)),
-    };
-    let Some(target) = directory.addr_of(to) else {
-        return;
-    };
-    if socket.send_to(&bytes, target).is_ok() {
-        shared.traffic.count_query_sent(bytes.len());
-    } else {
-        shared.traffic.count_send_error();
-    }
-}
-
-/// Resolves and transmits the directory's pending messages.
-fn flush_directory(
-    socket: &UdpSocket,
-    shared: &Shared,
-    directory: &dyn PeerDirectory,
-    out: &mut Vec<DirectoryMessage>,
-) {
-    for msg in out.drain(..) {
-        let target = match msg.to {
-            Destination::Addr(addr) => Some(addr),
-            Destination::Node(id) => directory.addr_of(id),
+/// The node's event loop: Figure 1's active and passive behavior on one
+/// thread. Once per millisecond it wakes the stack, then drains the
+/// socket into it; every frame the stack emits is encoded and sent on the
+/// spot, charging the node's traffic cell — or its `send_errors` counter
+/// when the kernel refuses, so outbound backpressure is visible instead
+/// of silent loss.
+fn run_loop(socket: &UdpSocket, shared: &Shared) {
+    let transmit = |to: Destination, frame: WireFrame<'_>, plane: Plane| {
+        // A peer the directory cannot resolve is unreachable from here.
+        let Destination::Addr(target) = to else {
+            return;
         };
-        if let Some(target) = target {
-            let bytes = encode_directory_message(&msg.payload);
-            transmit(socket, shared, target, &bytes, true);
+        let bytes = frame.encode();
+        if socket.send_to(&bytes, target).is_ok() {
+            shared.traffic.charge(plane, bytes.len() as u64);
+        } else {
+            shared.traffic.count_send_error();
         }
-    }
-}
-
-fn run_loop(
-    socket: UdpSocket,
-    id: NodeId,
-    local_value: f64,
-    cluster: ClusterConfig,
-    mut directory: Box<dyn PeerDirectory>,
-    shared: Arc<Shared>,
-) {
-    let mut node = GossipNode::founder(id, cluster.node_config.clone(), local_value, cluster.seed);
-    // Per-query metrics are the mux runtime's surface (one registry per
-    // cluster); a thread-per-node cluster runs the identical plane
-    // logic with disconnected handles.
-    let mut plane = QueryPlane::new(id, cluster.query, cluster.seed, Registry::disabled());
-    let tracing = cluster.trace_capacity > 0;
-    if tracing {
-        node.set_trace_capacity(cluster.trace_capacity);
-        directory.set_trace_capacity(cluster.trace_capacity);
-    }
-    let start = Instant::now();
+    };
     let mut buf = [0u8; 64 * 1024];
-    let mut dir_out: Vec<DirectoryMessage> = Vec::new();
     while !shared.stop.load(Ordering::Relaxed) {
-        let now_ms = start.elapsed().as_millis() as u64;
-
-        // Application-side local value updates.
-        if let Some(v) = shared.local_value.lock().unwrap().take() {
-            node.set_local_value(v);
-        }
-
-        // Application-side query commands (the Cluster seam).
-        let commands: Vec<(u64, QueryCommand)> =
-            std::mem::take(&mut shared.query_mailbox.lock().unwrap().requests);
-        for (ticket, command) in commands {
-            let reply = match command {
-                QueryCommand::Install(d) => plane.install(d, now_ms).map(|()| None),
-                QueryCommand::Remove(name) => plane.remove(&name, now_ms).map(|()| None),
-                QueryCommand::Submit(name, value) => {
-                    plane.submit(&name, value, now_ms).map(|()| None)
-                }
-                QueryCommand::Estimate(name) => plane.estimate(&name).map(Some),
-            };
-            shared
-                .query_mailbox
-                .lock()
-                .unwrap()
-                .replies
-                .push((ticket, reply));
-        }
-
-        // Active behavior: tick the protocol; initiate when a cycle
-        // fires. The peer is drawn lazily — only for exchanges actually
-        // initiated — so the draw sequence matches the mux runtime's.
-        if let Some(out) = node.poll_sampler(now_ms, &mut directory) {
-            transmit_aggregation(
-                &socket,
-                &shared,
-                directory.as_mut(),
-                out.to,
-                &out.message,
-                now_ms,
-            );
-        }
-
-        // Membership behavior: view gossip and bootstrap ride the same
-        // socket and clock.
-        directory.poll(now_ms, &mut dir_out);
-        flush_directory(&socket, &shared, directory.as_ref(), &mut dir_out);
-        shared.traffic.set_join_retries(directory.join_retries());
-
-        // Query plane: per-query exchanges and catalog gossip share the
-        // socket, drawing peers from the same directory.
-        for out in plane.poll(now_ms, &mut directory) {
-            transmit_query_outbound(&socket, &shared, directory.as_ref(), id, out);
-        }
-
-        // Passive behavior: drain the socket.
-        loop {
-            match socket.recv_from(&mut buf) {
-                Ok((len, src)) => {
-                    let now_ms = start.elapsed().as_millis() as u64;
-                    match decode_datagram(&buf[..len]) {
-                        Ok(WirePayload::Aggregation(msg)) => {
-                            shared.traffic.count_received(false);
-                            // Every datagram names its sender: learn the
-                            // (id, addr) binding passively.
-                            directory.observe(msg.from, src);
-                            if let Some(response) = node.handle(&msg, now_ms) {
-                                transmit_aggregation(
-                                    &socket,
-                                    &shared,
-                                    directory.as_mut(),
-                                    response.to,
-                                    &response.message,
-                                    now_ms,
-                                );
-                            }
-                        }
-                        Ok(WirePayload::Piggybacked(msg, piggyback)) => {
-                            shared.traffic.count_received(false);
-                            directory.observe(msg.from, src);
-                            directory.absorb_piggyback(&piggyback, Some(src), now_ms);
-                            if let Some(response) = node.handle(&msg, now_ms) {
-                                transmit_aggregation(
-                                    &socket,
-                                    &shared,
-                                    directory.as_mut(),
-                                    response.to,
-                                    &response.message,
-                                    now_ms,
-                                );
-                            }
-                        }
-                        Ok(WirePayload::Directory(payload)) => {
-                            shared.traffic.count_received(true);
-                            directory.handle(&payload, Some(src), now_ms, &mut dir_out);
-                            flush_directory(&socket, &shared, directory.as_ref(), &mut dir_out);
-                        }
-                        Ok(WirePayload::Catalog { from, entries }) => {
-                            shared.traffic.count_query_received();
-                            directory.observe(from, src);
-                            plane.handle_catalog(&entries, now_ms);
-                        }
-                        Ok(WirePayload::Query { query, message }) => {
-                            shared.traffic.count_query_received();
-                            directory.observe(message.from, src);
-                            if let Some(reply) = plane.handle_aggregation(&query, &message, now_ms)
-                            {
-                                transmit_query_outbound(
-                                    &socket,
-                                    &shared,
-                                    directory.as_ref(),
-                                    id,
-                                    reply,
-                                );
-                            }
-                        }
-                        Ok(WirePayload::Rpc(request)) => {
-                            // A client datagram: every node is a valid
-                            // RPC endpoint; reply to the source address.
-                            let response = plane.handle_rpc(&request, now_ms);
-                            if response.status.is_reject() {
-                                shared.traffic.count_rpc_reject();
-                            }
-                            let _ = socket.send_to(&encode_rpc_response(&response), src);
-                        }
-                        // A response frame addresses a client, not us.
-                        Ok(WirePayload::RpcReply(_)) => {}
-                        Err(_) => continue, // corrupt datagram: drop, stay alive
+        let mut stack = shared.stack();
+        stack.step(Input::Wake, shared.now_ms(), transmit);
+        while let Ok((len, src)) = socket.recv_from(&mut buf) {
+            let now = shared.now_ms();
+            match decode_datagram(&buf[..len]) {
+                // A client datagram: every node is a valid RPC endpoint;
+                // reply to the source address.
+                Ok(WirePayload::Rpc(request)) => {
+                    let response = stack.rpc(&request, now);
+                    if response.status.is_reject() {
+                        shared.traffic.count_rpc_reject();
                     }
+                    let _ = socket.send_to(&encode_rpc_response(&response), src);
                 }
-                Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
+                Ok(payload) => {
+                    if let Some(plane) = Plane::of_received(&payload) {
+                        shared.traffic.count_received(plane);
+                    }
+                    stack.step(Input::Frame(&payload, Some(src)), now, transmit);
+                }
+                Err(_) => {} // corrupt datagram: drop, stay alive
             }
         }
-
-        // Publish finished epochs. Query epochs feed telemetry only in
-        // the mux runtime; drain them here to bound memory.
-        let reports = node.take_reports();
-        if !reports.is_empty() {
-            shared.reports.lock().unwrap().extend(reports);
-        }
-        let _ = plane.take_epochs();
-
-        // Publish trace events and the membership health snapshot.
-        if tracing {
-            let mut events = node.take_trace();
-            events.extend(directory.take_trace());
-            if !events.is_empty() {
-                shared.traces.lock().unwrap().extend(events);
-            }
-        }
-        if let Some(health) = directory.view_health(now_ms) {
-            *shared.view_health.lock().unwrap() = Some(health);
-        }
-
+        shared.traffic.set_join_retries(stack.join_retries());
+        // Query epochs feed telemetry only in the mux runtime; drain
+        // them here to bound memory.
+        let _ = stack.take_query_epochs();
+        drop(stack);
         std::thread::sleep(Duration::from_millis(1));
     }
 }
@@ -871,7 +610,9 @@ mod tests {
 
     #[test]
     fn thread_cluster_implements_the_operator_seam() {
-        let config = ClusterConfig::loopback(3, node_config(6, 25)).unwrap();
+        let config = ClusterConfig::loopback(3, node_config(6, 25))
+            .unwrap()
+            .with_trace(64);
         let cluster = ThreadCluster::spawn(config, |i| i as f64).unwrap();
         assert_eq!(cluster.node_count(), 3);
         assert_eq!(cluster.node_id(2), NodeId::new(2));
@@ -879,9 +620,11 @@ mod tests {
         std::thread::sleep(Duration::from_millis(700));
         let reports = cluster.take_all_reports();
         let totals = cluster.total_datagram_counts();
+        let traced: usize = (0..3).map(|i| cluster.take_trace(i).len()).sum();
         cluster.shutdown();
         assert!(reports.iter().any(|r| !r.is_empty()), "no epochs anywhere");
         assert!(totals.sent() > 0 && totals.received() > 0);
+        assert!(traced > 0, "tracing was on but no node recorded an event");
     }
 
     #[test]

@@ -1,0 +1,310 @@
+//! The sans-io node stack every wire runtime embeds.
+//!
+//! The paper's node is one thing: Figure 1's active and passive behavior
+//! over `GETNEIGHBOR()`, with every concurrent aggregate sharing that
+//! substrate. [`NodeStack`] is that thing — the base [`GossipNode`], its
+//! [`PeerDirectory`] and the multi-tenant [`QueryPlane`] — wired once:
+//! which plane is polled first, when a membership trailer rides an
+//! aggregation frame, how the three deadlines fold into one, which
+//! ledger a frame's bytes land on. An embedding supplies what is left:
+//! a clock, a transport, and a lock if it shares the stack with an
+//! operator handle. It feeds [`NodeStack::step`] a timer wake or a decoded
+//! frame and receives every outbound as a borrowed
+//! `(Destination, WireFrame, Plane)` through a sink — nothing is
+//! encoded, buffered or allocated on the embedding's behalf.
+
+use crate::codec::{piggyback_trailer_len, WireFrame, WirePayload};
+use crate::directory::{Destination, DirectoryMessage, PeerDirectory};
+use epidemic_aggregation::node::GossipNode;
+use epidemic_aggregation::{EpochReport, NodeConfig};
+use epidemic_common::NodeId;
+use epidemic_query::{
+    QueryDescriptor, QueryEpoch, QueryError, QueryEstimate, QueryOutbound, QueryPlane,
+    QueryPlaneConfig, RpcRequest, RpcResponse,
+};
+use epidemic_telemetry::{Registry, TraceEvent, ViewHealth};
+use std::net::SocketAddr;
+
+/// What an embedding feeds [`NodeStack::step`].
+#[derive(Debug, Clone, Copy)]
+pub enum Input<'a> {
+    /// A timer deadline fired (or the embedding polls on a fixed tick):
+    /// run the active behavior of every plane.
+    Wake,
+    /// A decoded frame arrived, from this source address when the
+    /// transport exposes one (id-routed embeddings pass `None`).
+    Frame(&'a WirePayload, Option<SocketAddr>),
+}
+
+/// The traffic ledger a frame belongs to (see
+/// [`TrafficCounts`](crate::cluster::TrafficCounts)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Plane {
+    /// A push-pull exchange of the base aggregate.
+    Aggregation,
+    /// View gossip and join/introduce bootstrap.
+    Membership,
+    /// An aggregation frame whose first `trailer` bytes are a membership
+    /// trailer: one aggregation frame, the trailer bytes charged to the
+    /// membership ledger so the byte-overhead ratio stays honest.
+    Piggybacked {
+        /// Wire bytes of the trailer.
+        trailer: u32,
+    },
+    /// Catalog gossip or a named query's exchange.
+    Query,
+}
+
+impl Plane {
+    /// The ledger an outbound frame is charged to.
+    pub fn of(frame: &WireFrame<'_>) -> Plane {
+        match frame {
+            WireFrame::Aggregation(_) => Plane::Aggregation,
+            WireFrame::Directory(_) => Plane::Membership,
+            WireFrame::Piggybacked(_, piggyback) => Plane::Piggybacked {
+                trailer: piggyback_trailer_len(piggyback) as u32,
+            },
+            WireFrame::Catalog(..) | WireFrame::Query(..) => Plane::Query,
+        }
+    }
+
+    /// The ledger a received frame counts on; `None` for client RPC,
+    /// which is not protocol traffic. A trailer is charged in bytes on
+    /// the send side only, so a piggybacked frame counts as aggregation.
+    pub fn of_received(payload: &WirePayload) -> Option<Plane> {
+        match payload {
+            WirePayload::Aggregation(_) | WirePayload::Piggybacked(..) => Some(Plane::Aggregation),
+            WirePayload::Directory(_) => Some(Plane::Membership),
+            WirePayload::Catalog { .. } | WirePayload::Query { .. } => Some(Plane::Query),
+            WirePayload::Rpc(_) | WirePayload::RpcReply(_) => None,
+        }
+    }
+}
+
+/// One node's protocol state: base aggregate, membership, query plane.
+#[derive(Debug)]
+pub struct NodeStack {
+    gossip: GossipNode,
+    directory: Box<dyn PeerDirectory>,
+    plane: QueryPlane,
+    /// Membership frames of the step in progress (always drained before
+    /// `step` returns; kept for its capacity).
+    dir_out: Vec<DirectoryMessage>,
+}
+
+impl NodeStack {
+    /// Builds the stack of founding node `id`: every plane derives its
+    /// randomness from `seed` and the id, so a node's behavior is a
+    /// function of those two alone — not of which runtime hosts it.
+    /// Per-query metrics go to `registry`.
+    pub fn founder(
+        id: NodeId,
+        node_config: NodeConfig,
+        local_value: f64,
+        seed: u64,
+        directory: Box<dyn PeerDirectory>,
+        query: QueryPlaneConfig,
+        registry: Registry,
+    ) -> Self {
+        NodeStack {
+            gossip: GossipNode::founder(id, node_config, local_value, seed),
+            directory,
+            plane: QueryPlane::new(id, query, seed, registry),
+            dir_out: Vec::new(),
+        }
+    }
+
+    /// Keeps a bounded ring of `capacity` protocol events per plane,
+    /// drained by [`NodeStack::take_trace`]; 0, the initial state, records
+    /// nothing.
+    pub fn set_trace_capacity(&mut self, capacity: usize) {
+        self.gossip.set_trace_capacity(capacity);
+        self.directory.set_trace_capacity(capacity);
+    }
+
+    /// Advances the stack by one input at tick `now`, handing every frame
+    /// to transmit to `sink` in order: the base aggregate's, then
+    /// membership's, then the query plane's.
+    ///
+    /// A destination is an address whenever the directory can resolve
+    /// the peer and a node id otherwise — id-routed embeddings own the
+    /// id → socket map. Client RPC is not a step input (see
+    /// [`NodeStack::rpc`]); such a frame is dropped.
+    pub fn step(
+        &mut self,
+        input: Input<'_>,
+        now: u64,
+        mut sink: impl FnMut(Destination, WireFrame<'_>, Plane),
+    ) {
+        let mut query_out = Vec::new();
+        let mut query_reply = None;
+        let outbound = match input {
+            Input::Wake => {
+                // Peers are drawn lazily, one per initiated exchange, so
+                // this order fixes every plane's draw sequence.
+                let out = self.gossip.poll_sampler(now, &mut self.directory);
+                query_out = self.plane.poll(now, &mut self.directory);
+                self.directory.poll(now, &mut self.dir_out);
+                out
+            }
+            Input::Frame(payload, src) => {
+                // Every protocol frame names its sender: learn the
+                // (id, address) binding passively.
+                let sender = match payload {
+                    WirePayload::Aggregation(msg) | WirePayload::Piggybacked(msg, _) => {
+                        Some(msg.from)
+                    }
+                    WirePayload::Query { message, .. } => Some(message.from),
+                    WirePayload::Catalog { from, .. } => Some(*from),
+                    _ => None,
+                };
+                if let (Some(from), Some(src)) = (sender, src) {
+                    self.directory.observe(from, src);
+                }
+                match payload {
+                    WirePayload::Aggregation(msg) => self.gossip.handle(msg, now),
+                    WirePayload::Piggybacked(msg, piggyback) => {
+                        self.directory.absorb_piggyback(piggyback, src, now);
+                        self.gossip.handle(msg, now)
+                    }
+                    WirePayload::Directory(payload) => {
+                        self.directory.handle(payload, src, now, &mut self.dir_out);
+                        None
+                    }
+                    WirePayload::Catalog { entries, .. } => {
+                        self.plane.handle_catalog(entries, now);
+                        None
+                    }
+                    WirePayload::Query { query, message } => {
+                        query_reply = self.plane.handle_aggregation(query, message, now);
+                        None
+                    }
+                    WirePayload::Rpc(_) | WirePayload::RpcReply(_) => None,
+                }
+            }
+        };
+        // An outbound aggregation frame is a free ride for membership
+        // news: ask the directory for a trailer worth attaching (None in
+        // steady state, and always None for a static directory).
+        let piggyback = outbound
+            .as_ref()
+            .and_then(|out| self.directory.piggyback(out.to, now));
+        let me = self.gossip.id();
+        let directory = &*self.directory;
+        let mut emit = |to: Destination, frame: WireFrame<'_>| {
+            let to = match to {
+                Destination::Node(id) => directory.addr_of(id).map_or(to, Destination::Addr),
+                Destination::Addr(_) => to,
+            };
+            sink(to, frame, Plane::of(&frame));
+        };
+        if let Some(out) = &outbound {
+            let frame = match &piggyback {
+                Some(piggyback) => WireFrame::Piggybacked(&out.message, piggyback),
+                None => WireFrame::Aggregation(&out.message),
+            };
+            emit(Destination::Node(out.to), frame);
+        }
+        for msg in self.dir_out.drain(..) {
+            emit(msg.to, WireFrame::Directory(&msg.payload));
+        }
+        for out in query_out.iter().chain(&query_reply) {
+            let (to, frame) = match out {
+                QueryOutbound::Aggregation { to, query, message } => {
+                    (*to, WireFrame::Query(query, message))
+                }
+                QueryOutbound::Catalog { to, entries } => (*to, WireFrame::Catalog(me, entries)),
+            };
+            emit(Destination::Node(to), frame);
+        }
+    }
+
+    /// Serves one client RPC — every node holds the aggregate, so any
+    /// stack is a valid endpoint. An install or remove moves
+    /// [`NodeStack::next_deadline`].
+    pub fn rpc(&mut self, request: &RpcRequest, now: u64) -> RpcResponse {
+        self.plane.handle_rpc(request, now)
+    }
+
+    /// The earliest tick any plane needs a [`Input::Wake`] at.
+    pub fn next_deadline(&self) -> u64 {
+        self.gossip
+            .next_deadline()
+            .min(self.directory.next_deadline())
+            .min(self.plane.next_deadline())
+    }
+
+    /// Updates the base aggregate's local value (takes effect at the next
+    /// epoch).
+    pub fn set_local_value(&mut self, value: f64) {
+        self.gossip.set_local_value(value);
+    }
+
+    /// Installs a named query here; catalog gossip spreads it. Moves
+    /// [`NodeStack::next_deadline`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`QueryPlane::install`] failures.
+    pub fn install(&mut self, descriptor: QueryDescriptor, now: u64) -> Result<(), QueryError> {
+        self.plane.install(descriptor, now)
+    }
+
+    /// Removes (tombstones) a named query here. Moves
+    /// [`NodeStack::next_deadline`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`QueryPlane::remove`] failures.
+    pub fn remove(&mut self, name: &str, now: u64) -> Result<(), QueryError> {
+        self.plane.remove(name, now)
+    }
+
+    /// Submits this node's contribution to a named query, subject to its
+    /// admission limits.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`QueryPlane::submit`] failures.
+    pub fn submit(&mut self, name: &str, value: f64, now: u64) -> Result<(), QueryError> {
+        self.plane.submit(name, value, now)
+    }
+
+    /// Reads a named query's current estimate at this node.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`QueryPlane::estimate`] failures.
+    pub fn estimate(&mut self, name: &str) -> Result<QueryEstimate, QueryError> {
+        self.plane.estimate(name)
+    }
+
+    /// Drains the base aggregate's epoch reports.
+    pub fn take_reports(&mut self) -> Vec<EpochReport> {
+        self.gossip.take_reports()
+    }
+
+    /// Drains the completed query epochs (per-query drift telemetry; an
+    /// embedding without a registry still drains them to bound memory).
+    pub fn take_query_epochs(&mut self) -> Vec<QueryEpoch> {
+        self.plane.take_epochs()
+    }
+
+    /// Drains the recorded protocol events, aggregation plane first
+    /// (empty unless [`NodeStack::set_trace_capacity`] enabled tracing).
+    pub fn take_trace(&mut self) -> Vec<TraceEvent> {
+        let mut events = self.gossip.take_trace();
+        events.extend(self.directory.take_trace());
+        events
+    }
+
+    /// The membership view's health (`None` for a static directory).
+    pub fn view_health(&self, now: u64) -> Option<ViewHealth> {
+        self.directory.view_health(now)
+    }
+
+    /// Bootstrap `Join`s re-sent after the first went unanswered.
+    pub fn join_retries(&self) -> u64 {
+        self.directory.join_retries()
+    }
+}

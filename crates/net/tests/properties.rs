@@ -14,10 +14,9 @@ use epidemic_aggregation::{InstanceState, Message};
 use epidemic_common::NodeId;
 use epidemic_net::codec::{
     bundle_frame_len, decode_bundle, decode_datagram, decode_directory_message, decode_message,
-    decode_mux_datagram, decode_piggyback_message, decode_view_message, directory_encoded_len,
-    encode_directory_message, encode_message, encode_mux_directory_frame, encode_mux_frame,
-    encode_piggyback_message, encode_view_message, encoded_len, piggyback_message_len,
-    piggyback_trailer_len, push_bundle_frame, view_encoded_len, DecodeError, WireFrame,
+    decode_mux_datagram, decode_piggyback_message, directory_encoded_len, encode_message,
+    encode_mux_directory_frame, encode_mux_frame, encoded_len, piggyback_message_len,
+    piggyback_trailer_len, push_bundle_frame, view_message_len, DecodeError, WireFrame,
     WirePayload, BUNDLE_BUDGET, BUNDLE_VERSION, MUX_WIRE_VERSION, WIRE_VERSION,
 };
 use epidemic_net::directory::{DirectoryPayload, IntroduceEntry, Piggyback};
@@ -243,19 +242,24 @@ proptest! {
         delta in any::<bool>(),
         raw in prop::collection::vec((any::<u32>(), any::<u32>()), 0..40),
     ) {
-        let payload = ViewPayload {
-            from,
-            descriptors: raw.iter().map(|&(n, t)| Descriptor::new(n, t)).collect(),
-        };
         // Full and delta view messages share one layout; the tag alone
         // (4/5 vs 8/9) carries the full-vs-delta bit.
-        let encoded = encode_view_message(&payload, reply, delta);
-        prop_assert_eq!(view_encoded_len(&payload), encoded.len());
-        let (decoded, was_reply, was_delta) =
-            decode_view_message(&encoded).expect("round trip");
-        prop_assert_eq!(decoded, payload);
-        prop_assert_eq!(was_reply, reply);
-        prop_assert_eq!(was_delta, delta);
+        let payload = DirectoryPayload::View {
+            view: ViewPayload {
+                from,
+                descriptors: raw.iter().map(|&(n, t)| Descriptor::new(n, t)).collect(),
+            },
+            reply,
+            delta,
+        };
+        let encoded = WireFrame::Directory(&payload).encode();
+        prop_assert_eq!(view_message_len(raw.len()), encoded.len());
+        prop_assert_eq!(directory_encoded_len(&payload), encoded.len());
+        prop_assert_eq!(encoded[1], [[4, 5], [8, 9]][usize::from(delta)][usize::from(reply)]);
+        let decoded = decode_directory_message(&encoded).expect("round trip");
+        prop_assert_eq!(&decoded, &payload);
+        // The plane router agrees with the dedicated decoder.
+        prop_assert_eq!(decode_datagram(&encoded), Ok(WirePayload::Directory(payload)));
     }
 
     #[test]
@@ -295,7 +299,7 @@ proptest! {
                 })
                 .collect(),
         };
-        let encoded = encode_piggyback_message(&msg, &piggyback);
+        let encoded = WireFrame::Piggybacked(&msg, &piggyback).encode();
         prop_assert_eq!(piggyback_message_len(&msg, &piggyback), encoded.len());
         // The trailer is what the membership ledger gets charged; it must
         // never exceed the datagram it rides on.
@@ -374,7 +378,7 @@ proptest! {
                 .collect();
             DirectoryPayload::Introduce { from, peers }
         };
-        let encoded = encode_directory_message(&payload);
+        let encoded = WireFrame::Directory(&payload).encode();
         prop_assert_eq!(directory_encoded_len(&payload), encoded.len());
         let decoded = decode_directory_message(&encoded).expect("round trip");
         prop_assert_eq!(&decoded, &payload);
@@ -416,7 +420,7 @@ proptest! {
     ) {
         let entries = catalog_entries(raw);
         let from = NodeId::new(from);
-        let encoded = epidemic_net::codec::encode_catalog_message(from, &entries);
+        let encoded = WireFrame::Catalog(from, &entries).encode();
         prop_assert_eq!(epidemic_net::codec::catalog_message_len(&entries), encoded.len());
         let (dfrom, dentries) =
             epidemic_net::codec::decode_catalog_message(&encoded).expect("round trip");
@@ -452,7 +456,7 @@ proptest! {
         ),
     ) {
         let msg = message(from, epoch, tag, states_raw);
-        let encoded = epidemic_net::codec::encode_query_message(&name, &msg);
+        let encoded = WireFrame::Query(&name, &msg).encode();
         prop_assert_eq!(epidemic_net::codec::query_message_len(&name, &msg), encoded.len());
         let (dname, dmsg) =
             epidemic_net::codec::decode_query_message(&encoded).expect("round trip");
@@ -527,7 +531,7 @@ proptest! {
         ),
     ) {
         let entries = catalog_entries(raw);
-        let mut encoded = epidemic_net::codec::encode_catalog_message(NodeId::new(from), &entries);
+        let mut encoded = WireFrame::Catalog(NodeId::new(from), &entries).encode();
         // A foreign wire version is rejected before any payload parsing…
         let foreign = encoded[0].wrapping_add(bump);
         encoded[0] = foreign;
@@ -550,7 +554,6 @@ proptest! {
     ) {
         // Arbitrary bytes: decoders must reject or decode, never panic.
         let _ = decode_message(&raw);
-        let _ = decode_view_message(&raw);
         let _ = decode_directory_message(&raw);
         let _ = decode_piggyback_message(&raw);
         let _ = decode_datagram(&raw);

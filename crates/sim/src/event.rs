@@ -38,6 +38,7 @@
 //! the ablation `repro ablation-sync` demonstrates exactly this.
 
 use crate::scenario::{OverlaySpec, Scenario};
+use epidemic_aggregation::convergence::{observed_rho, EpochWindow};
 use epidemic_aggregation::message::MessageBody;
 use epidemic_aggregation::node::GossipNode;
 use epidemic_aggregation::{EpochReport, InstanceSpec, Message, NodeConfig, PeerSampler};
@@ -439,10 +440,9 @@ pub struct EventSim {
     query_messages_lost: usize,
     query_bytes_sent: usize,
     query_responses: Vec<RpcResponse>,
-    /// Per-query estimate accumulators behind the labeled
-    /// `epoch.estimate_drift{query=…}` gauges — the sim twin of the mux
-    /// runtime's per-query drift tracker.
-    query_drift: HashMap<String, (Vec<(u64, OnlineStats)>, Gauge)>,
+    /// Per-query epoch windows behind the labeled
+    /// `epoch.estimate_drift{query=…}` gauges.
+    query_drift: HashMap<String, (EpochWindow, Gauge)>,
 
     trace_capacity: usize,
     snapshot: Option<SnapshotSpec>,
@@ -459,8 +459,8 @@ pub struct EventSim {
     /// Variance of the initial local values — every epoch's var_0, since
     /// epochs restart from fresh local values.
     var0: f64,
-    /// Per-epoch estimate accumulators behind the convergence gauges.
-    rho_epochs: Vec<(u64, OnlineStats)>,
+    /// Epoch window behind the convergence gauges.
+    rho_epochs: EpochWindow,
     /// Epoch reports drained incrementally (at epoch transitions) so the
     /// gauges move while the run is live; merged with the final drain
     /// into [`EventOutcome::reports`].
@@ -627,7 +627,7 @@ impl EventSim {
             drift_gauge: registry.gauge("epoch.estimate_drift"),
             registry,
             var0: spawn_stats.population_variance(),
-            rho_epochs: Vec::new(),
+            rho_epochs: EpochWindow::default(),
             collected: (0..n).map(|_| Vec::new()).collect(),
         };
         // The membership plane traces through the same per-node rings.
@@ -961,35 +961,19 @@ impl EventSim {
         }
     }
 
-    /// The per-query twin of [`EventSim::observe_estimate`]: publishes
-    /// `epoch.estimate_drift{query=…}` from the newest epoch with at
-    /// least two estimates, keeping a bounded epoch window.
+    /// Publishes `epoch.estimate_drift{query=…}` — the spread of the
+    /// query's newest epoch with at least two estimates.
     fn observe_query_estimate(&mut self, query: &str, epoch: u64, estimate: f64) {
         let registry = &self.registry;
-        let (epochs, gauge) = self
+        let (window, gauge) = self
             .query_drift
             .entry(query.to_string())
             .or_insert_with(|| {
                 let gauge = registry.gauge_with("epoch.estimate_drift", &[("query", query)]);
-                (Vec::new(), gauge)
+                (EpochWindow::default(), gauge)
             });
-        let stats = match epochs.iter_mut().find(|(e, _)| *e == epoch) {
-            Some((_, s)) => s,
-            None => {
-                epochs.push((epoch, OnlineStats::new()));
-                &mut epochs.last_mut().unwrap().1
-            }
-        };
-        stats.push(estimate);
-        if let Some((_, s)) = epochs
-            .iter()
-            .filter(|(_, s)| s.count() >= 2)
-            .max_by_key(|(e, _)| *e)
-        {
-            gauge.set(s.spread());
-        }
-        if let Some(newest) = epochs.iter().map(|(e, _)| *e).max() {
-            epochs.retain(|(e, _)| *e + 4 > newest);
+        if let Some(stats) = window.observe(epoch, estimate) {
+            gauge.set(stats.spread());
         }
     }
 
@@ -1009,37 +993,18 @@ impl EventSim {
         self.collected[node].extend(fresh);
     }
 
-    /// Folds one end-of-epoch estimate into the per-epoch accumulators
-    /// and republishes `epoch.variance_reduction_rho` (observed
-    /// ρ = (var_E / var_0)^(1/γ), to compare against the 1/(2√e) bound
-    /// in `epoch.rho_theory`) and `epoch.estimate_drift`.
+    /// Folds one end-of-epoch estimate into the epoch window and
+    /// republishes `epoch.variance_reduction_rho` (to compare against the
+    /// 1/(2√e) bound in `epoch.rho_theory`) and `epoch.estimate_drift`.
     fn observe_estimate(&mut self, epoch: u64, estimate: f64) {
-        let stats = match self.rho_epochs.iter_mut().find(|(e, _)| *e == epoch) {
-            Some((_, s)) => s,
-            None => {
-                self.rho_epochs.push((epoch, OnlineStats::new()));
-                &mut self.rho_epochs.last_mut().unwrap().1
-            }
+        let Some(stats) = self.rho_epochs.observe(epoch, estimate) else {
+            return;
         };
-        stats.push(estimate);
-        // Publish from the newest epoch with at least two estimates.
-        if let Some((_, s)) = self
-            .rho_epochs
-            .iter()
-            .filter(|(_, s)| s.count() >= 2)
-            .max_by_key(|(e, _)| *e)
-        {
-            let var_e = s.population_variance();
-            if self.var0 > 0.0 && var_e > 0.0 {
-                self.rho_gauge
-                    .set((var_e / self.var0).powf(1.0 / f64::from(self.node_config.gamma())));
-            }
-            self.drift_gauge.set(s.spread());
+        let gamma = self.node_config.gamma();
+        if let Some(rho) = observed_rho(self.var0, stats.population_variance(), gamma) {
+            self.rho_gauge.set(rho);
         }
-        // Keep only a recent epoch window so long runs hold O(1) state.
-        if let Some(newest) = self.rho_epochs.iter().map(|(e, _)| *e).max() {
-            self.rho_epochs.retain(|(e, _)| *e + 4 > newest);
-        }
+        self.drift_gauge.set(stats.spread());
     }
 
     /// Drives the event loop to `duration` and harvests the outcome.
