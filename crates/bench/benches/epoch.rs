@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use epidemic_aggregation::{InstanceSpec, NodeConfig};
 use epidemic_sim::event::EventConfig;
 use epidemic_sim::experiment::{AggregateSetup, ExperimentConfig};
-use epidemic_sim::failure::CommFailure;
+use epidemic_sim::failure::{CommFailure, FailureModel};
 use epidemic_sim::scenario::{OverlaySpec, Scenario, ValueInit};
 
 fn bench_full_epoch(c: &mut Criterion) {
@@ -87,6 +87,32 @@ fn bench_event_epoch(c: &mut Criterion) {
             });
         });
     }
+    // The ledger's `sim_churn` in miniature: gossiped NEWSCAST under churn
+    // puts the membership exchange path (view merges, delta bookkeeping)
+    // on the queue next to the aggregation traffic.
+    let n = 512usize;
+    group.throughput(Throughput::Elements(40 * n as u64));
+    group.bench_with_input(BenchmarkId::new("newscast_churn", n), &n, |b, &n| {
+        let config = EventConfig {
+            scenario: Scenario {
+                n,
+                overlay: OverlaySpec::Newscast { c: 30 },
+                values: ValueInit::Linear,
+                failure: FailureModel::Churn { per_cycle: 2 },
+                comm: CommFailure::messages(0.01),
+                ..Scenario::default()
+            },
+            delay: (10, 50),
+            drift: 0.01,
+            duration: 40_000,
+            ..EventConfig::default()
+        };
+        let mut seed = 0u64;
+        b.iter(|| {
+            seed += 1;
+            config.run(seed)
+        });
+    });
     group.finish();
 }
 

@@ -4,11 +4,11 @@
 //! push-pull exchange kernel plus automatic restart in epochs of γ cycles,
 //! epidemic epoch synchronization, deferred participation for joiners, and
 //! exchange timeouts. It performs no I/O and holds no clock: the embedding
-//! (the event-driven simulator in `epidemic-sim`, or the UDP runtime in
-//! `epidemic-net`) calls [`GossipNode::poll`] with the current time and a
-//! peer candidate, delivers incoming messages through
-//! [`GossipNode::handle`], and transmits whatever [`Outbound`] messages
-//! come back.
+//! (the event-driven simulator in `epidemic-sim`, or the UDP runtimes in
+//! `epidemic-net`) calls [`GossipNode::poll_sampler`] with the current
+//! time and its `GETNEIGHBOR()` service, delivers incoming messages
+//! through [`GossipNode::handle`], and transmits whatever [`Outbound`]
+//! messages come back.
 //!
 //! # Lifecycle
 //!
@@ -279,12 +279,17 @@ impl GossipNode {
     }
 
     /// Advances timers to `now`. If a cycle boundary passed, initiates a
-    /// push-pull exchange with `peer` (the embedding's `GETNEIGHBOR()`
-    /// result) and returns the request to transmit.
+    /// push-pull exchange with `peer` (a `GETNEIGHBOR()` result the caller
+    /// drew up front) and returns the request to transmit.
     ///
     /// Also expires a pending exchange whose timeout passed (the paper's
     /// crash masking: the exchange is simply skipped) and performs the
     /// scheduled epoch activation of a joiner.
+    ///
+    /// The eager form suits hand-driven nodes (tests, doc examples) whose
+    /// partner is known; every engine in this workspace polls through
+    /// [`poll_sampler`](Self::poll_sampler) so that idle wake-ups consume
+    /// no peer randomness.
     pub fn poll(&mut self, now: u64, peer: Option<NodeId>) -> Option<Outbound> {
         self.poll_with(now, || peer)
     }
@@ -294,11 +299,12 @@ impl GossipNode {
     /// will be initiated.
     ///
     /// This is the entry point for embeddings that drive many nodes as
-    /// continuation-style state machines (the multiplexed UDP runtime):
-    /// wake-ups triggered by timeouts or activations must not consume
-    /// `GETNEIGHBOR()` randomness, so that the sequence of peers a node
-    /// contacts is a deterministic function of its cycle count alone —
-    /// independent of how often the embedding polls.
+    /// continuation-style state machines (the multiplexed UDP runtime, the
+    /// event-driven simulator): wake-ups triggered by timeouts or
+    /// activations must not consume `GETNEIGHBOR()` randomness, so that
+    /// the sequence of peers a node contacts is a deterministic function
+    /// of its cycle count alone — independent of how often the embedding
+    /// polls.
     pub fn poll_with<F>(&mut self, now: u64, choose_peer: F) -> Option<Outbound>
     where
         F: FnOnce() -> Option<NodeId>,

@@ -80,7 +80,8 @@ const FULL_EVERY: u32 = 4;
 struct PeerKnowledge {
     peer: u32,
     /// Freshest copy per node of every descriptor we sent the partner or
-    /// received from it, bounded to `2c + 2` entries.
+    /// received from it, bounded to `2c + 2` entries and kept sorted by
+    /// node so a lookup is a binary search.
     seen: Vec<Descriptor>,
     /// Delta payloads shipped since the last full view went out.
     deltas_since_full: u32,
@@ -336,30 +337,23 @@ impl MembershipNode {
             return Vec::new();
         }
         let max = max.min(self.pb_tokens);
-        let ts = timestamp(now);
-        let entries: Vec<Descriptor> = self.view.entries().to_vec();
         let bound = knowledge_bound(&self.config);
-        let id = self.id;
         let cursor = self.pb_cursor;
         self.pb_cursor = cursor.wrapping_add(1);
-        let k = self.knowledge_mut(peer);
+        let k = knowledge_mut(&mut self.knowledge, self.config.knowledge_peers, peer);
+        let entries = self.view.entries();
         let mut picked: Vec<Descriptor> = Vec::new();
-        if !k.seen.iter().any(|e| e.node == id) {
-            picked.push(Descriptor::new(id, ts));
+        if held(&k.seen, self.id).is_none() {
+            picked.push(Descriptor::new(self.id, timestamp(now)));
         }
-        if !entries.is_empty() {
-            for step in 0..entries.len() {
-                if picked.len() >= max {
-                    break;
-                }
-                let d = entries[(cursor + step) % entries.len()];
-                // Telling a peer about itself is useless: merges drop it.
-                if d.node == peer {
-                    continue;
-                }
-                if !k.seen.iter().any(|e| e.node == d.node) {
-                    picked.push(d);
-                }
+        for step in 0..entries.len() {
+            if picked.len() >= max {
+                break;
+            }
+            let d = entries[(cursor + step) % entries.len()];
+            // Telling a peer about itself is useless: merges drop it.
+            if d.node != peer && held(&k.seen, d.node).is_none() {
+                picked.push(d);
             }
         }
         if !picked.is_empty() {
@@ -374,7 +368,7 @@ impl MembershipNode {
     /// the view, clamped like any exchange.
     pub fn absorb_descriptors(&mut self, from: u32, descriptors: &[Descriptor], now: u64) {
         let bound = knowledge_bound(&self.config);
-        let k = self.knowledge_mut(from);
+        let k = knowledge_mut(&mut self.knowledge, self.config.knowledge_peers, from);
         note_seen(&mut k.seen, descriptors, bound);
         self.view
             .merge_clamped(descriptors, self.id, self.clamp_bound(now));
@@ -401,7 +395,8 @@ impl MembershipNode {
     }
 
     fn payload(&self, now: u64) -> ViewPayload {
-        let mut descriptors: Vec<Descriptor> = self.view.entries().to_vec();
+        let mut descriptors = Vec::with_capacity(self.view.len() + 1);
+        descriptors.extend_from_slice(self.view.entries());
         descriptors.push(Descriptor::new(self.id, timestamp(now)));
         ViewPayload {
             from: self.id,
@@ -431,26 +426,6 @@ impl MembershipNode {
         self.period().saturating_mul(FULL_EVERY)
     }
 
-    /// The LRU knowledge entry for `peer`, created (and the LRU trimmed)
-    /// if absent, promoted to the front either way.
-    fn knowledge_mut(&mut self, peer: u32) -> &mut PeerKnowledge {
-        if let Some(pos) = self.knowledge.iter().position(|k| k.peer == peer) {
-            let entry = self.knowledge.remove(pos);
-            self.knowledge.insert(0, entry);
-        } else {
-            self.knowledge.insert(
-                0,
-                PeerKnowledge {
-                    peer,
-                    seen: Vec::new(),
-                    deltas_since_full: 0,
-                },
-            );
-            self.knowledge.truncate(self.config.knowledge_peers.max(1));
-        }
-        &mut self.knowledge[0]
-    }
-
     /// Builds the outbound payload for `peer`: the full view when deltas
     /// are disabled, the partner is unknown, or anti-entropy is due;
     /// otherwise only descriptors the partner lacks outright or holds an
@@ -460,46 +435,32 @@ impl MembershipNode {
     /// nothing, so it ships the full view (and resets the anti-entropy
     /// clock) instead. What was sent is recorded as known to the partner.
     fn outbound_for(&mut self, peer: u32, now: u64) -> (ViewPayload, bool) {
-        let mut full: Vec<Descriptor> = self.view.entries().to_vec();
-        full.push(Descriptor::new(self.id, timestamp(now)));
-        let delta_enabled = self.config.delta_views;
+        let ViewPayload {
+            from,
+            mut descriptors,
+        } = self.payload(now);
         let stale_after = self.stale_after();
-        let bound = knowledge_bound(&self.config);
-        let k = self.knowledge_mut(peer);
-        let send_full = !delta_enabled || k.seen.is_empty() || k.deltas_since_full >= FULL_EVERY;
-        let (descriptors, is_full) = if send_full {
-            (full, true)
-        } else {
-            let delta: Vec<Descriptor> = full
-                .iter()
-                .copied()
-                .filter(|d| match k.seen.iter().find(|e| e.node == d.node) {
-                    Some(e) => d.timestamp.saturating_sub(e.timestamp) >= stale_after,
-                    None => true,
-                })
-                .collect();
+        let k = knowledge_mut(&mut self.knowledge, self.config.knowledge_peers, peer);
+        let mut is_full =
+            !self.config.delta_views || k.seen.is_empty() || k.deltas_since_full >= FULL_EVERY;
+        if !is_full {
+            let full_len = descriptors.len();
+            descriptors.retain(|d| match held(&k.seen, d.node) {
+                Some(ts) => d.timestamp.saturating_sub(ts) >= stale_after,
+                None => true,
+            });
             // A delta covering the whole payload *is* the full view: mark
             // it as one so the partner replaces (not extends) its record
             // and the anti-entropy clock resets.
-            if delta.len() == full.len() {
-                (full, true)
-            } else {
-                (delta, false)
-            }
-        };
+            is_full = descriptors.len() == full_len;
+        }
         if is_full {
             k.deltas_since_full = 0;
         } else {
             k.deltas_since_full += 1;
         }
-        note_seen(&mut k.seen, &descriptors, bound);
-        (
-            ViewPayload {
-                from: self.id,
-                descriptors,
-            },
-            is_full,
-        )
+        note_seen(&mut k.seen, &descriptors, knowledge_bound(&self.config));
+        (ViewPayload { from, descriptors }, is_full)
     }
 
     /// Records an incoming payload into the sender's knowledge entry. A
@@ -507,12 +468,42 @@ impl MembershipNode {
     /// so it replaces the record; a delta extends it.
     fn note_received(&mut self, payload: &ViewPayload, full: bool) {
         let bound = knowledge_bound(&self.config);
-        let k = self.knowledge_mut(payload.from);
+        let k = knowledge_mut(
+            &mut self.knowledge,
+            self.config.knowledge_peers,
+            payload.from,
+        );
         if full {
             k.seen.clear();
         }
         note_seen(&mut k.seen, &payload.descriptors, bound);
     }
+}
+
+/// The LRU knowledge entry for `peer` (most recently used first), created
+/// — and the LRU trimmed to `capacity` — if absent, promoted to the front
+/// either way. A free function over the field so callers can keep reading
+/// the view while they hold the entry.
+fn knowledge_mut(
+    knowledge: &mut Vec<PeerKnowledge>,
+    capacity: usize,
+    peer: u32,
+) -> &mut PeerKnowledge {
+    if let Some(pos) = knowledge.iter().position(|k| k.peer == peer) {
+        let entry = knowledge.remove(pos);
+        knowledge.insert(0, entry);
+    } else {
+        knowledge.insert(
+            0,
+            PeerKnowledge {
+                peer,
+                seen: Vec::new(),
+                deltas_since_full: 0,
+            },
+        );
+        knowledge.truncate(capacity.max(1));
+    }
+    &mut knowledge[0]
 }
 
 /// Bound on one partner's `seen` record: its view plus ours can cover
@@ -522,21 +513,30 @@ fn knowledge_bound(config: &MembershipConfig) -> usize {
     2 * config.view_size + 2
 }
 
+/// Timestamp of the copy of `node` in a knowledge record, if it holds one.
+fn held(seen: &[Descriptor], node: u32) -> Option<u32> {
+    let at = seen.binary_search_by_key(&node, |e| e.node).ok()?;
+    Some(seen[at].timestamp)
+}
+
 /// Upserts `descriptors` into a knowledge record keeping the freshest copy
 /// per node, trimming the stalest entries beyond `bound`.
 fn note_seen(seen: &mut Vec<Descriptor>, descriptors: &[Descriptor], bound: usize) {
+    if seen.is_empty() {
+        // First contact fills the record in one allocation; after that it
+        // grows only by what the partner has genuinely not seen.
+        seen.reserve(descriptors.len());
+    }
     for d in descriptors {
-        if let Some(e) = seen.iter_mut().find(|e| e.node == d.node) {
-            if d.timestamp > e.timestamp {
-                e.timestamp = d.timestamp;
-            }
-        } else {
-            seen.push(*d);
+        match seen.binary_search_by_key(&d.node, |e| e.node) {
+            Ok(at) => seen[at].timestamp = seen[at].timestamp.max(d.timestamp),
+            Err(at) => seen.insert(at, *d),
         }
     }
     if seen.len() > bound {
-        seen.sort_unstable_by_key(|d| (std::cmp::Reverse(d.timestamp), d.node));
+        seen.sort_unstable_by_key(Descriptor::freshness_key);
         seen.truncate(bound);
+        seen.sort_unstable_by_key(|d| d.node);
     }
 }
 

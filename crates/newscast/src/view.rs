@@ -29,7 +29,7 @@ impl Descriptor {
 
     /// Freshest-first ordering key: larger timestamp first, then smaller id.
     #[inline]
-    fn freshness_key(&self) -> (std::cmp::Reverse<u32>, u32) {
+    pub(crate) fn freshness_key(&self) -> (std::cmp::Reverse<u32>, u32) {
         (std::cmp::Reverse(self.timestamp), self.node)
     }
 }
@@ -105,29 +105,36 @@ impl View {
     }
 
     /// Inserts one descriptor, keeping the freshest entry per node and
-    /// evicting the stalest descriptor if the view is full.
+    /// evicting the stalest descriptor if the view is full. The entries
+    /// stay sorted: a fresher copy only ever moves toward the front, so
+    /// one rotation puts it in place.
     pub fn insert(&mut self, descriptor: Descriptor) {
-        if let Some(existing) = self.entries.iter_mut().find(|d| d.node == descriptor.node) {
-            if descriptor.timestamp > existing.timestamp {
-                existing.timestamp = descriptor.timestamp;
-            }
-        } else if self.entries.len() < self.capacity {
-            self.entries.push(descriptor);
-        } else {
-            // Replace the stalest entry if the newcomer is fresher.
-            let (idx, stalest) = self
+        let key = descriptor.freshness_key();
+        let full = self.entries.len() == self.capacity;
+        // Every member of a full view is at least as fresh as its stalest
+        // entry, so anything staler neither enters nor refreshes one.
+        if full
+            && self
                 .entries
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, d)| d.freshness_key())
-                .expect("full view is non-empty");
-            if descriptor.freshness_key() < stalest.freshness_key() {
-                self.entries[idx] = descriptor;
-            } else {
-                return;
-            }
+                .last()
+                .is_some_and(|last| last.freshness_key() <= key)
+        {
+            return;
         }
-        self.entries.sort_unstable_by_key(Descriptor::freshness_key);
+        let from = match self.entries.iter().position(|e| e.node == descriptor.node) {
+            Some(i) if self.entries[i].timestamp >= descriptor.timestamp => return,
+            Some(i) => i,
+            None => {
+                if full {
+                    self.entries.pop();
+                }
+                self.entries.push(descriptor);
+                self.entries.len() - 1
+            }
+        };
+        let to = self.entries[..from].partition_point(|e| e.freshness_key() < key);
+        self.entries[from] = descriptor;
+        self.entries[to..=from].rotate_right(1);
     }
 
     /// The NEWSCAST merge: combine this view with descriptors received from
@@ -137,18 +144,7 @@ impl View {
     /// `received` is typically the peer's view plus a fresh descriptor of
     /// the peer itself.
     pub fn merge_with(&mut self, received: &[Descriptor], self_node: u32) {
-        let mut pool: Vec<Descriptor> = Vec::with_capacity(self.entries.len() + received.len());
-        pool.extend_from_slice(&self.entries);
-        pool.extend_from_slice(received);
-        pool.retain(|d| d.node != self_node);
-        // Deduplicate by node keeping the freshest copy: group per node
-        // first (dedup only removes consecutive repeats), then order the
-        // survivors freshest-first.
-        pool.sort_unstable_by_key(|d| (d.node, std::cmp::Reverse(d.timestamp)));
-        pool.dedup_by_key(|d| d.node);
-        pool.sort_unstable_by_key(Descriptor::freshness_key);
-        pool.truncate(self.capacity);
-        self.entries = pool;
+        self.merge_clamped(received, self_node, u32::MAX);
     }
 
     /// Like [`View::merge_with`], but clamps every incoming timestamp to
@@ -156,12 +152,17 @@ impl View {
     /// clock runs ahead can claim at most a bounded freshness head start:
     /// without the clamp, one drifted node's far-future descriptors crowd
     /// every honestly-stamped entry out of the views they touch.
+    ///
+    /// Bounded insertion one descriptor at a time keeps the view equal to
+    /// "the `c` freshest of everything seen so far, one copy per node" at
+    /// every step, which is the batch rule — in place, without a
+    /// temporary pool or a sort.
     pub fn merge_clamped(&mut self, received: &[Descriptor], self_node: u32, max_timestamp: u32) {
-        let clamped: Vec<Descriptor> = received
-            .iter()
-            .map(|d| Descriptor::new(d.node, d.timestamp.min(max_timestamp)))
-            .collect();
-        self.merge_with(&clamped, self_node);
+        for d in received {
+            if d.node != self_node {
+                self.insert(Descriptor::new(d.node, d.timestamp.min(max_timestamp)));
+            }
+        }
     }
 
     /// Removes the descriptor of `node`, if present. Returns whether an

@@ -8,7 +8,9 @@
 //!
 //! * every node runs on its own skewed clock (`local = global × drift_i`);
 //! * messages arrive after a uniformly random delay, or never (loss);
-//! * nodes are woken exactly at their next self-reported deadline.
+//! * nodes are woken exactly at their next self-reported deadline, by one
+//!   live timer each: a deadline that moves earlier queues a new wake and
+//!   strands the old one, which is skipped when it pops.
 //!
 //! Conditions come from the same engine-independent
 //! [`Scenario`](crate::scenario::Scenario) the cycle engine consumes:
@@ -320,20 +322,67 @@ enum EventKind {
     QueryScript(u32),
 }
 
-/// `GETNEIGHBOR()` for the query plane: uniform over the live population,
-/// excluding the polled node, drawing from the dedicated query stream so
-/// the aggregation and membership planes see the same draw sequence with
-/// or without queries running.
-struct QuerySampler<'a> {
-    rng: &'a mut Xoshiro256,
-    live: &'a [u32],
-    me: Option<usize>,
+/// `kind` label values of the `sim.events` counter family.
+const EVENT_CLASSES: [&str; 5] = ["wake", "deliver", "view_wake", "view_deliver", "query"];
+
+impl EventKind {
+    /// Index into [`EVENT_CLASSES`], or `None` for the scenario's own
+    /// `FailureTick`.
+    fn class(&self) -> Option<usize> {
+        match self {
+            EventKind::Wake(_) => Some(0),
+            EventKind::Deliver(..) => Some(1),
+            EventKind::WakeView(_) => Some(2),
+            EventKind::DeliverView { .. } => Some(3),
+            EventKind::QueryWake(_) | EventKind::QueryDeliver(_) | EventKind::QueryScript(_) => {
+                Some(4)
+            }
+            EventKind::FailureTick(_) => None,
+        }
+    }
 }
 
-impl PeerSampler for QuerySampler<'_> {
+/// The per-node timers whose deadline can move while their wake is queued
+/// ([`EventKind::Wake`], [`EventKind::QueryWake`]); [`EventSim::wake_at`]
+/// keeps each to one live wake. The membership timer moves only when its
+/// own wake fires, so its single chain needs no guard.
+#[derive(Debug, Clone, Copy)]
+enum Timer {
+    Aggregate,
+    Query,
+}
+
+/// `GETNEIGHBOR()` for `node` over `overlay`. Consulted only when a cycle
+/// boundary initiates an exchange, so the sim consumes peer randomness
+/// exactly as the wire runtimes do. The query plane samples through it
+/// too, over [`EventOverlay::LiveSet`] and its own stream, so the other
+/// planes see the same draw sequence with or without queries running.
+struct OverlaySampler<'a> {
+    overlay: &'a mut EventOverlay,
+    rng: &'a mut Xoshiro256,
+    live: &'a [u32],
+    live_pos: &'a [usize],
+    node: usize,
+}
+
+impl PeerSampler for OverlaySampler<'_> {
     fn draw_peer(&mut self) -> Option<NodeId> {
-        let idx = epidemic_common::sample::index_excluding(self.rng, self.live.len(), self.me)?;
-        Some(NodeId::new(u64::from(self.live[idx])))
+        let peer = match self.overlay {
+            EventOverlay::LiveSet => {
+                // Uniform over live nodes, skipping the initiator's slot.
+                let me = Some(self.live_pos[self.node]).filter(|&pos| pos != usize::MAX);
+                let idx = epidemic_common::sample::index_excluding(self.rng, self.live.len(), me)?;
+                u64::from(self.live[idx])
+            }
+            // Dead neighbors are sampled too: the request goes out and
+            // silently dies, costing the initiator a timeout.
+            EventOverlay::Static(g) => g.sample_neighbor(self.node, self.rng)? as u64,
+            // A uniform member of the node's own partial view — possibly a
+            // crashed peer that has not aged out yet, which costs a timeout
+            // exactly like in a real deployment.
+            EventOverlay::Newscast { members } => u64::from(members[self.node].sample_peer()?),
+        };
+        Some(NodeId::new(peer))
     }
 }
 
@@ -432,10 +481,11 @@ pub struct EventSim {
     /// Seed shared by every plane's per-query gossip nodes.
     query_seed: u64,
     query_script: Vec<QueryAction>,
-    /// Earliest scheduled-and-unpopped `QueryWake` per node (`u64::MAX`
-    /// when none): wakes are only pushed when they move this earlier, so
-    /// stale timers die instead of chaining to the end of the run.
-    query_wake_at: Vec<u64>,
+    /// Earliest scheduled-and-unpopped wake per [`Timer`] per node
+    /// (`u64::MAX` when none): wakes are only pushed when they move this
+    /// earlier, so stale timers die instead of chaining to the end of the
+    /// run.
+    wake_at: [Vec<u64>; 2],
     query_messages_sent: usize,
     query_messages_lost: usize,
     query_bytes_sent: usize,
@@ -454,6 +504,17 @@ pub struct EventSim {
     delta_bytes: Counter,
     /// `sim.live_nodes` — population size after the failure schedule.
     live_gauge: Gauge,
+    /// `sim.events{kind=…}` — node events popped, indexed by
+    /// [`EventKind::class`]. The scenario's own `FailureTick`s are not
+    /// node events and are not counted.
+    events: [Counter; 5],
+    /// `sim.wakes_idle` — `Wake`s that emitted nothing and crossed no
+    /// epoch (stale timers included). Against `sim.events{kind=wake}` it
+    /// says how much of the queue traffic is timer churn.
+    wakes_idle: Counter,
+    /// `sim.queue_depth_max` — high-water mark of the event queue.
+    queue_depth_max: Gauge,
+    queue_peak: usize,
     rho_gauge: Gauge,
     drift_gauge: Gauge,
     /// Variance of the initial local values — every epoch's var_0, since
@@ -608,7 +669,7 @@ impl EventSim {
             query_config: config.query,
             query_seed,
             query_script: config.query_script.clone(),
-            query_wake_at: vec![u64::MAX; n],
+            wake_at: [vec![u64::MAX; n], vec![u64::MAX; n]],
             query_messages_sent: 0,
             query_messages_lost: 0,
             query_bytes_sent: 0,
@@ -623,6 +684,11 @@ impl EventSim {
             agg_exchanges: registry.counter("agg.exchanges"),
             delta_bytes: registry.counter("membership.delta_bytes"),
             live_gauge: registry.gauge("sim.live_nodes"),
+            events: EVENT_CLASSES
+                .map(|kind| registry.counter_with("sim.events", &[("kind", kind)])),
+            wakes_idle: registry.counter("sim.wakes_idle"),
+            queue_depth_max: registry.gauge("sim.queue_depth_max"),
+            queue_peak: 0,
             rho_gauge: registry.gauge("epoch.variance_reduction_rho"),
             drift_gauge: registry.gauge("epoch.estimate_drift"),
             registry,
@@ -644,8 +710,7 @@ impl EventSim {
             sim.push(0, EventKind::FailureTick(0));
         }
         for i in 0..sim.nodes.len() {
-            let at = sim.to_global(sim.nodes[i].next_deadline(), i);
-            sim.push(at, EventKind::Wake(i as u32));
+            sim.schedule_wake(Timer::Aggregate, i, 0);
         }
         // Membership timers tick independently of the aggregation timers
         // (each node's gossip phase is its own).
@@ -675,6 +740,10 @@ impl EventSim {
             seq: self.seq,
             kind,
         });
+        if self.queue.len() > self.queue_peak {
+            self.queue_peak = self.queue.len();
+            self.queue_depth_max.set(self.queue_peak as f64);
+        }
     }
 
     fn to_local(&self, global: u64, node: usize) -> u64 {
@@ -683,36 +752,6 @@ impl EventSim {
 
     fn to_global(&self, local: u64, node: usize) -> u64 {
         (local as f64 / self.drifts[node]).ceil() as u64
-    }
-
-    /// `GETNEIGHBOR()` for `node` under the configured overlay.
-    fn sample_peer(&mut self, node: usize) -> Option<NodeId> {
-        match &mut self.overlay {
-            EventOverlay::LiveSet => {
-                // Uniform over live nodes, skipping the initiator's slot.
-                let me = match self.live_pos[node] {
-                    usize::MAX => None,
-                    pos => Some(pos),
-                };
-                let idx =
-                    epidemic_common::sample::index_excluding(&mut self.rng, self.live.len(), me)?;
-                Some(NodeId::new(u64::from(self.live[idx])))
-            }
-            EventOverlay::Static(g) => {
-                // Dead neighbors are sampled too: the request goes out and
-                // silently dies, costing the initiator a timeout.
-                let peer = g.sample_neighbor(node, &mut self.rng)?;
-                Some(NodeId::new(peer as u64))
-            }
-            EventOverlay::Newscast { members } => {
-                // A uniform member of the node's own partial view. The
-                // entry may describe a crashed peer that has not aged out
-                // yet — the request then dies in flight and costs the
-                // initiator a timeout, exactly like a real deployment.
-                let peer = members[node].sample_peer()?;
-                Some(NodeId::new(u64::from(peer)))
-            }
-        }
     }
 
     #[inline]
@@ -785,7 +824,6 @@ impl EventSim {
         if self.trace_capacity > 0 {
             node.set_trace_capacity(self.trace_capacity);
         }
-        let wake_at = self.to_global(node.next_deadline(), idx);
         self.epoch_seen.push(node.epoch());
         self.nodes.push(node);
         self.collected.push(Vec::new());
@@ -797,10 +835,12 @@ impl EventSim {
             self.query_seed,
             self.registry.clone(),
         ));
-        self.query_wake_at.push(u64::MAX);
+        for slots in &mut self.wake_at {
+            slots.push(u64::MAX);
+        }
         self.live_pos.push(self.live.len());
         self.live.push(idx as u32);
-        self.push(wake_at.max(at + 1), EventKind::Wake(idx as u32));
+        self.schedule_wake(Timer::Aggregate, idx, at + 1);
         // Under gossiped membership the joiner also bootstraps a view from
         // the introducer's current snapshot plus a fresh descriptor of the
         // introducer itself (the out-of-band discovery of Section 4.2).
@@ -918,37 +958,53 @@ impl EventSim {
     /// Polls node `i`'s query plane and transmits whatever comes out.
     fn poll_query_plane(&mut self, i: usize, at: u64) {
         let local_now = self.to_local(at, i);
-        let out = {
-            let me = match self.live_pos[i] {
-                usize::MAX => None,
-                pos => Some(pos),
-            };
-            let mut sampler = QuerySampler {
-                rng: &mut self.query_rng,
-                live: &self.live,
-                me,
-            };
-            self.planes[i].poll(local_now, &mut sampler)
+        let mut sampler = OverlaySampler {
+            overlay: &mut EventOverlay::LiveSet,
+            rng: &mut self.query_rng,
+            live: &self.live,
+            live_pos: &self.live_pos,
+            node: i,
         };
+        let out = self.planes[i].poll(local_now, &mut sampler);
         for frame in out {
             self.transmit_query(at, frame);
         }
         self.harvest_query_epochs(i);
-        self.schedule_query_wake(i, at);
+        self.schedule_wake(Timer::Query, i, at + 1);
     }
 
-    /// Schedules node `i`'s next query wake if the plane's deadline moved
-    /// earlier than whatever is already queued (installs do exactly that).
-    fn schedule_query_wake(&mut self, i: usize, at: u64) {
-        let deadline = self.planes[i].next_deadline();
+    /// Schedules node `i`'s `timer` wake, no sooner than `not_before`, if
+    /// the deadline moved earlier than whatever is already queued (a
+    /// freshly initiated exchange's timeout or a query install do exactly
+    /// that). A deadline that moved *later* leaves the queued wake in
+    /// place: it fires, finds nothing due, and reschedules from there.
+    fn schedule_wake(&mut self, timer: Timer, i: usize, not_before: u64) {
+        let (deadline, kind) = match timer {
+            Timer::Aggregate => (self.nodes[i].next_deadline(), EventKind::Wake(i as u32)),
+            Timer::Query => (
+                self.planes[i].next_deadline(),
+                EventKind::QueryWake(i as u32),
+            ),
+        };
         if deadline == u64::MAX {
             return; // empty plane: nothing to wake for
         }
-        let target = self.to_global(deadline, i).max(at + 1);
-        if target < self.query_wake_at[i] {
-            self.query_wake_at[i] = target;
-            self.push(target, EventKind::QueryWake(i as u32));
+        let target = self.to_global(deadline, i).max(not_before);
+        if target < self.wake_at[timer as usize][i] {
+            self.wake_at[timer as usize][i] = target;
+            self.push(target, kind);
         }
+    }
+
+    /// Claims a popped wake for node `i`'s `timer`: clears the slot when it
+    /// is the live one, `false` when an earlier reschedule superseded it.
+    fn claim_wake(&mut self, timer: Timer, i: usize, at: u64) -> bool {
+        let slot = &mut self.wake_at[timer as usize][i];
+        let live = *slot == at;
+        if live {
+            *slot = u64::MAX;
+        }
+        live
     }
 
     /// Feeds node `i`'s freshly completed query epochs into the labeled
@@ -1026,6 +1082,10 @@ impl EventSim {
                         .map_or(u64::MAX, |s| s.every_ticks.max(1)),
                 );
             }
+            if let Some(class) = event.kind.class() {
+                self.events[class].inc();
+            }
+            let is_wake = matches!(event.kind, EventKind::Wake(_));
             let (node_idx, outbound) = match event.kind {
                 EventKind::FailureTick(k) => {
                     self.failure_tick(k, at);
@@ -1074,14 +1134,10 @@ impl EventSim {
                 }
                 EventKind::QueryWake(i) => {
                     let i = i as usize;
-                    if at != self.query_wake_at[i] {
-                        continue; // superseded by an earlier reschedule
-                    }
-                    self.query_wake_at[i] = u64::MAX;
-                    if self.is_alive(i) {
+                    if self.claim_wake(Timer::Query, i, at) && self.is_alive(i) {
                         self.poll_query_plane(i, at);
                     }
-                    continue; // stale timer of a crashed node: chain ends
+                    continue; // superseded, or a crashed node's: chain ends
                 }
                 EventKind::QueryDeliver(frame) => {
                     let to = match &frame {
@@ -1103,7 +1159,7 @@ impl EventSim {
                             }
                         }
                         self.harvest_query_epochs(to);
-                        self.schedule_query_wake(to, at);
+                        self.schedule_wake(Timer::Query, to, at + 1);
                     }
                     continue; // in-flight query frame to a crashed node
                 }
@@ -1114,7 +1170,7 @@ impl EventSim {
                         let local_now = self.to_local(at, i);
                         let response = self.planes[i].handle_rpc(&action.request, local_now);
                         self.query_responses.push(response);
-                        self.schedule_query_wake(i, at);
+                        self.schedule_wake(Timer::Query, i, at + 1);
                     } else {
                         // Client hit a crashed node: the sim stand-in
                         // for a request that times out.
@@ -1127,12 +1183,19 @@ impl EventSim {
                 }
                 EventKind::Wake(i) => {
                     let i = i as usize;
-                    if !self.is_alive(i) {
-                        continue; // stale wake-up of a crashed node
+                    if !(self.claim_wake(Timer::Aggregate, i, at) && self.is_alive(i)) {
+                        self.wakes_idle.inc();
+                        continue; // superseded, or a crashed node's: chain ends
                     }
                     let local_now = self.to_local(at, i);
-                    let peer = self.sample_peer(i);
-                    let out = self.nodes[i].poll(local_now, peer);
+                    let mut sampler = OverlaySampler {
+                        overlay: &mut self.overlay,
+                        rng: &mut self.rng,
+                        live: &self.live,
+                        live_pos: &self.live_pos,
+                        node: i,
+                    };
+                    let out = self.nodes[i].poll_sampler(local_now, &mut sampler);
                     (i, out)
                 }
                 EventKind::Deliver(i, msg) => {
@@ -1145,11 +1208,14 @@ impl EventSim {
                     (i, out)
                 }
             };
+            // Track epoch transitions for the synchronization measurement.
+            let epoch_now = self.nodes[node_idx].epoch();
+            if is_wake && outbound.is_none() && epoch_now == self.epoch_seen[node_idx] {
+                self.wakes_idle.inc();
+            }
             if let Some(out) = outbound {
                 self.transmit(at, out.message, out.to);
             }
-            // Track epoch transitions for the synchronization measurement.
-            let epoch_now = self.nodes[node_idx].epoch();
             if epoch_now != self.epoch_seen[node_idx] {
                 self.epoch_seen[node_idx] = epoch_now;
                 let entry = self.entries.entry(epoch_now).or_insert((at, at));
@@ -1159,9 +1225,7 @@ impl EventSim {
                 // landed: fold it into the convergence gauges now.
                 self.harvest_reports(node_idx);
             }
-            // Reschedule this node at its next deadline.
-            let next = self.to_global(self.nodes[node_idx].next_deadline(), node_idx);
-            self.push(next.max(at + 1), EventKind::Wake(node_idx as u32));
+            self.schedule_wake(Timer::Aggregate, node_idx, at + 1);
         }
 
         let view_health = match &self.overlay {
@@ -1525,6 +1589,78 @@ mod tests {
         assert_eq!(a.view_messages_lost, b.view_messages_lost);
         assert_eq!(a.epoch_entries, b.epoch_entries);
         assert_eq!(a.epoch_estimates(0), b.epoch_estimates(0));
+        for kind in EVENT_CLASSES {
+            assert_eq!(events_of(&a, kind), events_of(&b, kind), "kind {kind}");
+        }
+        assert_eq!(
+            a.registry.counter_value("sim.wakes_idle"),
+            b.registry.counter_value("sim.wakes_idle")
+        );
+        assert_eq!(
+            a.registry.gauge_value("sim.queue_depth_max"),
+            b.registry.gauge_value("sim.queue_depth_max")
+        );
+    }
+
+    /// `sim.events{kind=…}` of a finished run.
+    fn events_of(out: &EventOutcome, kind: &str) -> u64 {
+        out.registry
+            .counter_with("sim.events", &[("kind", kind)])
+            .get()
+    }
+
+    #[test]
+    fn queue_traffic_is_bounded_by_message_traffic() {
+        // One live timer per node: events track messages (each costs a
+        // delivery plus a share of a wake), not the number of deliveries a
+        // node has ever seen. The perpetual-chain engine this replaced
+        // popped 27.6 events per message here and queued 99 per node.
+        let n = 256;
+        let mut cfg = base_config();
+        cfg.scenario.n = n;
+        cfg.scenario.overlay = OverlaySpec::Newscast { c: 15 };
+        cfg.scenario.failure = FailureModel::Churn { per_cycle: 2 };
+        cfg.scenario.comm = CommFailure::messages(0.01);
+        cfg.duration = 30_000;
+        let out = cfg.run(11);
+        let events = out.registry.counter_value("sim.events"); // all kinds
+        let messages = (out.messages_sent + out.view_messages_sent) as u64;
+        assert!(messages > 0);
+        assert!(
+            events <= 3 * messages,
+            "{events} events for {messages} messages"
+        );
+        let depth = out.registry.gauge_value("sim.queue_depth_max").unwrap();
+        assert!(depth >= n as f64, "every node starts with a wake: {depth}");
+        assert!(depth <= 4.0 * n as f64, "queue peaked at {depth}");
+        let idle = out.registry.counter_value("sim.wakes_idle");
+        assert!(idle <= events_of(&out, "wake"));
+        assert_eq!(events_of(&out, "query"), 0, "no query was scripted");
+    }
+
+    #[test]
+    fn crashed_nodes_wake_is_skipped_and_starts_no_chain() {
+        // Two nodes, one killed before the first event: the survivor has
+        // nobody to gossip with and wakes once per cycle boundary; the
+        // victim's pending wake is popped exactly once and never replaced.
+        let mut cfg = base_config();
+        cfg.scenario.n = 2;
+        cfg.duration = 10_000;
+        let mut sim = EventSim::new(&cfg, 1);
+        let first = sim.nodes[0].next_cycle_at();
+        sim.kill(1);
+        let out = sim.run();
+        let survivor_wakes = (cfg.duration - first) / cfg.node.cycle_length() + 1;
+        assert_eq!(events_of(&out, "wake"), survivor_wakes + 1);
+        assert_eq!(events_of(&out, "deliver"), 0);
+        assert_eq!(out.messages_sent, 0);
+        assert_eq!(out.registry.gauge_value("sim.queue_depth_max"), Some(2.0));
+        // Ten cycles of a 15-cycle epoch: no wake emitted or crossed one.
+        assert_eq!(
+            out.registry.counter_value("sim.wakes_idle"),
+            survivor_wakes + 1
+        );
+        assert!(out.reports[1].is_empty());
     }
 
     #[test]

@@ -9,9 +9,12 @@
 //! through the kernel.
 //!
 //! The scenario is the smallest one where timing cannot reorder logical
-//! history: two nodes, so `GETNEIGHBOR()` is forced (the engines' peer
-//! samplers draw from different RNG streams, but with one candidate the
-//! draws cannot diverge), zero simulated delay, no drift, no failures.
+//! history: two nodes, zero simulated delay, no drift, no failures. Both
+//! engines draw `GETNEIGHBOR()` lazily, once per initiated exchange, but
+//! from different RNG streams, and the mux delivers datagrams in
+//! wall-clock arrival order: with more than one candidate peer the
+//! partner sequences (and which of two crossing requests is handled
+//! first) would differ between engines. With one candidate they cannot.
 //! Both engines seed the gossip cores identically — the simulator hands
 //! its nodes `seed ^ 0xE7E7`, so the mux cluster is spawned with exactly
 //! that seed. Traces are compared per node, truncated to the epochs both
