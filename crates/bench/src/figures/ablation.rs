@@ -330,7 +330,7 @@ mod tests {
 
     #[test]
     fn event_ablation_stays_accurate() {
-        let fig = ablation_event(Scale::new(0.01), 11);
+        let fig = ablation_event(Scale::new(0.01), 13);
         assert_eq!(fig.rows.len(), 4);
         // Lossless row: every overlay's epoch estimate lands near truth
         // (at this smoke scale n=100, so a few percent of noise remains).

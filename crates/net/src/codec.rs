@@ -988,6 +988,42 @@ impl WireFrame<'_> {
         self.encode_into(&mut buf);
         buf
     }
+
+    /// The owned twin — what [`decode_datagram`] makes of
+    /// [`WireFrame::encode`], without the bytes in between. An in-memory
+    /// transport queues this.
+    pub fn to_payload(&self) -> WirePayload {
+        match *self {
+            WireFrame::Aggregation(msg) => WirePayload::Aggregation(msg.clone()),
+            WireFrame::Directory(payload) => WirePayload::Directory(payload.clone()),
+            WireFrame::Piggybacked(msg, pb) => WirePayload::Piggybacked(msg.clone(), pb.clone()),
+            WireFrame::Catalog(from, entries) => WirePayload::Catalog {
+                from,
+                entries: entries.to_vec(),
+            },
+            WireFrame::Query(query, msg) => WirePayload::Query {
+                query: query.to_string(),
+                message: msg.clone(),
+            },
+        }
+    }
+
+    /// `true` for the first message of a two-way exchange — a push-pull
+    /// request, a view request, a join. A failed link never carries it,
+    /// so the whole exchange is lost; replies and one-way catalog pushes
+    /// only meet per-message loss.
+    pub fn opens_exchange(&self) -> bool {
+        match *self {
+            WireFrame::Aggregation(msg)
+            | WireFrame::Piggybacked(msg, _)
+            | WireFrame::Query(_, msg) => matches!(msg.body, MessageBody::Request(_)),
+            WireFrame::Directory(DirectoryPayload::View { reply, .. }) => !reply,
+            WireFrame::Directory(DirectoryPayload::Join { .. }) => true,
+            WireFrame::Directory(DirectoryPayload::Introduce { .. }) | WireFrame::Catalog(..) => {
+                false
+            }
+        }
+    }
 }
 
 /// Decodes any datagram, routing by plane (tags 0–3 vs 4–9 vs 10 vs

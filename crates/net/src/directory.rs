@@ -251,6 +251,50 @@ impl PeerSampler for Box<dyn PeerDirectory> {
     }
 }
 
+/// …and a directory: the type a [`NodeStack`](crate::stack::NodeStack)
+/// holds when its embedding picks the directory at run time.
+impl PeerDirectory for Box<dyn PeerDirectory> {
+    fn next_deadline(&self) -> u64 {
+        (**self).next_deadline()
+    }
+    fn poll(&mut self, now: u64, out: &mut Vec<DirectoryMessage>) {
+        (**self).poll(now, out);
+    }
+    fn handle(
+        &mut self,
+        payload: &DirectoryPayload,
+        src: Option<SocketAddr>,
+        now: u64,
+        out: &mut Vec<DirectoryMessage>,
+    ) {
+        (**self).handle(payload, src, now, out);
+    }
+    fn addr_of(&self, peer: NodeId) -> Option<SocketAddr> {
+        (**self).addr_of(peer)
+    }
+    fn observe(&mut self, from: NodeId, src: SocketAddr) {
+        (**self).observe(from, src);
+    }
+    fn piggyback(&mut self, to: NodeId, now: u64) -> Option<Piggyback> {
+        (**self).piggyback(to, now)
+    }
+    fn absorb_piggyback(&mut self, piggyback: &Piggyback, src: Option<SocketAddr>, now: u64) {
+        (**self).absorb_piggyback(piggyback, src, now);
+    }
+    fn join_retries(&self) -> u64 {
+        (**self).join_retries()
+    }
+    fn set_trace_capacity(&mut self, capacity: usize) {
+        (**self).set_trace_capacity(capacity);
+    }
+    fn take_trace(&mut self) -> Vec<TraceEvent> {
+        (**self).take_trace()
+    }
+    fn view_health(&self, now: u64) -> Option<ViewHealth> {
+        (**self).view_health(now)
+    }
+}
+
 /// Draws a uniformly random peer among `n` nodes, excluding `me`.
 /// Returns `None` when the node is alone.
 ///
@@ -496,6 +540,13 @@ impl GossipDirectory {
     /// The live partial view (for tests and metrics).
     pub fn view(&self) -> &epidemic_newscast::View {
         self.membership.view()
+    }
+
+    /// Registers a contact known out of band (Section 4.2) — how an
+    /// embedding that founds a whole overlay at once gives every member
+    /// its initial view without a join round.
+    pub fn add_seed(&mut self, peer: u32, now: u64) {
+        self.membership.add_seed(peer, now);
     }
 
     fn learn(&mut self, peer: u32, addr: SocketAddr) {

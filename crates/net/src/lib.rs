@@ -13,7 +13,9 @@
 //!   aggregate, its directory and the query plane, and is the only place
 //!   that decides poll order, piggyback attachment, deadline folding and
 //!   which traffic ledger a frame lands on. Sans-io: `step(input, now,
-//!   sink)` in, borrowed frames out. Both runtimes embed it.
+//!   sink)` in, borrowed frames out. Both runtimes embed it, and so does
+//!   the event simulator (`epidemic-sim`); [`stack::Convergence`]
+//!   publishes the `epoch.*` series for all of them.
 //! * [`directory`] — the **membership seam**: [`directory::PeerDirectory`]
 //!   answers `GETNEIGHBOR()` and resolves peer addresses. Implementations:
 //!   [`directory::StaticDirectory`] (a static table, the out-of-band

@@ -102,18 +102,16 @@ use crate::codec::{
     WireFrame, WirePayload, BUNDLE_BUDGET,
 };
 use crate::directory::{
-    Destination, DirectoryPayload, DirectorySpec, GossipDirectory, Introducer, PeerDirectory,
-    StaticDirectory,
+    Destination, DirectorySpec, GossipDirectory, Introducer, PeerDirectory, StaticDirectory,
 };
-use crate::stack::{Input, NodeStack, Plane};
+use crate::stack::{Convergence, Input, NodeStack, Plane};
 use crate::timer::ShardedTimerWheel;
-use epidemic_aggregation::convergence::{observed_rho, EpochWindow};
 use epidemic_aggregation::{EpochReport, NodeConfig};
 use epidemic_common::stats::OnlineStats;
 use epidemic_common::NodeId;
 use epidemic_query::{QueryDescriptor, QueryError, QueryEstimate, QueryPlaneConfig};
 use epidemic_telemetry::{Counter, Gauge, Histogram, MetricsServer, Registry, TraceEvent};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::ops::Range;
@@ -676,11 +674,6 @@ struct Shared {
     /// `io.recv_timeouts` — the subset of recv syscalls that returned
     /// empty-handed (read-timeout wakeups for the stop-flag check).
     recv_timeouts: Counter,
-    /// `agg.exchanges` — push-pull exchanges initiated by local vnodes.
-    agg_exchanges: Counter,
-    /// `membership.delta_bytes` — wire bytes of delta-encoded view
-    /// frames plus piggybacked membership trailers.
-    delta_bytes: Counter,
     /// `timer.fire_lag_us` — how late the wheel fired each deadline.
     fire_lag: Histogram,
     /// `io.datagrams_sent` — bundle datagrams the kernel accepted.
@@ -698,27 +691,16 @@ struct Shared {
     /// `membership.view_dead_fraction` — stale-entry share of the same
     /// sampled view.
     view_dead_fraction: Gauge,
-    /// Variance of the spawn-time local values — the var_0 every epoch
-    /// restarts from (each epoch re-seeds estimates from local values).
-    var0: f64,
-    /// Epoch length γ in cycles.
-    gamma: u32,
-    /// The estimates of the epoch reports passing through
-    /// [`MuxCluster::take_reports`], folded per epoch into the two gauges
-    /// below.
-    epochs: Mutex<EpochWindow>,
-    /// `epoch.variance_reduction_rho` — the observed per-cycle variance
-    /// reduction, next to the theoretical 1/(2√e) in `epoch.rho_theory`.
-    rho: Gauge,
-    /// `epoch.estimate_drift` — spread of one epoch's estimates.
-    drift: Gauge,
+    /// The `epoch.*` convergence gauges, fed by the reports passing
+    /// through [`MuxCluster::take_reports`] and the query epochs the
+    /// workers drain, plus `agg.exchanges` and `membership.delta_bytes`
+    /// (delta view frames and piggybacked trailers), counted as the
+    /// workers' sinks see each frame.
+    convergence: Convergence,
     /// `rpc.requests` — client RPC datagrams the listener served.
     rpc_requests: Counter,
     /// `rpc.rejects` — the subset answered with a non-`Ok` status.
     rpc_rejects: Counter,
-    /// `epoch.estimate_drift{query=…}` per named query, from the
-    /// completed query epochs the workers drain.
-    query_drift: Mutex<BTreeMap<String, (EpochWindow, Gauge)>>,
     /// Per-reader-socket datagram arrivals (total, from-remote-shard) —
     /// the observable proof that cross-shard senders fan across the whole
     /// published socket set.
@@ -932,9 +914,6 @@ impl MuxCluster {
             .collect();
         let local_n = nodes.len();
         let backend = &[("backend", io.as_str())];
-        registry
-            .gauge("epoch.rho_theory")
-            .set(0.5 / std::f64::consts::E.sqrt());
         let work = WorkQueue {
             depth: registry.gauge("worker.queue_depth"),
             ..WorkQueue::default()
@@ -953,8 +932,6 @@ impl MuxCluster {
             recv_calls: registry.counter_with("io.recv_syscalls", backend),
             send_calls: registry.counter_with("io.send_syscalls", backend),
             recv_timeouts: registry.counter("io.recv_timeouts"),
-            agg_exchanges: registry.counter("agg.exchanges"),
-            delta_bytes: registry.counter("membership.delta_bytes"),
             fire_lag: registry.histogram("timer.fire_lag_us"),
             datagrams_sent: registry.counter("io.datagrams_sent"),
             datagrams_received: registry.counter("io.datagrams_received"),
@@ -962,14 +939,13 @@ impl MuxCluster {
             frames_per_datagram: registry.gauge("io.frames_per_datagram"),
             view_mean_size: registry.gauge("membership.view_mean_size"),
             view_dead_fraction: registry.gauge("membership.view_dead_fraction"),
-            var0: spawn_stats.population_variance(),
-            gamma: node_config.gamma(),
-            epochs: Mutex::default(),
-            rho: registry.gauge("epoch.variance_reduction_rho"),
-            drift: registry.gauge("epoch.estimate_drift"),
+            convergence: Convergence::new(
+                &registry,
+                spawn_stats.population_variance(),
+                node_config.gamma(),
+            ),
             rpc_requests: registry.counter("rpc.requests"),
             rpc_rejects: registry.counter("rpc.rejects"),
-            query_drift: Mutex::default(),
             registry,
             socket_recvs: (0..readers).map(|_| SocketRecvCell::default()).collect(),
             start: Instant::now(),
@@ -1154,25 +1130,7 @@ impl MuxCluster {
     /// Panics if `index` is out of range.
     pub fn take_reports(&self, index: usize) -> Vec<EpochReport> {
         let reports = self.shared.vnode(index).stack.take_reports();
-        // Fold the drained estimates into the convergence-health gauges:
-        // every report is one node's end-of-epoch estimate, so the
-        // cross-node variance of one epoch's reports against the spawn
-        // variance yields the observed per-cycle ρ.
-        if self.shared.registry.is_enabled() && !reports.is_empty() {
-            let shared = &self.shared;
-            let mut epochs = shared.epochs.lock().unwrap();
-            for r in &reports {
-                let Some(stats) = r.scalar(0).and_then(|est| epochs.observe(r.epoch, est)) else {
-                    continue;
-                };
-                if let Some(rho) =
-                    observed_rho(shared.var0, stats.population_variance(), shared.gamma)
-                {
-                    shared.rho.set(rho);
-                }
-                shared.drift.set(stats.spread());
-            }
-        }
+        self.shared.convergence.observe_reports(&reports);
         reports
     }
 
@@ -1465,10 +1423,6 @@ fn step_vnode(shared: &Shared, work: Work, pending: &mut [Packer]) -> usize {
         vnode.next_wake = u64::MAX;
     }
     vnode.stack.step(input, now, |to, frame, plane| {
-        // The only base-aggregate frame a wake emits opens an exchange.
-        if is_wake && matches!(plane, Plane::Aggregation | Plane::Piggybacked { .. }) {
-            shared.agg_exchanges.inc();
-        }
         // Mux frames route by vnode id; an address destination cannot be
         // framed and is dropped, as is an id outside the peer table.
         let Destination::Node(to) = to else {
@@ -1478,13 +1432,7 @@ fn step_vnode(shared: &Shared, work: Work, pending: &mut [Packer]) -> usize {
             return;
         };
         let bytes = packer.push(target, to, &frame, index as u32, plane);
-        match (plane, frame) {
-            (Plane::Piggybacked { trailer }, _) => shared.delta_bytes.add(u64::from(trailer)),
-            (_, WireFrame::Directory(DirectoryPayload::View { delta: true, .. })) => {
-                shared.delta_bytes.add(bytes);
-            }
-            _ => {}
-        }
+        shared.convergence.count(&frame, bytes);
     });
     // Completed query epochs feed the per-query drift gauges (drained
     // unconditionally so a disabled registry never accumulates them).
@@ -1498,20 +1446,7 @@ fn step_vnode(shared: &Shared, work: Work, pending: &mut [Packer]) -> usize {
         shared.schedule(deadline, index as u32);
     }
     drop(vnode);
-    if shared.registry.is_enabled() && !query_epochs.is_empty() {
-        let mut drift = shared.query_drift.lock().unwrap();
-        for e in &query_epochs {
-            let Some(est) = e.estimate else { continue };
-            let (window, gauge) = drift.entry(e.query.clone()).or_insert_with(|| {
-                let labels = [("query", e.query.as_str())];
-                let gauge = shared.registry.gauge_with("epoch.estimate_drift", &labels);
-                (EpochWindow::default(), gauge)
-            });
-            if let Some(stats) = window.observe(e.epoch, est) {
-                gauge.set(stats.spread());
-            }
-        }
-    }
+    shared.convergence.observe_query_epochs(&query_epochs);
     packer.charges.len() - before
 }
 

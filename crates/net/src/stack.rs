@@ -12,9 +12,16 @@
 //! frame and receives every outbound as a borrowed
 //! `(Destination, WireFrame, Plane)` through a sink — nothing is
 //! encoded, buffered or allocated on the embedding's behalf.
+//!
+//! Three embeddings do: the thread runtime ([`crate::runtime`]), the mux
+//! runtime ([`crate::mux`]) and the event simulator (`epidemic-sim`),
+//! whose delay/loss/crash/churn model is the seeded in-memory transport
+//! under the very same wiring. [`Convergence`] is what they publish about
+//! it: the convergence-health series, computed in one place.
 
 use crate::codec::{piggyback_trailer_len, WireFrame, WirePayload};
-use crate::directory::{Destination, DirectoryMessage, PeerDirectory};
+use crate::directory::{Destination, DirectoryMessage, DirectoryPayload, PeerDirectory};
+use epidemic_aggregation::convergence::{observed_rho, EpochWindow};
 use epidemic_aggregation::node::GossipNode;
 use epidemic_aggregation::{EpochReport, NodeConfig};
 use epidemic_common::NodeId;
@@ -22,8 +29,10 @@ use epidemic_query::{
     QueryDescriptor, QueryEpoch, QueryError, QueryEstimate, QueryOutbound, QueryPlane,
     QueryPlaneConfig, RpcRequest, RpcResponse,
 };
-use epidemic_telemetry::{Registry, TraceEvent, ViewHealth};
+use epidemic_telemetry::{Counter, Gauge, Registry, TraceEvent, ViewHealth};
+use std::collections::BTreeMap;
 use std::net::SocketAddr;
+use std::sync::Mutex;
 
 /// What an embedding feeds [`NodeStack::step`].
 #[derive(Debug, Clone, Copy)]
@@ -82,17 +91,21 @@ impl Plane {
 }
 
 /// One node's protocol state: base aggregate, membership, query plane.
+///
+/// The directory is stored inline. The wire runtimes pick theirs at run
+/// time and take the boxed default; an embedding with one directory type
+/// names it and reads it back typed through [`NodeStack::directory`].
 #[derive(Debug)]
-pub struct NodeStack {
+pub struct NodeStack<D = Box<dyn PeerDirectory>> {
     gossip: GossipNode,
-    directory: Box<dyn PeerDirectory>,
+    directory: D,
     plane: QueryPlane,
     /// Membership frames of the step in progress (always drained before
     /// `step` returns; kept for its capacity).
     dir_out: Vec<DirectoryMessage>,
 }
 
-impl NodeStack {
+impl<D: PeerDirectory> NodeStack<D> {
     /// Builds the stack of founding node `id`: every plane derives its
     /// randomness from `seed` and the id, so a node's behavior is a
     /// function of those two alone — not of which runtime hosts it.
@@ -102,14 +115,55 @@ impl NodeStack {
         node_config: NodeConfig,
         local_value: f64,
         seed: u64,
-        directory: Box<dyn PeerDirectory>,
+        directory: D,
+        query: QueryPlaneConfig,
+        registry: Registry,
+    ) -> Self {
+        let gossip = GossipNode::founder(id, node_config, local_value, seed);
+        Self::assemble(gossip, seed, directory, query, registry)
+    }
+
+    /// Builds the stack of a node joining a running system (Section 4.2):
+    /// the contacted member supplied the running epoch `current_epoch`
+    /// and the tick `next_epoch_at` at which the next one is expected, so
+    /// the base aggregate sits out the running epoch
+    /// ([`GossipNode::joiner`]). Membership bootstraps through
+    /// `directory`'s introducers and the query catalog arrives by gossip,
+    /// both from the first [`Input::Wake`] on.
+    #[allow(clippy::too_many_arguments)]
+    pub fn joiner(
+        id: NodeId,
+        node_config: NodeConfig,
+        local_value: f64,
+        seed: u64,
+        current_epoch: u64,
+        next_epoch_at: u64,
+        directory: D,
+        query: QueryPlaneConfig,
+        registry: Registry,
+    ) -> Self {
+        let gossip = GossipNode::joiner(
+            id,
+            node_config,
+            local_value,
+            seed,
+            current_epoch,
+            next_epoch_at,
+        );
+        Self::assemble(gossip, seed, directory, query, registry)
+    }
+
+    fn assemble(
+        gossip: GossipNode,
+        seed: u64,
+        directory: D,
         query: QueryPlaneConfig,
         registry: Registry,
     ) -> Self {
         NodeStack {
-            gossip: GossipNode::founder(id, node_config, local_value, seed),
+            plane: QueryPlane::new(gossip.id(), query, seed, registry),
+            gossip,
             directory,
-            plane: QueryPlane::new(id, query, seed, registry),
             dir_out: Vec::new(),
         }
     }
@@ -190,7 +244,7 @@ impl NodeStack {
             .as_ref()
             .and_then(|out| self.directory.piggyback(out.to, now));
         let me = self.gossip.id();
-        let directory = &*self.directory;
+        let directory = &self.directory;
         let mut emit = |to: Destination, frame: WireFrame<'_>| {
             let to = match to {
                 Destination::Node(id) => directory.addr_of(id).map_or(to, Destination::Addr),
@@ -306,5 +360,133 @@ impl NodeStack {
     /// Bootstrap `Join`s re-sent after the first went unanswered.
     pub fn join_retries(&self) -> u64 {
         self.directory.join_retries()
+    }
+
+    /// The membership directory, as the type the embedding built it with.
+    pub fn directory(&self) -> &D {
+        &self.directory
+    }
+
+    /// Epoch the base aggregate participates in (or, joining, waits out).
+    pub fn epoch(&self) -> u64 {
+        self.gossip.epoch()
+    }
+
+    /// Cycles the base aggregate completed in its current epoch — with
+    /// [`NodeStack::epoch`], what an introducer tells a joiner.
+    pub fn cycles_run(&self) -> u32 {
+        self.gossip.cycles_run()
+    }
+
+    /// Names of the queries installed here, in catalog order.
+    pub fn installed_queries(&self) -> Vec<String> {
+        self.plane.installed()
+    }
+}
+
+/// The convergence-health series of one cluster, whichever embedding
+/// hosts it: `epoch.variance_reduction_rho` next to the `epoch.rho_theory`
+/// bound 1/(2√e), `epoch.estimate_drift` (and its `{query=…}` twins), and
+/// the two sink-side counters `agg.exchanges` and `membership.delta_bytes`.
+/// An embedding feeds it what it drains from its stacks and what its
+/// sinks are handed; nothing here is per node.
+#[derive(Debug)]
+pub struct Convergence {
+    registry: Registry,
+    /// Variance of the spawn-time local values — every epoch's var_0,
+    /// since epochs restart from fresh local values.
+    var0: f64,
+    /// Epoch length γ in cycles.
+    gamma: u32,
+    epochs: Mutex<EpochWindow>,
+    rho: Gauge,
+    drift: Gauge,
+    queries: Mutex<BTreeMap<String, (EpochWindow, Gauge)>>,
+    exchanges: Counter,
+    delta_bytes: Counter,
+}
+
+impl Convergence {
+    /// Registers the series in `registry` for a cluster whose local
+    /// values start with population variance `var0` and whose epochs last
+    /// `gamma` cycles.
+    pub fn new(registry: &Registry, var0: f64, gamma: u32) -> Self {
+        registry
+            .gauge("epoch.rho_theory")
+            .set(0.5 / std::f64::consts::E.sqrt());
+        Convergence {
+            var0,
+            gamma,
+            epochs: Mutex::default(),
+            rho: registry.gauge("epoch.variance_reduction_rho"),
+            drift: registry.gauge("epoch.estimate_drift"),
+            queries: Mutex::default(),
+            exchanges: registry.counter("agg.exchanges"),
+            delta_bytes: registry.counter("membership.delta_bytes"),
+            registry: registry.clone(),
+        }
+    }
+
+    /// Folds drained base-aggregate reports in: each is one node's
+    /// end-of-epoch estimate, so the cross-node variance of one epoch's
+    /// reports against `var0` yields the observed per-cycle ρ, and their
+    /// spread the drift.
+    pub fn observe_reports(&self, reports: &[EpochReport]) {
+        if reports.is_empty() || !self.registry.is_enabled() {
+            return;
+        }
+        let mut epochs = self.epochs.lock().expect("epoch window poisoned");
+        for r in reports {
+            let Some(stats) = r.scalar(0).and_then(|est| epochs.observe(r.epoch, est)) else {
+                continue;
+            };
+            if let Some(rho) = observed_rho(self.var0, stats.population_variance(), self.gamma) {
+                self.rho.set(rho);
+            }
+            self.drift.set(stats.spread());
+        }
+    }
+
+    /// Folds drained query epochs into `epoch.estimate_drift{query=…}` —
+    /// the spread of each query's newest epoch with two estimates.
+    pub fn observe_query_epochs(&self, epochs: &[QueryEpoch]) {
+        if epochs.is_empty() || !self.registry.is_enabled() {
+            return;
+        }
+        let mut queries = self.queries.lock().expect("query windows poisoned");
+        for e in epochs {
+            let Some(est) = e.estimate else { continue };
+            let (window, gauge) = queries.entry(e.query.clone()).or_insert_with(|| {
+                let labels = [("query", e.query.as_str())];
+                let gauge = self.registry.gauge_with("epoch.estimate_drift", &labels);
+                (EpochWindow::default(), gauge)
+            });
+            if let Some(stats) = window.observe(e.epoch, est) {
+                gauge.set(stats.spread());
+            }
+        }
+    }
+
+    /// Counts one frame a sink was handed and charged `bytes` for: a
+    /// base-aggregate request is one exchange initiated; a delta view and
+    /// a membership trailer are delta bytes.
+    pub fn count(&self, frame: &WireFrame<'_>, bytes: u64) {
+        let base = matches!(
+            frame,
+            WireFrame::Aggregation(_) | WireFrame::Piggybacked(..)
+        );
+        if base && frame.opens_exchange() {
+            self.exchanges.inc();
+        }
+        match frame {
+            WireFrame::Piggybacked(_, piggyback) => {
+                self.delta_bytes
+                    .add(piggyback_trailer_len(piggyback) as u64);
+            }
+            WireFrame::Directory(DirectoryPayload::View { delta: true, .. }) => {
+                self.delta_bytes.add(bytes);
+            }
+            _ => {}
+        }
     }
 }

@@ -12,7 +12,7 @@ use epidemic_net::directory::{
     Piggyback, StaticDirectory,
 };
 use epidemic_net::stack::{Input, NodeStack, Plane};
-use epidemic_net::{Registry, TraceEvent};
+use epidemic_net::{Registry, TraceEvent, TraceKind};
 use epidemic_newscast::node::ViewPayload;
 use epidemic_newscast::Descriptor;
 use epidemic_query::{QueryDescriptor, QueryPlaneConfig};
@@ -35,15 +35,19 @@ struct Net {
     now: u64,
 }
 
+fn node_config(gamma: u32) -> NodeConfig {
+    NodeConfig::builder()
+        .gamma(gamma)
+        .cycle_length(CYCLE)
+        .timeout(CYCLE / 2)
+        .instance(InstanceSpec::AVERAGE)
+        .build()
+        .unwrap()
+}
+
 impl Net {
     fn new(n: usize, gamma: u32, seed: u64, gossip: Option<&GossipDirectoryConfig>) -> Net {
-        let config = NodeConfig::builder()
-            .gamma(gamma)
-            .cycle_length(CYCLE)
-            .timeout(CYCLE / 2)
-            .instance(InstanceSpec::AVERAGE)
-            .build()
-            .unwrap();
+        let config = node_config(gamma);
         let stacks = (0..n)
             .map(|i| {
                 let id = NodeId::new(i as u64);
@@ -208,6 +212,59 @@ fn gossip_cluster_bootstraps_from_one_introducer_and_trailers_go_quiet() {
 }
 
 #[test]
+fn joiner_stack_sits_out_the_running_epoch_and_reports_from_the_next() {
+    let (n, gamma, seed) = (8usize, 10u32, 11);
+    let gossip = GossipDirectoryConfig::new(8, CYCLE).with_introducer_node(0);
+    let mut net = Net::new(n, gamma, seed, Some(&gossip));
+    let epoch_ticks = u64::from(gamma) * CYCLE;
+    net.run(epoch_ticks + epoch_ticks / 2);
+    net.reports();
+    // Section 4.2: the contacted member says which epoch is running and
+    // when the next one is due; the joiner knows nobody else.
+    let introducer = &net.stacks[0];
+    let running = introducer.epoch();
+    let next_epoch_at = net.now + u64::from(gamma - introducer.cycles_run()) * CYCLE;
+    let id = NodeId::new(n as u64);
+    let directory: Box<dyn PeerDirectory> = Box::new(GossipDirectory::id_routed(id, &gossip, seed));
+    net.stacks.push(NodeStack::joiner(
+        id,
+        node_config(gamma),
+        35.0,
+        seed,
+        running,
+        next_epoch_at,
+        directory,
+        QueryPlaneConfig::default(),
+        Registry::disabled(),
+    ));
+    net.stacks[n].set_trace_capacity(1 << 10);
+    assert_eq!(net.stacks[n].epoch(), running);
+    net.run(net.now + 8 * epoch_ticks);
+    assert_eq!(net.stacks[n].join_retries(), 0);
+    // It took no part in the epoch it arrived in: the first epoch it
+    // enters is the next, and that is the first it can report. (Which
+    // epochs a node reports is luck — Section 4.3 pulls about half the
+    // nodes into the next epoch before their own γ cycles are up.)
+    let entered: Vec<u64> = net.stacks[n]
+        .take_trace()
+        .iter()
+        .filter(|e| e.kind == TraceKind::EpochTransition)
+        .map(|e| e.epoch)
+        .collect();
+    assert_eq!(entered.first(), Some(&(running + 1)));
+    let joined = net.stacks[n].take_reports();
+    assert!(!joined.is_empty(), "eight epochs and no report");
+    assert!(joined.iter().all(|r| r.epoch > running));
+    // The running epoch finished over the eight founders' values alone;
+    // every later one carries the joiner's mass too: (0 + … + 7 + 35) / 9.
+    for r in net.reports().iter().chain(&joined) {
+        let truth = if r.epoch <= running { 3.5 } else { 7.0 };
+        let est = r.scalar(0).unwrap();
+        assert!((est - truth).abs() < 0.05, "epoch {}: {est}", r.epoch);
+    }
+}
+
+#[test]
 fn query_installed_at_one_stack_is_readable_at_every_other() {
     let n = 8;
     let mut net = Net::new(n, 10, 3, None);
@@ -263,9 +320,11 @@ fn same_seed_yields_the_same_trace() {
 
 /// Every frame the stack can emit lands on the ledger the parent commit
 /// charged it to — so Σ `*_bytes_sent` stays the bytes handed to the
-/// kernel on both runtimes.
+/// kernel on both runtimes — and its owned twin is exactly what the
+/// codec makes of its bytes: frame → payload → frame, the middle leg
+/// taken both through the wire and around it.
 #[test]
-fn every_wire_frame_maps_to_its_traffic_plane() {
+fn every_wire_frame_maps_to_its_traffic_plane_and_owned_twin() {
     let msg = Message::refuse(NodeId::new(1), 0);
     let view = DirectoryPayload::View {
         view: ViewPayload {
@@ -301,6 +360,7 @@ fn every_wire_frame_maps_to_its_traffic_plane() {
         // The receive side counts the same plane; a trailer is charged
         // in bytes on the send side only.
         let received = decode_datagram(&frame.encode()).unwrap();
+        assert_eq!(frame.to_payload(), received, "{frame:?}");
         let counted = match plane {
             Plane::Piggybacked { .. } => Plane::Aggregation,
             plane => plane,

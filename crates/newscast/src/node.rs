@@ -20,10 +20,10 @@
 //! a.add_seed(1, 0);
 //!
 //! // a's timer fires; it gossips with a random view member (b).
-//! let (to, request) = a.poll(1_000).expect("cycle fired");
+//! let (to, request, full) = a.poll_exchange(1_000).expect("cycle fired");
 //! assert_eq!(to, 1);
-//! let reply = b.handle_exchange(&request, 1_050);
-//! a.absorb_reply(&reply, 1_100);
+//! let (reply, reply_full) = b.handle_exchange_delta(&request, full, 1_050);
+//! a.absorb_reply_delta(&reply, reply_full, 1_100);
 //! assert!(a.view().contains(1));
 //! assert!(b.view().contains(0));
 //! ```
@@ -89,9 +89,9 @@ struct PeerKnowledge {
 
 /// One node's NEWSCAST state machine.
 ///
-/// Drive it with [`MembershipNode::poll`] (timer), deliver peer payloads
-/// through [`MembershipNode::handle_exchange`] (passive side) and
-/// [`MembershipNode::absorb_reply`] (active side).
+/// Drive it with [`MembershipNode::poll_exchange`] (timer), deliver peer
+/// payloads through [`MembershipNode::handle_exchange_delta`] (passive
+/// side) and [`MembershipNode::absorb_reply_delta`] (active side).
 #[derive(Debug, Clone)]
 pub struct MembershipNode {
     id: u32,
@@ -211,52 +211,11 @@ impl MembershipNode {
     }
 
     /// Advances the timer. When the gossip period elapses, picks a random
-    /// view member and returns `(peer, payload)` for the embedding to
-    /// transmit. Returns `None` while the timer has not fired or the view
-    /// is empty.
-    pub fn poll(&mut self, now: u64) -> Option<(u32, ViewPayload)> {
-        if now < self.next_cycle_at {
-            return None;
-        }
-        while self.next_cycle_at <= now {
-            self.next_cycle_at += self.config.cycle_length;
-        }
-        let peer = self.sample_peer()?;
-        Some((peer, self.payload(now)))
-    }
-
-    /// Passive side of an exchange: merge the initiator's payload and
-    /// return our pre-merge payload as the reply. Incoming timestamps are
-    /// clamped to `now` plus one gossip period of slack, so a drifted
-    /// clock cannot crowd out honestly-stamped descriptors.
-    pub fn handle_exchange(&mut self, incoming: &ViewPayload, now: u64) -> ViewPayload {
-        let reply = self.payload(now);
-        self.view
-            .merge_clamped(&incoming.descriptors, self.id, self.clamp_bound(now));
-        self.record(
-            TraceKind::ViewMerge,
-            incoming.from,
-            incoming.descriptors.len() as u64,
-        );
-        reply
-    }
-
-    /// Active side: merge the responder's reply (timestamps clamped as in
-    /// [`MembershipNode::handle_exchange`]).
-    pub fn absorb_reply(&mut self, reply: &ViewPayload, now: u64) {
-        self.view
-            .merge_clamped(&reply.descriptors, self.id, self.clamp_bound(now));
-        self.record(
-            TraceKind::ViewMerge,
-            reply.from,
-            reply.descriptors.len() as u64,
-        );
-    }
-
-    /// Timer tick of the delta-aware protocol: like
-    /// [`MembershipNode::poll`], but the payload carries only what the
-    /// selected partner is believed to lack (unless anti-entropy or an
-    /// unknown partner forces a full view). The `bool` is `true` when the
+    /// view member and returns `(peer, payload, full)` for the embedding
+    /// to transmit; `None` while the timer has not fired or the view is
+    /// empty. With [`MembershipConfig::delta_views`] the payload carries
+    /// only what the partner is believed to lack (unless anti-entropy or
+    /// an unknown partner forces a full view). `full` is `true` when the
     /// payload is a full view — the passive side replaces rather than
     /// merges its record of what this node holds.
     pub fn poll_exchange(&mut self, now: u64) -> Option<(u32, ViewPayload, bool)> {
@@ -271,9 +230,11 @@ impl MembershipNode {
         Some((peer, payload, full))
     }
 
-    /// Passive side of a delta-aware exchange: record what the initiator
-    /// just proved it holds, build our (possibly delta) reply from the
-    /// pre-merge view, then merge the incoming descriptors clamped.
+    /// Passive side of an exchange: record what the initiator just proved
+    /// it holds, build our (possibly delta) reply from the pre-merge view,
+    /// then merge the incoming descriptors. Incoming timestamps are
+    /// clamped to `now` plus one gossip period of slack, so a drifted
+    /// clock cannot crowd out honestly-stamped descriptors.
     pub fn handle_exchange_delta(
         &mut self,
         incoming: &ViewPayload,
@@ -292,8 +253,9 @@ impl MembershipNode {
         reply
     }
 
-    /// Active side of a delta-aware exchange: record and merge the
-    /// responder's (possibly delta) reply.
+    /// Active side of an exchange: record and merge the responder's
+    /// (possibly delta) reply, timestamps clamped as in
+    /// [`MembershipNode::handle_exchange_delta`].
     pub fn absorb_reply_delta(&mut self, reply: &ViewPayload, full: bool, now: u64) {
         self.note_received(reply, full);
         self.view
@@ -573,7 +535,7 @@ mod tests {
     fn empty_view_never_initiates() {
         let mut lonely = MembershipNode::new(9, config(), 3);
         for t in 0..1_000 {
-            assert!(lonely.poll(t).is_none());
+            assert!(lonely.poll_exchange(t).is_none());
         }
     }
 
@@ -589,10 +551,10 @@ mod tests {
     #[test]
     fn exchange_makes_both_sides_know_each_other() {
         let (mut a, mut b) = two_bootstrapped();
-        let (to, request) = a.poll(150).expect("timer fired");
+        let (to, request, full) = a.poll_exchange(150).expect("timer fired");
         assert_eq!(to, 1);
-        let reply = b.handle_exchange(&request, 155);
-        a.absorb_reply(&reply, 160);
+        let (reply, reply_full) = b.handle_exchange_delta(&request, full, 155);
+        a.absorb_reply_delta(&reply, reply_full, 160);
         assert!(a.view().contains(1));
         assert!(b.view().contains(0));
         // Fresh timestamps were injected.
@@ -603,11 +565,11 @@ mod tests {
     #[test]
     fn poll_respects_cycle_cadence() {
         let (mut a, _) = two_bootstrapped();
-        let first = a.poll(250).expect("fired");
+        let first = a.poll_exchange(250).expect("fired");
         drop(first);
         // Immediately afterwards the timer is re-armed.
-        assert!(a.poll(260).is_none());
-        assert!(a.poll(400).is_some());
+        assert!(a.poll_exchange(260).is_none());
+        assert!(a.poll_exchange(400).is_some());
     }
 
     #[test]
@@ -624,9 +586,9 @@ mod tests {
         }
         for t in (0..5_000u64).step_by(10) {
             for i in 0..n as usize {
-                if let Some((peer, request)) = nodes[i].poll(t) {
-                    let reply = nodes[peer as usize].handle_exchange(&request, t);
-                    nodes[i].absorb_reply(&reply, t);
+                if let Some((peer, request, full)) = nodes[i].poll_exchange(t) {
+                    let (reply, rf) = nodes[peer as usize].handle_exchange_delta(&request, full, t);
+                    nodes[i].absorb_reply_delta(&reply, rf, t);
                 }
             }
         }
@@ -778,7 +740,7 @@ mod tests {
             from: 2,
             descriptors: vec![Descriptor::new(2, 4_000_000), Descriptor::new(3, 9_999_999)],
         };
-        a.handle_exchange(&drifted, 200);
+        a.handle_exchange_delta(&drifted, true, 200);
         // Clamp bound is now + one cycle = 300.
         for d in a.view().entries() {
             assert!(d.timestamp <= 300, "unclamped descriptor {d}");

@@ -3,35 +3,40 @@
 //! The cycle model of [`crate::network`] abstracts away everything the
 //! *practical* protocol of Section 4 exists to handle: message delay,
 //! clock drift, exchange timeouts, and epoch synchronization. This engine
-//! simulates those effects faithfully by driving the sans-io
-//! [`GossipNode`] state machine with a timestamped event queue:
+//! simulates those effects by stepping, per simulated node, the very
+//! [`NodeStack`] the wire runtimes embed — base aggregate, membership
+//! directory and query plane, wired once in `epidemic-net` — from a
+//! timestamped event queue of four kinds: a node's `Wake`, a frame's
+//! `Deliver`, the scenario's `FailureTick`, a scripted client `Script`.
 //!
-//! * every node runs on its own skewed clock (`local = global × drift_i`);
-//! * messages arrive after a uniformly random delay, or never (loss);
-//! * nodes are woken exactly at their next self-reported deadline, by one
-//!   live timer each: a deadline that moves earlier queues a new wake and
-//!   strands the old one, which is skipped when it pops.
+//! * Every node runs on its own skewed clock (`local = global × drift_i`).
+//! * Every frame a stack hands its sink crosses one simulated wire
+//!   (`Wire::transmit`): priced at [`WireFrame::encoded_len`], charged
+//!   to the ledger of its [`Plane`], dropped with its whole exchange by a
+//!   failed link or alone by message loss, delivered after a uniformly
+//!   random delay — all drawn from one transport stream.
+//! * A node is woken exactly at [`NodeStack::next_deadline`], by one live
+//!   timer: a deadline that moves earlier queues a new wake and strands
+//!   the old one, which is skipped when it pops.
+//!
+//! That delay/loss/crash/churn model is thereby the seeded, deterministic
+//! in-memory transport under the wire runtime's own logic.
 //!
 //! Conditions come from the same engine-independent
-//! [`Scenario`](crate::scenario::Scenario) the cycle engine consumes:
-//! pluggable overlays (complete, static [`Graph`], NEWSCAST), a
-//! [`ValueInit`](crate::scenario::ValueInit)-driven local value per node,
-//! crash/churn schedules applied at cycle-boundary ticks by killing nodes
-//! (dropping their in-flight deliveries) and bootstrapping joiners
-//! through live introducers, and message/link loss probabilities.
-//!
-//! `OverlaySpec::Newscast` is simulated *event by event* (Section 4.4):
-//! every node runs a [`MembershipNode`] next to its aggregation state
-//! machine, view exchanges travel through the same delay/loss model as
-//! aggregation messages, `GETNEIGHBOR()` draws from the node's own
-//! partial view (so stale entries really do cost timeouts), and churn
-//! joiners bootstrap their view from an introducer's snapshot. The
-//! pre-PR-3 idealization — uniform sampling over the global live set —
-//! is kept as [`MembershipModel::Idealized`] for ablations.
-//!
-//! The event queue is a single binary heap of ordered [`Event`] structs
-//! carrying their payloads inline — one push and one pop per event, no
-//! side-table bookkeeping on the hottest loop in the repo.
+//! [`Scenario`] the cycle engine consumes. Its
+//! overlay decides each stack's `SimDirectory` (`crate::directory`):
+//! uniform over the live population (complete graph, and NEWSCAST under
+//! [`MembershipModel::Idealized`]), a static graph, or — for
+//! `OverlaySpec::Newscast`, Section 4.4 — the real `GossipDirectory`:
+//! view exchanges travel the same wire as aggregation messages,
+//! `GETNEIGHBOR()` draws from the node's own partial view (so stale
+//! entries really do cost timeouts), and a churn joiner knows only its
+//! introducer and bootstraps with `Join`/`Introduce` *over that wire*,
+//! retries and all (Section 4.2). It sends no piggyback trailers:
+//! membership ticks at the aggregation cadence here, where they only cost
+//! bytes and CPU (measured, see `SimDirectory`). Crash and churn
+//! schedules apply at cycle-boundary ticks by killing nodes, which drops
+//! their in-flight deliveries and stale wakes.
 //!
 //! The headline measurement is the *epoch entry spread* `T_j` (Section
 //! 4.3): the global-time window within which all live nodes enter epoch
@@ -39,26 +44,21 @@
 //! few message delays; without it, clock drift widens it without bound —
 //! the ablation `repro ablation-sync` demonstrates exactly this.
 
+use crate::directory::{Population, SimDirectory};
 use crate::scenario::{OverlaySpec, Scenario};
-use epidemic_aggregation::convergence::{observed_rho, EpochWindow};
-use epidemic_aggregation::message::MessageBody;
-use epidemic_aggregation::node::GossipNode;
-use epidemic_aggregation::{EpochReport, InstanceSpec, Message, NodeConfig, PeerSampler};
+use epidemic_aggregation::{EpochReport, InstanceSpec, NodeConfig};
 use epidemic_common::rng::Xoshiro256;
-use epidemic_common::sample::NeighborSampling;
 use epidemic_common::stats::OnlineStats;
 use epidemic_common::NodeId;
-use epidemic_newscast::node::{MembershipConfig, MembershipNode, ViewPayload};
-use epidemic_newscast::Descriptor;
-use epidemic_query::{
-    QueryEstimate, QueryOutbound, QueryPlane, QueryPlaneConfig, RpcRequest, RpcResponse, RpcStatus,
-};
+use epidemic_net::codec::{WireFrame, WirePayload};
+use epidemic_net::directory::{Destination, GossipDirectoryConfig};
+use epidemic_net::stack::{Convergence, Input, NodeStack, Plane};
+use epidemic_query::{QueryEstimate, QueryPlaneConfig, RpcRequest, RpcResponse, RpcStatus};
 use epidemic_telemetry::{write_snapshot, Counter, Gauge, Registry, TraceEvent};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 use std::path::PathBuf;
-
-use epidemic_topology::Graph;
+use std::sync::Arc;
 
 /// How the event engine realizes `OverlaySpec::Newscast`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -111,9 +111,11 @@ pub struct EventConfig {
     pub query: QueryPlaneConfig,
     /// Scripted client RPCs against the query plane, the sim twin of a
     /// client datagram arriving at one node's RPC endpoint. An empty
-    /// script (the default) leaves the run event-for-event identical to
-    /// a build without the query plane: query traffic draws from its own
-    /// RNG stream and schedules no events until a query exists.
+    /// script (the default) schedules nothing and draws nothing: the run
+    /// is identical to one configured without it. A running query is a
+    /// tenant of the same stack as the base aggregate — it draws peers
+    /// from the same directory and its frames cross the same wire — so,
+    /// as on a real network, it does perturb the base plane's draws.
     pub query_script: Vec<QueryAction>,
 }
 
@@ -196,17 +198,17 @@ pub struct EventOutcome {
     pub messages_sent: usize,
     /// Aggregation messages dropped by the loss model.
     pub messages_lost: usize,
-    /// Membership view-exchange messages transmitted (gossiped NEWSCAST
+    /// Membership frames transmitted — view exchanges plus the
+    /// `Join`/`Introduce` bootstrap of churn joiners (gossiped NEWSCAST
     /// only; the cost the idealized model hides).
     pub view_messages_sent: usize,
-    /// Wire bytes of the transmitted view exchanges, priced by the real
-    /// codec ([`epidemic_net::codec::view_message_len`]): a full view
-    /// carries the sender's `c` descriptors plus a fresh self-descriptor
-    /// (`view_message_len(c + 1)` per direction); a delta
+    /// Wire bytes of the transmitted membership frames, each priced by
+    /// the real codec ([`WireFrame::encoded_len`]): a full view carries
+    /// the sender's `c` descriptors plus a fresh self-descriptor; a delta
     /// ([`MembershipModel::Gossip`]) carries only the descriptors the
-    /// partner has not seen, and is priced accordingly.
+    /// partner has not seen, and is cheaper by exactly that.
     pub view_bytes_sent: usize,
-    /// Membership view-exchange messages dropped by the loss model.
+    /// Membership frames dropped by the loss model.
     pub view_messages_lost: usize,
     /// Health of the live population's partial views when the simulation
     /// ended (`None` unless membership was gossiped).
@@ -223,8 +225,8 @@ pub struct EventOutcome {
     /// same namespace the wire runtimes expose over `/metrics`.
     pub registry: Registry,
     /// Responses to the scripted query RPCs, in script order. A request
-    /// aimed at a crashed node is answered `NotReady`, the sim stand-in
-    /// for a client timeout.
+    /// aimed at a node that crashed — or never existed — is answered
+    /// `NotReady`, the sim stand-in for a client timeout.
     pub query_responses: Vec<RpcResponse>,
     /// Final per-node readout of every query still installed when the
     /// run ended: `(query name, node, estimate)`, nodes in ascending
@@ -236,8 +238,7 @@ pub struct EventOutcome {
     /// Query-plane messages dropped by the loss model.
     pub query_messages_lost: usize,
     /// Wire bytes of the transmitted query-plane messages, priced by the
-    /// real codec ([`epidemic_net::codec::catalog_message_len`] /
-    /// [`epidemic_net::codec::query_message_len`]).
+    /// real codec ([`WireFrame::encoded_len`]).
     pub query_bytes_sent: usize,
 }
 
@@ -295,94 +296,35 @@ struct Event {
 
 #[derive(Debug)]
 enum EventKind {
-    /// Poll node `i` (its clock reached a self-reported deadline).
+    /// Step node `i` with [`Input::Wake`]: its clock reached the deadline
+    /// its stack reported.
     Wake(u32),
-    /// Deliver a message to node `i`.
-    Deliver(u32, Message),
+    /// Step node `i` with this frame, as decoded off the wire.
+    Deliver(u32, WirePayload),
     /// Apply the failure schedule for cycle `k` (cycle boundaries in
     /// nominal global time).
     FailureTick(u32),
-    /// Poll node `i`'s membership timer (gossiped NEWSCAST only).
-    WakeView(u32),
-    /// Deliver a membership view exchange to node `to`. `reply` marks the
-    /// passive side's answer (absorbed without a response); `full` marks a
-    /// complete view rather than a delta (the wire tag's full-vs-delta
-    /// bit).
-    DeliverView {
-        to: u32,
-        reply: bool,
-        full: bool,
-        payload: ViewPayload,
-    },
-    /// Poll node `i`'s query plane (catalog gossip + per-query schedules).
-    QueryWake(u32),
-    /// Deliver a query-plane frame (destination is inside the payload).
-    QueryDeliver(QueryOutbound),
     /// Apply entry `i` of [`EventConfig::query_script`].
-    QueryScript(u32),
+    Script(u32),
 }
 
 /// `kind` label values of the `sim.events` counter family.
-const EVENT_CLASSES: [&str; 5] = ["wake", "deliver", "view_wake", "view_deliver", "query"];
+const EVENT_CLASSES: [&str; 4] = ["wake", "deliver", "view_deliver", "query"];
 
 impl EventKind {
-    /// Index into [`EVENT_CLASSES`], or `None` for the scenario's own
-    /// `FailureTick`.
+    /// Index into [`EVENT_CLASSES`] — a delivery counts on its frame's
+    /// plane — or `None` for the scenario's own `FailureTick`.
     fn class(&self) -> Option<usize> {
         match self {
             EventKind::Wake(_) => Some(0),
-            EventKind::Deliver(..) => Some(1),
-            EventKind::WakeView(_) => Some(2),
-            EventKind::DeliverView { .. } => Some(3),
-            EventKind::QueryWake(_) | EventKind::QueryDeliver(_) | EventKind::QueryScript(_) => {
-                Some(4)
-            }
+            EventKind::Deliver(_, payload) => match Plane::of_received(payload)? {
+                Plane::Aggregation | Plane::Piggybacked { .. } => Some(1),
+                Plane::Membership => Some(2),
+                Plane::Query => Some(3),
+            },
+            EventKind::Script(_) => Some(3),
             EventKind::FailureTick(_) => None,
         }
-    }
-}
-
-/// The per-node timers whose deadline can move while their wake is queued
-/// ([`EventKind::Wake`], [`EventKind::QueryWake`]); [`EventSim::wake_at`]
-/// keeps each to one live wake. The membership timer moves only when its
-/// own wake fires, so its single chain needs no guard.
-#[derive(Debug, Clone, Copy)]
-enum Timer {
-    Aggregate,
-    Query,
-}
-
-/// `GETNEIGHBOR()` for `node` over `overlay`. Consulted only when a cycle
-/// boundary initiates an exchange, so the sim consumes peer randomness
-/// exactly as the wire runtimes do. The query plane samples through it
-/// too, over [`EventOverlay::LiveSet`] and its own stream, so the other
-/// planes see the same draw sequence with or without queries running.
-struct OverlaySampler<'a> {
-    overlay: &'a mut EventOverlay,
-    rng: &'a mut Xoshiro256,
-    live: &'a [u32],
-    live_pos: &'a [usize],
-    node: usize,
-}
-
-impl PeerSampler for OverlaySampler<'_> {
-    fn draw_peer(&mut self) -> Option<NodeId> {
-        let peer = match self.overlay {
-            EventOverlay::LiveSet => {
-                // Uniform over live nodes, skipping the initiator's slot.
-                let me = Some(self.live_pos[self.node]).filter(|&pos| pos != usize::MAX);
-                let idx = epidemic_common::sample::index_excluding(self.rng, self.live.len(), me)?;
-                u64::from(self.live[idx])
-            }
-            // Dead neighbors are sampled too: the request goes out and
-            // silently dies, costing the initiator a timeout.
-            EventOverlay::Static(g) => g.sample_neighbor(self.node, self.rng)? as u64,
-            // A uniform member of the node's own partial view — possibly a
-            // crashed peer that has not aged out yet, which costs a timeout
-            // exactly like in a real deployment.
-            EventOverlay::Newscast { members } => u64::from(members[self.node].sample_peer()?),
-        };
-        Some(NodeId::new(peer))
     }
 }
 
@@ -411,18 +353,88 @@ impl Ord for Event {
     }
 }
 
-enum EventOverlay {
-    /// Uniform sampling over the live population. Models both the
-    /// implicit complete graph and (idealized) NEWSCAST membership, whose
-    /// job is precisely to keep the overlay sufficiently random.
-    LiveSet,
-    /// A static topology; dead neighbors are still sampled and discovered
-    /// by timeout, as in a real deployment.
-    Static(Graph),
-    /// Gossiped NEWSCAST membership: one [`MembershipNode`] per slot
-    /// (dead slots keep their state so stale descriptors can point at
-    /// them until aged out), exchanging views via queue events.
-    Newscast { members: Vec<MembershipNode> },
+/// Frames sent, frames the loss model dropped, and wire bytes sent on one
+/// plane (sender-side: a lost frame still cost its uplink bytes).
+#[derive(Debug, Clone, Copy, Default)]
+struct Ledger {
+    sent: usize,
+    lost: usize,
+    bytes: usize,
+}
+
+/// The simulated wire: the event queue, and the one delay/loss model
+/// every frame of every plane crosses to get onto it.
+#[derive(Debug)]
+struct Wire {
+    /// The transport stream: founders' initial views, then every loss and
+    /// delay draw. The scenario stream ([`EventSim::rng`]) never sees
+    /// traffic, so two membership models of one seed materialize the same
+    /// values, drifts and failure draws.
+    rng: Xoshiro256,
+    delay: (u64, u64),
+    link_failure: f64,
+    message_loss: f64,
+    queue: BinaryHeap<Event>,
+    seq: u64,
+    queue_peak: usize,
+    /// `sim.queue_depth_max` — high-water mark of the event queue.
+    queue_depth_max: Gauge,
+    /// Traffic by plane: aggregation, membership, query.
+    ledgers: [Ledger; 3],
+    /// The convergence gauges plus `agg.exchanges` and
+    /// `membership.delta_bytes`, shared with the mux runtime.
+    convergence: Convergence,
+}
+
+impl Wire {
+    fn push(&mut self, at: u64, kind: EventKind) {
+        self.seq += 1;
+        self.queue.push(Event {
+            at,
+            seq: self.seq,
+            kind,
+        });
+        if self.queue.len() > self.queue_peak {
+            self.queue_peak = self.queue.len();
+            self.queue_depth_max.set(self.queue_peak as f64);
+        }
+    }
+
+    /// Frames handed to [`Wire::transmit`] so far, all planes.
+    fn frames_sent(&self) -> usize {
+        self.ledgers.iter().map(|ledger| ledger.sent).sum()
+    }
+
+    /// Takes one frame from a stack's sink at global tick `at`: charges
+    /// it, applies the loss models, and schedules its delivery. A failed
+    /// link loses the frame that opens an exchange and with it the whole
+    /// exchange; message loss hits every frame alone — a lost reply
+    /// leaves only the passive side updated, which costs the base
+    /// aggregate mass and membership nothing.
+    fn transmit(&mut self, at: u64, to: Destination, frame: WireFrame<'_>, plane: Plane) {
+        let Destination::Node(to) = to else {
+            unreachable!("simulated directories route by id");
+        };
+        let bytes = frame.encoded_len();
+        self.convergence.count(&frame, bytes as u64);
+        let ledger = &mut self.ledgers[match plane {
+            Plane::Aggregation | Plane::Piggybacked { .. } => 0,
+            Plane::Membership => 1,
+            Plane::Query => 2,
+        }];
+        ledger.sent += 1;
+        ledger.bytes += bytes;
+        let link_down = frame.opens_exchange()
+            && self.link_failure > 0.0
+            && self.rng.next_bool(self.link_failure);
+        if link_down || (self.message_loss > 0.0 && self.rng.next_bool(self.message_loss)) {
+            ledger.lost += 1;
+            return;
+        }
+        let delay = self.rng.range_u64(self.delay.0, self.delay.1);
+        let deliver = EventKind::Deliver(to.index() as u32, frame.to_payload());
+        self.push(at + delay, deliver);
+    }
 }
 
 /// Event-driven simulator state, parameterized by a [`Scenario`].
@@ -430,112 +442,49 @@ enum EventOverlay {
 /// Construct with [`EventSim::new`], drive to completion with
 /// [`EventSim::run`]. Most callers use the [`EventConfig::run`]
 /// convenience instead.
+#[derive(Debug)]
 pub struct EventSim {
-    node_config: NodeConfig,
-    delay: (u64, u64),
-    duration: u64,
-    link_failure: f64,
-    message_loss: f64,
-    drift_bound: f64,
-    failure: crate::failure::FailureModel,
-    joiner_value: f64,
-    joiner_seed: u64,
-    /// `Some` when membership is gossiped; joiners need it to spin up
-    /// their own [`MembershipNode`].
-    membership_config: Option<MembershipConfig>,
-    membership_seed: u64,
+    config: EventConfig,
+    /// Seed of every stack (`seed ^ 0xE7E7`): a node's behavior is a
+    /// function of it and the node's id, as on the wire.
+    stack_seed: u64,
+    /// `Some` when membership is gossiped: what a joiner's directory is
+    /// built from, plus its introducer.
+    gossip: Option<GossipDirectoryConfig>,
+    query_responses: Vec<RpcResponse>,
 
+    /// The scenario stream: topology, values, drifts, failure draws.
     rng: Xoshiro256,
-    /// Dedicated stream for membership bootstrap and view-traffic draws:
-    /// the main `rng` sees the same draw sequence whether membership is
-    /// gossiped or idealized, keeping the two models seed-comparable.
-    view_rng: Xoshiro256,
-    /// Dedicated stream for query-plane peer draws and traffic: a run
-    /// with an empty query script is event-for-event identical to one
-    /// without the query plane at all.
-    query_rng: Xoshiro256,
-    nodes: Vec<GossipNode>,
+    wire: Wire,
+    /// One stack per node ever created; a crashed node keeps its slot
+    /// (and its state, which stale descriptors may still point at).
+    stacks: Vec<NodeStack<SimDirectory>>,
     drifts: Vec<f64>,
-    /// Live node ids, unordered; `live_pos[i]` is `i`'s index in `live`
-    /// (or `usize::MAX` when dead, which is also the liveness check) for
-    /// O(1) crash removal.
-    live: Vec<u32>,
-    live_pos: Vec<usize>,
-    overlay: EventOverlay,
-
-    queue: BinaryHeap<Event>,
-    seq: u64,
-    messages_sent: usize,
-    messages_lost: usize,
-    view_messages_sent: usize,
-    view_bytes_sent: usize,
-    view_messages_lost: usize,
-    epoch_seen: Vec<u64>,
-    entries: HashMap<u64, (u64, u64)>,
-
-    /// One query plane per node slot (dead slots keep their state, same
-    /// as membership); joiners get an empty plane and catch up through
-    /// catalog gossip.
-    planes: Vec<QueryPlane>,
-    query_config: QueryPlaneConfig,
-    /// Seed shared by every plane's per-query gossip nodes.
-    query_seed: u64,
-    query_script: Vec<QueryAction>,
-    /// Earliest scheduled-and-unpopped wake per [`Timer`] per node
-    /// (`u64::MAX` when none): wakes are only pushed when they move this
+    live: Population,
+    /// Global tick of each node's live queued [`EventKind::Wake`]
+    /// (`u64::MAX` when none): a wake is only pushed when it moves this
     /// earlier, so stale timers die instead of chaining to the end of the
     /// run.
-    wake_at: [Vec<u64>; 2],
-    query_messages_sent: usize,
-    query_messages_lost: usize,
-    query_bytes_sent: usize,
-    query_responses: Vec<RpcResponse>,
-    /// Per-query epoch windows behind the labeled
-    /// `epoch.estimate_drift{query=…}` gauges.
-    query_drift: HashMap<String, (EpochWindow, Gauge)>,
+    wake_at: Vec<u64>,
+    epoch_seen: Vec<u64>,
+    entries: HashMap<u64, (u64, u64)>,
+    /// Epoch reports drained incrementally (at epoch transitions) so the
+    /// gauges move while the run is live; merged with the final drain
+    /// into [`EventOutcome::reports`].
+    collected: Vec<Vec<EpochReport>>,
 
-    trace_capacity: usize,
-    snapshot: Option<SnapshotSpec>,
     next_snapshot: u64,
     registry: Registry,
-    /// `agg.exchanges` — push-pull exchanges initiated (request sends).
-    agg_exchanges: Counter,
-    /// `membership.delta_bytes` — wire bytes of delta view exchanges.
-    delta_bytes: Counter,
     /// `sim.live_nodes` — population size after the failure schedule.
     live_gauge: Gauge,
     /// `sim.events{kind=…}` — node events popped, indexed by
     /// [`EventKind::class`]. The scenario's own `FailureTick`s are not
     /// node events and are not counted.
-    events: [Counter; 5],
+    events: [Counter; 4],
     /// `sim.wakes_idle` — `Wake`s that emitted nothing and crossed no
     /// epoch (stale timers included). Against `sim.events{kind=wake}` it
     /// says how much of the queue traffic is timer churn.
     wakes_idle: Counter,
-    /// `sim.queue_depth_max` — high-water mark of the event queue.
-    queue_depth_max: Gauge,
-    queue_peak: usize,
-    rho_gauge: Gauge,
-    drift_gauge: Gauge,
-    /// Variance of the initial local values — every epoch's var_0, since
-    /// epochs restart from fresh local values.
-    var0: f64,
-    /// Epoch window behind the convergence gauges.
-    rho_epochs: EpochWindow,
-    /// Epoch reports drained incrementally (at epoch transitions) so the
-    /// gauges move while the run is live; merged with the final drain
-    /// into [`EventOutcome::reports`].
-    collected: Vec<Vec<EpochReport>>,
-}
-
-impl std::fmt::Debug for EventSim {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EventSim")
-            .field("nodes", &self.nodes.len())
-            .field("alive", &self.live.len())
-            .field("queued", &self.queue.len())
-            .finish()
-    }
 }
 
 impl EventSim {
@@ -550,200 +499,110 @@ impl EventSim {
         assert!(config.delay.1 > config.delay.0, "empty delay range");
         let n = scenario.n;
         let mut rng = Xoshiro256::seed_from_u64(seed);
+        let mut wire_rng = Xoshiro256::seed_from_u64(seed ^ 0x4E57_C057);
+        let stack_seed = seed ^ 0xE7E7;
 
-        // Everything membership-related draws from its own stream,
-        // decorrelated both from the per-node aggregation streams (seeded
-        // from `joiner_seed`) and from the main sim RNG. Keeping the main
-        // stream untouched here means an Idealized and a Gossip run of
-        // the same seed materialize identical values, drifts, and failure
-        // draws — the membership models stay comparable pairwise.
-        let membership_seed = seed ^ 0x4E57_C057;
-        let mut view_rng = Xoshiro256::seed_from_u64(membership_seed);
-        let mut membership_config = None;
-        let overlay = match (scenario.overlay, config.membership) {
+        let live = Population::founders(n);
+        let (mut graph, mut gossip) = (None, None);
+        match (scenario.overlay, config.membership) {
             (OverlaySpec::Complete, _)
-            | (OverlaySpec::Newscast { .. }, MembershipModel::Idealized) => EventOverlay::LiveSet,
-            (OverlaySpec::Static(kind), _) => EventOverlay::Static(
-                kind.generate(n, &mut rng)
-                    .expect("invalid topology parameters"),
-            ),
+            | (OverlaySpec::Newscast { .. }, MembershipModel::Idealized) => {}
+            (OverlaySpec::Static(kind), _) => {
+                let generated = kind.generate(n, &mut rng);
+                graph = Some(Arc::new(generated.expect("invalid topology parameters")));
+            }
             (OverlaySpec::Newscast { c }, model) => {
                 assert!(c >= 1 && c < n, "view size must satisfy 1 <= c < n");
-                let mcfg = MembershipConfig {
-                    view_size: c,
-                    cycle_length: config.node.cycle_length(),
-                    delta_views: matches!(model, MembershipModel::Gossip),
-                    // The sim hosts every node in one process: track the
-                    // whole partner universe so deltas stay deltas.
-                    knowledge_peers: n,
-                };
-                membership_config = Some(mcfg);
-                let mut members: Vec<MembershipNode> = (0..n)
-                    .map(|i| MembershipNode::new(i as u32, mcfg, membership_seed))
-                    .collect();
-                // Same bootstrap as the cycle engine's `Overlay::random_init`:
-                // `c` uniformly random distinct peers at timestamp 0.
-                for (node, member) in members.iter_mut().enumerate() {
-                    for raw in view_rng.sample_distinct(n - 1, c) {
-                        let peer = if raw >= node { raw + 1 } else { raw };
-                        member.add_seed(peer as u32, 0);
-                    }
-                }
-                EventOverlay::Newscast { members }
+                // The sim hosts every node in one process: track the
+                // whole partner universe so deltas stay deltas.
+                let directory = GossipDirectoryConfig::new(c, config.node.cycle_length())
+                    .with_knowledge_peers(n);
+                gossip = Some(match model {
+                    MembershipModel::FullViews => directory.with_full_views(),
+                    _ => directory,
+                });
             }
-        };
+        }
         let values = scenario.values.materialize(n, &mut rng);
-        let joiner_seed = seed ^ 0xE7E7;
-        let mut nodes: Vec<GossipNode> = (0..n)
+        let registry = Registry::new();
+        let stacks: Vec<NodeStack<SimDirectory>> = (0..n)
             .map(|i| {
-                GossipNode::founder(
+                let directory = match (&graph, &gossip) {
+                    (Some(graph), _) => SimDirectory::graph(i, graph, stack_seed),
+                    (None, Some(gossip)) => {
+                        SimDirectory::newscast_founder(i, n, gossip, stack_seed, &mut wire_rng)
+                    }
+                    (None, None) => SimDirectory::live_set(i, &live, stack_seed),
+                };
+                let mut stack = NodeStack::founder(
                     NodeId::new(i as u64),
                     config.node.clone(),
                     values[i],
-                    joiner_seed,
-                )
-            })
-            .collect();
-        if config.trace_capacity > 0 {
-            for node in &mut nodes {
-                node.set_trace_capacity(config.trace_capacity);
-            }
-        }
-        let spawn_stats: OnlineStats = values.iter().copied().collect();
-        let registry = Registry::new();
-        // The query plane's own streams, decorrelated like membership's:
-        // an empty script leaves every other stream untouched.
-        let query_seed = seed ^ 0x5152_594E;
-        let query_rng = Xoshiro256::seed_from_u64(seed ^ 0x0051_4752);
-        let planes: Vec<QueryPlane> = (0..n)
-            .map(|i| {
-                QueryPlane::new(
-                    NodeId::new(i as u64),
+                    stack_seed,
+                    directory,
                     config.query,
-                    query_seed,
                     registry.clone(),
-                )
+                );
+                stack.set_trace_capacity(config.trace_capacity);
+                stack
             })
             .collect();
-        registry
-            .gauge("epoch.rho_theory")
-            .set(0.5 / std::f64::consts::E.sqrt());
-        registry.gauge("sim.live_nodes").set(n as f64);
+        let spawn_stats: OnlineStats = values.iter().copied().collect();
         let drifts: Vec<f64> = (0..n)
             .map(|_| 1.0 + config.drift * (2.0 * rng.next_f64() - 1.0))
             .collect();
-        let epoch_seen: Vec<u64> = nodes.iter().map(GossipNode::epoch).collect();
-        let mut entries = HashMap::new();
-        entries.insert(0, (0, 0));
+        let every_ticks = |spec: &SnapshotSpec| spec.every_ticks.max(1);
 
         let mut sim = EventSim {
-            node_config: config.node.clone(),
-            delay: config.delay,
-            duration: config.duration,
-            link_failure: scenario.comm.link_failure,
-            message_loss: scenario.comm.message_loss,
-            drift_bound: config.drift,
-            failure: scenario.failure,
-            joiner_value: scenario.joiner_value,
-            joiner_seed,
-            membership_config,
-            membership_seed,
-            rng,
-            view_rng,
-            query_rng,
-            nodes,
-            drifts,
-            live: (0..n as u32).collect(),
-            live_pos: (0..n).collect(),
-            overlay,
-            queue: BinaryHeap::new(),
-            seq: 0,
-            messages_sent: 0,
-            messages_lost: 0,
-            view_messages_sent: 0,
-            view_bytes_sent: 0,
-            view_messages_lost: 0,
-            epoch_seen,
-            entries,
-            planes,
-            query_config: config.query,
-            query_seed,
-            query_script: config.query_script.clone(),
-            wake_at: [vec![u64::MAX; n], vec![u64::MAX; n]],
-            query_messages_sent: 0,
-            query_messages_lost: 0,
-            query_bytes_sent: 0,
+            config: config.clone(),
+            stack_seed,
+            gossip,
             query_responses: Vec::new(),
-            query_drift: HashMap::new(),
-            trace_capacity: config.trace_capacity,
-            next_snapshot: config
-                .snapshot
-                .as_ref()
-                .map_or(u64::MAX, |s| s.every_ticks.max(1)),
-            snapshot: config.snapshot.clone(),
-            agg_exchanges: registry.counter("agg.exchanges"),
-            delta_bytes: registry.counter("membership.delta_bytes"),
+            rng,
+            wire: Wire {
+                rng: wire_rng,
+                delay: config.delay,
+                link_failure: scenario.comm.link_failure,
+                message_loss: scenario.comm.message_loss,
+                queue: BinaryHeap::new(),
+                seq: 0,
+                queue_peak: 0,
+                queue_depth_max: registry.gauge("sim.queue_depth_max"),
+                ledgers: [Ledger::default(); 3],
+                convergence: Convergence::new(
+                    &registry,
+                    spawn_stats.population_variance(),
+                    config.node.gamma(),
+                ),
+            },
+            epoch_seen: stacks.iter().map(NodeStack::epoch).collect(),
+            stacks,
+            drifts,
+            live,
+            wake_at: vec![u64::MAX; n],
+            entries: HashMap::from([(0, (0, 0))]),
+            collected: (0..n).map(|_| Vec::new()).collect(),
+            next_snapshot: config.snapshot.as_ref().map_or(u64::MAX, every_ticks),
             live_gauge: registry.gauge("sim.live_nodes"),
             events: EVENT_CLASSES
                 .map(|kind| registry.counter_with("sim.events", &[("kind", kind)])),
             wakes_idle: registry.counter("sim.wakes_idle"),
-            queue_depth_max: registry.gauge("sim.queue_depth_max"),
-            queue_peak: 0,
-            rho_gauge: registry.gauge("epoch.variance_reduction_rho"),
-            drift_gauge: registry.gauge("epoch.estimate_drift"),
             registry,
-            var0: spawn_stats.population_variance(),
-            rho_epochs: EpochWindow::default(),
-            collected: (0..n).map(|_| Vec::new()).collect(),
         };
-        // The membership plane traces through the same per-node rings.
-        if config.trace_capacity > 0 {
-            if let EventOverlay::Newscast { members } = &mut sim.overlay {
-                for member in members.iter_mut() {
-                    member.set_trace_capacity(config.trace_capacity);
-                }
-            }
-        }
+        sim.live_gauge.set(n as f64);
         // Failure schedule ticks at nominal cycle boundaries, starting
         // with cycle 0's failures before anything else happens.
-        if !matches!(sim.failure, crate::failure::FailureModel::None) {
-            sim.push(0, EventKind::FailureTick(0));
+        if !matches!(scenario.failure, crate::failure::FailureModel::None) {
+            sim.wire.push(0, EventKind::FailureTick(0));
         }
-        for i in 0..sim.nodes.len() {
-            sim.schedule_wake(Timer::Aggregate, i, 0);
+        for i in 0..n {
+            sim.schedule_wake(i, 0);
         }
-        // Membership timers tick independently of the aggregation timers
-        // (each node's gossip phase is its own).
-        if let EventOverlay::Newscast { members } = &sim.overlay {
-            let wakes: Vec<u64> = members
-                .iter()
-                .enumerate()
-                .map(|(i, m)| sim.to_global(m.next_cycle_at(), i))
-                .collect();
-            for (i, at) in wakes.into_iter().enumerate() {
-                sim.push(at, EventKind::WakeView(i as u32));
-            }
-        }
-        // Scripted client RPCs against the query plane. Nothing else is
-        // scheduled up front: planes wake only once a query exists.
-        let script_times: Vec<u64> = sim.query_script.iter().map(|a| a.at).collect();
-        for (i, at) in script_times.into_iter().enumerate() {
-            sim.push(at, EventKind::QueryScript(i as u32));
+        // Scripted client RPCs against the query plane.
+        for (i, action) in config.query_script.iter().enumerate() {
+            sim.wire.push(action.at, EventKind::Script(i as u32));
         }
         sim
-    }
-
-    fn push(&mut self, at: u64, kind: EventKind) {
-        self.seq += 1;
-        self.queue.push(Event {
-            at,
-            seq: self.seq,
-            kind,
-        });
-        if self.queue.len() > self.queue_peak {
-            self.queue_peak = self.queue.len();
-            self.queue_depth_max.set(self.queue_peak as f64);
-        }
     }
 
     fn to_local(&self, global: u64, node: usize) -> u64 {
@@ -754,487 +613,211 @@ impl EventSim {
         (local as f64 / self.drifts[node]).ceil() as u64
     }
 
-    #[inline]
-    fn is_alive(&self, node: usize) -> bool {
-        self.live_pos[node] != usize::MAX
-    }
-
-    fn kill(&mut self, node: usize) {
-        let pos = self.live_pos[node];
-        if pos == usize::MAX {
-            return;
-        }
-        self.live.swap_remove(pos);
-        if let Some(&moved) = self.live.get(pos) {
-            self.live_pos[moved as usize] = pos;
-        }
-        self.live_pos[node] = usize::MAX;
+    fn is_alive(&self, node: u32) -> bool {
+        self.live.lock().is_alive(node)
     }
 
     /// Applies cycle `k`'s crash/churn schedule at global time `at`.
     fn failure_tick(&mut self, k: u32, at: u64) {
-        let crashes = self.failure.crashes_at(k, self.live.len());
+        let mut live = self.live.lock();
+        let failure = self.config.scenario.failure;
+        let crashes = failure.crashes_at(k, live.ids().len());
         if crashes > 0 {
             let victims: Vec<u32> = self
                 .rng
-                .sample_distinct(self.live.len(), crashes.min(self.live.len()))
+                .sample_distinct(live.ids().len(), crashes.min(live.ids().len()))
                 .into_iter()
-                .map(|pos| self.live[pos])
+                .map(|pos| live.ids()[pos])
                 .collect();
             for v in victims {
-                self.kill(v as usize);
+                live.kill(v);
             }
         }
-        for _ in 0..self.failure.joins_at(k) {
-            if self.live.is_empty() {
+        drop(live);
+        for _ in 0..failure.joins_at(k) {
+            let live = self.live.lock();
+            if live.ids().is_empty() {
                 break; // nobody left to introduce the joiner
             }
-            let introducer = self.live[self.rng.index(self.live.len())] as usize;
+            let introducer = live.ids()[self.rng.index(live.ids().len())];
+            drop(live);
             self.join(introducer, at);
         }
+        self.live_gauge.set(self.live.lock().ids().len() as f64);
         // Schedule the next boundary.
-        let next_at = u64::from(k + 1) * self.node_config.cycle_length();
-        if next_at <= self.duration {
-            self.push(next_at, EventKind::FailureTick(k + 1));
+        let next_at = u64::from(k + 1) * self.config.node.cycle_length();
+        if next_at <= self.config.duration {
+            self.wire.push(next_at, EventKind::FailureTick(k + 1));
         }
-        self.live_gauge.set(self.live.len() as f64);
     }
 
-    /// Adds one joiner bootstrapped through `introducer` at global `at`
-    /// (Section 4.2: the contacted member supplies the running epoch and
-    /// the expected start of the next one).
-    fn join(&mut self, introducer: usize, at: u64) {
-        let idx = self.nodes.len();
-        let drift = 1.0 + self.drift_bound * (2.0 * self.rng.next_f64() - 1.0);
+    /// Builds the stack of a joiner that contacted `introducer` at global
+    /// `at` (Section 4.2: the contacted member supplies the running epoch
+    /// and the expected start of the next one; under gossiped membership
+    /// it is also the one member the joiner's directory knows, and the
+    /// first wake sends it a `Join`).
+    fn join(&mut self, introducer: u32, at: u64) {
+        let idx = self.stacks.len();
         // Register the drift first so the joiner shares the same clock
         // conversions as every other node.
-        self.drifts.push(drift);
-        let intro = &self.nodes[introducer];
-        let intro_epoch = intro.epoch();
-        let remaining = u64::from(self.node_config.gamma().saturating_sub(intro.cycles_run()));
-        let next_epoch_global = at + remaining * self.node_config.cycle_length();
-        let mut node = GossipNode::joiner(
+        let config = &self.config;
+        self.drifts
+            .push(1.0 + config.drift * (2.0 * self.rng.next_f64() - 1.0));
+        let intro = &self.stacks[introducer as usize];
+        let remaining = u64::from(config.node.gamma().saturating_sub(intro.cycles_run()));
+        let next_epoch_global = at + remaining * config.node.cycle_length();
+        let directory = match &self.gossip {
+            Some(gossip) => SimDirectory::newscast_joiner(idx, gossip, introducer, self.stack_seed),
+            None => SimDirectory::live_set(idx, &self.live, self.stack_seed),
+        };
+        let mut stack = NodeStack::joiner(
             NodeId::new(idx as u64),
-            self.node_config.clone(),
-            self.joiner_value,
-            self.joiner_seed,
-            intro_epoch,
+            config.node.clone(),
+            config.scenario.joiner_value,
+            self.stack_seed,
+            intro.epoch(),
             self.to_local(next_epoch_global, idx),
-        );
-        if self.trace_capacity > 0 {
-            node.set_trace_capacity(self.trace_capacity);
-        }
-        self.epoch_seen.push(node.epoch());
-        self.nodes.push(node);
-        self.collected.push(Vec::new());
-        // The joiner's query plane starts empty and catches up through
-        // catalog gossip; its first wake is scheduled by that delivery.
-        self.planes.push(QueryPlane::new(
-            NodeId::new(idx as u64),
-            self.query_config,
-            self.query_seed,
+            directory,
+            config.query,
             self.registry.clone(),
-        ));
-        for slots in &mut self.wake_at {
-            slots.push(u64::MAX);
-        }
-        self.live_pos.push(self.live.len());
-        self.live.push(idx as u32);
-        self.schedule_wake(Timer::Aggregate, idx, at + 1);
-        // Under gossiped membership the joiner also bootstraps a view from
-        // the introducer's current snapshot plus a fresh descriptor of the
-        // introducer itself (the out-of-band discovery of Section 4.2).
-        if let Some(mcfg) = self.membership_config {
-            let local_at = self.to_local(at, idx);
-            let view_wake = match &mut self.overlay {
-                EventOverlay::Newscast { members } => {
-                    let mut member = MembershipNode::new(idx as u32, mcfg, self.membership_seed);
-                    if self.trace_capacity > 0 {
-                        member.set_trace_capacity(self.trace_capacity);
-                    }
-                    let snapshot: Vec<Descriptor> = members[introducer].view().entries().to_vec();
-                    member.bootstrap(&snapshot);
-                    member.add_seed(introducer as u32, local_at);
-                    let next = member.next_cycle_at();
-                    members.push(member);
-                    next
-                }
-                _ => unreachable!("membership_config implies a gossiped overlay"),
-            };
-            let view_at = self.to_global(view_wake, idx);
-            self.push(view_at.max(at + 1), EventKind::WakeView(idx as u32));
-        }
-    }
-
-    /// Sends `out` from the loss models' point of view and schedules its
-    /// delivery.
-    fn transmit(&mut self, at: u64, message: Message, to: NodeId) {
-        self.messages_sent += 1;
-        // Link failure drops the whole exchange, i.e. the request.
-        let is_request = matches!(message.body, MessageBody::Request(_));
-        if is_request {
-            self.agg_exchanges.inc();
-        }
-        if is_request && self.link_failure > 0.0 && self.rng.next_bool(self.link_failure) {
-            self.messages_lost += 1;
-            return;
-        }
-        if self.message_loss > 0.0 && self.rng.next_bool(self.message_loss) {
-            self.messages_lost += 1;
-            return;
-        }
-        let delay = self.rng.range_u64(self.delay.0, self.delay.1);
-        self.push(at + delay, EventKind::Deliver(to.index() as u32, message));
-    }
-
-    /// Sends a membership view exchange through the same loss and delay
-    /// model as aggregation traffic. A lost request kills the whole
-    /// exchange; a lost reply leaves only the passive side updated —
-    /// harmless for membership, since views carry no conserved mass.
-    fn transmit_view(&mut self, at: u64, to: u32, payload: ViewPayload, reply: bool, full: bool) {
-        self.view_messages_sent += 1;
-        // Sender-side accounting: lost messages still cost uplink bytes.
-        // Full and delta messages share one wire layout, so the codec
-        // prices both by descriptor count — deltas are cheaper exactly
-        // because they carry fewer descriptors.
-        let wire_len = epidemic_net::codec::view_message_len(payload.descriptors.len());
-        self.view_bytes_sent += wire_len;
-        if !full {
-            self.delta_bytes.add(wire_len as u64);
-        }
-        if !reply && self.link_failure > 0.0 && self.view_rng.next_bool(self.link_failure) {
-            self.view_messages_lost += 1;
-            return;
-        }
-        if self.message_loss > 0.0 && self.view_rng.next_bool(self.message_loss) {
-            self.view_messages_lost += 1;
-            return;
-        }
-        let delay = self.view_rng.range_u64(self.delay.0, self.delay.1);
-        self.push(
-            at + delay,
-            EventKind::DeliverView {
-                to,
-                reply,
-                full,
-                payload,
-            },
         );
+        stack.set_trace_capacity(config.trace_capacity);
+        self.epoch_seen.push(stack.epoch());
+        self.stacks.push(stack);
+        self.collected.push(Vec::new());
+        self.wake_at.push(u64::MAX);
+        self.live.lock().add();
+        self.schedule_wake(idx, at + 1);
     }
 
-    /// Sends a query-plane frame (catalog gossip or per-query
-    /// aggregation) through the same loss and delay model as the other
-    /// planes, priced in real codec bytes, drawing from the query stream.
-    fn transmit_query(&mut self, at: u64, frame: QueryOutbound) {
-        self.query_messages_sent += 1;
-        let wire_len = match &frame {
-            QueryOutbound::Aggregation { query, message, .. } => {
-                epidemic_net::codec::query_message_len(query, message)
-            }
-            QueryOutbound::Catalog { entries, .. } => {
-                epidemic_net::codec::catalog_message_len(entries)
-            }
-        };
-        self.query_bytes_sent += wire_len;
-        // Link failure drops the whole push-pull exchange, i.e. the
-        // request; catalog pushes are one-way and only see message loss.
-        let is_request = matches!(
-            &frame,
-            QueryOutbound::Aggregation { message, .. }
-                if matches!(message.body, MessageBody::Request(_))
-        );
-        if is_request && self.link_failure > 0.0 && self.query_rng.next_bool(self.link_failure) {
-            self.query_messages_lost += 1;
-            return;
-        }
-        if self.message_loss > 0.0 && self.query_rng.next_bool(self.message_loss) {
-            self.query_messages_lost += 1;
-            return;
-        }
-        let delay = self.query_rng.range_u64(self.delay.0, self.delay.1);
-        self.push(at + delay, EventKind::QueryDeliver(frame));
-    }
-
-    /// Polls node `i`'s query plane and transmits whatever comes out.
-    fn poll_query_plane(&mut self, i: usize, at: u64) {
-        let local_now = self.to_local(at, i);
-        let mut sampler = OverlaySampler {
-            overlay: &mut EventOverlay::LiveSet,
-            rng: &mut self.query_rng,
-            live: &self.live,
-            live_pos: &self.live_pos,
-            node: i,
-        };
-        let out = self.planes[i].poll(local_now, &mut sampler);
-        for frame in out {
-            self.transmit_query(at, frame);
-        }
-        self.harvest_query_epochs(i);
-        self.schedule_wake(Timer::Query, i, at + 1);
-    }
-
-    /// Schedules node `i`'s `timer` wake, no sooner than `not_before`, if
-    /// the deadline moved earlier than whatever is already queued (a
-    /// freshly initiated exchange's timeout or a query install do exactly
-    /// that). A deadline that moved *later* leaves the queued wake in
-    /// place: it fires, finds nothing due, and reschedules from there.
-    fn schedule_wake(&mut self, timer: Timer, i: usize, not_before: u64) {
-        let (deadline, kind) = match timer {
-            Timer::Aggregate => (self.nodes[i].next_deadline(), EventKind::Wake(i as u32)),
-            Timer::Query => (
-                self.planes[i].next_deadline(),
-                EventKind::QueryWake(i as u32),
-            ),
-        };
-        if deadline == u64::MAX {
-            return; // empty plane: nothing to wake for
-        }
+    /// Queues node `i`'s wake at its stack's deadline, no sooner than
+    /// `not_before`, if that is earlier than the wake already queued (a
+    /// freshly initiated exchange's timeout, a query install or a pending
+    /// join do exactly that). A deadline that moved *later* leaves the
+    /// queued wake in place: it fires, finds nothing due, and reschedules
+    /// from there.
+    fn schedule_wake(&mut self, i: usize, not_before: u64) {
+        let deadline = self.stacks[i].next_deadline();
         let target = self.to_global(deadline, i).max(not_before);
-        if target < self.wake_at[timer as usize][i] {
-            self.wake_at[timer as usize][i] = target;
-            self.push(target, kind);
+        if target < self.wake_at[i] {
+            self.wake_at[i] = target;
+            self.wire.push(target, EventKind::Wake(i as u32));
         }
     }
 
-    /// Claims a popped wake for node `i`'s `timer`: clears the slot when it
-    /// is the live one, `false` when an earlier reschedule superseded it.
-    fn claim_wake(&mut self, timer: Timer, i: usize, at: u64) -> bool {
-        let slot = &mut self.wake_at[timer as usize][i];
-        let live = *slot == at;
-        if live {
-            *slot = u64::MAX;
+    /// Steps node `i`'s stack at global `at`, transmits what it emits,
+    /// tracks its epoch for the synchronization measurement and re-arms
+    /// its timer. `false` when the step emitted nothing and crossed no
+    /// epoch.
+    fn step(&mut self, i: usize, at: u64, input: Input<'_>) -> bool {
+        let now = self.to_local(at, i);
+        let (stack, wire) = (&mut self.stacks[i], &mut self.wire);
+        let sent_before = wire.frames_sent();
+        stack.step(input, now, |to, frame, plane| {
+            wire.transmit(at, to, frame, plane);
+        });
+        let emitted = wire.frames_sent() > sent_before;
+        let epoch_now = stack.epoch();
+        let crossed = epoch_now != self.epoch_seen[i];
+        if crossed {
+            self.epoch_seen[i] = epoch_now;
+            let entry = self.entries.entry(epoch_now).or_insert((at, at));
+            entry.0 = entry.0.min(at);
+            entry.1 = entry.1.max(at);
+            // A transition means the previous epoch's report just landed:
+            // fold it into the convergence gauges now.
+            let fresh = stack.take_reports();
+            wire.convergence.observe_reports(&fresh);
+            self.collected[i].extend(fresh);
         }
-        live
+        wire.convergence
+            .observe_query_epochs(&stack.take_query_epochs());
+        self.schedule_wake(i, at + 1);
+        emitted || crossed
     }
 
-    /// Feeds node `i`'s freshly completed query epochs into the labeled
-    /// per-query drift gauges.
-    fn harvest_query_epochs(&mut self, i: usize) {
-        for epoch in self.planes[i].take_epochs() {
-            if let Some(estimate) = epoch.estimate {
-                self.observe_query_estimate(&epoch.query, epoch.epoch, estimate);
-            }
-        }
-    }
-
-    /// Publishes `epoch.estimate_drift{query=…}` — the spread of the
-    /// query's newest epoch with at least two estimates.
-    fn observe_query_estimate(&mut self, query: &str, epoch: u64, estimate: f64) {
-        let registry = &self.registry;
-        let (window, gauge) = self
-            .query_drift
-            .entry(query.to_string())
-            .or_insert_with(|| {
-                let gauge = registry.gauge_with("epoch.estimate_drift", &[("query", query)]);
-                (EpochWindow::default(), gauge)
-            });
-        if let Some(stats) = window.observe(epoch, estimate) {
-            gauge.set(stats.spread());
-        }
-    }
-
-    /// Drains `node`'s freshly completed epoch reports into `collected`,
-    /// feeding each estimate into the convergence gauges so they track
-    /// the run live instead of only at the end.
-    fn harvest_reports(&mut self, node: usize) {
-        let fresh = self.nodes[node].take_reports();
-        if fresh.is_empty() {
-            return;
-        }
-        for r in &fresh {
-            if let Some(est) = r.scalar(0) {
-                self.observe_estimate(r.epoch, est);
-            }
-        }
-        self.collected[node].extend(fresh);
-    }
-
-    /// Folds one end-of-epoch estimate into the epoch window and
-    /// republishes `epoch.variance_reduction_rho` (to compare against the
-    /// 1/(2√e) bound in `epoch.rho_theory`) and `epoch.estimate_drift`.
-    fn observe_estimate(&mut self, epoch: u64, estimate: f64) {
-        let Some(stats) = self.rho_epochs.observe(epoch, estimate) else {
-            return;
+    /// Serves scripted RPC `idx` at global `at`.
+    fn serve_script(&mut self, idx: u32, at: u64) {
+        let QueryAction { node, request, .. } = &self.config.query_script[idx as usize];
+        let i = *node as usize;
+        let response = if self.is_alive(*node) {
+            let now = self.to_local(at, i);
+            let response = self.stacks[i].rpc(request, now);
+            // An install or a remove moved the stack's deadline.
+            self.schedule_wake(i, at + 1);
+            response
+        } else {
+            // The client hit a node that is not there — crashed, or an id
+            // nobody was ever given: the sim stand-in for a request that
+            // times out.
+            RpcResponse::reject(request.id(), RpcStatus::NotReady)
         };
-        let gamma = self.node_config.gamma();
-        if let Some(rho) = observed_rho(self.var0, stats.population_variance(), gamma) {
-            self.rho_gauge.set(rho);
-        }
-        self.drift_gauge.set(stats.spread());
+        self.query_responses.push(response);
     }
 
     /// Drives the event loop to `duration` and harvests the outcome.
     pub fn run(mut self) -> EventOutcome {
-        while let Some(event) = self.queue.pop() {
-            let at = event.at;
-            if at > self.duration {
-                break;
-            }
-            // Periodic registry snapshot (next_snapshot is u64::MAX when
-            // no snapshot sink is configured).
-            while self.next_snapshot <= at {
-                if let Some(spec) = &self.snapshot {
-                    let _ = write_snapshot(&spec.path, &self.registry);
-                }
-                self.next_snapshot = self.next_snapshot.saturating_add(
-                    self.snapshot
-                        .as_ref()
-                        .map_or(u64::MAX, |s| s.every_ticks.max(1)),
-                );
-            }
-            if let Some(class) = event.kind.class() {
-                self.events[class].inc();
-            }
-            let is_wake = matches!(event.kind, EventKind::Wake(_));
-            let (node_idx, outbound) = match event.kind {
-                EventKind::FailureTick(k) => {
-                    self.failure_tick(k, at);
-                    continue;
-                }
-                EventKind::WakeView(i) => {
-                    let i = i as usize;
-                    if self.is_alive(i) {
-                        let local_now = self.to_local(at, i);
-                        let EventOverlay::Newscast { members } = &mut self.overlay else {
-                            unreachable!("WakeView scheduled without a gossiped overlay");
-                        };
-                        let out = members[i].poll_exchange(local_now);
-                        let next = members[i].next_cycle_at();
-                        let next_at = self.to_global(next, i).max(at + 1);
-                        self.push(next_at, EventKind::WakeView(i as u32));
-                        if let Some((peer, payload, full)) = out {
-                            self.transmit_view(at, peer, payload, false, full);
-                        }
-                    }
-                    continue; // stale timer of a crashed node: chain ends
-                }
-                EventKind::DeliverView {
-                    to,
-                    reply,
-                    full,
-                    payload,
-                } => {
-                    let to = to as usize;
-                    if self.is_alive(to) {
-                        let local_now = self.to_local(at, to);
-                        let EventOverlay::Newscast { members } = &mut self.overlay else {
-                            unreachable!("DeliverView scheduled without a gossiped overlay");
-                        };
-                        if reply {
-                            // Active side absorbs the responder's pre-merge
-                            // view; the exchange is complete.
-                            members[to].absorb_reply_delta(&payload, full, local_now);
-                        } else {
-                            let (response, resp_full) =
-                                members[to].handle_exchange_delta(&payload, full, local_now);
-                            self.transmit_view(at, payload.from, response, true, resp_full);
-                        }
-                    }
-                    continue; // in-flight view exchange to a crashed node
-                }
-                EventKind::QueryWake(i) => {
-                    let i = i as usize;
-                    if self.claim_wake(Timer::Query, i, at) && self.is_alive(i) {
-                        self.poll_query_plane(i, at);
-                    }
-                    continue; // superseded, or a crashed node's: chain ends
-                }
-                EventKind::QueryDeliver(frame) => {
-                    let to = match &frame {
-                        QueryOutbound::Aggregation { to, .. }
-                        | QueryOutbound::Catalog { to, .. } => to.index(),
-                    };
-                    if self.is_alive(to) {
-                        let local_now = self.to_local(at, to);
-                        match frame {
-                            QueryOutbound::Catalog { entries, .. } => {
-                                self.planes[to].handle_catalog(&entries, local_now);
-                            }
-                            QueryOutbound::Aggregation { query, message, .. } => {
-                                if let Some(reply) =
-                                    self.planes[to].handle_aggregation(&query, &message, local_now)
-                                {
-                                    self.transmit_query(at, reply);
-                                }
-                            }
-                        }
-                        self.harvest_query_epochs(to);
-                        self.schedule_wake(Timer::Query, to, at + 1);
-                    }
-                    continue; // in-flight query frame to a crashed node
-                }
-                EventKind::QueryScript(idx) => {
-                    let action = self.query_script[idx as usize].clone();
-                    let i = action.node as usize;
-                    if self.is_alive(i) {
-                        let local_now = self.to_local(at, i);
-                        let response = self.planes[i].handle_rpc(&action.request, local_now);
-                        self.query_responses.push(response);
-                        self.schedule_wake(Timer::Query, i, at + 1);
-                    } else {
-                        // Client hit a crashed node: the sim stand-in
-                        // for a request that times out.
-                        self.query_responses.push(RpcResponse::reject(
-                            action.request.id(),
-                            RpcStatus::NotReady,
-                        ));
-                    }
-                    continue;
-                }
-                EventKind::Wake(i) => {
-                    let i = i as usize;
-                    if !(self.claim_wake(Timer::Aggregate, i, at) && self.is_alive(i)) {
-                        self.wakes_idle.inc();
-                        continue; // superseded, or a crashed node's: chain ends
-                    }
-                    let local_now = self.to_local(at, i);
-                    let mut sampler = OverlaySampler {
-                        overlay: &mut self.overlay,
-                        rng: &mut self.rng,
-                        live: &self.live,
-                        live_pos: &self.live_pos,
-                        node: i,
-                    };
-                    let out = self.nodes[i].poll_sampler(local_now, &mut sampler);
-                    (i, out)
-                }
-                EventKind::Deliver(i, msg) => {
-                    let i = i as usize;
-                    if !self.is_alive(i) {
-                        continue; // in-flight delivery to a crashed node
-                    }
-                    let local_now = self.to_local(at, i);
-                    let out = self.nodes[i].handle(&msg, local_now);
-                    (i, out)
-                }
-            };
-            // Track epoch transitions for the synchronization measurement.
-            let epoch_now = self.nodes[node_idx].epoch();
-            if is_wake && outbound.is_none() && epoch_now == self.epoch_seen[node_idx] {
-                self.wakes_idle.inc();
-            }
-            if let Some(out) = outbound {
-                self.transmit(at, out.message, out.to);
-            }
-            if epoch_now != self.epoch_seen[node_idx] {
-                self.epoch_seen[node_idx] = epoch_now;
-                let entry = self.entries.entry(epoch_now).or_insert((at, at));
-                entry.0 = entry.0.min(at);
-                entry.1 = entry.1.max(at);
-                // A transition means the previous epoch's report just
-                // landed: fold it into the convergence gauges now.
-                self.harvest_reports(node_idx);
-            }
-            self.schedule_wake(Timer::Aggregate, node_idx, at + 1);
+        while let Some(event) = self.next_event() {
+            self.dispatch(event);
         }
+        self.finish()
+    }
 
-        let view_health = match &self.overlay {
-            EventOverlay::Newscast { members } => Some(crate::metrics::view_health(
-                self.live.iter().map(|&i| members[i as usize].view()),
-                |peer| self.is_alive(peer as usize),
-            )),
-            _ => None,
-        };
+    /// Pops the next event due within `duration`.
+    fn next_event(&mut self) -> Option<Event> {
+        if self.wire.queue.peek()?.at > self.config.duration {
+            return None;
+        }
+        self.wire.queue.pop()
+    }
+
+    fn dispatch(&mut self, event: Event) {
+        let at = event.at;
+        // Periodic registry snapshot (next_snapshot is u64::MAX when no
+        // snapshot sink is configured).
+        while let (true, Some(spec)) = (self.next_snapshot <= at, &self.config.snapshot) {
+            let _ = write_snapshot(&spec.path, &self.registry);
+            self.next_snapshot = self.next_snapshot.saturating_add(spec.every_ticks.max(1));
+        }
+        if let Some(class) = event.kind.class() {
+            self.events[class].inc();
+        }
+        match event.kind {
+            EventKind::FailureTick(k) => self.failure_tick(k, at),
+            EventKind::Script(idx) => self.serve_script(idx, at),
+            EventKind::Wake(i) => {
+                // Only the live wake counts; one superseded by an earlier
+                // reschedule, or a crashed node's, ends here.
+                let claimed = self.wake_at[i as usize] == at;
+                if claimed {
+                    self.wake_at[i as usize] = u64::MAX;
+                }
+                let busy = claimed && self.is_alive(i) && self.step(i as usize, at, Input::Wake);
+                if !busy {
+                    self.wakes_idle.inc();
+                }
+            }
+            EventKind::Deliver(i, payload) => {
+                // An in-flight delivery to a crashed node is dropped.
+                if self.is_alive(i) {
+                    self.step(i as usize, at, Input::Frame(&payload, None));
+                }
+            }
+        }
+    }
+
+    /// Reads the outcome off the final state.
+    fn finish(mut self) -> EventOutcome {
+        let live = self.live.lock();
+        let mut live_sorted = live.ids().to_vec();
+        live_sorted.sort_unstable();
+        let view_health = self.gossip.is_some().then(|| {
+            let views = live_sorted
+                .iter()
+                .filter_map(|&i| self.stacks[i as usize].directory().view());
+            crate::metrics::view_health(views, |peer| live.is_alive(peer))
+        });
+        drop(live);
         if let Some(health) = &view_health {
             self.registry
                 .gauge("membership.view_mean_size")
@@ -1245,35 +828,29 @@ impl EventSim {
         }
         // Drain the tail: reports whose epochs were still open at the end
         // plus everything after the last observed transition.
-        for i in 0..self.nodes.len() {
-            self.harvest_reports(i);
-            self.harvest_query_epochs(i);
+        for (stack, collected) in self.stacks.iter_mut().zip(&mut self.collected) {
+            let fresh = stack.take_reports();
+            self.wire.convergence.observe_reports(&fresh);
+            collected.extend(fresh);
+            self.wire
+                .convergence
+                .observe_query_epochs(&stack.take_query_epochs());
         }
         // Final readout of every installed query at every live node.
-        let mut live_sorted = self.live.clone();
-        live_sorted.sort_unstable();
         let mut query_estimates = Vec::new();
         for &i in &live_sorted {
-            let i = i as usize;
-            for name in self.planes[i].installed() {
-                if let Ok(est) = self.planes[i].estimate(&name) {
-                    query_estimates.push((name, i as u32, est));
+            let stack = &mut self.stacks[i as usize];
+            for name in stack.installed_queries() {
+                if let Ok(est) = stack.estimate(&name) {
+                    query_estimates.push((name, i, est));
                 }
             }
         }
-        self.live_gauge.set(self.live.len() as f64);
-        let traces: Vec<Vec<TraceEvent>> = (0..self.nodes.len())
-            .map(|i| {
-                let mut events = self.nodes[i].take_trace();
-                if let EventOverlay::Newscast { members } = &mut self.overlay {
-                    events.extend(members[i].take_trace());
-                }
-                events
-            })
-            .collect();
+        self.live_gauge.set(live_sorted.len() as f64);
+        let traces = self.stacks.iter_mut().map(NodeStack::take_trace).collect();
         // Final snapshot so a configured sink always ends with the
         // completed run's gauges.
-        if let Some(spec) = &self.snapshot {
+        if let Some(spec) = &self.config.snapshot {
             let _ = write_snapshot(&spec.path, &self.registry);
         }
         let mut epoch_entries: Vec<(u64, u64, u64)> = self
@@ -1282,23 +859,24 @@ impl EventSim {
             .map(|(e, (first, last))| (e, first, last))
             .collect();
         epoch_entries.sort_unstable();
+        let [aggregation, membership, query] = self.wire.ledgers;
         EventOutcome {
             reports: self.collected,
             epoch_entries,
-            messages_sent: self.messages_sent,
-            messages_lost: self.messages_lost,
-            view_messages_sent: self.view_messages_sent,
-            view_bytes_sent: self.view_bytes_sent,
-            view_messages_lost: self.view_messages_lost,
+            messages_sent: aggregation.sent,
+            messages_lost: aggregation.lost,
+            view_messages_sent: membership.sent,
+            view_bytes_sent: membership.bytes,
+            view_messages_lost: membership.lost,
             view_health,
-            final_alive: self.live.len(),
+            final_alive: live_sorted.len(),
             traces,
             registry: self.registry,
             query_responses: self.query_responses,
             query_estimates,
-            query_messages_sent: self.query_messages_sent,
-            query_messages_lost: self.query_messages_lost,
-            query_bytes_sent: self.query_bytes_sent,
+            query_messages_sent: query.sent,
+            query_messages_lost: query.lost,
+            query_bytes_sent: query.bytes,
         }
     }
 }
@@ -1308,6 +886,7 @@ mod tests {
     use super::*;
     use crate::failure::{CommFailure, FailureModel};
     use crate::scenario::ValueInit;
+    use epidemic_net::directory::DirectoryPayload;
     use epidemic_topology::TopologyKind;
 
     fn node_config(gamma: u32) -> NodeConfig {
@@ -1636,6 +1215,11 @@ mod tests {
         let idle = out.registry.counter_value("sim.wakes_idle");
         assert!(idle <= events_of(&out, "wake"));
         assert_eq!(events_of(&out, "query"), 0, "no query was scripted");
+        // One timer per node: membership has deliveries but no wake of
+        // its own any more.
+        assert!(events_of(&out, "view_deliver") > 0);
+        let text = out.registry.render_prometheus();
+        assert!(!text.contains("view_wake"), "a second timer is back");
     }
 
     #[test]
@@ -1646,9 +1230,9 @@ mod tests {
         let mut cfg = base_config();
         cfg.scenario.n = 2;
         cfg.duration = 10_000;
-        let mut sim = EventSim::new(&cfg, 1);
-        let first = sim.nodes[0].next_cycle_at();
-        sim.kill(1);
+        let sim = EventSim::new(&cfg, 1);
+        let first = sim.stacks[0].next_deadline(); // no drift: local is global
+        sim.live.lock().kill(1);
         let out = sim.run();
         let survivor_wakes = (cfg.duration - first) / cfg.node.cycle_length() + 1;
         assert_eq!(events_of(&out, "wake"), survivor_wakes + 1);
@@ -1661,6 +1245,149 @@ mod tests {
             survivor_wakes + 1
         );
         assert!(out.reports[1].is_empty());
+    }
+
+    /// Runs `sim` to its end, showing `inspect` every frame the wire
+    /// delivers or still holds when the run stops.
+    fn run_inspecting(mut sim: EventSim, mut inspect: impl FnMut(&WirePayload)) -> EventSim {
+        while let Some(event) = sim.next_event() {
+            if let EventKind::Deliver(_, payload) = &event.kind {
+                inspect(payload);
+            }
+            sim.dispatch(event);
+        }
+        for event in sim.wire.queue.iter() {
+            if let EventKind::Deliver(_, payload) = &event.kind {
+                inspect(payload);
+            }
+        }
+        sim
+    }
+
+    #[test]
+    fn churn_joiner_bootstraps_over_a_lossy_wire() {
+        // A joiner knows its introducer and nothing else: its view comes
+        // from `Join`/`Introduce` frames that cross the same 30 % loss as
+        // everything else, so some joins need the directory's retry.
+        let (n, c, gamma) = (64usize, 15usize, 20u32);
+        let mut cfg = base_config();
+        cfg.scenario.overlay = OverlaySpec::Newscast { c };
+        cfg.scenario.failure = FailureModel::Churn { per_cycle: 1 };
+        cfg.scenario.comm = CommFailure::messages(0.3);
+        cfg.scenario.joiner_value = 31.5; // the founders' mean
+        cfg.node = node_config(gamma);
+        cfg.duration = 100_000;
+        let (mut joins, mut introductions) = (0, 0);
+        let sim = run_inspecting(EventSim::new(&cfg, 12), |payload| match payload {
+            WirePayload::Directory(DirectoryPayload::Join { .. }) => joins += 1,
+            WirePayload::Directory(DirectoryPayload::Introduce { .. }) => introductions += 1,
+            _ => {}
+        });
+        let joiners = sim.stacks.len() - n;
+        assert_eq!(joiners, 101, "one joiner per cycle boundary");
+        assert!(introductions > 0 && joins >= introductions);
+        let retries: u64 = sim.stacks.iter().map(NodeStack::join_retries).sum();
+        assert!(retries > 0, "30 % loss never cost a join");
+        assert!(
+            sim.stacks[..n].iter().all(|s| s.join_retries() == 0),
+            "a founder joined"
+        );
+        // Joiner `n + k` arrived at cycle `k`; given ten cycles, a live
+        // one has a view worth drawing from.
+        let live = sim.live.lock();
+        let settled: Vec<usize> = (n..n + 90).filter(|&i| live.is_alive(i as u32)).collect();
+        drop(live);
+        assert!(settled.len() > 10, "churn killed every joiner");
+        for &i in &settled {
+            let view = sim.stacks[i].directory().view().expect("gossiped");
+            assert!(
+                view.len() >= c / 2,
+                "joiner {i} holds {} entries",
+                view.len()
+            );
+        }
+        // A joiner sits out the epoch it arrived in; the first one it
+        // reports is one it ran in full. Its estimate has converged on
+        // the epoch's consensus as far as Section 6's slowed-down rate
+        // allows (an exchange survives two losses, P_d = 1 − 0.7²),
+        // with ×5 slack for the crashes that take mass out mid-epoch.
+        // Consensus itself drifts off the truth with every lost reply.
+        let out = sim.finish();
+        let sigma0 = ((n * n - 1) as f64 / 12.0).sqrt();
+        let rho = epidemic_aggregation::theory::link_failure_rho_bound(1.0 - 0.7 * 0.7);
+        let bound = 5.0 * sigma0 * rho.powf(f64::from(gamma) / 2.0);
+        let mut checked = 0;
+        for reports in &out.reports[n..] {
+            let Some(first) = reports.first() else {
+                continue;
+            };
+            let est = first.scalar(0).unwrap();
+            let consensus = out.mean_epoch_estimate(first.epoch).unwrap();
+            assert!(
+                (est - consensus).abs() < bound,
+                "epoch {}: joiner reports {est}, consensus {consensus}, bound {bound}",
+                first.epoch
+            );
+            assert!((est - 31.5).abs() < 31.5 * 0.5, "estimate {est}");
+            checked += 1;
+        }
+        assert!(checked > 10, "only {checked} joiners ever reported");
+    }
+
+    #[test]
+    fn membership_ledger_is_the_codec_size_of_every_frame_and_no_trailer_rides() {
+        // Lossless, so every frame handed to the wire is delivered or
+        // still queued when the run stops — the test sees them all.
+        let mut cfg = base_config();
+        cfg.scenario.overlay = OverlaySpec::Newscast { c: 15 };
+        cfg.scenario.failure = FailureModel::Churn { per_cycle: 2 };
+        let (mut frames, mut bytes, mut bootstrap) = (0, 0, 0);
+        let sim = run_inspecting(EventSim::new(&cfg, 4), |payload| match payload {
+            WirePayload::Piggybacked(..) => panic!("a trailer rode: {payload:?}"),
+            WirePayload::Directory(directory) => {
+                frames += 1;
+                bytes += WireFrame::Directory(directory).encoded_len();
+                if !matches!(directory, DirectoryPayload::View { .. }) {
+                    bootstrap += 1;
+                }
+            }
+            _ => {}
+        });
+        let out = sim.finish();
+        assert!(bootstrap >= 2 * 40, "joiners did not join over the wire");
+        assert_eq!(out.view_messages_lost, 0);
+        assert_eq!(out.view_messages_sent, frames);
+        assert_eq!(out.view_bytes_sent, bytes);
+    }
+
+    #[test]
+    fn static_overlay_draws_a_crashed_neighbor_and_pays_the_timeout() {
+        // The live-set twin (`crashed_nodes_wake_is_skipped…`) sends
+        // nothing: nobody is left to draw. A static graph does not know:
+        // every cycle the survivor asks its dead neighbor and times out.
+        let mut cfg = base_config();
+        cfg.scenario.n = 2;
+        cfg.scenario.overlay = OverlaySpec::Static(TopologyKind::Complete);
+        cfg.duration = 10_000;
+        cfg.trace_capacity = 64;
+        let sim = EventSim::new(&cfg, 1);
+        let first = sim.stacks[0].next_deadline();
+        sim.live.lock().kill(1);
+        let out = sim.run();
+        let cycles = ((cfg.duration - first) / cfg.node.cycle_length() + 1) as usize;
+        assert_eq!(out.messages_sent, cycles);
+        assert_eq!(out.messages_lost, 0, "lost to the crash, not to the wire");
+        assert_eq!(out.registry.counter_value("agg.exchanges"), cycles as u64);
+        let timeouts = out.traces[0]
+            .iter()
+            .filter(|e| e.kind == epidemic_telemetry::TraceKind::ExchangeTimeout)
+            .count();
+        // The last request's timeout may fall past the end of the run.
+        assert!(
+            timeouts + 1 >= cycles && timeouts <= cycles,
+            "{timeouts} timeouts for {cycles} requests"
+        );
+        assert!(out.reports[0].is_empty() && out.reports[1].is_empty());
     }
 
     #[test]
@@ -1804,20 +1531,51 @@ mod tests {
     }
 
     #[test]
-    fn query_script_leaves_baseline_run_untouched() {
-        // Zero perturbation: the query plane draws from its own stream,
-        // so running a query changes nothing in the aggregation or
-        // membership planes of the same seed.
+    fn empty_script_leaves_no_trace_and_a_scripted_run_is_deterministic() {
+        // On the stack, as on the wire, the base aggregate and its
+        // tenants draw peers from one directory and share one transport:
+        // a running query does perturb the base plane's draws. What
+        // holds is that without a script the query plane does not exist
+        // — however it is tuned — and that one seed is one run.
+        let traffic = |out: &EventOutcome| {
+            (
+                out.messages_sent,
+                out.view_messages_sent,
+                out.epoch_entries.clone(),
+                out.epoch_estimates(0),
+                out.query_messages_sent,
+            )
+        };
         let plain = base_config().run(1);
+        let mut retuned = base_config();
+        retuned.query.gossip_period = 50;
+        retuned.query.boost_fanout = 9;
+        assert_eq!(traffic(&plain), traffic(&retuned.run(1)));
+        assert_eq!(plain.query_messages_sent, 0);
+        assert_eq!(events_of(&plain, "query"), 0);
         let mut cfg = base_config();
         cfg.query_script = vec![install_action(1_000, 5, 9, average_query("side", 1.0))];
         let queried = cfg.run(1);
-        assert_eq!(plain.messages_sent, queried.messages_sent);
-        assert_eq!(plain.view_messages_sent, queried.view_messages_sent);
-        assert_eq!(plain.epoch_entries, queried.epoch_entries);
-        assert_eq!(plain.epoch_estimates(0), queried.epoch_estimates(0));
-        assert_eq!(plain.query_messages_sent, 0);
         assert!(queried.query_messages_sent > 0);
+        assert_eq!(traffic(&queried), traffic(&cfg.run(1)));
+    }
+
+    #[test]
+    fn rpc_at_a_node_that_never_existed_is_not_ready() {
+        // A client may aim at any id; one past the population is the
+        // "node that is not there" case, not an index panic.
+        let mut cfg = base_config();
+        let n = cfg.scenario.n as u32;
+        cfg.query_script = vec![
+            install_action(500, n + 5, 1, average_query("ghost", 1.0)),
+            install_action(600, u32::MAX, 2, average_query("ghost", 1.0)),
+        ];
+        let out = cfg.run(1);
+        let statuses: Vec<RpcStatus> = out.query_responses.iter().map(|r| r.status).collect();
+        assert_eq!(statuses, [RpcStatus::NotReady, RpcStatus::NotReady]);
+        assert_eq!(out.query_responses[0].id, 1);
+        assert_eq!(out.query_messages_sent, 0, "a ghost installed a query");
+        assert!(out.mean_epoch_estimate(0).is_some(), "run did not complete");
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //!   wrapper adding a cycle budget and an aggregate to a [`Scenario`];
 //!   plus a thread-pooled repetition runner.
 //! * [`event`] — event-driven engine (message delay, clock drift, loss,
-//!   timeouts) driving the sans-io [`epidemic_aggregation::GossipNode`]
-//!   under the same [`Scenario`] conditions; measures
-//!   epoch-synchronization spread.
+//!   timeouts) stepping one sans-io [`epidemic_net::stack::NodeStack`]
+//!   per node — the wire runtimes' own wiring — under the same
+//!   [`Scenario`] conditions; measures epoch-synchronization spread.
 //! * [`metrics`] — convergence factors and exchange-count distributions
 //!   (the `1 + Poisson(1)` cost analysis of Section 4.5).
 //!
@@ -47,6 +47,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod directory;
 pub mod event;
 pub mod experiment;
 pub mod failure;
