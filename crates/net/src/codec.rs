@@ -18,7 +18,8 @@
 //! u16 instance count
 //!   per instance: u8 state tag (0 scalar, 1 map)
 //!     scalar: f64
-//!     map:    u16 entry count, then (u64 leader, f64 estimate)*
+//!     map:    u16 entry count, then (u64 leader, f64 estimate)*,
+//!             leaders strictly increasing
 //! -- membership bodies (tags 4-5 full view, 8-9 delta view) --
 //! u32 sender id
 //! u16 descriptor count, then (u32 node, u32 timestamp)*
@@ -81,9 +82,38 @@
 //!   ...    the message bytes (version + tag + body) ...
 //! ```
 //!
-//! Every encoder has an exact size twin (`*_len`) so traffic models can
-//! charge wire bytes without materializing buffers; the property suite in
-//! `tests/properties.rs` pins `encoded_len() == encode().len()`.
+//! # One statement per layout and direction
+//!
+//! Each body is written down twice in this module and nowhere else: a
+//! `put_*` encoder, generic over the byte sink, and a `get_*` decoder
+//! over a bounds-checked reader. Everything else is derived. A frame's
+//! size ([`WireFrame::encoded_len`], [`encoded_len`],
+//! [`piggyback_trailer_len`], [`bundle_frame_len`]) is its encoder run on
+//! a sink that only counts, so traffic models charge wire bytes without
+//! materializing buffers and a size can never disagree with the bytes.
+//! A short datagram is whichever getter runs out of input reporting
+//! [`DecodeError::Truncated`]; no getter can panic, and a count field
+//! never reserves more memory than the bytes behind it could fill.
+//! `version · tag` is parsed in one place — by [`decode_datagram`], and
+//! again for the message nested in tags 10/12 — so errors surface in
+//! wire order: `[9]` is `BadVersion(9)` (the per-type decoders this
+//! replaced length-checked first and said `Truncated`; nothing depended
+//! on which), and a body is parsed as whatever its tag says it is.
+//!
+//! # Public surface
+//!
+//! Bodies are encoded through [`WireFrame`] (`encoded_len`,
+//! `encode_into`, `encode`) and decoded through [`decode_datagram`];
+//! bundles through [`push_bundle_frame`] / [`bundle_frame_len`] /
+//! [`decode_bundle`]. [`encode_message`] / [`decode_message`] are the
+//! façade's plain-`Message` entry points, [`encode_rpc_request`] /
+//! [`decode_rpc_response`] the client's half of the RPC (and
+//! [`encode_rpc_response`] the listener's). The five lone-frame functions
+//! [`encode_mux_frame`], [`encode_mux_directory_frame`],
+//! [`encode_mux_query_frame`], [`encode_mux_catalog_frame`] and
+//! [`decode_mux_datagram`] exist for the benchmark replay
+//! (`crates/ledger`), which compiles against them; no runtime emits the
+//! v2 prefix.
 
 use crate::directory::{DirectoryPayload, IntroduceEntry, Piggyback};
 use epidemic_aggregation::value::InstanceMap;
@@ -111,7 +141,7 @@ pub const MUX_WIRE_VERSION: u8 = 2;
 /// Error raised when a datagram cannot be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {
-    /// The datagram was shorter than the fixed header.
+    /// The datagram ended before the layout did.
     Truncated,
     /// Unknown wire version.
     BadVersion(u8),
@@ -121,6 +151,8 @@ pub enum DecodeError {
     BadName,
     /// A bundle frame's length prefix was longer than any datagram.
     BadLength,
+    /// A map state's leaders were not strictly increasing.
+    BadMap,
 }
 
 impl fmt::Display for DecodeError {
@@ -131,79 +163,153 @@ impl fmt::Display for DecodeError {
             DecodeError::BadTag(t) => write!(f, "unknown tag {t}"),
             DecodeError::BadName => write!(f, "query name is not valid UTF-8"),
             DecodeError::BadLength => write!(f, "bundle frame length is over-long"),
+            DecodeError::BadMap => write!(f, "map leaders are not strictly increasing"),
         }
     }
 }
 
 impl Error for DecodeError {}
 
-/// Little-endian write helpers over a plain byte vector (stand-in for the
-/// `bytes` crate's `BufMut`, which is unavailable offline).
+/// A byte sink with little-endian write helpers (stand-in for the `bytes`
+/// crate's `BufMut`, which is unavailable offline). Encoders are generic
+/// over it: on a `Vec<u8>` they produce the bytes, on a [`ByteCount`]
+/// their length.
 trait WireWrite {
-    fn put_u8(&mut self, v: u8);
-    fn put_u16_le(&mut self, v: u16);
-    fn put_u32_le(&mut self, v: u32);
-    fn put_u64_le(&mut self, v: u64);
-    fn put_f64_le(&mut self, v: f64);
+    fn put(&mut self, bytes: &[u8]);
+
+    #[inline]
+    fn put_u8(&mut self, v: u8) {
+        self.put(&[v]);
+    }
+    #[inline]
+    fn put_u16_le(&mut self, v: u16) {
+        self.put(&v.to_le_bytes());
+    }
+    #[inline]
+    fn put_u32_le(&mut self, v: u32) {
+        self.put(&v.to_le_bytes());
+    }
+    #[inline]
+    fn put_u64_le(&mut self, v: u64) {
+        self.put(&v.to_le_bytes());
+    }
+    #[inline]
+    fn put_f64_le(&mut self, v: f64) {
+        self.put(&v.to_le_bytes());
+    }
 }
 
 impl WireWrite for Vec<u8> {
-    fn put_u8(&mut self, v: u8) {
-        self.push(v);
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
     }
-    fn put_u16_le(&mut self, v: u16) {
-        self.extend_from_slice(&v.to_le_bytes());
+}
+
+/// The sink that only measures.
+struct ByteCount(usize);
+
+impl WireWrite for ByteCount {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
     }
-    fn put_u32_le(&mut self, v: u32) {
-        self.extend_from_slice(&v.to_le_bytes());
-    }
-    fn put_u64_le(&mut self, v: u64) {
-        self.extend_from_slice(&v.to_le_bytes());
-    }
-    fn put_f64_le(&mut self, v: f64) {
-        self.extend_from_slice(&v.to_le_bytes());
-    }
+}
+
+/// Bytes `put` writes, without writing them.
+#[inline]
+fn counted(put: impl FnOnce(&mut ByteCount)) -> usize {
+    let mut count = ByteCount(0);
+    put(&mut count);
+    count.0
 }
 
 /// Little-endian read helpers that advance a byte slice (stand-in for the
-/// `bytes` crate's `Buf`). Callers must check `remaining()` first; the
-/// getters panic on underflow like their `bytes` counterparts.
-trait WireRead {
-    fn remaining(&self) -> usize;
-    fn get_u8(&mut self) -> u8;
-    fn get_u16_le(&mut self) -> u16;
-    fn get_u32_le(&mut self) -> u32;
-    fn get_u64_le(&mut self) -> u64;
-    fn get_f64_le(&mut self) -> f64;
+/// `bytes` crate's `Buf`). Every getter is [`take`](WireRead::take) plus a
+/// conversion, so running out of input is [`DecodeError::Truncated`] and
+/// never a panic.
+trait WireRead<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError>;
+
+    /// `N` bytes as whatever `from` makes of them.
+    #[inline]
+    fn get<const N: usize, T>(
+        &mut self,
+        from: impl FnOnce([u8; N]) -> T,
+    ) -> Result<T, DecodeError> {
+        let mut raw = [0; N];
+        raw.copy_from_slice(self.take(N)?);
+        Ok(from(raw))
+    }
+    #[inline]
+    fn get_u8(&mut self) -> Result<u8, DecodeError> {
+        self.get(u8::from_le_bytes)
+    }
+    #[inline]
+    fn get_u16_le(&mut self) -> Result<u16, DecodeError> {
+        self.get(u16::from_le_bytes)
+    }
+    #[inline]
+    fn get_u32_le(&mut self) -> Result<u32, DecodeError> {
+        self.get(u32::from_le_bytes)
+    }
+    #[inline]
+    fn get_u64_le(&mut self) -> Result<u64, DecodeError> {
+        self.get(u64::from_le_bytes)
+    }
+    #[inline]
+    fn get_f64_le(&mut self) -> Result<f64, DecodeError> {
+        self.get(f64::from_le_bytes)
+    }
 }
 
-impl WireRead for &[u8] {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-    fn get_u8(&mut self) -> u8 {
-        let (head, rest) = self.split_at(1);
+impl<'a> WireRead<'a> for &'a [u8] {
+    #[inline]
+    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        if n > self.len() {
+            return Err(DecodeError::Truncated);
+        }
+        let (head, rest) = self.split_at(n);
         *self = rest;
-        head[0]
+        Ok(head)
     }
-    fn get_u16_le(&mut self) -> u16 {
-        let (head, rest) = self.split_at(2);
-        *self = rest;
-        u16::from_le_bytes(head.try_into().unwrap())
+}
+
+/// Reads `count` items with `get`. `min_len` is the fewest wire bytes one
+/// item takes: the vector is reserved up front only if the bytes left
+/// could hold `count` of them, so a hostile count field cannot buy an
+/// allocation — it grows with the items that really arrive, until the
+/// input runs out.
+fn get_list<T>(
+    data: &mut &[u8],
+    count: usize,
+    min_len: usize,
+    mut get: impl FnMut(&mut &[u8]) -> Result<T, DecodeError>,
+) -> Result<Vec<T>, DecodeError> {
+    let fits = count * min_len <= data.len();
+    let mut items = Vec::with_capacity(if fits { count } else { 0 });
+    // A by-value cursor stays in registers through the loop.
+    let mut rest = *data;
+    for _ in 0..count {
+        items.push(get(&mut rest)?);
     }
-    fn get_u32_le(&mut self) -> u32 {
-        let (head, rest) = self.split_at(4);
-        *self = rest;
-        u32::from_le_bytes(head.try_into().unwrap())
+    *data = rest;
+    Ok(items)
+}
+
+fn put_header<W: WireWrite>(buf: &mut W, tag: u8) {
+    buf.put_u8(WIRE_VERSION);
+    buf.put_u8(tag);
+}
+
+/// Reads `version · tag` and returns the tag — the one place a message's
+/// version is checked.
+fn get_header(data: &mut &[u8]) -> Result<u8, DecodeError> {
+    let version = data.get_u8()?;
+    if version != WIRE_VERSION {
+        return Err(DecodeError::BadVersion(version));
     }
-    fn get_u64_le(&mut self) -> u64 {
-        let (head, rest) = self.split_at(8);
-        *self = rest;
-        u64::from_le_bytes(head.try_into().unwrap())
-    }
-    fn get_f64_le(&mut self) -> f64 {
-        f64::from_bits(self.get_u64_le())
-    }
+    data.get_u8()
 }
 
 /// Encodes a message into a fresh buffer.
@@ -211,16 +317,16 @@ pub fn encode_message(msg: &Message) -> Vec<u8> {
     WireFrame::Aggregation(msg).encode()
 }
 
-/// Appends [`encode_message`]'s bytes to `buf` without allocating.
-pub fn encode_message_into(buf: &mut Vec<u8>, msg: &Message) {
-    buf.put_u8(WIRE_VERSION);
+/// A complete aggregation message (tags 0–3), header included: it also
+/// rides nested inside tags 10 and 12.
+fn put_message<W: WireWrite>(buf: &mut W, msg: &Message) {
     let (tag, states): (u8, Option<&[InstanceState]>) = match &msg.body {
         MessageBody::Request(s) => (0, Some(s)),
         MessageBody::Reply(s) => (1, Some(s)),
         MessageBody::EpochNotice => (2, None),
         MessageBody::Refuse => (3, None),
     };
-    buf.put_u8(tag);
+    put_header(buf, tag);
     buf.put_u64_le(msg.from.as_u64());
     buf.put_u64_le(msg.epoch);
     if let Some(states) = states {
@@ -251,381 +357,227 @@ pub fn encode_message_into(buf: &mut Vec<u8>, msg: &Message) {
 /// Returns a [`DecodeError`] if the datagram is truncated, has an unknown
 /// version, or contains an unknown tag.
 pub fn decode_message(mut data: &[u8]) -> Result<Message, DecodeError> {
-    if data.remaining() < 18 {
-        return Err(DecodeError::Truncated);
-    }
-    let version = data.get_u8();
-    if version != WIRE_VERSION {
-        return Err(DecodeError::BadVersion(version));
-    }
-    let tag = data.get_u8();
-    let from = NodeId::new(data.get_u64_le());
-    let epoch = data.get_u64_le();
+    get_message(&mut data)
+}
+
+/// A complete aggregation message, header included (see [`put_message`]).
+fn get_message(data: &mut &[u8]) -> Result<Message, DecodeError> {
+    let tag = get_header(data)?;
+    get_message_body(tag, data)
+}
+
+fn get_message_body(tag: u8, data: &mut &[u8]) -> Result<Message, DecodeError> {
+    let from = NodeId::new(data.get_u64_le()?);
+    let epoch = data.get_u64_le()?;
     let body = match tag {
+        0 => MessageBody::Request(get_states(data)?),
+        1 => MessageBody::Reply(get_states(data)?),
         2 => MessageBody::EpochNotice,
         3 => MessageBody::Refuse,
-        0 | 1 => {
-            if data.remaining() < 2 {
-                return Err(DecodeError::Truncated);
-            }
-            let count = data.get_u16_le() as usize;
-            let mut states = Vec::with_capacity(count);
-            for _ in 0..count {
-                if data.remaining() < 1 {
-                    return Err(DecodeError::Truncated);
-                }
-                match data.get_u8() {
-                    0 => {
-                        if data.remaining() < 8 {
-                            return Err(DecodeError::Truncated);
-                        }
-                        states.push(InstanceState::Scalar(data.get_f64_le()));
-                    }
-                    1 => {
-                        if data.remaining() < 2 {
-                            return Err(DecodeError::Truncated);
-                        }
-                        let entries = data.get_u16_le() as usize;
-                        if data.remaining() < entries * 16 {
-                            return Err(DecodeError::Truncated);
-                        }
-                        let mut pairs = Vec::with_capacity(entries);
-                        for _ in 0..entries {
-                            let leader = data.get_u64_le();
-                            let estimate = data.get_f64_le();
-                            pairs.push((leader, estimate));
-                        }
-                        states.push(InstanceState::Map(InstanceMap::from_entries(pairs)));
-                    }
-                    t => return Err(DecodeError::BadTag(t)),
-                }
-            }
-            if tag == 0 {
-                MessageBody::Request(states)
-            } else {
-                MessageBody::Reply(states)
-            }
-        }
         t => return Err(DecodeError::BadTag(t)),
     };
     Ok(Message { from, epoch, body })
 }
 
+fn get_states(data: &mut &[u8]) -> Result<Vec<InstanceState>, DecodeError> {
+    let count = data.get_u16_le()? as usize;
+    // The smallest state is an empty map: tag + entry count.
+    get_list(data, count, 3, |data| match data.get_u8()? {
+        0 => Ok(InstanceState::Scalar(data.get_f64_le()?)),
+        1 => {
+            let entries = data.get_u16_le()? as usize;
+            let pairs = get_list(data, entries, 16, |data| {
+                Ok((data.get_u64_le()?, data.get_f64_le()?))
+            })?;
+            // `InstanceMap` is sorted and duplicate-free by construction
+            // (and panics on a duplicate), so the wire must be too.
+            if pairs.windows(2).any(|pair| pair[0].0 >= pair[1].0) {
+                return Err(DecodeError::BadMap);
+            }
+            Ok(InstanceState::Map(InstanceMap::from_entries(pairs)))
+        }
+        t => Err(DecodeError::BadTag(t)),
+    })
+}
+
 /// Exact encoded size of [`encode_message`]'s output for `msg`, without
 /// allocating. Lets traffic models charge wire bytes per message.
 pub fn encoded_len(msg: &Message) -> usize {
-    let states: Option<&[InstanceState]> = match &msg.body {
-        MessageBody::Request(s) | MessageBody::Reply(s) => Some(s),
-        MessageBody::EpochNotice | MessageBody::Refuse => None,
-    };
-    // version + tag + sender + epoch
-    let mut len = 1 + 1 + 8 + 8;
-    if let Some(states) = states {
-        len += 2; // instance count
-        for state in states {
-            len += 1; // state tag
-            len += match state {
-                InstanceState::Scalar(_) => 8,
-                InstanceState::Map(map) => 2 + 16 * map.len(),
-            };
-        }
-    }
-    len
+    WireFrame::Aggregation(msg).encoded_len()
 }
 
-/// Encodes a NEWSCAST view-exchange payload. `reply` distinguishes the
-/// passive side's answer (absorbed without a response) from the
-/// initiator's opening message; `delta` marks a payload carrying only the
-/// descriptors the partner was not known to hold (tags 8/9) instead of
-/// the sender's full view (tags 4/5).
-fn put_view(buf: &mut Vec<u8>, payload: &ViewPayload, reply: bool, delta: bool) {
-    buf.put_u8(WIRE_VERSION);
-    buf.put_u8(match (delta, reply) {
-        (false, false) => 4,
-        (false, true) => 5,
-        (true, false) => 8,
-        (true, true) => 9,
-    });
-    buf.put_u32_le(payload.from);
-    buf.put_u16_le(payload.descriptors.len() as u16);
-    for d in &payload.descriptors {
+/// `(u32 node, u32 timestamp)*` — the descriptor run views and trailers
+/// share; each puts its own count in front.
+fn put_descriptors<W: WireWrite>(buf: &mut W, descriptors: &[Descriptor]) {
+    for d in descriptors {
         buf.put_u32_le(d.node);
         buf.put_u32_le(d.timestamp);
     }
 }
 
-/// Encoded size of a view message carrying `descriptors` descriptors.
-///
-/// A full NEWSCAST exchange over a view of size `c` costs
-/// `2 * view_message_len(c + 1)` wire bytes: each side sends its view plus
-/// a fresh self-descriptor.
-pub const fn view_message_len(descriptors: usize) -> usize {
-    // version + tag + sender(u32) + count(u16) + (node, timestamp) pairs
-    1 + 1 + 4 + 2 + 8 * descriptors
+fn get_descriptors(data: &mut &[u8], count: usize) -> Result<Vec<Descriptor>, DecodeError> {
+    get_list(data, count, 8, |data| {
+        Ok(Descriptor::new(data.get_u32_le()?, data.get_u32_le()?))
+    })
 }
 
 /// Writes a socket address: u8 kind (4 IPv4, 6 IPv6), ip bytes, u16 port.
-fn put_addr(buf: &mut Vec<u8>, addr: SocketAddr) {
+fn put_addr<W: WireWrite>(buf: &mut W, addr: SocketAddr) {
     match addr.ip() {
         IpAddr::V4(ip) => {
             buf.put_u8(4);
-            buf.extend_from_slice(&ip.octets());
+            buf.put(&ip.octets());
         }
         IpAddr::V6(ip) => {
             buf.put_u8(6);
-            buf.extend_from_slice(&ip.octets());
+            buf.put(&ip.octets());
         }
     }
     buf.put_u16_le(addr.port());
 }
 
-/// Bytes [`put_addr`] writes after the kind byte: ip and port.
-fn addr_len(addr: SocketAddr) -> usize {
-    2 + if addr.is_ipv4() { 4 } else { 16 }
-}
-
 /// Reads the ip bytes and port that follow an address `kind` byte.
+#[inline]
 fn get_addr(kind: u8, data: &mut &[u8]) -> Result<SocketAddr, DecodeError> {
-    let ip_len = match kind {
-        4 => 4,
-        6 => 16,
+    let ip = match kind {
+        4 => data.get::<4, _>(IpAddr::from)?,
+        6 => data.get::<16, _>(IpAddr::from)?,
         t => return Err(DecodeError::BadTag(t)),
     };
-    if data.remaining() < ip_len + 2 {
-        return Err(DecodeError::Truncated);
-    }
-    let (ip, rest) = data.split_at(ip_len);
-    *data = rest;
-    let ip = match <[u8; 4]>::try_from(ip) {
-        Ok(v4) => IpAddr::from(v4),
-        Err(_) => IpAddr::from(<[u8; 16]>::try_from(ip).expect("ip_len is 4 or 16")),
-    };
-    Ok(SocketAddr::new(ip, data.get_u16_le()))
+    Ok(SocketAddr::new(ip, data.get_u16_le()?))
 }
 
-/// Encodes a bootstrap join request (tag 6): "introduce me, `from`".
-fn put_join(buf: &mut Vec<u8>, from: u32) {
-    buf.put_u8(WIRE_VERSION);
-    buf.put_u8(6);
-    buf.put_u32_le(from);
-}
-
-/// Encodes a bootstrap introduction (tag 7): a snapshot of the
-/// introducer's view with optional peer addresses.
-fn put_introduce(buf: &mut Vec<u8>, from: u32, peers: &[IntroduceEntry]) {
-    buf.put_u8(WIRE_VERSION);
-    buf.put_u8(7);
-    buf.put_u32_le(from);
-    buf.put_u16_le(peers.len() as u16);
-    for entry in peers {
-        buf.put_u32_le(entry.node);
-        buf.put_u32_le(entry.timestamp);
-        match entry.addr {
-            None => buf.put_u8(0),
-            Some(addr) => put_addr(buf, addr),
+/// A membership-plane payload (tags 4–9). For a NEWSCAST view, `reply`
+/// distinguishes the passive side's answer (absorbed without a response)
+/// from the initiator's opening message; `delta` marks a payload carrying
+/// only the descriptors the partner was not known to hold (tags 8/9)
+/// instead of the sender's full view (tags 4/5). Tag 6 is a bootstrap
+/// join request ("introduce me, `from`"), tag 7 the introduction: a
+/// snapshot of the introducer's view with optional peer addresses.
+fn put_directory<W: WireWrite>(buf: &mut W, payload: &DirectoryPayload) {
+    match payload {
+        DirectoryPayload::View { view, reply, delta } => {
+            put_header(
+                buf,
+                match (delta, reply) {
+                    (false, false) => 4,
+                    (false, true) => 5,
+                    (true, false) => 8,
+                    (true, true) => 9,
+                },
+            );
+            buf.put_u32_le(view.from);
+            buf.put_u16_le(view.descriptors.len() as u16);
+            put_descriptors(buf, &view.descriptors);
+        }
+        DirectoryPayload::Join { from } => {
+            put_header(buf, 6);
+            buf.put_u32_le(*from);
+        }
+        DirectoryPayload::Introduce { from, peers } => {
+            put_header(buf, 7);
+            buf.put_u32_le(*from);
+            buf.put_u16_le(peers.len() as u16);
+            for entry in peers {
+                buf.put_u32_le(entry.node);
+                buf.put_u32_le(entry.timestamp);
+                match entry.addr {
+                    None => buf.put_u8(0),
+                    Some(addr) => put_addr(buf, addr),
+                }
+            }
         }
     }
 }
 
-/// Appends a membership-plane payload's encoding (tags 4–9) to `buf`.
-pub fn encode_directory_message_into(buf: &mut Vec<u8>, payload: &DirectoryPayload) {
-    match payload {
-        DirectoryPayload::View { view, reply, delta } => put_view(buf, view, *reply, *delta),
-        DirectoryPayload::Join { from } => put_join(buf, *from),
-        DirectoryPayload::Introduce { from, peers } => put_introduce(buf, *from, peers),
-    }
-}
-
-/// Exact encoded size of a membership-plane payload.
-pub fn directory_encoded_len(payload: &DirectoryPayload) -> usize {
-    match payload {
-        DirectoryPayload::View { view, .. } => view_message_len(view.descriptors.len()),
-        DirectoryPayload::Join { .. } => 1 + 1 + 4, // version + tag + sender
-        DirectoryPayload::Introduce { peers, .. } => {
-            // version + tag + sender + entry count, then per entry
-            // node + timestamp + addr kind (+ ip and port)
-            let addrs: usize = peers.iter().map(|e| e.addr.map_or(0, addr_len)).sum();
-            1 + 1 + 4 + 2 + peers.len() * (4 + 4 + 1) + addrs
-        }
-    }
-}
-
-/// Decodes a membership-plane datagram (tags 4–9).
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] on truncation, an unknown version, or a tag
-/// outside the membership plane.
-pub fn decode_directory_message(mut data: &[u8]) -> Result<DirectoryPayload, DecodeError> {
-    // version + tag + sender
-    if data.remaining() < 1 + 1 + 4 {
-        return Err(DecodeError::Truncated);
-    }
-    let version = data.get_u8();
-    if version != WIRE_VERSION {
-        return Err(DecodeError::BadVersion(version));
-    }
-    let tag = data.get_u8();
-    let from = data.get_u32_le();
+fn get_directory(tag: u8, data: &mut &[u8]) -> Result<DirectoryPayload, DecodeError> {
+    let from = data.get_u32_le()?;
     if tag == 6 {
         return Ok(DirectoryPayload::Join { from });
     }
-    if !matches!(tag, 4 | 5 | 7 | 8 | 9) {
-        return Err(DecodeError::BadTag(tag));
-    }
-    if data.remaining() < 2 {
-        return Err(DecodeError::Truncated);
-    }
-    let count = data.get_u16_le() as usize;
+    let count = data.get_u16_le()? as usize;
     if tag == 7 {
-        let mut peers = Vec::with_capacity(count.min(256));
-        for _ in 0..count {
-            if data.remaining() < 9 {
-                return Err(DecodeError::Truncated);
-            }
-            let node = data.get_u32_le();
-            let timestamp = data.get_u32_le();
-            let addr = match data.get_u8() {
-                0 => None,
-                kind => Some(get_addr(kind, &mut data)?),
-            };
-            peers.push(IntroduceEntry {
-                node,
-                timestamp,
-                addr,
-            });
-        }
+        // An entry without an address: node + timestamp + kind.
+        let peers = get_list(data, count, 9, |data| {
+            Ok(IntroduceEntry {
+                node: data.get_u32_le()?,
+                timestamp: data.get_u32_le()?,
+                addr: match data.get_u8()? {
+                    0 => None,
+                    kind => Some(get_addr(kind, data)?),
+                },
+            })
+        })?;
         return Ok(DirectoryPayload::Introduce { from, peers });
     }
-    if data.remaining() < count * 8 {
-        return Err(DecodeError::Truncated);
-    }
-    let mut descriptors = Vec::with_capacity(count);
-    for _ in 0..count {
-        let node = data.get_u32_le();
-        let timestamp = data.get_u32_le();
-        descriptors.push(Descriptor::new(node, timestamp));
-    }
     Ok(DirectoryPayload::View {
-        view: ViewPayload { from, descriptors },
+        view: ViewPayload {
+            from,
+            descriptors: get_descriptors(data, count)?,
+        },
         reply: tag == 5 || tag == 9,
         delta: tag >= 8,
     })
 }
 
-/// Appends an aggregation message with a piggybacked membership trailer
-/// (tag 10): a few descriptors (and optionally their addresses) riding on
-/// a datagram that was leaving the socket anyway.
-pub fn encode_piggyback_message_into(buf: &mut Vec<u8>, msg: &Message, piggyback: &Piggyback) {
-    buf.put_u8(WIRE_VERSION);
-    buf.put_u8(10);
+/// The membership trailer of a piggybacked aggregation datagram (tag 10),
+/// header included: a few descriptors (and optionally their addresses)
+/// riding on a datagram that was leaving the socket anyway. The carried
+/// message follows it.
+fn put_trailer<W: WireWrite>(buf: &mut W, piggyback: &Piggyback) {
+    put_header(buf, 10);
     buf.put_u32_le(piggyback.from);
     buf.put_u8(piggyback.descriptors.len() as u8);
-    for d in &piggyback.descriptors {
-        buf.put_u32_le(d.node);
-        buf.put_u32_le(d.timestamp);
-    }
+    put_descriptors(buf, &piggyback.descriptors);
     buf.put_u8(piggyback.addrs.len() as u8);
     for &(node, addr) in &piggyback.addrs {
         buf.put_u32_le(node);
         put_addr(buf, addr);
     }
-    encode_message_into(buf, msg);
 }
 
-/// Decodes a piggybacked aggregation datagram (tag 10).
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] on truncation, an unknown version or tag, or
-/// when the carried aggregation message fails to decode.
-pub fn decode_piggyback_message(mut data: &[u8]) -> Result<(Message, Piggyback), DecodeError> {
-    if data.remaining() < 8 {
-        return Err(DecodeError::Truncated);
-    }
-    let version = data.get_u8();
-    if version != WIRE_VERSION {
-        return Err(DecodeError::BadVersion(version));
-    }
-    let tag = data.get_u8();
-    if tag != 10 {
-        return Err(DecodeError::BadTag(tag));
-    }
-    let from = data.get_u32_le();
-    let ndesc = data.get_u8() as usize;
-    if data.remaining() < ndesc * 8 + 1 {
-        return Err(DecodeError::Truncated);
-    }
-    let mut descriptors = Vec::with_capacity(ndesc);
-    for _ in 0..ndesc {
-        let node = data.get_u32_le();
-        let timestamp = data.get_u32_le();
-        descriptors.push(Descriptor::new(node, timestamp));
-    }
-    let naddr = data.get_u8() as usize;
-    let mut addrs = Vec::with_capacity(naddr);
-    for _ in 0..naddr {
-        if data.remaining() < 5 {
-            return Err(DecodeError::Truncated);
-        }
-        let node = data.get_u32_le();
-        let kind = data.get_u8();
-        let addr = get_addr(kind, &mut data)?;
-        addrs.push((node, addr));
-    }
-    let message = decode_message(data)?;
-    Ok((
-        message,
-        Piggyback {
-            from,
-            descriptors,
-            addrs,
-        },
-    ))
-}
-
-/// Exact encoded size of a piggybacked aggregation datagram.
-pub fn piggyback_message_len(msg: &Message, piggyback: &Piggyback) -> usize {
-    piggyback_trailer_len(piggyback) + encoded_len(msg)
+fn get_trailer(data: &mut &[u8]) -> Result<Piggyback, DecodeError> {
+    let from = data.get_u32_le()?;
+    let ndesc = data.get_u8()? as usize;
+    let descriptors = get_descriptors(data, ndesc)?;
+    let naddr = data.get_u8()? as usize;
+    // The smallest entry is IPv4: node + kind + ip + port.
+    let addrs = get_list(data, naddr, 11, |data| {
+        let node = data.get_u32_le()?;
+        let kind = data.get_u8()?;
+        Ok((node, get_addr(kind, data)?))
+    })?;
+    Ok(Piggyback {
+        from,
+        descriptors,
+        addrs,
+    })
 }
 
 /// Wire bytes the membership trailer adds on top of the plain aggregation
 /// message — the share traffic accounting charges to the membership
 /// plane.
 pub fn piggyback_trailer_len(piggyback: &Piggyback) -> usize {
-    // version + tag + sender + descriptor count + descriptors + addr count
-    let mut len = 1 + 1 + 4 + 1 + 8 * piggyback.descriptors.len() + 1;
-    for &(_, addr) in &piggyback.addrs {
-        len += 4 + 1 + addr_len(addr); // node + addr kind + ip and port
-    }
-    len
+    counted(|n| put_trailer(n, piggyback))
 }
 
 // ---------------------------------------------------------------------
 // Query plane (tags 11–14)
 // ---------------------------------------------------------------------
 
-fn put_name(buf: &mut Vec<u8>, name: &str) {
+fn put_name<W: WireWrite>(buf: &mut W, name: &str) {
     debug_assert!(name.len() <= MAX_NAME_LEN);
     buf.put_u8(name.len() as u8);
-    buf.extend_from_slice(name.as_bytes());
+    buf.put(name.as_bytes());
 }
 
 fn get_name(data: &mut &[u8]) -> Result<String, DecodeError> {
-    if data.remaining() < 1 {
-        return Err(DecodeError::Truncated);
-    }
-    let len = data.get_u8() as usize;
-    if data.remaining() < len {
-        return Err(DecodeError::Truncated);
-    }
-    let (bytes, rest) = data.split_at(len);
-    let name = std::str::from_utf8(bytes).map_err(|_| DecodeError::BadName)?;
-    *data = rest;
+    let len = data.get_u8()? as usize;
+    let name = std::str::from_utf8(data.take(len)?).map_err(|_| DecodeError::BadName)?;
     Ok(name.to_string())
 }
 
-fn put_descriptor(buf: &mut Vec<u8>, d: &QueryDescriptor) {
+fn put_descriptor<W: WireWrite>(buf: &mut W, d: &QueryDescriptor) {
     put_name(buf, &d.name);
     buf.put_u8(kind_code(d.kind));
     buf.put_u32_le(d.gamma);
@@ -639,19 +591,16 @@ fn put_descriptor(buf: &mut Vec<u8>, d: &QueryDescriptor) {
 
 fn get_descriptor(data: &mut &[u8]) -> Result<QueryDescriptor, DecodeError> {
     let name = get_name(data)?;
-    if data.remaining() < 1 + 4 + 8 + 8 + 8 + 8 + 4 + 4 {
-        return Err(DecodeError::Truncated);
-    }
-    let kind_byte = data.get_u8();
+    let kind_byte = data.get_u8()?;
     let kind = kind_from_code(kind_byte).ok_or(DecodeError::BadTag(kind_byte))?;
     let mut descriptor = QueryDescriptor::new(name, kind);
-    descriptor.gamma = data.get_u32_le();
-    descriptor.cycle_length = data.get_u64_le();
-    descriptor.timeout = data.get_u64_le();
-    descriptor.ttl_ms = data.get_u64_le();
-    descriptor.default_value = data.get_f64_le();
-    let rate_per_sec = data.get_u32_le();
-    let burst = data.get_u32_le();
+    descriptor.gamma = data.get_u32_le()?;
+    descriptor.cycle_length = data.get_u64_le()?;
+    descriptor.timeout = data.get_u64_le()?;
+    descriptor.ttl_ms = data.get_u64_le()?;
+    descriptor.default_value = data.get_f64_le()?;
+    let rate_per_sec = data.get_u32_le()?;
+    let burst = data.get_u32_le()?;
     descriptor.admission = if rate_per_sec == 0 && burst == 0 {
         AdmissionConfig::UNLIMITED
     } else {
@@ -660,17 +609,10 @@ fn get_descriptor(data: &mut &[u8]) -> Result<QueryDescriptor, DecodeError> {
     Ok(descriptor)
 }
 
-fn descriptor_len(d: &QueryDescriptor) -> usize {
-    // name len + name + kind + gamma + cycle + timeout + ttl + default
-    // + rate + burst
-    1 + d.name.len() + 1 + 4 + 8 + 8 + 8 + 8 + 4 + 4
-}
-
-/// Appends a catalog gossip push (tag 11): the sender's full entry list,
+/// A catalog gossip push (tag 11): the sender's full entry list,
 /// tombstones included.
-pub fn encode_catalog_message_into(buf: &mut Vec<u8>, from: NodeId, entries: &[CatalogEntry]) {
-    buf.put_u8(WIRE_VERSION);
-    buf.put_u8(11);
+fn put_catalog<W: WireWrite>(buf: &mut W, from: NodeId, entries: &[CatalogEntry]) {
+    put_header(buf, 11);
     buf.put_u64_le(from.as_u64());
     buf.put_u16_le(entries.len() as u16);
     for entry in entries {
@@ -682,183 +624,81 @@ pub fn encode_catalog_message_into(buf: &mut Vec<u8>, from: NodeId, entries: &[C
     }
 }
 
-/// Decodes a catalog gossip push (tag 11).
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] on truncation, an unknown version or tag, an
-/// unknown aggregate kind, or a malformed query name.
-pub fn decode_catalog_message(mut data: &[u8]) -> Result<(NodeId, Vec<CatalogEntry>), DecodeError> {
-    if data.remaining() < 12 {
-        return Err(DecodeError::Truncated);
-    }
-    let version = data.get_u8();
-    if version != WIRE_VERSION {
-        return Err(DecodeError::BadVersion(version));
-    }
-    let tag = data.get_u8();
-    if tag != 11 {
-        return Err(DecodeError::BadTag(tag));
-    }
-    let from = NodeId::new(data.get_u64_le());
-    let count = data.get_u16_le() as usize;
-    let mut entries = Vec::with_capacity(count.min(256));
-    for _ in 0..count {
-        let descriptor = get_descriptor(&mut data)?;
-        if data.remaining() < 4 + 1 + 8 + 8 {
-            return Err(DecodeError::Truncated);
+fn get_catalog(data: &mut &[u8]) -> Result<WirePayload, DecodeError> {
+    let from = NodeId::new(data.get_u64_le()?);
+    let count = data.get_u16_le()? as usize;
+    // The smallest entry has an empty name: 46 descriptor bytes + 21.
+    let entries = get_list(data, count, 67, |data| {
+        Ok(CatalogEntry {
+            descriptor: get_descriptor(data)?,
+            version: data.get_u32_le()?,
+            deleted: data.get_u8()? != 0,
+            installed_at: data.get_u64_le()?,
+            expires_at: data.get_u64_le()?,
+        })
+    })?;
+    Ok(WirePayload::Catalog { from, entries })
+}
+
+/// A client RPC request (tag 13).
+fn put_rpc_request<W: WireWrite>(buf: &mut W, request: &RpcRequest) {
+    put_header(buf, 13);
+    buf.put_u64_le(request.id());
+    buf.put_u8(request.op_code());
+    match request {
+        RpcRequest::Install { descriptor, .. } => put_descriptor(buf, descriptor),
+        RpcRequest::Remove { name, .. } | RpcRequest::Read { name, .. } => put_name(buf, name),
+        RpcRequest::Submit { name, value, .. } => {
+            put_name(buf, name);
+            buf.put_f64_le(*value);
         }
-        let entry_version = data.get_u32_le();
-        let deleted = data.get_u8() != 0;
-        let installed_at = data.get_u64_le();
-        let expires_at = data.get_u64_le();
-        entries.push(CatalogEntry {
-            descriptor,
-            version: entry_version,
-            deleted,
-            installed_at,
-            expires_at,
-        });
     }
-    Ok((from, entries))
-}
-
-/// Exact encoded size of a catalog gossip push.
-pub fn catalog_message_len(entries: &[CatalogEntry]) -> usize {
-    // version + tag + sender + entry count
-    let mut len = 1 + 1 + 8 + 2;
-    for entry in entries {
-        // descriptor + version + deleted + installed_at + expires_at
-        len += descriptor_len(&entry.descriptor) + 4 + 1 + 8 + 8;
-    }
-    len
-}
-
-/// Appends a query-plane aggregation frame (tag 12): the owning query's
-/// name followed by a complete aggregation message, so concurrent named
-/// queries multiplex over one socket without interfering.
-pub fn encode_query_message_into(buf: &mut Vec<u8>, query: &str, msg: &Message) {
-    buf.put_u8(WIRE_VERSION);
-    buf.put_u8(12);
-    put_name(buf, query);
-    encode_message_into(buf, msg);
-}
-
-/// Decodes a query-plane aggregation frame (tag 12).
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] on truncation, an unknown version or tag, a
-/// malformed query name, or when the carried message fails to decode.
-pub fn decode_query_message(mut data: &[u8]) -> Result<(String, Message), DecodeError> {
-    if data.remaining() < 3 {
-        return Err(DecodeError::Truncated);
-    }
-    let version = data.get_u8();
-    if version != WIRE_VERSION {
-        return Err(DecodeError::BadVersion(version));
-    }
-    let tag = data.get_u8();
-    if tag != 12 {
-        return Err(DecodeError::BadTag(tag));
-    }
-    let query = get_name(&mut data)?;
-    let message = decode_message(data)?;
-    Ok((query, message))
-}
-
-/// Exact encoded size of a query-plane aggregation frame.
-pub fn query_message_len(query: &str, msg: &Message) -> usize {
-    // version + tag + name len + name + carried message
-    1 + 1 + 1 + query.len() + encoded_len(msg)
 }
 
 /// Encodes a client RPC request (tag 13).
 pub fn encode_rpc_request(request: &RpcRequest) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(rpc_request_len(request));
-    buf.put_u8(WIRE_VERSION);
-    buf.put_u8(13);
-    buf.put_u64_le(request.id());
-    buf.put_u8(request.op_code());
-    match request {
-        RpcRequest::Install { descriptor, .. } => put_descriptor(&mut buf, descriptor),
-        RpcRequest::Remove { name, .. } | RpcRequest::Read { name, .. } => put_name(&mut buf, name),
-        RpcRequest::Submit { name, value, .. } => {
-            put_name(&mut buf, name);
-            buf.put_f64_le(*value);
-        }
-    }
+    let mut buf = Vec::with_capacity(counted(|n| put_rpc_request(n, request)));
+    put_rpc_request(&mut buf, request);
     buf
 }
 
-/// Decodes a datagram produced by [`encode_rpc_request`].
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] on truncation, an unknown version, tag, op,
-/// or aggregate kind, or a malformed query name.
-pub fn decode_rpc_request(mut data: &[u8]) -> Result<RpcRequest, DecodeError> {
-    if data.remaining() < 11 {
-        return Err(DecodeError::Truncated);
-    }
-    let version = data.get_u8();
-    if version != WIRE_VERSION {
-        return Err(DecodeError::BadVersion(version));
-    }
-    let tag = data.get_u8();
-    if tag != 13 {
-        return Err(DecodeError::BadTag(tag));
-    }
-    let id = data.get_u64_le();
-    match data.get_u8() {
+fn get_rpc_request(data: &mut &[u8]) -> Result<RpcRequest, DecodeError> {
+    let id = data.get_u64_le()?;
+    match data.get_u8()? {
         0 => Ok(RpcRequest::Install {
             id,
-            descriptor: get_descriptor(&mut data)?,
+            descriptor: get_descriptor(data)?,
         }),
         1 => Ok(RpcRequest::Remove {
             id,
-            name: get_name(&mut data)?,
+            name: get_name(data)?,
         }),
-        2 => {
-            let name = get_name(&mut data)?;
-            if data.remaining() < 8 {
-                return Err(DecodeError::Truncated);
-            }
-            Ok(RpcRequest::Submit {
-                id,
-                name,
-                value: data.get_f64_le(),
-            })
-        }
+        2 => Ok(RpcRequest::Submit {
+            id,
+            name: get_name(data)?,
+            value: data.get_f64_le()?,
+        }),
         3 => Ok(RpcRequest::Read {
             id,
-            name: get_name(&mut data)?,
+            name: get_name(data)?,
         }),
         op => Err(DecodeError::BadTag(op)),
     }
 }
 
-/// Exact encoded size of [`encode_rpc_request`]'s output.
-pub fn rpc_request_len(request: &RpcRequest) -> usize {
-    // version + tag + request id + op
-    let header = 1 + 1 + 8 + 1;
-    header
-        + match request {
-            RpcRequest::Install { descriptor, .. } => descriptor_len(descriptor),
-            RpcRequest::Remove { name, .. } | RpcRequest::Read { name, .. } => 1 + name.len(),
-            RpcRequest::Submit { name, .. } => 1 + name.len() + 8,
-        }
-}
-
-/// Encodes a client RPC response (tag 14).
-pub fn encode_rpc_response(response: &RpcResponse) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(rpc_response_len());
-    buf.put_u8(WIRE_VERSION);
-    buf.put_u8(14);
+/// A client RPC response (tag 14).
+fn put_rpc_response<W: WireWrite>(buf: &mut W, response: &RpcResponse) {
+    put_header(buf, 14);
     buf.put_u64_le(response.id);
     buf.put_u8(response.status as u8);
     buf.put_f64_le(response.estimate);
     buf.put_u64_le(response.epoch);
+}
+
+/// Encodes a client RPC response (tag 14).
+pub fn encode_rpc_response(response: &RpcResponse) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(counted(|n| put_rpc_response(n, response)));
+    put_rpc_response(&mut buf, response);
     buf
 }
 
@@ -869,34 +709,22 @@ pub fn encode_rpc_response(response: &RpcResponse) -> Vec<u8> {
 /// Returns a [`DecodeError`] on truncation, an unknown version or tag, or
 /// an unknown status code.
 pub fn decode_rpc_response(mut data: &[u8]) -> Result<RpcResponse, DecodeError> {
-    if data.remaining() < rpc_response_len() {
-        return Err(DecodeError::Truncated);
+    match get_header(&mut data)? {
+        14 => get_rpc_response(&mut data),
+        tag => Err(DecodeError::BadTag(tag)),
     }
-    let version = data.get_u8();
-    if version != WIRE_VERSION {
-        return Err(DecodeError::BadVersion(version));
-    }
-    let tag = data.get_u8();
-    if tag != 14 {
-        return Err(DecodeError::BadTag(tag));
-    }
-    let id = data.get_u64_le();
-    let status_byte = data.get_u8();
+}
+
+fn get_rpc_response(data: &mut &[u8]) -> Result<RpcResponse, DecodeError> {
+    let id = data.get_u64_le()?;
+    let status_byte = data.get_u8()?;
     let status = RpcStatus::from_code(status_byte).ok_or(DecodeError::BadTag(status_byte))?;
-    let estimate = data.get_f64_le();
-    let epoch = data.get_u64_le();
     Ok(RpcResponse {
         id,
         status,
-        estimate,
-        epoch,
+        estimate: data.get_f64_le()?,
+        epoch: data.get_u64_le()?,
     })
-}
-
-/// Exact encoded size of [`encode_rpc_response`]'s output (responses are
-/// fixed-size).
-pub const fn rpc_response_len() -> usize {
-    1 + 1 + 8 + 1 + 8 + 8 // version + tag + id + status + estimate + epoch
 }
 
 /// Wraps an encoded catalog gossip push in a mux routing frame addressed
@@ -956,30 +784,37 @@ pub enum WireFrame<'a> {
     /// Query catalog gossip (tag 11): sending node, its full entry list.
     Catalog(NodeId, &'a [CatalogEntry]),
     /// A named query's aggregation frame (tag 12): owning query, message.
+    /// The name goes first so concurrent named queries multiplex over one
+    /// socket without interfering.
     Query(&'a str, &'a Message),
 }
 
 impl WireFrame<'_> {
+    fn put<W: WireWrite>(&self, buf: &mut W) {
+        match *self {
+            WireFrame::Aggregation(msg) => put_message(buf, msg),
+            WireFrame::Directory(payload) => put_directory(buf, payload),
+            WireFrame::Piggybacked(msg, piggyback) => {
+                put_trailer(buf, piggyback);
+                put_message(buf, msg);
+            }
+            WireFrame::Catalog(from, entries) => put_catalog(buf, from, entries),
+            WireFrame::Query(query, msg) => {
+                put_header(buf, 12);
+                put_name(buf, query);
+                put_message(buf, msg);
+            }
+        }
+    }
+
     /// Exact size of the body's encoding.
     pub fn encoded_len(&self) -> usize {
-        match *self {
-            WireFrame::Aggregation(msg) => encoded_len(msg),
-            WireFrame::Directory(payload) => directory_encoded_len(payload),
-            WireFrame::Piggybacked(msg, pb) => piggyback_message_len(msg, pb),
-            WireFrame::Catalog(_, entries) => catalog_message_len(entries),
-            WireFrame::Query(query, msg) => query_message_len(query, msg),
-        }
+        counted(|n| self.put(n))
     }
 
     /// Appends the body's plain (version + tag + …) encoding to `buf`.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        match *self {
-            WireFrame::Aggregation(msg) => encode_message_into(buf, msg),
-            WireFrame::Directory(payload) => encode_directory_message_into(buf, payload),
-            WireFrame::Piggybacked(msg, pb) => encode_piggyback_message_into(buf, msg, pb),
-            WireFrame::Catalog(from, entries) => encode_catalog_message_into(buf, from, entries),
-            WireFrame::Query(query, msg) => encode_query_message_into(buf, query, msg),
-        }
+        self.put(buf);
     }
 
     /// Encodes the body into a fresh, exactly sized buffer.
@@ -1026,39 +861,31 @@ impl WireFrame<'_> {
     }
 }
 
-/// Decodes any datagram, routing by plane (tags 0–3 vs 4–9 vs 10 vs
-/// 11–14).
+/// Decodes any datagram: reads `version · tag` once and hands the rest to
+/// the body decoder the tag names.
 ///
 /// # Errors
 ///
 /// Returns a [`DecodeError`] if the datagram is truncated, has an unknown
 /// version, or carries an unknown tag.
-pub fn decode_datagram(data: &[u8]) -> Result<WirePayload, DecodeError> {
-    if data.len() < 2 {
-        return Err(DecodeError::Truncated);
-    }
-    if data[0] != WIRE_VERSION {
-        return Err(DecodeError::BadVersion(data[0]));
-    }
-    match data[1] {
-        0..=3 => Ok(WirePayload::Aggregation(decode_message(data)?)),
-        4..=9 => Ok(WirePayload::Directory(decode_directory_message(data)?)),
+pub fn decode_datagram(mut data: &[u8]) -> Result<WirePayload, DecodeError> {
+    let data = &mut data;
+    Ok(match get_header(data)? {
+        tag @ 0..=3 => WirePayload::Aggregation(get_message_body(tag, data)?),
+        tag @ 4..=9 => WirePayload::Directory(get_directory(tag, data)?),
         10 => {
-            let (message, piggyback) = decode_piggyback_message(data)?;
-            Ok(WirePayload::Piggybacked(message, piggyback))
+            let piggyback = get_trailer(data)?;
+            WirePayload::Piggybacked(get_message(data)?, piggyback)
         }
-        11 => {
-            let (from, entries) = decode_catalog_message(data)?;
-            Ok(WirePayload::Catalog { from, entries })
-        }
-        12 => {
-            let (query, message) = decode_query_message(data)?;
-            Ok(WirePayload::Query { query, message })
-        }
-        13 => Ok(WirePayload::Rpc(decode_rpc_request(data)?)),
-        14 => Ok(WirePayload::RpcReply(decode_rpc_response(data)?)),
-        t => Err(DecodeError::BadTag(t)),
-    }
+        11 => get_catalog(data)?,
+        12 => WirePayload::Query {
+            query: get_name(data)?,
+            message: get_message(data)?,
+        },
+        13 => WirePayload::Rpc(get_rpc_request(data)?),
+        14 => WirePayload::RpcReply(get_rpc_response(data)?),
+        t => return Err(DecodeError::BadTag(t)),
+    })
 }
 
 /// Wraps an encoded v1 message in a mux routing frame addressed to the
@@ -1106,10 +933,7 @@ fn strip_version(data: &[u8], expected: u8) -> Result<&[u8], DecodeError> {
 /// Decodes `u64 destination vnode · message` — what a lone mux frame and
 /// a bundled one share.
 fn decode_routed(mut data: &[u8]) -> Result<(NodeId, WirePayload), DecodeError> {
-    if data.remaining() < 8 {
-        return Err(DecodeError::Truncated);
-    }
-    let to = NodeId::new(data.get_u64_le());
+    let to = NodeId::new(data.get_u64_le()?);
     Ok((to, decode_datagram(data)?))
 }
 
@@ -1145,10 +969,7 @@ fn put_varint(buf: &mut Vec<u8>, mut value: usize) {
 fn get_varint(data: &mut &[u8]) -> Result<usize, DecodeError> {
     let mut value = 0;
     for shift in [0, 7, 14] {
-        if data.remaining() < 1 {
-            return Err(DecodeError::Truncated);
-        }
-        let byte = data.get_u8();
+        let byte = data.get_u8()?;
         value |= usize::from(byte & 0x7F) << shift;
         if byte & 0x80 == 0 {
             return Ok(value);
@@ -1203,14 +1024,7 @@ impl Iterator for BundleFrames<'_> {
         if self.rest.is_empty() {
             return None;
         }
-        let body = get_varint(&mut self.rest).and_then(|len| {
-            if len > self.rest.len() {
-                return Err(DecodeError::Truncated);
-            }
-            let (body, rest) = self.rest.split_at(len);
-            self.rest = rest;
-            Ok(body)
-        });
+        let body = get_varint(&mut self.rest).and_then(|len| self.rest.take(len));
         if body.is_err() {
             self.rest = &[];
         }
@@ -1317,6 +1131,28 @@ mod tests {
     }
 
     #[test]
+    fn hostile_headers_counts_and_maps_are_errors() {
+        // Errors surface in wire order: the version byte is judged first.
+        assert_eq!(decode_datagram(&[9]), Err(DecodeError::BadVersion(9)));
+        assert_eq!(
+            decode_datagram(&[WIRE_VERSION]),
+            Err(DecodeError::Truncated)
+        );
+        // 20 bytes claiming 65,535 instance states.
+        let mut inflated = encode_message(&Message::request(NodeId::new(1), 0, vec![]));
+        inflated[18..20].copy_from_slice(&u16::MAX.to_le_bytes());
+        assert_eq!(decode_message(&inflated), Err(DecodeError::Truncated));
+        // `InstanceMap::from_entries` panics on a duplicate leader; the
+        // decoder must not hand it one.
+        let map = InstanceMap::from_entries([(3, 0.125), (900, 1.0)]);
+        let msg = Message::reply(NodeId::new(1), 0, vec![InstanceState::Map(map)]);
+        let mut encoded = encode_message(&msg);
+        assert_eq!(encoded[39..47], 900u64.to_le_bytes());
+        encoded[39..47].copy_from_slice(&3u64.to_le_bytes());
+        assert_eq!(decode_message(&encoded), Err(DecodeError::BadMap));
+    }
+
+    #[test]
     fn encoding_is_compact() {
         // The paper argues COUNT messages stay small ("a few hundred
         // bytes" for 20 instances); verify the format's arithmetic.
@@ -1365,8 +1201,11 @@ mod tests {
                 let descriptors = vec![Descriptor::new(1, 9), Descriptor::new(u32::MAX, 0)];
                 let payload = view(descriptors, reply, delta);
                 let encoded = WireFrame::Directory(&payload).encode();
-                assert_eq!(encoded.len(), directory_encoded_len(&payload));
-                assert_eq!(decode_directory_message(&encoded), Ok(payload));
+                assert_eq!(encoded.len(), WireFrame::Directory(&payload).encoded_len());
+                assert_eq!(
+                    decode_datagram(&encoded),
+                    Ok(WirePayload::Directory(payload))
+                );
             }
         }
     }
@@ -1391,7 +1230,7 @@ mod tests {
             let encoded = WireFrame::Directory(&view(descriptors.clone(), false, delta)).encode();
             for len in 0..encoded.len() {
                 assert_eq!(
-                    decode_directory_message(&encoded[..len]),
+                    decode_datagram(&encoded[..len]),
                     Err(DecodeError::Truncated),
                     "prefix of length {len} (delta={delta})"
                 );
@@ -1401,19 +1240,6 @@ mod tests {
                 Err(DecodeError::BadTag(if delta { 8 } else { 4 }))
             );
         }
-        // An aggregation message is not a view message and vice versa.
-        let agg = encode_message(&Message::refuse(NodeId::new(1), 0));
-        assert_eq!(decode_directory_message(&agg), Err(DecodeError::BadTag(3)));
-    }
-
-    #[test]
-    fn round_trip_mux_frame() {
-        let msg = Message::request(NodeId::new(77), 3, vec![InstanceState::Scalar(1.5)]);
-        let frame = encode_mux_frame(NodeId::new(1023), &msg);
-        assert_eq!(frame.len(), 1 + 8 + encoded_len(&msg));
-        let (to, decoded) = decode_mux_datagram(&frame).expect("decode");
-        assert_eq!(to, NodeId::new(1023));
-        assert_eq!(decoded, WirePayload::Aggregation(msg));
     }
 
     #[test]
@@ -1437,79 +1263,15 @@ mod tests {
     #[test]
     fn view_exchange_size_arithmetic() {
         // A c=30 view exchange: each side ships 31 descriptors.
-        assert_eq!(view_message_len(31), 1 + 1 + 4 + 2 + 31 * 8);
         let payload = view(
             (0..31).map(|i| Descriptor::new(i, i)).collect(),
             false,
             false,
         );
-        assert_eq!(directory_encoded_len(&payload), view_message_len(31));
-    }
-
-    #[test]
-    fn round_trip_join_and_introduce() {
-        let join = DirectoryPayload::Join { from: 0xBEEF };
-        let encoded = WireFrame::Directory(&join).encode();
-        assert_eq!(encoded.len(), directory_encoded_len(&join));
-        assert_eq!(decode_directory_message(&encoded), Ok(join));
-
-        let intro = DirectoryPayload::Introduce {
-            from: 7,
-            peers: vec![
-                IntroduceEntry {
-                    node: 1,
-                    timestamp: 99,
-                    addr: None,
-                },
-                IntroduceEntry {
-                    node: 2,
-                    timestamp: 0,
-                    addr: Some("127.0.0.1:4040".parse().unwrap()),
-                },
-                IntroduceEntry {
-                    node: u32::MAX,
-                    timestamp: u32::MAX,
-                    addr: Some("[2001:db8::1]:65535".parse().unwrap()),
-                },
-            ],
-        };
-        let encoded = WireFrame::Directory(&intro).encode();
-        assert_eq!(encoded.len(), directory_encoded_len(&intro));
-        assert_eq!(decode_directory_message(&encoded), Ok(intro));
-    }
-
-    #[test]
-    fn join_and_introduce_reject_truncation() {
-        let intro = DirectoryPayload::Introduce {
-            from: 3,
-            peers: vec![
-                IntroduceEntry {
-                    node: 1,
-                    timestamp: 2,
-                    addr: Some("10.0.0.1:9".parse().unwrap()),
-                },
-                IntroduceEntry {
-                    node: 4,
-                    timestamp: 5,
-                    addr: None,
-                },
-            ],
-        };
-        let encoded = WireFrame::Directory(&intro).encode();
-        for len in 0..encoded.len() {
-            assert_eq!(
-                decode_directory_message(&encoded[..len]),
-                Err(DecodeError::Truncated),
-                "prefix of length {len}"
-            );
-        }
-        let join = WireFrame::Directory(&DirectoryPayload::Join { from: 9 }).encode();
-        for len in 0..join.len() {
-            assert_eq!(
-                decode_directory_message(&join[..len]),
-                Err(DecodeError::Truncated)
-            );
-        }
+        assert_eq!(
+            WireFrame::Directory(&payload).encoded_len(),
+            1 + 1 + 4 + 2 + 31 * 8
+        );
     }
 
     #[test]
@@ -1592,10 +1354,10 @@ mod tests {
     fn round_trip_catalog_messages() {
         for entries in [vec![], sample_entries()] {
             let encoded = WireFrame::Catalog(NodeId::new(42), &entries).encode();
-            assert_eq!(encoded.len(), catalog_message_len(&entries));
-            let (from, decoded) = decode_catalog_message(&encoded).expect("decode");
-            assert_eq!(from, NodeId::new(42));
-            assert_eq!(decoded, entries);
+            assert_eq!(
+                encoded.len(),
+                WireFrame::Catalog(NodeId::new(42), &entries).encoded_len()
+            );
             assert_eq!(
                 decode_datagram(&encoded),
                 Ok(WirePayload::Catalog {
@@ -1612,7 +1374,7 @@ mod tests {
         let encoded = WireFrame::Catalog(NodeId::new(1), &entries).encode();
         for len in 0..encoded.len() {
             assert_eq!(
-                decode_catalog_message(&encoded[..len]),
+                decode_datagram(&encoded[..len]),
                 Err(DecodeError::Truncated),
                 "prefix of length {len}"
             );
@@ -1621,17 +1383,11 @@ mod tests {
         // sits right after the first name (header 12 + name len byte).
         let mut bad_kind = encoded.clone();
         bad_kind[12 + 1 + entries[0].descriptor.name.len()] = 250;
-        assert_eq!(
-            decode_catalog_message(&bad_kind),
-            Err(DecodeError::BadTag(250))
-        );
+        assert_eq!(decode_datagram(&bad_kind), Err(DecodeError::BadTag(250)));
         // Invalid UTF-8 in the name is rejected, not lossily accepted.
         let mut bad_name = encoded;
         bad_name[13] = 0xFF;
-        assert_eq!(decode_catalog_message(&bad_name), Err(DecodeError::BadName));
-        // Foreign tags bounce.
-        let agg = encode_message(&Message::refuse(NodeId::new(1), 0));
-        assert_eq!(decode_catalog_message(&agg), Err(DecodeError::BadTag(3)));
+        assert_eq!(decode_datagram(&bad_name), Err(DecodeError::BadName));
     }
 
     #[test]
@@ -1642,27 +1398,28 @@ mod tests {
             vec![InstanceState::Scalar(1.5), InstanceState::Scalar(0.25)],
         );
         let encoded = WireFrame::Query("load.p99", &msg).encode();
-        assert_eq!(encoded.len(), query_message_len("load.p99", &msg));
-        let (query, decoded) = decode_query_message(&encoded).expect("decode");
-        assert_eq!(query, "load.p99");
-        assert_eq!(decoded, msg);
+        // version + tag + name len + name + carried message
+        assert_eq!(
+            encoded.len(),
+            1 + 1 + 1 + "load.p99".len() + encoded_len(&msg)
+        );
         assert_eq!(
             decode_datagram(&encoded),
             Ok(WirePayload::Query {
-                query,
+                query: "load.p99".to_string(),
                 message: msg.clone(),
             })
         );
         for len in 0..encoded.len() {
             assert_eq!(
-                decode_query_message(&encoded[..len]),
+                decode_datagram(&encoded[..len]),
                 Err(DecodeError::Truncated),
                 "prefix of length {len}"
             );
         }
         // The mux framing routes to the right virtual node.
         let frame = encode_mux_query_frame(NodeId::new(77), "load.p99", &msg);
-        assert_eq!(frame.len(), 1 + 8 + query_message_len("load.p99", &msg));
+        assert_eq!(frame.len(), 1 + 8 + encoded.len());
         let (to, payload) = decode_mux_datagram(&frame).expect("decode");
         assert_eq!(to, NodeId::new(77));
         assert_eq!(
@@ -1670,22 +1427,6 @@ mod tests {
             WirePayload::Query {
                 query: "load.p99".to_string(),
                 message: msg,
-            }
-        );
-    }
-
-    #[test]
-    fn mux_catalog_frames_round_trip() {
-        let entries = sample_entries();
-        let frame = encode_mux_catalog_frame(NodeId::new(5), NodeId::new(2), &entries);
-        assert_eq!(frame.len(), 1 + 8 + catalog_message_len(&entries));
-        let (to, payload) = decode_mux_datagram(&frame).expect("decode");
-        assert_eq!(to, NodeId::new(5));
-        assert_eq!(
-            payload,
-            WirePayload::Catalog {
-                from: NodeId::new(2),
-                entries,
             }
         );
     }
@@ -1713,12 +1454,10 @@ mod tests {
         ];
         for request in requests {
             let encoded = encode_rpc_request(&request);
-            assert_eq!(encoded.len(), rpc_request_len(&request), "{request:?}");
-            assert_eq!(decode_rpc_request(&encoded), Ok(request.clone()));
             assert_eq!(decode_datagram(&encoded), Ok(WirePayload::Rpc(request)));
             for len in 0..encoded.len() {
                 assert_eq!(
-                    decode_rpc_request(&encoded[..len]),
+                    decode_datagram(&encoded[..len]),
                     Err(DecodeError::Truncated),
                     "prefix of length {len}"
                 );
@@ -1730,7 +1469,7 @@ mod tests {
             name: "q".to_string(),
         });
         bad_op[10] = 9;
-        assert_eq!(decode_rpc_request(&bad_op), Err(DecodeError::BadTag(9)));
+        assert_eq!(decode_datagram(&bad_op), Err(DecodeError::BadTag(9)));
     }
 
     #[test]
@@ -1747,7 +1486,8 @@ mod tests {
         ];
         for response in responses {
             let encoded = encode_rpc_response(&response);
-            assert_eq!(encoded.len(), rpc_response_len());
+            // version + tag + id + status + estimate + epoch: fixed-size
+            assert_eq!(encoded.len(), 1 + 1 + 8 + 1 + 8 + 8);
             assert_eq!(decode_rpc_response(&encoded), Ok(response.clone()));
             assert_eq!(
                 decode_datagram(&encoded),
@@ -1765,87 +1505,6 @@ mod tests {
         let mut bad = encode_rpc_response(&RpcResponse::ack(1));
         bad[10] = 200;
         assert_eq!(decode_rpc_response(&bad), Err(DecodeError::BadTag(200)));
-    }
-
-    #[test]
-    fn round_trip_piggyback_messages() {
-        let msg = Message::request(
-            NodeId::new(77),
-            3,
-            vec![InstanceState::Scalar(1.5), InstanceState::Scalar(-0.25)],
-        );
-        for pb in [
-            Piggyback {
-                from: 12,
-                descriptors: vec![],
-                addrs: vec![],
-            },
-            Piggyback {
-                from: u32::MAX,
-                descriptors: vec![Descriptor::new(1, 9), Descriptor::new(2, u32::MAX)],
-                addrs: vec![
-                    (1, "10.1.2.3:7001".parse().unwrap()),
-                    (2, "[2001:db8::9]:65535".parse().unwrap()),
-                ],
-            },
-        ] {
-            let encoded = WireFrame::Piggybacked(&msg, &pb).encode();
-            assert_eq!(encoded.len(), piggyback_message_len(&msg, &pb));
-            assert_eq!(
-                encoded.len(),
-                piggyback_trailer_len(&pb) + encoded_len(&msg),
-                "trailer arithmetic"
-            );
-            let (decoded, decoded_pb) = decode_piggyback_message(&encoded).expect("decode");
-            assert_eq!(decoded, msg);
-            assert_eq!(decoded_pb, pb);
-        }
-    }
-
-    #[test]
-    fn piggyback_rejects_truncation_and_foreign_tags() {
-        let msg = Message::request(NodeId::new(1), 2, vec![InstanceState::Scalar(0.5)]);
-        let pb = Piggyback {
-            from: 3,
-            descriptors: vec![Descriptor::new(4, 5)],
-            addrs: vec![(4, "127.0.0.1:9000".parse().unwrap())],
-        };
-        let encoded = WireFrame::Piggybacked(&msg, &pb).encode();
-        for len in 0..encoded.len() {
-            assert_eq!(
-                decode_piggyback_message(&encoded[..len]),
-                Err(DecodeError::Truncated),
-                "prefix of length {len}"
-            );
-        }
-        let plain = encode_message(&msg);
-        assert_eq!(
-            decode_piggyback_message(&plain),
-            Err(DecodeError::BadTag(0))
-        );
-    }
-
-    #[test]
-    fn mux_directory_frames_round_trip() {
-        let payload = DirectoryPayload::Introduce {
-            from: 2,
-            peers: vec![IntroduceEntry {
-                node: 3,
-                timestamp: 4,
-                addr: Some("127.0.0.1:5555".parse().unwrap()),
-            }],
-        };
-        let frame = encode_mux_directory_frame(NodeId::new(900), &payload);
-        assert_eq!(frame.len(), 1 + 8 + directory_encoded_len(&payload));
-        let (to, decoded) = decode_mux_datagram(&frame).expect("decode");
-        assert_eq!(to, NodeId::new(900));
-        assert_eq!(decoded, WirePayload::Directory(payload));
-
-        // Aggregation frames route through the same decoder.
-        let msg = Message::refuse(NodeId::new(1), 0);
-        let (to, decoded) = decode_mux_datagram(&encode_mux_frame(NodeId::new(5), &msg)).unwrap();
-        assert_eq!(to, NodeId::new(5));
-        assert_eq!(decoded, WirePayload::Aggregation(msg));
     }
 
     #[test]

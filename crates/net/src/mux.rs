@@ -680,6 +680,10 @@ struct Shared {
     datagrams_sent: Counter,
     /// `io.datagrams_received` — datagrams the reader threads drained.
     datagrams_received: Counter,
+    /// `io.decode_errors` — input dropped undecoded: a datagram that is
+    /// not a bundle, a bundle frame that fails to decode, a cut-off
+    /// bundle tail, a non-request at the RPC listener.
+    decode_errors: Counter,
     /// `io.syscalls_per_datagram` — syscalls per *frame* moved (the name
     /// predates bundling); refreshed on the timer's maintenance tick.
     syscalls_per_datagram: Gauge,
@@ -935,6 +939,7 @@ impl MuxCluster {
             fire_lag: registry.histogram("timer.fire_lag_us"),
             datagrams_sent: registry.counter("io.datagrams_sent"),
             datagrams_received: registry.counter("io.datagrams_received"),
+            decode_errors: registry.counter("io.decode_errors"),
             syscalls_per_datagram: registry.gauge("io.syscalls_per_datagram"),
             frames_per_datagram: registry.gauge("io.frames_per_datagram"),
             view_mean_size: registry.gauge("membership.view_mean_size"),
@@ -1271,10 +1276,15 @@ fn reader_loop(shared: &Shared, reader: usize) {
                         }
                     }
                     let Ok(frames) = decode_bundle(batch.datagram(i)) else {
+                        shared.decode_errors.inc();
                         continue; // not a bundle: drop, stay alive
                     };
                     // Corrupt frames and a cut-off tail drop; the rest arrive.
-                    for (to, payload) in frames.flatten() {
+                    for frame in frames {
+                        let Ok((to, payload)) = frame else {
+                            shared.decode_errors.inc();
+                            continue;
+                        };
                         let Some(local) = to.index().checked_sub(shared.base) else {
                             continue; // foreign shard's vnode: misrouted, drop
                         };
@@ -1483,6 +1493,7 @@ fn rpc_loop(shared: &Shared, socket: &UdpSocket) {
         match socket.recv_from(&mut buf) {
             Ok((len, src)) => {
                 let Ok(WirePayload::Rpc(request)) = decode_datagram(&buf[..len]) else {
+                    shared.decode_errors.inc();
                     continue; // not a client request: drop, stay alive
                 };
                 let index = next % shared.nodes.len();
@@ -1781,6 +1792,49 @@ mod tests {
         assert!(!estimates.is_empty(), "no epochs completed");
         let last = *estimates.last().unwrap();
         assert!((last - 15.0).abs() < 0.5, "final estimate {last}");
+    }
+
+    #[test]
+    fn garbage_on_reader_and_rpc_sockets_is_counted_and_survived() {
+        let cluster = MuxCluster::spawn(
+            MuxClusterConfig::new(2, node_config(8, 25))
+                .with_workers(2)
+                .with_rpc_addr("127.0.0.1:0".parse().unwrap()),
+            |i| (i as f64 + 1.0) * 10.0, // 10, 20: average 15
+        )
+        .unwrap();
+        let hostile = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let refuse = Message::refuse(NodeId::new(1), 0);
+        let frame = WireFrame::Aggregation(&refuse);
+        // At a reader: something that is not a bundle, a bundle whose one
+        // frame is corrupt (header, length, vnode, then the message's
+        // version byte), and a good frame followed by a cut-off tail.
+        let mut corrupt = Vec::new();
+        push_bundle_frame(&mut corrupt, NodeId::new(0), &frame);
+        let mut cut = corrupt.clone();
+        corrupt[1 + 1 + 8] = 0xEE;
+        cut.extend_from_slice(&[32, 1, 2, 3]);
+        for datagram in [&b"not a bundle"[..], &corrupt, &cut] {
+            hostile.send_to(datagram, cluster.addr()).unwrap();
+        }
+        // At the RPC listener: noise, and a frame that is no request.
+        for datagram in [&b"junk"[..], &frame.encode()] {
+            hostile
+                .send_to(datagram, cluster.rpc_addr().unwrap())
+                .unwrap();
+        }
+        std::thread::sleep(Duration::from_millis(900));
+        assert_eq!(cluster.registry().counter_value("io.decode_errors"), 5);
+        assert_eq!(cluster.total_datagram_counts().send_errors, 0);
+        let reports = cluster.take_all_reports();
+        cluster.shutdown();
+        let last = reports
+            .iter()
+            .flatten()
+            .last()
+            .expect("no epochs completed");
+        let estimate = last.scalar(0).unwrap();
+        assert!((estimate - 15.0).abs() < 0.5, "final estimate {estimate}");
     }
 
     #[test]

@@ -1,23 +1,27 @@
-//! Property-based tests of the wire codec's size arithmetic and framing.
+//! Property-based tests of the wire codec's size derivation and framing.
 //!
-//! The event engine charges view traffic against a bandwidth model using
-//! the `*_len` helpers instead of encoding real buffers, so the central
-//! invariant pinned here is `encoded_len() == encode().len()` over
-//! arbitrary messages — aggregation bodies, view exchanges, and mux
-//! frames alike — plus decode round-trips for everything generated.
-//! The bundle properties at the end pin what the mux runtime actually
-//! puts on the wire: many frames per datagram, length-delimited, where a
-//! corrupt frame or a truncated tail never takes its neighbours along.
+//! The event engine charges traffic against a bandwidth model using
+//! `WireFrame::encoded_len` instead of encoding real buffers, so the
+//! central invariant pinned here is `encoded_len() == encode().len()`
+//! over arbitrary frames of every plane — one generic property, plain,
+//! behind the lone mux prefix and inside a bundle — plus decode
+//! round-trips, truncation and re-tagging for everything generated.
+//! The bundle properties pin what the mux runtime actually puts on the
+//! wire: many frames per datagram, length-delimited, where a corrupt
+//! frame or a truncated tail never takes its neighbours along. The
+//! plain tests at the end pin the bytes themselves (golden frames) and
+//! sweep damaged input through every decoder (the fuzz loop).
 
 use epidemic_aggregation::value::InstanceMap;
 use epidemic_aggregation::{InstanceState, Message};
+use epidemic_common::rng::Xoshiro256;
 use epidemic_common::NodeId;
 use epidemic_net::codec::{
-    bundle_frame_len, decode_bundle, decode_datagram, decode_directory_message, decode_message,
-    decode_mux_datagram, decode_piggyback_message, directory_encoded_len, encode_message,
-    encode_mux_directory_frame, encode_mux_frame, encoded_len, piggyback_message_len,
-    piggyback_trailer_len, push_bundle_frame, view_message_len, DecodeError, WireFrame,
-    WirePayload, BUNDLE_BUDGET, BUNDLE_VERSION, MUX_WIRE_VERSION, WIRE_VERSION,
+    bundle_frame_len, decode_bundle, decode_datagram, decode_message, decode_mux_datagram,
+    decode_rpc_response, encode_message, encode_mux_catalog_frame, encode_mux_directory_frame,
+    encode_mux_frame, encode_mux_query_frame, encode_rpc_request, encode_rpc_response, encoded_len,
+    piggyback_trailer_len, push_bundle_frame, DecodeError, WireFrame, WirePayload, BUNDLE_BUDGET,
+    BUNDLE_VERSION, MUX_WIRE_VERSION, WIRE_VERSION,
 };
 use epidemic_net::directory::{DirectoryPayload, IntroduceEntry, Piggyback};
 use epidemic_newscast::node::ViewPayload;
@@ -27,6 +31,7 @@ use epidemic_query::{
     RpcStatus,
 };
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use std::net::{IpAddr, SocketAddr};
 
 /// Raw generated material for one query descriptor: `(name, kind code,
@@ -123,19 +128,39 @@ fn message(from: u64, epoch: u64, tag: u8, states_raw: Vec<StateRaw>) -> Message
     }
 }
 
-/// One frame of any plane a mux socket carries, as the decoder reports it.
+/// An optional socket address from generated raw material: kind 0 none,
+/// 1 IPv4, anything else IPv6.
+fn socket_addr(kind: u8, ip: u32, port: u32) -> Option<SocketAddr> {
+    match kind {
+        0 => None,
+        1 => Some(SocketAddr::new(IpAddr::from(ip.to_le_bytes()), port as u16)),
+        _ => {
+            let mut octets = [0u8; 16];
+            octets[..4].copy_from_slice(&ip.to_le_bytes());
+            octets[12..].copy_from_slice(&port.to_le_bytes());
+            Some(SocketAddr::new(IpAddr::from(octets), (port >> 16) as u16))
+        }
+    }
+}
+
+/// One frame of any plane a mux socket carries, as the decoder reports
+/// it: the four aggregation bodies, full and delta views, join,
+/// introduce (with and without addresses), piggybacked trailers (with and
+/// without addresses), catalog pushes and named-query frames.
 fn wire_payload() -> impl Strategy<Value = WirePayload> {
     (
-        (0u8..5, any::<u64>(), any::<u64>(), any::<u8>()),
+        (0u8..7, any::<u64>(), any::<u64>(), any::<u8>()),
         prop::collection::vec(
             (
                 any::<bool>(),
                 -1e6f64..1e6,
-                prop::collection::vec((any::<u64>(), 0.0f64..1.0), 0..4),
+                prop::collection::vec((any::<u64>(), 0.0f64..1.0), 0..6),
             ),
-            0..3,
+            0..4,
         ),
-        prop::collection::vec((any::<u32>(), any::<u32>()), 0..6),
+        prop::collection::vec((any::<u32>(), any::<u32>()), 0..24),
+        // (node, addr kind, ip material, port material)
+        prop::collection::vec((any::<u32>(), 0u8..3, any::<u32>(), any::<u32>()), 0..6),
         query_name(),
         prop::collection::vec(
             (
@@ -145,11 +170,11 @@ fn wire_payload() -> impl Strategy<Value = WirePayload> {
                 any::<u64>(),
                 any::<u64>(),
             ),
-            0..3,
+            0..4,
         ),
     )
         .prop_map(
-            |((plane, from, epoch, tag), states, descs, name, entries)| {
+            |((plane, from, epoch, tag), states, descs, addrs, name, entries)| {
                 let msg = message(from, epoch, tag, states);
                 let descriptors: Vec<Descriptor> =
                     descs.iter().map(|&(n, t)| Descriptor::new(n, t)).collect();
@@ -168,17 +193,37 @@ fn wire_payload() -> impl Strategy<Value = WirePayload> {
                         Piggyback {
                             from: from as u32,
                             descriptors,
-                            addrs: vec![],
+                            addrs: addrs
+                                .iter()
+                                .filter_map(|&(node, kind, ip, port)| {
+                                    Some((node, socket_addr(kind, ip, port)?))
+                                })
+                                .collect(),
                         },
                     ),
                     3 => WirePayload::Catalog {
                         from: NodeId::new(from),
                         entries: catalog_entries(entries),
                     },
-                    _ => WirePayload::Query {
+                    4 => WirePayload::Query {
                         query: name,
                         message: msg,
                     },
+                    5 => WirePayload::Directory(DirectoryPayload::Join { from: from as u32 }),
+                    _ => WirePayload::Directory(DirectoryPayload::Introduce {
+                        from: from as u32,
+                        peers: descs
+                            .iter()
+                            .zip(addrs.iter().cycle())
+                            .map(
+                                |(&(node, timestamp), &(_, kind, ip, port))| IntroduceEntry {
+                                    node,
+                                    timestamp,
+                                    addr: socket_addr(kind, ip, port),
+                                },
+                            )
+                            .collect(),
+                    }),
                 }
             },
         )
@@ -218,266 +263,73 @@ fn expected(frames: &[(u64, WirePayload)]) -> Vec<Result<(NodeId, WirePayload), 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
+    /// Everything a frame of any plane owes its callers, in one place.
     #[test]
-    fn encoded_len_matches_encode_for_aggregation_messages(
-        from in any::<u64>(),
-        epoch in any::<u64>(),
-        tag in 0u8..4,
-        states_raw in prop::collection::vec(
-            (any::<bool>(), -1e12f64..1e12, prop::collection::vec((any::<u64>(), 0.0f64..1.0), 0..8)),
-            0..5,
-        ),
+    fn every_frame_sizes_round_trips_and_rejects_damage(
+        to in any::<u64>(),
+        payload in wire_payload(),
+        bump in 1u8..200,
     ) {
-        let msg = message(from, epoch, tag, states_raw);
-        let encoded = encode_message(&msg);
-        prop_assert_eq!(encoded_len(&msg), encoded.len(), "encoded_len mismatch for {:?}", msg);
-        let decoded = decode_message(&encoded).expect("round trip");
-        prop_assert_eq!(decoded, msg);
-    }
-
-    #[test]
-    fn encoded_len_matches_encode_for_view_messages(
-        from in any::<u32>(),
-        reply in any::<bool>(),
-        delta in any::<bool>(),
-        raw in prop::collection::vec((any::<u32>(), any::<u32>()), 0..40),
-    ) {
-        // Full and delta view messages share one layout; the tag alone
-        // (4/5 vs 8/9) carries the full-vs-delta bit.
-        let payload = DirectoryPayload::View {
-            view: ViewPayload {
-                from,
-                descriptors: raw.iter().map(|&(n, t)| Descriptor::new(n, t)).collect(),
-            },
-            reply,
-            delta,
+        let to = NodeId::new(to);
+        let frame = frame_of(&payload);
+        let encoded = frame.encode();
+        // The size is the encoder on a counting sink: never a different number.
+        prop_assert_eq!(frame.encoded_len(), encoded.len(), "encoded_len for {:?}", payload);
+        let mut appended = vec![0xAA];
+        frame.encode_into(&mut appended);
+        prop_assert_eq!(&appended[1..], &encoded[..], "encode_into appends");
+        prop_assert_eq!(decode_datagram(&encoded), Ok(payload.clone()));
+        match &payload {
+            // The plain-`Message` entry points are the same layout.
+            WirePayload::Aggregation(msg) => {
+                prop_assert_eq!(encoded_len(msg), encoded.len());
+                prop_assert_eq!(&encode_message(msg), &encoded);
+                prop_assert_eq!(decode_message(&encoded), Ok(msg.clone()));
+            }
+            // The trailer is what the membership ledger gets charged:
+            // exactly what it adds to the message it rides on.
+            WirePayload::Piggybacked(msg, piggyback) => {
+                prop_assert_eq!(piggyback_trailer_len(piggyback) + encoded_len(msg), encoded.len());
+            }
+            _ => {}
+        }
+        // Every strict prefix runs out of input somewhere, and says so.
+        for cut in 0..encoded.len() {
+            prop_assert_eq!(
+                decode_datagram(&encoded[..cut]),
+                Err(DecodeError::Truncated),
+                "prefix of length {} of {:?}", cut, payload
+            );
+        }
+        // A foreign wire version is rejected before any payload parsing…
+        let mut damaged = encoded.clone();
+        damaged[0] = WIRE_VERSION.wrapping_add(bump);
+        prop_assert_eq!(decode_datagram(&damaged), Err(DecodeError::BadVersion(damaged[0])));
+        // …and under any other tag the body is parsed as that tag's
+        // layout: whatever comes out, it is not this payload.
+        damaged[0] = WIRE_VERSION;
+        for tag in (0..=15).filter(|&tag| tag != encoded[1]) {
+            damaged[1] = tag;
+            prop_assert!(decode_datagram(&damaged) != Ok(payload.clone()), "re-tagged {}", tag);
+        }
+        // Behind the lone mux prefix: 9 bytes in front, routed by vnode.
+        let lone = match &payload {
+            WirePayload::Aggregation(msg) => encode_mux_frame(to, msg),
+            WirePayload::Directory(directory) => encode_mux_directory_frame(to, directory),
+            WirePayload::Catalog { from, entries } => encode_mux_catalog_frame(to, *from, entries),
+            WirePayload::Query { query, message } => encode_mux_query_frame(to, query, message),
+            // No lone encoder exists for a trailer; the prefix is public.
+            _ => [&[MUX_WIRE_VERSION][..], &to.as_u64().to_le_bytes(), &encoded].concat(),
         };
-        let encoded = WireFrame::Directory(&payload).encode();
-        prop_assert_eq!(view_message_len(raw.len()), encoded.len());
-        prop_assert_eq!(directory_encoded_len(&payload), encoded.len());
-        prop_assert_eq!(encoded[1], [[4, 5], [8, 9]][usize::from(delta)][usize::from(reply)]);
-        let decoded = decode_directory_message(&encoded).expect("round trip");
-        prop_assert_eq!(&decoded, &payload);
-        // The plane router agrees with the dedicated decoder.
-        prop_assert_eq!(decode_datagram(&encoded), Ok(WirePayload::Directory(payload)));
-    }
-
-    #[test]
-    fn piggybacked_message_round_trips_and_sizes_match(
-        from in any::<u64>(),
-        epoch in any::<u64>(),
-        tag in 0u8..4,
-        states_raw in prop::collection::vec(
-            (any::<bool>(), -1e6f64..1e6, prop::collection::vec((any::<u64>(), 0.0f64..1.0), 0..4)),
-            0..3,
-        ),
-        pb_from in any::<u32>(),
-        descs in prop::collection::vec((any::<u32>(), any::<u32>()), 0..8),
-        addrs in prop::collection::vec(
-            // (node, v6?, ip material, port material)
-            (any::<u32>(), any::<bool>(), any::<u32>(), any::<u32>()),
-            0..6,
-        ),
-        mux_to in any::<u64>(),
-    ) {
-        let msg = message(from, epoch, tag, states_raw);
-        let piggyback = Piggyback {
-            from: pb_from,
-            descriptors: descs.iter().map(|&(n, t)| Descriptor::new(n, t)).collect(),
-            addrs: addrs
-                .iter()
-                .map(|&(node, v6, ip, port)| {
-                    let port = port as u16;
-                    let addr = if v6 {
-                        let mut octets = [0u8; 16];
-                        octets[..4].copy_from_slice(&ip.to_le_bytes());
-                        SocketAddr::new(IpAddr::from(octets), port)
-                    } else {
-                        SocketAddr::new(IpAddr::from(ip.to_le_bytes()), port)
-                    };
-                    (node, addr)
-                })
-                .collect(),
-        };
-        let encoded = WireFrame::Piggybacked(&msg, &piggyback).encode();
-        prop_assert_eq!(piggyback_message_len(&msg, &piggyback), encoded.len());
-        // The trailer is what the membership ledger gets charged; it must
-        // never exceed the datagram it rides on.
-        prop_assert!(piggyback_trailer_len(&piggyback) < encoded.len());
-        let (dmsg, dpb) = decode_piggyback_message(&encoded).expect("round trip");
-        prop_assert_eq!(&dmsg, &msg);
-        prop_assert_eq!(&dpb, &piggyback);
-        // The plane router agrees with the dedicated decoder.
-        prop_assert_eq!(
-            decode_datagram(&encoded).expect("datagram"),
-            epidemic_net::codec::WirePayload::Piggybacked(msg.clone(), piggyback.clone())
-        );
-        // And a bundle routes it by destination vnode.
+        prop_assert_eq!(lone.len(), 1 + 8 + encoded.len());
+        prop_assert_eq!(&lone[9..], &encoded[..]);
+        prop_assert_eq!(decode_mux_datagram(&lone), Ok((to, payload.clone())));
+        // Inside a bundle: header byte, then the len twin's worth of frame.
         let mut bundle = Vec::new();
-        let frame = WireFrame::Piggybacked(&msg, &piggyback);
-        push_bundle_frame(&mut bundle, NodeId::new(mux_to), &frame);
-        prop_assert_eq!(1 + bundle_frame_len(&frame), bundle.len());
-        let decoded: Vec<_> = decode_bundle(&bundle).expect("bundle").collect();
-        prop_assert_eq!(
-            decoded,
-            vec![Ok((NodeId::new(mux_to), WirePayload::Piggybacked(msg, piggyback)))]
-        );
-    }
-
-    #[test]
-    fn mux_frame_len_matches_and_routes(
-        to in any::<u64>(),
-        from in any::<u64>(),
-        epoch in any::<u64>(),
-        tag in 0u8..4,
-        states_raw in prop::collection::vec(
-            (any::<bool>(), -1e6f64..1e6, prop::collection::vec((any::<u64>(), 0.0f64..1.0), 0..4)),
-            0..3,
-        ),
-    ) {
-        let msg = message(from, epoch, tag, states_raw);
-        let frame = encode_mux_frame(NodeId::new(to), &msg);
-        prop_assert_eq!(1 + 8 + encoded_len(&msg), frame.len());
-        let (dst, decoded) = decode_mux_datagram(&frame).expect("round trip");
-        prop_assert_eq!(dst, NodeId::new(to));
-        prop_assert_eq!(decoded, WirePayload::Aggregation(msg));
-    }
-
-    #[test]
-    fn encoded_len_matches_encode_for_join_and_introduce(
-        from in any::<u32>(),
-        is_join in any::<bool>(),
-        raw in prop::collection::vec(
-            // (node, timestamp, addr kind, ip material, port)
-            (any::<u32>(), any::<u32>(), 0u8..3, any::<u32>(), any::<u32>()),
-            0..24,
-        ),
-    ) {
-        let payload = if is_join {
-            DirectoryPayload::Join { from }
-        } else {
-            let peers = raw
-                .iter()
-                .map(|&(node, timestamp, kind, ip, port)| IntroduceEntry {
-                    node,
-                    timestamp,
-                    addr: match kind {
-                        0 => None,
-                        1 => Some(SocketAddr::new(
-                            IpAddr::from(ip.to_le_bytes()),
-                            port as u16,
-                        )),
-                        _ => {
-                            let mut octets = [0u8; 16];
-                            octets[..4].copy_from_slice(&ip.to_le_bytes());
-                            octets[12..].copy_from_slice(&port.to_le_bytes());
-                            Some(SocketAddr::new(IpAddr::from(octets), (port >> 16) as u16))
-                        }
-                    },
-                })
-                .collect();
-            DirectoryPayload::Introduce { from, peers }
-        };
-        let encoded = WireFrame::Directory(&payload).encode();
-        prop_assert_eq!(directory_encoded_len(&payload), encoded.len());
-        let decoded = decode_directory_message(&encoded).expect("round trip");
-        prop_assert_eq!(&decoded, &payload);
-        // The plane router agrees with the dedicated decoder.
-        prop_assert_eq!(
-            decode_datagram(&encoded).expect("datagram"),
-            epidemic_net::codec::WirePayload::Directory(payload)
-        );
-    }
-
-    #[test]
-    fn mux_directory_frame_len_matches_and_routes(
-        to in any::<u64>(),
-        from in any::<u32>(),
-        raw in prop::collection::vec((any::<u32>(), any::<u32>()), 0..16),
-    ) {
-        let payload = DirectoryPayload::Introduce {
-            from,
-            peers: raw
-                .iter()
-                .map(|&(node, timestamp)| IntroduceEntry { node, timestamp, addr: None })
-                .collect(),
-        };
-        let frame = encode_mux_directory_frame(NodeId::new(to), &payload);
-        prop_assert_eq!(1 + 8 + directory_encoded_len(&payload), frame.len());
-        let (dst, decoded) = decode_mux_datagram(&frame).expect("round trip");
-        prop_assert_eq!(dst, NodeId::new(to));
-        prop_assert_eq!(decoded, epidemic_net::codec::WirePayload::Directory(payload));
-    }
-
-    #[test]
-    fn catalog_message_len_matches_and_round_trips(
-        from in any::<u64>(),
-        mux_to in any::<u64>(),
-        raw in prop::collection::vec(
-            (descriptor_raw(), any::<u32>(), any::<bool>(), any::<u64>(), any::<u64>()),
-            0..6,
-        ),
-    ) {
-        let entries = catalog_entries(raw);
-        let from = NodeId::new(from);
-        let encoded = WireFrame::Catalog(from, &entries).encode();
-        prop_assert_eq!(epidemic_net::codec::catalog_message_len(&entries), encoded.len());
-        let (dfrom, dentries) =
-            epidemic_net::codec::decode_catalog_message(&encoded).expect("round trip");
-        prop_assert_eq!(dfrom, from);
-        prop_assert_eq!(&dentries, &entries);
-        // The plane router agrees with the dedicated decoder.
-        prop_assert_eq!(
-            decode_datagram(&encoded).expect("datagram"),
-            epidemic_net::codec::WirePayload::Catalog { from, entries: entries.clone() }
-        );
-        // The mux framing routes it by destination vnode.
-        let frame =
-            epidemic_net::codec::encode_mux_catalog_frame(NodeId::new(mux_to), from, &entries);
-        prop_assert_eq!(1 + 8 + epidemic_net::codec::catalog_message_len(&entries), frame.len());
-        let (dst, decoded) = decode_mux_datagram(&frame).expect("mux round trip");
-        prop_assert_eq!(dst, NodeId::new(mux_to));
-        prop_assert_eq!(
-            decoded,
-            epidemic_net::codec::WirePayload::Catalog { from, entries }
-        );
-    }
-
-    #[test]
-    fn query_frame_len_matches_and_routes(
-        name in query_name(),
-        from in any::<u64>(),
-        epoch in any::<u64>(),
-        tag in 0u8..4,
-        mux_to in any::<u64>(),
-        states_raw in prop::collection::vec(
-            (any::<bool>(), -1e6f64..1e6, prop::collection::vec((any::<u64>(), 0.0f64..1.0), 0..4)),
-            0..3,
-        ),
-    ) {
-        let msg = message(from, epoch, tag, states_raw);
-        let encoded = WireFrame::Query(&name, &msg).encode();
-        prop_assert_eq!(epidemic_net::codec::query_message_len(&name, &msg), encoded.len());
-        let (dname, dmsg) =
-            epidemic_net::codec::decode_query_message(&encoded).expect("round trip");
-        prop_assert_eq!(&dname, &name);
-        prop_assert_eq!(&dmsg, &msg);
-        prop_assert_eq!(
-            decode_datagram(&encoded).expect("datagram"),
-            epidemic_net::codec::WirePayload::Query { query: name.clone(), message: msg.clone() }
-        );
-        let frame =
-            epidemic_net::codec::encode_mux_query_frame(NodeId::new(mux_to), &name, &msg);
-        prop_assert_eq!(
-            1 + 8 + epidemic_net::codec::query_message_len(&name, &msg),
-            frame.len()
-        );
-        let (dst, decoded) = decode_mux_datagram(&frame).expect("mux round trip");
-        prop_assert_eq!(dst, NodeId::new(mux_to));
-        prop_assert_eq!(
-            decoded,
-            epidemic_net::codec::WirePayload::Query { query: name, message: msg }
-        );
+        push_bundle_frame(&mut bundle, to, &frame);
+        prop_assert_eq!(bundle.len(), 1 + bundle_frame_len(&frame));
+        let walked: Vec<_> = decode_bundle(&bundle).expect("bundle").collect();
+        prop_assert_eq!(walked, vec![Ok((to, payload))]);
     }
 
     #[test]
@@ -496,29 +348,23 @@ proptest! {
             2 => RpcRequest::Submit { id, name, value },
             _ => RpcRequest::Read { id, name },
         };
-        let encoded = epidemic_net::codec::encode_rpc_request(&request);
-        prop_assert_eq!(epidemic_net::codec::rpc_request_len(&request), encoded.len());
-        let decoded = epidemic_net::codec::decode_rpc_request(&encoded).expect("round trip");
-        prop_assert_eq!(&decoded, &request);
-        prop_assert_eq!(
-            decode_datagram(&encoded).expect("datagram"),
-            epidemic_net::codec::WirePayload::Rpc(request)
-        );
-        // Responses are fixed-size frames.
+        let encoded = encode_rpc_request(&request);
+        for cut in 0..encoded.len() {
+            prop_assert_eq!(decode_datagram(&encoded[..cut]), Err(DecodeError::Truncated));
+        }
+        prop_assert_eq!(decode_datagram(&encoded), Ok(WirePayload::Rpc(request)));
+        // Responses are fixed-size frames:
+        // version + tag + id + status + estimate + epoch.
         let response = RpcResponse {
             id,
             status: RpcStatus::from_code(status_code).expect("status code in range"),
             estimate: value,
             epoch,
         };
-        let encoded = epidemic_net::codec::encode_rpc_response(&response);
-        prop_assert_eq!(epidemic_net::codec::rpc_response_len(), encoded.len());
-        let decoded = epidemic_net::codec::decode_rpc_response(&encoded).expect("round trip");
-        prop_assert_eq!(&decoded, &response);
-        prop_assert_eq!(
-            decode_datagram(&encoded).expect("datagram"),
-            epidemic_net::codec::WirePayload::RpcReply(response)
-        );
+        let encoded = encode_rpc_response(&response);
+        prop_assert_eq!(encoded.len(), 1 + 1 + 8 + 1 + 8 + 8);
+        prop_assert_eq!(decode_rpc_response(&encoded), Ok(response.clone()));
+        prop_assert_eq!(decode_datagram(&encoded), Ok(WirePayload::RpcReply(response)));
     }
 
     #[test]
@@ -530,46 +376,18 @@ proptest! {
             0..3,
         ),
     ) {
-        let entries = catalog_entries(raw);
-        let mut encoded = WireFrame::Catalog(NodeId::new(from), &entries).encode();
+        let payload = WirePayload::Catalog { from: NodeId::new(from), entries: catalog_entries(raw) };
+        let mut encoded = frame_of(&payload).encode();
         // A foreign wire version is rejected before any payload parsing…
         let foreign = encoded[0].wrapping_add(bump);
         encoded[0] = foreign;
-        prop_assert_eq!(
-            epidemic_net::codec::decode_catalog_message(&encoded),
-            Err(epidemic_net::codec::DecodeError::BadVersion(foreign))
-        );
-        encoded[0] = epidemic_net::codec::WIRE_VERSION;
-        // …and a wrong tag is rejected by the dedicated decoders.
+        prop_assert_eq!(decode_datagram(&encoded), Err(DecodeError::BadVersion(foreign)));
+        encoded[0] = WIRE_VERSION;
+        // …and a catalog body re-tagged as a query frame is parsed as one:
+        // it fails however it fails, but never panics and never yields
+        // the catalog back.
         encoded[1] = 12;
-        prop_assert_eq!(
-            epidemic_net::codec::decode_catalog_message(&encoded),
-            Err(epidemic_net::codec::DecodeError::BadTag(12))
-        );
-    }
-
-    #[test]
-    fn truncated_frames_never_panic(
-        raw in prop::collection::vec(any::<u8>(), 0..64),
-    ) {
-        // Arbitrary bytes: decoders must reject or decode, never panic.
-        let _ = decode_message(&raw);
-        let _ = decode_directory_message(&raw);
-        let _ = decode_piggyback_message(&raw);
-        let _ = decode_datagram(&raw);
-        let _ = decode_mux_datagram(&raw);
-        let _ = epidemic_net::codec::decode_catalog_message(&raw);
-        let _ = epidemic_net::codec::decode_query_message(&raw);
-        let _ = epidemic_net::codec::decode_rpc_request(&raw);
-        let _ = epidemic_net::codec::decode_rpc_response(&raw);
-        // Bundles: as received, and behind a valid header so the frame
-        // walk itself sees the garbage.
-        if let Ok(frames) = decode_bundle(&raw) {
-            frames.for_each(drop);
-        }
-        let mut bundle = vec![BUNDLE_VERSION];
-        bundle.extend_from_slice(&raw);
-        decode_bundle(&bundle).expect("header is valid").for_each(drop);
+        prop_assert!(decode_datagram(&encoded) != Ok(payload));
     }
 
     #[test]
@@ -661,4 +479,272 @@ proptest! {
 #[test]
 fn bundle_budget_fits_an_ethernet_mtu() {
     assert_eq!(BUNDLE_BUDGET, 1500 - 40 - 8);
+}
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Plain encoding of any payload, client RPC included.
+fn encode(payload: &WirePayload) -> Vec<u8> {
+    match payload {
+        WirePayload::Rpc(request) => encode_rpc_request(request),
+        WirePayload::RpcReply(response) => encode_rpc_response(response),
+        framed => frame_of(framed).encode(),
+    }
+}
+
+/// One fixed frame per body tag 0–14 (the four RPC ops each) next to its
+/// pinned bytes.
+fn golden_frames() -> Vec<(WirePayload, &'static str)> {
+    let v4: SocketAddr = "10.1.2.3:7001".parse().unwrap();
+    let v6: SocketAddr = "[2001:db8::9]:65535".parse().unwrap();
+    let descriptors = vec![Descriptor::new(1, 9), Descriptor::new(u32::MAX, 0)];
+    let request = Message::request(
+        NodeId::new(7),
+        42,
+        vec![
+            InstanceState::Scalar(3.25),
+            InstanceState::Map(InstanceMap::from_entries([(3, 0.125), (900, 1.0)])),
+        ],
+    );
+    let view = |reply, delta| {
+        WirePayload::Directory(DirectoryPayload::View {
+            view: ViewPayload {
+                from: 0xDEAD_BEEF,
+                descriptors: descriptors.clone(),
+            },
+            reply,
+            delta,
+        })
+    };
+    let descriptor = QueryDescriptor {
+        name: "load.p99".to_string(),
+        kind: kind_from_code(6).unwrap(),
+        gamma: 12,
+        cycle_length: 750,
+        timeout: 150,
+        ttl_ms: 90_000,
+        default_value: -2.5,
+        admission: AdmissionConfig::limited(100, 25),
+    };
+    let response = RpcResponse {
+        id: 9,
+        status: RpcStatus::from_code(2).unwrap(),
+        estimate: 1024.5,
+        epoch: 31,
+    };
+    vec![
+        (WirePayload::Aggregation(request.clone()), "040007000000000000002a000000000000000200000000000000000a400102000300000000000000000000000000c03f8403000000000000000000000000f03f"),
+        (
+            WirePayload::Aggregation(Message::reply(
+                NodeId::new(u64::MAX),
+                u64::MAX,
+                vec![InstanceState::Scalar(-1.5)],
+            )),
+            "0401ffffffffffffffffffffffffffffffff010000000000000000f8bf",
+        ),
+        (WirePayload::Aggregation(Message::epoch_notice(NodeId::new(1), 2)), "040201000000000000000200000000000000"),
+        (WirePayload::Aggregation(Message::refuse(NodeId::new(3), 4)), "040303000000000000000400000000000000"),
+        (view(false, false), "0404efbeadde02000100000009000000ffffffff00000000"),
+        (view(true, false), "0405efbeadde02000100000009000000ffffffff00000000"),
+        (WirePayload::Directory(DirectoryPayload::Join { from: 0xBEEF }), "0406efbe0000"),
+        (
+            WirePayload::Directory(DirectoryPayload::Introduce {
+                from: 7,
+                peers: vec![
+                    IntroduceEntry { node: 1, timestamp: 99, addr: None },
+                    IntroduceEntry { node: 2, timestamp: 0, addr: Some(v4) },
+                    IntroduceEntry { node: u32::MAX, timestamp: u32::MAX, addr: Some(v6) },
+                ],
+            }),
+            "04070700000003000100000063000000000200000000000000040a010203591bffffffffffffffff0620010db8000000000000000000000009ffff",
+        ),
+        (view(false, true), "0408efbeadde02000100000009000000ffffffff00000000"),
+        (view(true, true), "0409efbeadde02000100000009000000ffffffff00000000"),
+        (
+            WirePayload::Piggybacked(
+                Message::refuse(NodeId::new(4), 7),
+                Piggyback { from: 12, descriptors: descriptors.clone(), addrs: vec![(1, v4), (2, v6)] },
+            ),
+            "040a0c000000020100000009000000ffffffff000000000201000000040a010203591b020000000620010db8000000000000000000000009ffff040304000000000000000700000000000000",
+        ),
+        (
+            WirePayload::Catalog {
+                from: NodeId::new(42),
+                entries: vec![
+                    CatalogEntry {
+                        descriptor: descriptor.clone(),
+                        version: 3,
+                        deleted: false,
+                        installed_at: 12_345,
+                        expires_at: 102_345,
+                    },
+                    CatalogEntry {
+                        descriptor: QueryDescriptor::new("gone", kind_from_code(0).unwrap()),
+                        version: 9,
+                        deleted: true,
+                        installed_at: 0,
+                        expires_at: 0,
+                    },
+                ],
+            },
+            "040b2a000000000000000200086c6f61642e703939060c000000ee020000000000009600000000000000905f01000000000000000000000004c0640000001900000003000000003930000000000000c98f01000000000004676f6e65000a000000e803000000000000c800000000000000000000000000000000000000000000000000000000000000090000000100000000000000000000000000000000",
+        ),
+        (WirePayload::Query { query: "load.p99".to_string(), message: request.clone() }, "040c086c6f61642e703939040007000000000000002a000000000000000200000000000000000a400102000300000000000000000000000000c03f8403000000000000000000000000f03f"),
+        (WirePayload::Rpc(RpcRequest::Install { id: 1, descriptor }), "040d010000000000000000086c6f61642e703939060c000000ee020000000000009600000000000000905f01000000000000000000000004c06400000019000000"),
+        (WirePayload::Rpc(RpcRequest::Remove { id: u64::MAX, name: "q".to_string() }), "040dffffffffffffffff010171"),
+        (WirePayload::Rpc(RpcRequest::Submit { id: 3, name: "q".to_string(), value: -0.125 }), "040d0300000000000000020171000000000000c0bf"),
+        (WirePayload::Rpc(RpcRequest::Read { id: 4, name: String::new() }), "040d04000000000000000300"),
+        (WirePayload::RpcReply(response), "040e09000000000000000200000000000290401f00000000000000"),
+        (WirePayload::Aggregation(Message::request(NodeId::new(2), 1, vec![])), "0400020000000000000001000000000000000000"),
+    ]
+}
+
+/// A slip made symmetrically in an encoder and its decoder passes every
+/// round-trip property above and fails here. Re-pin only together with a
+/// `WIRE_VERSION` bump.
+#[test]
+fn golden_bytes_pin_every_tag() {
+    let golden = golden_frames();
+    assert_eq!(
+        golden
+            .iter()
+            .map(|(_, bytes)| &bytes[2..4])
+            .collect::<BTreeSet<_>>()
+            .len(),
+        15,
+        "one frame per tag"
+    );
+    for (payload, want) in &golden {
+        let encoded = encode(payload);
+        assert_eq!(hex(&encoded), *want, "encoding of {payload:?}");
+        assert_eq!(decode_datagram(&encoded).as_ref(), Ok(payload));
+    }
+    // A lone mux frame and a bundle of three around the same bodies.
+    let WirePayload::Aggregation(request) = &golden[0].0 else {
+        unreachable!("tag 0 comes first")
+    };
+    let lone = encode_mux_frame(NodeId::new(0x0102_0304_0506_0708), request);
+    assert_eq!(hex(&lone), "020807060504030201040007000000000000002a000000000000000200000000000000000a400102000300000000000000000000000000c03f8403000000000000000000000000f03f");
+    let frames: Vec<(u64, WirePayload)> =
+        [(5, &golden[3]), (u64::MAX, &golden[6]), (300, &golden[11])]
+            .map(|(to, (payload, _))| (to, payload.clone()))
+            .to_vec();
+    let (bundle, _) = bundle_of(&frames);
+    assert_eq!(hex(&bundle), "b51a05000000000000000403030000000000000004000000000000000effffffffffffffff0406efbe0000a6012c01000000000000040b2a000000000000000200086c6f61642e703939060c000000ee020000000000009600000000000000905f01000000000000000000000004c0640000001900000003000000003930000000000000c98f01000000000004676f6e65000a000000e803000000000000c800000000000000000000000000000000000000000000000000000000000000090000000100000000000000000000000000000000");
+    let walked: Vec<_> = decode_bundle(&bundle).expect("bundle").collect();
+    assert_eq!(walked, expected(&frames));
+}
+
+/// Feeds `input` to every public decoder. Whatever decodes must re-encode
+/// into no more bytes than the input held: no count field, name length or
+/// nested message conjures data (or a buffer) the datagram did not pay for.
+fn decoders_survive(input: &[u8]) {
+    let _ = decode_message(input);
+    let _ = decode_rpc_response(input);
+    if let Ok(payload) = decode_datagram(input) {
+        assert!(encode(&payload).len() <= input.len(), "{}", hex(input));
+    }
+    if let Ok((_, payload)) = decode_mux_datagram(input) {
+        assert!(
+            1 + 8 + encode(&payload).len() <= input.len(),
+            "{}",
+            hex(input)
+        );
+    }
+    // Bundles: as received, and behind a valid header so the frame walk
+    // itself sees the damage.
+    let behind_header = [&[BUNDLE_VERSION][..], input].concat();
+    for bundle in [input, &behind_header] {
+        if let Ok(frames) = decode_bundle(bundle) {
+            let held: usize = frames
+                .flatten()
+                .map(|(_, payload)| 1 + 8 + encode(&payload).len())
+                .sum();
+            // The header byte is on top of what the frames hold.
+            assert!(held < bundle.len(), "{}", hex(bundle));
+        }
+    }
+}
+
+/// The standing fuzz loop: every wire image of every golden frame, damaged
+/// every way a count, a length, a tag, a cut or a splice can, plus seeded random
+/// bytes. Exhaustive sweeps, one seed, no wall clock.
+#[test]
+fn fuzz_damaged_input_never_panics_and_never_amplifies() {
+    let golden = golden_frames();
+    let framed: Vec<(u64, WirePayload)> = (0u64..)
+        .zip(&golden)
+        .filter(|(_, (payload, _))| {
+            !matches!(payload, WirePayload::Rpc(_) | WirePayload::RpcReply(_))
+        })
+        .map(|(to, (payload, _))| (to, payload.clone()))
+        .collect();
+    // (image, offset of the body's tag byte): each frame plain, behind
+    // the lone mux prefix and alone in a bundle; then all in one bundle.
+    let mut images: Vec<(Vec<u8>, Option<usize>)> = Vec::new();
+    for (payload, _) in &golden {
+        let plain = encode(payload);
+        let lone = [&[MUX_WIRE_VERSION][..], &7u64.to_le_bytes(), &plain].concat();
+        images.extend([(lone, Some(10)), (plain, Some(1))]);
+    }
+    for frame in &framed {
+        let (bundle, _) = bundle_of(std::slice::from_ref(frame));
+        let tag_at = bundle.len() - frame_of(&frame.1).encoded_len() + 1;
+        images.push((bundle, Some(tag_at)));
+    }
+    images.push((bundle_of(&framed).0, None));
+
+    let mut inputs = 0usize;
+    let mut feed = |input: &[u8]| {
+        decoders_survive(input);
+        inputs += 1;
+    };
+    for (image, tag_at) in &images {
+        for cut in 0..image.len() {
+            feed(&image[..cut]);
+        }
+        for at in 0..image.len() {
+            let mut damaged = image.clone();
+            for bit in 0..8 {
+                damaged[at] = image[at] ^ (1 << bit);
+                feed(&damaged);
+            }
+            // Count-field inflation, wherever a count lives: u8, then u16.
+            damaged[at] = 0xFF;
+            feed(&damaged);
+            if let Some(next) = damaged.get_mut(at + 1) {
+                *next = 0xFF;
+                feed(&damaged);
+            }
+            // A field spliced over its neighbour one stride on: the
+            // second map entry now names the first one's leader.
+            if at + 24 <= image.len() {
+                let mut spliced = image.clone();
+                spliced.copy_within(at..at + 8, at + 16);
+                feed(&spliced);
+            }
+        }
+        for tag in 0..=15 {
+            if let Some(at) = *tag_at {
+                let mut swapped = image.clone();
+                swapped[at] = tag;
+                feed(&swapped);
+            }
+        }
+    }
+    let mut rng = Xoshiro256::seed_from_u64(0xF022);
+    for _ in 0..4_000 {
+        let mut noise = vec![0u8; rng.index(97)];
+        rng.fill_bytes(&mut noise);
+        feed(&noise);
+        // A few random overwrites of a random image.
+        let mut damaged = images[rng.index(images.len())].0.clone();
+        for _ in 0..=rng.index(4) {
+            let at = rng.index(damaged.len());
+            damaged[at] = rng.next_u64() as u8;
+        }
+        feed(&damaged);
+    }
+    assert!(inputs >= 20_000, "only {inputs} inputs");
 }

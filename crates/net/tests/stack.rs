@@ -15,7 +15,7 @@ use epidemic_net::stack::{Input, NodeStack, Plane};
 use epidemic_net::{Registry, TraceEvent, TraceKind};
 use epidemic_newscast::node::ViewPayload;
 use epidemic_newscast::Descriptor;
-use epidemic_query::{QueryDescriptor, QueryPlaneConfig};
+use epidemic_query::{CatalogEntry, QueryDescriptor, QueryPlaneConfig, RpcRequest, RpcStatus};
 use std::collections::VecDeque;
 
 const CYCLE: u64 = 20;
@@ -367,4 +367,71 @@ fn every_wire_frame_maps_to_its_traffic_plane_and_owned_twin() {
         };
         assert_eq!(Plane::of_received(&received), Some(counted), "{frame:?}");
     }
+}
+
+#[test]
+fn hostile_catalog_entries_and_installs_degrade_to_lost_messages() {
+    let good =
+        |name: &str| QueryDescriptor::new(name, AggregateKind::Average).with_cycle_length(CYCLE);
+    let entry = |descriptor: QueryDescriptor| CatalogEntry {
+        descriptor,
+        version: 1,
+        deleted: false,
+        installed_at: 0,
+        expires_at: 0,
+    };
+    // Each of these kills `QueryPlane::sync_running` if it gets that far:
+    // three fail `NodeConfig` validation, the fourth wraps γ·δ to zero and
+    // divides by it.
+    let bad = [
+        QueryDescriptor {
+            gamma: 0,
+            ..good("zero-gamma")
+        },
+        QueryDescriptor {
+            cycle_length: 0,
+            ..good("zero-cycle")
+        },
+        QueryDescriptor {
+            timeout: CYCLE,
+            ..good("slow-timeout")
+        },
+        QueryDescriptor {
+            gamma: 2,
+            cycle_length: 1 << 63,
+            timeout: 1,
+            ..good("overflow")
+        },
+    ];
+    for descriptor in bad {
+        let mut net = Net::new(2, 10, 5, None);
+        net.run(3);
+        // Over the wire: the bad entry rides between two valid neighbours.
+        let name = descriptor.name.clone();
+        let entries = [
+            entry(good("a")),
+            entry(descriptor.clone()),
+            entry(good("z")),
+        ];
+        let frame = WireFrame::Catalog(NodeId::new(1), &entries);
+        let payload = decode_datagram(&frame.encode()).expect("hostile, not malformed");
+        net.step(0, Input::Frame(&payload, None));
+        assert_eq!(net.stacks[0].installed_queries(), ["a", "z"], "{name}");
+        // Through a client: rejected, not installed, stack still serving.
+        let response = net.stacks[0].rpc(&RpcRequest::Install { id: 9, descriptor }, net.now);
+        assert_eq!(response.status, RpcStatus::BadRequest, "{name}");
+        net.run(net.now + 2 * CYCLE);
+        assert_eq!(net.stacks[0].installed_queries(), ["a", "z"], "{name}");
+        // Catalog gossip carried the valid neighbours on, and only them.
+        assert_eq!(net.stacks[1].installed_queries(), ["a", "z"], "{name}");
+    }
+    // A schedule anchored where `anchor + phase` has no room left (a
+    // dev-profile overflow panic in `GossipNode::joiner`) is skipped too.
+    let mut net = Net::new(2, 10, 5, None);
+    let mut far = entry(good("far"));
+    far.installed_at = u64::MAX;
+    let payload = WireFrame::Catalog(NodeId::new(1), &[far, entry(good("z"))]).to_payload();
+    net.step(0, Input::Frame(&payload, None));
+    net.run(2 * CYCLE);
+    assert_eq!(net.stacks[0].installed_queries(), ["z"]);
 }

@@ -17,9 +17,6 @@
 //!   cycles over millions of nodes and implements
 //!   [`epidemic_common::sample::NeighborSampling`], so the aggregation
 //!   protocol can draw peers from live views ([`overlay`]).
-//! * [`metrics`] — overlay-health analysis: in-degree distribution,
-//!   connectivity, freshness. Gated behind the default `graph-metrics`
-//!   feature, the crate's only reason to depend on `epidemic-topology`.
 //!
 //! # Examples
 //!
@@ -40,8 +37,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-#[cfg(feature = "graph-metrics")]
-pub mod metrics;
 pub mod node;
 pub mod overlay;
 pub mod view;

@@ -10,7 +10,7 @@
 //! tiebreak — so any two replicas that have seen the same set of entries
 //! hold byte-identical catalogs regardless of arrival order.
 
-use crate::descriptor::{kind_code, QueryDescriptor};
+use crate::descriptor::{kind_code, QueryDescriptor, MAX_EPOCH_MS};
 use crate::QueryError;
 use std::collections::BTreeMap;
 
@@ -144,7 +144,18 @@ impl QueryCatalog {
     }
 
     /// Merges one gossiped entry; returns `true` if the replica changed.
+    /// An entry whose descriptor does not [`validate`], or whose schedule
+    /// anchor leaves no room for one epoch after it, is skipped: it came
+    /// off the wire, and the plane starts a node — and computes that
+    /// node's deadlines — from whatever the catalog holds.
+    ///
+    /// [`validate`]: QueryDescriptor::validate
     pub fn merge(&mut self, incoming: &CatalogEntry) -> bool {
+        if incoming.descriptor.validate().is_err()
+            || incoming.installed_at > u64::MAX - MAX_EPOCH_MS
+        {
+            return false;
+        }
         match self.entries.get_mut(&incoming.descriptor.name) {
             Some(existing) => {
                 if incoming.precedence() > existing.precedence() {
@@ -319,6 +330,34 @@ mod tests {
         let b_entries: Vec<CatalogEntry> = b.entries().cloned().collect();
         assert!(!a.merge_all(&b_entries));
         assert_eq!(a.expire(151), 0);
+    }
+
+    #[test]
+    fn merge_skips_invalid_entries_and_keeps_their_neighbours() {
+        let entry = |descriptor| CatalogEntry {
+            descriptor,
+            version: 1,
+            deleted: false,
+            installed_at: 0,
+            expires_at: 0,
+        };
+        let incoming = [
+            entry(descriptor("a")),
+            entry(descriptor("bad").with_gamma(0)),
+            entry(descriptor("z")),
+        ];
+        let mut cat = QueryCatalog::new();
+        assert!(cat.merge_all(&incoming));
+        assert!(cat.get("bad").is_none());
+        assert_eq!(cat.live_count(0), 2);
+        // Alone, the bad entry changes nothing; nor does one anchored
+        // too close to the end of time to schedule an epoch after.
+        assert!(!cat.merge(&incoming[1]));
+        let mut far = entry(descriptor("far"));
+        far.installed_at = u64::MAX - MAX_EPOCH_MS + 1;
+        assert!(!cat.merge(&far));
+        far.installed_at -= 1;
+        assert!(cat.merge(&far));
     }
 
     #[test]

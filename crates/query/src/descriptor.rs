@@ -17,6 +17,12 @@ use epidemic_aggregation::AggregateKind;
 /// wire).
 pub const MAX_NAME_LEN: usize = 255;
 
+/// Longest admissible epoch γ·δ in milliseconds (~8,900 years). Far
+/// below `u64::MAX` on purpose: the query plane computes deadlines as
+/// `anchor + k·γδ` on a millisecond clock, and a descriptor arrives from
+/// the wire, so the bound is what keeps that arithmetic from wrapping.
+pub const MAX_EPOCH_MS: u64 = 1 << 48;
+
 /// Per-node token-bucket admission limits for a query's submit path.
 ///
 /// `rate_per_sec == 0` disables limiting entirely (the bucket always
@@ -127,8 +133,8 @@ impl QueryDescriptor {
     /// # Errors
     ///
     /// [`QueryError::InvalidDescriptor`] names the first violated
-    /// constraint: empty/oversized name, γ = 0, δ = 0, or a timeout not
-    /// in `1..cycle_length`.
+    /// constraint: empty/oversized name, γ = 0, δ = 0, a timeout not in
+    /// `1..cycle_length`, or an epoch γ·δ longer than [`MAX_EPOCH_MS`].
     pub fn validate(&self) -> Result<(), QueryError> {
         if self.name.is_empty() {
             return Err(QueryError::InvalidDescriptor("empty query name"));
@@ -149,6 +155,12 @@ impl QueryDescriptor {
         if self.timeout == 0 || self.timeout >= self.cycle_length {
             return Err(QueryError::InvalidDescriptor(
                 "timeout must be positive and shorter than the cycle",
+            ));
+        }
+        let epoch_ms = u64::from(self.gamma).checked_mul(self.cycle_length);
+        if epoch_ms.map_or(true, |ms| ms > MAX_EPOCH_MS) {
+            return Err(QueryError::InvalidDescriptor(
+                "epoch length gamma * cycle is out of range",
             ));
         }
         Ok(())
@@ -224,7 +236,33 @@ mod tests {
         }
         .validate()
         .is_err());
-        assert!(QueryDescriptor { timeout: 0, ..base }.validate().is_err());
+        assert!(QueryDescriptor {
+            timeout: 0,
+            ..base.clone()
+        }
+        .validate()
+        .is_err());
+        // γ·δ wraps to 0: every field passes on its own, the product does not.
+        assert!(QueryDescriptor {
+            gamma: 2,
+            cycle_length: 1 << 63,
+            timeout: 1,
+            ..base.clone()
+        }
+        .validate()
+        .is_err());
+        let longest = QueryDescriptor {
+            gamma: 1 << 8,
+            cycle_length: MAX_EPOCH_MS >> 8,
+            ..base
+        };
+        longest.validate().unwrap();
+        assert!(QueryDescriptor {
+            gamma: (1 << 8) + 1,
+            ..longest
+        }
+        .validate()
+        .is_err());
     }
 
     #[test]

@@ -887,6 +887,7 @@ mod tests {
     use crate::failure::{CommFailure, FailureModel};
     use crate::scenario::ValueInit;
     use epidemic_net::directory::DirectoryPayload;
+    use epidemic_newscast::{node::ViewPayload, Descriptor};
     use epidemic_topology::TopologyKind;
 
     fn node_config(gamma: u32) -> NodeConfig {
@@ -1032,8 +1033,19 @@ mod tests {
             // Every view message carries between 0 (empty delta) and c + 1
             // descriptors; the byte total must price each message inside
             // those codec bounds.
-            let lo = out.view_messages_sent * epidemic_net::codec::view_message_len(0);
-            let hi = out.view_messages_sent * epidemic_net::codec::view_message_len(c + 1);
+            let view_len = |descriptors: usize| {
+                WireFrame::Directory(&DirectoryPayload::View {
+                    view: ViewPayload {
+                        from: 0,
+                        descriptors: vec![Descriptor::new(0, 0); descriptors],
+                    },
+                    reply: false,
+                    delta: false,
+                })
+                .encoded_len()
+            };
+            let lo = out.view_messages_sent * view_len(0);
+            let hi = out.view_messages_sent * view_len(c + 1);
             assert!(
                 (lo..=hi).contains(&out.view_bytes_sent),
                 "view_bytes_sent {} outside [{lo}, {hi}]",
