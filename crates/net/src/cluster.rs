@@ -6,8 +6,14 @@
 //! one socket ([`crate::mux::MuxCluster`]), or the virtual nodes are
 //! sharded across processes and hosts. The [`Cluster`] trait captures
 //! that surface — spawn, addresses, report draining, local-value
-//! updates, traffic accounting, shutdown — so tests, benches, and
-//! examples are written once and run against every runtime.
+//! updates, named queries, traffic accounting, shutdown — so tests,
+//! benches, and examples are written once and run against every runtime.
+//! A runtime implements seven methods; the one that reaches protocol state
+//! is [`Cluster::with_stack`], which runs a closure on a node's
+//! [`NodeStack`] under the node's lock at the runtime's current tick and
+//! re-arms the node's timer afterwards. The operator verbs are provided
+//! methods over it, so what "install a query at node 3" means is written
+//! once, not once per runtime.
 //!
 //! Traffic is accounted per node and per plane in [`TrafficCounts`]:
 //! aggregation datagrams (the paper's push-pull exchanges) separately
@@ -16,10 +22,11 @@
 //! exchanges), so the overhead of gossiped membership and of the
 //! multi-tenant query plane are both directly measurable.
 
-use crate::stack::Plane;
+use crate::stack::{NodeStack, Plane};
 use epidemic_aggregation::EpochReport;
 use epidemic_common::NodeId;
 use epidemic_query::{QueryDescriptor, QueryError, QueryEstimate};
+use epidemic_telemetry::TraceEvent;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::ops::{Add, AddAssign};
@@ -252,23 +259,43 @@ pub trait Cluster: Sized {
     /// address first).
     fn addrs(&self) -> Vec<SocketAddr>;
 
+    /// Datagram counts for local node `index`, split by plane.
+    fn datagram_counts(&self, index: usize) -> TrafficCounts;
+
+    /// Runs `f` on local node `index`'s protocol stack, under the node's
+    /// lock, at the runtime's current tick (the second argument — the
+    /// `now` the stack's own steps are given). When `f` returns the
+    /// runtime re-arms the node's timer from
+    /// [`NodeStack::next_deadline`], so a call that moves the deadline
+    /// earlier (an install, a remove) needs no wake of its own. The
+    /// node's thread or worker waits on the lock meanwhile: keep `f`
+    /// short.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range.
+    fn with_stack<R>(&self, index: usize, f: impl FnOnce(&mut NodeStack, u64) -> R) -> R;
+
+    /// Stops every node and waits for the runtime's threads to exit.
+    fn shutdown(self);
+
     /// Drains the epoch reports local node `index` produced since the
     /// last call.
-    fn take_reports(&self, index: usize) -> Vec<EpochReport>;
+    fn take_reports(&self, index: usize) -> Vec<EpochReport> {
+        self.with_stack(index, |stack, _| stack.take_reports())
+    }
 
     /// Updates local node `index`'s local value (takes effect at its
     /// next epoch).
-    fn set_local_value(&self, index: usize, value: f64);
-
-    /// Datagram counts for local node `index`, split by plane.
-    fn datagram_counts(&self, index: usize) -> TrafficCounts;
+    fn set_local_value(&self, index: usize, value: f64) {
+        self.with_stack(index, |stack, _| stack.set_local_value(value));
+    }
 
     /// Drains the protocol trace events local node `index` recorded since
     /// the last call. Empty unless the runtime was configured with
     /// tracing enabled (see each runtime's config).
-    fn take_trace(&self, index: usize) -> Vec<epidemic_telemetry::TraceEvent> {
-        let _ = index;
-        Vec::new()
+    fn take_trace(&self, index: usize) -> Vec<TraceEvent> {
+        self.with_stack(index, |stack, _| stack.take_trace())
     }
 
     /// Installs a named query at local node `index`; catalog gossip
@@ -279,7 +306,9 @@ pub trait Cluster: Sized {
     /// [`QueryError::InvalidDescriptor`] on a malformed descriptor,
     /// [`QueryError::Conflict`] when a live query of the same name has a
     /// different descriptor.
-    fn install_query(&self, index: usize, descriptor: QueryDescriptor) -> Result<(), QueryError>;
+    fn install_query(&self, index: usize, descriptor: QueryDescriptor) -> Result<(), QueryError> {
+        self.with_stack(index, |stack, now| stack.install(descriptor, now))
+    }
 
     /// Removes (tombstones) a named query at local node `index`; the
     /// removal spreads like the install did.
@@ -288,7 +317,9 @@ pub trait Cluster: Sized {
     ///
     /// [`QueryError::UnknownQuery`] when no live query of that name is
     /// installed at the node yet.
-    fn remove_query(&self, index: usize, name: &str) -> Result<(), QueryError>;
+    fn remove_query(&self, index: usize, name: &str) -> Result<(), QueryError> {
+        self.with_stack(index, |stack, now| stack.remove(name, now))
+    }
 
     /// Submits local node `index`'s contribution to a named query,
     /// subject to the query's admission limits.
@@ -298,7 +329,9 @@ pub trait Cluster: Sized {
     /// [`QueryError::UnknownQuery`] when the query is not installed at
     /// the node, [`QueryError::AdmissionRejected`] when the node's token
     /// bucket for the query is empty.
-    fn submit_query(&self, index: usize, name: &str, value: f64) -> Result<(), QueryError>;
+    fn submit_query(&self, index: usize, name: &str, value: f64) -> Result<(), QueryError> {
+        self.with_stack(index, |stack, now| stack.submit(name, value, now))
+    }
 
     /// Reads the named query's current estimate at local node `index`.
     ///
@@ -307,10 +340,9 @@ pub trait Cluster: Sized {
     /// [`QueryError::UnknownQuery`] when the query is not installed at
     /// the node, [`QueryError::NotReady`] before the first readable
     /// state exists.
-    fn query_estimate(&self, index: usize, name: &str) -> Result<QueryEstimate, QueryError>;
-
-    /// Stops every node and waits for the runtime's threads to exit.
-    fn shutdown(self);
+    fn query_estimate(&self, index: usize, name: &str) -> Result<QueryEstimate, QueryError> {
+        self.with_stack(index, |stack, _| stack.estimate(name))
+    }
 
     /// Drains every local node's epoch reports, indexed by local node.
     fn take_all_reports(&self) -> Vec<Vec<EpochReport>> {

@@ -48,6 +48,7 @@ use epidemic_newscast::Descriptor;
 use epidemic_telemetry::{TraceEvent, TraceKind, TraceRing, ViewHealth};
 use std::collections::HashMap;
 use std::fmt;
+use std::io;
 use std::net::SocketAddr;
 use std::sync::Arc;
 
@@ -441,6 +442,28 @@ impl GossipDirectoryConfig {
     pub fn with_introducer_addr(mut self, addr: SocketAddr) -> Self {
         self.introducers.push(Introducer::Addr(addr));
         self
+    }
+
+    /// Checks the bootstrap contacts against a cluster of `n` nodes, so a
+    /// misconfiguration fails the spawn instead of leaving a cluster that
+    /// silently never exchanges: with no introducer nobody ever joins
+    /// anybody, and a join aimed at a node outside the cluster goes
+    /// nowhere.
+    pub(crate) fn check_introducers(&self, n: usize) -> io::Result<()> {
+        let invalid = |reason: String| Err(io::Error::new(io::ErrorKind::InvalidInput, reason));
+        if self.introducers.is_empty() {
+            return invalid("gossip directory needs at least one introducer".into());
+        }
+        for intro in &self.introducers {
+            if let Introducer::Node(id) = *intro {
+                if id >= n as u64 {
+                    return invalid(format!(
+                        "introducer node {id} outside the cluster (n = {n})"
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 }
 

@@ -119,7 +119,7 @@ pub use directory::{
     DirectorySpec, GossipDirectory, GossipDirectoryConfig, PeerDirectory, StaticDirectory,
 };
 pub use mux::{MuxCluster, MuxClusterConfig, PeerTable, SyscallCounts};
-pub use runtime::{ClusterConfig, NodeHandleConfig, ThreadCluster, UdpNode};
+pub use runtime::{ClusterConfig, ThreadCluster, UdpNode};
 
 // The telemetry plane's vocabulary, re-exported so operators of this
 // crate need no direct `epidemic-telemetry` dependency.

@@ -62,7 +62,12 @@
 //! protocol wiring — poll order, piggyback attachment, deadline folding,
 //! plane classification, RPC dispatch — lives in [`crate::stack`]; what
 //! is left here is the transport: locking a vnode, parking its deadline,
-//! resolving a vnode id to a socket, and packing frames. A node's
+//! resolving a vnode id to a socket, and packing frames. Whoever takes a
+//! vnode's lock — a worker stepping it, [`Cluster::with_stack`] for an
+//! operator call, the RPC listener — ends by parking the stack's next
+//! deadline in the vnode's timer shard if it moved earlier than the entry
+//! already live there (spawn parks every first deadline the same way);
+//! only the timer thread ever queues a wake. A node's
 //! protocol behavior is therefore identical to
 //! [`crate::runtime::UdpNode`]'s by construction — the same
 //! [`NodeStack`], same seeds, peers drawn lazily per *initiated
@@ -109,13 +114,13 @@ use crate::timer::ShardedTimerWheel;
 use epidemic_aggregation::{EpochReport, NodeConfig};
 use epidemic_common::stats::OnlineStats;
 use epidemic_common::NodeId;
-use epidemic_query::{QueryDescriptor, QueryError, QueryEstimate, QueryPlaneConfig};
-use epidemic_telemetry::{Counter, Gauge, Histogram, MetricsServer, Registry, TraceEvent};
+use epidemic_query::QueryPlaneConfig;
+use epidemic_telemetry::{Counter, Gauge, Histogram, MetricsServer, Registry};
 use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -418,7 +423,7 @@ impl MuxClusterConfig {
 
     /// Enables protocol event tracing with a bounded ring of `capacity`
     /// events per vnode (per plane); drain with
-    /// [`MuxCluster::take_trace`]. Default: disabled.
+    /// [`Cluster::take_trace`]. Default: disabled.
     pub fn with_trace(mut self, capacity: usize) -> Self {
         self.trace_capacity = capacity;
         self
@@ -678,8 +683,11 @@ struct Shared {
     fire_lag: Histogram,
     /// `io.datagrams_sent` — bundle datagrams the kernel accepted.
     datagrams_sent: Counter,
-    /// `io.datagrams_received` — datagrams the reader threads drained.
-    datagrams_received: Counter,
+    /// `io.datagrams_received{socket=…,origin=local|remote}` — datagrams
+    /// each reader drained, `[local, remote]` per socket: `remote` when the
+    /// source is none of this shard's own sockets, so the series show
+    /// cross-shard senders fanning across the whole published set.
+    datagrams_received: Vec<[Counter; 2]>,
     /// `io.decode_errors` — input dropped undecoded: a datagram that is
     /// not a bundle, a bundle frame that fails to decode, a cut-off
     /// bundle tail, a non-request at the RPC listener.
@@ -696,7 +704,7 @@ struct Shared {
     /// sampled view.
     view_dead_fraction: Gauge,
     /// The `epoch.*` convergence gauges, fed by the reports passing
-    /// through [`MuxCluster::take_reports`] and the query epochs the
+    /// through [`Cluster::take_reports`] and the query epochs the
     /// workers drain, plus `agg.exchanges` and `membership.delta_bytes`
     /// (delta view frames and piggybacked trailers), counted as the
     /// workers' sinks see each frame.
@@ -705,28 +713,7 @@ struct Shared {
     rpc_requests: Counter,
     /// `rpc.rejects` — the subset answered with a non-`Ok` status.
     rpc_rejects: Counter,
-    /// Per-reader-socket datagram arrivals (total, from-remote-shard) —
-    /// the observable proof that cross-shard senders fan across the whole
-    /// published socket set.
-    socket_recvs: Vec<SocketRecvCell>,
     start: Instant,
-}
-
-/// Atomic twin of [`SocketRecvCounts`], one per reader socket.
-#[derive(Debug, Default)]
-struct SocketRecvCell {
-    datagrams: AtomicU64,
-    remote_datagrams: AtomicU64,
-}
-
-/// Datagram arrivals on one reader socket.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SocketRecvCounts {
-    /// Every datagram this socket received.
-    pub datagrams: u64,
-    /// The subset whose source address was NOT one of this shard's own
-    /// sockets — i.e. cross-shard traffic.
-    pub remote_datagrams: u64,
 }
 
 impl Shared {
@@ -743,9 +730,17 @@ impl Shared {
         self.nodes[index].lock().unwrap()
     }
 
-    fn schedule(&self, deadline: u64, node: u32) {
-        let inbox = &self.timer_inboxes[node as usize % self.timer_inboxes.len()];
-        inbox.lock().unwrap().push((deadline, node));
+    /// Parks local vnode `index`'s next deadline in its timer shard unless
+    /// an earlier (or equal) wheel entry is already live. Whoever touched
+    /// the stack under the vnode lock ends here, so a deadline that moved
+    /// earlier (an exchange's timeout, a query install) is not slept past.
+    fn park(&self, vnode: &mut VNode, index: usize) {
+        let deadline = vnode.stack.next_deadline();
+        if deadline < vnode.next_wake {
+            vnode.next_wake = deadline;
+            let inbox = &self.timer_inboxes[index % self.timer_inboxes.len()];
+            inbox.lock().unwrap().push((deadline, index as u32));
+        }
     }
 
     /// Home socket of local vnode `local`.
@@ -810,35 +805,18 @@ impl MuxCluster {
             query,
             rpc_addr,
         } = config;
-        // Mux membership is id-routed: a join aimed at an address (or at
-        // a vnode outside the cluster) could never be framed, and with no
-        // introducers at all nobody ever joins anybody — either way the
-        // cluster silently fails to bootstrap. Reject it up front.
-        if let DirectorySpec::Gossip(g) = &directory {
-            if g.introducers.is_empty() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "gossip directory needs at least one introducer",
-                ));
-            }
-            for intro in &g.introducers {
-                match *intro {
-                    Introducer::Node(id) if (id as usize) < n => {}
-                    Introducer::Node(id) => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidInput,
-                            format!("introducer vnode {id} outside the cluster (n = {n})"),
-                        ))
-                    }
-                    Introducer::Addr(addr) => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidInput,
-                            format!(
-                                "mux introducers must be vnode ids (frames route by id), \
-                                 got address {addr}"
-                            ),
-                        ))
-                    }
+        if let DirectorySpec::Gossip(gossip) = &directory {
+            gossip.check_introducers(n)?;
+            // Mux membership is id-routed: a join aimed at an address
+            // could never be framed.
+            for intro in &gossip.introducers {
+                if let Introducer::Addr(addr) = intro {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidInput,
+                        format!(
+                            "mux introducers must be vnode ids (frames route by id), got {addr}"
+                        ),
+                    ));
                 }
             }
         }
@@ -938,7 +916,14 @@ impl MuxCluster {
             recv_timeouts: registry.counter("io.recv_timeouts"),
             fire_lag: registry.histogram("timer.fire_lag_us"),
             datagrams_sent: registry.counter("io.datagrams_sent"),
-            datagrams_received: registry.counter("io.datagrams_received"),
+            datagrams_received: (0..readers)
+                .map(|k| {
+                    ["local", "remote"].map(|origin| {
+                        let labels = [("socket", &*k.to_string()), ("origin", origin)];
+                        registry.counter_with("io.datagrams_received", &labels)
+                    })
+                })
+                .collect(),
             decode_errors: registry.counter("io.decode_errors"),
             syscalls_per_datagram: registry.gauge("io.syscalls_per_datagram"),
             frames_per_datagram: registry.gauge("io.frames_per_datagram"),
@@ -952,14 +937,14 @@ impl MuxCluster {
             rpc_requests: registry.counter("rpc.requests"),
             rpc_rejects: registry.counter("rpc.rejects"),
             registry,
-            socket_recvs: (0..readers).map(|_| SocketRecvCell::default()).collect(),
             start: Instant::now(),
         });
-        // Prime every node with an initial wake so its first deadline is
-        // computed and parked (and gossip directories send their joins).
-        shared
-            .work
-            .push_many((0..local_n).map(|i| Work::Wake(i as u32)));
+        // Park every node's first deadline (a gossip directory's is its
+        // join, due at once) before any thread or operator can reach it:
+        // from here on `next_wake` always names a live wheel entry.
+        for (i, node) in shared.nodes.iter().enumerate() {
+            shared.park(&mut node.lock().unwrap(), i);
+        }
 
         // Bind the client RPC listener (if any) before the protocol
         // threads start, so a bind failure leaks nothing.
@@ -1078,32 +1063,6 @@ impl MuxCluster {
         self.metrics.as_ref().map(MetricsServer::addr)
     }
 
-    /// Drains the protocol event trace of local node `index` (both the
-    /// aggregation and the membership plane); empty unless the cluster
-    /// was spawned with [`MuxClusterConfig::with_trace`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn take_trace(&self, index: usize) -> Vec<TraceEvent> {
-        self.shared.vnode(index).stack.take_trace()
-    }
-
-    /// Datagram arrivals per reader socket (indexed like
-    /// [`Cluster::addrs`]), with the cross-shard subset counted
-    /// separately — the receiver-side evidence that remote senders fan
-    /// across the whole published socket set.
-    pub fn socket_recv_counts(&self) -> Vec<SocketRecvCounts> {
-        self.shared
-            .socket_recvs
-            .iter()
-            .map(|cell| SocketRecvCounts {
-                datagrams: cell.datagrams.load(Ordering::Relaxed),
-                remote_datagrams: cell.remote_datagrams.load(Ordering::Relaxed),
-            })
-            .collect()
-    }
-
     /// Number of virtual nodes hosted by THIS handle (the local shard).
     pub fn len(&self) -> usize {
         self.shared.nodes.len()
@@ -1125,37 +1084,6 @@ impl MuxCluster {
     /// RPC listener is enabled.
     pub fn thread_count(&self) -> usize {
         self.threads.len()
-    }
-
-    /// Drains the epoch reports local node `index` produced since the
-    /// last call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn take_reports(&self, index: usize) -> Vec<EpochReport> {
-        let reports = self.shared.vnode(index).stack.take_reports();
-        self.shared.convergence.observe_reports(&reports);
-        reports
-    }
-
-    /// Updates local node `index`'s local value (takes effect at its next
-    /// epoch, exactly like [`crate::runtime::UdpNode::set_local_value`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn set_local_value(&self, index: usize, value: f64) {
-        self.shared.vnode(index).stack.set_local_value(value);
-    }
-
-    /// Datagram counts of local node `index`, split by plane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn datagram_counts(&self, index: usize) -> TrafficCounts {
-        self.shared.traffic[index].snapshot()
     }
 
     /// Stops all threads and waits for them to exit.
@@ -1192,58 +1120,26 @@ impl Cluster for MuxCluster {
         self.shared.reader_addrs.clone()
     }
 
-    fn take_reports(&self, index: usize) -> Vec<EpochReport> {
-        MuxCluster::take_reports(self, index)
-    }
-
-    fn set_local_value(&self, index: usize, value: f64) {
-        MuxCluster::set_local_value(self, index, value);
-    }
-
     fn datagram_counts(&self, index: usize) -> TrafficCounts {
-        MuxCluster::datagram_counts(self, index)
+        self.shared.traffic[index].snapshot()
     }
 
-    fn take_trace(&self, index: usize) -> Vec<TraceEvent> {
-        MuxCluster::take_trace(self, index)
-    }
-
-    fn install_query(&self, index: usize, descriptor: QueryDescriptor) -> Result<(), QueryError> {
-        let now = self.shared.now_ms();
-        let result = self.shared.vnode(index).stack.install(descriptor, now);
-        // A fresh install must start gossiping before the node's next
-        // parked deadline; a wake recomputes and re-parks it.
-        self.shared.work.push_many([Work::Wake(index as u32)]);
+    fn with_stack<R>(&self, index: usize, f: impl FnOnce(&mut NodeStack, u64) -> R) -> R {
+        let mut vnode = self.shared.vnode(index);
+        let result = f(&mut vnode.stack, self.shared.now_ms());
+        self.shared.park(&mut vnode, index);
         result
     }
 
-    fn remove_query(&self, index: usize, name: &str) -> Result<(), QueryError> {
-        let now = self.shared.now_ms();
-        let result = self.shared.vnode(index).stack.remove(name, now);
-        self.shared.work.push_many([Work::Wake(index as u32)]);
-        result
-    }
-
-    fn submit_query(&self, index: usize, name: &str, value: f64) -> Result<(), QueryError> {
-        let now = self.shared.now_ms();
-        self.shared.vnode(index).stack.submit(name, value, now)
-    }
-
-    fn query_estimate(&self, index: usize, name: &str) -> Result<QueryEstimate, QueryError> {
-        self.shared.vnode(index).stack.estimate(name)
+    /// Also feeds the drained reports to the `epoch.*` convergence gauges.
+    fn take_reports(&self, index: usize) -> Vec<EpochReport> {
+        let reports = self.with_stack(index, |stack, _| stack.take_reports());
+        self.shared.convergence.observe_reports(&reports);
+        reports
     }
 
     fn shutdown(self) {
         MuxCluster::shutdown(self);
-    }
-}
-
-/// The trait's provided methods, also reachable without importing
-/// [`Cluster`] (existing call sites predate the trait).
-impl MuxCluster {
-    /// Drains every local node's epoch reports, indexed by local node.
-    pub fn take_all_reports(&self) -> Vec<Vec<EpochReport>> {
-        (0..self.len()).map(|i| self.take_reports(i)).collect()
     }
 }
 
@@ -1263,17 +1159,11 @@ fn reader_loop(shared: &Shared, reader: usize) {
         match batch.recv(socket, shared.io) {
             Ok(count) => {
                 shared.recv_calls.inc();
-                shared.datagrams_received.add(count as u64);
-                let socket_cell = &shared.socket_recvs[reader];
+                let [local, remote] = &shared.datagrams_received[reader];
                 for i in 0..count {
-                    socket_cell.datagrams.fetch_add(1, Ordering::Relaxed);
-                    // A source address outside our own socket set means
-                    // another shard sent this — count it against this
-                    // socket so cross-shard fan-out is observable.
-                    if let Some(src) = batch.src(i) {
-                        if !shared.reader_addrs.contains(&src) {
-                            socket_cell.remote_datagrams.fetch_add(1, Ordering::Relaxed);
-                        }
+                    match batch.src(i) {
+                        Some(src) if !shared.reader_addrs.contains(&src) => remote.inc(),
+                        _ => local.inc(),
                     }
                     let Ok(frames) = decode_bundle(batch.datagram(i)) else {
                         shared.decode_errors.inc();
@@ -1429,7 +1319,8 @@ fn step_vnode(shared: &Shared, work: Work, pending: &mut [Packer]) -> usize {
     let mut vnode = shared.vnode(index);
     let now = shared.now_ms();
     if is_wake {
-        // This wake consumed whatever wheel entry was parked.
+        // This wake consumed whatever wheel entry was parked: the step's
+        // closing `park` always re-arms.
         vnode.next_wake = u64::MAX;
     }
     vnode.stack.step(input, now, |to, frame, plane| {
@@ -1448,13 +1339,7 @@ fn step_vnode(shared: &Shared, work: Work, pending: &mut [Packer]) -> usize {
     // unconditionally so a disabled registry never accumulates them).
     let query_epochs = vnode.stack.take_query_epochs();
     shared.traffic[index].set_join_retries(vnode.stack.join_retries());
-    // Park the node's next deadline unless an earlier (or equal)
-    // wheel entry is already live. After a wake we always re-park.
-    let deadline = vnode.stack.next_deadline();
-    if is_wake || deadline < vnode.next_wake {
-        vnode.next_wake = deadline;
-        shared.schedule(deadline, index as u32);
-    }
+    shared.park(&mut vnode, index);
     drop(vnode);
     shared.convergence.observe_query_epochs(&query_epochs);
     packer.charges.len() - before
@@ -1498,17 +1383,15 @@ fn rpc_loop(shared: &Shared, socket: &UdpSocket) {
                 };
                 let index = next % shared.nodes.len();
                 next = next.wrapping_add(1);
-                let now = shared.now_ms();
-                let response = shared.vnode(index).stack.rpc(&request, now);
+                let mut vnode = shared.vnode(index);
+                let response = vnode.stack.rpc(&request, shared.now_ms());
+                // An install or a remove moved the plane's gossip deadline.
+                shared.park(&mut vnode, index);
+                drop(vnode);
                 shared.rpc_requests.inc();
                 if response.status.is_reject() {
                     shared.traffic[index].count_rpc_reject();
                     shared.rpc_rejects.inc();
-                }
-                // An install/remove moves the plane's gossip deadline; a
-                // wake re-parks it. Submits and reads move nothing.
-                if request.changes_catalog() {
-                    shared.work.push_many([Work::Wake(index as u32)]);
                 }
                 let _ = socket.send_to(&encode_rpc_response(&response), src);
             }
@@ -1896,17 +1779,26 @@ mod tests {
         assert_eq!(shard1.reader_count(), 2);
         assert_eq!(Cluster::addrs(&shard1), table.shard_sockets(1));
         std::thread::sleep(Duration::from_millis(900));
-        let recvs = shard1.socket_recv_counts();
+        // `io.datagrams_received{socket, origin}` of shard 1.
+        let received = |socket: usize, origin| {
+            let labels = [("socket", &*socket.to_string()), ("origin", origin)];
+            let registry = shard1.registry();
+            registry
+                .counter_with("io.datagrams_received", &labels)
+                .get()
+        };
+        let remote = [received(0, "remote"), received(1, "remote")];
+        let local = received(0, "local") + received(1, "local");
+        let total = shard1.registry().counter_value("io.datagrams_received");
         shard0.shutdown();
         shard1.shutdown();
-        assert_eq!(recvs.len(), 2);
-        for (i, socket) in recvs.iter().enumerate() {
-            assert!(
-                socket.remote_datagrams > 0,
-                "socket {i} of shard 1 never saw cross-shard traffic: {recvs:?}"
-            );
-            assert!(socket.datagrams >= socket.remote_datagrams);
-        }
+        assert!(
+            remote.iter().all(|&datagrams| datagrams > 0),
+            "a shard-1 socket never saw cross-shard traffic: {remote:?}"
+        );
+        assert!(local > 0, "shard 1's own vnodes never exchanged");
+        // The unlabelled read every other consumer does sums the series.
+        assert!(total >= remote[0] + remote[1] + local);
     }
 
     #[test]
@@ -1999,6 +1891,35 @@ mod tests {
         cluster.shutdown();
         let last = reports.last().and_then(|r| r.scalar(0)).unwrap();
         assert_eq!(last, 100.0, "local value update never took effect");
+    }
+
+    #[test]
+    fn an_operator_call_at_spawn_does_not_fork_the_timer_chain() {
+        // A wake re-arms unconditionally, so a second live wheel entry
+        // would clone itself at every deadline from then on. Spawn parks
+        // each first deadline before the handle exists: an operator call
+        // racing the first step finds it live and parks nothing.
+        let cluster = MuxCluster::spawn(
+            MuxClusterConfig::new(8, node_config(30, 20)).with_workers(2),
+            |i| i as f64,
+        )
+        .unwrap();
+        for i in 0..cluster.len() {
+            cluster.set_local_value(i, 1.0);
+        }
+        std::thread::sleep(Duration::from_millis(600));
+        let registry = cluster.registry();
+        let fire_lag = registry.histogram("timer.fire_lag_us");
+        let fires: u64 = fire_lag.bucket_counts().iter().sum();
+        let exchanges = registry.counter_value("agg.exchanges");
+        cluster.shutdown();
+        // One fire per cycle plus one per exchange timeout entry: 2 per
+        // exchange; a forked chain doubles that.
+        assert!(exchanges > 100, "only {exchanges} exchanges");
+        assert!(
+            fires < 3 * exchanges,
+            "{fires} fires for {exchanges} exchanges"
+        );
     }
 
     #[test]
@@ -2104,26 +2025,27 @@ mod tests {
 
     #[test]
     fn misconfigured_gossip_introducers_fail_spawn() {
-        // Address-named introducer: unframeable in the id-routed mux.
-        let by_addr = DirectorySpec::Gossip(
-            GossipDirectoryConfig::new(8, 20)
-                .with_introducer_addr("127.0.0.1:9999".parse().unwrap()),
+        let spawn = |gossip: GossipDirectoryConfig| {
+            let config = MuxClusterConfig::new(4, node_config(4, 30))
+                .with_directory(DirectorySpec::Gossip(gossip));
+            let err = MuxCluster::spawn(config, |_| 0.0).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+            err.to_string()
+        };
+        // The rule both runtimes share, word for word (see
+        // `runtime::tests::misconfigured_gossip_introducers_fail_spawn`).
+        assert_eq!(
+            spawn(GossipDirectoryConfig::new(8, 20).with_introducer_node(99)),
+            "introducer node 99 outside the cluster (n = 4)"
         );
-        let err = MuxCluster::spawn(
-            MuxClusterConfig::new(4, node_config(4, 30)).with_directory(by_addr),
-            |_| 0.0,
-        )
-        .unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-
-        // Introducer id outside the cluster.
-        let out_of_range =
-            DirectorySpec::Gossip(GossipDirectoryConfig::new(8, 20).with_introducer_node(99));
-        let err = MuxCluster::spawn(
-            MuxClusterConfig::new(4, node_config(4, 30)).with_directory(out_of_range),
-            |_| 0.0,
-        )
-        .unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(
+            spawn(GossipDirectoryConfig::new(8, 20)),
+            "gossip directory needs at least one introducer"
+        );
+        // The mux's own: an address-named introducer cannot be framed.
+        let by_addr = GossipDirectoryConfig::new(8, 20)
+            .with_introducer_node(0)
+            .with_introducer_addr("127.0.0.1:9999".parse().unwrap());
+        assert!(spawn(by_addr).contains("must be vnode ids"));
     }
 }

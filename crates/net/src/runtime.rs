@@ -7,9 +7,9 @@
 //! [`NodeStack`] the multiplexed runtime ([`crate::mux`]) embeds too: this
 //! module adds only a socket, a wall clock in milliseconds, and
 //! [`WireFrame::encode`]. The node's handle and its thread share the stack
-//! behind a mutex, exactly as a mux vnode is shared, so every operator
-//! call — reports, local values, traces, named queries — is a direct call
-//! on the stack.
+//! behind a mutex, exactly as a mux vnode is shared, and
+//! [`Cluster::with_stack`] is that lock plus the node's clock: the thread
+//! polls the stack every millisecond, so there is no timer to re-arm.
 //!
 //! Membership is pluggable (the `GETNEIGHBOR()` seam of
 //! [`crate::directory`]): a [`StaticDirectory`] over the cluster's address
@@ -30,10 +30,10 @@ use crate::directory::{
     StaticDirectory,
 };
 use crate::stack::{Input, NodeStack, Plane};
-use epidemic_aggregation::{EpochReport, NodeConfig};
+use epidemic_aggregation::NodeConfig;
 use epidemic_common::NodeId;
-use epidemic_query::{QueryDescriptor, QueryError, QueryEstimate, QueryPlaneConfig};
-use epidemic_telemetry::{Registry, TraceEvent};
+use epidemic_query::QueryPlaneConfig;
+use epidemic_telemetry::Registry;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -94,7 +94,7 @@ impl ClusterConfig {
 
     /// Enables protocol event tracing: every node keeps a bounded ring of
     /// `capacity` structured events per plane (exchanges, timeouts, epoch
-    /// transitions, view merges…), drained via [`UdpNode::take_trace`].
+    /// transitions, view merges…), drained via [`Cluster::take_trace`].
     /// Capacity 0 (the default) disables tracing entirely.
     pub fn with_trace(mut self, capacity: usize) -> Self {
         self.trace_capacity = capacity;
@@ -118,20 +118,6 @@ impl ClusterConfig {
         &self.peers
     }
 
-    /// Per-node spawn configuration for node `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn node(&self, index: usize, local_value: f64) -> NodeHandleConfig {
-        assert!(index < self.peers.len(), "node index out of range");
-        NodeHandleConfig {
-            index,
-            local_value,
-            cluster: self.clone(),
-        }
-    }
-
     /// Builds node `index`'s directory per the configured spec.
     ///
     /// # Errors
@@ -147,36 +133,15 @@ impl ClusterConfig {
                 self.seed,
             ))),
             DirectorySpec::Gossip(config) => {
-                // With no introducers nobody ever joins anybody and the
-                // cluster silently never exchanges; reject up front.
-                if config.introducers.is_empty() {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        "gossip directory needs at least one introducer",
-                    ));
-                }
+                config.check_introducers(self.peers.len())?;
                 // Resolve id-named introducers through the bind plan; the
                 // directory itself never sees the address table.
-                let mut introducers = Vec::with_capacity(config.introducers.len());
-                for intro in &config.introducers {
-                    introducers.push(match *intro {
-                        Introducer::Node(n) if (n as usize) < self.peers.len() => {
-                            Introducer::Addr(self.peers[n as usize])
-                        }
-                        Introducer::Node(n) => {
-                            return Err(io::Error::new(
-                                io::ErrorKind::InvalidInput,
-                                format!(
-                                    "introducer node {n} outside the cluster (n = {})",
-                                    self.peers.len()
-                                ),
-                            ))
-                        }
-                        addr => addr,
-                    });
-                }
+                let introducers = config.introducers.iter().map(|intro| match *intro {
+                    Introducer::Node(n) => Introducer::Addr(self.peers[n as usize]),
+                    addr => addr,
+                });
                 let resolved = GossipDirectoryConfig {
-                    introducers,
+                    introducers: introducers.collect(),
                     ..config.clone()
                 };
                 Ok(Box::new(GossipDirectory::addr_routed(
@@ -188,14 +153,6 @@ impl ClusterConfig {
             }
         }
     }
-}
-
-/// Everything needed to spawn one node of a cluster.
-#[derive(Debug, Clone)]
-pub struct NodeHandleConfig {
-    index: usize,
-    local_value: f64,
-    cluster: ClusterConfig,
 }
 
 /// Handle to a running UDP gossip node.
@@ -233,17 +190,19 @@ impl Shared {
 }
 
 impl UdpNode {
-    /// Binds the node's socket and spawns its gossip thread.
+    /// Binds the socket of `cluster`'s node `index` and spawns its gossip
+    /// thread.
     ///
     /// # Errors
     ///
-    /// Propagates socket errors (bind failure, non-blocking setup).
-    pub fn spawn(config: NodeHandleConfig) -> io::Result<UdpNode> {
-        let NodeHandleConfig {
-            index,
-            local_value,
-            cluster,
-        } = config;
+    /// Propagates socket errors (bind failure, non-blocking setup) and
+    /// rejects a misconfigured gossip directory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range.
+    pub fn spawn(cluster: &ClusterConfig, index: usize, local_value: f64) -> io::Result<UdpNode> {
+        assert!(index < cluster.peers.len(), "node index out of range");
         let addr = cluster.peers[index];
         let socket = UdpSocket::bind(addr)?;
         socket.set_nonblocking(true)?;
@@ -291,67 +250,9 @@ impl UdpNode {
         self.id
     }
 
-    /// Drains the epoch reports produced since the last call.
-    pub fn take_reports(&self) -> Vec<EpochReport> {
-        self.shared.stack().take_reports()
-    }
-
-    /// Updates the node's local value (takes effect at the next epoch).
-    pub fn set_local_value(&self, value: f64) {
-        self.shared.stack().set_local_value(value);
-    }
-
     /// Datagram counts so far, split by protocol plane.
     pub fn datagram_counts(&self) -> TrafficCounts {
         self.shared.traffic.snapshot()
-    }
-
-    /// Drains the protocol trace events recorded since the last call
-    /// (always empty unless the cluster was built with
-    /// [`ClusterConfig::with_trace`]).
-    pub fn take_trace(&self) -> Vec<TraceEvent> {
-        self.shared.stack().take_trace()
-    }
-
-    /// Installs a named query at this node; catalog gossip spreads it to
-    /// the rest of the cluster.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`NodeStack::install`] failures.
-    pub fn install_query(&self, descriptor: QueryDescriptor) -> Result<(), QueryError> {
-        let now = self.shared.now_ms();
-        self.shared.stack().install(descriptor, now)
-    }
-
-    /// Removes (tombstones) a named query at this node.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`NodeStack::remove`] failures.
-    pub fn remove_query(&self, name: &str) -> Result<(), QueryError> {
-        let now = self.shared.now_ms();
-        self.shared.stack().remove(name, now)
-    }
-
-    /// Submits this node's contribution to a named query, subject to the
-    /// query's admission limits.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`NodeStack::submit`] failures.
-    pub fn submit_query(&self, name: &str, value: f64) -> Result<(), QueryError> {
-        let now = self.shared.now_ms();
-        self.shared.stack().submit(name, value, now)
-    }
-
-    /// Reads the named query's current estimate at this node.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`NodeStack::estimate`] failures.
-    pub fn query_estimate(&self, name: &str) -> Result<QueryEstimate, QueryError> {
-        self.shared.stack().estimate(name)
     }
 
     /// Stops the gossip thread and waits for it to exit.
@@ -445,7 +346,7 @@ impl ThreadCluster {
         let n = config.peers.len();
         let mut nodes = Vec::with_capacity(n);
         for i in 0..n {
-            nodes.push(UdpNode::spawn(config.node(i, values(i)))?);
+            nodes.push(UdpNode::spawn(&config, i, values(i))?);
         }
         Ok(ThreadCluster { nodes })
     }
@@ -475,36 +376,14 @@ impl Cluster for ThreadCluster {
         self.nodes.iter().map(UdpNode::addr).collect()
     }
 
-    fn take_reports(&self, index: usize) -> Vec<EpochReport> {
-        self.nodes[index].take_reports()
-    }
-
-    fn set_local_value(&self, index: usize, value: f64) {
-        self.nodes[index].set_local_value(value);
-    }
-
     fn datagram_counts(&self, index: usize) -> TrafficCounts {
         self.nodes[index].datagram_counts()
     }
 
-    fn take_trace(&self, index: usize) -> Vec<TraceEvent> {
-        self.nodes[index].take_trace()
-    }
-
-    fn install_query(&self, index: usize, descriptor: QueryDescriptor) -> Result<(), QueryError> {
-        self.nodes[index].install_query(descriptor)
-    }
-
-    fn remove_query(&self, index: usize, name: &str) -> Result<(), QueryError> {
-        self.nodes[index].remove_query(name)
-    }
-
-    fn submit_query(&self, index: usize, name: &str, value: f64) -> Result<(), QueryError> {
-        self.nodes[index].submit_query(name, value)
-    }
-
-    fn query_estimate(&self, index: usize, name: &str) -> Result<QueryEstimate, QueryError> {
-        self.nodes[index].query_estimate(name)
+    fn with_stack<R>(&self, index: usize, f: impl FnOnce(&mut NodeStack, u64) -> R) -> R {
+        let shared = &self.nodes[index].shared;
+        let mut stack = shared.stack();
+        f(&mut stack, shared.now_ms())
     }
 
     fn shutdown(self) {
@@ -542,16 +421,16 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn node_index_validated() {
         let cluster = ClusterConfig::loopback(2, node_config(10, 50)).unwrap();
-        cluster.node(5, 0.0);
+        let _ = UdpNode::spawn(&cluster, 5, 0.0);
     }
 
     #[test]
     fn single_node_runs_and_stops() {
-        let cluster = ClusterConfig::loopback(1, node_config(2, 30)).unwrap();
-        let node = UdpNode::spawn(cluster.node(0, 7.0)).unwrap();
+        let config = ClusterConfig::loopback(1, node_config(2, 30)).unwrap();
+        let cluster = ThreadCluster::spawn(config, |_| 7.0).unwrap();
         std::thread::sleep(Duration::from_millis(250));
-        let reports = node.take_reports();
-        node.shutdown();
+        let reports = cluster.take_reports(0);
+        cluster.shutdown();
         // Alone in the cluster it still completes epochs (no exchanges).
         assert!(!reports.is_empty());
         for r in &reports {
@@ -561,18 +440,16 @@ mod tests {
 
     #[test]
     fn pair_converges_to_average() {
-        let cluster = ClusterConfig::loopback(2, node_config(8, 25)).unwrap();
-        let a = UdpNode::spawn(cluster.node(0, 10.0)).unwrap();
-        let b = UdpNode::spawn(cluster.node(1, 20.0)).unwrap();
+        let config = ClusterConfig::loopback(2, node_config(8, 25)).unwrap();
+        let cluster = ThreadCluster::spawn(config, |i| (i as f64 + 1.0) * 10.0).unwrap();
         std::thread::sleep(Duration::from_millis(900));
-        let mut estimates = Vec::new();
-        for node in [&a, &b] {
-            for r in node.take_reports() {
-                estimates.push(r.scalar(0).unwrap());
-            }
-        }
-        a.shutdown();
-        b.shutdown();
+        let reports = cluster.take_all_reports();
+        cluster.shutdown();
+        let estimates: Vec<f64> = reports
+            .iter()
+            .flatten()
+            .map(|r| r.scalar(0).unwrap())
+            .collect();
         assert!(!estimates.is_empty(), "no epochs completed");
         // Later epochs must be at the true average.
         let last = *estimates.last().unwrap();
@@ -581,13 +458,11 @@ mod tests {
 
     #[test]
     fn datagram_counters_move_per_plane() {
-        let cluster = ClusterConfig::loopback(2, node_config(30, 20)).unwrap();
-        let a = UdpNode::spawn(cluster.node(0, 1.0)).unwrap();
-        let b = UdpNode::spawn(cluster.node(1, 3.0)).unwrap();
+        let config = ClusterConfig::loopback(2, node_config(30, 20)).unwrap();
+        let cluster = ThreadCluster::spawn(config, |i| 1.0 + 2.0 * i as f64).unwrap();
         std::thread::sleep(Duration::from_millis(400));
-        let counts = a.datagram_counts();
-        a.shutdown();
-        b.shutdown();
+        let counts = cluster.datagram_counts(0);
+        cluster.shutdown();
         assert!(counts.aggregation_sent > 0, "node never sent");
         assert!(counts.aggregation_received > 0, "node never received");
         assert!(counts.aggregation_bytes_sent > 0, "bytes uncharged");
@@ -598,12 +473,12 @@ mod tests {
 
     #[test]
     fn set_local_value_applies_next_epoch() {
-        let cluster = ClusterConfig::loopback(1, node_config(2, 20)).unwrap();
-        let node = UdpNode::spawn(cluster.node(0, 1.0)).unwrap();
-        node.set_local_value(100.0);
+        let config = ClusterConfig::loopback(1, node_config(2, 20)).unwrap();
+        let cluster = ThreadCluster::spawn(config, |_| 1.0).unwrap();
+        cluster.set_local_value(0, 100.0);
         std::thread::sleep(Duration::from_millis(400));
-        let reports = node.take_reports();
-        node.shutdown();
+        let reports = cluster.take_reports(0);
+        cluster.shutdown();
         let last = reports.last().and_then(|r| r.scalar(0)).unwrap();
         assert_eq!(last, 100.0, "local value update never took effect");
     }
@@ -628,13 +503,25 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_introducer_fails_spawn() {
-        let spec = DirectorySpec::Gossip(GossipDirectoryConfig::new(8, 20).with_introducer_node(9));
-        let config = ClusterConfig::loopback(4, node_config(4, 30))
-            .unwrap()
-            .with_directory(spec);
-        let err = ThreadCluster::spawn(config, |_| 0.0).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    fn misconfigured_gossip_introducers_fail_spawn() {
+        let spawn = |gossip: GossipDirectoryConfig| {
+            let config = ClusterConfig::loopback(4, node_config(4, 30))
+                .unwrap()
+                .with_directory(DirectorySpec::Gossip(gossip));
+            let err = ThreadCluster::spawn(config, |_| 0.0).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+            err.to_string()
+        };
+        // The one rule both runtimes share, word for word (see
+        // `mux::tests::misconfigured_gossip_introducers_fail_spawn`).
+        assert_eq!(
+            spawn(GossipDirectoryConfig::new(8, 20).with_introducer_node(99)),
+            "introducer node 99 outside the cluster (n = 4)"
+        );
+        assert_eq!(
+            spawn(GossipDirectoryConfig::new(8, 20)),
+            "gossip directory needs at least one introducer"
+        );
     }
 
     #[test]

@@ -47,12 +47,6 @@ pub enum RpcRequest {
 }
 
 impl RpcRequest {
-    /// Whether the operation installs or removes a query — the two that
-    /// move a node's catalog-gossip deadline (submits and reads do not).
-    pub fn changes_catalog(&self) -> bool {
-        matches!(self, RpcRequest::Install { .. } | RpcRequest::Remove { .. })
-    }
-
     /// The correlation id.
     pub fn id(&self) -> u64 {
         match self {

@@ -103,7 +103,7 @@ pub struct EventConfig {
     /// [`EventOutcome::traces`].
     pub trace_capacity: usize,
     /// Periodic Prometheus-text snapshots of the sim's metrics registry
-    /// (the cycle-driven twin of the wire runtimes' `/metrics`
+    /// (this engine's stand-in for the wire runtimes' `/metrics`
     /// endpoint); `None` still populates [`EventOutcome::registry`].
     pub snapshot: Option<SnapshotSpec>,
     /// Query-plane tuning shared by every node (catalog gossip cadence,
@@ -933,6 +933,64 @@ mod tests {
     }
 
     #[test]
+    fn every_aggregate_kind_converges_on_the_real_node() {
+        use epidemic_aggregation::AggregateKind::*;
+        // Section 5's catalogue through `GossipNode` itself: self-elected
+        // COUNT leaders, epidemic restarts, gossiped membership. Epoch 0
+        // calibrates every node's N̂; epoch 1 is judged, by the mean of its
+        // reports. Tolerances are relative (PRODUCT's is on the logarithm,
+        // where the COUNT error sits). Exchanges overlap under delay, so
+        // averaging conserves mass only roughly; an extreme is exact.
+        let (n, gamma, seed) = (400usize, 30u32, 21u64);
+        let (calm, churn) = (FailureModel::None, FailureModel::Churn { per_cycle: 4 });
+        let table = [
+            (Average, calm, 0.005),
+            (Minimum, calm, 0.0),
+            (Maximum, calm, 0.0),
+            (Count, calm, 0.1),
+            (Sum, calm, 0.15),
+            (Variance, calm, 0.02),
+            (GeometricMean, calm, 0.005),
+            (Product, calm, 0.2),
+            // A third of the population replaced per epoch: in the band.
+            (Count, churn, 0.375),
+        ];
+        for (kind, failure, tolerance) in table {
+            let mut node = NodeConfig::builder();
+            node.gamma(gamma).cycle_length(1_000).timeout(200);
+            for spec in kind.instances(12.0) {
+                node.instance(spec);
+            }
+            let mut cfg = base_config();
+            cfg.node = node.build().unwrap();
+            cfg.duration = u64::from(2 * gamma + 2) * 1_000;
+            cfg.scenario.n = n;
+            cfg.scenario.overlay = OverlaySpec::Newscast { c: 20 };
+            cfg.scenario.failure = failure;
+            // Positive for the geometric family; near 1 so PRODUCT fits.
+            let hi = if kind == Product { 1.01 } else { 3.0 };
+            cfg.scenario.values = ValueInit::Uniform { lo: 1.0, hi };
+            let out = cfg.run(seed);
+            assert_eq!(out.final_alive, n, "{kind} under {failure:?}");
+            assert!(out.view_messages_sent > 0, "membership was idealized");
+            // The local values are the scenario stream's first draw.
+            let mut stream = Xoshiro256::seed_from_u64(seed);
+            let values = cfg.scenario.values.materialize(n, &mut stream);
+            let truth = kind.compute_exact(&values).unwrap();
+            let reports = out.reports.iter().flatten().filter(|r| r.epoch == 1);
+            let estimates: Vec<f64> = reports.filter_map(|r| kind.extract(r, 0)).collect();
+            assert!(estimates.len() > n / 4, "{kind}: {}", estimates.len());
+            let mean = epidemic_common::stats::mean(&estimates);
+            let error = match kind {
+                Minimum | Maximum if estimates.iter().all(|&e| e == truth) => 0.0,
+                Product => (mean.ln() - truth.ln()).abs(),
+                _ => ((mean - truth) / truth).abs(),
+            };
+            assert!(error <= tolerance, "{kind}, {failure:?}: {mean} vs {truth}");
+        }
+    }
+
+    #[test]
     fn message_loss_only_slows_down() {
         let mut cfg = base_config();
         cfg.scenario.comm = CommFailure::messages(0.2);
@@ -1010,18 +1068,6 @@ mod tests {
             .filter(|r| r.epoch >= 1)
             .count();
         assert!(late_epochs > 0, "no epochs completed after the crash wave");
-    }
-
-    #[test]
-    fn churn_keeps_population_constant() {
-        let mut cfg = base_config();
-        cfg.scenario.overlay = OverlaySpec::Newscast { c: 15 };
-        cfg.scenario.failure = FailureModel::Churn { per_cycle: 2 };
-        let out = cfg.run(4);
-        assert_eq!(out.final_alive, 64);
-        assert!(out.mean_epoch_estimate(0).is_some());
-        // Membership really was gossiped, not idealized away.
-        assert!(out.view_messages_sent > 0, "no view exchanges happened");
     }
 
     #[test]

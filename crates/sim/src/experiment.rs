@@ -165,7 +165,7 @@ impl NeighborSampling for LiveSampler<'_> {
 /// Picks a uniformly random live overlay member to introduce a joiner, or
 /// `None` when nobody is alive (the join is then impossible and must be
 /// skipped instead of spinning).
-pub(crate) fn random_live_introducer(overlay: &Overlay, rng: &mut Xoshiro256) -> Option<usize> {
+fn random_live_introducer(overlay: &Overlay, rng: &mut Xoshiro256) -> Option<usize> {
     if overlay.alive_count() == 0 {
         return None;
     }

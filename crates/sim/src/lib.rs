@@ -20,6 +20,9 @@
 //!   timeouts) stepping one sans-io [`epidemic_net::stack::NodeStack`]
 //!   per node — the wire runtimes' own wiring — under the same
 //!   [`Scenario`] conditions; measures epoch-synchronization spread.
+//!   The only multi-epoch engine: Section 4 is written once, in the node.
+//!   (`directory`, private, is each stack's `GETNEIGHBOR()`: live set,
+//!   static graph, or the real gossiped NEWSCAST directory.)
 //! * [`metrics`] — convergence factors and exchange-count distributions
 //!   (the `1 + Poisson(1)` cost analysis of Section 4.5).
 //!
@@ -55,11 +58,9 @@ pub mod metrics;
 pub mod network;
 mod pool;
 pub mod scenario;
-pub mod session;
 
 pub use event::{EventConfig, EventOutcome, EventSim};
 pub use experiment::{AggregateSetup, ExperimentConfig, RunOutcome};
 pub use failure::{CommFailure, FailureModel};
 pub use network::{FieldId, Network};
 pub use scenario::{OverlaySpec, Scenario, ValueInit};
-pub use session::{Session, SessionConfig, SessionEpoch};

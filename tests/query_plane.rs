@@ -237,6 +237,54 @@ fn thread_cluster_serves_queries_through_the_same_seam() {
     cluster.shutdown();
 }
 
+/// The operator script of [`install_through_the_seam_needs_no_wake`],
+/// written once for every runtime: each call is one of `Cluster`'s
+/// provided verbs, i.e. `Cluster::with_stack` and nothing else.
+fn installed_query_spreads<C: Cluster>(cluster: C, what: &str) {
+    cluster
+        .install_query(0, mux_descriptor("seam").with_default_value(6.0))
+        .unwrap();
+    let last = cluster.node_count() - 1;
+    drive_until(what, 6.0, 1e-6, || {
+        match cluster.query_estimate(last, "seam") {
+            Ok(est) if est.settled => Some(est.value),
+            _ => None,
+        }
+    });
+    let installed = cluster.with_stack(last, |stack, _now| stack.installed_queries());
+    assert_eq!(installed, ["seam"], "{what}");
+    cluster.shutdown();
+}
+
+#[test]
+fn install_through_the_seam_needs_no_wake() {
+    // A ten-minute base cycle: no node has a deadline of its own inside
+    // this test, so the install spreads only if the runtime re-arms node
+    // 0's timer when `with_stack` returns — nothing here wakes it.
+    let node_config = NodeConfig::builder()
+        .gamma(10)
+        .cycle_length(600_000)
+        .timeout(1_000)
+        .instance(InstanceSpec::AVERAGE)
+        .build()
+        .unwrap();
+    let query = QueryPlaneConfig {
+        gossip_period: 50,
+        ..QueryPlaneConfig::default()
+    };
+    let threads = ClusterConfig::loopback(8, node_config.clone())
+        .unwrap()
+        .with_query_config(query);
+    installed_query_spreads(
+        ThreadCluster::spawn(threads, |i| i as f64).unwrap(),
+        "thread cluster",
+    );
+    let mux = MuxClusterConfig::new(8, node_config)
+        .with_workers(2)
+        .with_query_config(query);
+    installed_query_spreads(MuxCluster::spawn(mux, |i| i as f64).unwrap(), "mux cluster");
+}
+
 /// The acceptance scenario: a running mux cluster, no restart, accepts a
 /// query installed over the wire at its RPC endpoint; catalog gossip
 /// carries it to all nodes; the client submits and reads through

@@ -22,6 +22,7 @@
 //! of the final partial epoch).
 
 use epidemic_aggregation::{InstanceSpec, NodeConfig};
+use epidemic_net::cluster::Cluster;
 use epidemic_net::mux::{MuxCluster, MuxClusterConfig};
 use epidemic_net::TraceEvent;
 use epidemic_sim::event::EventConfig;
