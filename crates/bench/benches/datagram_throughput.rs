@@ -255,29 +255,6 @@ fn bench_runtimes(c: &mut Criterion) {
         }
     }
 
-    // Telemetry overhead A/B at n = 1024: the identical epoch wave, the
-    // only difference is whether the metrics registry is live (the
-    // default — every counter/gauge/histogram handle hits a real atomic)
-    // or disconnected via `without_telemetry()` (every handle is a
-    // no-op). The telemetry plane's budget is ≤2% wall clock; the pair
-    // is measured here so regressions show up as a widening gap, not as
-    // an unexplained slowdown of the instrumented default.
-    let n = 1024usize;
-    group.throughput(Throughput::Elements(n as u64));
-    for (label, telemetry) in [("mux_telemetry_on", true), ("mux_telemetry_off", false)] {
-        group.bench_with_input(BenchmarkId::new(label, n), &n, |b, &n| {
-            let mut seed = 0u64;
-            b.iter(|| {
-                seed += 1;
-                let mut config = mux_config(n, seed, 1, IoBackend::auto());
-                if !telemetry {
-                    config = config.without_telemetry();
-                }
-                run_mux_epoch_wave(config, n).0
-            });
-        });
-    }
-
     // Static vs gossiped membership at n = 256: same epoch wave, the
     // directory is the only difference. `mux_gossip` is the delta +
     // piggyback path; `mux_gossip_full` the pre-delta full-view baseline.

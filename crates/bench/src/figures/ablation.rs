@@ -330,28 +330,26 @@ mod tests {
 
     #[test]
     fn event_ablation_stays_accurate() {
-        let fig = ablation_event(Scale::new(0.01), 13);
-        assert_eq!(fig.rows.len(), 4);
-        // Lossless row: every overlay's epoch estimate lands near truth
-        // (at this smoke scale n=100, so a few percent of noise remains).
-        let clean = &fig.rows[0];
-        for err in [clean[1], clean[3], clean[5]] {
-            assert!(err < 0.1, "lossless error {err} too high: {clean:?}");
-        }
-        // 40% loss degrades but does not destroy the estimate. The
-        // NEWSCAST column (lossy[5]) gets a wider band: membership is now
-        // gossiped for real, so at this smoke scale (n=100, 3 runs) the
-        // view exchanges suffer the same 40% loss and the peak estimate
-        // scatters well beyond the static overlays.
-        let lossy = fig.rows.last().unwrap();
-        for err in [lossy[1], lossy[3]] {
-            assert!(err < 0.5, "lossy error {err} out of band: {lossy:?}");
-        }
-        assert!(
-            lossy[5] < 1.0,
-            "lossy newscast error {} out of band: {lossy:?}",
-            lossy[5]
-        );
+        // Each cell is judged on the mean of six runs (seeds 11–16: two
+        // three-run figures). Over 1,200 runs at this n = 100, one run's
+        // relative error has mean 0.053–0.057 and sd 0.065–0.071
+        // lossless, mean 0.36–0.40 and sd 0.29–0.33 at 40 % loss; the
+        // six-run mean's sd is 0.028–0.029 and 0.115–0.128. Every bar
+        // below sits ≥ 4.2 of those sd above its mean, so it fails on a
+        // regression, not on a seed.
+        let figs = [11, 14].map(|seed| ablation_event(Scale::new(0.01), seed));
+        assert!(figs.iter().all(|fig| fig.rows.len() == 4));
+        let six_runs = |row: usize| {
+            [1, 3, 5].map(|col| (figs[0].rows[row][col] + figs[1].rows[row][col]) / 2.0)
+        };
+        // Lossless: every overlay's epoch estimate lands near truth.
+        let clean = six_runs(0);
+        assert!(clean.iter().all(|&e| e < 0.18), "lossless {clean:?}");
+        // 40 % loss degrades but does not destroy the estimate; gossiped
+        // NEWSCAST views suffer the same loss, so its band is wider.
+        let lossy = six_runs(3);
+        assert!(lossy[..2].iter().all(|&e| e < 0.9), "lossy {lossy:?}");
+        assert!(lossy[2] < 1.0, "lossy newscast {lossy:?}");
     }
 
     #[test]

@@ -15,22 +15,22 @@
 //! methods over it, so what "install a query at node 3" means is written
 //! once, not once per runtime.
 //!
-//! Traffic is accounted per node and per plane in [`TrafficCounts`]:
-//! aggregation datagrams (the paper's push-pull exchanges) separately
-//! from membership datagrams (NEWSCAST views, join/introduce bootstrap)
-//! and from query-plane datagrams (catalog gossip, named-query
-//! exchanges), so the overhead of gossiped membership and of the
-//! multi-tenant query plane are both directly measurable.
+//! Traffic is counted once per runtime, per plane, in the runtime's
+//! [`Cluster::registry`] ([`crate::stack::Traffic`]): aggregation frames
+//! (the paper's push-pull exchanges) separately from membership frames
+//! (NEWSCAST views, join/introduce bootstrap) and from query-plane frames
+//! (catalog gossip, named-query exchanges), so the overhead of gossiped
+//! membership and of the multi-tenant query plane are both directly
+//! measurable. [`TrafficCounts`] is a read of those series.
 
-use crate::stack::{NodeStack, Plane};
+use crate::stack::{NodeStack, Traffic};
 use epidemic_aggregation::EpochReport;
 use epidemic_common::NodeId;
 use epidemic_query::{QueryDescriptor, QueryError, QueryEstimate};
-use epidemic_telemetry::TraceEvent;
+use epidemic_telemetry::{Registry, TraceEvent};
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
-use std::ops::{Add, AddAssign};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ops::Add;
 
 /// Reserves `n` distinct loopback addresses by binding ephemeral-port
 /// sockets, recording their addresses, and releasing them only after all
@@ -49,9 +49,10 @@ pub(crate) fn reserve_loopback_addrs(n: usize) -> io::Result<Vec<SocketAddr>> {
     Ok(addrs)
 }
 
-/// Per-node traffic accounting, split by protocol plane, in *frames*:
-/// logical protocol messages and their bytes on the wire. The thread
-/// runtime sends one per datagram; the mux runtime bundles them
+/// A runtime's traffic, split by protocol plane, in *frames*: logical
+/// protocol messages and their bytes on the wire — a read of the
+/// `io.*{plane}` series ([`TrafficCounts::read`]). The thread runtime
+/// sends one frame per datagram; the mux runtime bundles them
 /// ([`crate::codec::push_bundle_frame`]) and charges a bundle's header
 /// byte to its first frame, so bytes still sum to the UDP payload.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -84,14 +85,20 @@ pub struct TrafficCounts {
     /// (counted inside `membership_sent`). Non-zero means the introducer
     /// path lost datagrams — visible here instead of as a silent hang.
     pub join_retries: u64,
-    /// Client RPCs this node answered with a non-`Ok` status (unknown
-    /// query, admission rejection, conflict, …). Rejections are counted
-    /// here — and surfaced to the caller in the response — never
+    /// Client RPCs answered with a non-`Ok` status (unknown query,
+    /// admission rejection, conflict, …): `rpc.rejects`. Rejections are
+    /// counted here — and surfaced to the caller in the response — never
     /// silently swallowed.
     pub rpc_rejects: u64,
 }
 
 impl TrafficCounts {
+    /// Reads the traffic series of `registry` (`join_retries` reads 0: the
+    /// directories own it, see [`Cluster::total_datagram_counts`]).
+    pub fn read(registry: &Registry) -> TrafficCounts {
+        Traffic::new(registry).counts()
+    }
+
     /// Total datagrams sent across all planes.
     pub fn sent(&self) -> u64 {
         self.aggregation_sent + self.membership_sent + self.query_sent
@@ -125,107 +132,20 @@ impl TrafficCounts {
 impl Add for TrafficCounts {
     type Output = TrafficCounts;
 
-    fn add(mut self, rhs: TrafficCounts) -> TrafficCounts {
-        self += rhs;
-        self
-    }
-}
-
-impl AddAssign for TrafficCounts {
-    fn add_assign(&mut self, rhs: TrafficCounts) {
-        self.aggregation_sent += rhs.aggregation_sent;
-        self.aggregation_received += rhs.aggregation_received;
-        self.membership_sent += rhs.membership_sent;
-        self.membership_received += rhs.membership_received;
-        self.query_sent += rhs.query_sent;
-        self.query_received += rhs.query_received;
-        self.aggregation_bytes_sent += rhs.aggregation_bytes_sent;
-        self.membership_bytes_sent += rhs.membership_bytes_sent;
-        self.query_bytes_sent += rhs.query_bytes_sent;
-        self.send_errors += rhs.send_errors;
-        self.join_retries += rhs.join_retries;
-        self.rpc_rejects += rhs.rpc_rejects;
-    }
-}
-
-/// Lock-free mutable twin of [`TrafficCounts`], shared between the
-/// threads of a runtime (one cell per hosted node).
-#[derive(Debug, Default)]
-pub(crate) struct TrafficCell {
-    aggregation_sent: AtomicU64,
-    aggregation_received: AtomicU64,
-    membership_sent: AtomicU64,
-    membership_received: AtomicU64,
-    query_sent: AtomicU64,
-    query_received: AtomicU64,
-    aggregation_bytes_sent: AtomicU64,
-    membership_bytes_sent: AtomicU64,
-    query_bytes_sent: AtomicU64,
-    send_errors: AtomicU64,
-    join_retries: AtomicU64,
-    rpc_rejects: AtomicU64,
-}
-
-impl TrafficCell {
-    /// Counts one frame of `bytes` wire bytes sent on `plane`. A
-    /// piggybacked frame is one aggregation frame whose trailer bytes go
-    /// to the membership ledger.
-    pub(crate) fn charge(&self, plane: Plane, bytes: u64) {
-        let (frames, ledger) = match plane {
-            Plane::Aggregation | Plane::Piggybacked { .. } => {
-                (&self.aggregation_sent, &self.aggregation_bytes_sent)
-            }
-            Plane::Membership => (&self.membership_sent, &self.membership_bytes_sent),
-            Plane::Query => (&self.query_sent, &self.query_bytes_sent),
-        };
-        let mut own = bytes;
-        if let Plane::Piggybacked { trailer } = plane {
-            own -= u64::from(trailer);
-            self.membership_bytes_sent
-                .fetch_add(u64::from(trailer), Ordering::Relaxed);
-        }
-        frames.fetch_add(1, Ordering::Relaxed);
-        ledger.fetch_add(own, Ordering::Relaxed);
-    }
-
-    /// Counts one frame received on `plane`.
-    pub(crate) fn count_received(&self, plane: Plane) {
-        let frames = match plane {
-            Plane::Aggregation | Plane::Piggybacked { .. } => &self.aggregation_received,
-            Plane::Membership => &self.membership_received,
-            Plane::Query => &self.query_received,
-        };
-        frames.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Publishes the directory's current join-retry count (a level, not a
-    /// delta — the directory owns the counter).
-    pub(crate) fn set_join_retries(&self, retries: u64) {
-        self.join_retries.store(retries, Ordering::Relaxed);
-    }
-
-    pub(crate) fn count_rpc_reject(&self) {
-        self.rpc_rejects.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn count_send_error(&self) {
-        self.send_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn snapshot(&self) -> TrafficCounts {
+    fn add(self, rhs: TrafficCounts) -> TrafficCounts {
         TrafficCounts {
-            aggregation_sent: self.aggregation_sent.load(Ordering::Relaxed),
-            aggregation_received: self.aggregation_received.load(Ordering::Relaxed),
-            membership_sent: self.membership_sent.load(Ordering::Relaxed),
-            membership_received: self.membership_received.load(Ordering::Relaxed),
-            query_sent: self.query_sent.load(Ordering::Relaxed),
-            query_received: self.query_received.load(Ordering::Relaxed),
-            aggregation_bytes_sent: self.aggregation_bytes_sent.load(Ordering::Relaxed),
-            membership_bytes_sent: self.membership_bytes_sent.load(Ordering::Relaxed),
-            query_bytes_sent: self.query_bytes_sent.load(Ordering::Relaxed),
-            send_errors: self.send_errors.load(Ordering::Relaxed),
-            join_retries: self.join_retries.load(Ordering::Relaxed),
-            rpc_rejects: self.rpc_rejects.load(Ordering::Relaxed),
+            aggregation_sent: self.aggregation_sent + rhs.aggregation_sent,
+            aggregation_received: self.aggregation_received + rhs.aggregation_received,
+            membership_sent: self.membership_sent + rhs.membership_sent,
+            membership_received: self.membership_received + rhs.membership_received,
+            query_sent: self.query_sent + rhs.query_sent,
+            query_received: self.query_received + rhs.query_received,
+            aggregation_bytes_sent: self.aggregation_bytes_sent + rhs.aggregation_bytes_sent,
+            membership_bytes_sent: self.membership_bytes_sent + rhs.membership_bytes_sent,
+            query_bytes_sent: self.query_bytes_sent + rhs.query_bytes_sent,
+            send_errors: self.send_errors + rhs.send_errors,
+            join_retries: self.join_retries + rhs.join_retries,
+            rpc_rejects: self.rpc_rejects + rhs.rpc_rejects,
         }
     }
 }
@@ -259,8 +179,9 @@ pub trait Cluster: Sized {
     /// address first).
     fn addrs(&self) -> Vec<SocketAddr>;
 
-    /// Datagram counts for local node `index`, split by plane.
-    fn datagram_counts(&self, index: usize) -> TrafficCounts;
+    /// The metrics registry this handle's nodes publish to: traffic,
+    /// `rpc.*` and per-query series, and the runtime's own.
+    fn registry(&self) -> &Registry;
 
     /// Runs `f` on local node `index`'s protocol stack, under the node's
     /// lock, at the runtime's current tick (the second argument — the
@@ -351,100 +272,15 @@ pub trait Cluster: Sized {
             .collect()
     }
 
-    /// Sum of every local node's [`TrafficCounts`].
+    /// This handle's [`TrafficCounts`]: its registry's traffic series,
+    /// plus every local node's bootstrap join retries.
     fn total_datagram_counts(&self) -> TrafficCounts {
-        (0..self.node_count())
-            .map(|i| self.datagram_counts(i))
-            .fold(TrafficCounts::default(), Add::add)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn traffic_counts_sum_and_overhead() {
-        let a = TrafficCounts {
-            aggregation_sent: 10,
-            aggregation_received: 8,
-            membership_sent: 2,
-            membership_received: 1,
-            query_sent: 4,
-            query_received: 3,
-            aggregation_bytes_sent: 1_000,
-            membership_bytes_sent: 250,
-            query_bytes_sent: 110,
-            send_errors: 1,
-            join_retries: 2,
-            rpc_rejects: 1,
-        };
-        let b = TrafficCounts {
-            aggregation_sent: 1,
-            aggregation_received: 2,
-            membership_sent: 3,
-            membership_received: 4,
-            query_sent: 1,
-            query_received: 2,
-            aggregation_bytes_sent: 100,
-            membership_bytes_sent: 50,
-            query_bytes_sent: 0,
-            send_errors: 2,
-            join_retries: 1,
-            rpc_rejects: 2,
-        };
-        let sum = a + b;
-        assert_eq!(sum.sent(), 21);
-        assert_eq!(sum.received(), 20);
-        assert_eq!(sum.send_errors, 3);
-        assert_eq!(sum.join_retries, 3);
-        assert_eq!(sum.rpc_rejects, 3);
-        assert!((sum.membership_byte_overhead() - 300.0 / 1_100.0).abs() < 1e-12);
-        assert!((sum.query_byte_overhead() - 110.0 / 1_100.0).abs() < 1e-12);
-        assert_eq!(TrafficCounts::default().membership_byte_overhead(), 0.0);
-        assert_eq!(TrafficCounts::default().query_byte_overhead(), 0.0);
-    }
-
-    #[test]
-    fn traffic_cell_snapshot_reflects_counting() {
-        let cell = TrafficCell::default();
-        cell.charge(Plane::Aggregation, 40);
-        cell.charge(Plane::Aggregation, 60);
-        cell.charge(Plane::Membership, 8);
-        cell.count_received(Plane::Aggregation);
-        cell.count_received(Plane::Membership);
-        cell.charge(Plane::Query, 24);
-        cell.count_received(Plane::Query);
-        cell.count_rpc_reject();
-        cell.count_send_error();
-        cell.count_send_error();
-        cell.set_join_retries(4);
-        let snap = cell.snapshot();
-        assert_eq!(snap.aggregation_sent, 2);
-        assert_eq!(snap.aggregation_bytes_sent, 100);
-        assert_eq!(snap.membership_sent, 1);
-        assert_eq!(snap.membership_bytes_sent, 8);
-        assert_eq!(snap.query_sent, 1);
-        assert_eq!(snap.query_bytes_sent, 24);
-        assert_eq!(snap.query_received, 1);
-        assert_eq!(snap.rpc_rejects, 1);
-        assert_eq!(snap.aggregation_received, 1);
-        assert_eq!(snap.membership_received, 1);
-        assert_eq!(snap.send_errors, 2);
-        assert_eq!(snap.join_retries, 4);
-    }
-
-    #[test]
-    fn piggybacked_sends_split_bytes_across_planes() {
-        let cell = TrafficCell::default();
-        cell.charge(Plane::Piggybacked { trailer: 30 }, 100);
-        cell.charge(Plane::Piggybacked { trailer: 0 }, 50);
-        let snap = cell.snapshot();
-        // Two datagrams, both on the aggregation plane…
-        assert_eq!(snap.aggregation_sent, 2);
-        assert_eq!(snap.membership_sent, 0);
-        // …but the trailer bytes land on the membership ledger.
-        assert_eq!(snap.aggregation_bytes_sent, 120);
-        assert_eq!(snap.membership_bytes_sent, 30);
+        let join_retries = (0..self.node_count())
+            .map(|i| self.with_stack(i, |stack, _| stack.join_retries()))
+            .sum();
+        TrafficCounts {
+            join_retries,
+            ..TrafficCounts::read(self.registry())
+        }
     }
 }

@@ -14,8 +14,8 @@
 //!   that decides poll order, piggyback attachment, deadline folding and
 //!   which traffic ledger a frame lands on. Sans-io: `step(input, now,
 //!   sink)` in, borrowed frames out. Both runtimes embed it, and so does
-//!   the event simulator (`epidemic-sim`); [`stack::Convergence`]
-//!   publishes the `epoch.*` series for all of them.
+//!   the event simulator (`epidemic-sim`); [`stack::Convergence`] and
+//!   [`stack::Traffic`] publish the `epoch.*` and `io.*{plane}` series.
 //! * [`directory`] — the **membership seam**: [`directory::PeerDirectory`]
 //!   answers `GETNEIGHBOR()` and resolves peer addresses. Implementations:
 //!   [`directory::StaticDirectory`] (a static table, the out-of-band
@@ -23,8 +23,8 @@
 //!   (NEWSCAST membership gossiped over the same sockets, bootstrapped
 //!   from introducers — no static table anywhere).
 //! * [`cluster`] — the **operator seam**: the [`cluster::Cluster`] trait
-//!   (spawn, addresses, reports, local values, per-node
-//!   [`cluster::TrafficCounts`], shutdown), implemented by both runtimes
+//!   (spawn, addresses, reports, local values, the registry and its
+//!   [`cluster::TrafficCounts`] read, shutdown), implemented by both runtimes
 //!   so tests, benches, and examples are written once.
 //! * [`codec`] — a compact, versioned binary wire format for protocol
 //!   messages (hand-rolled little-endian framing, no codec dependency):

@@ -23,13 +23,13 @@
 //! cross-runtime *reference*: the conformance suite pins a same-seed
 //! thread cluster against the mux runtime in every layout.
 
-use crate::cluster::{Cluster, TrafficCell, TrafficCounts};
+use crate::cluster::Cluster;
 use crate::codec::{decode_datagram, encode_rpc_response, WireFrame, WirePayload};
 use crate::directory::{
     Destination, DirectorySpec, GossipDirectory, GossipDirectoryConfig, Introducer, PeerDirectory,
     StaticDirectory,
 };
-use crate::stack::{Input, NodeStack, Plane};
+use crate::stack::{Input, NodeStack, Plane, Traffic};
 use epidemic_aggregation::NodeConfig;
 use epidemic_common::NodeId;
 use epidemic_query::QueryPlaneConfig;
@@ -174,7 +174,7 @@ struct Shared {
     stop: AtomicBool,
     start: Instant,
     stack: Mutex<NodeStack>,
-    traffic: TrafficCell,
+    traffic: Traffic,
 }
 
 impl Shared {
@@ -191,7 +191,8 @@ impl Shared {
 
 impl UdpNode {
     /// Binds the socket of `cluster`'s node `index` and spawns its gossip
-    /// thread.
+    /// thread, publishing to `registry` and counting its traffic in
+    /// `traffic` (resolved there once, shared by every node).
     ///
     /// # Errors
     ///
@@ -201,17 +202,20 @@ impl UdpNode {
     /// # Panics
     ///
     /// Panics if `index` is out of range.
-    pub fn spawn(cluster: &ClusterConfig, index: usize, local_value: f64) -> io::Result<UdpNode> {
+    pub fn spawn(
+        cluster: &ClusterConfig,
+        index: usize,
+        local_value: f64,
+        registry: &Registry,
+        traffic: &Traffic,
+    ) -> io::Result<UdpNode> {
         assert!(index < cluster.peers.len(), "node index out of range");
         let addr = cluster.peers[index];
         let socket = UdpSocket::bind(addr)?;
         socket.set_nonblocking(true)?;
         let id = NodeId::new(index as u64);
         // Built on the caller's thread so misconfiguration fails the
-        // spawn instead of killing the node thread silently. Per-query
-        // metrics are the mux runtime's surface (one registry per
-        // cluster); a thread-per-node cluster runs the identical stack
-        // with disconnected handles.
+        // spawn instead of killing the node thread silently.
         let mut stack = NodeStack::founder(
             id,
             cluster.node_config.clone(),
@@ -219,14 +223,14 @@ impl UdpNode {
             cluster.seed,
             cluster.build_directory(id)?,
             cluster.query,
-            Registry::disabled(),
+            registry.clone(),
         );
         stack.set_trace_capacity(cluster.trace_capacity);
         let shared = Arc::new(Shared {
             stop: AtomicBool::new(false),
             start: Instant::now(),
             stack: Mutex::new(stack),
-            traffic: TrafficCell::default(),
+            traffic: traffic.clone(),
         });
         let thread_shared = Arc::clone(&shared);
         let thread = std::thread::Builder::new()
@@ -248,11 +252,6 @@ impl UdpNode {
     /// The node's identifier (its index in the address table).
     pub fn id(&self) -> NodeId {
         self.id
-    }
-
-    /// Datagram counts so far, split by protocol plane.
-    pub fn datagram_counts(&self) -> TrafficCounts {
-        self.shared.traffic.snapshot()
     }
 
     /// Stops the gossip thread and waits for it to exit.
@@ -277,7 +276,7 @@ impl Drop for UdpNode {
 /// The node's event loop: Figure 1's active and passive behavior on one
 /// thread. Once per millisecond it wakes the stack, then drains the
 /// socket into it; every frame the stack emits is encoded and sent on the
-/// spot, charging the node's traffic cell — or its `send_errors` counter
+/// spot, charging the cluster's [`Traffic`] — or its `io.send_errors`
 /// when the kernel refuses, so outbound backpressure is visible instead
 /// of silent loss.
 fn run_loop(socket: &UdpSocket, shared: &Shared) {
@@ -288,9 +287,9 @@ fn run_loop(socket: &UdpSocket, shared: &Shared) {
         };
         let bytes = frame.encode();
         if socket.send_to(&bytes, target).is_ok() {
-            shared.traffic.charge(plane, bytes.len() as u64);
+            shared.traffic.sent(plane, bytes.len() as u64);
         } else {
-            shared.traffic.count_send_error();
+            shared.traffic.send_error();
         }
     };
     let mut buf = [0u8; 64 * 1024];
@@ -304,21 +303,18 @@ fn run_loop(socket: &UdpSocket, shared: &Shared) {
                 // reply to the source address.
                 Ok(WirePayload::Rpc(request)) => {
                     let response = stack.rpc(&request, now);
-                    if response.status.is_reject() {
-                        shared.traffic.count_rpc_reject();
-                    }
+                    shared.traffic.rpc(&response);
                     let _ = socket.send_to(&encode_rpc_response(&response), src);
                 }
                 Ok(payload) => {
                     if let Some(plane) = Plane::of_received(&payload) {
-                        shared.traffic.count_received(plane);
+                        shared.traffic.received(plane);
                     }
                     stack.step(Input::Frame(&payload, Some(src)), now, transmit);
                 }
                 Err(_) => {} // corrupt datagram: drop, stay alive
             }
         }
-        shared.traffic.set_join_retries(stack.join_retries());
         // Query epochs feed telemetry only in the mux runtime; drain
         // them here to bound memory.
         let _ = stack.take_query_epochs();
@@ -332,6 +328,7 @@ fn run_loop(socket: &UdpSocket, shared: &Shared) {
 #[derive(Debug)]
 pub struct ThreadCluster {
     nodes: Vec<UdpNode>,
+    registry: Registry,
 }
 
 impl ThreadCluster {
@@ -344,11 +341,13 @@ impl ThreadCluster {
     /// are shut down on failure).
     pub fn spawn(config: ClusterConfig, values: impl Fn(usize) -> f64) -> io::Result<Self> {
         let n = config.peers.len();
+        let registry = Registry::new();
+        let traffic = Traffic::new(&registry);
         let mut nodes = Vec::with_capacity(n);
         for i in 0..n {
-            nodes.push(UdpNode::spawn(&config, i, values(i))?);
+            nodes.push(UdpNode::spawn(&config, i, values(i), &registry, &traffic)?);
         }
-        Ok(ThreadCluster { nodes })
+        Ok(ThreadCluster { nodes, registry })
     }
 
     /// The per-node handles.
@@ -376,8 +375,8 @@ impl Cluster for ThreadCluster {
         self.nodes.iter().map(UdpNode::addr).collect()
     }
 
-    fn datagram_counts(&self, index: usize) -> TrafficCounts {
-        self.nodes[index].datagram_counts()
+    fn registry(&self) -> &Registry {
+        &self.registry
     }
 
     fn with_stack<R>(&self, index: usize, f: impl FnOnce(&mut NodeStack, u64) -> R) -> R {
@@ -421,7 +420,8 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn node_index_validated() {
         let cluster = ClusterConfig::loopback(2, node_config(10, 50)).unwrap();
-        let _ = UdpNode::spawn(&cluster, 5, 0.0);
+        let registry = Registry::new();
+        let _ = UdpNode::spawn(&cluster, 5, 0.0, &registry, &Traffic::new(&registry));
     }
 
     #[test]
@@ -461,10 +461,10 @@ mod tests {
         let config = ClusterConfig::loopback(2, node_config(30, 20)).unwrap();
         let cluster = ThreadCluster::spawn(config, |i| 1.0 + 2.0 * i as f64).unwrap();
         std::thread::sleep(Duration::from_millis(400));
-        let counts = cluster.datagram_counts(0);
+        let counts = cluster.total_datagram_counts();
         cluster.shutdown();
-        assert!(counts.aggregation_sent > 0, "node never sent");
-        assert!(counts.aggregation_received > 0, "node never received");
+        assert!(counts.aggregation_sent > 0, "cluster never sent");
+        assert!(counts.aggregation_received > 0, "cluster never received");
         assert!(counts.aggregation_bytes_sent > 0, "bytes uncharged");
         // A static directory produces no membership traffic.
         assert_eq!(counts.membership_sent, 0);

@@ -16,9 +16,11 @@
 //! Three embeddings do: the thread runtime ([`crate::runtime`]), the mux
 //! runtime ([`crate::mux`]) and the event simulator (`epidemic-sim`),
 //! whose delay/loss/crash/churn model is the seeded in-memory transport
-//! under the very same wiring. [`Convergence`] is what they publish about
-//! it: the convergence-health series, computed in one place.
+//! under the very same wiring. [`Convergence`] and [`Traffic`] are what
+//! they publish about it: the convergence-health series and the per-plane
+//! traffic series, each computed in one place.
 
+use crate::cluster::TrafficCounts;
 use crate::codec::{piggyback_trailer_len, WireFrame, WirePayload};
 use crate::directory::{Destination, DirectoryMessage, DirectoryPayload, PeerDirectory};
 use epidemic_aggregation::convergence::{observed_rho, EpochWindow};
@@ -45,8 +47,7 @@ pub enum Input<'a> {
     Frame(&'a WirePayload, Option<SocketAddr>),
 }
 
-/// The traffic ledger a frame belongs to (see
-/// [`TrafficCounts`](crate::cluster::TrafficCounts)).
+/// The traffic ledger a frame belongs to (see [`Traffic`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Plane {
     /// A push-pull exchange of the base aggregate.
@@ -86,6 +87,16 @@ impl Plane {
             WirePayload::Directory(_) => Some(Plane::Membership),
             WirePayload::Catalog { .. } | WirePayload::Query { .. } => Some(Plane::Query),
             WirePayload::Rpc(_) | WirePayload::RpcReply(_) => None,
+        }
+    }
+
+    /// Index of the ledger this plane's frames count on — aggregation,
+    /// membership, query; a piggybacked frame is an aggregation frame.
+    pub fn ledger(self) -> usize {
+        match self {
+            Plane::Aggregation | Plane::Piggybacked { .. } => 0,
+            Plane::Membership => 1,
+            Plane::Query => 2,
         }
     }
 }
@@ -488,5 +499,169 @@ impl Convergence {
             }
             _ => {}
         }
+    }
+}
+
+/// The traffic series of one embedding, resolved once in its registry for
+/// every stack it hosts: `io.{frames_sent,bytes_sent,frames_received}`
+/// per [`Plane`] ledger (and `sim.frames_lost` in the simulator),
+/// `io.send_errors`, `rpc.{requests,rejects}`. The one place a plane
+/// becomes a series and a trailer's bytes move to membership;
+/// [`TrafficCounts`] is a read of these series.
+#[derive(Debug, Clone)]
+pub struct Traffic {
+    /// Per ledger, indexed by [`Plane::ledger`].
+    sent: [Counter; 3],
+    bytes: [Counter; 3],
+    received: [Counter; 3],
+    lost: [Counter; 3],
+    send_errors: Counter,
+    rpc_requests: Counter,
+    rpc_rejects: Counter,
+}
+
+impl Traffic {
+    /// The `plane` label values, indexed by [`Plane::ledger`].
+    const PLANES: [&'static str; 3] = ["aggregation", "membership", "query"];
+
+    /// Registers a wire runtime's traffic series in `registry`.
+    pub fn new(registry: &Registry) -> Self {
+        Self::register(registry, &Registry::disabled())
+    }
+
+    /// [`Traffic::new`] plus `sim.frames_lost{plane}`: the frames the
+    /// simulated loss model dropped.
+    pub fn simulated(registry: &Registry) -> Self {
+        Self::register(registry, registry)
+    }
+
+    /// `sim.frames_lost` goes to `loss` (disabled outside the simulator).
+    fn register(registry: &Registry, loss: &Registry) -> Self {
+        let series = |registry: &Registry, name| {
+            Self::PLANES.map(|plane| registry.counter_with(name, &[("plane", plane)]))
+        };
+        Traffic {
+            sent: series(registry, "io.frames_sent"),
+            bytes: series(registry, "io.bytes_sent"),
+            received: series(registry, "io.frames_received"),
+            lost: series(loss, "sim.frames_lost"),
+            send_errors: registry.counter("io.send_errors"),
+            rpc_requests: registry.counter("rpc.requests"),
+            rpc_rejects: registry.counter("rpc.rejects"),
+        }
+    }
+
+    /// Counts one frame of `bytes` wire bytes sent on `plane`; a
+    /// piggybacked frame's trailer bytes land on the membership ledger.
+    pub fn sent(&self, plane: Plane, bytes: u64) {
+        let mut own = bytes;
+        if let Plane::Piggybacked { trailer } = plane {
+            own -= u64::from(trailer);
+            self.bytes[Plane::Membership.ledger()].add(u64::from(trailer));
+        }
+        self.sent[plane.ledger()].inc();
+        self.bytes[plane.ledger()].add(own);
+    }
+
+    /// Counts one frame received on `plane`.
+    pub fn received(&self, plane: Plane) {
+        self.received[plane.ledger()].inc();
+    }
+
+    /// Counts one frame sent on `plane` that the simulated loss model
+    /// dropped (a no-op outside [`Traffic::simulated`]).
+    pub fn lost(&self, plane: Plane) {
+        self.lost[plane.ledger()].inc();
+    }
+
+    /// Counts one frame in a datagram the kernel refused: it is on no
+    /// plane's sent ledger, so outbound backpressure shows here instead.
+    pub fn send_error(&self) {
+        self.send_errors.inc();
+    }
+
+    /// Counts one client RPC served and, if `response` rejects it, one
+    /// rejection — surfaced here as well as to the caller.
+    pub fn rpc(&self, response: &RpcResponse) {
+        self.rpc_requests.inc();
+        if response.status.is_reject() {
+            self.rpc_rejects.inc();
+        }
+    }
+
+    /// Frames the simulated loss model dropped so far, per ledger.
+    pub fn frames_lost(&self) -> [u64; 3] {
+        std::array::from_fn(|i| self.lost[i].get())
+    }
+
+    /// The series' current values (`join_retries` is 0: the directories
+    /// own that count).
+    pub(crate) fn counts(&self) -> TrafficCounts {
+        TrafficCounts {
+            aggregation_sent: self.sent[0].get(),
+            aggregation_received: self.received[0].get(),
+            membership_sent: self.sent[1].get(),
+            membership_received: self.received[1].get(),
+            query_sent: self.sent[2].get(),
+            query_received: self.received[2].get(),
+            aggregation_bytes_sent: self.bytes[0].get(),
+            membership_bytes_sent: self.bytes[1].get(),
+            query_bytes_sent: self.bytes[2].get(),
+            send_errors: self.send_errors.get(),
+            join_retries: 0,
+            rpc_rejects: self.rpc_rejects.get(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use epidemic_query::RpcStatus;
+
+    #[test]
+    fn traffic_charges_every_plane_and_moves_a_trailer_to_membership() {
+        let registry = Registry::new();
+        let traffic = Traffic::simulated(&registry);
+        traffic.sent(Plane::Aggregation, 40);
+        traffic.sent(Plane::Piggybacked { trailer: 30 }, 100);
+        traffic.sent(Plane::Membership, 8);
+        traffic.sent(Plane::Query, 24);
+        let trailer = Plane::Piggybacked { trailer: 9 };
+        for plane in [Plane::Aggregation, trailer, Plane::Membership, Plane::Query] {
+            traffic.received(plane);
+        }
+        traffic.lost(Plane::Query);
+        traffic.send_error();
+        traffic.rpc(&RpcResponse::reject(1, RpcStatus::UnknownQuery));
+        traffic.rpc(&RpcResponse::ack(2));
+        let c = TrafficCounts::read(&registry);
+        // Two frames on aggregation; the trailer's bytes on membership.
+        assert_eq!((c.aggregation_sent, c.aggregation_bytes_sent), (2, 110));
+        assert_eq!((c.membership_sent, c.membership_bytes_sent), (1, 38));
+        assert_eq!((c.query_sent, c.query_bytes_sent), (1, 24));
+        assert_eq!((c.aggregation_received, c.received()), (2, 4));
+        assert_eq!((c.send_errors, c.rpc_rejects), (1, 1));
+        assert_eq!(registry.counter_value("rpc.requests"), 2);
+        assert_eq!(traffic.frames_lost(), [0, 0, 1]);
+        // Reads add up, and their ratios are per aggregation byte.
+        let mut more = c;
+        more.join_retries = 3;
+        let sum = c + more;
+        assert_eq!((sum.sent(), sum.received(), sum.send_errors), (8, 8, 2));
+        assert_eq!((sum.join_retries, sum.rpc_rejects), (3, 2));
+        assert_eq!(sum.membership_byte_overhead(), 38.0 / 110.0);
+        assert_eq!(sum.query_byte_overhead(), 24.0 / 110.0);
+        let zero = TrafficCounts::default();
+        assert_eq!(zero.membership_byte_overhead(), 0.0);
+        assert_eq!(zero.query_byte_overhead(), 0.0);
+        // The split loses no byte, and scrapers see the labelled series.
+        assert_eq!(registry.counter_value("io.bytes_sent"), 172);
+        let text = registry.render_prometheus();
+        assert!(text.contains("io_frames_sent{plane=\"aggregation\"} 2"));
+        // A wire runtime publishes no simulated loss.
+        let wire = Registry::new();
+        Traffic::new(&wire).lost(Plane::Aggregation);
+        assert!(!wire.render_prometheus().contains("sim_frames_lost"));
     }
 }

@@ -12,9 +12,9 @@
 //! * Every node runs on its own skewed clock (`local = global × drift_i`).
 //! * Every frame a stack hands its sink crosses one simulated wire
 //!   (`Wire::transmit`): priced at [`WireFrame::encoded_len`], charged
-//!   to the ledger of its [`Plane`], dropped with its whole exchange by a
-//!   failed link or alone by message loss, delivered after a uniformly
-//!   random delay — all drawn from one transport stream.
+//!   to its [`Plane`] by the wire runtimes' [`Traffic`], dropped with its
+//!   whole exchange by a failed link or alone by message loss, delivered
+//!   after a uniformly random delay — all drawn from one transport stream.
 //! * A node is woken exactly at [`NodeStack::next_deadline`], by one live
 //!   timer: a deadline that moves earlier queues a new wake and strands
 //!   the old one, which is skipped when it pops.
@@ -52,7 +52,7 @@ use epidemic_common::stats::OnlineStats;
 use epidemic_common::NodeId;
 use epidemic_net::codec::{WireFrame, WirePayload};
 use epidemic_net::directory::{Destination, GossipDirectoryConfig};
-use epidemic_net::stack::{Convergence, Input, NodeStack, Plane};
+use epidemic_net::stack::{Convergence, Input, NodeStack, Plane, Traffic};
 use epidemic_query::{QueryEstimate, QueryPlaneConfig, RpcRequest, RpcResponse, RpcStatus};
 use epidemic_telemetry::{write_snapshot, Counter, Gauge, Registry, TraceEvent};
 use std::cmp::Ordering;
@@ -219,10 +219,10 @@ pub struct EventOutcome {
     /// membership plane); all empty unless
     /// [`EventConfig::trace_capacity`] was set.
     pub traces: Vec<Vec<TraceEvent>>,
-    /// The run's metrics registry: traffic counters plus the derived
-    /// convergence gauges (`epoch.variance_reduction_rho` vs the
-    /// `epoch.rho_theory` bound 1/(2√e), `epoch.estimate_drift`) — the
-    /// same namespace the wire runtimes expose over `/metrics`.
+    /// The run's metrics registry, in the wire runtimes' `/metrics`
+    /// namespace: the traffic series every traffic field above is read
+    /// off, `sim.*`, and the convergence gauges (`epoch.estimate_drift`,
+    /// `epoch.variance_reduction_rho` vs the bound `epoch.rho_theory`).
     pub registry: Registry,
     /// Responses to the scripted query RPCs, in script order. A request
     /// aimed at a node that crashed — or never existed — is answered
@@ -317,11 +317,7 @@ impl EventKind {
     fn class(&self) -> Option<usize> {
         match self {
             EventKind::Wake(_) => Some(0),
-            EventKind::Deliver(_, payload) => match Plane::of_received(payload)? {
-                Plane::Aggregation | Plane::Piggybacked { .. } => Some(1),
-                Plane::Membership => Some(2),
-                Plane::Query => Some(3),
-            },
+            EventKind::Deliver(_, payload) => Some(1 + Plane::of_received(payload)?.ledger()),
             EventKind::Script(_) => Some(3),
             EventKind::FailureTick(_) => None,
         }
@@ -353,15 +349,6 @@ impl Ord for Event {
     }
 }
 
-/// Frames sent, frames the loss model dropped, and wire bytes sent on one
-/// plane (sender-side: a lost frame still cost its uplink bytes).
-#[derive(Debug, Clone, Copy, Default)]
-struct Ledger {
-    sent: usize,
-    lost: usize,
-    bytes: usize,
-}
-
 /// The simulated wire: the event queue, and the one delay/loss model
 /// every frame of every plane crosses to get onto it.
 #[derive(Debug)]
@@ -379,8 +366,8 @@ struct Wire {
     queue_peak: usize,
     /// `sim.queue_depth_max` — high-water mark of the event queue.
     queue_depth_max: Gauge,
-    /// Traffic by plane: aggregation, membership, query.
-    ledgers: [Ledger; 3],
+    /// Frames and bytes by plane (a lost frame still cost its bytes).
+    traffic: Traffic,
     /// The convergence gauges plus `agg.exchanges` and
     /// `membership.delta_bytes`, shared with the mux runtime.
     convergence: Convergence,
@@ -400,11 +387,6 @@ impl Wire {
         }
     }
 
-    /// Frames handed to [`Wire::transmit`] so far, all planes.
-    fn frames_sent(&self) -> usize {
-        self.ledgers.iter().map(|ledger| ledger.sent).sum()
-    }
-
     /// Takes one frame from a stack's sink at global tick `at`: charges
     /// it, applies the loss models, and schedules its delivery. A failed
     /// link loses the frame that opens an exchange and with it the whole
@@ -415,20 +397,14 @@ impl Wire {
         let Destination::Node(to) = to else {
             unreachable!("simulated directories route by id");
         };
-        let bytes = frame.encoded_len();
-        self.convergence.count(&frame, bytes as u64);
-        let ledger = &mut self.ledgers[match plane {
-            Plane::Aggregation | Plane::Piggybacked { .. } => 0,
-            Plane::Membership => 1,
-            Plane::Query => 2,
-        }];
-        ledger.sent += 1;
-        ledger.bytes += bytes;
+        let bytes = frame.encoded_len() as u64;
+        self.convergence.count(&frame, bytes);
+        self.traffic.sent(plane, bytes);
         let link_down = frame.opens_exchange()
             && self.link_failure > 0.0
             && self.rng.next_bool(self.link_failure);
         if link_down || (self.message_loss > 0.0 && self.rng.next_bool(self.message_loss)) {
-            ledger.lost += 1;
+            self.traffic.lost(plane);
             return;
         }
         let delay = self.rng.range_u64(self.delay.0, self.delay.1);
@@ -568,7 +544,7 @@ impl EventSim {
                 seq: 0,
                 queue_peak: 0,
                 queue_depth_max: registry.gauge("sim.queue_depth_max"),
-                ledgers: [Ledger::default(); 3],
+                traffic: Traffic::simulated(&registry),
                 convergence: Convergence::new(
                     &registry,
                     spawn_stats.population_variance(),
@@ -712,11 +688,11 @@ impl EventSim {
     fn step(&mut self, i: usize, at: u64, input: Input<'_>) -> bool {
         let now = self.to_local(at, i);
         let (stack, wire) = (&mut self.stacks[i], &mut self.wire);
-        let sent_before = wire.frames_sent();
+        let mut emitted = false;
         stack.step(input, now, |to, frame, plane| {
+            emitted = true;
             wire.transmit(at, to, frame, plane);
         });
-        let emitted = wire.frames_sent() > sent_before;
         let epoch_now = stack.epoch();
         let crossed = epoch_now != self.epoch_seen[i];
         if crossed {
@@ -743,6 +719,7 @@ impl EventSim {
         let response = if self.is_alive(*node) {
             let now = self.to_local(at, i);
             let response = self.stacks[i].rpc(request, now);
+            self.wire.traffic.rpc(&response);
             // An install or a remove moved the stack's deadline.
             self.schedule_wake(i, at + 1);
             response
@@ -800,6 +777,9 @@ impl EventSim {
             EventKind::Deliver(i, payload) => {
                 // An in-flight delivery to a crashed node is dropped.
                 if self.is_alive(i) {
+                    if let Some(plane) = Plane::of_received(&payload) {
+                        self.wire.traffic.received(plane);
+                    }
                     self.step(i as usize, at, Input::Frame(&payload, None));
                 }
             }
@@ -859,24 +839,25 @@ impl EventSim {
             .map(|(e, (first, last))| (e, first, last))
             .collect();
         epoch_entries.sort_unstable();
-        let [aggregation, membership, query] = self.wire.ledgers;
+        let sent = epidemic_net::TrafficCounts::read(&self.registry);
+        let [lost, view_lost, query_lost] = self.wire.traffic.frames_lost();
         EventOutcome {
             reports: self.collected,
             epoch_entries,
-            messages_sent: aggregation.sent,
-            messages_lost: aggregation.lost,
-            view_messages_sent: membership.sent,
-            view_bytes_sent: membership.bytes,
-            view_messages_lost: membership.lost,
+            messages_sent: sent.aggregation_sent as usize,
+            messages_lost: lost as usize,
+            view_messages_sent: sent.membership_sent as usize,
+            view_bytes_sent: sent.membership_bytes_sent as usize,
+            view_messages_lost: view_lost as usize,
             view_health,
             final_alive: live_sorted.len(),
             traces,
             registry: self.registry,
             query_responses: self.query_responses,
             query_estimates,
-            query_messages_sent: query.sent,
-            query_messages_lost: query.lost,
-            query_bytes_sent: query.bytes,
+            query_messages_sent: sent.query_sent as usize,
+            query_messages_lost: query_lost as usize,
+            query_bytes_sent: sent.query_bytes_sent as usize,
         }
     }
 }
@@ -1416,6 +1397,36 @@ mod tests {
         assert_eq!(out.view_messages_lost, 0);
         assert_eq!(out.view_messages_sent, frames);
         assert_eq!(out.view_bytes_sent, bytes);
+        assert_eq!(series(&out, "io.bytes_sent", "membership"), bytes);
+    }
+
+    /// `name{plane=…}` of a finished run.
+    fn series(out: &EventOutcome, name: &str, plane: &str) -> usize {
+        out.registry.counter_with(name, &[("plane", plane)]).get() as usize
+    }
+
+    #[test]
+    fn every_traffic_field_is_its_registry_series() {
+        let mut cfg = base_config();
+        cfg.scenario.overlay = OverlaySpec::Newscast { c: 15 };
+        cfg.scenario.comm = CommFailure::messages(0.1);
+        cfg.query_script = vec![install_action(2_000, 0, 1, average_query("q", 1.0))];
+        let o = &cfg.run(5);
+        for (plane, sent, lost) in [
+            ("aggregation", o.messages_sent, o.messages_lost),
+            ("membership", o.view_messages_sent, o.view_messages_lost),
+            ("query", o.query_messages_sent, o.query_messages_lost),
+        ] {
+            assert!(lost > 0, "{plane}: loss never hit");
+            assert_eq!(series(o, "io.frames_sent", plane), sent, "{plane}");
+            assert_eq!(series(o, "sim.frames_lost", plane), lost, "{plane}");
+            // What was not lost arrived, or is still in flight at the end.
+            let received = series(o, "io.frames_received", plane);
+            assert!(received > 0 && received <= sent - lost, "{plane}");
+        }
+        assert_eq!(series(o, "io.bytes_sent", "membership"), o.view_bytes_sent);
+        assert_eq!(series(o, "io.bytes_sent", "query"), o.query_bytes_sent);
+        assert_eq!(o.registry.counter_value("rpc.requests"), 1);
     }
 
     #[test]
@@ -1669,6 +1680,7 @@ mod tests {
         // the rest are rejected — and surfaced, never swallowed.
         assert_eq!(ok, 3, "responses: {:?}", out.query_responses);
         assert_eq!(rejected, 4);
+        assert_eq!(out.registry.counter_value("rpc.rejects"), 4);
         assert!(out
             .registry
             .render_prometheus()

@@ -299,8 +299,9 @@ fn scrape_metrics(addr: SocketAddr) -> Result<String, Box<dyn std::error::Error>
     Ok(body.to_string())
 }
 
-/// Value of a series in Prometheus text output, summed across labeled
-/// instances; `None` when the series is absent entirely.
+/// Value of a series in Prometheus text output: a bare `name` sums its
+/// labeled instances, `name{label="value"}` reads that one; `None` when
+/// the series is absent entirely.
 fn series_value(body: &str, name: &str) -> Option<f64> {
     let mut found = false;
     let mut total = 0.0;
@@ -308,11 +309,13 @@ fn series_value(body: &str, name: &str) -> Option<f64> {
         if line.starts_with('#') {
             continue;
         }
-        let series = line.split(['{', ' ']).next().unwrap_or("");
-        if series != name {
+        let Some((series, value)) = line.rsplit_once(' ') else {
+            continue;
+        };
+        if series != name && series.split('{').next() != Some(name) {
             continue;
         }
-        if let Some(v) = line.rsplit(' ').next().and_then(|v| v.parse::<f64>().ok()) {
+        if let Ok(v) = value.parse::<f64>() {
             found = true;
             total += v;
         }
@@ -609,12 +612,20 @@ fn run_smoke(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let body = scrape_metrics(metrics_addr)?;
     let mut required = vec!["agg_exchanges", "epoch_variance_reduction_rho"];
     if smoke_args.gossip {
-        required.push("membership_delta_bytes");
+        required.extend([
+            "membership_delta_bytes",
+            "io_frames_sent{plane=\"membership\"}",
+        ]);
     }
     if smoke_args.query {
         // Both tenants live → installed gauge ≥ 2; the wire leg's
         // install/submit/read all ran through shard 0's RPC listener.
-        required.extend(["query_installed", "query_submits", "rpc_requests"]);
+        required.extend([
+            "query_installed",
+            "query_submits",
+            "rpc_requests",
+            "io_frames_sent{plane=\"query\"}",
+        ]);
     }
     for name in required {
         match series_value(&body, name) {
@@ -630,15 +641,20 @@ fn run_smoke(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // Bundling must be live: on average more than one frame per datagram,
-    // and — what the portable leg is there to catch, at one `send_to`
-    // per datagram — fewer send syscalls than frames sent.
-    match series_value(&body, "io_frames_per_datagram") {
-        Some(v) if v > 1.0 => println!("smoke: /metrics io_frames_per_datagram = {v:.4}"),
-        other => {
-            eprintln!("smoke: /metrics io_frames_per_datagram = {other:?}, frames never shared a datagram");
-            ok = false;
-        }
+    // Bundling must be live: on average more than one frame per datagram
+    // (both counters read off the scrape), and — what the portable leg is
+    // there to catch, at one `send_to` per datagram — fewer send syscalls
+    // than frames sent.
+    let frames = series_value(&body, "io_frames_sent").unwrap_or(0.0);
+    let datagrams = series_value(&body, "io_datagrams_sent").unwrap_or(0.0);
+    if frames > datagrams && datagrams > 0.0 {
+        println!(
+            "smoke: /metrics frames per datagram = {:.4}",
+            frames / datagrams
+        );
+    } else {
+        eprintln!("smoke: /metrics {frames} frames in {datagrams} datagrams never shared one");
+        ok = false;
     }
     let send_calls = shards[0].syscall_counts().send_calls;
     let frames_sent = shards[0].total_datagram_counts().sent();

@@ -44,16 +44,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let size = last
             .count_estimate()
             .map_or("n/a".to_string(), |s| format!("{s:.1}"));
-        let counts = cluster.datagram_counts(i);
         println!(
-            "node {i:>2}: epoch {:>2} -> average {avg:>7.3} (truth 65), size {size} \
-             (truth {n}), {} in / {} out datagrams",
+            "node {i:>2}: epoch {:>2} -> average {avg:>7.3} (truth 65), size {size} (truth {n})",
             last.epoch,
-            counts.received(),
-            counts.sent(),
         );
     }
-    println!("\n{epochs_seen} epoch reports collected; shutting down");
+    let counts = cluster.total_datagram_counts();
+    println!(
+        "\n{epochs_seen} epoch reports collected, {} in / {} out datagrams; shutting down",
+        counts.received(),
+        counts.sent(),
+    );
     cluster.shutdown();
     Ok(())
 }

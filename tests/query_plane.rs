@@ -15,7 +15,7 @@ use epidemic::net::runtime::{ClusterConfig, ThreadCluster};
 use epidemic::query::{QueryDescriptor, QueryError, QueryPlaneConfig, RpcRequest, RpcStatus};
 use epidemic::sim::event::{EventConfig, QueryAction};
 use epidemic::sim::scenario::{Scenario, ValueInit};
-use std::net::UdpSocket;
+use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
 
 /// The shared workload: an AVERAGE query whose nodes default to 4.0 with
@@ -234,7 +234,39 @@ fn thread_cluster_serves_queries_through_the_same_seam() {
         cluster.submit_query(3, "nope", 1.0),
         Err(QueryError::UnknownQuery)
     ));
+    // A client datagram at any node's socket is served, and a reject is
+    // counted where the mux counts it.
+    unknown_query_is_rejected_and_counted(&cluster, cluster.addrs()[3]);
     cluster.shutdown();
+}
+
+/// Asks the RPC endpoint at `addr` for a query nobody installed: the
+/// reject reaches the client, and `rpc.rejects` — the series
+/// `TrafficCounts::rpc_rejects` reads on every runtime — counts it.
+fn unknown_query_is_rejected_and_counted<C: Cluster>(cluster: &C, addr: SocketAddr) {
+    let client = UdpSocket::bind("127.0.0.1:0").unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_millis(500)))
+        .unwrap();
+    let request = encode_rpc_request(&RpcRequest::Read {
+        id: 7_777,
+        name: "no-such-query".into(),
+    });
+    let mut buf = [0u8; 64];
+    let response = (0..10).find_map(|_| {
+        client.send_to(&request, addr).unwrap();
+        let (len, _) = client.recv_from(&mut buf).ok()?;
+        decode_rpc_response(&buf[..len]).ok()
+    });
+    assert_eq!(
+        response.expect("no response").status,
+        RpcStatus::UnknownQuery
+    );
+    let registry = cluster.registry();
+    assert!(registry.counter_value("rpc.requests") > 0);
+    let rejects = registry.counter_value("rpc.rejects");
+    assert!(rejects > 0, "reject not counted");
+    assert_eq!(cluster.total_datagram_counts().rpc_rejects, rejects);
 }
 
 /// The operator script of [`install_through_the_seam_needs_no_wake`],
@@ -399,16 +431,9 @@ fn query_rpc_over_the_wire_at_any_node() {
 
     // A bad request is rejected — visibly, in the response, the traffic
     // counters, and the registry; never swallowed.
-    let reject = rpc(RpcRequest::Read {
-        id: id(),
-        name: "no-such-query".into(),
-    });
-    assert_eq!(reject.status, RpcStatus::UnknownQuery);
+    unknown_query_is_rejected_and_counted(&cluster, rpc_addr);
     let registry = cluster.registry();
-    assert!(registry.counter_value("rpc.requests") > 0);
-    assert!(registry.counter_value("rpc.rejects") > 0);
     let totals = cluster.total_datagram_counts();
-    assert!(totals.rpc_rejects > 0, "reject not counted in traffic");
     assert!(totals.query_sent > 0, "no query-plane frames on the wire");
     assert!(totals.query_bytes_sent > 0);
     let text = registry.render_prometheus();
