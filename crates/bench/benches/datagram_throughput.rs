@@ -1,22 +1,22 @@
 //! Runtimes head to head through the unified `Cluster` seam:
 //! thread-per-node vs multiplexed — and the mux runtime's I/O grid:
-//! reader-socket counts × syscall backends.
+//! loop counts (a socket and a thread each) × syscall backends.
 //!
 //! Each iteration spawns a full localhost cluster, waits until every node
 //! has completed its first epoch (gamma cycles of real push-pull over
 //! real datagrams), and tears it down. The measured quantity is thus
 //! end-to-end wall clock per epoch wave — dominated by protocol cadence,
 //! socket I/O, and scheduler pressure, which is exactly the cost model
-//! the reader-socket set and `recvmmsg`/`sendmmsg` batching change.
+//! the loop count and `recvmmsg`/`sendmmsg` batching change.
 //!
-//! The sweep: `mux_r{readers}_{io}` for readers ∈ {1, 2, 4} × io ∈
-//! {batched, portable} at n ∈ {256, 1024, 4096}. `mux_r1_portable` is
+//! The sweep: `mux_l{loops}_{io}` for loops ∈ {1, 2, 4} × io ∈
+//! {batched, portable} at n ∈ {256, 1024, 4096}. `mux_l1_portable` is
 //! the pre-batching baseline (one socket, one syscall per datagram);
 //! `threads` remains the thread-per-node reference. Alongside wall
 //! clock, each config prints its **syscalls-per-datagram** once — the
 //! machine-independent figure the batched backend exists to shrink
 //! (wall-clock deltas also depend on how many cores the host gives the
-//! reader/worker threads).
+//! loops).
 //!
 //! `mux_gossip` runs the same epoch wave with NO static peer table:
 //! NEWSCAST membership bootstraps from vnode 0 and serves
@@ -169,10 +169,9 @@ fn thread_config(n: usize, seed: u64) -> ClusterConfig {
         .with_seed(seed)
 }
 
-fn mux_config(n: usize, seed: u64, readers: usize, io: IoBackend) -> MuxClusterConfig {
+fn mux_config(n: usize, seed: u64, loops: usize, io: IoBackend) -> MuxClusterConfig {
     MuxClusterConfig::new(n, node_config())
-        .with_workers(4)
-        .with_readers(readers)
+        .with_readers(loops)
         .with_io(io)
         .with_seed(seed)
 }
@@ -191,7 +190,7 @@ fn gossip_config(n: usize, seed: u64, full_views: bool) -> MuxClusterConfig {
         GossipDirectoryConfig::new(20, 2 * CYCLE_MS * GAMMA as u64).with_knowledge_peers(n)
     };
     gossip = gossip.with_introducer_node(0);
-    mux_config(n, seed, 1, IoBackend::auto()).with_directory(DirectorySpec::Gossip(gossip))
+    mux_config(n, seed, 2, IoBackend::auto()).with_directory(DirectorySpec::Gossip(gossip))
 }
 
 fn io_label(io: IoBackend) -> &'static str {
@@ -216,24 +215,24 @@ fn bench_runtimes(c: &mut Criterion) {
         });
     }
 
-    // The I/O grid: readers × backend × scale. On non-Linux hosts the
+    // The I/O grid: loops × backend × scale. On non-Linux hosts the
     // batched column is skipped (it would silently run the portable
     // path and mislabel the numbers).
     for n in [256usize, 1024, 4096] {
         group.throughput(Throughput::Elements(n as u64));
-        for readers in [1usize, 2, 4] {
+        for loops in [1usize, 2, 4] {
             for io in [IoBackend::Batched, IoBackend::Portable] {
                 if io == IoBackend::Batched && !io.is_batched() {
                     continue;
                 }
-                let label = format!("mux_r{readers}_{}", io_label(io));
+                let label = format!("mux_l{loops}_{}", io_label(io));
                 group.bench_with_input(BenchmarkId::new(&label, n), &n, |b, &n| {
                     let mut seed = 0u64;
                     let mut printed = false;
                     b.iter(|| {
                         seed += 1;
                         let (completed, totals, syscalls) =
-                            run_mux_epoch_wave(mux_config(n, seed, readers, io), n);
+                            run_mux_epoch_wave(mux_config(n, seed, loops, io), n);
                         if !printed {
                             printed = true;
                             let datagrams = totals.sent() + totals.received();

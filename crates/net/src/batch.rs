@@ -4,13 +4,14 @@
 //! The multiplexed runtime ([`crate::mux`]) moves one datagram per
 //! syscall when it uses `recv_from`/`send_to` — at 10⁴–10⁵ virtual nodes
 //! the kernel boundary, not the protocol, becomes the ceiling. On Linux
-//! both directions batch: a reader drains up to [`BATCH`] datagrams per
-//! `recvmmsg` call, and workers accumulate outbound frames per socket and
-//! flush them with one `sendmmsg` per [`BATCH`].
+//! both directions batch: a loop drains up to [`BATCH`] datagrams per
+//! `recvmmsg` call, accumulates its turn's outbound datagrams and flushes
+//! them with one `sendmmsg` per [`BATCH`].
 //!
-//! The build environment has no crates.io access, so the two syscall
-//! wrappers are declared here directly (glibc exports both on every
-//! supported Linux target) behind `#[cfg(target_os = "linux")]`. A
+//! The build environment has no crates.io access, so the syscall
+//! wrappers — `recvmmsg`, `sendmmsg`, and the `poll` behind
+//! `wait_readable` — are declared here directly (glibc exports them on
+//! every supported Linux target) behind `#[cfg(target_os = "linux")]`. A
 //! portable one-datagram-per-syscall path compiles everywhere and is
 //! selectable at runtime ([`IoBackend::Portable`]) for A/B measurement
 //! and for keeping the non-Linux code path tested on Linux CI.
@@ -22,6 +23,7 @@
 
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
+use std::time::Duration;
 
 /// Datagrams moved per batched syscall (both directions).
 pub const BATCH: usize = 32;
@@ -106,7 +108,7 @@ impl Default for RecvBatch {
 
 impl RecvBatch {
     /// Allocates the slot buffers (`BATCH * 64 KiB`, reused for the life
-    /// of the reader).
+    /// of the loop).
     pub fn new() -> Self {
         RecvBatch {
             bufs: vec![0u8; BATCH * MAX_DATAGRAM].into_boxed_slice(),
@@ -194,6 +196,40 @@ impl RecvBatch {
             self.srcs[i] = names[i].decode();
         }
         Ok(got as usize)
+    }
+}
+
+/// Waits until `socket` has a datagram to read or `timeout` passes, and
+/// says which. A socket read timeout cannot bound a wait this finely: the
+/// kernel keeps it in scheduler ticks (a 1 ms `SO_RCVTIMEO` waits ≈ 8 ms
+/// on a 250 Hz kernel), while Linux `poll(2)` sleeps on a high-resolution
+/// timer. Elsewhere this returns `true` at once, and the receive that
+/// follows waits out the socket's read timeout instead.
+///
+/// # Errors
+///
+/// Propagates a failed `poll`.
+pub(crate) fn wait_readable(socket: &UdpSocket, timeout: Duration) -> io::Result<bool> {
+    #[cfg(target_os = "linux")]
+    {
+        use std::os::fd::AsRawFd;
+        let mut fd = sys::PollFd {
+            fd: socket.as_raw_fd(),
+            events: sys::POLLIN,
+            revents: 0,
+        };
+        let ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+        // SAFETY: one live pollfd for the call's duration; the fd is valid
+        // for the borrow.
+        match unsafe { sys::poll(&mut fd, 1, ms) } {
+            -1 => Err(io::Error::last_os_error()),
+            ready => Ok(ready > 0),
+        }
+    }
+    #[cfg(not(target_os = "linux"))]
+    {
+        let _ = (socket, timeout);
+        Ok(true)
     }
 }
 
@@ -333,6 +369,9 @@ mod sys {
     /// taking whatever else is immediately available.
     pub const MSG_WAITFORONE: i32 = 0x10000;
 
+    /// `poll(2)` event: data to read.
+    pub const POLLIN: i16 = 1;
+
     const AF_INET: u16 = 2;
     const AF_INET6: u16 = 10;
 
@@ -428,7 +467,16 @@ mod sys {
         }
     }
 
+    #[repr(C)]
+    pub struct PollFd {
+        pub fd: i32,
+        pub events: i16,
+        pub revents: i16,
+    }
+
     extern "C" {
+        pub fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout: i32) -> i32;
+
         pub fn recvmmsg(
             sockfd: i32,
             msgvec: *mut MmsgHdr,
@@ -444,7 +492,6 @@ mod sys {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     fn pair() -> (UdpSocket, UdpSocket, SocketAddr) {
         let a = UdpSocket::bind(("127.0.0.1", 0)).unwrap();

@@ -175,7 +175,7 @@ pub trait Cluster: Sized {
     fn node_id(&self, index: usize) -> NodeId;
 
     /// The socket addresses this handle receives on (one per node for
-    /// thread-per-node, a mux shard's reader socket set — its advertised
+    /// thread-per-node, a mux shard's loop sockets — its advertised
     /// address first).
     fn addrs(&self) -> Vec<SocketAddr>;
 
@@ -189,8 +189,7 @@ pub trait Cluster: Sized {
     /// runtime re-arms the node's timer from
     /// [`NodeStack::next_deadline`], so a call that moves the deadline
     /// earlier (an install, a remove) needs no wake of its own. The
-    /// node's thread or worker waits on the lock meanwhile: keep `f`
-    /// short.
+    /// node's thread or loop waits on the lock meanwhile: keep `f` short.
     ///
     /// # Panics
     ///

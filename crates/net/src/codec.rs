@@ -69,7 +69,7 @@
 //! the benchmark replay use) is `u8 mux version (=2) · u64 destination
 //! virtual-node id · the message bytes`. What the runtime puts on the
 //! wire is a **bundle** ([`push_bundle_frame`] / [`decode_bundle`]):
-//! every frame a worker has queued for one destination socket, in
+//! every frame a loop has queued for one destination socket, in
 //! datagrams of at most [`BUNDLE_BUDGET`] bytes. The length prefix takes
 //! the place of the per-frame version byte, so a frame under 128 bytes
 //! costs the same 9 bytes of prefix either way:

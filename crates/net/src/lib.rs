@@ -35,16 +35,15 @@
 //!   ([`runtime::ThreadCluster`]): a socket and a millisecond clock per
 //!   stack, one OS thread each — the cross-runtime reference.
 //! * [`mux`] — the multiplexed runtime ([`mux::MuxCluster`]): N virtual
-//!   nodes behind a small **reader socket set** (vnode `i` homed on
-//!   socket `i % readers`) and `workers + readers + 1` threads, driven
-//!   by per-socket reader threads and a sharded hashed timer wheel
-//!   ([`timer::ShardedTimerWheel`]) — and shardable across sockets,
-//!   processes, and hosts via a [`mux::PeerTable`] mapping vnode-id
-//!   ranges to shard addresses.
+//!   nodes on a few **loops** (vnode `i` homed on loop `i % loops`); a
+//!   loop is one thread that owns one socket and one hashed timer wheel
+//!   ([`timer::TimerWheel`]) and receives, steps, fires and flushes in
+//!   turn — and shardable across sockets, processes, and hosts via a
+//!   [`mux::PeerTable`] mapping vnode-id ranges to shard addresses.
 //! * [`batch`] — syscall-batched datagram I/O ([`batch::IoBackend`]):
 //!   `recvmmsg`/`sendmmsg` on Linux with a portable one-per-syscall
 //!   fallback, runtime-selectable for A/B measurement.
-//! * [`timer`] — the hashed timer wheel backing [`mux`].
+//! * [`timer`] — the hashed timer wheel each [`mux`] loop owns.
 //!
 //! # Examples
 //!

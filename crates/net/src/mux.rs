@@ -3,37 +3,35 @@
 //!
 //! [`crate::runtime`] realizes the paper's Figure 1 literally — one OS
 //! thread and one socket per node — which caps real-network experiments
-//! at a few hundred nodes per host. This module hosts N virtual nodes
-//! inside one process behind a small fixed **socket set** on
-//! `workers + readers + 1` OS threads:
+//! at a few hundred nodes per host. The sans-io [`NodeStack`] already
+//! folds Figure 1's active and passive threads into one `step`, so this
+//! module hosts N virtual nodes in one process on a few **loops**: one OS
+//! thread each, plus one for the client RPC listener when it is enabled.
 //!
-//! * `readers` sockets, each owned by one *reader* thread
-//!   ([`MuxClusterConfig::with_readers`]; 1 reproduces the original
-//!   single-socket runtime exactly). Local vnode `i` is homed on socket
-//!   `i % readers`: its datagrams arrive there and its outbound frames
-//!   leave from there, preserving per-vnode datagram ordering. Each
-//!   reader walks each bundle datagram ([`crate::codec::decode_bundle`]),
-//!   routes every frame by its virtual-node id, and — on the batched I/O
-//!   backend ([`crate::batch::IoBackend`]) — drains up to
-//!   [`crate::batch::BATCH`] datagrams per `recvmmsg` syscall;
-//! * a *timer* thread drives one [`ShardedTimerWheel`] shard per reader
-//!   (each wheel holds only its socket's vnodes, and each shard has its
-//!   own schedule inbox, so the wheel path is never a single global
-//!   lock) over every node's self-reported deadline
-//!   ([`NodeStack::next_deadline`]): cycle boundaries, pending-exchange
-//!   timeouts, joiner activations, membership and catalog gossip;
-//! * `workers` worker threads execute the per-node state machines. No
-//!   thread ever blocks on an exchange: a node that initiated one simply
-//!   parks a timeout deadline in the wheel and yields its worker — the
-//!   pending exchange is a timer-guarded continuation inside the sans-io
-//!   [`NodeStack`]. While the work queue is hot, the frames a stack
-//!   emits are encoded, borrowed, straight into its home socket's open
-//!   bundle datagram — one destination
-//!   socket each, at most [`crate::codec::BUNDLE_BUDGET`] bytes — and
-//!   flush as one `sendmmsg` burst: full bundles in a one-process
-//!   cluster, across hosts only what shares a remote socket. A frame is
+//! * Loop `k` owns one UDP socket, one [`TimerWheel`], its receive
+//!   buffers and its bundle packer, and is the home of local vnode `i` when
+//!   `i % loops == k` ([`MuxClusterConfig::with_readers`] sets the count;
+//!   1 reproduces the original single-socket runtime). A vnode's
+//!   datagrams arrive at its home socket and its frames leave from it.
+//! * Each turn does five things in order. It waits at most one 1 ms wheel
+//!   tick for a datagram (a `poll`: a socket read timeout is kept in
+//!   scheduler ticks) and receives (up to [`crate::batch::BATCH`]
+//!   datagrams per `recvmmsg` on the batched [`crate::batch::IoBackend`]).
+//!   It walks each bundle ([`crate::codec::decode_bundle`]) and steps
+//!   every frame's vnode inline, so a vnode's frames are stepped in
+//!   arrival order and the payload never leaves the stack frame. It drains
+//!   its park inbox into its wheel. It fires the due deadlines ([`NodeStack::next_deadline`]:
+//!   cycle boundaries, exchange timeouts, joiner activations, membership
+//!   and catalog gossip), each stepping its vnode. Then it flushes.
+//! * No thread blocks on an exchange: the pending exchange is a
+//!   timer-guarded continuation inside the [`NodeStack`]. A step's frames
+//!   are encoded, borrowed, into the loop's open bundle datagram for their
+//!   destination socket (at most [`crate::codec::BUNDLE_BUDGET`] bytes),
+//!   and the turn's flush sends them as one `sendmmsg` burst. A frame is
 //!   charged to its plane's [`Traffic`] series once the kernel took its
-//!   datagram, to `io.send_errors` if it refused — never dropped silently.
+//!   datagram, to `io.send_errors` if it refused. A loop that stepped for
+//!   5 µs without blocking yields its core, so a thread sharing it (the
+//!   RPC listener, another loop) waits about one step, not one turn.
 //!
 //! # Cross-host sharding
 //!
@@ -52,27 +50,26 @@
 //! ([`MuxClusterConfig::with_directory`]): a [`DirectorySpec::Static`]
 //! table by default, or NEWSCAST gossip ([`DirectorySpec::Gossip`]) whose
 //! view exchanges and join/introduce bootstrap travel as mux frames
-//! through the same socket, timer wheel, and worker pool as the
-//! aggregation traffic. Gossip introducers must be named by node id
+//! through the same sockets, wheels and loops as the aggregation traffic.
+//! Gossip introducers must be named by node id
 //! ([`crate::directory::Introducer::Node`]) — mux frames route by id.
 //!
-//! Every datagram still crosses the kernel's UDP stack (loopback or
-//! otherwise), so the runtime exercises the real codec, real sockets, and
-//! real timing — only the thread-per-node cost model is gone. All the
-//! protocol wiring — poll order, piggyback attachment, deadline folding,
-//! plane classification, RPC dispatch — lives in [`crate::stack`]; what
-//! is left here is the transport: locking a vnode, parking its deadline,
-//! resolving a vnode id to a socket, and packing frames. Whoever takes a
-//! vnode's lock — a worker stepping it, [`Cluster::with_stack`] for an
-//! operator call, the RPC listener — ends by parking the stack's next
-//! deadline in the vnode's timer shard if it moved earlier than the entry
-//! already live there (spawn parks every first deadline the same way);
-//! only the timer thread ever queues a wake, and only the live entry's
-//! wake steps the vnode. A node's protocol behavior is therefore identical to
-//! [`crate::runtime::UdpNode`]'s by construction — the same
-//! [`NodeStack`], same seeds, peers drawn lazily per *initiated
-//! exchange* — so a same-seed mux and thread-per-node cluster select the
-//! same peer sequence per node.
+//! Every datagram still crosses the kernel's UDP stack, so the runtime
+//! exercises the real codec, sockets and timing. The protocol wiring —
+//! poll order, piggybacks, deadline folding, plane classification, RPC
+//! dispatch — lives in [`crate::stack`]; what is left here is locking a
+//! vnode, parking its deadline, resolving a vnode id to a socket, and
+//! packing frames. A vnode's lock is the operator seam's door: on the step
+//! path only its loop takes it, while [`Cluster::with_stack`] and the RPC
+//! listener take it from their own threads. Whoever held it parks the
+//! stack's next deadline if it moved earlier than the one live wheel
+//! entry: a loop stepping its own vnode straight into its wheel, anyone
+//! else — spawn, the seam, the listener, a loop stepping a frame a remote
+//! shard sent to its socket for another loop's vnode — through the home
+//! loop's inbox. Only the live entry's wake steps the vnode. The same
+//! [`NodeStack`], seeds and lazy per-exchange peer draws as
+//! [`crate::runtime::UdpNode`] make a same-seed mux and thread-per-node
+//! cluster select the same peer sequence per node.
 //!
 //! # Examples
 //!
@@ -87,11 +84,9 @@
 //!     .timeout(20)
 //!     .instance(InstanceSpec::AVERAGE)
 //!     .build()?;
-//! // 1024 gossip nodes, two reader sockets, 4 + 2 + 1 OS threads.
+//! // 1024 gossip nodes on two loops: two sockets, two OS threads.
 //! let cluster = MuxCluster::spawn(
-//!     MuxClusterConfig::new(1024, node_config)
-//!         .with_workers(4)
-//!         .with_readers(2),
+//!     MuxClusterConfig::new(1024, node_config).with_readers(2),
 //!     |i| i as f64,
 //! )?;
 //! std::thread::sleep(std::time::Duration::from_millis(1_200));
@@ -100,7 +95,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::batch::{IoBackend, RecvBatch, SendBatch, BATCH};
+use crate::batch::{wait_readable, IoBackend, RecvBatch, SendBatch};
 use crate::cluster::Cluster;
 use crate::codec::{
     bundle_frame_len, decode_bundle, decode_datagram, encode_rpc_response, push_bundle_frame,
@@ -110,35 +105,43 @@ use crate::directory::{
     Destination, DirectorySpec, GossipDirectory, Introducer, PeerDirectory, StaticDirectory,
 };
 use crate::stack::{Convergence, Input, NodeStack, Plane, Traffic};
-use crate::timer::ShardedTimerWheel;
+use crate::timer::TimerWheel;
 use epidemic_aggregation::{EpochReport, NodeConfig};
 use epidemic_common::stats::OnlineStats;
 use epidemic_common::NodeId;
 use epidemic_query::QueryPlaneConfig;
 use epidemic_telemetry::{Counter, Gauge, Histogram, MetricsServer, Registry};
-use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+/// The wheel's tick and the longest a loop waits for a datagram.
+const TICK: Duration = Duration::from_millis(1);
+
+/// The longest a loop steps before it offers its core back
+/// (`sched_yield`), so a thread sharing the core — the RPC listener, the
+/// client it answers, another loop with due timers — waits about one step
+/// for it, not a whole turn.
+const SLICE: Duration = Duration::from_micros(5);
 
 /// Maps cluster-wide virtual-node ids to shard socket addresses.
 ///
 /// Shard `s` owns the contiguous id range [`PeerTable::shard_range`] and
-/// publishes its full reader socket *set* ([`PeerTable::shard_sockets`]);
-/// a frame for any vnode is transmitted to the destination vnode's home
+/// publishes its full socket *set* ([`PeerTable::shard_sockets`]); a
+/// frame for any vnode is transmitted to the destination vnode's home
 /// socket within the owning shard's set — `sets[s][(vnode - start) %
-/// sets[s].len()]`, the same `local % readers` homing rule the receiving
-/// shard uses — so cross-shard traffic fans across every reader instead
+/// sets[s].len()]`, the same `local % loops` homing rule the receiving
+/// shard uses — so cross-shard traffic fans across every loop instead
 /// of piling onto the first socket. A single-shard, single-socket table
 /// is the degenerate case every one-process cluster uses implicitly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PeerTable {
     /// Range boundaries: shard `s` owns `starts[s]..starts[s + 1]`.
     starts: Vec<usize>,
-    /// Reader socket set per shard; `sets[s][0]` is the shard's
+    /// Socket set per shard; `sets[s][0]` is the shard's
     /// advertised primary address.
     sets: Vec<Vec<SocketAddr>>,
 }
@@ -156,7 +159,7 @@ impl PeerTable {
     /// Splits `0..total` into `addrs.len()` near-even contiguous ranges,
     /// in shard order (earlier shards get the larger ranges when the
     /// split is uneven). Each shard publishes a single socket; use
-    /// [`PeerTable::split_sets`] to publish multi-reader socket sets.
+    /// [`PeerTable::split_sets`] to publish multi-socket sets.
     ///
     /// # Panics
     ///
@@ -166,7 +169,7 @@ impl PeerTable {
     }
 
     /// Splits `0..total` into `sets.len()` near-even contiguous ranges,
-    /// publishing each shard's full reader socket set so senders can fan
+    /// publishing each shard's full socket set so senders can fan
     /// cross-shard frames across it.
     ///
     /// # Panics
@@ -213,8 +216,8 @@ impl PeerTable {
     }
 
     /// Like [`PeerTable::loopback_split`], but publishes `readers`
-    /// loopback sockets per shard, so every shard spawns a multi-reader
-    /// socket set and cross-shard senders fan across it.
+    /// loopback sockets per shard, so every shard runs at least `readers`
+    /// loops and cross-shard senders fan across their sockets.
     ///
     /// # Errors
     ///
@@ -260,7 +263,7 @@ impl PeerTable {
         self.sets[shard][0]
     }
 
-    /// The full published reader socket set of shard `shard`, primary
+    /// The full published socket set of shard `shard`, primary
     /// first.
     ///
     /// # Panics
@@ -293,7 +296,7 @@ impl PeerTable {
 }
 
 /// Configuration of a multiplexed cluster (or one shard of one): vnode
-/// count, protocol parameters, membership directory, I/O layout (reader
+/// count, protocol parameters, membership directory, I/O layout (loop
 /// sockets, syscall batching), and shard layout.
 #[derive(Debug, Clone)]
 pub struct MuxClusterConfig {
@@ -304,10 +307,9 @@ pub struct MuxClusterConfig {
     sharding: Option<(PeerTable, usize)>,
     node_config: NodeConfig,
     seed: u64,
-    /// Worker-thread count; `None` resolves core-aware at spawn.
-    workers: Option<usize>,
-    /// Reader socket/thread count; `None` resolves core-aware at spawn.
-    readers: Option<usize>,
+    /// Loop count (a socket and a thread each); `None` resolves
+    /// core-aware at spawn.
+    loops: Option<usize>,
     io: IoBackend,
     directory: DirectorySpec,
     /// Per-vnode protocol event ring capacity; 0 disables tracing.
@@ -324,11 +326,8 @@ pub struct MuxClusterConfig {
 
 impl MuxClusterConfig {
     /// Describes a cluster of `n` virtual nodes behind a loopback socket
-    /// set. Thread counts resolve core-aware at spawn unless overridden:
-    /// readers default to `(cores / 4).clamp(1, 4)` (so small machines
-    /// keep the original single-reader layout) and workers to
-    /// `(cores - readers - 1).clamp(1, 8)`. The I/O backend defaults to
-    /// [`IoBackend::auto`].
+    /// set. The loop count defaults to one per core, at most 8, and the
+    /// I/O backend to [`IoBackend::auto`].
     ///
     /// # Panics
     ///
@@ -340,8 +339,7 @@ impl MuxClusterConfig {
             sharding: None,
             node_config,
             seed: 0xC0FFEE,
-            workers: None,
-            readers: None,
+            loops: None,
             io: IoBackend::auto(),
             directory: DirectorySpec::Static,
             trace_capacity: 0,
@@ -378,28 +376,30 @@ impl MuxClusterConfig {
         self
     }
 
-    /// Overrides the worker-thread count.
+    /// Same as [`MuxClusterConfig::with_readers`]: workers and readers
+    /// are one pool of loops, so the larger explicit count wins.
     ///
     /// # Panics
     ///
-    /// Panics if `workers == 0`.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        assert!(workers > 0, "need at least one worker");
-        self.workers = Some(workers);
-        self
+    /// Panics if `loops == 0`.
+    pub fn with_workers(self, loops: usize) -> Self {
+        self.with_readers(loops)
     }
 
-    /// Overrides the reader socket/thread count. `1` reproduces the
-    /// original single-socket runtime exactly; larger counts home local
-    /// vnode `i` on socket `i % readers` (clamped at spawn to the local
-    /// vnode count — extra sockets would never receive anything).
+    /// Raises the loop count to at least `loops` (the larger of this and
+    /// [`MuxClusterConfig::with_workers`] wins). Each loop is one socket
+    /// and one thread, and homes local vnode `i` when `i % loops` is its
+    /// index; `1` reproduces the original single-socket runtime exactly.
+    /// At spawn the count is clamped to the local vnode count (an extra
+    /// socket would never receive anything) and raised to the shard's
+    /// published socket set.
     ///
     /// # Panics
     ///
-    /// Panics if `readers == 0`.
-    pub fn with_readers(mut self, readers: usize) -> Self {
-        assert!(readers > 0, "need at least one reader");
-        self.readers = Some(readers);
+    /// Panics if `loops == 0`.
+    pub fn with_readers(mut self, loops: usize) -> Self {
+        assert!(loops > 0, "need at least one loop");
+        self.loops = Some(self.loops.map_or(loops, |set| set.max(loops)));
         self
     }
 
@@ -472,11 +472,11 @@ struct Charge {
     bytes: u32,
 }
 
-/// Packs one home socket's outbound frames into bundle datagrams: frames
-/// for the same destination socket share a datagram, in push order, up
-/// to [`BUNDLE_BUDGET`] bytes; a frame that does not fit opens the next,
-/// so one larger than the budget travels alone. Nothing is held back —
-/// [`Packer::flush`] runs exactly where the per-frame flush used to.
+/// Packs one loop's outbound frames into bundle datagrams: frames for the
+/// same destination socket share a datagram, in push order, up to
+/// [`BUNDLE_BUDGET`] bytes; a frame that does not fit opens the next, so
+/// one larger than the budget travels alone. Nothing is held back —
+/// [`Packer::flush`] ends every loop turn.
 #[derive(Debug, Default)]
 struct Packer {
     /// This flush's datagrams, in creation order.
@@ -484,6 +484,8 @@ struct Packer {
     /// One entry per queued frame, in push order.
     charges: Vec<Charge>,
     batch: SendBatch<usize>,
+    /// Per datagram of the running flush: did the kernel take it?
+    taken: Vec<bool>,
 }
 
 impl Packer {
@@ -519,83 +521,17 @@ impl Packer {
         io: IoBackend,
         mut on_frame: impl FnMut(&Charge, bool),
     ) -> (u64, u64) {
+        let taken = &mut self.taken;
+        taken.clear();
+        taken.resize(self.datagrams.len(), false);
         for (datagram, (target, buf)) in self.datagrams.drain(..).enumerate() {
             self.batch.push(buf, target, datagram);
         }
-        let mut accepted = 0;
-        let syscalls = self.batch.flush(socket, io, |&datagram, _len, ok| {
-            accepted += u64::from(ok);
-            for charge in self.charges.iter().filter(|c| c.datagram == datagram) {
-                on_frame(charge, ok);
-            }
-        });
-        self.charges.clear();
-        (syscalls, accepted)
-    }
-}
-
-/// One unit of protocol work, executed by whichever worker claims it.
-/// Node indices are local (shard-relative).
-#[derive(Debug)]
-enum Work {
-    /// The wheel entry the node parked for this deadline fired.
-    Wake(u32, u64),
-    /// A datagram arrived for the node.
-    Deliver(u32, WirePayload),
-}
-
-/// FIFO work queue the reader and timer threads feed and the workers
-/// drain.
-#[derive(Debug, Default)]
-struct WorkQueue {
-    items: Mutex<VecDeque<Work>>,
-    available: Condvar,
-    /// `worker.queue_depth` — sampled on every push, so a scrape sees
-    /// how far the workers are falling behind the reader/timer threads.
-    depth: Gauge,
-}
-
-impl WorkQueue {
-    /// Appends any number of items — a whole datagram's frames — under
-    /// one lock acquisition and one notify.
-    fn push_many(&self, work: impl IntoIterator<Item = Work>) {
-        let mut items = self.items.lock().unwrap();
-        let before = items.len();
-        items.extend(work);
-        self.depth.set(items.len() as f64);
-        let pushed = items.len() - before;
-        drop(items);
-        // Several items can feed several workers; a lone one needs one.
-        match pushed {
-            0 => {}
-            1 => self.available.notify_one(),
-            _ => self.available.notify_all(),
+        let syscalls = self.batch.flush(socket, io, |&d, _len, ok| taken[d] = ok);
+        for charge in self.charges.drain(..) {
+            on_frame(&charge, taken[charge.datagram]);
         }
-    }
-
-    /// Pops the next item if one is immediately available — lets a worker
-    /// keep filling its send batches while the queue is hot without ever
-    /// sleeping on frames it has not flushed yet.
-    fn try_pop(&self) -> Option<Work> {
-        self.items.lock().unwrap().pop_front()
-    }
-
-    /// Pops the next item, blocking until one arrives or `stop` is set.
-    fn pop(&self, stop: &AtomicBool) -> Option<Work> {
-        let mut items = self.items.lock().unwrap();
-        loop {
-            if let Some(work) = items.pop_front() {
-                return Some(work);
-            }
-            if stop.load(Ordering::Relaxed) {
-                return None;
-            }
-            let (guard, _timeout) = self
-                .available
-                .wait_timeout(items, Duration::from_millis(50))
-                .unwrap();
-            items = guard;
-        }
+        (syscalls, taken.iter().filter(|&&ok| ok).count() as u64)
     }
 }
 
@@ -610,56 +546,65 @@ struct VNode {
     next_wake: u64,
 }
 
+impl VNode {
+    /// Claims a new wheel entry when the stack's next deadline moved earlier
+    /// than the live one (an exchange's timeout, a query install), and
+    /// returns the deadline to park.
+    fn rearm(&mut self) -> Option<u64> {
+        let deadline = self.stack.next_deadline();
+        (deadline < self.next_wake).then(|| {
+            self.next_wake = deadline;
+            deadline
+        })
+    }
+}
+
 /// Cumulative kernel-boundary crossings of a running cluster — the
 /// numerator of the syscalls-per-frame metric the batch backends and the
 /// bundle packer exist to shrink. Backed by the `io.recv_syscalls` /
 /// `io.send_syscalls` registry counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SyscallCounts {
-    /// Receive syscalls issued by the reader threads (`recvmmsg` or
-    /// `recv_from`, including calls that ended in a read timeout).
+    /// Receive-side syscalls issued by the loops: each turn's readiness
+    /// wait (one `poll` on Linux) and the `recvmmsg` or
+    /// `recv_from` that drains the socket.
     pub recv_calls: u64,
-    /// Send syscalls issued by the worker threads (`sendmmsg` or
-    /// `send_to`).
+    /// Send syscalls issued by the loops (`sendmmsg` or `send_to`).
     pub send_calls: u64,
 }
 
 #[derive(Debug)]
 struct Shared {
-    /// The reader socket set; local vnode `i` is homed on socket
-    /// `i % sockets.len()`. Socket 0 is the shard's advertised address.
-    sockets: Vec<UdpSocket>,
-    /// Local address of each reader socket, in socket order.
-    reader_addrs: Vec<SocketAddr>,
+    /// Each loop's socket address, in loop order: local vnode `i` is homed
+    /// on loop `i % addrs.len()`. Address 0 is the shard's advertised one.
+    addrs: Vec<SocketAddr>,
     io: IoBackend,
     stop: AtomicBool,
     /// Cluster-wide id of local node 0.
     base: usize,
     table: PeerTable,
     nodes: Vec<Mutex<VNode>>,
-    work: WorkQueue,
-    /// Schedule requests `(deadline_ms, local node)` bound for the timer
-    /// thread's wheel, one inbox per reader shard (indexed like the
-    /// sockets, by `node % readers`) so workers on different shards never
-    /// contend on one lock.
-    timer_inboxes: Vec<Mutex<Vec<(u64, u32)>>>,
+    /// Parks `(deadline_ms, local node)` made off a vnode's home loop —
+    /// by spawn, [`Cluster::with_stack`], the RPC listener, another loop —
+    /// one inbox per loop, drained into its wheel every turn.
+    inboxes: Vec<Mutex<Vec<(u64, u32)>>>,
     /// The unified metrics registry every handle below is connected to.
     registry: Registry,
     /// Per-plane frames and bytes, send errors, client RPCs.
     traffic: Traffic,
-    /// `io.recv_syscalls{backend=…}` — reader-thread kernel crossings.
+    /// `io.recv_syscalls{backend=…}` — the loops' waits and receives.
     recv_calls: Counter,
-    /// `io.send_syscalls{backend=…}` — worker-thread kernel crossings.
+    /// `io.send_syscalls{backend=…}` — the loops' send crossings.
     send_calls: Counter,
     /// `io.recv_timeouts` — the subset of recv syscalls that returned
-    /// empty-handed (read-timeout wakeups for the stop-flag check).
+    /// empty-handed: loop turns on which one 1 ms wheel tick passed idle.
     recv_timeouts: Counter,
     /// `timer.fire_lag_us` — how late the wheel fired each deadline.
     fire_lag: Histogram,
     /// `io.datagrams_sent` — bundle datagrams the kernel accepted.
     datagrams_sent: Counter,
     /// `io.datagrams_received{socket=…,origin=local|remote}` — datagrams
-    /// each reader drained, `[local, remote]` per socket: `remote` when the
+    /// each loop drained, `[local, remote]` per socket: `remote` when the
     /// source is none of this shard's own sockets, so the series show
     /// cross-shard senders fanning across the whole published set.
     datagrams_received: Vec<[Counter; 2]>,
@@ -673,10 +618,10 @@ struct Shared {
     /// sampled view.
     view_dead_fraction: Gauge,
     /// The `epoch.*` convergence gauges, fed by the reports passing
-    /// through [`Cluster::take_reports`] and the query epochs the
-    /// workers drain, plus `agg.exchanges` and `membership.delta_bytes`
-    /// (delta view frames and piggybacked trailers), counted as the
-    /// workers' sinks see each frame.
+    /// through [`Cluster::take_reports`] and the query epochs the loops
+    /// drain, plus `agg.exchanges` and `membership.delta_bytes` (delta
+    /// view frames and piggybacked trailers), counted as the loops' sinks
+    /// see each frame.
     convergence: Convergence,
     start: Instant,
 }
@@ -695,33 +640,28 @@ impl Shared {
         self.nodes[index].lock().unwrap()
     }
 
-    /// Parks local vnode `index`'s next deadline in its timer shard unless
-    /// an earlier (or equal) wheel entry is already live. Whoever touched
-    /// the stack under the vnode lock ends here, so a deadline that moved
-    /// earlier (an exchange's timeout, a query install) is not slept past.
+    /// Home loop of local vnode `local`.
+    fn home(&self, local: usize) -> usize {
+        local % self.addrs.len()
+    }
+
+    /// Parks local vnode `index`'s next deadline ([`VNode::rearm`])
+    /// through its home loop's inbox: the park of every thread but that
+    /// loop.
     fn park(&self, vnode: &mut VNode, index: usize) {
-        let deadline = vnode.stack.next_deadline();
-        if deadline < vnode.next_wake {
-            vnode.next_wake = deadline;
-            let inbox = &self.timer_inboxes[index % self.timer_inboxes.len()];
+        if let Some(deadline) = vnode.rearm() {
+            let inbox = &self.inboxes[self.home(index)];
             inbox.lock().unwrap().push((deadline, index as u32));
         }
     }
 
-    /// Home socket of local vnode `local`.
-    fn socket_of(&self, local: usize) -> usize {
-        local % self.sockets.len()
-    }
-
     /// Where a frame for cluster-wide vnode `vnode` must be sent: a local
-    /// vnode's home socket, a foreign vnode's shard address (its shard's
-    /// socket 0 — every reader routes by frame id, so landing on the
-    /// primary socket is always correct), or `None` for an out-of-range
-    /// id.
+    /// vnode's home socket, a foreign vnode's home socket in its shard's
+    /// published set, or `None` for an out-of-range id.
     fn dest_addr(&self, vnode: usize) -> Option<SocketAddr> {
         if let Some(local) = vnode.checked_sub(self.base) {
             if local < self.nodes.len() {
-                return Some(self.reader_addrs[self.socket_of(local)]);
+                return Some(self.addrs[self.home(local)]);
             }
         }
         self.table.addr_of(vnode)
@@ -746,7 +686,7 @@ pub struct MuxCluster {
 impl MuxCluster {
     /// Binds the shard's socket set, builds its virtual nodes with local
     /// values `values(id)` (`id` is the *cluster-wide* vnode id), and
-    /// starts the reader, timer, and worker threads.
+    /// starts one thread per loop (and the RPC listener's, if any).
     ///
     /// # Errors
     ///
@@ -760,8 +700,7 @@ impl MuxCluster {
             sharding,
             node_config,
             seed,
-            workers,
-            readers,
+            loops,
             io,
             directory,
             trace_capacity,
@@ -797,42 +736,39 @@ impl MuxCluster {
             }
         };
         let base = local_range.start;
-        // Core-aware thread-count resolution; explicit overrides win.
+        // Core-aware loop count; explicit overrides win. Every published
+        // shard socket MUST be bound — other shards fan cross-shard frames
+        // across the full advertised set — so the count can only grow past
+        // the published set, never below.
         let cores = std::thread::available_parallelism()
             .map(usize::from)
             .unwrap_or(2);
-        // Every published shard socket MUST be bound — other shards fan
-        // cross-shard frames across the full advertised set — so the
-        // reader count can only grow past the published set, never below.
         let published = table.shard_sockets(local_shard).to_vec();
-        let readers = readers
-            .unwrap_or((cores / 4).clamp(1, 4))
+        let loops = loops
+            .unwrap_or(cores.min(8))
             .clamp(1, local_range.len())
             .max(published.len());
-        let workers = workers.unwrap_or(cores.saturating_sub(readers + 1).clamp(1, 8));
-        // Readers beyond the published set bind ephemeral ports on the
-        // shard's advertised IP; they receive only locally-homed traffic
-        // (cross-shard senders know nothing about them), which is
-        // correct — readers route by frame id.
+        // Loops beyond the published set bind ephemeral ports on the
+        // shard's advertised IP; cross-shard senders know nothing about
+        // them, so those loops receive only locally-homed traffic.
         let mut sockets = vec![primary];
         for addr in &published[1..] {
             sockets.push(UdpSocket::bind(*addr)?);
         }
-        for _ in published.len()..readers {
+        for _ in published.len()..loops {
             sockets.push(UdpSocket::bind((sockets[0].local_addr()?.ip(), 0))?);
         }
-        let mut reader_addrs = Vec::with_capacity(readers);
+        let mut addrs = Vec::with_capacity(loops);
         for socket in &sockets {
-            socket.set_read_timeout(Some(Duration::from_millis(20)))?;
-            reader_addrs.push(socket.local_addr()?);
+            socket.set_read_timeout(Some(TICK))?;
+            addrs.push(socket.local_addr()?);
         }
         let registry = Registry::new();
         // Bind the scrape endpoint before the protocol threads start, so
         // a bind failure leaks nothing.
-        let metrics = match metrics_addr {
-            Some(addr) => Some(MetricsServer::bind(addr, registry.clone())?),
-            None => None,
-        };
+        let metrics = metrics_addr
+            .map(|addr| MetricsServer::bind(addr, registry.clone()))
+            .transpose()?;
         let mut spawn_stats = OnlineStats::new();
         let nodes: Vec<Mutex<VNode>> = local_range
             .clone()
@@ -855,27 +791,21 @@ impl MuxCluster {
             })
             .collect();
         let backend = &[("backend", io.as_str())];
-        let work = WorkQueue {
-            depth: registry.gauge("worker.queue_depth"),
-            ..WorkQueue::default()
-        };
         let shared = Arc::new(Shared {
-            sockets,
-            reader_addrs,
+            addrs,
             io,
             stop: AtomicBool::new(false),
             base,
             table,
             nodes,
-            work,
-            timer_inboxes: (0..readers).map(|_| Mutex::new(Vec::new())).collect(),
+            inboxes: (0..loops).map(|_| Mutex::new(Vec::new())).collect(),
             traffic: Traffic::new(&registry),
             recv_calls: registry.counter_with("io.recv_syscalls", backend),
             send_calls: registry.counter_with("io.send_syscalls", backend),
             recv_timeouts: registry.counter("io.recv_timeouts"),
             fire_lag: registry.histogram("timer.fire_lag_us"),
             datagrams_sent: registry.counter("io.datagrams_sent"),
-            datagrams_received: (0..readers)
+            datagrams_received: (0..loops)
                 .map(|k| {
                     ["local", "remote"].map(|origin| {
                         let labels = [("socket", &*k.to_string()), ("origin", origin)];
@@ -903,43 +833,28 @@ impl MuxCluster {
 
         // Bind the client RPC listener (if any) before the protocol
         // threads start, so a bind failure leaks nothing.
-        let rpc_socket = match rpc_addr {
-            Some(addr) => {
-                let socket = UdpSocket::bind(addr)?;
-                socket.set_read_timeout(Some(Duration::from_millis(20)))?;
-                Some(socket)
-            }
-            None => None,
-        };
-        let rpc_addr = match &rpc_socket {
-            Some(socket) => Some(socket.local_addr()?),
-            None => None,
-        };
+        let rpc_socket = rpc_addr.map(UdpSocket::bind).transpose()?;
+        if let Some(socket) = &rpc_socket {
+            socket.set_read_timeout(Some(Duration::from_millis(20)))?;
+        }
+        let rpc_addr = rpc_socket.as_ref().map(UdpSocket::local_addr).transpose()?;
 
-        let mut threads =
-            Vec::with_capacity(workers + readers + 1 + usize::from(rpc_socket.is_some()));
-        let cycle = node_config.cycle_length();
+        let mut threads = Vec::with_capacity(loops + usize::from(rpc_socket.is_some()));
+        let cycle = node_config.cycle_length().max(1);
         let spawned = (|| -> io::Result<()> {
-            for k in 0..readers {
-                let reader_shared = Arc::clone(&shared);
+            for (k, socket) in sockets.into_iter().enumerate() {
+                let loop_shared = Arc::clone(&shared);
+                let own = Loop {
+                    k,
+                    socket,
+                    wheel: TimerWheel::for_cycle(cycle),
+                    packer: Packer::default(),
+                    ran_since: Instant::now(),
+                };
                 threads.push(
                     std::thread::Builder::new()
-                        .name(format!("mux-reader-{k}"))
-                        .spawn(move || reader_loop(&reader_shared, k))?,
-                );
-            }
-            let timer_shared = Arc::clone(&shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("mux-timer".into())
-                    .spawn(move || timer_loop(&timer_shared, cycle))?,
-            );
-            for k in 0..workers {
-                let worker_shared = Arc::clone(&shared);
-                threads.push(
-                    std::thread::Builder::new()
-                        .name(format!("mux-worker-{k}"))
-                        .spawn(move || worker_loop(&worker_shared))?,
+                        .name(format!("mux-loop-{k}"))
+                        .spawn(move || run_loop(&loop_shared, own))?,
                 );
             }
             if let Some(socket) = rpc_socket {
@@ -957,7 +872,6 @@ impl MuxCluster {
             // join whatever already started instead of leaking detached
             // threads that would pin the socket and node state forever.
             shared.stop.store(true, Ordering::Relaxed);
-            shared.work.available.notify_all();
             for handle in threads {
                 let _ = handle.join();
             }
@@ -979,15 +893,15 @@ impl MuxCluster {
         self.rpc_addr
     }
 
-    /// The shard's advertised socket address (socket 0 of the reader set
-    /// — the one the peer table publishes to other shards).
+    /// The shard's advertised socket address (loop 0's — the one the peer
+    /// table publishes to other shards).
     pub fn addr(&self) -> SocketAddr {
-        self.shared.reader_addrs[0]
+        self.shared.addrs[0]
     }
 
-    /// Number of reader sockets (and reader threads) this shard runs.
+    /// Number of loops this shard runs: one socket and one thread each.
     pub fn reader_count(&self) -> usize {
-        self.shared.sockets.len()
+        self.shared.addrs.len()
     }
 
     /// The datagram I/O backend the cluster is moving bytes with.
@@ -1028,9 +942,8 @@ impl MuxCluster {
         self.shared.table.total()
     }
 
-    /// OS threads the cluster runs on: `workers + readers + 1` (the
-    /// reader set plus one timer thread), plus one more when the client
-    /// RPC listener is enabled.
+    /// OS threads the cluster runs on: one per loop, plus one when the
+    /// client RPC listener is enabled.
     pub fn thread_count(&self) -> usize {
         self.threads.len()
     }
@@ -1042,7 +955,6 @@ impl MuxCluster {
 
     fn stop_and_join(&mut self) {
         self.shared.stop.store(true, Ordering::Relaxed);
-        self.shared.work.available.notify_all();
         for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
@@ -1066,7 +978,7 @@ impl Cluster for MuxCluster {
     }
 
     fn addrs(&self) -> Vec<SocketAddr> {
-        self.shared.reader_addrs.clone()
+        self.shared.addrs.clone()
     }
 
     /// The shard's registry — scrape it in-process with
@@ -1101,98 +1013,171 @@ impl Drop for MuxCluster {
     }
 }
 
-/// Blocks on reader socket `reader` (up to [`BATCH`] datagrams per syscall
-/// when batched) and hands each bundle's frames to their state machines.
-fn reader_loop(shared: &Shared, reader: usize) {
-    let socket = &shared.sockets[reader];
+/// What only loop `k`'s thread touches: its socket, the wheel its vnodes
+/// park in, and the packer their frames leave through.
+#[derive(Debug)]
+struct Loop {
+    /// The loop's index — of its socket, inbox and `io.datagrams_received`
+    /// series, and of the vnodes it homes.
+    k: usize,
+    socket: UdpSocket,
+    wheel: TimerWheel,
+    packer: Packer,
+    /// When the loop last blocked or yielded (see [`SLICE`]).
+    ran_since: Instant,
+}
+
+/// Runs loop `own` until shutdown, one turn at a time: receive (waiting
+/// at most one [`TICK`]), step every frame inline, drain the park inbox,
+/// fire due wheel entries, flush. Loop 0 also samples view health.
+fn run_loop(shared: &Shared, mut own: Loop) {
     let mut batch = RecvBatch::new();
-    let mut deliveries: Vec<Work> = Vec::new();
+    let mut due: Vec<(u64, u32)> = Vec::new();
+    let (mut next_health, mut health_cursor) = (0, 0);
     while !shared.stop.load(Ordering::Relaxed) {
-        match batch.recv(socket, shared.io) {
-            Ok(count) => {
+        shared.recv_calls.inc();
+        let received = match wait_readable(&own.socket, TICK) {
+            Ok(true) => {
                 shared.recv_calls.inc();
-                let [local, remote] = &shared.datagrams_received[reader];
+                batch.recv(&own.socket, shared.io)
+            }
+            Ok(false) => Err(io::ErrorKind::TimedOut.into()),
+            Err(e) => Err(e),
+        };
+        own.ran_since = Instant::now();
+        match received {
+            Ok(count) => {
                 for i in 0..count {
-                    match batch.src(i) {
-                        Some(src) if !shared.reader_addrs.contains(&src) => remote.inc(),
-                        _ => local.inc(),
-                    }
-                    let Ok(frames) = decode_bundle(batch.datagram(i)) else {
-                        shared.decode_errors.inc();
-                        continue; // not a bundle: drop, stay alive
-                    };
-                    // Corrupt frames and a cut-off tail drop; the rest arrive.
-                    for frame in frames {
-                        let Ok((to, payload)) = frame else {
-                            shared.decode_errors.inc();
-                            continue;
-                        };
-                        let Some(local) = to.index().checked_sub(shared.base) else {
-                            continue; // foreign shard's vnode: misrouted, drop
-                        };
-                        if local >= shared.nodes.len() {
-                            continue;
-                        }
-                        // Client RPC rides the dedicated listener
-                        // socket (`rpc_loop`); one arriving as a mux
-                        // frame is misrouted and dropped.
-                        let Some(plane) = Plane::of_received(&payload) else {
-                            continue;
-                        };
-                        shared.traffic.received(plane);
-                        deliveries.push(Work::Deliver(local as u32, payload));
-                    }
-                    shared.work.push_many(deliveries.drain(..));
+                    own.deliver(shared, batch.src(i), batch.datagram(i));
                 }
             }
-            // Read timeout (or spurious wake): re-check the stop flag.
             Err(ref e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
-                shared.recv_calls.inc();
                 shared.recv_timeouts.inc();
-                continue;
             }
-            Err(_) => continue,
+            Err(_) => {}
+        }
+        let inbox = &shared.inboxes[own.k];
+        std::mem::swap(&mut due, &mut inbox.lock().unwrap());
+        for (deadline, node) in due.drain(..) {
+            own.wheel.schedule(deadline, node);
+        }
+        let now = shared.now_ms();
+        own.wheel.advance_entries(now, |at, v| due.push((at, v)));
+        for (deadline, node) in due.drain(..) {
+            shared.fire_lag.record(now.saturating_sub(deadline) * 1_000);
+            let index = node as usize;
+            let mut vnode = shared.vnode(index);
+            // An entry a moved deadline stranded steps nothing, as a stale
+            // wake in `EventSim` does: no second timer chain.
+            if deadline == vnode.next_wake {
+                vnode.next_wake = u64::MAX; // claimed: the step's park re-arms
+                own.step(shared, vnode, index, Input::Wake);
+            }
+        }
+        own.flush(shared);
+        // A sampled gauge only needs to move on scrape timescales.
+        if own.k == 0 && now >= next_health {
+            next_health = now + 256;
+            sample_view_health(shared, now, &mut health_cursor);
         }
     }
 }
 
-/// Owns the timer wheels (one shard per reader): drains each shard's
-/// schedule inbox, fires due deadlines as [`Work::Wake`] items.
-fn timer_loop(shared: &Shared, cycle_ms: u64) {
-    let mut wheel = ShardedTimerWheel::for_cycle(shared.timer_inboxes.len(), cycle_ms.max(1));
-    let mut scratch: Vec<(u64, u32)> = Vec::new();
-    let mut ticks = 0u64;
-    let mut health_cursor = 0usize;
-    while !shared.stop.load(Ordering::Relaxed) {
-        for inbox in &shared.timer_inboxes {
-            std::mem::swap(&mut scratch, &mut inbox.lock().unwrap());
-            // Tokens route to wheel shard `node % shards` — the same
-            // shard whose inbox they arrived through.
-            for (deadline, node) in scratch.drain(..) {
-                wheel.schedule(deadline, node);
-            }
+impl Loop {
+    /// Walks one received bundle and steps each frame's vnode inline.
+    fn deliver(&mut self, shared: &Shared, src: Option<SocketAddr>, datagram: &[u8]) {
+        let [local, remote] = &shared.datagrams_received[self.k];
+        match src {
+            Some(src) if !shared.addrs.contains(&src) => remote.inc(),
+            _ => local.inc(),
         }
-        let now = shared.now_ms();
-        wheel.advance_entries(now, |deadline, node| {
-            shared.fire_lag.record(now.saturating_sub(deadline) * 1_000);
-            shared.work.push_many([Work::Wake(node, deadline)]);
+        let Ok(frames) = decode_bundle(datagram) else {
+            shared.decode_errors.inc();
+            return; // not a bundle: drop, stay alive
+        };
+        // Corrupt frames and a cut-off tail drop; the rest arrive.
+        for frame in frames {
+            let Ok((to, payload)) = frame else {
+                shared.decode_errors.inc();
+                continue;
+            };
+            let local = to.index().checked_sub(shared.base);
+            // A foreign shard's vnode is misrouted: drop.
+            let Some(index) = local.filter(|&i| i < shared.nodes.len()) else {
+                continue;
+            };
+            // Client RPC rides the dedicated listener socket (`rpc_loop`);
+            // one arriving as a mux frame is misrouted and dropped.
+            let Some(plane) = Plane::of_received(&payload) else {
+                continue;
+            };
+            shared.traffic.received(plane);
+            let vnode = shared.vnode(index);
+            self.step(shared, vnode, index, Input::Frame(&payload, None));
+        }
+    }
+
+    /// Steps local vnode `index`, whose lock the caller hands over,
+    /// encoding the frames it emits into this loop's packer. Then parks its
+    /// next deadline: straight into this wheel when the vnode is homed
+    /// here, through its home loop's inbox when a remote shard sent its
+    /// frame to this socket. Once the loop has stepped for a [`SLICE`]
+    /// since it last blocked, it yields — after unlocking.
+    fn step(
+        &mut self,
+        shared: &Shared,
+        mut vnode: MutexGuard<'_, VNode>,
+        index: usize,
+        input: Input<'_>,
+    ) {
+        let (packer, now) = (&mut self.packer, shared.now_ms());
+        vnode.stack.step(input, now, |to, frame, plane| {
+            // Mux frames route by vnode id; an address destination cannot be
+            // framed and is dropped, as is an id outside the peer table.
+            let Destination::Node(to) = to else {
+                return;
+            };
+            let Some(target) = shared.dest_addr(to.index()) else {
+                return;
+            };
+            let bytes = packer.push(target, to, &frame, plane);
+            shared.convergence.count(&frame, bytes);
         });
-        ticks += 1;
-        // The wheel ticks every millisecond; a sampled gauge only needs
-        // to move on scrape timescales, so refresh it every ~quarter
-        // second instead of on every tick.
-        if ticks % 256 == 0 {
-            sample_view_health(shared, now, &mut health_cursor);
+        // Completed query epochs feed the per-query drift gauges.
+        let query_epochs = vnode.stack.take_query_epochs();
+        shared.convergence.observe_query_epochs(&query_epochs);
+        if shared.home(index) != self.k {
+            shared.park(&mut vnode, index);
+        } else if let Some(deadline) = vnode.rearm() {
+            self.wheel.schedule(deadline, index as u32);
         }
-        std::thread::sleep(Duration::from_millis(1));
+        drop(vnode);
+        if self.ran_since.elapsed() >= SLICE {
+            std::thread::yield_now();
+            self.ran_since = Instant::now();
+        }
+    }
+
+    /// Transmits every queued bundle, charging each frame to its plane's
+    /// series — or one `io.send_errors` if the kernel refused its datagram.
+    fn flush(&mut self, shared: &Shared) {
+        let (syscalls, datagrams) = self.packer.flush(&self.socket, shared.io, |charge, ok| {
+            if ok {
+                shared.traffic.sent(charge.plane, u64::from(charge.bytes));
+            } else {
+                shared.traffic.send_error();
+            }
+        });
+        shared.send_calls.add(syscalls);
+        shared.datagrams_sent.add(datagrams);
     }
 }
 
 /// Samples the `membership.view_*` health pair from one vnode's
-/// directory per call (round-robin, skipping vnodes a worker holds locked
-/// — a gauge sample must never stall the protocol path).
+/// directory per call (round-robin, skipping vnodes another thread holds
+/// locked — a gauge sample must never stall the protocol path).
 fn sample_view_health(shared: &Shared, now: u64, health_cursor: &mut usize) {
     for _ in 0..shared.nodes.len().min(8) {
         let index = *health_cursor % shared.nodes.len();
@@ -1208,89 +1193,6 @@ fn sample_view_health(shared: &Shared, now: u64, health_cursor: &mut usize) {
     }
 }
 
-/// Executes per-node protocol steps until shutdown. Outbound frames are
-/// bundled per home socket and flushed as one burst (`sendmmsg` on the
-/// batched backend) once the work queue runs dry or [`BATCH`] frames have
-/// accumulated — frames never wait on a sleeping worker.
-fn worker_loop(shared: &Shared) {
-    let mut pending: Vec<Packer> = (0..shared.sockets.len())
-        .map(|_| Packer::default())
-        .collect();
-    while let Some(mut work) = shared.work.pop(&shared.stop) {
-        let mut queued = 0usize;
-        loop {
-            queued += step_vnode(shared, work, &mut pending);
-            if queued >= BATCH {
-                break;
-            }
-            match shared.work.try_pop() {
-                Some(next) => work = next,
-                None => break,
-            }
-        }
-        flush_pending(shared, &mut pending);
-    }
-}
-
-/// Runs one unit of work against its vnode's stack, encoding the frames
-/// it emits into the vnode's home-socket packer, then parks the stack's
-/// next deadline. Returns how many frames were queued.
-fn step_vnode(shared: &Shared, work: Work, pending: &mut [Packer]) -> usize {
-    let (index, input) = match &work {
-        Work::Wake(i, _) => (*i as usize, Input::Wake),
-        Work::Deliver(i, payload) => (*i as usize, Input::Frame(payload, None)),
-    };
-    let packer = &mut pending[shared.socket_of(index)];
-    let before = packer.charges.len();
-    let mut vnode = shared.vnode(index);
-    if let Work::Wake(_, deadline) = work {
-        // An entry stranded by a deadline that moved earlier dies here, as
-        // `EventSim`'s stale wakes do, instead of forking a second chain.
-        if deadline != vnode.next_wake {
-            return 0;
-        }
-        vnode.next_wake = u64::MAX; // claimed: the closing `park` re-arms
-    }
-    let now = shared.now_ms();
-    vnode.stack.step(input, now, |to, frame, plane| {
-        // Mux frames route by vnode id; an address destination cannot be
-        // framed and is dropped, as is an id outside the peer table.
-        let Destination::Node(to) = to else {
-            return;
-        };
-        let Some(target) = shared.dest_addr(to.index()) else {
-            return;
-        };
-        let bytes = packer.push(target, to, &frame, plane);
-        shared.convergence.count(&frame, bytes);
-    });
-    // Completed query epochs feed the per-query drift gauges.
-    let query_epochs = vnode.stack.take_query_epochs();
-    shared.park(&mut vnode, index);
-    drop(vnode);
-    shared.convergence.observe_query_epochs(&query_epochs);
-    packer.charges.len() - before
-}
-
-/// Transmits every queued bundle, charging each frame to its plane's
-/// series — or one `io.send_errors` if the kernel refused its datagram.
-fn flush_pending(shared: &Shared, pending: &mut [Packer]) {
-    for (s, packer) in pending.iter_mut().enumerate() {
-        if packer.charges.is_empty() {
-            continue;
-        }
-        let (syscalls, datagrams) = packer.flush(&shared.sockets[s], shared.io, |charge, ok| {
-            if ok {
-                shared.traffic.sent(charge.plane, u64::from(charge.bytes));
-            } else {
-                shared.traffic.send_error();
-            }
-        });
-        shared.send_calls.add(syscalls);
-        shared.datagrams_sent.add(datagrams);
-    }
-}
-
 /// Serves client query RPCs on the dedicated listener socket. Every node
 /// holds the aggregate — any of them is a valid endpoint — so requests
 /// are routed round-robin over the shard's vnodes and each response goes
@@ -1301,40 +1203,35 @@ fn rpc_loop(shared: &Shared, socket: &UdpSocket) {
     let mut buf = [0u8; 64 * 1024];
     let mut next = 0usize;
     while !shared.stop.load(Ordering::Relaxed) {
-        match socket.recv_from(&mut buf) {
-            Ok((len, src)) => {
-                let Ok(WirePayload::Rpc(request)) = decode_datagram(&buf[..len]) else {
-                    shared.decode_errors.inc();
-                    continue; // not a client request: drop, stay alive
-                };
-                let index = next % shared.nodes.len();
-                next = next.wrapping_add(1);
-                let mut vnode = shared.vnode(index);
-                let response = vnode.stack.rpc(&request, shared.now_ms());
-                // An install or a remove moved the plane's gossip deadline.
-                shared.park(&mut vnode, index);
-                drop(vnode);
-                shared.traffic.rpc(&response);
-                let _ = socket.send_to(&encode_rpc_response(&response), src);
-            }
-            // Read timeout (or spurious wake): re-check the stop flag.
-            Err(ref e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => continue,
-        }
+        // A read timeout (or spurious wake) re-checks the stop flag.
+        let Ok((len, src)) = socket.recv_from(&mut buf) else {
+            continue;
+        };
+        let Ok(WirePayload::Rpc(request)) = decode_datagram(&buf[..len]) else {
+            shared.decode_errors.inc();
+            continue; // not a client request: drop, stay alive
+        };
+        let index = next % shared.nodes.len();
+        next = next.wrapping_add(1);
+        let mut vnode = shared.vnode(index);
+        let response = vnode.stack.rpc(&request, shared.now_ms());
+        // An install or a remove moved the plane's gossip deadline; the
+        // park reaches the vnode's loop through its inbox.
+        shared.park(&mut vnode, index);
+        drop(vnode);
+        shared.traffic.rpc(&response);
+        let _ = socket.send_to(&encode_rpc_response(&response), src);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{decode_rpc_response, encode_rpc_request};
     use crate::directory::GossipDirectoryConfig;
     use epidemic_aggregation::value::InstanceMap;
     use epidemic_aggregation::{AggregateKind, InstanceSpec, InstanceState, Message};
-    use epidemic_query::QueryDescriptor;
+    use epidemic_query::{QueryDescriptor, RpcRequest, RpcStatus};
 
     fn node_config(gamma: u32, cycle_ms: u64) -> NodeConfig {
         NodeConfig::builder()
@@ -1376,7 +1273,7 @@ mod tests {
     fn peer_table_socket_sets_home_vnodes_across_readers() {
         // Shard 0 publishes two reader sockets, shard 1 publishes one:
         // frames for shard-0 vnodes alternate across its set by the same
-        // `local % readers` rule the receiving shard homes with.
+        // `local % loops` rule the receiving shard homes with.
         let addr = |port: u16| -> SocketAddr { format!("127.0.0.1:{port}").parse().unwrap() };
         let table = PeerTable::split_sets(5, vec![vec![addr(9200), addr(9201)], vec![addr(9210)]]);
         assert_eq!(table.shard_range(0), 0..3);
@@ -1473,40 +1370,38 @@ mod tests {
     }
 
     #[test]
-    fn thread_budget_is_workers_plus_readers_plus_one() {
-        let cluster = MuxCluster::spawn(
-            MuxClusterConfig::new(64, node_config(4, 40))
-                .with_workers(3)
-                .with_readers(1),
-            |_| 0.0,
-        )
-        .unwrap();
+    fn one_thread_and_one_socket_per_loop() {
+        // Workers and readers are one pool: the larger count wins.
+        let config = |workers, readers| {
+            let config = MuxClusterConfig::new(64, node_config(4, 40));
+            config.with_workers(workers).with_readers(readers)
+        };
+        let cluster = MuxCluster::spawn(config(3, 1), |_| 0.0).unwrap();
         assert_eq!(cluster.len(), 64);
         assert_eq!(cluster.total_len(), 64);
-        assert_eq!(cluster.reader_count(), 1);
-        // readers = 1 keeps the original workers + 2 budget.
-        assert_eq!(cluster.thread_count(), 3 + 2);
-        assert_eq!(cluster.addrs(), vec![cluster.addr()]);
+        assert_eq!(cluster.reader_count(), 3);
+        assert_eq!(cluster.thread_count(), 3);
+        assert_eq!(Cluster::addrs(&cluster)[0], cluster.addr());
         cluster.shutdown();
 
-        let wide = MuxCluster::spawn(
-            MuxClusterConfig::new(64, node_config(4, 40))
-                .with_workers(3)
-                .with_readers(4),
-            |_| 0.0,
-        )
-        .unwrap();
+        let wide = MuxCluster::spawn(config(3, 4), |_| 0.0).unwrap();
         assert_eq!(wide.reader_count(), 4);
-        assert_eq!(wide.thread_count(), 3 + 4 + 1);
+        assert_eq!(wide.thread_count(), 4);
         let addrs = Cluster::addrs(&wide);
         assert_eq!(addrs.len(), 4);
         assert_eq!(addrs[0], wide.addr());
         assert_eq!(
             addrs.iter().collect::<std::collections::HashSet<_>>().len(),
             4,
-            "reader sockets must have distinct addresses"
+            "loop sockets must have distinct addresses"
         );
         wide.shutdown();
+
+        // The RPC listener is the one thread that is not a loop.
+        let rpc = config(3, 4).with_rpc_addr("127.0.0.1:0".parse().unwrap());
+        let served = MuxCluster::spawn(rpc, |_| 0.0).unwrap();
+        assert_eq!(served.thread_count(), 4 + 1);
+        served.shutdown();
     }
 
     #[test]
@@ -1557,35 +1452,16 @@ mod tests {
     }
 
     #[test]
-    fn portable_backend_converges_like_batched() {
+    fn pair_converges_to_average() {
+        // On the portable backend; the other pair tests run the default.
         let cluster = MuxCluster::spawn(
             MuxClusterConfig::new(2, node_config(8, 25))
-                .with_workers(1)
-                .with_readers(1)
+                .with_workers(2)
                 .with_io(IoBackend::Portable),
             |i| (i as f64 + 1.0) * 10.0, // 10, 20: average 15
         )
         .unwrap();
         assert_eq!(cluster.io_backend(), IoBackend::Portable);
-        std::thread::sleep(Duration::from_millis(900));
-        let reports = cluster.take_all_reports();
-        cluster.shutdown();
-        let last = reports
-            .iter()
-            .flatten()
-            .last()
-            .and_then(|r| r.scalar(0))
-            .expect("no epochs completed");
-        assert!((last - 15.0).abs() < 0.5, "final estimate {last}");
-    }
-
-    #[test]
-    fn pair_converges_to_average() {
-        let cluster = MuxCluster::spawn(
-            MuxClusterConfig::new(2, node_config(8, 25)).with_workers(2),
-            |i| (i as f64 + 1.0) * 10.0, // 10, 20: average 15
-        )
-        .unwrap();
         std::thread::sleep(Duration::from_millis(900));
         let reports = cluster.take_all_reports();
         cluster.shutdown();
@@ -1739,7 +1615,12 @@ mod tests {
         std::thread::sleep(Duration::from_millis(1_500));
         let reports = cluster.take_all_reports();
         let totals = cluster.total_datagram_counts();
+        let registry = cluster.registry();
+        let delta_bytes = registry.counter_value("membership.delta_bytes");
+        let view_size = registry.gauge_value("membership.view_mean_size");
         cluster.shutdown();
+        assert!(delta_bytes > 0, "no delta/piggyback bytes counted");
+        assert!(view_size.unwrap_or(0.0) > 0.0, "view health never sampled");
         let mut finals = Vec::new();
         for node_reports in &reports {
             if let Some(r) = node_reports.last() {
@@ -1846,6 +1727,51 @@ mod tests {
     }
 
     #[test]
+    fn an_install_at_the_rpc_listener_spreads_to_every_vnode() {
+        // A ten-minute base cycle: no vnode has a deadline of its own
+        // inside this test, so the install spreads only if the listener's
+        // park reaches vnode 0's loop through its inbox.
+        let query = QueryPlaneConfig {
+            gossip_period: 50,
+            ..QueryPlaneConfig::default()
+        };
+        let cluster = MuxCluster::spawn(
+            MuxClusterConfig::new(8, node_config(10, 600_000))
+                .with_workers(2)
+                .with_query_config(query)
+                .with_rpc_addr("127.0.0.1:0".parse().unwrap()),
+            |i| i as f64,
+        )
+        .unwrap();
+        let client = UdpSocket::bind("127.0.0.1:0").unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let descriptor = QueryDescriptor::new("rpc", AggregateKind::Average);
+        let install = encode_rpc_request(&RpcRequest::Install { id: 1, descriptor });
+        client
+            .send_to(&install, cluster.rpc_addr().unwrap())
+            .unwrap();
+        let mut buf = [0u8; 64];
+        let len = client.recv(&mut buf).unwrap();
+        let response = decode_rpc_response(&buf[..len]).unwrap();
+        assert_eq!(
+            response.status,
+            RpcStatus::Ok,
+            "the listener serves vnode 0"
+        );
+        // Read the other vnodes only: `with_stack` on vnode 0 would re-arm
+        // it and hide a lost listener park.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while (1..8).any(|i| cluster.with_stack(i, |stack, _| stack.installed_queries().is_empty()))
+        {
+            assert!(Instant::now() < deadline, "the install never left vnode 0");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        cluster.shutdown();
+    }
+
+    #[test]
     fn bytes_sent_are_the_udp_payload_the_kernel_took() {
         // Vnode 1's shard is a bare socket that only listens: every
         // datagram this one-vnode shard sends lands there.
@@ -1860,7 +1786,7 @@ mod tests {
         let tenant = QueryDescriptor::new("tenant", AggregateKind::Average);
         shard.install_query(0, tenant).unwrap();
         std::thread::sleep(Duration::from_millis(400));
-        shard.stop_and_join(); // quiesced: no worker is mid-flush
+        shard.stop_and_join(); // quiesced: no loop is mid-flush
         sink.set_nonblocking(true).unwrap();
         let (mut datagrams, mut payload, mut buf) = (0, 0, [0u8; 65_536]);
         while let Ok(len) = sink.recv(&mut buf) {
@@ -1937,32 +1863,6 @@ mod tests {
             .map(|i| cluster.take_trace(i).len())
             .sum();
         assert!(events > 0, "no trace events recorded");
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn gossip_cluster_moves_delta_bytes_and_view_health() {
-        let spec = DirectorySpec::Gossip(GossipDirectoryConfig::new(8, 20).with_introducer_node(0));
-        let cluster = MuxCluster::spawn(
-            MuxClusterConfig::new(6, node_config(8, 30))
-                .with_workers(2)
-                .with_directory(spec),
-            |i| i as f64,
-        )
-        .unwrap();
-        std::thread::sleep(Duration::from_millis(1_200));
-        let registry = cluster.registry();
-        assert!(
-            registry.counter_value("membership.delta_bytes") > 0,
-            "no delta/piggyback bytes counted"
-        );
-        assert!(
-            registry
-                .gauge_value("membership.view_mean_size")
-                .unwrap_or(0.0)
-                > 0.0,
-            "view health never sampled"
-        );
         cluster.shutdown();
     }
 

@@ -1,10 +1,11 @@
 //! Hashed timer wheel for the multiplexed runtime.
 //!
-//! The mux runtime ([`crate::mux`]) drives thousands of virtual nodes from
-//! one timer thread, so per-deadline precision matters less than constant
-//! cost per operation: a [`TimerWheel`] buckets deadlines into fixed-width
-//! slots (hashing by `deadline / tick`), making `schedule` and each tick
-//! of `advance` O(1) amortized regardless of how many nodes are hosted.
+//! Each loop of the mux runtime ([`crate::mux`]) drives thousands of
+//! virtual nodes from one wheel, so per-deadline precision matters less
+//! than constant cost per operation: a [`TimerWheel`] buckets deadlines
+//! into fixed-width slots (hashing by `deadline / tick`), making
+//! `schedule` and each tick of `advance` O(1) amortized regardless of how
+//! many nodes are hosted.
 //!
 //! Deadlines that land in an already-passed slot fire on the next
 //! `advance`; deadlines further out than one wheel revolution stay parked
@@ -153,9 +154,9 @@ impl TimerWheel {
     }
 
     /// Earliest parked deadline, or `None` when empty. O(slots + len);
-    /// an introspection helper for embeddings and tests — the mux timer
-    /// thread does not use it (it ticks on a fixed 1 ms cadence, see
-    /// [`crate::mux`]).
+    /// an introspection helper for embeddings and tests — a mux loop does
+    /// not use it (it waits for datagrams one fixed 1 ms tick at a time,
+    /// see [`crate::mux`]).
     pub fn next_deadline(&self) -> Option<u64> {
         self.slots
             .iter()
@@ -166,10 +167,11 @@ impl TimerWheel {
     }
 }
 
-/// A set of [`TimerWheel`]s, one per reader shard of the mux runtime:
-/// token `t` always lives in wheel `t % shards`, so each wheel holds only
-/// its socket's virtual nodes and no single wheel (or the lock guarding
-/// its inbox) serializes the whole cluster.
+/// A set of [`TimerWheel`]s: token `t` always lives in wheel
+/// `t % shards`. The mux runtime no longer uses it — each loop owns one
+/// plain wheel — but the benchmark ledger's layer replay
+/// (`crates/ledger/src/replay.rs`) still constructs it, and it goes when
+/// that replay does.
 ///
 /// Firing behavior is equivalent to one unsharded wheel: for any schedule
 /// sequence, each `advance` fires exactly the same `(deadline, token)`

@@ -10,8 +10,8 @@
 //!   nodes ([`graph`]).
 //! * [`generate`] — deterministic generators for every static topology in
 //!   the paper.
-//! * [`metrics`] — connectivity, degree, clustering, and path-length
-//!   analysis used to validate the generators.
+//! * [`metrics`] — weak connectivity, the oracle the generator tests
+//!   check every topology against.
 //! * [`NeighborSampling`] — the one-method abstraction the aggregation
 //!   protocol needs from a topology: "give me a uniformly random neighbor".
 //!   The trait itself lives in [`epidemic_common::sample`] (so membership

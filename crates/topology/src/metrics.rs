@@ -1,19 +1,11 @@
 //! Graph analysis used to validate generated topologies.
 //!
-//! The convergence results of the paper hinge on structural properties of
-//! the overlay (randomness, connectivity, path length), so the test suite
-//! and the experiment harness verify them explicitly:
-//!
-//! * [`is_connected`] / [`connected_components`] — weak connectivity, the
-//!   necessary condition for gossip averaging to converge to the true mean.
-//! * [`degree_summary`] — degree distribution statistics.
-//! * [`clustering_coefficient`] — local clustering (high for lattices, low
-//!   for random graphs; the small-world signature).
-//! * [`average_path_length`] — BFS-sampled mean shortest path.
+//! The convergence results of the paper hinge on the overlay being
+//! connected: [`is_connected`] / [`connected_components`] check weak
+//! connectivity, the necessary condition for gossip averaging to converge
+//! to the true mean. The generator tests use them as their oracle.
 
 use crate::graph::Graph;
-use epidemic_common::rng::Xoshiro256;
-use epidemic_common::stats::{OnlineStats, Summary};
 use std::collections::VecDeque;
 
 /// Returns the weakly connected component id of every node.
@@ -76,142 +68,10 @@ pub fn component_count(g: &Graph) -> usize {
         .map_or(0, |m| m + 1)
 }
 
-/// Summary statistics (mean/variance/min/max) of the out-degree
-/// distribution.
-pub fn degree_summary(g: &Graph) -> Summary {
-    let stats: OnlineStats = (0..g.node_count()).map(|u| g.degree(u) as f64).collect();
-    stats.summary()
-}
-
-/// Average local clustering coefficient over a random sample of nodes.
-///
-/// For each sampled node the coefficient is the fraction of its neighbor
-/// pairs that are themselves connected; nodes with degree below 2
-/// contribute 0. Pass `sample >= n` for the exact value.
-pub fn clustering_coefficient(g: &Graph, sample: usize, rng: &mut Xoshiro256) -> f64 {
-    let n = g.node_count();
-    if n == 0 {
-        return 0.0;
-    }
-    let nodes: Vec<usize> = if sample >= n {
-        (0..n).collect()
-    } else {
-        rng.sample_distinct(n, sample)
-    };
-    let mut total = 0.0;
-    for &u in &nodes {
-        let nbrs = g.neighbors(u);
-        let d = nbrs.len();
-        if d < 2 {
-            continue;
-        }
-        let mut links = 0usize;
-        for i in 0..d {
-            for j in (i + 1)..d {
-                if g.has_edge(nbrs[i] as usize, nbrs[j] as usize)
-                    || g.has_edge(nbrs[j] as usize, nbrs[i] as usize)
-                {
-                    links += 1;
-                }
-            }
-        }
-        total += links as f64 / (d * (d - 1) / 2) as f64;
-    }
-    total / nodes.len() as f64
-}
-
-/// Mean shortest-path length estimated by BFS from `sources` random
-/// sources, following edges in both directions.
-///
-/// Unreachable pairs are ignored. Returns `0.0` for graphs with fewer than
-/// two nodes.
-pub fn average_path_length(g: &Graph, sources: usize, rng: &mut Xoshiro256) -> f64 {
-    let n = g.node_count();
-    if n < 2 {
-        return 0.0;
-    }
-    let mut reverse: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (u, v) in g.edges() {
-        reverse[v].push(u as u32);
-    }
-    let starts: Vec<usize> = if sources >= n {
-        (0..n).collect()
-    } else {
-        rng.sample_distinct(n, sources)
-    };
-    let mut stats = OnlineStats::new();
-    let mut dist = vec![u32::MAX; n];
-    let mut queue = VecDeque::new();
-    for &s in &starts {
-        dist.iter_mut().for_each(|d| *d = u32::MAX);
-        dist[s] = 0;
-        queue.push_back(s);
-        while let Some(u) = queue.pop_front() {
-            let du = dist[u];
-            for &v in g.neighbors(u).iter().chain(reverse[u].iter()) {
-                let v = v as usize;
-                if dist[v] == u32::MAX {
-                    dist[v] = du + 1;
-                    queue.push_back(v);
-                }
-            }
-        }
-        for (v, &d) in dist.iter().enumerate() {
-            if v != s && d != u32::MAX {
-                stats.push(d as f64);
-            }
-        }
-    }
-    stats.mean()
-}
-
-/// Eccentricity lower bound via the double-sweep heuristic: BFS from `start`,
-/// then BFS again from the farthest node found. Gives a good diameter
-/// estimate on small-world graphs.
-pub fn estimated_diameter(g: &Graph, start: usize) -> usize {
-    let n = g.node_count();
-    if n == 0 {
-        return 0;
-    }
-    let mut reverse: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (u, v) in g.edges() {
-        reverse[v].push(u as u32);
-    }
-    let bfs_far = |s: usize| -> (usize, usize) {
-        let mut dist = vec![u32::MAX; n];
-        let mut queue = VecDeque::new();
-        dist[s] = 0;
-        queue.push_back(s);
-        let mut far = (s, 0u32);
-        while let Some(u) = queue.pop_front() {
-            let du = dist[u];
-            if du > far.1 {
-                far = (u, du);
-            }
-            for &v in g.neighbors(u).iter().chain(reverse[u].iter()) {
-                let v = v as usize;
-                if dist[v] == u32::MAX {
-                    dist[v] = du + 1;
-                    queue.push_back(v);
-                }
-            }
-        }
-        (far.0, far.1 as usize)
-    };
-    let (far_node, _) = bfs_far(start.min(n - 1));
-    let (_, diameter) = bfs_far(far_node);
-    diameter
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generate;
     use crate::graph::GraphBuilder;
-
-    fn rng(seed: u64) -> Xoshiro256 {
-        Xoshiro256::seed_from_u64(seed)
-    }
 
     fn path_graph(n: usize) -> Graph {
         let mut b = GraphBuilder::new(n);
@@ -259,84 +119,5 @@ mod tests {
         let g = GraphBuilder::new(0).build();
         assert!(!is_connected(&g));
         assert_eq!(component_count(&g), 0);
-    }
-
-    #[test]
-    fn degree_summary_of_lattice() {
-        let g = generate::ring_lattice(20, 4).unwrap();
-        let s = degree_summary(&g);
-        assert_eq!(s.mean, 4.0);
-        assert_eq!(s.variance, 0.0);
-        assert_eq!(s.min, 4.0);
-        assert_eq!(s.max, 4.0);
-    }
-
-    #[test]
-    fn clustering_lattice_vs_random() {
-        let mut r = rng(1);
-        let lattice = generate::ring_lattice(200, 10).unwrap();
-        let random = generate::random_k_out(200, 10, &mut r).unwrap();
-        let c_lat = clustering_coefficient(&lattice, 200, &mut r);
-        let c_rnd = clustering_coefficient(&random, 200, &mut r);
-        // Lattice clustering is 2/3 as k -> inf; random ~ k/n.
-        assert!(c_lat > 0.5, "lattice clustering {c_lat}");
-        assert!(c_rnd < 0.15, "random clustering {c_rnd}");
-        assert!(c_lat > 3.0 * c_rnd);
-    }
-
-    #[test]
-    fn clustering_of_triangle_is_one() {
-        let mut b = GraphBuilder::new(3);
-        b.add_undirected_edge(0, 1);
-        b.add_undirected_edge(1, 2);
-        b.add_undirected_edge(2, 0);
-        let g = b.build();
-        let c = clustering_coefficient(&g, 3, &mut rng(2));
-        assert!((c - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn path_length_of_path_graph() {
-        let g = path_graph(5);
-        // Exact: all pairs, mean distance of a path P5 = 2.0.
-        let apl = average_path_length(&g, 5, &mut rng(3));
-        assert!((apl - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn small_world_shortens_paths() {
-        let mut r = rng(4);
-        let lattice = generate::ring_lattice(1000, 10).unwrap();
-        let ws = generate::watts_strogatz(1000, 10, 0.25, &mut r).unwrap();
-        let apl_lat = average_path_length(&lattice, 30, &mut r);
-        let apl_ws = average_path_length(&ws, 30, &mut r);
-        assert!(
-            apl_ws < apl_lat / 2.0,
-            "rewiring should shorten paths: lattice {apl_lat}, ws {apl_ws}"
-        );
-    }
-
-    #[test]
-    fn diameter_of_path_graph() {
-        let g = path_graph(8);
-        assert_eq!(estimated_diameter(&g, 3), 7);
-    }
-
-    #[test]
-    fn diameter_of_random_graph_is_small() {
-        let mut r = rng(5);
-        let g = generate::random_k_out(1000, 20, &mut r).unwrap();
-        let d = estimated_diameter(&g, 0);
-        assert!(d <= 5, "random k-out diameter {d} unexpectedly large");
-    }
-
-    #[test]
-    fn empty_and_tiny_graph_metrics() {
-        let empty = GraphBuilder::new(0).build();
-        assert_eq!(estimated_diameter(&empty, 0), 0);
-        assert_eq!(average_path_length(&empty, 3, &mut rng(6)), 0.0);
-        let single = GraphBuilder::new(1).build();
-        assert_eq!(average_path_length(&single, 1, &mut rng(6)), 0.0);
-        assert_eq!(clustering_coefficient(&single, 1, &mut rng(6)), 0.0);
     }
 }

@@ -4,11 +4,10 @@
 //! The `udp_cluster` example runs the paper's Figure 1 literally: one OS
 //! thread per node. This example runs the same protocol at a scale that
 //! architecture cannot reach on a laptop: 1024 virtual nodes (or far
-//! more — see `--n`) multiplexed behind a small reader socket set and
-//! `workers + readers + 1` OS threads (`net::mux`), with
-//! `recvmmsg`/`sendmmsg` syscall batching on Linux. Every exchange still
-//! crosses the kernel's UDP stack; only the per-node thread and socket
-//! are gone.
+//! more — see `--n`) multiplexed over a few loops, one socket and one OS
+//! thread each (`net::mux`), with `recvmmsg`/`sendmmsg` syscall batching
+//! on Linux. Every exchange still crosses the kernel's UDP stack; only
+//! the per-node thread and socket are gone.
 //!
 //! The mux wire frame routes by cluster-wide virtual-node id, so the
 //! same cluster can be sharded over multiple sockets, processes, or
@@ -18,7 +17,8 @@
 //! # one process, 1024 vnodes (the default)
 //! cargo run --release --example mux_cluster
 //!
-//! # four reader sockets, forced portable (one-syscall-per-datagram) I/O
+//! # four loops (a socket and a thread each), forced portable
+//! # (one-syscall-per-datagram) I/O
 //! cargo run --release --example mux_cluster -- --readers 4 --io portable
 //!
 //! # 100k vnodes: slow the cycle down and keep the protocol AVERAGE-only
@@ -72,8 +72,7 @@ const TRACE_CAPACITY: usize = 4_096;
 #[derive(Debug)]
 struct Args {
     n: usize,
-    workers: Option<usize>,
-    readers: Option<usize>,
+    readers: Option<usize>, // loop count: a socket and a thread each
     io: Option<IoBackend>,
     cycle_ms: u64,
     gamma: u32,
@@ -92,7 +91,6 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         n: 1024,
-        workers: None,
         readers: None,
         io: None,
         cycle_ms: 50,
@@ -116,13 +114,6 @@ fn parse_args() -> Result<Args, String> {
         };
         match flag.as_str() {
             "--n" => args.n = value("--n")?.parse().map_err(|e| format!("--n: {e}"))?,
-            "--workers" => {
-                args.workers = Some(
-                    value("--workers")?
-                        .parse()
-                        .map_err(|e| format!("--workers: {e}"))?,
-                )
-            }
             "--readers" => {
                 args.readers = Some(
                     value("--readers")?
@@ -223,12 +214,9 @@ fn node_config(args: &Args) -> Result<NodeConfig, Box<dyn std::error::Error>> {
     Ok(builder.build()?)
 }
 
-/// Applies the I/O-layout flags (`--workers`, `--readers`, `--io`) to a
-/// cluster config; unset flags keep the core-aware spawn defaults.
+/// Applies the I/O-layout flags (`--readers` sets the loop count, `--io`)
+/// to a cluster config; unset flags keep the core-aware spawn defaults.
 fn with_io_layout(mut config: MuxClusterConfig, args: &Args) -> MuxClusterConfig {
-    if let Some(workers) = args.workers {
-        config = config.with_workers(workers);
-    }
     if let Some(readers) = args.readers {
         config = config.with_readers(readers);
     }
@@ -471,7 +459,7 @@ fn report(label: &str, cluster: &MuxCluster, truth_avg: f64, n: usize) -> Option
     if moved > 0 {
         println!(
             "{label}: {} recv + {} send syscalls for {moved} frames \
-             ({:.3} syscalls/frame, {:?} backend, {} readers)",
+             ({:.3} syscalls/frame, {:?} backend, {} loops)",
             syscalls.recv_calls,
             syscalls.send_calls,
             (syscalls.recv_calls + syscalls.send_calls) as f64 / moved as f64,
@@ -494,7 +482,7 @@ fn report(label: &str, cluster: &MuxCluster, truth_avg: f64, n: usize) -> Option
 
 /// `--smoke`: a small 2-shard cluster over loopback in one process; used
 /// by CI to keep the cross-socket sharding path from rotting (combined
-/// with `--readers` / `--io` it smokes the multi-reader socket set and
+/// with `--readers` / `--io` it smokes the multi-loop socket set and
 /// the portable fallback too, and with `--gossip` the cross-shard
 /// join/delta-view/piggyback path). Shard 0 always serves `/metrics` on
 /// an ephemeral loopback port and the run self-scrapes it at the end,
@@ -503,8 +491,7 @@ fn report(label: &str, cluster: &MuxCluster, truth_avg: f64, n: usize) -> Option
 fn run_smoke(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let smoke_args = Args {
         n: 64,
-        workers: Some(args.workers.unwrap_or(2)),
-        readers: args.readers,
+        readers: Some(args.readers.unwrap_or(2)),
         io: args.io,
         cycle_ms: args.cycle_ms,
         gamma: args.gamma,
@@ -561,7 +548,7 @@ fn run_smoke(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         )?,
     ];
     println!(
-        "smoke: {} readers per shard, {:?} backend",
+        "smoke: {} loops per shard, {:?} backend",
         shards[0].reader_count(),
         shards[0].io_backend()
     );
@@ -690,7 +677,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cluster = match args.shard {
         None => {
             println!(
-                "spawning {} virtual gossip nodes behind a reader socket set...",
+                "spawning {} virtual gossip nodes on a set of loops...",
                 args.n
             );
             MuxCluster::spawn(
@@ -736,7 +723,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     };
     println!(
-        "up in {:?}: socket {}, {} OS threads ({} readers, {:?} backend) \
+        "up in {:?}: socket {}, {} OS threads ({} loops, {:?} backend) \
          hosting {} of {} vnodes{}",
         started.elapsed(),
         cluster.addr(),
