@@ -1,6 +1,5 @@
-//! Runtimes head to head through the unified `Cluster` seam:
-//! thread-per-node vs multiplexed — and the mux runtime's I/O grid:
-//! loop counts (a socket and a thread each) × syscall backends.
+//! The mux runtime's I/O grid: loop counts (a socket and a thread each)
+//! × syscall backends, and static vs gossiped membership.
 //!
 //! Each iteration spawns a full localhost cluster, waits until every node
 //! has completed its first epoch (gamma cycles of real push-pull over
@@ -11,9 +10,9 @@
 //!
 //! The sweep: `mux_l{loops}_{io}` for loops ∈ {1, 2, 4} × io ∈
 //! {batched, portable} at n ∈ {256, 1024, 4096}. `mux_l1_portable` is
-//! the pre-batching baseline (one socket, one syscall per datagram);
-//! `threads` remains the thread-per-node reference. Alongside wall
-//! clock, each config prints its **syscalls-per-datagram** once — the
+//! the pre-batching baseline (one socket, one syscall per datagram).
+//! Alongside wall clock, each config prints its **syscalls-per-datagram**
+//! once — the
 //! machine-independent figure the batched backend exists to shrink
 //! (wall-clock deltas also depend on how many cores the host gives the
 //! loops).
@@ -39,7 +38,6 @@ use epidemic_net::batch::IoBackend;
 use epidemic_net::cluster::Cluster;
 use epidemic_net::directory::{DirectorySpec, GossipDirectoryConfig};
 use epidemic_net::mux::{MuxCluster, MuxClusterConfig};
-use epidemic_net::runtime::{ClusterConfig, ThreadCluster};
 use std::time::{Duration, Instant};
 
 const CYCLE_MS: u64 = 10;
@@ -57,21 +55,9 @@ fn node_config() -> NodeConfig {
 
 /// Spawns `config`, waits until every one of the `n` nodes has produced
 /// at least one epoch report (its first full epoch) or a hard cap
-/// passes, and tears down. Returns how many nodes completed and the
-/// cluster-wide traffic totals.
-fn run_epoch_wave<C: Cluster>(
-    config: C::Config,
-    n: usize,
-) -> (usize, epidemic_net::cluster::TrafficCounts) {
-    let cluster = C::spawn_cluster(config, &|i| i as f64).expect("spawn cluster");
-    let completed = wait_for_wave(&cluster, n).0;
-    let totals = cluster.total_datagram_counts();
-    cluster.shutdown();
-    (completed, totals)
-}
-
-/// The mux-specific wave runner: additionally snapshots the runtime's
-/// syscall counters so each config can report syscalls-per-datagram.
+/// passes, and tears down. Returns how many nodes completed, the
+/// cluster-wide traffic totals and the syscall counters, so each config
+/// can report syscalls-per-datagram.
 fn run_mux_epoch_wave(
     config: MuxClusterConfig,
     n: usize,
@@ -138,7 +124,7 @@ fn run_gossip_epoch_wave(
     (total_epochs, nodes_done, totals, mean_abs_error)
 }
 
-fn wait_for_wave<C: Cluster>(cluster: &C, n: usize) -> (usize, Vec<f64>) {
+fn wait_for_wave(cluster: &MuxCluster, n: usize) -> (usize, Vec<f64>) {
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut done = vec![false; n];
     let mut estimates = Vec::new();
@@ -161,12 +147,6 @@ fn wait_for_wave<C: Cluster>(cluster: &C, n: usize) -> (usize, Vec<f64>) {
             break (completed, estimates);
         }
     }
-}
-
-fn thread_config(n: usize, seed: u64) -> ClusterConfig {
-    ClusterConfig::loopback(n, node_config())
-        .expect("bind cluster")
-        .with_seed(seed)
 }
 
 fn mux_config(n: usize, seed: u64, loops: usize, io: IoBackend) -> MuxClusterConfig {
@@ -203,21 +183,10 @@ fn io_label(io: IoBackend) -> &'static str {
 fn bench_runtimes(c: &mut Criterion) {
     let mut group = c.benchmark_group("net/datagram_throughput");
     group.sample_size(10);
-    for n in [64usize, 256] {
-        // One "element" = one node's completed epoch (gamma cycles).
-        group.throughput(Throughput::Elements(n as u64));
-        group.bench_with_input(BenchmarkId::new("threads", n), &n, |b, &n| {
-            let mut seed = 0u64;
-            b.iter(|| {
-                seed += 1;
-                run_epoch_wave::<ThreadCluster>(thread_config(n, seed), n).0
-            });
-        });
-    }
-
-    // The I/O grid: loops × backend × scale. On non-Linux hosts the
-    // batched column is skipped (it would silently run the portable
-    // path and mislabel the numbers).
+    // The I/O grid: loops × backend × scale. One "element" = one node's
+    // completed epoch (gamma cycles). On non-Linux hosts the batched
+    // column is skipped (it would silently run the portable path and
+    // mislabel the numbers).
     for n in [256usize, 1024, 4096] {
         group.throughput(Throughput::Elements(n as u64));
         for loops in [1usize, 2, 4] {

@@ -1,19 +1,16 @@
-//! The operator seam: one `Cluster` API over every runtime.
+//! The operator seam: the `Cluster` API over the wire runtime.
 //!
-//! A cluster of real-network aggregation nodes is operated the same way
-//! whether each node owns an OS thread and a socket
-//! ([`crate::runtime::ThreadCluster`]), thousands of virtual nodes share
-//! one socket ([`crate::mux::MuxCluster`]), or the virtual nodes are
-//! sharded across processes and hosts. The [`Cluster`] trait captures
-//! that surface — spawn, addresses, report draining, local-value
-//! updates, named queries, traffic accounting, shutdown — so tests,
-//! benches, and examples are written once and run against every runtime.
-//! A runtime implements seven methods; the one that reaches protocol state
-//! is [`Cluster::with_stack`], which runs a closure on a node's
-//! [`NodeStack`] under the node's lock at the runtime's current tick and
-//! re-arms the node's timer afterwards. The operator verbs are provided
-//! methods over it, so what "install a query at node 3" means is written
-//! once, not once per runtime.
+//! A cluster of real-network aggregation nodes — one vnode per loop and
+//! socket, thousands of vnodes on a few loops ([`crate::mux::MuxCluster`]),
+//! or vnodes sharded across processes and hosts — is operated through the
+//! [`Cluster`] trait: addresses, report draining, local-value updates,
+//! named queries, traffic accounting, shutdown. A runtime implements six
+//! methods; the one that reaches protocol state is
+//! [`Cluster::with_stack`], which runs a closure on a node's [`NodeStack`]
+//! under the node's lock at the runtime's current tick and re-arms the
+//! node's timer afterwards. The operator verbs are provided methods over
+//! it, so what "install a query at node 3" means is written once, next to
+//! the stack it drives.
 //!
 //! Traffic is counted once per runtime, per plane, in the runtime's
 //! [`Cluster::registry`] ([`crate::stack::Traffic`]): aggregation frames
@@ -28,60 +25,41 @@ use epidemic_aggregation::EpochReport;
 use epidemic_common::NodeId;
 use epidemic_query::{QueryDescriptor, QueryError, QueryEstimate};
 use epidemic_telemetry::{Registry, TraceEvent};
-use std::io;
-use std::net::{SocketAddr, UdpSocket};
+use std::net::SocketAddr;
 use std::ops::Add;
-
-/// Reserves `n` distinct loopback addresses by binding ephemeral-port
-/// sockets, recording their addresses, and releasing them only after all
-/// `n` ports are chosen. Shared by every loopback address plan
-/// ([`crate::runtime::ClusterConfig::loopback`],
-/// [`crate::mux::PeerTable::loopback_split`]).
-pub(crate) fn reserve_loopback_addrs(n: usize) -> io::Result<Vec<SocketAddr>> {
-    let mut addrs = Vec::with_capacity(n);
-    let mut held = Vec::with_capacity(n);
-    for _ in 0..n {
-        let sock = UdpSocket::bind(("127.0.0.1", 0))?;
-        addrs.push(sock.local_addr()?);
-        held.push(sock); // hold all sockets until every port is chosen
-    }
-    drop(held);
-    Ok(addrs)
-}
 
 /// A runtime's traffic, split by protocol plane, in *frames*: logical
 /// protocol messages and their bytes on the wire — a read of the
-/// `io.*{plane}` series ([`TrafficCounts::read`]). The thread runtime
-/// sends one frame per datagram; the mux runtime bundles them
-/// ([`crate::codec::push_bundle_frame`]) and charges a bundle's header
-/// byte to its first frame, so bytes still sum to the UDP payload.
+/// `io.*{plane}` series ([`TrafficCounts::read`]). The mux runtime
+/// bundles frames into datagrams ([`crate::codec::push_bundle_frame`])
+/// and charges a bundle's header byte to its first frame, so bytes still
+/// sum to the UDP payload.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrafficCounts {
-    /// Aggregation-plane datagrams sent (requests, replies, notices).
+    /// Aggregation-plane frames sent (requests, replies, notices).
     pub aggregation_sent: u64,
-    /// Aggregation-plane datagrams received.
+    /// Aggregation-plane frames received.
     pub aggregation_received: u64,
-    /// Membership-plane datagrams sent (views, joins, introductions).
+    /// Membership-plane frames sent (views, joins, introductions).
     pub membership_sent: u64,
-    /// Membership-plane datagrams received.
+    /// Membership-plane frames received.
     pub membership_received: u64,
-    /// Query-plane datagrams sent (catalog gossip, named-query
-    /// exchanges).
+    /// Query-plane frames sent (catalog gossip, named-query exchanges).
     pub query_sent: u64,
-    /// Query-plane datagrams received.
+    /// Query-plane frames received.
     pub query_received: u64,
-    /// Wire bytes of the aggregation datagrams sent.
+    /// Wire bytes of the aggregation frames sent.
     pub aggregation_bytes_sent: u64,
-    /// Wire bytes of the membership datagrams sent.
+    /// Wire bytes of the membership frames sent.
     pub membership_bytes_sent: u64,
-    /// Wire bytes of the query-plane datagrams sent.
+    /// Wire bytes of the query-plane frames sent.
     pub query_bytes_sent: u64,
     /// Frames (any plane) in datagrams the kernel refused to send — the
     /// visible face of outbound backpressure. A send that fails is NOT
     /// counted in the per-plane `*_sent` fields, so at high load loss
     /// shows up here instead of silently vanishing.
     pub send_errors: u64,
-    /// Bootstrap `Join` datagrams re-sent after the first went unanswered
+    /// Bootstrap `Join` frames re-sent after the first went unanswered
     /// (counted inside `membership_sent`). Non-zero means the introducer
     /// path lost datagrams — visible here instead of as a silent hang.
     pub join_retries: u64,
@@ -99,12 +77,12 @@ impl TrafficCounts {
         Traffic::new(registry).counts()
     }
 
-    /// Total datagrams sent across all planes.
+    /// Total frames sent across all planes.
     pub fn sent(&self) -> u64 {
         self.aggregation_sent + self.membership_sent + self.query_sent
     }
 
-    /// Total datagrams received across all planes.
+    /// Total frames received across all planes.
     pub fn received(&self) -> u64 {
         self.aggregation_received + self.membership_received + self.query_received
     }
@@ -156,27 +134,14 @@ impl Add for TrafficCounts {
 /// handle hosts. In a sharded deployment those map to a contiguous range
 /// of cluster-wide identifiers, exposed by [`Cluster::node_id`].
 pub trait Cluster: Sized {
-    /// Everything needed to spawn this runtime.
-    type Config;
-
-    /// Spawns the cluster. `values(id)` supplies the initial local value
-    /// of the node with *cluster-wide* identifier `id` (in an unsharded
-    /// cluster, identifiers and local indices coincide).
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket and thread-spawn errors.
-    fn spawn_cluster(config: Self::Config, values: &dyn Fn(usize) -> f64) -> io::Result<Self>;
-
     /// Number of nodes hosted by this handle.
     fn node_count(&self) -> usize;
 
     /// Cluster-wide identifier of local node `index`.
     fn node_id(&self, index: usize) -> NodeId;
 
-    /// The socket addresses this handle receives on (one per node for
-    /// thread-per-node, a mux shard's loop sockets — its advertised
-    /// address first).
+    /// The socket addresses this handle receives on: a mux shard's loop
+    /// sockets, its advertised address first.
     fn addrs(&self) -> Vec<SocketAddr>;
 
     /// The metrics registry this handle's nodes publish to: traffic,
@@ -189,7 +154,7 @@ pub trait Cluster: Sized {
     /// runtime re-arms the node's timer from
     /// [`NodeStack::next_deadline`], so a call that moves the deadline
     /// earlier (an install, a remove) needs no wake of its own. The
-    /// node's thread or loop waits on the lock meanwhile: keep `f` short.
+    /// node's loop waits on the lock meanwhile: keep `f` short.
     ///
     /// # Panics
     ///
@@ -213,7 +178,7 @@ pub trait Cluster: Sized {
 
     /// Drains the protocol trace events local node `index` recorded since
     /// the last call. Empty unless the runtime was configured with
-    /// tracing enabled (see each runtime's config).
+    /// tracing enabled ([`crate::mux::MuxClusterConfig::with_trace`]).
     fn take_trace(&self, index: usize) -> Vec<TraceEvent> {
         self.with_stack(index, |stack, _| stack.take_trace())
     }

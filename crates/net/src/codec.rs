@@ -29,11 +29,13 @@
 //! u16 entry count, then per entry:
 //!   u32 node, u32 timestamp,
 //!   u8 addr kind (0 none, 4 IPv4, 6 IPv6), [ip bytes, u16 port]
+//!   (written empty — kind 0; kept for the layout)
 //! -- piggybacked aggregation (tag 10) --
 //! u32 sender membership id
 //! u8 descriptor count, then (u32 node, u32 timestamp)*
 //! u8 address count, then per entry:
 //!   u32 node, u8 addr kind (4 IPv4, 6 IPv6), ip bytes, u16 port
+//!   (written empty — count 0; kept for the layout)
 //! ... then one complete aggregation message (version + tag 0-3) ...
 //! -- catalog gossip (tag 11) --
 //! u64 sender id
@@ -60,8 +62,9 @@
 //! view (replace your record of what it holds) or only the descriptors
 //! you were not known to hold (extend it). Tag 10 lets a membership
 //! trailer ride on an aggregation datagram already leaving the socket —
-//! descriptors keep views fresh between gossip cycles and the optional
-//! addresses spread the address book without introducer round trips.
+//! descriptors keep views fresh between gossip cycles. Peers are routed
+//! by node id, so the address slots of tags 7 and 10 are written empty
+//! and ignored on receipt; they are kept for the layout.
 //!
 //! The multiplexed runtime ([`crate::mux`]) hosts many protocol nodes
 //! behind one socket, so a frame carries a routing prefix in front of the
@@ -453,7 +456,8 @@ fn get_addr(kind: u8, data: &mut &[u8]) -> Result<SocketAddr, DecodeError> {
 /// only the descriptors the partner was not known to hold (tags 8/9)
 /// instead of the sender's full view (tags 4/5). Tag 6 is a bootstrap
 /// join request ("introduce me, `from`"), tag 7 the introduction: a
-/// snapshot of the introducer's view with optional peer addresses.
+/// snapshot of the introducer's view (its address slots are written
+/// empty; kept for the layout).
 fn put_directory<W: WireWrite>(buf: &mut W, payload: &DirectoryPayload) {
     match payload {
         DirectoryPayload::View { view, reply, delta } => {
@@ -521,9 +525,9 @@ fn get_directory(tag: u8, data: &mut &[u8]) -> Result<DirectoryPayload, DecodeEr
 }
 
 /// The membership trailer of a piggybacked aggregation datagram (tag 10),
-/// header included: a few descriptors (and optionally their addresses)
-/// riding on a datagram that was leaving the socket anyway. The carried
-/// message follows it.
+/// header included: a few descriptors riding on a datagram that was
+/// leaving the socket anyway (the address list is written empty; kept for
+/// the layout). The carried message follows it.
 fn put_trailer<W: WireWrite>(buf: &mut W, piggyback: &Piggyback) {
     put_header(buf, 10);
     buf.put_u32_le(piggyback.from);

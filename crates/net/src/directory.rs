@@ -2,41 +2,40 @@
 //!
 //! The paper's aggregation protocol is overlay-agnostic — it only ever
 //! asks the membership layer for *one random neighbor per exchange*. This
-//! module makes that seam explicit for the real-network runtimes: a
-//! [`PeerDirectory`] answers `GETNEIGHBOR()` ([`PeerSampler::draw_peer`]),
-//! resolves peer addresses, and — when the membership itself is gossiped —
-//! emits and consumes its own wire traffic through the same socket and
-//! timer path as the aggregation protocol.
+//! module makes that seam explicit: a [`PeerDirectory`] answers
+//! `GETNEIGHBOR()` ([`PeerSampler::draw_peer`]) and — when the membership
+//! itself is gossiped — emits and consumes its own frames through the same
+//! transport and timer path as the aggregation protocol. Peers are named
+//! by node id only; the embedding owns the id → socket map.
 //!
 //! Two implementations ship:
 //!
 //! * [`StaticDirectory`] — the classic static peer table. Draws are the
 //!   deterministic `(seed, id, initiated-exchange count)` stream the
-//!   mux-vs-threads parity tests rely on.
+//!   same-seed parity tests rely on.
 //! * [`GossipDirectory`] — one NEWSCAST [`MembershipNode`] per node.
 //!   Views travel as codec tags 4/5 (full) or 8/9 (deltas: only the
 //!   descriptors the partner is believed to lack, with a periodic
 //!   full-view anti-entropy fallback), bootstrap as
 //!   [`DirectoryPayload::Join`] (tag 6) / [`DirectoryPayload::Introduce`]
 //!   (tag 7): a joiner contacts an *introducer*, which answers with a
-//!   snapshot of its view (plus the addresses it knows, when the
-//!   embedding routes by address). Join datagrams are retried with
-//!   exponential backoff, rotating across introducers, so a lost tag-6
-//!   datagram delays bootstrap instead of stranding the node. No static
-//!   peer table exists anywhere; `GETNEIGHBOR()` is served from the live
-//!   partial view.
+//!   snapshot of its view. Join frames are retried with exponential
+//!   backoff, rotating across introducers, so a lost tag-6 frame delays
+//!   bootstrap instead of stranding the node. No static peer table exists
+//!   anywhere; `GETNEIGHBOR()` is served from the live partial view.
 //!
 //! Directories may additionally *piggyback* membership on aggregation
-//! datagrams already leaving the socket: the embedding asks
-//! [`PeerDirectory::piggyback`] for a small [`Piggyback`] trailer
-//! (descriptors plus peer addresses) when encoding an aggregation
-//! message, and feeds received trailers to
-//! [`PeerDirectory::absorb_piggyback`]. This spreads both views and
-//! address books without dedicated datagrams.
+//! frames already leaving the node: the embedding asks
+//! [`PeerDirectory::piggyback`] for a small [`Piggyback`] trailer of
+//! descriptors when encoding an aggregation message, and feeds received
+//! trailers to [`PeerDirectory::absorb_piggyback`]. This spreads views
+//! without dedicated frames.
 //!
-//! Directories are sans-io: the embedding (thread-per-node runtime or mux
-//! runtime) owns sockets and clocks, calls [`PeerDirectory::poll`] on
-//! timer wake-ups, feeds incoming membership datagrams to
+//! Directories are sans-io. Three embeddings step them through
+//! [`NodeStack`](crate::stack::NodeStack) — the mux runtime, the event
+//! simulator and the logical-time harness of `tests/stack.rs` — each
+//! owning transport and clock: it calls [`PeerDirectory::poll`] on timer
+//! wake-ups, feeds incoming membership frames to
 //! [`PeerDirectory::handle`], and transmits whatever [`DirectoryMessage`]s
 //! come back.
 
@@ -46,34 +45,29 @@ use epidemic_common::NodeId;
 use epidemic_newscast::node::{MembershipConfig, MembershipNode, ViewPayload};
 use epidemic_newscast::Descriptor;
 use epidemic_telemetry::{TraceEvent, TraceKind, TraceRing, ViewHealth};
-use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::net::SocketAddr;
-use std::sync::Arc;
 
 /// Salt decorrelating membership randomness from aggregation randomness
 /// (both streams are derived from the cluster seed and the node id).
 const GOSSIP_SEED_SALT: u64 = 0x4E45_5753; // "NEWS"
 
 /// Salt for the static directory's peer-draw stream. Shared by every
-/// runtime so that a same-seed cluster draws the same peer sequence
-/// regardless of which runtime hosts it.
+/// embedding so that a same-seed cluster draws the same peer sequence
+/// regardless of which layout hosts it.
 const DRAW_SEED_SALT: u64 = 0x5EED;
 
-/// Where a directory wants a message delivered.
+/// Where a directory wants a message delivered: a node, by identifier.
+/// The embedding resolves it (the mux peer table, the simulator's queue);
+/// [`crate::stack::NodeStack`] unwraps it before its sink sees the frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Destination {
-    /// A node known by identifier. [`crate::stack::NodeStack`] turns it
-    /// into an address when [`PeerDirectory::addr_of`] knows one;
-    /// id-routed embeddings (the mux peer table) resolve what is left.
+    /// A node known by identifier.
     Node(NodeId),
-    /// An explicit socket address (introducer bootstrap before any
-    /// identifier is known).
-    Addr(SocketAddr),
 }
 
-/// One membership datagram to transmit.
+/// One membership message to transmit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DirectoryMessage {
     /// Where to send it.
@@ -102,8 +96,7 @@ pub enum DirectoryPayload {
         /// The joiner's identifier.
         from: u32,
     },
-    /// Bootstrap response (tag 7): a snapshot of the introducer's view,
-    /// with addresses where the introducer knows them.
+    /// Bootstrap response (tag 7): a snapshot of the introducer's view.
     Introduce {
         /// The introducer's identifier.
         from: u32,
@@ -113,45 +106,42 @@ pub enum DirectoryPayload {
 }
 
 /// One entry of an [`DirectoryPayload::Introduce`] snapshot: a membership
-/// descriptor plus the peer's socket address, when known. Address-routed
-/// embeddings use the address to seed their books; id-routed embeddings
-/// (the mux runtime, which resolves addresses through its peer table)
-/// leave it `None`.
+/// descriptor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IntroduceEntry {
     /// Described node.
     pub node: u32,
     /// Freshness timestamp of the descriptor.
     pub timestamp: u32,
-    /// The node's socket address, if the introducer knows it.
+    /// Written `None` and ignored on receipt: peers are routed by id. The
+    /// codec slot is kept for the wire layout.
     pub addr: Option<SocketAddr>,
 }
 
 /// How many descriptors a directory will piggyback per aggregation
-/// datagram. Small on purpose: the trailer rides traffic that is already
-/// paying a header, so a few descriptors per datagram compound quickly
-/// without ever doubling a datagram's size.
+/// frame. Small on purpose: the trailer rides traffic that is already
+/// paying a header, so a few descriptors per frame compound quickly
+/// without ever doubling a frame's size.
 pub const PIGGYBACK_BUDGET: usize = 3;
 
-/// A membership trailer attached to an aggregation datagram (codec tag
-/// 10): a few descriptors the destination is believed to lack, plus the
-/// senders' addresses for them where known (address-routed embeddings
-/// only — this is how address books spread without introducer re-joins).
+/// A membership trailer attached to an aggregation frame (codec tag 10):
+/// a few descriptors the destination is believed to lack.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Piggyback {
     /// The sending node's membership identifier.
     pub from: u32,
     /// Descriptors worth forwarding to this destination.
     pub descriptors: Vec<Descriptor>,
-    /// Socket addresses for a subset of the descriptors' nodes.
+    /// Written empty and ignored on receipt: peers are routed by id. The
+    /// codec slot is kept for the wire layout.
     pub addrs: Vec<(u32, SocketAddr)>,
 }
 
 /// A membership service below the aggregation plane.
 ///
 /// Extends [`PeerSampler`] — `draw_peer` *is* `GETNEIGHBOR()` — with the
-/// machinery a real network needs: address resolution, its own timers,
-/// and its own wire traffic.
+/// machinery a real network needs: its own timers and its own wire
+/// traffic.
 pub trait PeerDirectory: PeerSampler + Send + fmt::Debug {
     /// Earliest tick at which [`poll`](Self::poll) wants to run again
     /// (`u64::MAX` when the directory is purely passive).
@@ -160,14 +150,16 @@ pub trait PeerDirectory: PeerSampler + Send + fmt::Debug {
     }
 
     /// Advances the directory's timers to `now`, pushing any membership
-    /// datagrams to transmit into `out`.
+    /// messages to transmit into `out`.
     fn poll(&mut self, now: u64, out: &mut Vec<DirectoryMessage>) {
         let _ = (now, out);
     }
 
-    /// Processes an incoming membership datagram. `src` is the datagram's
-    /// source address when the embedding knows it (thread-per-node
-    /// runtime); responses are pushed into `out`.
+    /// Processes an incoming membership message; responses are pushed
+    /// into `out`. Every caller passes `None` for `src` and directories
+    /// ignore it: peers are routed by id. The parameter stays until the
+    /// benchmark ledger, which calls this method, is next changed
+    /// (ROADMAP.md item 1).
     fn handle(
         &mut self,
         payload: &DirectoryPayload,
@@ -176,21 +168,7 @@ pub trait PeerDirectory: PeerSampler + Send + fmt::Debug {
         out: &mut Vec<DirectoryMessage>,
     );
 
-    /// Resolves a peer's socket address, or `None` when the embedding
-    /// routes by identifier (the mux runtime's peer table) or the address
-    /// is simply unknown.
-    fn addr_of(&self, peer: NodeId) -> Option<SocketAddr> {
-        let _ = peer;
-        None
-    }
-
-    /// Records that a datagram from `from` arrived from `src` — passive
-    /// address learning, the UDP equivalent of reading the envelope.
-    fn observe(&mut self, from: NodeId, src: SocketAddr) {
-        let _ = (from, src);
-    }
-
-    /// A membership trailer worth attaching to an aggregation datagram
+    /// A membership trailer worth attaching to an aggregation frame
     /// headed to `to` right now, or `None` when the destination already
     /// knows everything worth telling (the common steady-state case — the
     /// embedding then sends a plain aggregation frame).
@@ -201,8 +179,8 @@ pub trait PeerDirectory: PeerSampler + Send + fmt::Debug {
 
     /// Absorbs a piggybacked membership trailer received alongside an
     /// aggregation message.
-    fn absorb_piggyback(&mut self, piggyback: &Piggyback, src: Option<SocketAddr>, now: u64) {
-        let _ = (piggyback, src, now);
+    fn absorb_piggyback(&mut self, piggyback: &Piggyback, now: u64) {
+        let _ = (piggyback, now);
     }
 
     /// How many times this directory re-sent its bootstrap `Join` after
@@ -270,17 +248,11 @@ impl PeerDirectory for Box<dyn PeerDirectory> {
     ) {
         (**self).handle(payload, src, now, out);
     }
-    fn addr_of(&self, peer: NodeId) -> Option<SocketAddr> {
-        (**self).addr_of(peer)
-    }
-    fn observe(&mut self, from: NodeId, src: SocketAddr) {
-        (**self).observe(from, src);
-    }
     fn piggyback(&mut self, to: NodeId, now: u64) -> Option<Piggyback> {
         (**self).piggyback(to, now)
     }
-    fn absorb_piggyback(&mut self, piggyback: &Piggyback, src: Option<SocketAddr>, now: u64) {
-        (**self).absorb_piggyback(piggyback, src, now);
+    fn absorb_piggyback(&mut self, piggyback: &Piggyback, now: u64) {
+        (**self).absorb_piggyback(piggyback, now);
     }
     fn join_retries(&self) -> u64 {
         (**self).join_retries()
@@ -299,10 +271,10 @@ impl PeerDirectory for Box<dyn PeerDirectory> {
 /// Draws a uniformly random peer among `n` nodes, excluding `me`.
 /// Returns `None` when the node is alone.
 ///
-/// Shared by every runtime through [`StaticDirectory`]: combined with
+/// Shared by every layout through [`StaticDirectory`]: combined with
 /// lazy selection (`GossipNode::poll_with`), a node's peer sequence is a
 /// deterministic function of `(seed, id, initiated-exchange count)` — the
-/// property the cross-runtime parity tests rely on.
+/// property the same-seed parity tests rely on.
 pub(crate) fn uniform_peer(rng: &mut Xoshiro256, n: usize, me: usize) -> Option<NodeId> {
     if n <= 1 {
         return None;
@@ -319,30 +291,15 @@ pub struct StaticDirectory {
     me: usize,
     n: usize,
     rng: Xoshiro256,
-    /// Peer addresses in id order; `None` in id-routed embeddings.
-    addrs: Option<Arc<Vec<SocketAddr>>>,
 }
 
 impl StaticDirectory {
-    /// A static directory for an id-routed embedding (the mux runtime):
-    /// draws over `0..n`, never resolves addresses.
+    /// A static directory over the node ids `0..n`.
     pub fn id_routed(n: usize, me: NodeId, seed: u64) -> Self {
         StaticDirectory {
             me: me.index(),
             n,
             rng: Xoshiro256::stream(seed ^ DRAW_SEED_SALT, me.as_u64()),
-            addrs: None,
-        }
-    }
-
-    /// A static directory over an explicit address table (the
-    /// thread-per-node runtime): node `i`'s address is `peers[i]`.
-    pub fn addr_routed(peers: Arc<Vec<SocketAddr>>, me: NodeId, seed: u64) -> Self {
-        StaticDirectory {
-            me: me.index(),
-            n: peers.len(),
-            rng: Xoshiro256::stream(seed ^ DRAW_SEED_SALT, me.as_u64()),
-            addrs: Some(peers),
         }
     }
 }
@@ -364,23 +321,6 @@ impl PeerDirectory for StaticDirectory {
         // A static table has no membership plane; stray view traffic
         // (e.g. from a misconfigured peer) is dropped.
     }
-
-    fn addr_of(&self, peer: NodeId) -> Option<SocketAddr> {
-        self.addrs
-            .as_ref()
-            .and_then(|a| a.get(peer.index()).copied())
-    }
-}
-
-/// How a [`GossipDirectory`] finds the running overlay at start-up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Introducer {
-    /// An introducer known by node id (resolvable via the mux peer
-    /// table, or via a thread-runtime address plan at build time).
-    Node(u64),
-    /// An introducer known only by socket address (true out-of-band
-    /// bootstrap).
-    Addr(SocketAddr),
 }
 
 /// Configuration of a [`GossipDirectory`].
@@ -390,9 +330,9 @@ pub struct GossipDirectoryConfig {
     pub view_size: usize,
     /// Membership gossip period in milliseconds.
     pub cycle_length: u64,
-    /// Bootstrap contacts. Nodes that are themselves introducers simply
-    /// wait to be joined.
-    pub introducers: Vec<Introducer>,
+    /// Bootstrap contacts, by node id. Nodes that are themselves
+    /// introducers simply wait to be joined.
+    pub introducers: Vec<u64>,
     /// Gossip view deltas (tags 8/9) instead of full views every cycle.
     /// On by default; [`GossipDirectoryConfig::with_full_views`] restores
     /// the always-full-view wire behavior for A/B comparison.
@@ -434,13 +374,7 @@ impl GossipDirectoryConfig {
 
     /// Adds an introducer known by node id.
     pub fn with_introducer_node(mut self, id: u64) -> Self {
-        self.introducers.push(Introducer::Node(id));
-        self
-    }
-
-    /// Adds an introducer known by socket address.
-    pub fn with_introducer_addr(mut self, addr: SocketAddr) -> Self {
-        self.introducers.push(Introducer::Addr(addr));
+        self.introducers.push(id);
         self
     }
 
@@ -454,16 +388,12 @@ impl GossipDirectoryConfig {
         if self.introducers.is_empty() {
             return invalid("gossip directory needs at least one introducer".into());
         }
-        for intro in &self.introducers {
-            if let Introducer::Node(id) = *intro {
-                if id >= n as u64 {
-                    return invalid(format!(
-                        "introducer node {id} outside the cluster (n = {n})"
-                    ));
-                }
-            }
+        match self.introducers.iter().find(|&&id| id >= n as u64) {
+            Some(id) => invalid(format!(
+                "introducer node {id} outside the cluster (n = {n})"
+            )),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 
@@ -474,16 +404,11 @@ pub struct GossipDirectory {
     me: u32,
     membership: MembershipNode,
     /// Bootstrap contacts (self already filtered out).
-    introducers: Vec<Destination>,
-    /// Learned id → address book; `None` in id-routed embeddings.
-    addrs: Option<HashMap<u32, SocketAddr>>,
-    /// Our own address, included in introduction snapshots we hand out
-    /// (address-routed embeddings only).
-    my_addr: Option<SocketAddr>,
+    introducers: Vec<NodeId>,
     /// Next tick at which an (re-)join may fire.
     next_join_at: u64,
     join_interval: u64,
-    /// Join datagrams sent so far (0 until the first fires). Attempt `k`
+    /// Join messages sent so far (0 until the first fires). Attempt `k`
     /// targets introducer `(k-1) / JOIN_ROTATE_EVERY` (mod the list), so
     /// a dead or partitioned first introducer is routed around instead of
     /// retried forever.
@@ -501,31 +426,14 @@ const JOIN_ROTATE_EVERY: u64 = 3;
 /// the join interval and then stay at `8×`.
 const JOIN_BACKOFF_CAP: u32 = 3;
 
+/// The destination of the node with membership id `id`.
+fn to_node(id: u32) -> Destination {
+    Destination::Node(NodeId::new(u64::from(id)))
+}
+
 impl GossipDirectory {
-    /// A gossip directory for an id-routed embedding (the mux runtime):
-    /// all peers are reachable by id, no address book is kept.
+    /// A gossip directory for node `me`; every peer is reachable by id.
     pub fn id_routed(me: NodeId, config: &GossipDirectoryConfig, seed: u64) -> Self {
-        Self::build(me, config, seed, None)
-    }
-
-    /// A gossip directory that learns peer addresses itself (the
-    /// thread-per-node runtime): from join sources, introduction
-    /// snapshots, and passively from every incoming datagram.
-    pub fn addr_routed(
-        me: NodeId,
-        my_addr: SocketAddr,
-        config: &GossipDirectoryConfig,
-        seed: u64,
-    ) -> Self {
-        Self::build(me, config, seed, Some(my_addr))
-    }
-
-    fn build(
-        me: NodeId,
-        config: &GossipDirectoryConfig,
-        seed: u64,
-        my_addr: Option<SocketAddr>,
-    ) -> Self {
         let id = me.as_u64() as u32;
         let membership = MembershipNode::new(
             id,
@@ -540,19 +448,13 @@ impl GossipDirectory {
         let introducers = config
             .introducers
             .iter()
-            .filter_map(|intro| match *intro {
-                Introducer::Node(n) if n == me.as_u64() => None,
-                Introducer::Node(n) => Some(Destination::Node(NodeId::new(n))),
-                Introducer::Addr(a) if Some(a) == my_addr => None,
-                Introducer::Addr(a) => Some(Destination::Addr(a)),
-            })
+            .filter(|&&intro| intro != me.as_u64())
+            .map(|&intro| NodeId::new(intro))
             .collect();
         GossipDirectory {
             me: id,
             membership,
             introducers,
-            addrs: my_addr.map(|_| HashMap::new()),
-            my_addr,
             next_join_at: 0,
             join_interval: config.cycle_length.max(1),
             join_attempts: 0,
@@ -572,52 +474,10 @@ impl GossipDirectory {
         self.membership.add_seed(peer, now);
     }
 
-    fn learn(&mut self, peer: u32, addr: SocketAddr) {
-        if peer == self.me {
-            return;
-        }
-        if let Some(book) = &mut self.addrs {
-            book.insert(peer, addr);
-        }
-    }
-
-    fn lookup(&self, peer: u32) -> Option<SocketAddr> {
-        if peer == self.me {
-            return self.my_addr;
-        }
-        self.addrs
-            .as_ref()
-            .and_then(|book| book.get(&peer).copied())
-    }
-
-    /// `true` while the node should (re-)contact an introducer: its view
-    /// is empty, or (address-routed only) it holds view entries whose
-    /// address it cannot resolve yet.
+    /// `true` while the node should (re-)contact an introducer: it has
+    /// one and its view is empty.
     fn wants_join(&self) -> bool {
-        if self.introducers.is_empty() {
-            return false;
-        }
-        if self.membership.view().is_empty() {
-            return true;
-        }
-        match &self.addrs {
-            Some(book) => self
-                .membership
-                .view()
-                .entries()
-                .iter()
-                .any(|d| !book.contains_key(&d.node)),
-            None => false,
-        }
-    }
-
-    /// The destination to answer `from` at: the datagram's source address
-    /// when we route by address, the sender id otherwise.
-    fn reply_dest(&self, src: Option<SocketAddr>, from: u32) -> Destination {
-        match (self.addrs.is_some(), src) {
-            (true, Some(addr)) => Destination::Addr(addr),
-            _ => Destination::Node(NodeId::new(u64::from(from))),
-        }
+        !self.introducers.is_empty() && self.membership.view().is_empty()
     }
 
     fn record(&mut self, kind: TraceKind, peer: Option<u64>, detail: u64) {
@@ -637,17 +497,8 @@ impl GossipDirectory {
 
 impl PeerSampler for GossipDirectory {
     fn draw_peer(&mut self) -> Option<NodeId> {
-        // In address-routed mode a view entry learned by gossip may not
-        // have a resolvable address yet; skip those (bounded retries so a
-        // draw never loops). Re-joins refresh the book over time.
-        let attempts = self.membership.view().len().max(1);
-        for _ in 0..attempts {
-            let peer = self.membership.sample_peer()?;
-            if self.addrs.is_none() || self.lookup(peer).is_some() {
-                return Some(NodeId::new(u64::from(peer)));
-            }
-        }
-        None
+        let peer = self.membership.sample_peer()?;
+        Some(NodeId::new(u64::from(peer)))
     }
 }
 
@@ -663,47 +514,39 @@ impl PeerDirectory for GossipDirectory {
     fn poll(&mut self, now: u64, out: &mut Vec<DirectoryMessage>) {
         if self.wants_join() && now >= self.next_join_at {
             // One introducer per attempt, rotating every JOIN_ROTATE_EVERY
-            // tries, with exponential backoff: a lost Join datagram costs
-            // one interval, a dead introducer a few, and a stable overlay
-            // is never spammed with duplicate bootstrap traffic.
+            // tries, with exponential backoff: a lost Join frame costs one
+            // interval, a dead introducer a few, and a stable overlay is
+            // never spammed with duplicate bootstrap traffic.
             let pick = (self.join_attempts / JOIN_ROTATE_EVERY) as usize % self.introducers.len();
             let backoff = self.join_attempts.min(u64::from(JOIN_BACKOFF_CAP));
             self.join_attempts += 1;
             self.next_join_at = now + (self.join_interval << backoff);
             let to = self.introducers[pick];
             if self.join_attempts > 1 {
-                let peer = match to {
-                    Destination::Node(n) => Some(n.as_u64()),
-                    Destination::Addr(_) => None,
-                };
-                self.record(TraceKind::JoinRetry, peer, self.join_attempts - 1);
+                let retry = self.join_attempts - 1;
+                self.record(TraceKind::JoinRetry, Some(to.as_u64()), retry);
             }
             out.push(DirectoryMessage {
-                to,
+                to: Destination::Node(to),
                 payload: DirectoryPayload::Join { from: self.me },
             });
         }
         if let Some((peer, view, full)) = self.membership.poll_exchange(now) {
-            // An unreachable partner would waste the cycle; prefer a
-            // reachable one when routing by address.
-            let reachable = self.addrs.is_none() || self.lookup(peer).is_some();
-            if reachable {
-                out.push(DirectoryMessage {
-                    to: Destination::Node(NodeId::new(u64::from(peer))),
-                    payload: DirectoryPayload::View {
-                        view,
-                        reply: false,
-                        delta: !full,
-                    },
-                });
-            }
+            out.push(DirectoryMessage {
+                to: to_node(peer),
+                payload: DirectoryPayload::View {
+                    view,
+                    reply: false,
+                    delta: !full,
+                },
+            });
         }
     }
 
     fn handle(
         &mut self,
         payload: &DirectoryPayload,
-        src: Option<SocketAddr>,
+        _src: Option<SocketAddr>,
         now: u64,
         out: &mut Vec<DirectoryMessage>,
     ) {
@@ -711,9 +554,6 @@ impl PeerDirectory for GossipDirectory {
             DirectoryPayload::Join { from } => {
                 if *from == self.me {
                     return;
-                }
-                if let Some(addr) = src {
-                    self.learn(*from, addr);
                 }
                 // The joiner becomes part of the overlay immediately…
                 self.membership.add_seed(*from, now);
@@ -725,40 +565,31 @@ impl PeerDirectory for GossipDirectory {
                     .map(|d| IntroduceEntry {
                         node: d.node,
                         timestamp: d.timestamp,
-                        addr: self.lookup(d.node),
+                        addr: None,
                     })
                     .collect();
                 out.push(DirectoryMessage {
-                    to: self.reply_dest(src, *from),
+                    to: to_node(*from),
                     payload: DirectoryPayload::Introduce {
                         from: self.me,
                         peers,
                     },
                 });
             }
-            DirectoryPayload::Introduce { from, peers } => {
-                if let Some(addr) = src {
-                    self.learn(*from, addr);
-                }
-                let mut descriptors = Vec::with_capacity(peers.len());
-                for entry in peers {
-                    if let Some(addr) = entry.addr {
-                        self.learn(entry.node, addr);
-                    }
-                    descriptors.push(Descriptor::new(entry.node, entry.timestamp));
-                }
+            DirectoryPayload::Introduce { peers, .. } => {
+                let descriptors: Vec<Descriptor> = peers
+                    .iter()
+                    .map(|entry| Descriptor::new(entry.node, entry.timestamp))
+                    .collect();
                 self.membership.bootstrap(&descriptors);
             }
             DirectoryPayload::View { view, reply, delta } => {
-                if let Some(addr) = src {
-                    self.learn(view.from, addr);
-                }
                 if *reply {
                     self.membership.absorb_reply_delta(view, !*delta, now);
                 } else {
                     let (answer, full) = self.membership.handle_exchange_delta(view, !*delta, now);
                     out.push(DirectoryMessage {
-                        to: self.reply_dest(src, view.from),
+                        to: to_node(view.from),
                         payload: DirectoryPayload::View {
                             view: answer,
                             reply: true,
@@ -770,14 +601,6 @@ impl PeerDirectory for GossipDirectory {
         }
     }
 
-    fn addr_of(&self, peer: NodeId) -> Option<SocketAddr> {
-        self.lookup(peer.as_u64() as u32)
-    }
-
-    fn observe(&mut self, from: NodeId, src: SocketAddr) {
-        self.learn(from.as_u64() as u32, src);
-    }
-
     fn piggyback(&mut self, to: NodeId, now: u64) -> Option<Piggyback> {
         let peer = to.as_u64() as u32;
         let descriptors = self
@@ -786,17 +609,6 @@ impl PeerDirectory for GossipDirectory {
         if descriptors.is_empty() {
             return None;
         }
-        // Address-routed embeddings attach the addresses they know for the
-        // picked nodes (lookup of our own id yields our own address, so a
-        // piggybacked self-descriptor spreads our address book entry too).
-        let addrs = if self.addrs.is_some() {
-            descriptors
-                .iter()
-                .filter_map(|d| self.lookup(d.node).map(|a| (d.node, a)))
-                .collect()
-        } else {
-            Vec::new()
-        };
         self.record(
             TraceKind::PiggybackEmit,
             Some(to.as_u64()),
@@ -805,19 +617,13 @@ impl PeerDirectory for GossipDirectory {
         Some(Piggyback {
             from: self.me,
             descriptors,
-            addrs,
+            addrs: Vec::new(),
         })
     }
 
-    fn absorb_piggyback(&mut self, piggyback: &Piggyback, src: Option<SocketAddr>, now: u64) {
+    fn absorb_piggyback(&mut self, piggyback: &Piggyback, now: u64) {
         if piggyback.from == self.me {
             return;
-        }
-        if let Some(addr) = src {
-            self.learn(piggyback.from, addr);
-        }
-        for &(node, addr) in &piggyback.addrs {
-            self.learn(node, addr);
         }
         self.membership
             .absorb_descriptors(piggyback.from, &piggyback.descriptors, now);
@@ -881,9 +687,7 @@ mod tests {
         msg: &DirectoryMessage,
         now: u64,
     ) -> Vec<DirectoryMessage> {
-        let Destination::Node(to) = msg.to else {
-            panic!("id-routed test sent to an address: {msg:?}");
-        };
+        let Destination::Node(to) = msg.to;
         let mut out = Vec::new();
         dirs[to.index()].handle(&msg.payload, None, now, &mut out);
         out
@@ -906,20 +710,6 @@ mod tests {
     }
 
     #[test]
-    fn static_directory_resolves_table_addresses() {
-        let peers: Arc<Vec<SocketAddr>> = Arc::new(vec![
-            "127.0.0.1:9001".parse().unwrap(),
-            "127.0.0.1:9002".parse().unwrap(),
-        ]);
-        let dir = StaticDirectory::addr_routed(Arc::clone(&peers), NodeId::new(0), 1);
-        assert_eq!(dir.addr_of(NodeId::new(1)), Some(peers[1]));
-        assert_eq!(dir.addr_of(NodeId::new(7)), None);
-
-        let id_routed = StaticDirectory::id_routed(2, NodeId::new(0), 1);
-        assert_eq!(id_routed.addr_of(NodeId::new(1)), None);
-    }
-
-    #[test]
     fn join_introduce_bootstraps_an_id_routed_pair() {
         let mut dirs = vec![
             GossipDirectory::id_routed(NodeId::new(0), &gossip_config(0), 7),
@@ -939,7 +729,7 @@ mod tests {
             .clone();
         assert_eq!(join.to, Destination::Node(NodeId::new(0)));
 
-        // Introducer absorbs the joiner and answers with a snapshot.
+        // The introducer absorbs the joiner and answers with a snapshot.
         let responses = deliver(&mut dirs, &join, 1);
         assert!(dirs[0].view().contains(1));
         assert_eq!(responses.len(), 1);
@@ -978,58 +768,6 @@ mod tests {
         for dir in &dirs {
             assert_eq!(dir.view().len(), 2, "node {} view incomplete", dir.me);
         }
-    }
-
-    #[test]
-    fn addr_routed_directory_learns_and_serves_addresses() {
-        let intro_addr: SocketAddr = "127.0.0.1:7000".parse().unwrap();
-        let joiner_addr: SocketAddr = "127.0.0.1:7001".parse().unwrap();
-        let config = GossipDirectoryConfig::new(8, 50).with_introducer_addr(intro_addr);
-        let mut introducer = GossipDirectory::addr_routed(NodeId::new(0), intro_addr, &config, 5);
-        let mut joiner = GossipDirectory::addr_routed(NodeId::new(1), joiner_addr, &config, 5);
-
-        let mut out = Vec::new();
-        joiner.poll(0, &mut out);
-        let join = out.pop().expect("join sent");
-        assert_eq!(join.to, Destination::Addr(intro_addr));
-
-        // The introducer learns the joiner's address from the datagram
-        // source and answers at that source.
-        let mut responses = Vec::new();
-        introducer.handle(&join.payload, Some(joiner_addr), 1, &mut responses);
-        assert_eq!(introducer.addr_of(NodeId::new(1)), Some(joiner_addr));
-        assert_eq!(responses[0].to, Destination::Addr(joiner_addr));
-
-        // The snapshot carries the introducer's own address.
-        joiner.handle(&responses[0].payload, Some(intro_addr), 2, &mut Vec::new());
-        assert_eq!(joiner.addr_of(NodeId::new(0)), Some(intro_addr));
-        assert_eq!(joiner.draw_peer(), Some(NodeId::new(0)));
-    }
-
-    #[test]
-    fn draw_peer_skips_unresolvable_entries() {
-        let my_addr: SocketAddr = "127.0.0.1:7002".parse().unwrap();
-        let config = GossipDirectoryConfig::new(8, 50);
-        let mut dir = GossipDirectory::addr_routed(NodeId::new(9), my_addr, &config, 1);
-        // A view entry learned by gossip, address unknown.
-        dir.handle(
-            &DirectoryPayload::Introduce {
-                from: 3,
-                peers: vec![IntroduceEntry {
-                    node: 4,
-                    timestamp: 10,
-                    addr: None,
-                }],
-            },
-            None,
-            0,
-            &mut Vec::new(),
-        );
-        assert!(dir.view().contains(4));
-        assert_eq!(dir.draw_peer(), None, "drew an unreachable peer");
-        // Resolving the address makes the peer drawable.
-        dir.observe(NodeId::new(4), "127.0.0.1:7003".parse().unwrap());
-        assert_eq!(dir.draw_peer(), Some(NodeId::new(4)));
     }
 
     #[test]
@@ -1161,43 +899,7 @@ mod tests {
     }
 
     #[test]
-    fn piggyback_spreads_descriptors_and_addresses_then_goes_quiet() {
-        let intro_addr: SocketAddr = "127.0.0.1:7100".parse().unwrap();
-        let a1: SocketAddr = "127.0.0.1:7101".parse().unwrap();
-        let a2: SocketAddr = "127.0.0.1:7102".parse().unwrap();
-        let config = GossipDirectoryConfig::new(8, 50).with_introducer_addr(intro_addr);
-        let mut introducer = GossipDirectory::addr_routed(NodeId::new(0), intro_addr, &config, 5);
-        let mut node1 = GossipDirectory::addr_routed(NodeId::new(1), a1, &config, 5);
-
-        // Nodes 1 and 2 join; the introducer now knows both by address.
-        let mut sink = Vec::new();
-        introducer.handle(&DirectoryPayload::Join { from: 1 }, Some(a1), 1, &mut sink);
-        introducer.handle(&DirectoryPayload::Join { from: 2 }, Some(a2), 2, &mut sink);
-
-        // An aggregation datagram to node 1 carries the introducer's own
-        // descriptor and node 2's — with addresses for both.
-        let pb = introducer
-            .piggyback(NodeId::new(1), 5)
-            .expect("first piggyback carries news");
-        let nodes: Vec<u32> = pb.descriptors.iter().map(|d| d.node).collect();
-        assert!(nodes.contains(&0) && nodes.contains(&2), "picked {nodes:?}");
-        assert!(!nodes.contains(&1), "told node 1 about itself");
-        assert!(pb.addrs.contains(&(0, intro_addr)));
-        assert!(pb.addrs.contains(&(2, a2)));
-
-        // Node 1 absorbs it: view and address book both grow, so node 2
-        // is immediately drawable without any introducer round-trip.
-        node1.absorb_piggyback(&pb, Some(intro_addr), 6);
-        assert!(node1.view().contains(2));
-        assert_eq!(node1.addr_of(NodeId::new(2)), Some(a2));
-        assert_eq!(node1.addr_of(NodeId::new(0)), Some(intro_addr));
-
-        // Nothing new to tell node 1 → no trailer at all.
-        assert!(introducer.piggyback(NodeId::new(1), 5).is_none());
-    }
-
-    #[test]
-    fn id_routed_piggyback_omits_addresses() {
+    fn piggyback_spreads_descriptors_then_goes_quiet() {
         let mut dirs = [
             GossipDirectory::id_routed(NodeId::new(0), &gossip_config(0), 7),
             GossipDirectory::id_routed(NodeId::new(1), &gossip_config(0), 7),
@@ -1206,9 +908,11 @@ mod tests {
         dirs[0].handle(&DirectoryPayload::Join { from: 2 }, None, 1, &mut sink);
         let pb = dirs[0].piggyback(NodeId::new(1), 3).expect("news to share");
         assert!(!pb.descriptors.is_empty());
-        assert!(pb.addrs.is_empty(), "id-routed trailer carried addresses");
-        dirs[1].absorb_piggyback(&pb, None, 4);
+        assert!(pb.addrs.is_empty(), "a trailer carried addresses");
+        dirs[1].absorb_piggyback(&pb, 4);
         assert!(dirs[1].view().contains(2));
+        // Nothing new to tell node 1 → no trailer at all.
+        assert!(dirs[0].piggyback(NodeId::new(1), 3).is_none());
     }
 
     #[test]

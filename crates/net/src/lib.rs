@@ -6,39 +6,37 @@
 //! protocol ever asks of it is `GETNEIGHBOR()`. This crate provides
 //! exactly that embedding for the sans-io
 //! [`epidemic_aggregation::GossipNode`]: one [`stack::NodeStack`] that
-//! wires the node's three planes together, two seams around it, and two
-//! transports under it:
+//! wires the node's three planes together, two seams around it, and one
+//! transport under it:
 //!
 //! * [`stack`] — the **node**: [`stack::NodeStack`] owns the base
 //!   aggregate, its directory and the query plane, and is the only place
 //!   that decides poll order, piggyback attachment, deadline folding and
 //!   which traffic ledger a frame lands on. Sans-io: `step(input, now,
-//!   sink)` in, borrowed frames out. Both runtimes embed it, and so does
-//!   the event simulator (`epidemic-sim`); [`stack::Convergence`] and
+//!   sink)` in, borrowed frames out. The mux runtime embeds it, and so
+//!   does the event simulator (`epidemic-sim`); [`stack::Convergence`] and
 //!   [`stack::Traffic`] publish the `epoch.*` and `io.*{plane}` series.
 //! * [`directory`] — the **membership seam**: [`directory::PeerDirectory`]
-//!   answers `GETNEIGHBOR()` and resolves peer addresses. Implementations:
+//!   answers `GETNEIGHBOR()` by node id. Implementations:
 //!   [`directory::StaticDirectory`] (a static table, the out-of-band
 //!   discovery the paper assumes) and [`directory::GossipDirectory`]
 //!   (NEWSCAST membership gossiped over the same sockets, bootstrapped
 //!   from introducers — no static table anywhere).
 //! * [`cluster`] — the **operator seam**: the [`cluster::Cluster`] trait
-//!   (spawn, addresses, reports, local values, the registry and its
-//!   [`cluster::TrafficCounts`] read, shutdown), implemented by both runtimes
-//!   so tests, benches, and examples are written once.
+//!   (addresses, reports, local values, named queries, the registry and
+//!   its [`cluster::TrafficCounts`] read, shutdown), its operator verbs
+//!   written once over [`cluster::Cluster::with_stack`].
 //! * [`codec`] — a compact, versioned binary wire format for protocol
 //!   messages (hand-rolled little-endian framing, no codec dependency):
 //!   aggregation exchanges, NEWSCAST view exchanges, join/introduce
 //!   bootstrap, virtual-node-routed mux frames, and exact `*_len` size
 //!   twins for traffic accounting.
-//! * [`runtime`] — the thread-per-node UDP runtime
-//!   ([`runtime::ThreadCluster`]): a socket and a millisecond clock per
-//!   stack, one OS thread each — the cross-runtime reference.
-//! * [`mux`] — the multiplexed runtime ([`mux::MuxCluster`]): N virtual
-//!   nodes on a few **loops** (vnode `i` homed on loop `i % loops`); a
-//!   loop is one thread that owns one socket and one hashed timer wheel
+//! * [`mux`] — the wire runtime ([`mux::MuxCluster`]): N virtual nodes on
+//!   a few **loops** (vnode `i` homed on loop `i % loops`); a loop is one
+//!   thread that owns one socket and one hashed timer wheel
 //!   ([`timer::TimerWheel`]) and receives, steps, fires and flushes in
-//!   turn — and shardable across sockets, processes, and hosts via a
+//!   turn — one loop per vnode is the paper's Figure 1 literally — and
+//!   shardable across sockets, processes, and hosts via a
 //!   [`mux::PeerTable`] mapping vnode-id ranges to shard addresses.
 //! * [`batch`] — syscall-batched datagram I/O ([`batch::IoBackend`]):
 //!   `recvmmsg`/`sendmmsg` on Linux with a portable one-per-syscall
@@ -47,13 +45,13 @@
 //!
 //! # Examples
 //!
-//! A two-node loopback cluster computing an average, driven through the
-//! operator seam:
+//! A two-node loopback cluster computing an average — one socket and one
+//! loop thread per node — driven through the operator seam:
 //!
 //! ```no_run
 //! use epidemic_aggregation::{InstanceSpec, NodeConfig};
 //! use epidemic_net::cluster::Cluster;
-//! use epidemic_net::runtime::{ClusterConfig, ThreadCluster};
+//! use epidemic_net::mux::{MuxCluster, MuxClusterConfig};
 //!
 //! let node_config = NodeConfig::builder()
 //!     .gamma(10)
@@ -61,8 +59,8 @@
 //!     .timeout(20)
 //!     .instance(InstanceSpec::AVERAGE)
 //!     .build()?;
-//! let config = ClusterConfig::loopback(2, node_config)?;
-//! let cluster = ThreadCluster::spawn(config, |i| (i * 10) as f64)?;
+//! let config = MuxClusterConfig::new(2, node_config).with_readers(2);
+//! let cluster = MuxCluster::spawn(config, |i| (i * 10) as f64)?;
 //! std::thread::sleep(std::time::Duration::from_millis(1200));
 //! for (node, reports) in cluster.take_all_reports().into_iter().enumerate() {
 //!     for report in reports {
@@ -107,7 +105,6 @@ pub mod cluster;
 pub mod codec;
 pub mod directory;
 pub mod mux;
-pub mod runtime;
 pub mod stack;
 pub mod timer;
 
@@ -118,7 +115,6 @@ pub use directory::{
     DirectorySpec, GossipDirectory, GossipDirectoryConfig, PeerDirectory, StaticDirectory,
 };
 pub use mux::{MuxCluster, MuxClusterConfig, PeerTable, SyscallCounts};
-pub use runtime::{ClusterConfig, ThreadCluster, UdpNode};
 
 // The telemetry plane's vocabulary, re-exported so operators of this
 // crate need no direct `epidemic-telemetry` dependency.

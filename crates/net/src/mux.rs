@@ -1,12 +1,12 @@
 //! Multiplexed UDP cluster runtime: thousands of nodes, a handful of
 //! threads — optionally sharded across sockets, processes, and hosts.
 //!
-//! [`crate::runtime`] realizes the paper's Figure 1 literally — one OS
-//! thread and one socket per node — which caps real-network experiments
-//! at a few hundred nodes per host. The sans-io [`NodeStack`] already
-//! folds Figure 1's active and passive threads into one `step`, so this
-//! module hosts N virtual nodes in one process on a few **loops**: one OS
-//! thread each, plus one for the client RPC listener when it is enabled.
+//! The sans-io [`NodeStack`] folds the paper's Figure 1 — an active and a
+//! passive thread per node — into one `step`, so this module hosts N
+//! virtual nodes in one process on a few **loops**: one OS thread each,
+//! plus one for the client RPC listener when it is enabled. One loop per
+//! vnode (`with_readers(n)`: a socket and a thread per node) is Figure 1
+//! literally; a few loops carry thousands of vnodes per host.
 //!
 //! * Loop `k` owns one UDP socket, one [`TimerWheel`], its receive
 //!   buffers and its bundle packer, and is the home of local vnode `i` when
@@ -51,8 +51,6 @@
 //! table by default, or NEWSCAST gossip ([`DirectorySpec::Gossip`]) whose
 //! view exchanges and join/introduce bootstrap travel as mux frames
 //! through the same sockets, wheels and loops as the aggregation traffic.
-//! Gossip introducers must be named by node id
-//! ([`crate::directory::Introducer::Node`]) — mux frames route by id.
 //!
 //! Every datagram still crosses the kernel's UDP stack, so the runtime
 //! exercises the real codec, sockets and timing. The protocol wiring —
@@ -66,10 +64,10 @@
 //! entry: a loop stepping its own vnode straight into its wheel, anyone
 //! else — spawn, the seam, the listener, a loop stepping a frame a remote
 //! shard sent to its socket for another loop's vnode — through the home
-//! loop's inbox. Only the live entry's wake steps the vnode. The same
-//! [`NodeStack`], seeds and lazy per-exchange peer draws as
-//! [`crate::runtime::UdpNode`] make a same-seed mux and thread-per-node
-//! cluster select the same peer sequence per node.
+//! loop's inbox. Only the live entry's wake steps the vnode. A node's
+//! seeds and lazy per-exchange peer draws depend on its id alone, so
+//! same-seed clusters select the same peer sequence per node whatever
+//! their loop count or shard split.
 //!
 //! # Examples
 //!
@@ -101,9 +99,7 @@ use crate::codec::{
     bundle_frame_len, decode_bundle, decode_datagram, encode_rpc_response, push_bundle_frame,
     WireFrame, WirePayload, BUNDLE_BUDGET,
 };
-use crate::directory::{
-    Destination, DirectorySpec, GossipDirectory, Introducer, PeerDirectory, StaticDirectory,
-};
+use crate::directory::{DirectorySpec, GossipDirectory, PeerDirectory, StaticDirectory};
 use crate::stack::{Convergence, Input, NodeStack, Plane, Traffic};
 use crate::timer::TimerWheel;
 use epidemic_aggregation::{EpochReport, NodeConfig};
@@ -126,6 +122,21 @@ const TICK: Duration = Duration::from_millis(1);
 /// client it answers, another loop with due timers — waits about one step
 /// for it, not a whole turn.
 const SLICE: Duration = Duration::from_micros(5);
+
+/// Reserves `n` distinct loopback addresses by binding ephemeral-port
+/// sockets, recording their addresses, and releasing them only after all
+/// `n` ports are chosen.
+fn reserve_loopback_addrs(n: usize) -> io::Result<Vec<SocketAddr>> {
+    let mut addrs = Vec::with_capacity(n);
+    let mut held = Vec::with_capacity(n);
+    for _ in 0..n {
+        let sock = UdpSocket::bind(("127.0.0.1", 0))?;
+        addrs.push(sock.local_addr()?);
+        held.push(sock); // hold all sockets until every port is chosen
+    }
+    drop(held);
+    Ok(addrs)
+}
 
 /// Maps cluster-wide virtual-node ids to shard socket addresses.
 ///
@@ -209,10 +220,7 @@ impl PeerTable {
     ///
     /// Propagates socket binding errors.
     pub fn loopback_split(total: usize, shards: usize) -> io::Result<Self> {
-        Ok(PeerTable::split(
-            total,
-            crate::cluster::reserve_loopback_addrs(shards)?,
-        ))
+        Ok(PeerTable::split(total, reserve_loopback_addrs(shards)?))
     }
 
     /// Like [`PeerTable::loopback_split`], but publishes `readers`
@@ -228,7 +236,7 @@ impl PeerTable {
     /// Panics if `readers == 0`.
     pub fn loopback_split_readers(total: usize, shards: usize, readers: usize) -> io::Result<Self> {
         assert!(readers > 0, "need at least one reader per shard");
-        let flat = crate::cluster::reserve_loopback_addrs(shards * readers)?;
+        let flat = reserve_loopback_addrs(shards * readers)?;
         Ok(PeerTable::split_sets(
             total,
             flat.chunks(readers).map(<[SocketAddr]>::to_vec).collect(),
@@ -369,8 +377,8 @@ impl MuxClusterConfig {
         config
     }
 
-    /// Overrides the randomness seed shared by the cluster (the same
-    /// meaning as [`crate::runtime::ClusterConfig::with_seed`]).
+    /// Overrides the randomness seed shared by the cluster (every shard
+    /// of one cluster must use the same).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -671,7 +679,7 @@ impl Shared {
 /// Handle to a running multiplexed cluster (or one shard of one).
 ///
 /// Dropping the handle shuts the cluster down (all threads exit within
-/// one poll interval), mirroring [`crate::runtime::UdpNode`].
+/// one poll interval).
 #[derive(Debug)]
 pub struct MuxCluster {
     shared: Arc<Shared>,
@@ -710,18 +718,6 @@ impl MuxCluster {
         } = config;
         if let DirectorySpec::Gossip(gossip) = &directory {
             gossip.check_introducers(n)?;
-            // Mux membership is id-routed: a join aimed at an address
-            // could never be framed.
-            for intro in &gossip.introducers {
-                if let Introducer::Addr(addr) = intro {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        format!(
-                            "mux introducers must be vnode ids (frames route by id), got {addr}"
-                        ),
-                    ));
-                }
-            }
         }
         let (primary, table, local_range, local_shard) = match sharding {
             None => {
@@ -962,12 +958,6 @@ impl MuxCluster {
 }
 
 impl Cluster for MuxCluster {
-    type Config = MuxClusterConfig;
-
-    fn spawn_cluster(config: MuxClusterConfig, values: &dyn Fn(usize) -> f64) -> io::Result<Self> {
-        MuxCluster::spawn(config, values)
-    }
-
     fn node_count(&self) -> usize {
         self.len()
     }
@@ -1115,7 +1105,7 @@ impl Loop {
             };
             shared.traffic.received(plane);
             let vnode = shared.vnode(index);
-            self.step(shared, vnode, index, Input::Frame(&payload, None));
+            self.step(shared, vnode, index, Input::Frame(&payload));
         }
     }
 
@@ -1134,11 +1124,7 @@ impl Loop {
     ) {
         let (packer, now) = (&mut self.packer, shared.now_ms());
         vnode.stack.step(input, now, |to, frame, plane| {
-            // Mux frames route by vnode id; an address destination cannot be
-            // framed and is dropped, as is an id outside the peer table.
-            let Destination::Node(to) = to else {
-                return;
-            };
+            // An id outside the peer table has no socket: drop the frame.
             let Some(target) = shared.dest_addr(to.index()) else {
                 return;
             };
@@ -1449,6 +1435,9 @@ mod tests {
             counts.send_calls,
             totals.sent() + totals.send_errors,
         );
+        // A static directory produces no membership traffic.
+        assert_eq!(totals.membership_sent, 0);
+        assert_eq!(totals.membership_received, 0);
     }
 
     #[test]
@@ -1875,8 +1864,6 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
             err.to_string()
         };
-        // The rule both runtimes share, word for word (see
-        // `runtime::tests::misconfigured_gossip_introducers_fail_spawn`).
         assert_eq!(
             spawn(GossipDirectoryConfig::new(8, 20).with_introducer_node(99)),
             "introducer node 99 outside the cluster (n = 4)"
@@ -1885,10 +1872,5 @@ mod tests {
             spawn(GossipDirectoryConfig::new(8, 20)),
             "gossip directory needs at least one introducer"
         );
-        // The mux's own: an address-named introducer cannot be framed.
-        let by_addr = GossipDirectoryConfig::new(8, 20)
-            .with_introducer_node(0)
-            .with_introducer_addr("127.0.0.1:9999".parse().unwrap());
-        assert!(spawn(by_addr).contains("must be vnode ids"));
     }
 }

@@ -1,4 +1,4 @@
-//! The sans-io node stack every wire runtime embeds.
+//! The sans-io node stack every embedding steps.
 //!
 //! The paper's node is one thing: Figure 1's active and passive behavior
 //! over `GETNEIGHBOR()`, with every concurrent aggregate sharing that
@@ -10,15 +10,17 @@
 //! a clock, a transport, and a lock if it shares the stack with an
 //! operator handle. It feeds [`NodeStack::step`] a timer wake or a decoded
 //! frame and receives every outbound as a borrowed
-//! `(Destination, WireFrame, Plane)` through a sink — nothing is
-//! encoded, buffered or allocated on the embedding's behalf.
+//! `(NodeId, WireFrame, Plane)` through a sink — nothing is encoded,
+//! buffered or allocated on the embedding's behalf, and the embedding
+//! owns the id → socket map.
 //!
-//! Three embeddings do: the thread runtime ([`crate::runtime`]), the mux
-//! runtime ([`crate::mux`]) and the event simulator (`epidemic-sim`),
-//! whose delay/loss/crash/churn model is the seeded in-memory transport
-//! under the very same wiring. [`Convergence`] and [`Traffic`] are what
-//! they publish about it: the convergence-health series and the per-plane
-//! traffic series, each computed in one place.
+//! Two embeddings do: the mux runtime ([`crate::mux`]) and the event
+//! simulator (`epidemic-sim`), whose delay/loss/crash/churn model is the
+//! seeded in-memory transport under the very same wiring; `tests/stack.rs`
+//! steps it on a counter clock with no transport at all. [`Convergence`]
+//! and [`Traffic`] are what the embeddings publish about it: the
+//! convergence-health series and the per-plane traffic series, each
+//! computed in one place.
 
 use crate::cluster::TrafficCounts;
 use crate::codec::{piggyback_trailer_len, WireFrame, WirePayload};
@@ -33,7 +35,6 @@ use epidemic_query::{
 };
 use epidemic_telemetry::{Counter, Gauge, Registry, TraceEvent, ViewHealth};
 use std::collections::BTreeMap;
-use std::net::SocketAddr;
 use std::sync::Mutex;
 
 /// What an embedding feeds [`NodeStack::step`].
@@ -42,9 +43,8 @@ pub enum Input<'a> {
     /// A timer deadline fired (or the embedding polls on a fixed tick):
     /// run the active behavior of every plane.
     Wake,
-    /// A decoded frame arrived, from this source address when the
-    /// transport exposes one (id-routed embeddings pass `None`).
-    Frame(&'a WirePayload, Option<SocketAddr>),
+    /// A decoded frame arrived.
+    Frame(&'a WirePayload),
 }
 
 /// The traffic ledger a frame belongs to (see [`Traffic`]).
@@ -103,8 +103,8 @@ impl Plane {
 
 /// One node's protocol state: base aggregate, membership, query plane.
 ///
-/// The directory is stored inline. The wire runtimes pick theirs at run
-/// time and take the boxed default; an embedding with one directory type
+/// The directory is stored inline. The mux runtime picks its directory at
+/// run time and takes the boxed default; an embedding with one directory type
 /// names it and reads it back typed through [`NodeStack::directory`].
 #[derive(Debug)]
 pub struct NodeStack<D = Box<dyn PeerDirectory>> {
@@ -188,18 +188,16 @@ impl<D: PeerDirectory> NodeStack<D> {
     }
 
     /// Advances the stack by one input at tick `now`, handing every frame
-    /// to transmit to `sink` in order: the base aggregate's, then
-    /// membership's, then the query plane's.
+    /// to transmit to `sink` in order, with the node it is for: the base
+    /// aggregate's, then membership's, then the query plane's.
     ///
-    /// A destination is an address whenever the directory can resolve
-    /// the peer and a node id otherwise — id-routed embeddings own the
-    /// id → socket map. Client RPC is not a step input (see
-    /// [`NodeStack::rpc`]); such a frame is dropped.
+    /// Client RPC is not a step input (see [`NodeStack::rpc`]); such a
+    /// frame is dropped.
     pub fn step(
         &mut self,
         input: Input<'_>,
         now: u64,
-        mut sink: impl FnMut(Destination, WireFrame<'_>, Plane),
+        mut sink: impl FnMut(NodeId, WireFrame<'_>, Plane),
     ) {
         let mut query_out = Vec::new();
         let mut query_reply = None;
@@ -212,41 +210,26 @@ impl<D: PeerDirectory> NodeStack<D> {
                 self.directory.poll(now, &mut self.dir_out);
                 out
             }
-            Input::Frame(payload, src) => {
-                // Every protocol frame names its sender: learn the
-                // (id, address) binding passively.
-                let sender = match payload {
-                    WirePayload::Aggregation(msg) | WirePayload::Piggybacked(msg, _) => {
-                        Some(msg.from)
-                    }
-                    WirePayload::Query { message, .. } => Some(message.from),
-                    WirePayload::Catalog { from, .. } => Some(*from),
-                    _ => None,
-                };
-                if let (Some(from), Some(src)) = (sender, src) {
-                    self.directory.observe(from, src);
+            Input::Frame(payload) => match payload {
+                WirePayload::Aggregation(msg) => self.gossip.handle(msg, now),
+                WirePayload::Piggybacked(msg, piggyback) => {
+                    self.directory.absorb_piggyback(piggyback, now);
+                    self.gossip.handle(msg, now)
                 }
-                match payload {
-                    WirePayload::Aggregation(msg) => self.gossip.handle(msg, now),
-                    WirePayload::Piggybacked(msg, piggyback) => {
-                        self.directory.absorb_piggyback(piggyback, src, now);
-                        self.gossip.handle(msg, now)
-                    }
-                    WirePayload::Directory(payload) => {
-                        self.directory.handle(payload, src, now, &mut self.dir_out);
-                        None
-                    }
-                    WirePayload::Catalog { entries, .. } => {
-                        self.plane.handle_catalog(entries, now);
-                        None
-                    }
-                    WirePayload::Query { query, message } => {
-                        query_reply = self.plane.handle_aggregation(query, message, now);
-                        None
-                    }
-                    WirePayload::Rpc(_) | WirePayload::RpcReply(_) => None,
+                WirePayload::Directory(payload) => {
+                    self.directory.handle(payload, None, now, &mut self.dir_out);
+                    None
                 }
-            }
+                WirePayload::Catalog { entries, .. } => {
+                    self.plane.handle_catalog(entries, now);
+                    None
+                }
+                WirePayload::Query { query, message } => {
+                    query_reply = self.plane.handle_aggregation(query, message, now);
+                    None
+                }
+                WirePayload::Rpc(_) | WirePayload::RpcReply(_) => None,
+            },
         };
         // An outbound aggregation frame is a free ride for membership
         // news: ask the directory for a trailer worth attaching (None in
@@ -255,23 +238,17 @@ impl<D: PeerDirectory> NodeStack<D> {
             .as_ref()
             .and_then(|out| self.directory.piggyback(out.to, now));
         let me = self.gossip.id();
-        let directory = &self.directory;
-        let mut emit = |to: Destination, frame: WireFrame<'_>| {
-            let to = match to {
-                Destination::Node(id) => directory.addr_of(id).map_or(to, Destination::Addr),
-                Destination::Addr(_) => to,
-            };
-            sink(to, frame, Plane::of(&frame));
-        };
+        let mut emit = |to: NodeId, frame: WireFrame<'_>| sink(to, frame, Plane::of(&frame));
         if let Some(out) = &outbound {
             let frame = match &piggyback {
                 Some(piggyback) => WireFrame::Piggybacked(&out.message, piggyback),
                 None => WireFrame::Aggregation(&out.message),
             };
-            emit(Destination::Node(out.to), frame);
+            emit(out.to, frame);
         }
         for msg in self.dir_out.drain(..) {
-            emit(msg.to, WireFrame::Directory(&msg.payload));
+            let Destination::Node(to) = msg.to;
+            emit(to, WireFrame::Directory(&msg.payload));
         }
         for out in query_out.iter().chain(&query_reply) {
             let (to, frame) = match out {
@@ -280,7 +257,7 @@ impl<D: PeerDirectory> NodeStack<D> {
                 }
                 QueryOutbound::Catalog { to, entries } => (*to, WireFrame::Catalog(me, entries)),
             };
-            emit(Destination::Node(to), frame);
+            emit(to, frame);
         }
     }
 

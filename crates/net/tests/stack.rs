@@ -2,14 +2,15 @@
 //! in-memory queue and a counter clock — no sockets, no threads, no
 //! `sleep`. Every frame still crosses the real codec
 //! ([`WireFrame::encode`] → [`decode_datagram`]), so what runs here is
-//! exactly what both wire runtimes embed, minus their transports.
+//! exactly what the mux runtime and the event simulator embed, minus
+//! their transports.
 
 use epidemic_aggregation::{AggregateKind, EpochReport, InstanceSpec, Message, NodeConfig};
 use epidemic_common::NodeId;
 use epidemic_net::codec::{decode_datagram, WireFrame};
 use epidemic_net::directory::{
-    Destination, DirectoryPayload, GossipDirectory, GossipDirectoryConfig, PeerDirectory,
-    Piggyback, StaticDirectory,
+    DirectoryPayload, GossipDirectory, GossipDirectoryConfig, PeerDirectory, Piggyback,
+    StaticDirectory,
 };
 use epidemic_net::stack::{Input, NodeStack, Plane};
 use epidemic_net::{Registry, TraceEvent, TraceKind};
@@ -87,9 +88,6 @@ impl Net {
         let woke = matches!(input, Input::Wake);
         let (now, queue, sent) = (self.now, &mut self.queue, &mut self.sent);
         self.stacks[i].step(input, now, |to, frame, plane| {
-            let Destination::Node(to) = to else {
-                panic!("an id-routed directory resolved {to:?}");
-            };
             let bytes = frame.encode();
             assert_eq!(bytes.len(), frame.encoded_len());
             sent.push(Sent { at: now, plane });
@@ -104,7 +102,7 @@ impl Net {
         }
         while let Some((to, bytes)) = self.queue.pop_front() {
             let payload = decode_datagram(&bytes).expect("own frames decode");
-            self.step(to, Input::Frame(&payload, None));
+            self.step(to, Input::Frame(&payload));
         }
     }
 
@@ -320,7 +318,7 @@ fn same_seed_yields_the_same_trace() {
 
 /// Every frame the stack can emit lands on the ledger the parent commit
 /// charged it to — so Σ `*_bytes_sent` stays the bytes handed to the
-/// kernel on both runtimes — and its owned twin is exactly what the
+/// kernel — and its owned twin is exactly what the
 /// codec makes of its bytes: frame → payload → frame, the middle leg
 /// taken both through the wire and around it.
 #[test]
@@ -415,7 +413,7 @@ fn hostile_catalog_entries_and_installs_degrade_to_lost_messages() {
         ];
         let frame = WireFrame::Catalog(NodeId::new(1), &entries);
         let payload = decode_datagram(&frame.encode()).expect("hostile, not malformed");
-        net.step(0, Input::Frame(&payload, None));
+        net.step(0, Input::Frame(&payload));
         assert_eq!(net.stacks[0].installed_queries(), ["a", "z"], "{name}");
         // Through a client: rejected, not installed, stack still serving.
         let response = net.stacks[0].rpc(&RpcRequest::Install { id: 9, descriptor }, net.now);
@@ -431,7 +429,7 @@ fn hostile_catalog_entries_and_installs_degrade_to_lost_messages() {
     let mut far = entry(good("far"));
     far.installed_at = u64::MAX;
     let payload = WireFrame::Catalog(NodeId::new(1), &[far, entry(good("z"))]).to_payload();
-    net.step(0, Input::Frame(&payload, None));
+    net.step(0, Input::Frame(&payload));
     net.run(2 * CYCLE);
     assert_eq!(net.stacks[0].installed_queries(), ["z"]);
 }

@@ -4,7 +4,7 @@
 //! `burst`. The bucket is clock-driven — refills are computed from the
 //! caller-supplied `now` in milliseconds — so the same sequence of
 //! `(now, try_take)` calls grants the same sequence of admissions under
-//! the simulator and both UDP runtimes.
+//! the simulator and the UDP runtime.
 
 use crate::descriptor::AdmissionConfig;
 

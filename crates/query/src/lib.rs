@@ -17,7 +17,7 @@
 //!   vocabulary.
 //! * [`plane`] — [`QueryPlane`]: the sans-io per-node state machine
 //!   multiplexing one `GossipNode` per live query over the shared
-//!   exchange plane. The event simulator and both UDP runtimes in
+//!   exchange plane. The event simulator and the UDP runtime in
 //!   `epidemic-net` drive this same type, so query behaviour is
 //!   conformance-testable across engines.
 //!

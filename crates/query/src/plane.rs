@@ -11,7 +11,7 @@
 //! deliver incoming frames through [`QueryPlane::handle_catalog`] /
 //! [`QueryPlane::handle_aggregation`], serve clients through
 //! [`QueryPlane::handle_rpc`], and transmit whatever [`QueryOutbound`]
-//! frames come back. The event simulator and both UDP runtimes drive
+//! frames come back. The event simulator and the UDP runtime drive
 //! this exact type, which is what makes sim-vs-wire conformance a test
 //! rather than a hope.
 //!

@@ -5,7 +5,7 @@
 //! `epidemic-net` encodes them as wire tags 13/14, the runtimes' in-
 //! process `Cluster` methods construct them directly — and the single
 //! server-side entry point is [`crate::QueryPlane::handle_rpc`], so the
-//! simulator and both UDP runtimes answer byte-identically.
+//! simulator and the UDP runtime answer byte-identically.
 
 use crate::descriptor::QueryDescriptor;
 use crate::QueryError;

@@ -51,7 +51,7 @@ use epidemic_common::rng::Xoshiro256;
 use epidemic_common::stats::OnlineStats;
 use epidemic_common::NodeId;
 use epidemic_net::codec::{WireFrame, WirePayload};
-use epidemic_net::directory::{Destination, GossipDirectoryConfig};
+use epidemic_net::directory::GossipDirectoryConfig;
 use epidemic_net::stack::{Convergence, Input, NodeStack, Plane, Traffic};
 use epidemic_query::{QueryEstimate, QueryPlaneConfig, RpcRequest, RpcResponse, RpcStatus};
 use epidemic_telemetry::{write_snapshot, Counter, Gauge, Registry, TraceEvent};
@@ -393,10 +393,7 @@ impl Wire {
     /// exchange; message loss hits every frame alone — a lost reply
     /// leaves only the passive side updated, which costs the base
     /// aggregate mass and membership nothing.
-    fn transmit(&mut self, at: u64, to: Destination, frame: WireFrame<'_>, plane: Plane) {
-        let Destination::Node(to) = to else {
-            unreachable!("simulated directories route by id");
-        };
+    fn transmit(&mut self, at: u64, to: NodeId, frame: WireFrame<'_>, plane: Plane) {
         let bytes = frame.encoded_len() as u64;
         self.convergence.count(&frame, bytes);
         self.traffic.sent(plane, bytes);
@@ -780,7 +777,7 @@ impl EventSim {
                     if let Some(plane) = Plane::of_received(&payload) {
                         self.wire.traffic.received(plane);
                     }
-                    self.step(i as usize, at, Input::Frame(&payload, None));
+                    self.step(i as usize, at, Input::Frame(&payload));
                 }
             }
         }

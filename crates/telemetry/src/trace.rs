@@ -3,8 +3,8 @@
 //!
 //! The sans-io node cores ([`GossipNode`], the NEWSCAST membership node,
 //! the gossip directory) record [`TraceEvent`]s into a [`TraceRing`]
-//! they own, so every embedding — event simulator, thread-per-node
-//! runtime, multiplexed runtime — is instrumented once and produces the
+//! they own, so every embedding — event simulator, multiplexed runtime —
+//! is instrumented once and produces the
 //! *same* trace for the same protocol execution. Events carry logical
 //! protocol coordinates (epoch, cycle, peer), never wall-clock time, so
 //! same-seed runs of different engines are byte-comparable (the

@@ -1,17 +1,18 @@
 //! A real gossip cluster over UDP on localhost.
 //!
-//! Spawns twelve OS processes' worth of protocol — one thread per node —
-//! each running the active/passive loops of the paper's Figure 1 over real
-//! datagrams, operated through the runtime-agnostic `Cluster` seam. The
-//! nodes aggregate AVERAGE and COUNT simultaneously; after a few
-//! wall-clock epochs every node reports both the average of the local
-//! values and the cluster size, computed purely by gossip.
+//! Spawns twelve OS processes' worth of protocol — one socket and one
+//! thread per node (a mux cluster with one loop per node) — each running
+//! the active/passive behaviour of the paper's Figure 1 over real
+//! datagrams, operated through the `Cluster` seam. The nodes aggregate
+//! AVERAGE and COUNT simultaneously; after a few wall-clock epochs every
+//! node reports both the average of the local values and the cluster
+//! size, computed purely by gossip.
 //!
 //! Run with: `cargo run --release --example udp_cluster`
 
 use epidemic::aggregation::{InstanceSpec, LeaderPolicy, NodeConfig};
 use epidemic::net::cluster::Cluster;
-use epidemic::net::runtime::{ClusterConfig, ThreadCluster};
+use epidemic::net::mux::{MuxCluster, MuxClusterConfig};
 use std::time::Duration;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -29,9 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("spawning {n} UDP gossip nodes on localhost...");
     // Local values 10, 20, ..., 120: true average 65.
-    let cluster = ThreadCluster::spawn(ClusterConfig::loopback(n, node_config)?, |i| {
-        (i + 1) as f64 * 10.0
-    })?;
+    let config = MuxClusterConfig::new(n, node_config).with_readers(n);
+    let cluster = MuxCluster::spawn(config, |i| (i + 1) as f64 * 10.0)?;
 
     std::thread::sleep(Duration::from_millis(2_500));
 

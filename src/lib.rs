@@ -12,7 +12,7 @@
 //! | [`newscast`] | `epidemic-newscast` | the NEWSCAST gossip membership protocol |
 //! | [`topology`] | `epidemic-topology` | static overlay generators and graph analysis |
 //! | [`sim`] | `epidemic-sim` | cycle-driven and event-driven simulators with failure injection |
-//! | [`net`] | `epidemic-net` | real-network layer: the `Cluster` operator seam, the `PeerDirectory` membership seam (static or NEWSCAST-gossiped), thread-per-node + multiplexed/sharded UDP runtimes, binary wire codec |
+//! | [`net`] | `epidemic-net` | real-network layer: the `Cluster` operator seam, the `PeerDirectory` membership seam (static or NEWSCAST-gossiped), the multiplexed/sharded UDP runtime (one loop per node up to thousands of nodes per loop), binary wire codec |
 //! | [`common`] | `epidemic-common` | node ids, deterministic RNG, statistics |
 //!
 //! # Quickstart

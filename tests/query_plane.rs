@@ -11,7 +11,6 @@ use epidemic::aggregation::{AggregateKind, InstanceSpec, NodeConfig};
 use epidemic::net::cluster::Cluster;
 use epidemic::net::codec::{decode_rpc_response, encode_rpc_request};
 use epidemic::net::mux::{MuxCluster, MuxClusterConfig};
-use epidemic::net::runtime::{ClusterConfig, ThreadCluster};
 use epidemic::query::{QueryDescriptor, QueryError, QueryPlaneConfig, RpcRequest, RpcStatus};
 use epidemic::sim::event::{EventConfig, QueryAction};
 use epidemic::sim::scenario::{Scenario, ValueInit};
@@ -199,51 +198,10 @@ fn query_conformance_sim_vs_mux_on_one_seed() {
     );
 }
 
-#[test]
-fn thread_cluster_serves_queries_through_the_same_seam() {
-    let node_config = NodeConfig::builder()
-        .gamma(10)
-        .cycle_length(40)
-        .timeout(16)
-        .instance(InstanceSpec::AVERAGE)
-        .build()
-        .unwrap();
-    let cluster = ThreadCluster::spawn(
-        ClusterConfig::loopback(8, node_config)
-            .unwrap()
-            .with_query_config(QueryPlaneConfig {
-                gossip_period: 50,
-                ..QueryPlaneConfig::default()
-            }),
-        |i| i as f64,
-    )
-    .unwrap();
-    cluster
-        .install_query(0, mux_descriptor("temp").with_default_value(6.0))
-        .unwrap();
-    // Every node (installer or not) converges on the default fixed point.
-    let value = drive_until("thread-cluster read at node 3", 6.0, 1e-6, || match cluster
-        .query_estimate(3, "temp")
-    {
-        Ok(est) if est.settled => Some(est.value),
-        _ => None,
-    });
-    assert!((value - 6.0).abs() < 1e-6);
-    // Admission errors surface through the seam, not as silent drops.
-    assert!(matches!(
-        cluster.submit_query(3, "nope", 1.0),
-        Err(QueryError::UnknownQuery)
-    ));
-    // A client datagram at any node's socket is served, and a reject is
-    // counted where the mux counts it.
-    unknown_query_is_rejected_and_counted(&cluster, cluster.addrs()[3]);
-    cluster.shutdown();
-}
-
 /// Asks the RPC endpoint at `addr` for a query nobody installed: the
 /// reject reaches the client, and `rpc.rejects` — the series
-/// `TrafficCounts::rpc_rejects` reads on every runtime — counts it.
-fn unknown_query_is_rejected_and_counted<C: Cluster>(cluster: &C, addr: SocketAddr) {
+/// `TrafficCounts::rpc_rejects` reads — counts it.
+fn unknown_query_is_rejected_and_counted(cluster: &MuxCluster, addr: SocketAddr) {
     let client = UdpSocket::bind("127.0.0.1:0").unwrap();
     client
         .set_read_timeout(Some(Duration::from_millis(500)))
@@ -269,13 +227,14 @@ fn unknown_query_is_rejected_and_counted<C: Cluster>(cluster: &C, addr: SocketAd
     assert_eq!(cluster.total_datagram_counts().rpc_rejects, rejects);
 }
 
-/// The operator script of [`install_through_the_seam_needs_no_wake`],
-/// written once for every runtime: each call is one of `Cluster`'s
-/// provided verbs, i.e. `Cluster::with_stack` and nothing else.
-fn installed_query_spreads<C: Cluster>(cluster: C, what: &str) {
+/// The operator script of [`install_through_the_seam_needs_no_wake`]:
+/// each call is one of `Cluster`'s provided verbs, i.e.
+/// `Cluster::with_stack` and nothing else.
+fn installed_query_spreads(cluster: &MuxCluster, what: &str) {
     cluster
         .install_query(0, mux_descriptor("seam").with_default_value(6.0))
         .unwrap();
+    // Every node (installer or not) converges on the default fixed point.
     let last = cluster.node_count() - 1;
     drive_until(what, 6.0, 1e-6, || {
         match cluster.query_estimate(last, "seam") {
@@ -285,7 +244,6 @@ fn installed_query_spreads<C: Cluster>(cluster: C, what: &str) {
     });
     let installed = cluster.with_stack(last, |stack, _now| stack.installed_queries());
     assert_eq!(installed, ["seam"], "{what}");
-    cluster.shutdown();
 }
 
 #[test]
@@ -304,17 +262,17 @@ fn install_through_the_seam_needs_no_wake() {
         gossip_period: 50,
         ..QueryPlaneConfig::default()
     };
-    let threads = ClusterConfig::loopback(8, node_config.clone())
-        .unwrap()
-        .with_query_config(query);
-    installed_query_spreads(
-        ThreadCluster::spawn(threads, |i| i as f64).unwrap(),
-        "thread cluster",
-    );
     let mux = MuxClusterConfig::new(8, node_config)
         .with_workers(2)
         .with_query_config(query);
-    installed_query_spreads(MuxCluster::spawn(mux, |i| i as f64).unwrap(), "mux cluster");
+    let cluster = MuxCluster::spawn(mux, |i| i as f64).unwrap();
+    installed_query_spreads(&cluster, "mux cluster");
+    // Admission errors surface through the seam, not as silent drops.
+    assert!(matches!(
+        cluster.submit_query(3, "nope", 1.0),
+        Err(QueryError::UnknownQuery)
+    ));
+    cluster.shutdown();
 }
 
 /// The acceptance scenario: a running mux cluster, no restart, accepts a

@@ -1,29 +1,29 @@
 //! End-to-end integration over real UDP sockets: the full stack —
 //! sans-io protocol node, binary codec, pluggable peer directories, and
-//! every runtime behind the unified `Cluster` seam — computing aggregates
-//! on localhost.
+//! the mux runtime behind the `Cluster` seam — computing aggregates on
+//! localhost.
 //!
-//! The cross-runtime conformance suite holds the thread-per-node runtime,
-//! the mux runtime in every I/O configuration (single- and multi-reader
-//! socket sets, syscall-batched and portable backends), and a 2-socket
-//! sharded mux cluster to the same answers: identical n = 2 epoch-report
-//! sequences on the same seed, and agreeing convergence within paper
-//! theory bounds at n = 256 (and n = 1024 for the multi-reader set).
+//! The layout conformance suite holds the mux runtime in every layout —
+//! one loop per vnode (the paper's Figure 1: a socket and a thread per
+//! node), a few loops for many vnodes, syscall-batched and portable
+//! backends, and a 2-socket sharded cluster — to the same answers:
+//! identical n = 2 epoch-report sequences on the same seed, and agreeing
+//! convergence within paper theory bounds at n = 256 (and n = 1024 for
+//! the multi-loop set).
 
 use epidemic::aggregation::{theory, EpochReport, InstanceSpec, LeaderPolicy, NodeConfig};
 use epidemic::net::batch::IoBackend;
 use epidemic::net::cluster::Cluster;
 use epidemic::net::directory::{DirectorySpec, GossipDirectoryConfig};
 use epidemic::net::mux::{MuxCluster, MuxClusterConfig, PeerTable};
-use epidemic::net::runtime::{ClusterConfig, ThreadCluster};
 use std::time::Duration;
 
 /// Per-node report streams keyed by cluster-wide node id.
 type NodeReports = Vec<(u64, Vec<EpochReport>)>;
 
 /// Drains every node's reports, keyed by cluster-wide node id so shards
-/// of one cluster can be merged and compared across runtimes.
-fn reports_by_id<C: Cluster>(cluster: &C) -> NodeReports {
+/// of one cluster can be merged and compared across layouts.
+fn reports_by_id(cluster: &MuxCluster) -> NodeReports {
     (0..cluster.node_count())
         .map(|i| (cluster.node_id(i).as_u64(), cluster.take_reports(i)))
         .collect()
@@ -52,8 +52,9 @@ fn five_node_cluster_converges_on_average() {
         .instance(InstanceSpec::AVERAGE)
         .build()
         .unwrap();
-    let cluster = ThreadCluster::spawn(
-        ClusterConfig::loopback(5, config).expect("bind cluster"),
+    // One loop per node: a socket and a thread each, Figure 1's layout.
+    let cluster = MuxCluster::spawn(
+        MuxClusterConfig::new(5, config).with_readers(5),
         |i| (i as f64 + 1.0) * 4.0, // avg 12
     )
     .expect("spawn cluster");
@@ -88,11 +89,8 @@ fn cluster_counts_itself() {
         .initial_size_guess(n as f64)
         .build()
         .unwrap();
-    let cluster = ThreadCluster::spawn(
-        ClusterConfig::loopback(n, config).expect("bind cluster"),
-        |_| 0.0,
-    )
-    .expect("spawn cluster");
+    let cluster = MuxCluster::spawn(MuxClusterConfig::new(n, config).with_readers(n), |_| 0.0)
+        .expect("spawn cluster");
     std::thread::sleep(Duration::from_millis(2_200));
     let mut estimates = Vec::new();
     for (_, reports) in reports_by_id(&cluster) {
@@ -113,8 +111,7 @@ fn cluster_counts_itself() {
 
 #[test]
 fn mux_512_nodes_single_process_converge_within_theory_bounds() {
-    // 512 real-socket nodes in one process — far beyond what the
-    // thread-per-node runtime is meant for — multiplexed over 4 loops,
+    // 512 real-socket nodes in one process, multiplexed over 4 loops,
     // one socket and one OS thread each.
     let n = 512usize;
     let gamma = 20u32;
@@ -307,14 +304,14 @@ fn cluster_io_is_batched() -> bool {
 
 #[test]
 fn runtimes_agree_on_same_seed() {
-    // Same seed, same protocol config, same values: the thread-per-node
-    // cluster, the mux cluster in every I/O configuration (readers 1 and
-    // 2, syscall-batched and portable backends), AND a mux cluster
-    // sharded over two sockets must produce identical EpochReport
-    // sequences. n = 2 makes the comparison exact: any completed
-    // exchange yields precisely the true average, independent of
-    // scheduling, so every epoch report of every node is bit-identical
-    // across runtimes — the reader-set refactor must be invisible to the
+    // Same seed, same protocol config, same values: the mux cluster in
+    // every I/O configuration (one loop, or one loop per vnode — the
+    // paper's Figure 1 layout at n = 2 — on syscall-batched and portable
+    // backends) AND a mux cluster sharded over two sockets must produce
+    // identical EpochReport sequences. n = 2 makes the comparison exact:
+    // any completed exchange yields precisely the true average,
+    // independent of scheduling, so every epoch report of every node is
+    // bit-identical across layouts — the layout must be invisible to the
     // protocol.
     let seed = 0xA11CE;
     let make_config = || {
@@ -328,13 +325,6 @@ fn runtimes_agree_on_same_seed() {
     };
     let values = |i: usize| (i as f64 + 1.0) * 10.0; // 10, 20 -> average 15
 
-    let threads = ThreadCluster::spawn(
-        ClusterConfig::loopback(2, make_config())
-            .expect("bind cluster")
-            .with_seed(seed),
-        values,
-    )
-    .expect("spawn thread cluster");
     let mux_variants: Vec<(&str, MuxCluster)> = [
         ("mux r1 auto", 1, IoBackend::auto()),
         ("mux r1 portable", 1, IoBackend::Portable),
@@ -376,36 +366,30 @@ fn runtimes_agree_on_same_seed() {
     ];
 
     std::thread::sleep(Duration::from_millis(1_400));
-    let mut thread_reports = reports_by_id(&threads);
     let mut variant_reports: Vec<(&str, NodeReports)> = mux_variants
         .iter()
         .map(|(label, cluster)| (*label, reports_by_id(cluster)))
         .collect();
-    let mut sharded_reports: NodeReports = shards.iter().flat_map(reports_by_id).collect();
-    threads.shutdown();
+    let sharded_reports = shards.iter().flat_map(reports_by_id).collect();
+    variant_reports.push(("2-shard mux", sharded_reports));
     for (_, cluster) in mux_variants {
         cluster.shutdown();
     }
     for shard in shards {
         shard.shutdown();
     }
-    thread_reports.sort_by_key(|(id, _)| *id);
     for (_, reports) in &mut variant_reports {
         reports.sort_by_key(|(id, _)| *id);
     }
-    sharded_reports.sort_by_key(|(id, _)| *id);
 
-    let mut comparisons: Vec<(&str, &NodeReports)> = variant_reports
-        .iter()
-        .map(|(label, reports)| (*label, reports))
-        .collect();
-    comparisons.push(("2-shard mux", &sharded_reports));
-    for (label, other) in comparisons {
-        for ((id, t), (other_id, o)) in thread_reports.iter().zip(other) {
+    // The reference is the first variant: one loop, batched I/O.
+    let ((reference, reference_reports), others) = variant_reports.split_first().unwrap();
+    for (label, other) in others {
+        for ((id, t), (other_id, o)) in reference_reports.iter().zip(other) {
             assert_eq!(id, other_id);
             // Join by epoch number: under CPU contention a starved
             // cluster may skip a cycle boundary and miss an epoch
-            // entirely, but every epoch BOTH runtimes completed must
+            // entirely, but every epoch BOTH layouts completed must
             // carry a bit-identical report.
             let by_epoch: std::collections::BTreeMap<u64, &EpochReport> =
                 o.iter().map(|r| (r.epoch, r)).collect();
@@ -414,7 +398,7 @@ fn runtimes_agree_on_same_seed() {
                 if let Some(other_report) = by_epoch.get(&report.epoch) {
                     assert_eq!(
                         &report, other_report,
-                        "node {id}: {label} diverged from threads on the same seed \
+                        "node {id}: {label} diverged from {reference} on the same seed \
                          at epoch {}",
                         report.epoch
                     );
@@ -423,7 +407,7 @@ fn runtimes_agree_on_same_seed() {
             }
             assert!(
                 common >= 3,
-                "node {id}: too few comparable epochs vs {label} (threads {}, {label} {})",
+                "node {id}: too few comparable epochs vs {label} ({reference} {}, {label} {})",
                 t.len(),
                 o.len()
             );
@@ -433,9 +417,9 @@ fn runtimes_agree_on_same_seed() {
 
 #[test]
 fn conformance_convergence_agrees_at_n256() {
-    // The same n = 256 scenario through all three runtimes, run
-    // sequentially on the same seed: each must converge within the paper
-    // bound, and their means must agree with each other.
+    // The same n = 256 scenario through both layouts, run sequentially
+    // on the same seed: each must converge within the paper bound, and
+    // their means must agree with each other.
     let n = 256usize;
     let gamma = 12u32;
     let seed = 99;
@@ -451,9 +435,8 @@ fn conformance_convergence_agrees_at_n256() {
     let truth = (n as f64 - 1.0) / 2.0;
     let bound = theory_bound(n, gamma, 100.0);
 
-    // Epoch 0 overlaps cluster startup (for the thread runtime, binding
-    // and spawning 256 sockets and threads), so each node is judged on
-    // its latest completed epoch past the first.
+    // Epoch 0 overlaps cluster startup, so each node is judged on its
+    // latest completed epoch past the first.
     let check = |label: &str, reports: Vec<(u64, Vec<EpochReport>)>| -> f64 {
         let mut finals = Vec::new();
         for (id, node_reports) in &reports {
@@ -475,17 +458,6 @@ fn conformance_convergence_agrees_at_n256() {
         );
         finals.iter().sum::<f64>() / finals.len() as f64
     };
-
-    let threads = ThreadCluster::spawn(
-        ClusterConfig::loopback(n, make_config())
-            .expect("bind cluster")
-            .with_seed(seed),
-        |i| i as f64,
-    )
-    .expect("spawn thread cluster");
-    std::thread::sleep(Duration::from_millis(2_600));
-    let thread_mean = check("threads", reports_by_id(&threads));
-    threads.shutdown();
 
     let mux = MuxCluster::spawn(
         MuxClusterConfig::new(n, make_config())
@@ -525,19 +497,15 @@ fn conformance_convergence_agrees_at_n256() {
         shard.shutdown();
     }
 
-    for (label, mean) in [
-        ("threads", thread_mean),
-        ("mux", mux_mean),
-        ("2-shard mux", sharded_mean),
-    ] {
+    for (label, mean) in [("mux", mux_mean), ("2-shard mux", sharded_mean)] {
         assert!(
             (mean - truth).abs() < bound,
             "{label}: mean {mean} vs truth {truth}"
         );
     }
     assert!(
-        (thread_mean - mux_mean).abs() < bound && (mux_mean - sharded_mean).abs() < bound,
-        "runtimes disagree: threads {thread_mean}, mux {mux_mean}, sharded {sharded_mean}"
+        (mux_mean - sharded_mean).abs() < bound,
+        "layouts disagree: mux {mux_mean}, sharded {sharded_mean}"
     );
 }
 
@@ -752,10 +720,9 @@ fn node_survives_garbage_datagrams() {
         .instance(InstanceSpec::AVERAGE)
         .build()
         .unwrap();
-    let cluster = ThreadCluster::spawn(
-        ClusterConfig::loopback(2, config).expect("bind cluster"),
-        |i| i as f64,
-    )
+    let cluster = MuxCluster::spawn(MuxClusterConfig::new(2, config).with_readers(2), |i| {
+        i as f64
+    })
     .expect("spawn cluster");
     // Blast corrupt datagrams at both nodes.
     let attacker = std::net::UdpSocket::bind(("127.0.0.1", 0)).unwrap();
