@@ -7,7 +7,7 @@
 //! named queries, traffic accounting, shutdown. A runtime implements six
 //! methods; the one that reaches protocol state is
 //! [`Cluster::with_stack`], which runs a closure on a node's [`NodeStack`]
-//! under the node's lock at the runtime's current tick and re-arms the
+//! under its loop's lock at the runtime's current tick and re-arms the
 //! node's timer afterwards. The operator verbs are provided methods over
 //! it, so what "install a query at node 3" means is written once, next to
 //! the stack it drives.
@@ -148,13 +148,14 @@ pub trait Cluster: Sized {
     /// `rpc.*` and per-query series, and the runtime's own.
     fn registry(&self) -> &Registry;
 
-    /// Runs `f` on local node `index`'s protocol stack, under the node's
-    /// lock, at the runtime's current tick (the second argument — the
-    /// `now` the stack's own steps are given). When `f` returns the
-    /// runtime re-arms the node's timer from
-    /// [`NodeStack::next_deadline`], so a call that moves the deadline
-    /// earlier (an install, a remove) needs no wake of its own. The
-    /// node's loop waits on the lock meanwhile: keep `f` short.
+    /// Runs `f` on local node `index`'s protocol stack, under the lock of
+    /// the loop that homes it, at the runtime's current tick (the second
+    /// argument — the `now` the stack's own steps are given). When `f`
+    /// returns the runtime re-arms the node's timer from
+    /// [`NodeStack::next_deadline`] straight into that loop's wheel, so a
+    /// call that moves the deadline earlier (an install, a remove) needs
+    /// no wake of its own. The whole loop — every node it homes — waits
+    /// on the lock meanwhile: keep `f` short.
     ///
     /// # Panics
     ///

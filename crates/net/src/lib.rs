@@ -33,15 +33,16 @@
 //!   twins for traffic accounting.
 //! * [`mux`] — the wire runtime ([`mux::MuxCluster`]): N virtual nodes on
 //!   a few **loops** (vnode `i` homed on loop `i % loops`); a loop is one
-//!   thread that owns one socket and one hashed timer wheel
-//!   ([`timer::TimerWheel`]) and receives, steps, fires and flushes in
-//!   turn — one loop per vnode is the paper's Figure 1 literally — and
-//!   shardable across sockets, processes, and hosts via a
-//!   [`mux::PeerTable`] mapping vnode-id ranges to shard addresses.
+//!   thread that owns one socket and, behind one lock, its vnodes and one
+//!   hashed timer wheel ([`timer::TimerWheel`]), and receives, steps,
+//!   fires and flushes in turn — one loop per vnode is the paper's
+//!   Figure 1 literally — and shardable across sockets, processes, and
+//!   hosts via a [`mux::PeerTable`] mapping vnode-id ranges to shard
+//!   addresses.
 //! * [`batch`] — syscall-batched datagram I/O ([`batch::IoBackend`]):
 //!   `recvmmsg`/`sendmmsg` on Linux with a portable one-per-syscall
 //!   fallback, runtime-selectable for A/B measurement.
-//! * [`timer`] — the hashed timer wheel each [`mux`] loop owns.
+//! * [`timer`] — the hashed timer wheel behind each [`mux`] loop's lock.
 //!
 //! # Examples
 //!
@@ -119,5 +120,5 @@ pub use mux::{MuxCluster, MuxClusterConfig, PeerTable, SyscallCounts};
 // The telemetry plane's vocabulary, re-exported so operators of this
 // crate need no direct `epidemic-telemetry` dependency.
 pub use epidemic_telemetry::{
-    write_jsonl, write_snapshot, MetricsServer, Registry, TraceEvent, TraceKind, ViewHealth,
+    write_jsonl, MetricsServer, Registry, TraceEvent, TraceKind, ViewHealth,
 };

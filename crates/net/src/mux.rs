@@ -8,21 +8,24 @@
 //! vnode (`with_readers(n)`: a socket and a thread per node) is Figure 1
 //! literally; a few loops carry thousands of vnodes per host.
 //!
-//! * Loop `k` owns one UDP socket, one [`TimerWheel`], its receive
-//!   buffers and its bundle packer, and is the home of local vnode `i` when
-//!   `i % loops == k` ([`MuxClusterConfig::with_readers`] sets the count;
-//!   1 reproduces the original single-socket runtime). A vnode's
-//!   datagrams arrive at its home socket and its frames leave from it.
-//! * Each turn does five things in order. It waits at most one 1 ms wheel
+//! * Loop `k` owns one UDP socket, its receive buffers and its bundle
+//!   packer, and is the home of local vnode `i` when `i % loops == k`
+//!   ([`MuxClusterConfig::with_readers`] sets the count; 1 reproduces the
+//!   original single-socket runtime). The vnodes it homes and the
+//!   [`TimerWheel`] their deadlines wait in sit behind one lock, the
+//!   loop's. A shard's loops are exactly its published socket set, so a
+//!   vnode's datagrams arrive at its home socket and its frames leave
+//!   from it; a frame that reaches any other socket is dropped.
+//! * Each turn does four things in order. It waits at most one 1 ms wheel
 //!   tick for a datagram (a `poll`: a socket read timeout is kept in
 //!   scheduler ticks) and receives (up to [`crate::batch::BATCH`]
 //!   datagrams per `recvmmsg` on the batched [`crate::batch::IoBackend`]).
 //!   It walks each bundle ([`crate::codec::decode_bundle`]) and steps
 //!   every frame's vnode inline, so a vnode's frames are stepped in
-//!   arrival order and the payload never leaves the stack frame. It drains
-//!   its park inbox into its wheel. It fires the due deadlines ([`NodeStack::next_deadline`]:
-//!   cycle boundaries, exchange timeouts, joiner activations, membership
-//!   and catalog gossip), each stepping its vnode. Then it flushes.
+//!   arrival order and the payload never leaves the stack frame. It fires
+//!   the due deadlines ([`NodeStack::next_deadline`]: cycle boundaries,
+//!   exchange timeouts, joiner activations, membership and catalog
+//!   gossip), each stepping its vnode. Then it flushes.
 //! * No thread blocks on an exchange: the pending exchange is a
 //!   timer-guarded continuation inside the [`NodeStack`]. A step's frames
 //!   are encoded, borrowed, into the loop's open bundle datagram for their
@@ -55,19 +58,19 @@
 //! Every datagram still crosses the kernel's UDP stack, so the runtime
 //! exercises the real codec, sockets and timing. The protocol wiring —
 //! poll order, piggybacks, deadline folding, plane classification, RPC
-//! dispatch — lives in [`crate::stack`]; what is left here is locking a
-//! vnode, parking its deadline, resolving a vnode id to a socket, and
-//! packing frames. A vnode's lock is the operator seam's door: on the step
-//! path only its loop takes it, while [`Cluster::with_stack`] and the RPC
-//! listener take it from their own threads. Whoever held it parks the
-//! stack's next deadline if it moved earlier than the one live wheel
-//! entry: a loop stepping its own vnode straight into its wheel, anyone
-//! else — spawn, the seam, the listener, a loop stepping a frame a remote
-//! shard sent to its socket for another loop's vnode — through the home
-//! loop's inbox. Only the live entry's wake steps the vnode. A node's
-//! seeds and lazy per-exchange peer draws depend on its id alone, so
-//! same-seed clusters select the same peer sequence per node whatever
-//! their loop count or shard split.
+//! dispatch — lives in [`crate::stack`]; what is left here is homing a
+//! vnode on its loop, re-arming its deadline, resolving a vnode id to a
+//! socket, and packing frames. Only a vnode's home loop steps its frames
+//! and timers. The loop's lock is also the operator seam's door:
+//! [`Cluster::with_stack`] and the RPC listener take it from their own
+//! threads. A loop holds it only while it steps or fires — never across a
+//! `poll` wait, a yield or a flush — no thread holds two, and it is taken
+//! before any [`Convergence`] or registry lock. Whoever held it re-arms
+//! the stack's next deadline straight into the home wheel if it moved
+//! earlier than the one live wheel entry; only the live entry's wake
+//! steps the vnode. A node's seeds and lazy per-exchange peer draws depend
+//! on its id alone, so same-seed clusters select the same peer sequence
+//! per node whatever their loop count or shard split.
 //!
 //! # Examples
 //!
@@ -146,8 +149,9 @@ fn reserve_loopback_addrs(n: usize) -> io::Result<Vec<SocketAddr>> {
 /// socket within the owning shard's set — `sets[s][(vnode - start) %
 /// sets[s].len()]`, the same `local % loops` homing rule the receiving
 /// shard uses — so cross-shard traffic fans across every loop instead
-/// of piling onto the first socket. A single-shard, single-socket table
-/// is the degenerate case every one-process cluster uses implicitly.
+/// of piling onto the first socket. A one-process cluster builds itself
+/// the single-shard table whose set is its loop sockets, so this is the
+/// one destination rule for every id.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PeerTable {
     /// Range boundaries: shard `s` owns `starts[s]..starts[s + 1]`.
@@ -158,15 +162,6 @@ pub struct PeerTable {
 }
 
 impl PeerTable {
-    /// One shard owning every vnode `0..total` at `addr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `total == 0`.
-    pub fn single(total: usize, addr: SocketAddr) -> Self {
-        PeerTable::split(total, vec![addr])
-    }
-
     /// Splits `0..total` into `addrs.len()` near-even contiguous ranges,
     /// in shard order (earlier shards get the larger ranges when the
     /// split is uneven). Each shard publishes a single socket; use
@@ -224,8 +219,8 @@ impl PeerTable {
     }
 
     /// Like [`PeerTable::loopback_split`], but publishes `readers`
-    /// loopback sockets per shard, so every shard runs at least `readers`
-    /// loops and cross-shard senders fan across their sockets.
+    /// loopback sockets per shard, so every shard runs `readers` loops and
+    /// cross-shard senders fan across their sockets.
     ///
     /// # Errors
     ///
@@ -358,10 +353,12 @@ impl MuxClusterConfig {
     }
 
     /// Describes ONE shard of a cross-socket cluster: this process hosts
-    /// `table.shard_range(local_shard)` and binds
-    /// `table.shard_addr(local_shard)`; frames for foreign vnodes go to
-    /// the owning shard's address. Every shard must be spawned with the
-    /// same table, protocol config, and seed.
+    /// `table.shard_range(local_shard)` and binds exactly
+    /// `table.shard_sockets(local_shard)`, one loop each, so the loop
+    /// count defaults to the size of that published set (a larger
+    /// explicit count fails [`MuxCluster::spawn`]); frames for foreign
+    /// vnodes go to the owning shard's sockets. Every shard must be
+    /// spawned with the same table, protocol config, and seed.
     ///
     /// # Panics
     ///
@@ -373,6 +370,7 @@ impl MuxClusterConfig {
             table.shard_count()
         );
         let mut config = MuxClusterConfig::new(table.total(), node_config);
+        config.loops = Some(table.shard_sockets(local_shard).len());
         config.sharding = Some((table, local_shard));
         config
     }
@@ -399,8 +397,10 @@ impl MuxClusterConfig {
     /// and one thread, and homes local vnode `i` when `i % loops` is its
     /// index; `1` reproduces the original single-socket runtime exactly.
     /// At spawn the count is clamped to the local vnode count (an extra
-    /// socket would never receive anything) and raised to the shard's
-    /// published socket set.
+    /// socket would never receive anything). A shard of a
+    /// [`MuxClusterConfig::sharded`] cluster runs exactly its published
+    /// socket set: a count still above it after the clamp fails
+    /// [`MuxCluster::spawn`] with [`io::ErrorKind::InvalidInput`].
     ///
     /// # Panics
     ///
@@ -543,27 +543,36 @@ impl Packer {
     }
 }
 
-/// A virtual node: its protocol stack and the earliest timer deadline
-/// already parked for it.
+/// A virtual node: its protocol stack and the deadline of its one live
+/// wheel entry.
 #[derive(Debug)]
 struct VNode {
     stack: NodeStack,
     /// Deadline of the node's one live wheel entry (`u64::MAX` only while
-    /// a wake steps it): lets a park skip redundant schedule requests and
-    /// a wake tell the live entry from one a moved deadline stranded.
+    /// a wake steps it): lets a re-arm skip redundant schedule requests
+    /// and a wake tell the live entry from one a moved deadline stranded.
     next_wake: u64,
 }
 
-impl VNode {
-    /// Claims a new wheel entry when the stack's next deadline moved earlier
-    /// than the live one (an exchange's timeout, a query install), and
-    /// returns the deadline to park.
-    fn rearm(&mut self) -> Option<u64> {
-        let deadline = self.stack.next_deadline();
-        (deadline < self.next_wake).then(|| {
-            self.next_wake = deadline;
-            deadline
-        })
+/// What loop `k`'s lock guards: the vnodes it homes — slot `j` is local
+/// vnode `j * loops + k` — and the wheel their deadlines wait in.
+#[derive(Debug)]
+struct Homed {
+    nodes: Vec<VNode>,
+    wheel: TimerWheel,
+}
+
+impl Homed {
+    /// Schedules slot `slot`'s next deadline when it moved earlier than
+    /// the live wheel entry (an exchange's timeout, a query install): the
+    /// one re-arm rule for spawn, the loop, the seam and the listener.
+    fn rearm(&mut self, slot: usize) {
+        let vnode = &mut self.nodes[slot];
+        let deadline = vnode.stack.next_deadline();
+        if deadline < vnode.next_wake {
+            vnode.next_wake = deadline;
+            self.wheel.schedule(deadline, slot as u32);
+        }
     }
 }
 
@@ -583,19 +592,18 @@ pub struct SyscallCounts {
 
 #[derive(Debug)]
 struct Shared {
-    /// Each loop's socket address, in loop order: local vnode `i` is homed
-    /// on loop `i % addrs.len()`. Address 0 is the shard's advertised one.
-    addrs: Vec<SocketAddr>,
     io: IoBackend,
     stop: AtomicBool,
-    /// Cluster-wide id of local node 0.
-    base: usize,
+    /// The cluster-wide ids this shard hosts: local vnode `i` is
+    /// `local.start + i`.
+    local: Range<usize>,
+    /// Every shard's id range and socket set; this shard's set is its
+    /// loops' sockets, in loop order.
     table: PeerTable,
-    nodes: Vec<Mutex<VNode>>,
-    /// Parks `(deadline_ms, local node)` made off a vnode's home loop —
-    /// by spawn, [`Cluster::with_stack`], the RPC listener, another loop —
-    /// one inbox per loop, drained into its wheel every turn.
-    inboxes: Vec<Mutex<Vec<(u64, u32)>>>,
+    shard: usize,
+    /// One lock per loop over the vnodes it homes and their wheel: local
+    /// vnode `i` is slot `i / loops` of loop `i % loops`.
+    loops: Vec<Mutex<Homed>>,
     /// The unified metrics registry every handle below is connected to.
     registry: Registry,
     /// Per-plane frames and bytes, send errors, client RPCs.
@@ -639,40 +647,27 @@ impl Shared {
         self.start.elapsed().as_millis() as u64
     }
 
-    /// Locks local vnode `index`.
+    /// Each loop's socket address, in loop order; address 0 is the
+    /// shard's advertised one.
+    fn addrs(&self) -> &[SocketAddr] {
+        self.table.shard_sockets(self.shard)
+    }
+
+    /// Runs `f` on local vnode `index` under its home loop's lock — the
+    /// door of every thread but that loop — then re-arms its deadline
+    /// straight into the home wheel ([`Homed::rearm`]).
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of range.
-    fn vnode(&self, index: usize) -> MutexGuard<'_, VNode> {
-        self.nodes[index].lock().unwrap()
-    }
-
-    /// Home loop of local vnode `local`.
-    fn home(&self, local: usize) -> usize {
-        local % self.addrs.len()
-    }
-
-    /// Parks local vnode `index`'s next deadline ([`VNode::rearm`])
-    /// through its home loop's inbox: the park of every thread but that
-    /// loop.
-    fn park(&self, vnode: &mut VNode, index: usize) {
-        if let Some(deadline) = vnode.rearm() {
-            let inbox = &self.inboxes[self.home(index)];
-            inbox.lock().unwrap().push((deadline, index as u32));
-        }
-    }
-
-    /// Where a frame for cluster-wide vnode `vnode` must be sent: a local
-    /// vnode's home socket, a foreign vnode's home socket in its shard's
-    /// published set, or `None` for an out-of-range id.
-    fn dest_addr(&self, vnode: usize) -> Option<SocketAddr> {
-        if let Some(local) = vnode.checked_sub(self.base) {
-            if local < self.nodes.len() {
-                return Some(self.addrs[self.home(local)]);
-            }
-        }
-        self.table.addr_of(vnode)
+    fn with_vnode<R>(&self, index: usize, f: impl FnOnce(&mut NodeStack) -> R) -> R {
+        // Checked before locking: a panic under the lock would poison it.
+        assert!(index < self.local.len(), "node index out of range");
+        let (slot, k) = (index / self.loops.len(), index % self.loops.len());
+        let mut homed = self.loops[k].lock().unwrap();
+        let result = f(&mut homed.nodes[slot].stack);
+        homed.rearm(slot);
+        result
     }
 }
 
@@ -698,7 +693,10 @@ impl MuxCluster {
     ///
     /// # Errors
     ///
-    /// Propagates socket errors (bind failure, timeout setup).
+    /// Propagates socket errors (bind failure, timeout setup);
+    /// [`io::ErrorKind::InvalidInput`] for a gossip directory whose
+    /// introducers lie outside the cluster, or a shard asked for more
+    /// loops than it publishes sockets.
     pub fn spawn(
         config: MuxClusterConfig,
         values: impl Fn(usize) -> f64,
@@ -719,82 +717,89 @@ impl MuxCluster {
         if let DirectorySpec::Gossip(gossip) = &directory {
             gossip.check_introducers(n)?;
         }
-        let (primary, table, local_range, local_shard) = match sharding {
-            None => {
-                let socket = UdpSocket::bind(("127.0.0.1", 0))?;
-                let addr = socket.local_addr()?;
-                (socket, PeerTable::single(n, addr), 0..n, 0)
-            }
-            Some((table, shard)) => {
-                let socket = UdpSocket::bind(table.shard_addr(shard))?;
-                let range = table.shard_range(shard);
-                (socket, table, range, shard)
-            }
-        };
-        let base = local_range.start;
-        // Core-aware loop count; explicit overrides win. Every published
-        // shard socket MUST be bound — other shards fan cross-shard frames
-        // across the full advertised set — so the count can only grow past
-        // the published set, never below.
+        // Core-aware loop count; explicit overrides win, clamped to the
+        // local vnode count.
         let cores = std::thread::available_parallelism()
             .map(usize::from)
             .unwrap_or(2);
-        let published = table.shard_sockets(local_shard).to_vec();
-        let loops = loops
-            .unwrap_or(cores.min(8))
-            .clamp(1, local_range.len())
-            .max(published.len());
-        // Loops beyond the published set bind ephemeral ports on the
-        // shard's advertised IP; cross-shard senders know nothing about
-        // them, so those loops receive only locally-homed traffic.
-        let mut sockets = vec![primary];
-        for addr in &published[1..] {
-            sockets.push(UdpSocket::bind(*addr)?);
-        }
-        for _ in published.len()..loops {
-            sockets.push(UdpSocket::bind((sockets[0].local_addr()?.ip(), 0))?);
-        }
-        let mut addrs = Vec::with_capacity(loops);
+        let wanted = |local: usize| loops.unwrap_or(cores.min(8)).clamp(1, local);
+        // A shard binds its published set, one loop each, and no more:
+        // other shards fan frames across exactly that set.
+        let (table, shard, sockets) = match sharding {
+            None => {
+                let sockets = (0..wanted(n))
+                    .map(|_| UdpSocket::bind(("127.0.0.1", 0)))
+                    .collect::<io::Result<Vec<_>>>()?;
+                let addrs = sockets.iter().map(UdpSocket::local_addr);
+                let set = addrs.collect::<io::Result<Vec<_>>>()?;
+                (PeerTable::split_sets(n, vec![set]), 0, sockets)
+            }
+            Some((table, shard)) => {
+                let published = table.shard_sockets(shard);
+                let loops = wanted(table.shard_range(shard).len());
+                if loops > published.len() {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidInput,
+                        format!(
+                            "{loops} loops for shard {shard}, which publishes {} sockets",
+                            published.len()
+                        ),
+                    ));
+                }
+                let sockets = published.iter().map(UdpSocket::bind);
+                let sockets = sockets.collect::<io::Result<Vec<_>>>()?;
+                (table, shard, sockets)
+            }
+        };
         for socket in &sockets {
             socket.set_read_timeout(Some(TICK))?;
-            addrs.push(socket.local_addr()?);
         }
+        let loops = sockets.len();
+        let local = table.shard_range(shard);
         let registry = Registry::new();
         // Bind the scrape endpoint before the protocol threads start, so
         // a bind failure leaks nothing.
         let metrics = metrics_addr
             .map(|addr| MetricsServer::bind(addr, registry.clone()))
             .transpose()?;
-        let mut spawn_stats = OnlineStats::new();
-        let nodes: Vec<Mutex<VNode>> = local_range
-            .clone()
-            .map(|global| {
-                let id = NodeId::new(global as u64);
-                let dir: Box<dyn PeerDirectory> = match &directory {
-                    DirectorySpec::Static => Box::new(StaticDirectory::id_routed(n, id, seed)),
-                    DirectorySpec::Gossip(g) => Box::new(GossipDirectory::id_routed(id, g, seed)),
-                };
-                let value = values(global);
-                spawn_stats.push(value);
-                let config = node_config.clone();
-                let mut stack =
-                    NodeStack::founder(id, config, value, seed, dir, query, registry.clone());
-                stack.set_trace_capacity(trace_capacity);
-                Mutex::new(VNode {
-                    stack,
-                    next_wake: u64::MAX,
-                })
+        let cycle = node_config.cycle_length().max(1);
+        let mut homed: Vec<Homed> = (0..loops)
+            .map(|_| Homed {
+                nodes: Vec::with_capacity(local.len().div_ceil(loops)),
+                wheel: TimerWheel::for_cycle(cycle),
             })
             .collect();
+        let mut spawn_stats = OnlineStats::new();
+        for global in local.clone() {
+            let id = NodeId::new(global as u64);
+            let dir: Box<dyn PeerDirectory> = match &directory {
+                DirectorySpec::Static => Box::new(StaticDirectory::id_routed(n, id, seed)),
+                DirectorySpec::Gossip(g) => Box::new(GossipDirectory::id_routed(id, g, seed)),
+            };
+            let value = values(global);
+            spawn_stats.push(value);
+            let config = node_config.clone();
+            let mut stack =
+                NodeStack::founder(id, config, value, seed, dir, query, registry.clone());
+            stack.set_trace_capacity(trace_capacity);
+            let home = &mut homed[(global - local.start) % loops];
+            home.nodes.push(VNode {
+                stack,
+                next_wake: u64::MAX,
+            });
+            // The first deadline (a gossip directory's is its join, due at
+            // once) is live before any thread or operator can reach the
+            // node: from here on `next_wake` always names a wheel entry.
+            home.rearm(home.nodes.len() - 1);
+        }
         let backend = &[("backend", io.as_str())];
         let shared = Arc::new(Shared {
-            addrs,
             io,
             stop: AtomicBool::new(false),
-            base,
+            local,
             table,
-            nodes,
-            inboxes: (0..loops).map(|_| Mutex::new(Vec::new())).collect(),
+            shard,
+            loops: homed.into_iter().map(Mutex::new).collect(),
             traffic: Traffic::new(&registry),
             recv_calls: registry.counter_with("io.recv_syscalls", backend),
             send_calls: registry.counter_with("io.send_syscalls", backend),
@@ -820,12 +825,6 @@ impl MuxCluster {
             registry,
             start: Instant::now(),
         });
-        // Park every node's first deadline (a gossip directory's is its
-        // join, due at once) before any thread or operator can reach it:
-        // from here on `next_wake` always names a live wheel entry.
-        for (i, node) in shared.nodes.iter().enumerate() {
-            shared.park(&mut node.lock().unwrap(), i);
-        }
 
         // Bind the client RPC listener (if any) before the protocol
         // threads start, so a bind failure leaks nothing.
@@ -836,14 +835,12 @@ impl MuxCluster {
         let rpc_addr = rpc_socket.as_ref().map(UdpSocket::local_addr).transpose()?;
 
         let mut threads = Vec::with_capacity(loops + usize::from(rpc_socket.is_some()));
-        let cycle = node_config.cycle_length().max(1);
         let spawned = (|| -> io::Result<()> {
             for (k, socket) in sockets.into_iter().enumerate() {
                 let loop_shared = Arc::clone(&shared);
                 let own = Loop {
                     k,
                     socket,
-                    wheel: TimerWheel::for_cycle(cycle),
                     packer: Packer::default(),
                     ran_since: Instant::now(),
                 };
@@ -892,12 +889,12 @@ impl MuxCluster {
     /// The shard's advertised socket address (loop 0's — the one the peer
     /// table publishes to other shards).
     pub fn addr(&self) -> SocketAddr {
-        self.shared.addrs[0]
+        self.shared.addrs()[0]
     }
 
     /// Number of loops this shard runs: one socket and one thread each.
     pub fn reader_count(&self) -> usize {
-        self.shared.addrs.len()
+        self.shared.loops.len()
     }
 
     /// The datagram I/O backend the cluster is moving bytes with.
@@ -924,13 +921,13 @@ impl MuxCluster {
 
     /// Number of virtual nodes hosted by THIS handle (the local shard).
     pub fn len(&self) -> usize {
-        self.shared.nodes.len()
+        self.shared.local.len()
     }
 
     /// Returns `true` if this handle hosts no nodes (never, by
     /// construction).
     pub fn is_empty(&self) -> bool {
-        self.shared.nodes.is_empty()
+        self.shared.local.is_empty()
     }
 
     /// Cluster-wide virtual-node count (across all shards).
@@ -964,11 +961,11 @@ impl Cluster for MuxCluster {
 
     fn node_id(&self, index: usize) -> NodeId {
         assert!(index < self.len(), "node index out of range");
-        NodeId::new((self.shared.base + index) as u64)
+        NodeId::new((self.shared.local.start + index) as u64)
     }
 
     fn addrs(&self) -> Vec<SocketAddr> {
-        self.shared.addrs.clone()
+        self.shared.addrs().to_vec()
     }
 
     /// The shard's registry — scrape it in-process with
@@ -979,10 +976,8 @@ impl Cluster for MuxCluster {
     }
 
     fn with_stack<R>(&self, index: usize, f: impl FnOnce(&mut NodeStack, u64) -> R) -> R {
-        let mut vnode = self.shared.vnode(index);
-        let result = f(&mut vnode.stack, self.shared.now_ms());
-        self.shared.park(&mut vnode, index);
-        result
+        self.shared
+            .with_vnode(index, |stack| f(stack, self.shared.now_ms()))
     }
 
     /// Also feeds the drained reports to the `epoch.*` convergence gauges.
@@ -1003,23 +998,22 @@ impl Drop for MuxCluster {
     }
 }
 
-/// What only loop `k`'s thread touches: its socket, the wheel its vnodes
-/// park in, and the packer their frames leave through.
+/// What only loop `k`'s thread touches: its socket and the packer its
+/// vnodes' frames leave through.
 #[derive(Debug)]
 struct Loop {
-    /// The loop's index — of its socket, inbox and `io.datagrams_received`
-    /// series, and of the vnodes it homes.
+    /// The loop's index — of its socket, its lock in [`Shared::loops`]
+    /// and its `io.datagrams_received` series.
     k: usize,
     socket: UdpSocket,
-    wheel: TimerWheel,
     packer: Packer,
     /// When the loop last blocked or yielded (see [`SLICE`]).
     ran_since: Instant,
 }
 
 /// Runs loop `own` until shutdown, one turn at a time: receive (waiting
-/// at most one [`TICK`]), step every frame inline, drain the park inbox,
-/// fire due wheel entries, flush. Loop 0 also samples view health.
+/// at most one [`TICK`]), step every frame inline, fire due wheel
+/// entries, flush. Each loop also samples view health from its vnodes.
 fn run_loop(shared: &Shared, mut own: Loop) {
     let mut batch = RecvBatch::new();
     let mut due: Vec<(u64, u32)> = Vec::new();
@@ -1048,29 +1042,29 @@ fn run_loop(shared: &Shared, mut own: Loop) {
             }
             Err(_) => {}
         }
-        let inbox = &shared.inboxes[own.k];
-        std::mem::swap(&mut due, &mut inbox.lock().unwrap());
-        for (deadline, node) in due.drain(..) {
-            own.wheel.schedule(deadline, node);
-        }
         let now = shared.now_ms();
-        own.wheel.advance_entries(now, |at, v| due.push((at, v)));
-        for (deadline, node) in due.drain(..) {
+        let home = &shared.loops[own.k];
+        home.lock()
+            .unwrap()
+            .wheel
+            .advance_entries(now, |at, slot| due.push((at, slot)));
+        for (deadline, slot) in due.drain(..) {
             shared.fire_lag.record(now.saturating_sub(deadline) * 1_000);
-            let index = node as usize;
-            let mut vnode = shared.vnode(index);
+            let (mut homed, slot) = (home.lock().unwrap(), slot as usize);
+            let vnode = &mut homed.nodes[slot];
             // An entry a moved deadline stranded steps nothing, as a stale
             // wake in `EventSim` does: no second timer chain.
             if deadline == vnode.next_wake {
-                vnode.next_wake = u64::MAX; // claimed: the step's park re-arms
-                own.step(shared, vnode, index, Input::Wake);
+                vnode.next_wake = u64::MAX; // claimed: the step re-arms
+                own.step(shared, homed, slot, Input::Wake);
             }
         }
         own.flush(shared);
         // A sampled gauge only needs to move on scrape timescales.
-        if own.k == 0 && now >= next_health {
+        if now >= next_health {
             next_health = now + 256;
-            sample_view_health(shared, now, &mut health_cursor);
+            let homed = home.lock().unwrap();
+            sample_view_health(shared, &homed.nodes, now, &mut health_cursor);
         }
     }
 }
@@ -1080,22 +1074,25 @@ impl Loop {
     fn deliver(&mut self, shared: &Shared, src: Option<SocketAddr>, datagram: &[u8]) {
         let [local, remote] = &shared.datagrams_received[self.k];
         match src {
-            Some(src) if !shared.addrs.contains(&src) => remote.inc(),
+            Some(src) if !shared.addrs().contains(&src) => remote.inc(),
             _ => local.inc(),
         }
         let Ok(frames) = decode_bundle(datagram) else {
             shared.decode_errors.inc();
             return; // not a bundle: drop, stay alive
         };
+        let loops = shared.loops.len();
         // Corrupt frames and a cut-off tail drop; the rest arrive.
         for frame in frames {
             let Ok((to, payload)) = frame else {
                 shared.decode_errors.inc();
                 continue;
             };
-            let local = to.index().checked_sub(shared.base);
-            // A foreign shard's vnode is misrouted: drop.
-            let Some(index) = local.filter(|&i| i < shared.nodes.len()) else {
+            // A frame for a vnode this socket does not home — a foreign
+            // shard's, or another loop's — is misrouted: drop.
+            let local = to.index().checked_sub(shared.local.start);
+            let homed_here = |&i: &usize| i < shared.local.len() && i % loops == self.k;
+            let Some(index) = local.filter(homed_here) else {
                 continue;
             };
             // Client RPC rides the dedicated listener socket (`rpc_loop`);
@@ -1104,42 +1101,38 @@ impl Loop {
                 continue;
             };
             shared.traffic.received(plane);
-            let vnode = shared.vnode(index);
-            self.step(shared, vnode, index, Input::Frame(&payload));
+            let homed = shared.loops[self.k].lock().unwrap();
+            self.step(shared, homed, index / loops, Input::Frame(&payload));
         }
     }
 
-    /// Steps local vnode `index`, whose lock the caller hands over,
-    /// encoding the frames it emits into this loop's packer. Then parks its
-    /// next deadline: straight into this wheel when the vnode is homed
-    /// here, through its home loop's inbox when a remote shard sent its
-    /// frame to this socket. Once the loop has stepped for a [`SLICE`]
-    /// since it last blocked, it yields — after unlocking.
+    /// Steps slot `slot` of this loop's vnodes, under the loop lock the
+    /// caller hands over, encoding the frames it emits into this loop's
+    /// packer, and re-arms its next deadline into this loop's wheel. Once
+    /// the loop has stepped for a [`SLICE`] since it last blocked, it
+    /// yields — after unlocking.
     fn step(
         &mut self,
         shared: &Shared,
-        mut vnode: MutexGuard<'_, VNode>,
-        index: usize,
+        mut homed: MutexGuard<'_, Homed>,
+        slot: usize,
         input: Input<'_>,
     ) {
         let (packer, now) = (&mut self.packer, shared.now_ms());
-        vnode.stack.step(input, now, |to, frame, plane| {
+        let stack = &mut homed.nodes[slot].stack;
+        stack.step(input, now, |to, frame, plane| {
             // An id outside the peer table has no socket: drop the frame.
-            let Some(target) = shared.dest_addr(to.index()) else {
+            let Some(target) = shared.table.addr_of(to.index()) else {
                 return;
             };
             let bytes = packer.push(target, to, &frame, plane);
             shared.convergence.count(&frame, bytes);
         });
         // Completed query epochs feed the per-query drift gauges.
-        let query_epochs = vnode.stack.take_query_epochs();
+        let query_epochs = stack.take_query_epochs();
         shared.convergence.observe_query_epochs(&query_epochs);
-        if shared.home(index) != self.k {
-            shared.park(&mut vnode, index);
-        } else if let Some(deadline) = vnode.rearm() {
-            self.wheel.schedule(deadline, index as u32);
-        }
-        drop(vnode);
+        homed.rearm(slot);
+        drop(homed);
         if self.ran_since.elapsed() >= SLICE {
             std::thread::yield_now();
             self.ran_since = Instant::now();
@@ -1161,21 +1154,16 @@ impl Loop {
     }
 }
 
-/// Samples the `membership.view_*` health pair from one vnode's
-/// directory per call (round-robin, skipping vnodes another thread holds
-/// locked — a gauge sample must never stall the protocol path).
-fn sample_view_health(shared: &Shared, now: u64, health_cursor: &mut usize) {
-    for _ in 0..shared.nodes.len().min(8) {
-        let index = *health_cursor % shared.nodes.len();
-        *health_cursor += 1;
-        let Ok(vnode) = shared.nodes[index].try_lock() else {
-            continue;
-        };
-        if let Some(health) = vnode.stack.view_health(now) {
-            shared.view_mean_size.set(health.mean_size);
-            shared.view_dead_fraction.set(health.dead_entry_fraction);
-        }
-        break;
+/// Samples the `membership.view_*` health pair from one of a loop's
+/// vnodes per call, round-robin.
+fn sample_view_health(shared: &Shared, nodes: &[VNode], now: u64, health_cursor: &mut usize) {
+    let Some(vnode) = nodes.get(*health_cursor % nodes.len().max(1)) else {
+        return; // a published socket with no vnode to home
+    };
+    *health_cursor += 1;
+    if let Some(health) = vnode.stack.view_health(now) {
+        shared.view_mean_size.set(health.mean_size);
+        shared.view_dead_fraction.set(health.dead_entry_fraction);
     }
 }
 
@@ -1197,14 +1185,11 @@ fn rpc_loop(shared: &Shared, socket: &UdpSocket) {
             shared.decode_errors.inc();
             continue; // not a client request: drop, stay alive
         };
-        let index = next % shared.nodes.len();
+        let index = next % shared.local.len();
         next = next.wrapping_add(1);
-        let mut vnode = shared.vnode(index);
-        let response = vnode.stack.rpc(&request, shared.now_ms());
-        // An install or a remove moved the plane's gossip deadline; the
-        // park reaches the vnode's loop through its inbox.
-        shared.park(&mut vnode, index);
-        drop(vnode);
+        // An install or a remove moves the plane's gossip deadline: the
+        // re-arm lands in the vnode's home wheel.
+        let response = shared.with_vnode(index, |stack| stack.rpc(&request, shared.now_ms()));
         shared.traffic.rpc(&response);
         let _ = socket.send_to(&encode_rpc_response(&response), src);
     }
@@ -1587,6 +1572,65 @@ mod tests {
         assert!(local > 0, "shard 1's own vnodes never exchanged");
         // The unlabelled read every other consumer does sums the series.
         assert!(total >= remote[0] + remote[1] + local);
+    }
+
+    #[test]
+    fn a_shard_asked_for_more_loops_than_it_publishes_fails_spawn() {
+        // Two vnodes and one published socket per shard: a second loop
+        // would need a socket no other shard sends to.
+        let table = PeerTable::loopback_split(4, 2).unwrap();
+        let config = MuxClusterConfig::sharded(table, 0, node_config(4, 30)).with_readers(2);
+        let err = MuxCluster::spawn(config, |_| 0.0).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(
+            err.to_string(),
+            "2 loops for shard 0, which publishes 1 sockets"
+        );
+    }
+
+    #[test]
+    fn a_frame_at_a_socket_that_is_not_its_vnodes_home_is_dropped() {
+        // Two vnodes on two loops and a ten-minute cycle: neither vnode
+        // sends or receives a frame of its own inside this test.
+        let cluster = MuxCluster::spawn(
+            MuxClusterConfig::new(2, node_config(10, 600_000)).with_readers(2),
+            |i| i as f64,
+        )
+        .unwrap();
+        let addrs = Cluster::addrs(&cluster);
+        // A request from vnode 1 for vnode 0, whose home is socket 0.
+        let request = Message::request(NodeId::new(1), 0, vec![InstanceState::Scalar(1.0)]);
+        let mut bundle = Vec::new();
+        push_bundle_frame(
+            &mut bundle,
+            NodeId::new(0),
+            &WireFrame::Aggregation(&request),
+        );
+        let registry = cluster.registry();
+        let arrived = |socket: usize| {
+            let labels = [("socket", &*socket.to_string()), ("origin", "remote")];
+            registry
+                .counter_with("io.datagrams_received", &labels)
+                .get()
+        };
+        let frames = |name| registry.counter_value(name);
+        let wait_for = |done: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while !done() {
+                assert!(Instant::now() < deadline, "timed out");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        };
+        let client = UdpSocket::bind("127.0.0.1:0").unwrap();
+        client.send_to(&bundle, addrs[1]).unwrap();
+        wait_for(&|| arrived(1) == 1);
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(frames("io.frames_received"), 0, "a misrouted frame arrived");
+        assert_eq!(frames("io.frames_sent"), 0, "a misrouted frame was stepped");
+        // The same bundle at the home socket is stepped and answered.
+        client.send_to(&bundle, addrs[0]).unwrap();
+        wait_for(&|| frames("io.frames_received") >= 1 && frames("io.frames_sent") >= 1);
+        cluster.shutdown();
     }
 
     #[test]

@@ -337,12 +337,6 @@ impl MembershipNode {
         self.record(TraceKind::ViewMerge, from, descriptors.len() as u64);
     }
 
-    /// Drops a peer that failed to answer (timeout eviction; optional
-    /// hardening, see `Overlay::set_evict_on_timeout`).
-    pub fn evict(&mut self, peer: u32) -> bool {
-        self.view.remove(peer)
-    }
-
     /// Local tick of the next gossip cycle.
     pub fn next_cycle_at(&self) -> u64 {
         self.next_cycle_at
@@ -620,14 +614,6 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(a.sample_peer(), Some(1));
         }
-    }
-
-    #[test]
-    fn evict_removes_peer() {
-        let (mut a, _) = two_bootstrapped();
-        assert!(a.evict(1));
-        assert!(!a.evict(1));
-        assert!(a.view().is_empty());
     }
 
     #[test]

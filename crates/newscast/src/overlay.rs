@@ -39,7 +39,6 @@ pub struct Overlay {
     alive: Vec<bool>,
     alive_count: usize,
     permutation: Vec<u32>,
-    evict_on_timeout: bool,
 }
 
 impl Overlay {
@@ -67,20 +66,7 @@ impl Overlay {
             alive: vec![true; n],
             alive_count: n,
             permutation: Vec::new(),
-            evict_on_timeout: false,
         }
-    }
-
-    /// Enables eviction of unresponsive peers: when an exchange times out
-    /// (the selected peer is crashed), the initiator drops that
-    /// descriptor immediately instead of waiting for it to age out.
-    ///
-    /// The original protocol relies purely on freshness-based age-out;
-    /// eviction is a common deployment hardening that speeds up healing
-    /// after crash waves at the cost of occasionally dropping a peer that
-    /// was only transiently unreachable.
-    pub fn set_evict_on_timeout(&mut self, enabled: bool) {
-        self.evict_on_timeout = enabled;
     }
 
     /// View size parameter `c`.
@@ -169,12 +155,7 @@ impl Overlay {
                 continue;
             };
             if !self.alive[peer] {
-                // Timeout: the descriptor ages out naturally, or is
-                // dropped right away when eviction is enabled.
-                if self.evict_on_timeout {
-                    self.views[initiator].remove(peer as u32);
-                }
-                continue;
+                continue; // timeout: the descriptor ages out naturally
             }
             self.exchange(initiator, peer, now);
             exchanges += 1;
@@ -348,41 +329,6 @@ mod tests {
         overlay.crash(0);
         assert_eq!(overlay.sample_neighbor(0, &mut r), None);
         assert!(overlay.sample_neighbor(1, &mut r).is_some());
-    }
-
-    #[test]
-    fn eviction_speeds_up_healing() {
-        let dead_fraction_after = |evict: bool| -> f64 {
-            let mut r = rng(31);
-            let mut overlay = Overlay::random_init(400, 20, &mut r);
-            overlay.set_evict_on_timeout(evict);
-            for cycle in 1..=5 {
-                overlay.run_cycle(cycle, &mut r);
-            }
-            for node in 0..200 {
-                overlay.crash(node);
-            }
-            for cycle in 6..=12 {
-                overlay.run_cycle(cycle, &mut r);
-            }
-            let mut dead = 0usize;
-            let mut total = 0usize;
-            for node in 200..400 {
-                for d in overlay.view(node).entries() {
-                    total += 1;
-                    if !overlay.is_alive(d.node as usize) {
-                        dead += 1;
-                    }
-                }
-            }
-            dead as f64 / total as f64
-        };
-        let without = dead_fraction_after(false);
-        let with = dead_fraction_after(true);
-        assert!(
-            with < without,
-            "eviction should heal faster: {without} -> {with}"
-        );
     }
 
     #[test]

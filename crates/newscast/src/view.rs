@@ -165,15 +165,6 @@ impl View {
         }
     }
 
-    /// Removes the descriptor of `node`, if present. Returns whether an
-    /// entry was removed. Used by deployments that evict unresponsive peers
-    /// immediately instead of waiting for age-out.
-    pub fn remove(&mut self, node: u32) -> bool {
-        let before = self.entries.len();
-        self.entries.retain(|d| d.node != node);
-        before != self.entries.len()
-    }
-
     /// Timestamp of the freshest entry, or `None` if empty.
     pub fn freshest(&self) -> Option<u32> {
         self.entries.first().map(|d| d.timestamp)
@@ -309,14 +300,6 @@ mod tests {
             "clamped entry failed to age out: {:?}",
             v.entries()
         );
-    }
-
-    #[test]
-    fn remove_existing_and_missing() {
-        let mut v = view_of(3, &[(1, 5), (2, 7)]);
-        assert!(v.remove(1));
-        assert!(!v.remove(1));
-        assert_eq!(v.len(), 1);
     }
 
     #[test]

@@ -54,10 +54,9 @@ use epidemic_net::codec::{WireFrame, WirePayload};
 use epidemic_net::directory::GossipDirectoryConfig;
 use epidemic_net::stack::{Convergence, Input, NodeStack, Plane, Traffic};
 use epidemic_query::{QueryEstimate, QueryPlaneConfig, RpcRequest, RpcResponse, RpcStatus};
-use epidemic_telemetry::{write_snapshot, Counter, Gauge, Registry, TraceEvent};
+use epidemic_telemetry::{Counter, Gauge, Registry, TraceEvent};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// How the event engine realizes `OverlaySpec::Newscast`.
@@ -102,10 +101,6 @@ pub struct EventConfig {
     /// enabled, the drained events come back in
     /// [`EventOutcome::traces`].
     pub trace_capacity: usize,
-    /// Periodic Prometheus-text snapshots of the sim's metrics registry
-    /// (this engine's stand-in for the wire runtimes' `/metrics`
-    /// endpoint); `None` still populates [`EventOutcome::registry`].
-    pub snapshot: Option<SnapshotSpec>,
     /// Query-plane tuning shared by every node (catalog gossip cadence,
     /// rumor boost, COUNT concurrency).
     pub query: QueryPlaneConfig,
@@ -133,16 +128,6 @@ pub struct QueryAction {
     pub request: RpcRequest,
 }
 
-/// Where and how often [`EventConfig::snapshot`] writes the registry.
-#[derive(Debug, Clone)]
-pub struct SnapshotSpec {
-    /// Destination file, atomically replaced on every write.
-    pub path: PathBuf,
-    /// Global-tick interval between writes (a final snapshot is always
-    /// written when the run ends).
-    pub every_ticks: u64,
-}
-
 impl Default for EventConfig {
     fn default() -> Self {
         EventConfig {
@@ -159,7 +144,6 @@ impl Default for EventConfig {
             duration: 40_000,
             membership: MembershipModel::Gossip,
             trace_capacity: 0,
-            snapshot: None,
             query: QueryPlaneConfig::default(),
             query_script: Vec::new(),
         }
@@ -445,8 +429,6 @@ pub struct EventSim {
     /// gauges move while the run is live; merged with the final drain
     /// into [`EventOutcome::reports`].
     collected: Vec<Vec<EpochReport>>,
-
-    next_snapshot: u64,
     registry: Registry,
     /// `sim.live_nodes` — population size after the failure schedule.
     live_gauge: Gauge,
@@ -524,7 +506,6 @@ impl EventSim {
         let drifts: Vec<f64> = (0..n)
             .map(|_| 1.0 + config.drift * (2.0 * rng.next_f64() - 1.0))
             .collect();
-        let every_ticks = |spec: &SnapshotSpec| spec.every_ticks.max(1);
 
         let mut sim = EventSim {
             config: config.clone(),
@@ -555,7 +536,6 @@ impl EventSim {
             wake_at: vec![u64::MAX; n],
             entries: HashMap::from([(0, (0, 0))]),
             collected: (0..n).map(|_| Vec::new()).collect(),
-            next_snapshot: config.snapshot.as_ref().map_or(u64::MAX, every_ticks),
             live_gauge: registry.gauge("sim.live_nodes"),
             events: EVENT_CLASSES
                 .map(|kind| registry.counter_with("sim.events", &[("kind", kind)])),
@@ -747,12 +727,6 @@ impl EventSim {
 
     fn dispatch(&mut self, event: Event) {
         let at = event.at;
-        // Periodic registry snapshot (next_snapshot is u64::MAX when no
-        // snapshot sink is configured).
-        while let (true, Some(spec)) = (self.next_snapshot <= at, &self.config.snapshot) {
-            let _ = write_snapshot(&spec.path, &self.registry);
-            self.next_snapshot = self.next_snapshot.saturating_add(spec.every_ticks.max(1));
-        }
         if let Some(class) = event.kind.class() {
             self.events[class].inc();
         }
@@ -825,11 +799,6 @@ impl EventSim {
         }
         self.live_gauge.set(live_sorted.len() as f64);
         let traces = self.stacks.iter_mut().map(NodeStack::take_trace).collect();
-        // Final snapshot so a configured sink always ends with the
-        // completed run's gauges.
-        if let Some(spec) = &self.config.snapshot {
-            let _ = write_snapshot(&spec.path, &self.registry);
-        }
         let mut epoch_entries: Vec<(u64, u64, u64)> = self
             .entries
             .into_iter()
@@ -1749,21 +1718,5 @@ mod tests {
         let read = &a.query_responses[2];
         assert_eq!(read.status, RpcStatus::Ok);
         assert!(read.estimate > 4.0 - 1.0, "read estimate {}", read.estimate);
-    }
-
-    #[test]
-    fn snapshot_sink_writes_prometheus_text() {
-        let path =
-            std::env::temp_dir().join(format!("epidemic-sim-snapshot-{}.prom", std::process::id()));
-        let mut cfg = base_config();
-        cfg.snapshot = Some(SnapshotSpec {
-            path: path.clone(),
-            every_ticks: 10_000,
-        });
-        cfg.run(1);
-        let text = std::fs::read_to_string(&path).expect("snapshot file written");
-        let _ = std::fs::remove_file(&path);
-        assert!(text.contains("agg_exchanges"), "snapshot:\n{text}");
-        assert!(text.contains("epoch_variance_reduction_rho"));
     }
 }

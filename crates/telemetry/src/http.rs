@@ -1,29 +1,19 @@
-//! Hand-rolled `/metrics` HTTP endpoint and snapshot writer.
+//! Hand-rolled `/metrics` HTTP endpoint.
 //!
 //! The build is offline (no HTTP crates), so [`MetricsServer`] is a
 //! minimal std-only HTTP/1.1 responder: one background thread, a
 //! non-blocking accept loop polled every few milliseconds, and a
 //! Prometheus text response rendered fresh from the [`Registry`] per
-//! request. Engines without a listening socket (the simulator) use
-//! [`write_snapshot`] on a cadence instead.
+//! request. Engines without a listening socket (the simulator) hand
+//! their registry back instead ([`Registry::render_prometheus`] renders
+//! the same text).
 
 use crate::registry::Registry;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Writes the registry's Prometheus text rendering to `path`,
-/// overwriting the previous snapshot.
-///
-/// # Errors
-///
-/// Propagates file I/O errors.
-pub fn write_snapshot(path: &Path, registry: &Registry) -> io::Result<()> {
-    std::fs::write(path, registry.render_prometheus())
-}
 
 /// A background `/metrics` endpoint serving one [`Registry`].
 ///
@@ -158,20 +148,5 @@ mod tests {
         assert!(get(server.addr(), "/metrics").contains("agg_exchanges 13"));
         assert!(get(server.addr(), "/other").starts_with("HTTP/1.1 404"));
         server.shutdown();
-    }
-
-    #[test]
-    fn snapshot_writer_overwrites() {
-        let registry = Registry::new();
-        registry.gauge("epoch.variance_reduction_rho").set(0.25);
-        let dir = std::env::temp_dir().join("epidemic-telemetry-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snapshot.prom");
-        write_snapshot(&path, &registry).unwrap();
-        registry.gauge("epoch.variance_reduction_rho").set(0.5);
-        write_snapshot(&path, &registry).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("epoch_variance_reduction_rho 0.5"), "{text}");
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -18,8 +18,7 @@
 //!   runtimes are instrumented once; exported as JSONL for post-mortem
 //!   analysis of any failed run.
 //! * [`http`] — a hand-rolled (std-only) Prometheus-text `/metrics`
-//!   HTTP endpoint ([`MetricsServer`]) plus a snapshot writer
-//!   ([`write_snapshot`]) for engines without a listening socket.
+//!   HTTP endpoint ([`MetricsServer`]).
 //! * [`ViewHealth`] — the engine-independent membership health snapshot
 //!   (mean view fill, dead-entry fraction), shared by the sim's
 //!   population summaries and the wire `GossipDirectory`.
@@ -36,7 +35,7 @@ pub mod http;
 pub mod registry;
 pub mod trace;
 
-pub use http::{write_snapshot, MetricsServer};
+pub use http::MetricsServer;
 pub use registry::{bucket_bounds, bucket_index, Counter, Gauge, Histogram, Registry};
 pub use trace::{write_jsonl, TraceEvent, TraceKind, TraceRing};
 

@@ -26,9 +26,11 @@
 //!     --n 100000 --readers 4 --cycle-ms 2000 --gamma 10 --average --secs 30
 //!
 //! # the same cluster split across two processes / hosts: run one shard
-//! # per process, all with the same --hosts list (shard order)
+//! # per process, all with the same --hosts list (shard order); with
+//! # --readers k every host publishes k consecutive ports from the listed
+//! # one (7000..7003 below), one loop each
 //! cargo run --release --example mux_cluster -- --hosts 10.0.0.1:7000,10.0.0.2:7000 --shard 0/2
-//! cargo run --release --example mux_cluster -- --hosts 10.0.0.1:7000,10.0.0.2:7000 --shard 1/2
+//! cargo run --release --example mux_cluster -- --hosts 10.0.0.1:7000,10.0.0.2:7000 --shard 1/2 --readers 4
 //!
 //! # NEWSCAST membership instead of the static table (vnode 0 introduces)
 //! cargo run --release --example mux_cluster -- --gossip
@@ -40,9 +42,10 @@
 //! # ...then, from another terminal:
 //! curl -s http://127.0.0.1:9184/metrics
 //!
-//! # CI smoke: a small 2-shard cluster over loopback in one process
-//! # (combines with --readers / --io to smoke those paths); the smoke
-//! # run always self-scrapes /metrics and fails on dead telemetry
+//! # CI smoke: a small 2-shard cluster over loopback in one process, 2
+//! # loops per shard (combines with --readers k for k loops per shard and
+//! # --io to smoke those paths); the smoke run always self-scrapes
+//! # /metrics and fails on dead telemetry
 //! cargo run --release --example mux_cluster -- --smoke
 //!
 //! # multi-tenant query plane: serve client RPC on a UDP port; with
@@ -212,6 +215,23 @@ fn node_config(args: &Args) -> Result<NodeConfig, Box<dyn std::error::Error>> {
         });
     }
     Ok(builder.build()?)
+}
+
+/// The published socket set of every `--hosts` entry: `--readers k`
+/// consecutive ports from the listed one (one without the flag).
+fn host_sets(hosts: &[SocketAddr], readers: Option<usize>) -> Result<Vec<Vec<SocketAddr>>, String> {
+    let readers = readers.unwrap_or(1);
+    let port = |host: &SocketAddr, j: usize| {
+        let port = u16::try_from(j)
+            .ok()
+            .and_then(|j| host.port().checked_add(j));
+        port.map(|port| SocketAddr::new(host.ip(), port))
+            .ok_or_else(|| format!("--hosts {host}: {readers} ports run past 65535"))
+    };
+    hosts
+        .iter()
+        .map(|host| (0..readers).map(|j| port(host, j)).collect())
+        .collect()
 }
 
 /// Applies the I/O-layout flags (`--readers` sets the loop count, `--io`)
@@ -480,7 +500,8 @@ fn report(label: &str, cluster: &MuxCluster, truth_avg: f64, n: usize) -> Option
     mean
 }
 
-/// `--smoke`: a small 2-shard cluster over loopback in one process; used
+/// `--smoke`: a small 2-shard cluster over loopback in one process, each
+/// shard publishing `--readers` sockets (default 2), one loop each; used
 /// by CI to keep the cross-socket sharding path from rotting (combined
 /// with `--readers` / `--io` it smokes the multi-loop socket set and
 /// the portable fallback too, and with `--gossip` the cross-shard
@@ -489,9 +510,10 @@ fn report(label: &str, cluster: &MuxCluster, truth_avg: f64, n: usize) -> Option
 /// failing if the load-bearing telemetry series are absent or zero.
 /// Exits with an error if the shards fail to converge.
 fn run_smoke(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+    let readers = args.readers.unwrap_or(2);
     let smoke_args = Args {
         n: 64,
-        readers: Some(args.readers.unwrap_or(2)),
+        readers: Some(readers),
         io: args.io,
         cycle_ms: args.cycle_ms,
         gamma: args.gamma,
@@ -512,11 +534,11 @@ fn run_smoke(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let n = smoke_args.n;
     let truth = (n as f64 + 1.0) / 2.0; // values 1..=n
     let config = node_config(&smoke_args)?;
-    let table = PeerTable::loopback_split(n, 2)?;
+    let table = PeerTable::loopback_split_readers(n, 2, readers)?;
     println!(
-        "smoke: {n} vnodes over 2 loopback shards ({} and {})",
-        table.shard_addr(0),
-        table.shard_addr(1)
+        "smoke: {n} vnodes over 2 loopback shards ({:?} and {:?})",
+        table.shard_sockets(0),
+        table.shard_sockets(1)
     );
     let shards = [
         MuxCluster::spawn(
@@ -698,11 +720,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             )?
         }
         Some((k, m)) => {
-            let table = PeerTable::split(args.n, args.hosts.clone());
+            let table = PeerTable::split_sets(args.n, host_sets(&args.hosts, args.readers)?);
             println!(
-                "spawning shard {k}/{m}: vnodes {:?} on {}...",
+                "spawning shard {k}/{m}: vnodes {:?} on {:?}...",
                 table.shard_range(k),
-                table.shard_addr(k)
+                table.shard_sockets(k)
             );
             MuxCluster::spawn(
                 with_query_flags(

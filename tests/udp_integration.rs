@@ -470,19 +470,16 @@ fn conformance_convergence_agrees_at_n256() {
     let mux_mean = check("mux", reports_by_id(&mux));
     mux.shutdown();
 
-    let table = PeerTable::loopback_split(n, 2).unwrap();
+    // Two shards of two loops each: a shard runs its published set.
+    let table = PeerTable::loopback_split_readers(n, 2, 2).unwrap();
     let shards = [
         MuxCluster::spawn(
-            MuxClusterConfig::sharded(table.clone(), 0, make_config())
-                .with_seed(seed)
-                .with_workers(2),
+            MuxClusterConfig::sharded(table.clone(), 0, make_config()).with_seed(seed),
             |i| i as f64,
         )
         .unwrap(),
         MuxCluster::spawn(
-            MuxClusterConfig::sharded(table, 1, make_config())
-                .with_seed(seed)
-                .with_workers(2),
+            MuxClusterConfig::sharded(table, 1, make_config()).with_seed(seed),
             |i| i as f64,
         )
         .unwrap(),
