@@ -7,7 +7,7 @@
 
 use epidemic_aggregation::{AggregateKind, EpochReport, InstanceSpec, Message, NodeConfig};
 use epidemic_common::NodeId;
-use epidemic_net::codec::{decode_datagram, WireFrame};
+use epidemic_net::codec::{decode_datagram, WireFrame, WirePayload};
 use epidemic_net::directory::{
     DirectoryPayload, GossipDirectory, GossipDirectoryConfig, PeerDirectory, Piggyback,
     StaticDirectory,
@@ -29,10 +29,12 @@ struct Sent {
 }
 
 /// An id-routed cluster with zero-latency, lossless, in-order delivery.
-struct Net {
-    stacks: Vec<NodeStack>,
+struct Net<D = Box<dyn PeerDirectory>> {
+    stacks: Vec<NodeStack<D>>,
     queue: VecDeque<(usize, Vec<u8>)>,
     sent: Vec<Sent>,
+    /// Every frame handed to a sink, as `(destination, encoded bytes)`.
+    wire: Vec<(usize, Vec<u8>)>,
     now: u64,
 }
 
@@ -48,20 +50,29 @@ fn node_config(gamma: u32) -> NodeConfig {
 
 impl Net {
     fn new(n: usize, gamma: u32, seed: u64, gossip: Option<&GossipDirectoryConfig>) -> Net {
+        Net::with(n, gamma, seed, |id| -> Box<dyn PeerDirectory> {
+            match gossip {
+                Some(g) => Box::new(GossipDirectory::id_routed(id, g, seed)),
+                None => Box::new(StaticDirectory::id_routed(n, id, seed)),
+            }
+        })
+    }
+}
+
+impl<D: PeerDirectory> Net<D> {
+    /// `n` founders, node `i` holding the value `i` and the directory
+    /// `directory(i)`.
+    fn with(n: usize, gamma: u32, seed: u64, directory: impl Fn(NodeId) -> D) -> Net<D> {
         let config = node_config(gamma);
         let stacks = (0..n)
             .map(|i| {
                 let id = NodeId::new(i as u64);
-                let directory: Box<dyn PeerDirectory> = match gossip {
-                    Some(g) => Box::new(GossipDirectory::id_routed(id, g, seed)),
-                    None => Box::new(StaticDirectory::id_routed(n, id, seed)),
-                };
                 let mut stack = NodeStack::founder(
                     id,
                     config.clone(),
                     i as f64,
                     seed,
-                    directory,
+                    directory(id),
                     QueryPlaneConfig::default(),
                     Registry::disabled(),
                 );
@@ -73,6 +84,7 @@ impl Net {
             stacks,
             queue: VecDeque::new(),
             sent: Vec::new(),
+            wire: Vec::new(),
             now: 0,
         };
         // Prime every node, as a runtime does at spawn.
@@ -86,11 +98,12 @@ impl Net {
     /// every push-pull exchange completes before the next one starts.
     fn step(&mut self, i: usize, input: Input<'_>) {
         let woke = matches!(input, Input::Wake);
-        let (now, queue, sent) = (self.now, &mut self.queue, &mut self.sent);
+        let (now, queue, sent, wire) = (self.now, &mut self.queue, &mut self.sent, &mut self.wire);
         self.stacks[i].step(input, now, |to, frame, plane| {
             let bytes = frame.encode();
             assert_eq!(bytes.len(), frame.encoded_len());
             sent.push(Sent { at: now, plane });
+            wire.push((to.index(), bytes.clone()));
             queue.push_back((to.index(), bytes));
         });
         if woke {
@@ -207,6 +220,76 @@ fn gossip_cluster_bootstraps_from_one_introducer_and_trailers_go_quiet() {
     let late_trailers = net.count(2 * horizon / 3, horizon, is_piggybacked);
     assert_eq!(late_trailers, 0, "trailers never went quiet");
     assert!(net.count(2 * horizon / 3, horizon, |p| p == Plane::Aggregation) > 0);
+}
+
+/// FNV-1a over `bytes`, continuing from `hash`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    let step = |h: u64, &b: &u8| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+    bytes.iter().fold(hash, step)
+}
+
+/// Pins gossiped membership to the byte. Sixteen stacks bootstrap from one
+/// introducer and gossip for 80 cycles, once with delta views, a view of
+/// six and a knowledge LRU of four partners (so entries are evicted and
+/// records trimmed), once with full views. Every frame a sink emits, as
+/// its destination and its encoded bytes, and every stack's final view
+/// fold into one hash: a refactor of the membership plane must leave it
+/// where it is.
+#[test]
+fn gossiped_membership_frames_and_views_hash_to_a_pinned_constant() {
+    let legs = [
+        GossipDirectoryConfig::new(6, CYCLE)
+            .with_introducer_node(0)
+            .with_knowledge_peers(4),
+        GossipDirectoryConfig::new(8, CYCLE)
+            .with_introducer_node(0)
+            .with_full_views(),
+    ];
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    // [join, introduce, full view, delta view, trailer] frames per leg.
+    let mut kinds = [[0usize; 5]; 2];
+    for (leg, gossip) in legs.iter().enumerate() {
+        let seed = 17 + leg as u64;
+        let mut net = Net::with(16, 10, seed, |id| {
+            GossipDirectory::id_routed(id, gossip, seed)
+        });
+        net.run(80 * CYCLE);
+        for (to, bytes) in &net.wire {
+            hash = fnv1a(hash, &(*to as u64).to_le_bytes());
+            hash = fnv1a(hash, &(bytes.len() as u64).to_le_bytes());
+            hash = fnv1a(hash, bytes);
+            let kind = match decode_datagram(bytes).unwrap() {
+                WirePayload::Directory(DirectoryPayload::Join { .. }) => 0,
+                WirePayload::Directory(DirectoryPayload::Introduce { .. }) => 1,
+                WirePayload::Directory(DirectoryPayload::View { delta, .. }) => {
+                    2 + usize::from(delta)
+                }
+                WirePayload::Piggybacked(..) => 4,
+                _ => continue,
+            };
+            kinds[leg][kind] += 1;
+        }
+        for stack in &net.stacks {
+            let view = stack.directory().view().entries();
+            hash = fnv1a(hash, &(view.len() as u64).to_le_bytes());
+            for d in view {
+                hash = fnv1a(hash, &d.node.to_le_bytes());
+                hash = fnv1a(hash, &d.timestamp.to_le_bytes());
+            }
+        }
+    }
+    let [deltas, full] = kinds;
+    assert_eq!(
+        (deltas[0], deltas[1]),
+        (15, 15),
+        "one join each: {deltas:?}"
+    );
+    assert!(deltas[2..].iter().all(|&k| k > 0), "delta leg: {deltas:?}");
+    assert_eq!((full[3], full[4]), (0, 0), "full-view leg: {full:?}");
+    assert_eq!(
+        hash, 17_251_383_622_229_152_934,
+        "membership frames or views moved"
+    );
 }
 
 #[test]
