@@ -118,11 +118,10 @@
 //! (`crates/ledger`), which compiles against them; no runtime emits the
 //! v2 prefix.
 
-use crate::directory::{DirectoryPayload, IntroduceEntry, Piggyback};
+use crate::directory::{DirectoryPayload, IntroduceEntry, Piggyback, ViewPayload};
 use epidemic_aggregation::value::InstanceMap;
 use epidemic_aggregation::{InstanceState, Message, MessageBody};
 use epidemic_common::NodeId;
-use epidemic_newscast::node::ViewPayload;
 use epidemic_newscast::Descriptor;
 use epidemic_query::descriptor::{kind_code, kind_from_code, AdmissionConfig, MAX_NAME_LEN};
 use epidemic_query::{CatalogEntry, QueryDescriptor, RpcRequest, RpcResponse, RpcStatus};

@@ -13,10 +13,12 @@
 //! * [`StaticDirectory`] — the classic static peer table. Draws are the
 //!   deterministic `(seed, id, initiated-exchange count)` stream the
 //!   same-seed parity tests rely on.
-//! * [`GossipDirectory`] — one NEWSCAST [`MembershipNode`] per node.
-//!   Views travel as codec tags 4/5 (full) or 8/9 (deltas: only the
-//!   descriptors the partner is believed to lack, with a periodic
-//!   full-view anti-entropy fallback), bootstrap as
+//! * [`GossipDirectory`] — the whole NEWSCAST node (Section 4.4): the
+//!   partial view, what each recent partner is believed to hold, the
+//!   piggyback budget and the join state, in one type. Views travel as
+//!   codec tags 4/5 (full) or 8/9 (deltas: only the descriptors the
+//!   partner is believed to lack, with a periodic full-view
+//!   anti-entropy fallback) in a [`ViewPayload`], bootstrap as
 //!   [`DirectoryPayload::Join`] (tag 6) / [`DirectoryPayload::Introduce`]
 //!   (tag 7): a joiner contacts an *introducer*, which answers with a
 //!   snapshot of its view. Join frames are retried with exponential
@@ -42,9 +44,9 @@
 use epidemic_aggregation::node::PeerSampler;
 use epidemic_common::rng::Xoshiro256;
 use epidemic_common::NodeId;
-use epidemic_newscast::node::{MembershipConfig, MembershipNode, ViewPayload};
-use epidemic_newscast::Descriptor;
+use epidemic_newscast::{Descriptor, View};
 use epidemic_telemetry::{TraceEvent, TraceKind, TraceRing, ViewHealth};
+use std::cmp::Reverse;
 use std::fmt;
 use std::io;
 use std::net::SocketAddr;
@@ -353,7 +355,7 @@ impl GossipDirectoryConfig {
             cycle_length,
             introducers: Vec::new(),
             delta_views: true,
-            knowledge_peers: MembershipConfig::new(view_size, cycle_length).knowledge_peers,
+            knowledge_peers: KNOWLEDGE_PEERS,
         }
     }
 
@@ -397,26 +399,82 @@ impl GossipDirectoryConfig {
     }
 }
 
-/// NEWSCAST-gossiped membership: `GETNEIGHBOR()` from a live partial
+/// One node's NEWSCAST protocol: `GETNEIGHBOR()` from a live partial
 /// view, no static peer table anywhere.
+///
+/// It holds the view, the per-partner delta knowledge, the piggyback
+/// budget and the join state, and answers every [`PeerDirectory`] verb
+/// itself: [`poll`](PeerDirectory::poll) fires joins and view exchanges,
+/// [`handle`](PeerDirectory::handle) answers them, and
+/// [`piggyback`](PeerDirectory::piggyback) /
+/// [`absorb_piggyback`](PeerDirectory::absorb_piggyback) carry trailers.
 #[derive(Debug)]
 pub struct GossipDirectory {
     me: u32,
-    membership: MembershipNode,
+    /// Membership gossip period δ in ticks (also the join interval).
+    cycle_length: u64,
+    /// Ship only what a partner lacks (see
+    /// [`GossipDirectoryConfig::delta_views`]).
+    delta_views: bool,
+    /// Capacity of the `knowledge` LRU.
+    knowledge_peers: usize,
+    /// The partial view, freshest first.
+    view: View,
+    next_cycle_at: u64,
+    rng: Xoshiro256,
+    /// Per-partner delta state, most recently used first.
+    knowledge: Vec<PeerKnowledge>,
+    /// Rotating start offset for piggyback picks.
+    pb_cursor: usize,
+    /// Descriptors the piggyback budget still allows this gossip period.
+    pb_tokens: usize,
+    /// When the piggyback budget next refills.
+    pb_refill_at: u64,
     /// Bootstrap contacts (self already filtered out).
     introducers: Vec<NodeId>,
     /// Next tick at which an (re-)join may fire.
     next_join_at: u64,
-    join_interval: u64,
     /// Join messages sent so far (0 until the first fires). Attempt `k`
     /// targets introducer `(k-1) / JOIN_ROTATE_EVERY` (mod the list), so
     /// a dead or partitioned first introducer is routed around instead of
     /// retried forever.
     join_attempts: u64,
-    /// Directory-plane trace ring (join retries, piggyback emissions);
-    /// disabled (capacity 0) unless the embedding opts in.
+    /// Membership trace ring (join retries, piggyback emissions, view
+    /// merges); disabled (capacity 0) unless the embedding opts in.
     trace: TraceRing,
 }
+
+/// The payload of a view exchange: the sender's view entries plus a fresh
+/// descriptor of the sender itself.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ViewPayload {
+    /// Sender identifier.
+    pub from: u32,
+    /// Descriptors carried (sender's view + fresh self-descriptor).
+    pub descriptors: Vec<Descriptor>,
+}
+
+/// What one recent exchange partner is believed to hold.
+#[derive(Debug, Clone)]
+struct PeerKnowledge {
+    peer: u32,
+    /// Freshest copy per node of every descriptor we sent the partner or
+    /// received from it, bounded to `2c + 2` entries and kept sorted by
+    /// node so a lookup is a binary search.
+    seen: Vec<Descriptor>,
+    /// Delta payloads shipped since the last full view went out.
+    deltas_since_full: u32,
+}
+
+/// Default delta-knowledge LRU capacity (see
+/// [`GossipDirectoryConfig::knowledge_peers`]).
+const KNOWLEDGE_PEERS: usize = 32;
+
+/// Anti-entropy cadence: after this many consecutive delta payloads to the
+/// same partner, the next payload ships the full view, so knowledge drift
+/// (the partner evicting entries we still believe it holds) cannot
+/// accumulate without bound.
+const FULL_EVERY: u32 = 4;
 
 /// Consecutive join attempts aimed at one introducer before rotating to
 /// the next (second-introducer fallback for lossy or dead introducers).
@@ -426,25 +484,17 @@ const JOIN_ROTATE_EVERY: u64 = 3;
 /// the join interval and then stay at `8×`.
 const JOIN_BACKOFF_CAP: u32 = 3;
 
-/// The destination of the node with membership id `id`.
-fn to_node(id: u32) -> Destination {
-    Destination::Node(NodeId::new(u64::from(id)))
-}
-
 impl GossipDirectory {
     /// A gossip directory for node `me`; every peer is reachable by id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.view_size == 0` or `config.cycle_length == 0`.
     pub fn id_routed(me: NodeId, config: &GossipDirectoryConfig, seed: u64) -> Self {
+        assert!(config.cycle_length > 0, "cycle length must be positive");
         let id = me.as_u64() as u32;
-        let membership = MembershipNode::new(
-            id,
-            MembershipConfig {
-                view_size: config.view_size,
-                cycle_length: config.cycle_length,
-                delta_views: config.delta_views,
-                knowledge_peers: config.knowledge_peers,
-            },
-            seed ^ GOSSIP_SEED_SALT,
-        );
+        let mut rng = Xoshiro256::stream(seed ^ GOSSIP_SEED_SALT, u64::from(id));
+        let phase = rng.next_below(config.cycle_length);
         let introducers = config
             .introducers
             .iter()
@@ -453,34 +503,46 @@ impl GossipDirectory {
             .collect();
         GossipDirectory {
             me: id,
-            membership,
+            cycle_length: config.cycle_length,
+            delta_views: config.delta_views,
+            knowledge_peers: config.knowledge_peers,
+            view: View::new(config.view_size),
+            next_cycle_at: phase,
+            rng,
+            knowledge: Vec::new(),
+            pb_cursor: 0,
+            pb_tokens: 0,
+            pb_refill_at: 0,
             introducers,
             next_join_at: 0,
-            join_interval: config.cycle_length.max(1),
             join_attempts: 0,
             trace: TraceRing::disabled(),
         }
     }
 
-    /// The live partial view (for tests and metrics).
-    pub fn view(&self) -> &epidemic_newscast::View {
-        self.membership.view()
+    /// The live partial view, freshest first (for tests and metrics).
+    pub fn view(&self) -> &View {
+        &self.view
     }
 
     /// Registers a contact known out of band (Section 4.2) — how an
     /// embedding that founds a whole overlay at once gives every member
     /// its initial view without a join round.
     pub fn add_seed(&mut self, peer: u32, now: u64) {
-        self.membership.add_seed(peer, now);
+        if peer != self.me {
+            self.view.insert(Descriptor::new(peer, timestamp(now)));
+        }
     }
 
     /// `true` while the node should (re-)contact an introducer: it has
     /// one and its view is empty.
     fn wants_join(&self) -> bool {
-        !self.introducers.is_empty() && self.membership.view().is_empty()
+        !self.introducers.is_empty() && self.view.is_empty()
     }
 
-    fn record(&mut self, kind: TraceKind, peer: Option<u64>, detail: u64) {
+    /// Records one membership event. Epoch/cycle have no meaning on the
+    /// membership plane, so they stay zero.
+    fn record(&mut self, kind: TraceKind, peer: u64, detail: u64) {
         if !self.trace.is_enabled() {
             return;
         }
@@ -489,22 +551,175 @@ impl GossipDirectory {
             kind,
             epoch: 0,
             cycle: 0,
-            peer,
+            peer: Some(peer),
             detail,
         });
     }
+
+    /// The view plus a fresh self-descriptor: what a full exchange ships.
+    fn payload(&self, now: u64) -> ViewPayload {
+        let mut descriptors = Vec::with_capacity(self.view.len() + 1);
+        descriptors.extend_from_slice(self.view.entries());
+        descriptors.push(Descriptor::new(self.me, timestamp(now)));
+        ViewPayload {
+            from: self.me,
+            descriptors,
+        }
+    }
+
+    /// One gossip period in timestamp ticks — the protocol's staleness
+    /// resolution, and the clamp slack for incoming timestamps.
+    fn period(&self) -> u32 {
+        self.cycle_length.min(u64::from(u32::MAX)) as u32
+    }
+
+    /// Merges `descriptors` from `from` into the view. Incoming timestamps
+    /// are clamped to `now` plus one gossip period of slack, so a drifted
+    /// clock cannot crowd out honestly-stamped descriptors.
+    fn merge(&mut self, from: u32, descriptors: &[Descriptor], now: u64) {
+        let bound = timestamp(now).saturating_add(self.period());
+        self.view.merge_clamped(descriptors, self.me, bound);
+        self.record(
+            TraceKind::ViewMerge,
+            u64::from(from),
+            descriptors.len() as u64,
+        );
+    }
+
+    /// Builds the outbound payload for `peer`: the full view when deltas
+    /// are disabled, the partner is unknown, or anti-entropy is due;
+    /// otherwise only descriptors the partner lacks outright or holds an
+    /// anti-entropy period staler. Every `FULL_EVERY`-th exchange ships
+    /// the full view anyway, so finer timestamp refreshes are repaired by
+    /// it at zero delta cost. A delta that covers the whole payload saves
+    /// nothing, so it ships as the full view (and resets the anti-entropy
+    /// clock) instead. What was sent is recorded as known to the partner;
+    /// the flag is `true` for a full view.
+    fn outbound_for(&mut self, peer: u32, now: u64) -> (ViewPayload, bool) {
+        let ViewPayload {
+            from,
+            mut descriptors,
+        } = self.payload(now);
+        let stale_after = self.period().saturating_mul(FULL_EVERY);
+        let bound = knowledge_bound(&self.view);
+        let k = knowledge_mut(&mut self.knowledge, self.knowledge_peers, peer);
+        let mut is_full =
+            !self.delta_views || k.seen.is_empty() || k.deltas_since_full >= FULL_EVERY;
+        if !is_full {
+            let full_len = descriptors.len();
+            descriptors.retain(|d| match held(&k.seen, d.node) {
+                Some(ts) => d.timestamp.saturating_sub(ts) >= stale_after,
+                None => true,
+            });
+            // A delta covering the whole payload *is* the full view: mark
+            // it as one so the partner replaces (not extends) its record
+            // and the anti-entropy clock resets.
+            is_full = descriptors.len() == full_len;
+        }
+        if is_full {
+            k.deltas_since_full = 0;
+        } else {
+            k.deltas_since_full += 1;
+        }
+        note_seen(&mut k.seen, &descriptors, bound);
+        (ViewPayload { from, descriptors }, is_full)
+    }
+
+    /// Records an incoming payload into the sender's knowledge entry. A
+    /// full payload is exactly the sender's view plus its self-descriptor,
+    /// so it replaces the record; a delta extends it.
+    fn note_received(&mut self, payload: &ViewPayload, full: bool) {
+        let bound = knowledge_bound(&self.view);
+        let k = knowledge_mut(&mut self.knowledge, self.knowledge_peers, payload.from);
+        if full {
+            k.seen.clear();
+        }
+        note_seen(&mut k.seen, &payload.descriptors, bound);
+    }
+}
+
+/// The LRU knowledge entry for `peer` (most recently used first), created
+/// — and the LRU trimmed to `capacity` — if absent, promoted to the front
+/// either way. A free function over the field so callers can keep reading
+/// the view while they hold the entry.
+fn knowledge_mut(
+    knowledge: &mut Vec<PeerKnowledge>,
+    capacity: usize,
+    peer: u32,
+) -> &mut PeerKnowledge {
+    if let Some(pos) = knowledge.iter().position(|k| k.peer == peer) {
+        let entry = knowledge.remove(pos);
+        knowledge.insert(0, entry);
+    } else {
+        knowledge.insert(
+            0,
+            PeerKnowledge {
+                peer,
+                seen: Vec::new(),
+                deltas_since_full: 0,
+            },
+        );
+        knowledge.truncate(capacity.max(1));
+    }
+    &mut knowledge[0]
+}
+
+/// Bound on one partner's `seen` record: its view plus ours can cover
+/// `2c` distinct nodes, plus the two self-descriptors. Trimming beyond
+/// that only makes future deltas conservative (larger), never wrong.
+fn knowledge_bound(view: &View) -> usize {
+    2 * view.capacity() + 2
+}
+
+/// Timestamp of the copy of `node` in a knowledge record, if it holds one.
+fn held(seen: &[Descriptor], node: u32) -> Option<u32> {
+    let at = seen.binary_search_by_key(&node, |e| e.node).ok()?;
+    Some(seen[at].timestamp)
+}
+
+/// Upserts `descriptors` into a knowledge record keeping the freshest copy
+/// per node, trimming the stalest entries beyond `bound`.
+fn note_seen(seen: &mut Vec<Descriptor>, descriptors: &[Descriptor], bound: usize) {
+    if seen.is_empty() {
+        // First contact fills the record in one allocation; after that it
+        // grows only by what the partner has genuinely not seen.
+        seen.reserve(descriptors.len());
+    }
+    for d in descriptors {
+        match seen.binary_search_by_key(&d.node, |e| e.node) {
+            Ok(at) => seen[at].timestamp = seen[at].timestamp.max(d.timestamp),
+            Err(at) => seen.insert(at, *d),
+        }
+    }
+    if seen.len() > bound {
+        // Freshest first (ties toward the smaller id), keep `bound`.
+        seen.sort_unstable_by_key(|d| (Reverse(d.timestamp), d.node));
+        seen.truncate(bound);
+        seen.sort_unstable_by_key(|d| d.node);
+    }
+}
+
+/// Timestamps descriptor freshness in coarse ticks. NEWSCAST only needs a
+/// total order with enough resolution to distinguish cycles, so 32 bits of
+/// tick time are ample (wrap after ~4 × 10⁹ ticks).
+fn timestamp(now: u64) -> u32 {
+    now as u32
 }
 
 impl PeerSampler for GossipDirectory {
     fn draw_peer(&mut self) -> Option<NodeId> {
-        let peer = self.membership.sample_peer()?;
-        Some(NodeId::new(u64::from(peer)))
+        let entries = self.view.entries();
+        if entries.is_empty() {
+            return None;
+        }
+        let idx = self.rng.index(entries.len());
+        Some(NodeId::new(u64::from(entries[idx].node)))
     }
 }
 
 impl PeerDirectory for GossipDirectory {
     fn next_deadline(&self) -> u64 {
-        let mut deadline = self.membership.next_cycle_at();
+        let mut deadline = self.next_cycle_at;
         if self.wants_join() {
             deadline = deadline.min(self.next_join_at);
         }
@@ -520,27 +735,37 @@ impl PeerDirectory for GossipDirectory {
             let pick = (self.join_attempts / JOIN_ROTATE_EVERY) as usize % self.introducers.len();
             let backoff = self.join_attempts.min(u64::from(JOIN_BACKOFF_CAP));
             self.join_attempts += 1;
-            self.next_join_at = now + (self.join_interval << backoff);
+            self.next_join_at = now + (self.cycle_length << backoff);
             let to = self.introducers[pick];
             if self.join_attempts > 1 {
                 let retry = self.join_attempts - 1;
-                self.record(TraceKind::JoinRetry, Some(to.as_u64()), retry);
+                self.record(TraceKind::JoinRetry, to.as_u64(), retry);
             }
             out.push(DirectoryMessage {
                 to: Destination::Node(to),
                 payload: DirectoryPayload::Join { from: self.me },
             });
         }
-        if let Some((peer, view, full)) = self.membership.poll_exchange(now) {
-            out.push(DirectoryMessage {
-                to: to_node(peer),
-                payload: DirectoryPayload::View {
-                    view,
-                    reply: false,
-                    delta: !full,
-                },
-            });
+        // The gossip timer: once per period, exchange views with a
+        // random view member (none while the view is empty).
+        if now < self.next_cycle_at {
+            return;
         }
+        while self.next_cycle_at <= now {
+            self.next_cycle_at += self.cycle_length;
+        }
+        let Some(peer) = self.draw_peer() else {
+            return;
+        };
+        let (view, full) = self.outbound_for(peer.as_u64() as u32, now);
+        out.push(DirectoryMessage {
+            to: Destination::Node(peer),
+            payload: DirectoryPayload::View {
+                view,
+                reply: false,
+                delta: !full,
+            },
+        });
     }
 
     fn handle(
@@ -556,10 +781,10 @@ impl PeerDirectory for GossipDirectory {
                     return;
                 }
                 // The joiner becomes part of the overlay immediately…
-                self.membership.add_seed(*from, now);
+                self.add_seed(*from, now);
                 // …and receives a snapshot of our view (plus ourselves).
-                let snapshot = self.membership.view_payload(now);
-                let peers = snapshot
+                let peers = self
+                    .payload(now)
                     .descriptors
                     .iter()
                     .map(|d| IntroduceEntry {
@@ -569,7 +794,7 @@ impl PeerDirectory for GossipDirectory {
                     })
                     .collect();
                 out.push(DirectoryMessage {
-                    to: to_node(*from),
+                    to: Destination::Node(NodeId::new(u64::from(*from))),
                     payload: DirectoryPayload::Introduce {
                         from: self.me,
                         peers,
@@ -577,19 +802,23 @@ impl PeerDirectory for GossipDirectory {
                 });
             }
             DirectoryPayload::Introduce { peers, .. } => {
+                // Bootstrap from the snapshot: self filtered, the `c`
+                // freshest kept, exactly like a regular merge.
                 let descriptors: Vec<Descriptor> = peers
                     .iter()
                     .map(|entry| Descriptor::new(entry.node, entry.timestamp))
                     .collect();
-                self.membership.bootstrap(&descriptors);
+                self.view.merge_with(&descriptors, self.me);
             }
             DirectoryPayload::View { view, reply, delta } => {
-                if *reply {
-                    self.membership.absorb_reply_delta(view, !*delta, now);
-                } else {
-                    let (answer, full) = self.membership.handle_exchange_delta(view, !*delta, now);
+                // Record what the sender just proved it holds; the passive
+                // side builds its (possibly delta) answer from the
+                // pre-merge view, then merges.
+                self.note_received(view, !*delta);
+                if !*reply {
+                    let (answer, full) = self.outbound_for(view.from, now);
                     out.push(DirectoryMessage {
-                        to: to_node(view.from),
+                        to: Destination::Node(NodeId::new(u64::from(view.from))),
                         payload: DirectoryPayload::View {
                             view: answer,
                             reply: true,
@@ -597,36 +826,81 @@ impl PeerDirectory for GossipDirectory {
                         },
                     });
                 }
+                self.merge(view.from, &view.descriptors, now);
             }
         }
     }
 
+    /// Up to [`PIGGYBACK_BUDGET`] descriptors for `to`: the
+    /// self-descriptor on first contact, plus rotating view entries the
+    /// partner is not known to hold *at all*. Timestamp refreshes never
+    /// ride along — circulating freshness is the view exchanges'
+    /// anti-entropy job, and re-sending known nodes is what would keep
+    /// trailers from ever going quiet. Picked descriptors are recorded as
+    /// known to the partner, so later deltas shrink.
+    ///
+    /// Trailer volume is further capped by a token budget of two
+    /// trailers' worth of descriptors per gossip period: the view churns
+    /// continuously, so without a rate cap a busy aggregation plane would
+    /// find something "new" for nearly every datagram and the trailers
+    /// would quietly grow into a second full-rate membership plane.
+    /// Piggybacking is part of the delta machinery: with full views it
+    /// never fires.
     fn piggyback(&mut self, to: NodeId, now: u64) -> Option<Piggyback> {
-        let peer = to.as_u64() as u32;
-        let descriptors = self
-            .membership
-            .piggyback_descriptors(peer, now, PIGGYBACK_BUDGET);
-        if descriptors.is_empty() {
+        if !self.delta_views {
             return None;
         }
-        self.record(
-            TraceKind::PiggybackEmit,
-            Some(to.as_u64()),
-            descriptors.len() as u64,
-        );
+        if now >= self.pb_refill_at {
+            self.pb_tokens = PIGGYBACK_BUDGET * 2;
+            self.pb_refill_at = now.saturating_add(self.cycle_length);
+        }
+        if self.pb_tokens == 0 {
+            return None;
+        }
+        let max = PIGGYBACK_BUDGET.min(self.pb_tokens);
+        let bound = knowledge_bound(&self.view);
+        let cursor = self.pb_cursor;
+        self.pb_cursor = cursor.wrapping_add(1);
+        let peer = to.as_u64() as u32;
+        let k = knowledge_mut(&mut self.knowledge, self.knowledge_peers, peer);
+        let entries = self.view.entries();
+        let mut picked: Vec<Descriptor> = Vec::new();
+        if held(&k.seen, self.me).is_none() {
+            picked.push(Descriptor::new(self.me, timestamp(now)));
+        }
+        for step in 0..entries.len() {
+            if picked.len() >= max {
+                break;
+            }
+            let d = entries[(cursor + step) % entries.len()];
+            // Telling a peer about itself is useless: merges drop it.
+            if d.node != peer && held(&k.seen, d.node).is_none() {
+                picked.push(d);
+            }
+        }
+        if picked.is_empty() {
+            return None;
+        }
+        note_seen(&mut k.seen, &picked, bound);
+        self.pb_tokens = self.pb_tokens.saturating_sub(picked.len());
+        self.record(TraceKind::PiggybackEmit, to.as_u64(), picked.len() as u64);
         Some(Piggyback {
             from: self.me,
-            descriptors,
+            descriptors: picked,
             addrs: Vec::new(),
         })
     }
 
+    /// Records the trailer's descriptors as held by its sender and merges
+    /// them into the view, clamped like any exchange.
     fn absorb_piggyback(&mut self, piggyback: &Piggyback, now: u64) {
         if piggyback.from == self.me {
             return;
         }
-        self.membership
-            .absorb_descriptors(piggyback.from, &piggyback.descriptors, now);
+        let bound = knowledge_bound(&self.view);
+        let k = knowledge_mut(&mut self.knowledge, self.knowledge_peers, piggyback.from);
+        note_seen(&mut k.seen, &piggyback.descriptors, bound);
+        self.merge(piggyback.from, &piggyback.descriptors, now);
     }
 
     fn join_retries(&self) -> u64 {
@@ -635,19 +909,16 @@ impl PeerDirectory for GossipDirectory {
 
     fn set_trace_capacity(&mut self, capacity: usize) {
         self.trace.set_capacity(capacity);
-        self.membership.set_trace_capacity(capacity);
     }
 
     fn take_trace(&mut self) -> Vec<TraceEvent> {
-        let mut events = self.trace.drain();
-        events.extend(self.membership.take_trace());
-        events
+        self.trace.drain()
     }
 
     fn view_health(&self, now: u64) -> Option<ViewHealth> {
-        let entries = self.membership.view().entries();
+        let entries = self.view.entries();
         let stale_bound = (now as u32).saturating_sub(
-            (STALE_VIEW_CYCLES * self.join_interval).min(u64::from(u32::MAX)) as u32,
+            (STALE_VIEW_CYCLES * self.cycle_length).min(u64::from(u32::MAX)) as u32,
         );
         let dead = entries.iter().filter(|d| d.timestamp < stale_bound).count();
         Some(ViewHealth {
@@ -923,5 +1194,341 @@ mod tests {
         dir.poll(0, &mut out);
         dir.poll(1_000, &mut out);
         assert!(out.is_empty(), "self-introducer produced traffic: {out:?}");
+    }
+
+    // The NEWSCAST node on its own: one or two directories, exchanges
+    // carried by hand through `poll` and `handle`.
+
+    /// View size 8, period 100, delta views on.
+    fn delta_config() -> GossipDirectoryConfig {
+        GossipDirectoryConfig::new(8, 100)
+    }
+
+    fn full_config() -> GossipDirectoryConfig {
+        delta_config().with_full_views()
+    }
+
+    fn node(id: u32, config: &GossipDirectoryConfig, seed: u64) -> GossipDirectory {
+        GossipDirectory::id_routed(NodeId::new(u64::from(id)), config, seed)
+    }
+
+    fn two_bootstrapped() -> (GossipDirectory, GossipDirectory) {
+        let mut a = node(0, &full_config(), 1);
+        let b = node(1, &full_config(), 2);
+        a.add_seed(1, 0);
+        (a, b)
+    }
+
+    fn view_frame(view: &ViewPayload, reply: bool, full: bool) -> DirectoryPayload {
+        DirectoryPayload::View {
+            view: view.clone(),
+            reply,
+            delta: !full,
+        }
+    }
+
+    /// The view exchange `dir` starts at `now`, as `(partner, payload,
+    /// full)`; `None` while its timer has not fired or its view is empty.
+    fn start_exchange(dir: &mut GossipDirectory, now: u64) -> Option<(u32, ViewPayload, bool)> {
+        let mut out = Vec::new();
+        dir.poll(now, &mut out);
+        out.into_iter().find_map(|m| match (m.to, m.payload) {
+            (Destination::Node(to), DirectoryPayload::View { view, delta, .. }) => {
+                Some((to.as_u64() as u32, view, !delta))
+            }
+            _ => None,
+        })
+    }
+
+    /// The passive side: `dir`'s answer to `request`, as `(payload, full)`.
+    fn answer(
+        dir: &mut GossipDirectory,
+        request: &ViewPayload,
+        full: bool,
+        now: u64,
+    ) -> (ViewPayload, bool) {
+        let mut out = Vec::new();
+        dir.handle(&view_frame(request, false, full), None, now, &mut out);
+        match out.pop().map(|m| m.payload) {
+            Some(DirectoryPayload::View {
+                view,
+                reply: true,
+                delta,
+            }) => (view, !delta),
+            other => panic!("no view reply: {other:?}"),
+        }
+    }
+
+    /// The active side absorbing the answer `reply`.
+    fn absorb(dir: &mut GossipDirectory, reply: &ViewPayload, full: bool, now: u64) {
+        let mut out = Vec::new();
+        dir.handle(&view_frame(reply, true, full), None, now, &mut out);
+        assert!(out.is_empty(), "a reply was answered: {out:?}");
+    }
+
+    /// Twelve nodes seeded as a ring gossip every 10 ticks for 5,000.
+    fn gossip_clique(config: &GossipDirectoryConfig) -> Vec<GossipDirectory> {
+        let n = 12u32;
+        let mut nodes: Vec<GossipDirectory> = (0..n).map(|i| node(i, config, 7)).collect();
+        for i in 0..n {
+            nodes[i as usize].add_seed((i + 1) % n, 0);
+        }
+        for t in (0..5_000u64).step_by(10) {
+            for i in 0..n as usize {
+                if let Some((peer, request, full)) = start_exchange(&mut nodes[i], t) {
+                    let (reply, rf) = answer(&mut nodes[peer as usize], &request, full, t);
+                    absorb(&mut nodes[i], &reply, rf, t);
+                }
+            }
+        }
+        nodes
+    }
+
+    #[test]
+    fn empty_view_never_initiates() {
+        let mut lonely = node(9, &full_config(), 3);
+        let mut out = Vec::new();
+        for t in 0..1_000 {
+            lonely.poll(t, &mut out);
+        }
+        assert!(out.is_empty(), "an empty view gossiped: {out:?}");
+    }
+
+    #[test]
+    fn seeds_are_not_self() {
+        let mut dir = node(4, &full_config(), 1);
+        dir.add_seed(4, 0);
+        assert!(dir.view().is_empty());
+        dir.add_seed(5, 0);
+        assert_eq!(dir.view().len(), 1);
+    }
+
+    #[test]
+    fn exchange_makes_both_sides_know_each_other() {
+        let (mut a, mut b) = two_bootstrapped();
+        let (to, request, full) = start_exchange(&mut a, 150).expect("timer fired");
+        assert_eq!(to, 1);
+        let (reply, reply_full) = answer(&mut b, &request, full, 155);
+        absorb(&mut a, &reply, reply_full, 160);
+        assert!(a.view().contains(1));
+        assert!(b.view().contains(0));
+        // Fresh timestamps were injected.
+        let d = b.view().entries().iter().find(|d| d.node == 0).unwrap();
+        assert_eq!(d.timestamp, 150);
+    }
+
+    #[test]
+    fn poll_respects_cycle_cadence() {
+        let (mut a, _) = two_bootstrapped();
+        assert!(start_exchange(&mut a, 250).is_some(), "fired");
+        // Immediately afterwards the timer is re-armed.
+        assert!(start_exchange(&mut a, 260).is_none());
+        assert!(start_exchange(&mut a, 400).is_some());
+    }
+
+    #[test]
+    fn views_stay_bounded_and_self_free() {
+        // Gossip a small clique for a while; views never exceed c and
+        // never contain the owner.
+        for dir in &gossip_clique(&full_config()) {
+            assert!(dir.view().len() <= 8);
+            assert!(!dir.view().contains(dir.me));
+            // The ring bootstrap mixed into a richer overlay.
+            assert!(dir.view().len() >= 4, "view stayed tiny");
+        }
+    }
+
+    #[test]
+    fn bootstrap_copies_snapshot_without_self() {
+        let mut joiner = node(9, &full_config(), 4);
+        let entry = |node, timestamp| IntroduceEntry {
+            node,
+            timestamp,
+            addr: None,
+        };
+        let snapshot = DirectoryPayload::Introduce {
+            from: 1,
+            // The joiner itself (9) must be dropped.
+            peers: vec![entry(1, 10), entry(9, 99), entry(2, 5)],
+        };
+        joiner.handle(&snapshot, None, 100, &mut Vec::new());
+        assert!(joiner.view().contains(1));
+        assert!(joiner.view().contains(2));
+        assert!(!joiner.view().contains(9));
+    }
+
+    #[test]
+    fn draw_peer_returns_view_members() {
+        let (mut a, _) = two_bootstrapped();
+        for _ in 0..10 {
+            assert_eq!(a.draw_peer(), Some(NodeId::new(1)));
+        }
+    }
+
+    #[test]
+    fn first_delta_exchange_ships_the_full_view() {
+        let mut a = node(0, &delta_config(), 1);
+        a.add_seed(1, 0);
+        let (to, payload, full) = start_exchange(&mut a, 150).expect("timer fired");
+        assert_eq!(to, 1);
+        assert!(full, "unknown partner must get a full view");
+        assert_eq!(payload.descriptors.len(), 2); // seed + self
+    }
+
+    #[test]
+    fn repeat_exchanges_shrink_to_deltas() {
+        let mut a = node(0, &delta_config(), 1);
+        let mut b = node(1, &delta_config(), 2);
+        for p in 2..8 {
+            a.add_seed(p, 0);
+            b.add_seed(p, 0);
+        }
+        a.add_seed(1, 0);
+        // First round: a knows nothing about b, so the request is full.
+        // The reply may already be a delta — b just learned exactly what a
+        // holds from the request itself.
+        let (req, full) = a.outbound_for(1, 100);
+        assert!(full, "unknown partner must get a full view");
+        let (reply, reply_full) = answer(&mut b, &req, full, 105);
+        absorb(&mut a, &reply, reply_full, 110);
+        // Second round, nothing changed but the self-descriptors: the
+        // request collapses to a delta far below the full view.
+        let full_len = a.view().len() + 1;
+        let (req2, full2) = a.outbound_for(1, 200);
+        assert_eq!(req2.from, 0);
+        assert!(!full2, "known partner should get a delta");
+        assert!(
+            2 * req2.descriptors.len() < full_len,
+            "delta {} not below half of full {}",
+            req2.descriptors.len(),
+            full_len
+        );
+        let (reply2, reply2_full) = answer(&mut b, &req2, full2, 205);
+        assert!(!reply2_full);
+        absorb(&mut a, &reply2, reply2_full, 210);
+        assert!(a.view().contains(1));
+        assert!(b.view().contains(0));
+    }
+
+    #[test]
+    fn anti_entropy_periodically_ships_full_views() {
+        let mut a = node(0, &delta_config(), 1);
+        let mut b = node(1, &delta_config(), 2);
+        a.add_seed(1, 0);
+        let mut fulls = 0;
+        let mut deltas = 0;
+        for round in 0..12u64 {
+            let now = 100 + round * 100;
+            if let Some((_, req, full)) = start_exchange(&mut a, now) {
+                if full {
+                    fulls += 1;
+                } else {
+                    deltas += 1;
+                }
+                let (reply, rf) = answer(&mut b, &req, full, now + 5);
+                absorb(&mut a, &reply, rf, now + 10);
+            }
+        }
+        assert!(fulls >= 2, "anti-entropy full views never recurred");
+        assert!(deltas > 0, "no exchange ever shrank to a delta");
+    }
+
+    #[test]
+    fn delta_exchange_converges_like_full_views() {
+        // Two cliques gossiping for a while, one with deltas and one
+        // without: views end up equally full and bounded.
+        let fulls = gossip_clique(&full_config());
+        for (full, delta) in fulls.iter().zip(&gossip_clique(&delta_config())) {
+            assert!(delta.view().len() <= 8);
+            assert!(!delta.view().contains(delta.me));
+            assert!(
+                delta.view().len() + 2 >= full.view().len(),
+                "delta views collapsed: {} vs full {}",
+                delta.view().len(),
+                full.view().len()
+            );
+        }
+    }
+
+    #[test]
+    fn incoming_future_timestamps_are_clamped() {
+        let mut a = node(0, &full_config(), 1);
+        a.add_seed(1, 100);
+        let drifted = ViewPayload {
+            from: 2,
+            descriptors: vec![Descriptor::new(2, 4_000_000), Descriptor::new(3, 9_999_999)],
+        };
+        answer(&mut a, &drifted, true, 200);
+        // Clamp bound is now + one cycle = 300.
+        for d in a.view().entries() {
+            assert!(d.timestamp <= 300, "unclamped descriptor {d}");
+        }
+        let mut b = node(5, &delta_config(), 1);
+        absorb(&mut b, &drifted, true, 200);
+        for d in b.view().entries() {
+            assert!(d.timestamp <= 300, "unclamped descriptor {d} (delta path)");
+        }
+    }
+
+    #[test]
+    fn piggyback_picks_unknown_descriptors_then_goes_quiet() {
+        let mut a = node(0, &delta_config(), 1);
+        for p in 1..5 {
+            a.add_seed(p, 50);
+        }
+        let mut pick = |now| {
+            a.piggyback(NodeId::new(9), now)
+                .map_or_else(Vec::new, |pb| pb.descriptors)
+        };
+        let first = pick(100);
+        assert!(!first.is_empty() && first.len() <= PIGGYBACK_BUDGET);
+        assert!(first.iter().any(|d| d.node == 0), "fresh self not included");
+        // Everything picked is now recorded as known: repeating within the
+        // same cycle finds nothing new to say.
+        let total: usize = (0..4).map(|_| pick(101).len()).sum();
+        assert!(total <= 4, "piggyback kept repeating known descriptors");
+        // A fresh view entry becomes piggyback-worthy again.
+        a.add_seed(7, 120);
+        let later: Vec<Descriptor> = (0..6)
+            .flat_map(|_| {
+                a.piggyback(NodeId::new(9), 121)
+                    .map_or_else(Vec::new, |pb| pb.descriptors)
+            })
+            .collect();
+        assert!(
+            later.iter().any(|d| d.node == 7),
+            "new entry never rode along"
+        );
+    }
+
+    #[test]
+    fn absorbed_piggyback_updates_view_and_knowledge() {
+        let mut a = node(0, &delta_config(), 1);
+        let trailer = Piggyback {
+            from: 3,
+            descriptors: vec![Descriptor::new(3, 90), Descriptor::new(4, 80)],
+            addrs: Vec::new(),
+        };
+        a.absorb_piggyback(&trailer, 100);
+        assert!(a.view().contains(3));
+        assert!(a.view().contains(4));
+        // The sender proved it holds those descriptors: an exchange right
+        // after can already use delta form.
+        a.add_seed(3, 100);
+        let (payload, full) = a.outbound_for(3, 150);
+        assert!(!full, "knowledge from piggyback was not used");
+        assert!(payload.descriptors.len() < a.view().len() + 1);
+    }
+
+    #[test]
+    fn deterministic_with_same_seed() {
+        let draws = || {
+            let mut dir = node(0, &full_config(), 42);
+            for p in 1..6 {
+                dir.add_seed(p, 0);
+            }
+            (0..5).map(|_| dir.draw_peer().unwrap()).collect::<Vec<_>>()
+        };
+        assert_eq!(draws(), draws());
     }
 }

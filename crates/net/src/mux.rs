@@ -1703,9 +1703,10 @@ mod tests {
 
     #[test]
     fn an_operator_call_at_spawn_does_not_fork_the_timer_chain() {
-        // Spawn parks each first deadline before the handle exists, so an
-        // operator call racing the first step finds it live and parks
-        // nothing: one timer chain per vnode from the start.
+        // Spawn schedules each first deadline in its home wheel before the
+        // handle exists, so an operator call racing the first step finds
+        // it live and schedules nothing: one timer chain per vnode from
+        // the start.
         let cluster = MuxCluster::spawn(
             MuxClusterConfig::new(8, node_config(30, 20)).with_workers(2),
             |i| i as f64,
@@ -1763,7 +1764,7 @@ mod tests {
     fn an_install_at_the_rpc_listener_spreads_to_every_vnode() {
         // A ten-minute base cycle: no vnode has a deadline of its own
         // inside this test, so the install spreads only if the listener's
-        // park reaches vnode 0's loop through its inbox.
+        // re-arm lands in vnode 0's home wheel under its loop's lock.
         let query = QueryPlaneConfig {
             gossip_period: 50,
             ..QueryPlaneConfig::default()

@@ -23,8 +23,7 @@ use epidemic_net::codec::{
     piggyback_trailer_len, push_bundle_frame, DecodeError, WireFrame, WirePayload, BUNDLE_BUDGET,
     BUNDLE_VERSION, MUX_WIRE_VERSION, WIRE_VERSION,
 };
-use epidemic_net::directory::{DirectoryPayload, IntroduceEntry, Piggyback};
-use epidemic_newscast::node::ViewPayload;
+use epidemic_net::directory::{DirectoryPayload, IntroduceEntry, Piggyback, ViewPayload};
 use epidemic_newscast::Descriptor;
 use epidemic_query::{
     kind_from_code, AdmissionConfig, CatalogEntry, QueryDescriptor, RpcRequest, RpcResponse,

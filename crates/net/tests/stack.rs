@@ -10,11 +10,10 @@ use epidemic_common::NodeId;
 use epidemic_net::codec::{decode_datagram, WireFrame, WirePayload};
 use epidemic_net::directory::{
     DirectoryPayload, GossipDirectory, GossipDirectoryConfig, PeerDirectory, Piggyback,
-    StaticDirectory,
+    StaticDirectory, ViewPayload,
 };
 use epidemic_net::stack::{Input, NodeStack, Plane};
 use epidemic_net::{Registry, TraceEvent, TraceKind};
-use epidemic_newscast::node::ViewPayload;
 use epidemic_newscast::Descriptor;
 use epidemic_query::{CatalogEntry, QueryDescriptor, QueryPlaneConfig, RpcRequest, RpcStatus};
 use std::collections::VecDeque;

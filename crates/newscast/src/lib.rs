@@ -1,4 +1,4 @@
-//! NEWSCAST — gossip-based membership for dynamic overlays.
+//! NEWSCAST views and descriptors, and a whole-network overlay.
 //!
 //! NEWSCAST (Jelasity, Kowalczyk, van Steen, 2003) is the decentralized
 //! membership protocol the DSN 2004 aggregation paper uses to keep the
@@ -12,11 +12,16 @@
 //!
 //! This crate provides:
 //!
-//! * [`Descriptor`] and [`View`] — the protocol state ([`view`]).
+//! * [`Descriptor`] and [`View`] — the protocol state and its merge rule
+//!   ([`view`]).
 //! * [`Overlay`] — a whole-network simulation substrate that runs NEWSCAST
 //!   cycles over millions of nodes and implements
 //!   [`epidemic_common::sample::NeighborSampling`], so the aggregation
 //!   protocol can draw peers from live views ([`overlay`]).
+//!
+//! One node's NEWSCAST protocol on the wire — view exchanges, delta
+//! knowledge, piggybacked trailers, join/introduce — is
+//! `epidemic_net::directory::GossipDirectory`, built on these two types.
 //!
 //! # Examples
 //!
@@ -37,10 +42,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod node;
 pub mod overlay;
 pub mod view;
 
-pub use node::{MembershipConfig, MembershipNode};
 pub use overlay::Overlay;
 pub use view::{Descriptor, View};

@@ -833,8 +833,8 @@ mod tests {
     use super::*;
     use crate::failure::{CommFailure, FailureModel};
     use crate::scenario::ValueInit;
-    use epidemic_net::directory::DirectoryPayload;
-    use epidemic_newscast::{node::ViewPayload, Descriptor};
+    use epidemic_net::directory::{DirectoryPayload, ViewPayload};
+    use epidemic_newscast::Descriptor;
     use epidemic_topology::TopologyKind;
 
     fn node_config(gamma: u32) -> NodeConfig {

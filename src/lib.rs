@@ -9,7 +9,7 @@
 //! |--------|-------|----------|
 //! | [`aggregation`] | `epidemic-aggregation` | the paper's contribution: push-pull averaging, COUNT/SUM/PRODUCT/VARIANCE, epochs, epoch synchronization, crash/link-failure theory |
 //! | [`query`] | `epidemic-query` | multi-tenant query plane: named query catalog, per-query epoch schedules, client RPC vocabulary, token-bucket admission |
-//! | [`newscast`] | `epidemic-newscast` | the NEWSCAST gossip membership protocol |
+//! | [`newscast`] | `epidemic-newscast` | NEWSCAST views and descriptors, and the whole-network `Overlay` the cycle engine runs (one node's wire protocol is `net::directory::GossipDirectory`) |
 //! | [`topology`] | `epidemic-topology` | static overlay generators and graph analysis |
 //! | [`sim`] | `epidemic-sim` | cycle-driven and event-driven simulators with failure injection |
 //! | [`net`] | `epidemic-net` | real-network layer: the `Cluster` operator seam, the `PeerDirectory` membership seam (static or NEWSCAST-gossiped), the multiplexed/sharded UDP runtime (one loop per node up to thousands of nodes per loop), binary wire codec |
