@@ -78,6 +78,16 @@ pub struct DirectoryMessage {
     pub payload: DirectoryPayload,
 }
 
+/// The payload of a view exchange: the sender's view entries plus a fresh
+/// descriptor of the sender itself.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ViewPayload {
+    /// Sender identifier.
+    pub from: u32,
+    /// Descriptors carried (sender's view + fresh self-descriptor).
+    pub descriptors: Vec<Descriptor>,
+}
+
 /// The membership-plane wire payloads (codec tags 4–9).
 #[derive(Debug, Clone, PartialEq)]
 pub enum DirectoryPayload {
@@ -444,18 +454,8 @@ pub struct GossipDirectory {
     trace: TraceRing,
 }
 
-/// The payload of a view exchange: the sender's view entries plus a fresh
-/// descriptor of the sender itself.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ViewPayload {
-    /// Sender identifier.
-    pub from: u32,
-    /// Descriptors carried (sender's view + fresh self-descriptor).
-    pub descriptors: Vec<Descriptor>,
-}
-
 /// What one recent exchange partner is believed to hold.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct PeerKnowledge {
     peer: u32,
     /// Freshest copy per node of every descriptor we sent the partner or
@@ -596,33 +596,30 @@ impl GossipDirectory {
     /// clock) instead. What was sent is recorded as known to the partner;
     /// the flag is `true` for a full view.
     fn outbound_for(&mut self, peer: u32, now: u64) -> (ViewPayload, bool) {
-        let ViewPayload {
-            from,
-            mut descriptors,
-        } = self.payload(now);
+        let mut payload = self.payload(now);
         let stale_after = self.period().saturating_mul(FULL_EVERY);
         let bound = knowledge_bound(&self.view);
         let k = knowledge_mut(&mut self.knowledge, self.knowledge_peers, peer);
         let mut is_full =
             !self.delta_views || k.seen.is_empty() || k.deltas_since_full >= FULL_EVERY;
         if !is_full {
-            let full_len = descriptors.len();
-            descriptors.retain(|d| match held(&k.seen, d.node) {
+            let full_len = payload.descriptors.len();
+            payload.descriptors.retain(|d| match held(&k.seen, d.node) {
                 Some(ts) => d.timestamp.saturating_sub(ts) >= stale_after,
                 None => true,
             });
             // A delta covering the whole payload *is* the full view: mark
             // it as one so the partner replaces (not extends) its record
             // and the anti-entropy clock resets.
-            is_full = descriptors.len() == full_len;
+            is_full = payload.descriptors.len() == full_len;
         }
         if is_full {
             k.deltas_since_full = 0;
         } else {
             k.deltas_since_full += 1;
         }
-        note_seen(&mut k.seen, &descriptors, bound);
-        (ViewPayload { from, descriptors }, is_full)
+        note_seen(&mut k.seen, &payload.descriptors, bound);
+        (payload, is_full)
     }
 
     /// Records an incoming payload into the sender's knowledge entry. A

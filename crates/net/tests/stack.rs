@@ -60,7 +60,7 @@ impl Net {
 
 impl<D: PeerDirectory> Net<D> {
     /// `n` founders, node `i` holding the value `i` and the directory
-    /// `directory(i)`.
+    /// `directory(NodeId(i))`.
     fn with(n: usize, gamma: u32, seed: u64, directory: impl Fn(NodeId) -> D) -> Net<D> {
         let config = node_config(gamma);
         let stacks = (0..n)
