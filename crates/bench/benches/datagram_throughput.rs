@@ -21,9 +21,9 @@
 //! NEWSCAST membership bootstraps from vnode 0 and serves
 //! `GETNEIGHBOR()` from live views, so the delta against the static mux
 //! prices gossiped membership. `mux_gossip_full` is the pre-delta
-//! baseline (every exchange ships the full view, no piggybacking
-//! savings); `mux_gossip` gossips view *deltas* and piggybacks
-//! membership trailers on aggregation datagrams. Each prints a
+//! baseline (every exchange ships the full view at the aggregation
+//! cadence); `mux_gossip` gossips view *deltas* at 1/8 of that cadence.
+//! Each prints a
 //! **bytes-per-converged-epoch** line — membership and aggregation wire
 //! bytes divided by the nodes that completed the epoch wave, plus their
 //! ratio (the headline number delta gossip exists to shrink) and the
@@ -77,8 +77,8 @@ fn run_mux_epoch_wave(
 /// How deep the gossip wave runs: waiting for several epochs per node
 /// (instead of the first) lets the one-time bootstrap traffic — joins,
 /// introduces, the initial full-view fills — amortize, so the
-/// bytes-per-converged-epoch column prices the steady state the delta +
-/// piggyback path targets, not the cold start. (At a 4-epoch wave the
+/// bytes-per-converged-epoch column prices the steady state the delta
+/// path targets, not the cold start. (At a 4-epoch wave the
 /// join/introduce bootstrap is still ~40% of the dedicated membership
 /// messages; at 8 it fades into the noise.)
 const GOSSIP_EPOCHS: usize = 8;
@@ -157,13 +157,12 @@ fn mux_config(n: usize, seed: u64, loops: usize, io: IoBackend) -> MuxClusterCon
 }
 
 fn gossip_config(n: usize, seed: u64, full_views: bool) -> MuxClusterConfig {
-    // The full-view baseline reproduces PR 5: no piggybacking, so the
-    // dedicated membership plane must gossip at the aggregation cadence
-    // to keep views fresh. The delta leg slows the dedicated plane to
-    // once per two aggregation epochs (piggybacked trailers carry fresh
-    // descriptors in between) and sizes the delta-knowledge LRU to the
-    // overlay so deltas stay deltas — the fidelity gate (mean estimate
-    // error) checks that nothing was lost.
+    // The full-view baseline reproduces the pre-delta wire: the
+    // membership plane gossips full views at the aggregation cadence.
+    // The delta leg slows it to once per two aggregation epochs and
+    // sizes the delta-knowledge LRU to the overlay so deltas stay
+    // deltas — the fidelity gate (mean estimate error) checks that the
+    // slower, cheaper membership still serves convergence.
     let mut gossip = if full_views {
         GossipDirectoryConfig::new(20, CYCLE_MS).with_full_views()
     } else {
@@ -224,8 +223,8 @@ fn bench_runtimes(c: &mut Criterion) {
     }
 
     // Static vs gossiped membership at n = 256: same epoch wave, the
-    // directory is the only difference. `mux_gossip` is the delta +
-    // piggyback path; `mux_gossip_full` the pre-delta full-view baseline.
+    // directory is the only difference. `mux_gossip` is the delta path;
+    // `mux_gossip_full` the pre-delta full-view baseline.
     let n = 256usize;
     group.throughput(Throughput::Elements(n as u64));
     for (label, full_views) in [("mux_gossip", false), ("mux_gossip_full", true)] {

@@ -8,9 +8,9 @@
 //! u8  body tag: 0 request, 1 reply, 2 epoch notice, 3 refuse,
 //!               4 view exchange, 5 view reply, 6 join, 7 introduce,
 //!               8 delta view exchange, 9 delta view reply,
-//!               10 piggybacked aggregation,
 //!               11 catalog gossip, 12 query aggregation,
 //!               13 rpc request, 14 rpc response
+//!               (10 is retired: it decodes as an unknown tag)
 //! -- aggregation bodies (tags 0-3) --
 //! u64 sender id
 //! u64 epoch
@@ -30,13 +30,6 @@
 //!   u32 node, u32 timestamp,
 //!   u8 addr kind (0 none, 4 IPv4, 6 IPv6), [ip bytes, u16 port]
 //!   (written empty — kind 0; kept for the layout)
-//! -- piggybacked aggregation (tag 10) --
-//! u32 sender membership id
-//! u8 descriptor count, then (u32 node, u32 timestamp)*
-//! u8 address count, then per entry:
-//!   u32 node, u8 addr kind (4 IPv4, 6 IPv6), ip bytes, u16 port
-//!   (written empty — count 0; kept for the layout)
-//! ... then one complete aggregation message (version + tag 0-3) ...
 //! -- catalog gossip (tag 11) --
 //! u64 sender id
 //! u16 entry count, then per entry:
@@ -60,11 +53,9 @@
 //! Delta view messages (tags 8/9) share the full-view body layout; the
 //! tag alone tells the receiver whether the payload is the sender's whole
 //! view (replace your record of what it holds) or only the descriptors
-//! you were not known to hold (extend it). Tag 10 lets a membership
-//! trailer ride on an aggregation datagram already leaving the socket —
-//! descriptors keep views fresh between gossip cycles. Peers are routed
-//! by node id, so the address slots of tags 7 and 10 are written empty
-//! and ignored on receipt; they are kept for the layout.
+//! you were not known to hold (extend it). Peers are routed by node id,
+//! so the address slots of tag 7 are written empty and ignored on
+//! receipt; they are kept for the layout.
 //!
 //! The multiplexed runtime ([`crate::mux`]) hosts many protocol nodes
 //! behind one socket, so a frame carries a routing prefix in front of the
@@ -91,14 +82,14 @@
 //! `put_*` encoder, generic over the byte sink, and a `get_*` decoder
 //! over a bounds-checked reader. Everything else is derived. A frame's
 //! size ([`WireFrame::encoded_len`], [`encoded_len`],
-//! [`piggyback_trailer_len`], [`bundle_frame_len`]) is its encoder run on
-//! a sink that only counts, so traffic models charge wire bytes without
-//! materializing buffers and a size can never disagree with the bytes.
+//! [`bundle_frame_len`]) is its encoder run on a sink that only counts,
+//! so traffic models charge wire bytes without materializing buffers
+//! and a size can never disagree with the bytes.
 //! A short datagram is whichever getter runs out of input reporting
 //! [`DecodeError::Truncated`]; no getter can panic, and a count field
 //! never reserves more memory than the bytes behind it could fill.
 //! `version · tag` is parsed in one place — by [`decode_datagram`], and
-//! again for the message nested in tags 10/12 — so errors surface in
+//! again for the message nested in tag 12 — so errors surface in
 //! wire order: `[9]` is `BadVersion(9)` (the per-type decoders this
 //! replaced length-checked first and said `Truncated`; nothing depended
 //! on which), and a body is parsed as whatever its tag says it is.
@@ -118,7 +109,7 @@
 //! (`crates/ledger`), which compiles against them; no runtime emits the
 //! v2 prefix.
 
-use crate::directory::{DirectoryPayload, IntroduceEntry, Piggyback, ViewPayload};
+use crate::directory::{DirectoryPayload, IntroduceEntry, ViewPayload};
 use epidemic_aggregation::value::InstanceMap;
 use epidemic_aggregation::{InstanceState, Message, MessageBody};
 use epidemic_common::NodeId;
@@ -130,9 +121,10 @@ use std::fmt;
 use std::net::{IpAddr, SocketAddr};
 
 /// Wire format version emitted by [`encode_message`]. Version 1 lacked
-/// the delta view and piggyback tags, version 3 the query plane
-/// (tags 11–14); version 2 is permanently reserved for the mux routing
-/// prefix so the two framings can never be confused.
+/// the delta view tags and tag 10 (piggybacked trailers, since retired),
+/// version 3 the query plane (tags 11–14); version 2 is permanently
+/// reserved for the mux routing prefix so the two framings can never be
+/// confused.
 pub const WIRE_VERSION: u8 = 4;
 
 /// Wire version of the virtual-node-routed frames emitted by
@@ -408,8 +400,8 @@ pub fn encoded_len(msg: &Message) -> usize {
     WireFrame::Aggregation(msg).encoded_len()
 }
 
-/// `(u32 node, u32 timestamp)*` — the descriptor run views and trailers
-/// share; each puts its own count in front.
+/// `(u32 node, u32 timestamp)*` — a view's descriptor run, after its
+/// count.
 fn put_descriptors<W: WireWrite>(buf: &mut W, descriptors: &[Descriptor]) {
     for d in descriptors {
         buf.put_u32_le(d.node);
@@ -521,47 +513,6 @@ fn get_directory(tag: u8, data: &mut &[u8]) -> Result<DirectoryPayload, DecodeEr
         reply: tag == 5 || tag == 9,
         delta: tag >= 8,
     })
-}
-
-/// The membership trailer of a piggybacked aggregation datagram (tag 10),
-/// header included: a few descriptors riding on a datagram that was
-/// leaving the socket anyway (the address list is written empty; kept for
-/// the layout). The carried message follows it.
-fn put_trailer<W: WireWrite>(buf: &mut W, piggyback: &Piggyback) {
-    put_header(buf, 10);
-    buf.put_u32_le(piggyback.from);
-    buf.put_u8(piggyback.descriptors.len() as u8);
-    put_descriptors(buf, &piggyback.descriptors);
-    buf.put_u8(piggyback.addrs.len() as u8);
-    for &(node, addr) in &piggyback.addrs {
-        buf.put_u32_le(node);
-        put_addr(buf, addr);
-    }
-}
-
-fn get_trailer(data: &mut &[u8]) -> Result<Piggyback, DecodeError> {
-    let from = data.get_u32_le()?;
-    let ndesc = data.get_u8()? as usize;
-    let descriptors = get_descriptors(data, ndesc)?;
-    let naddr = data.get_u8()? as usize;
-    // The smallest entry is IPv4: node + kind + ip + port.
-    let addrs = get_list(data, naddr, 11, |data| {
-        let node = data.get_u32_le()?;
-        let kind = data.get_u8()?;
-        Ok((node, get_addr(kind, data)?))
-    })?;
-    Ok(Piggyback {
-        from,
-        descriptors,
-        addrs,
-    })
-}
-
-/// Wire bytes the membership trailer adds on top of the plain aggregation
-/// message — the share traffic accounting charges to the membership
-/// plane.
-pub fn piggyback_trailer_len(piggyback: &Piggyback) -> usize {
-    counted(|n| put_trailer(n, piggyback))
 }
 
 // ---------------------------------------------------------------------
@@ -743,8 +694,7 @@ pub fn encode_mux_query_frame(to: NodeId, query: &str, msg: &Message) -> Vec<u8>
 }
 
 /// Any decodable datagram body: an aggregation-plane [`Message`]
-/// (tags 0–3), a membership-plane [`DirectoryPayload`] (tags 4–9), an
-/// aggregation message with a piggybacked membership trailer (tag 10), or
+/// (tags 0–3), a membership-plane [`DirectoryPayload`] (tags 4–9), or
 /// query-plane traffic (tags 11–14).
 #[derive(Debug, Clone, PartialEq)]
 pub enum WirePayload {
@@ -752,8 +702,6 @@ pub enum WirePayload {
     Aggregation(Message),
     /// Membership / bootstrap traffic.
     Directory(DirectoryPayload),
-    /// Aggregation traffic with a membership trailer riding along.
-    Piggybacked(Message, Piggyback),
     /// Query catalog gossip (tag 11).
     Catalog {
         /// Sending node.
@@ -782,8 +730,6 @@ pub enum WireFrame<'a> {
     Aggregation(&'a Message),
     /// Membership / bootstrap traffic.
     Directory(&'a DirectoryPayload),
-    /// Aggregation traffic with a membership trailer riding along.
-    Piggybacked(&'a Message, &'a Piggyback),
     /// Query catalog gossip (tag 11): sending node, its full entry list.
     Catalog(NodeId, &'a [CatalogEntry]),
     /// A named query's aggregation frame (tag 12): owning query, message.
@@ -797,10 +743,6 @@ impl WireFrame<'_> {
         match *self {
             WireFrame::Aggregation(msg) => put_message(buf, msg),
             WireFrame::Directory(payload) => put_directory(buf, payload),
-            WireFrame::Piggybacked(msg, piggyback) => {
-                put_trailer(buf, piggyback);
-                put_message(buf, msg);
-            }
             WireFrame::Catalog(from, entries) => put_catalog(buf, from, entries),
             WireFrame::Query(query, msg) => {
                 put_header(buf, 12);
@@ -834,7 +776,6 @@ impl WireFrame<'_> {
         match *self {
             WireFrame::Aggregation(msg) => WirePayload::Aggregation(msg.clone()),
             WireFrame::Directory(payload) => WirePayload::Directory(payload.clone()),
-            WireFrame::Piggybacked(msg, pb) => WirePayload::Piggybacked(msg.clone(), pb.clone()),
             WireFrame::Catalog(from, entries) => WirePayload::Catalog {
                 from,
                 entries: entries.to_vec(),
@@ -852,9 +793,9 @@ impl WireFrame<'_> {
     /// only meet per-message loss.
     pub fn opens_exchange(&self) -> bool {
         match *self {
-            WireFrame::Aggregation(msg)
-            | WireFrame::Piggybacked(msg, _)
-            | WireFrame::Query(_, msg) => matches!(msg.body, MessageBody::Request(_)),
+            WireFrame::Aggregation(msg) | WireFrame::Query(_, msg) => {
+                matches!(msg.body, MessageBody::Request(_))
+            }
             WireFrame::Directory(DirectoryPayload::View { reply, .. }) => !reply,
             WireFrame::Directory(DirectoryPayload::Join { .. }) => true,
             WireFrame::Directory(DirectoryPayload::Introduce { .. }) | WireFrame::Catalog(..) => {
@@ -876,10 +817,6 @@ pub fn decode_datagram(mut data: &[u8]) -> Result<WirePayload, DecodeError> {
     Ok(match get_header(data)? {
         tag @ 0..=3 => WirePayload::Aggregation(get_message_body(tag, data)?),
         tag @ 4..=9 => WirePayload::Directory(get_directory(tag, data)?),
-        10 => {
-            let piggyback = get_trailer(data)?;
-            WirePayload::Piggybacked(get_message(data)?, piggyback)
-        }
         11 => get_catalog(data)?,
         12 => WirePayload::Query {
             query: get_name(data)?,
@@ -1303,16 +1240,9 @@ mod tests {
             decode_datagram(&WireFrame::Directory(&join).encode()),
             Ok(WirePayload::Directory(join))
         );
-        let pb = Piggyback {
-            from: 9,
-            descriptors: vec![Descriptor::new(1, 2)],
-            addrs: vec![],
-        };
-        let inner = Message::refuse(NodeId::new(4), 7);
-        assert_eq!(
-            decode_datagram(&WireFrame::Piggybacked(&inner, &pb).encode()),
-            Ok(WirePayload::Piggybacked(inner, pb))
-        );
+        // Tag 10 (piggybacked trailers) is retired, not reused.
+        let retired = [WIRE_VERSION, 10, 9, 0, 0, 0, 0, 0];
+        assert_eq!(decode_datagram(&retired), Err(DecodeError::BadTag(10)));
         assert_eq!(
             decode_datagram(&[WIRE_VERSION, 99, 0, 0]),
             Err(DecodeError::BadTag(99))

@@ -14,24 +14,19 @@
 //!   deterministic `(seed, id, initiated-exchange count)` stream the
 //!   same-seed parity tests rely on.
 //! * [`GossipDirectory`] — the whole NEWSCAST node (Section 4.4): the
-//!   partial view, what each recent partner is believed to hold, the
-//!   piggyback budget and the join state, in one type. Views travel as
-//!   codec tags 4/5 (full) or 8/9 (deltas: only the descriptors the
-//!   partner is believed to lack, with a periodic full-view
-//!   anti-entropy fallback) in a [`ViewPayload`], bootstrap as
+//!   partial view, what each recent partner is believed to hold and the
+//!   join state, in one type. Views travel as codec tags 4/5 (full) or
+//!   8/9 (deltas: only the descriptors the partner is believed to lack,
+//!   with a periodic full-view anti-entropy fallback) in a
+//!   [`ViewPayload`], bootstrap as
 //!   [`DirectoryPayload::Join`] (tag 6) / [`DirectoryPayload::Introduce`]
 //!   (tag 7): a joiner contacts an *introducer*, which answers with a
 //!   snapshot of its view. Join frames are retried with exponential
 //!   backoff, rotating across introducers, so a lost tag-6 frame delays
 //!   bootstrap instead of stranding the node. No static peer table exists
 //!   anywhere; `GETNEIGHBOR()` is served from the live partial view.
-//!
-//! Directories may additionally *piggyback* membership on aggregation
-//! frames already leaving the node: the embedding asks
-//! [`PeerDirectory::piggyback`] for a small [`Piggyback`] trailer of
-//! descriptors when encoding an aggregation message, and feeds received
-//! trailers to [`PeerDirectory::absorb_piggyback`]. This spreads views
-//! without dedicated frames.
+//!   Nothing rides on aggregation frames: membership moves only in these
+//!   frames of its own.
 //!
 //! Directories are sans-io. Three embeddings step them through
 //! [`NodeStack`](crate::stack::NodeStack) — the mux runtime, the event
@@ -130,25 +125,6 @@ pub struct IntroduceEntry {
     pub addr: Option<SocketAddr>,
 }
 
-/// How many descriptors a directory will piggyback per aggregation
-/// frame. Small on purpose: the trailer rides traffic that is already
-/// paying a header, so a few descriptors per frame compound quickly
-/// without ever doubling a frame's size.
-pub const PIGGYBACK_BUDGET: usize = 3;
-
-/// A membership trailer attached to an aggregation frame (codec tag 10):
-/// a few descriptors the destination is believed to lack.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Piggyback {
-    /// The sending node's membership identifier.
-    pub from: u32,
-    /// Descriptors worth forwarding to this destination.
-    pub descriptors: Vec<Descriptor>,
-    /// Written empty and ignored on receipt: peers are routed by id. The
-    /// codec slot is kept for the wire layout.
-    pub addrs: Vec<(u32, SocketAddr)>,
-}
-
 /// A membership service below the aggregation plane.
 ///
 /// Extends [`PeerSampler`] — `draw_peer` *is* `GETNEIGHBOR()` — with the
@@ -180,21 +156,6 @@ pub trait PeerDirectory: PeerSampler + Send + fmt::Debug {
         out: &mut Vec<DirectoryMessage>,
     );
 
-    /// A membership trailer worth attaching to an aggregation frame
-    /// headed to `to` right now, or `None` when the destination already
-    /// knows everything worth telling (the common steady-state case — the
-    /// embedding then sends a plain aggregation frame).
-    fn piggyback(&mut self, to: NodeId, now: u64) -> Option<Piggyback> {
-        let _ = (to, now);
-        None
-    }
-
-    /// Absorbs a piggybacked membership trailer received alongside an
-    /// aggregation message.
-    fn absorb_piggyback(&mut self, piggyback: &Piggyback, now: u64) {
-        let _ = (piggyback, now);
-    }
-
     /// How many times this directory re-sent its bootstrap `Join` after
     /// the first attempt went unanswered (0 for directories that never
     /// join). Surfaced in `TrafficCounts` so a lossy bootstrap path shows
@@ -204,8 +165,8 @@ pub trait PeerDirectory: PeerSampler + Send + fmt::Debug {
     }
 
     /// Enables protocol event tracing on the membership plane (join
-    /// retries, piggyback emissions, view merges). Directories without a
-    /// membership plane ignore it.
+    /// retries, view merges). Directories without a membership plane
+    /// ignore it.
     fn set_trace_capacity(&mut self, capacity: usize) {
         let _ = capacity;
     }
@@ -259,12 +220,6 @@ impl PeerDirectory for Box<dyn PeerDirectory> {
         out: &mut Vec<DirectoryMessage>,
     ) {
         (**self).handle(payload, src, now, out);
-    }
-    fn piggyback(&mut self, to: NodeId, now: u64) -> Option<Piggyback> {
-        (**self).piggyback(to, now)
-    }
-    fn absorb_piggyback(&mut self, piggyback: &Piggyback, now: u64) {
-        (**self).absorb_piggyback(piggyback, now);
     }
     fn join_retries(&self) -> u64 {
         (**self).join_retries()
@@ -369,9 +324,9 @@ impl GossipDirectoryConfig {
         }
     }
 
-    /// Ships full views every exchange (tags 4/5 only, no piggybacked
-    /// trailers) — the pre-delta wire behavior, kept for byte-overhead
-    /// A/B measurements.
+    /// Ships full views every exchange (tags 4/5 only, never a delta) —
+    /// the pre-delta wire behavior, kept as the reference the delta path
+    /// is measured and tested against.
     pub fn with_full_views(mut self) -> Self {
         self.delta_views = false;
         self
@@ -412,12 +367,10 @@ impl GossipDirectoryConfig {
 /// One node's NEWSCAST protocol: `GETNEIGHBOR()` from a live partial
 /// view, no static peer table anywhere.
 ///
-/// It holds the view, the per-partner delta knowledge, the piggyback
-/// budget and the join state, and answers every [`PeerDirectory`] verb
-/// itself: [`poll`](PeerDirectory::poll) fires joins and view exchanges,
-/// [`handle`](PeerDirectory::handle) answers them, and
-/// [`piggyback`](PeerDirectory::piggyback) /
-/// [`absorb_piggyback`](PeerDirectory::absorb_piggyback) carry trailers.
+/// It holds the view, the per-partner delta knowledge and the join
+/// state, and answers every [`PeerDirectory`] verb itself:
+/// [`poll`](PeerDirectory::poll) fires joins and view exchanges, and
+/// [`handle`](PeerDirectory::handle) answers them.
 #[derive(Debug)]
 pub struct GossipDirectory {
     me: u32,
@@ -434,12 +387,6 @@ pub struct GossipDirectory {
     rng: Xoshiro256,
     /// Per-partner delta state, most recently used first.
     knowledge: Vec<PeerKnowledge>,
-    /// Rotating start offset for piggyback picks.
-    pb_cursor: usize,
-    /// Descriptors the piggyback budget still allows this gossip period.
-    pb_tokens: usize,
-    /// When the piggyback budget next refills.
-    pb_refill_at: u64,
     /// Bootstrap contacts (self already filtered out).
     introducers: Vec<NodeId>,
     /// Next tick at which an (re-)join may fire.
@@ -449,8 +396,8 @@ pub struct GossipDirectory {
     /// a dead or partitioned first introducer is routed around instead of
     /// retried forever.
     join_attempts: u64,
-    /// Membership trace ring (join retries, piggyback emissions, view
-    /// merges); disabled (capacity 0) unless the embedding opts in.
+    /// Membership trace ring (join retries, view merges); disabled
+    /// (capacity 0) unless the embedding opts in.
     trace: TraceRing,
 }
 
@@ -510,9 +457,6 @@ impl GossipDirectory {
             next_cycle_at: phase,
             rng,
             knowledge: Vec::new(),
-            pb_cursor: 0,
-            pb_tokens: 0,
-            pb_refill_at: 0,
             introducers,
             next_join_at: 0,
             join_attempts: 0,
@@ -798,14 +742,15 @@ impl PeerDirectory for GossipDirectory {
                     },
                 });
             }
-            DirectoryPayload::Introduce { peers, .. } => {
-                // Bootstrap from the snapshot: self filtered, the `c`
-                // freshest kept, exactly like a regular merge.
+            DirectoryPayload::Introduce { from, peers } => {
+                // Bootstrap from the snapshot through the one merge rule:
+                // self filtered, timestamps clamped (nodes accept an
+                // Introduce they never asked for), the `c` freshest kept.
                 let descriptors: Vec<Descriptor> = peers
                     .iter()
                     .map(|entry| Descriptor::new(entry.node, entry.timestamp))
                     .collect();
-                self.view.merge_with(&descriptors, self.me);
+                self.merge(*from, &descriptors, now);
             }
             DirectoryPayload::View { view, reply, delta } => {
                 // Record what the sender just proved it holds; the passive
@@ -826,78 +771,6 @@ impl PeerDirectory for GossipDirectory {
                 self.merge(view.from, &view.descriptors, now);
             }
         }
-    }
-
-    /// Up to [`PIGGYBACK_BUDGET`] descriptors for `to`: the
-    /// self-descriptor on first contact, plus rotating view entries the
-    /// partner is not known to hold *at all*. Timestamp refreshes never
-    /// ride along — circulating freshness is the view exchanges'
-    /// anti-entropy job, and re-sending known nodes is what would keep
-    /// trailers from ever going quiet. Picked descriptors are recorded as
-    /// known to the partner, so later deltas shrink.
-    ///
-    /// Trailer volume is further capped by a token budget of two
-    /// trailers' worth of descriptors per gossip period: the view churns
-    /// continuously, so without a rate cap a busy aggregation plane would
-    /// find something "new" for nearly every datagram and the trailers
-    /// would quietly grow into a second full-rate membership plane.
-    /// Piggybacking is part of the delta machinery: with full views it
-    /// never fires.
-    fn piggyback(&mut self, to: NodeId, now: u64) -> Option<Piggyback> {
-        if !self.delta_views {
-            return None;
-        }
-        if now >= self.pb_refill_at {
-            self.pb_tokens = PIGGYBACK_BUDGET * 2;
-            self.pb_refill_at = now.saturating_add(self.cycle_length);
-        }
-        if self.pb_tokens == 0 {
-            return None;
-        }
-        let max = PIGGYBACK_BUDGET.min(self.pb_tokens);
-        let bound = knowledge_bound(&self.view);
-        let cursor = self.pb_cursor;
-        self.pb_cursor = cursor.wrapping_add(1);
-        let peer = to.as_u64() as u32;
-        let k = knowledge_mut(&mut self.knowledge, self.knowledge_peers, peer);
-        let entries = self.view.entries();
-        let mut picked: Vec<Descriptor> = Vec::new();
-        if held(&k.seen, self.me).is_none() {
-            picked.push(Descriptor::new(self.me, timestamp(now)));
-        }
-        for step in 0..entries.len() {
-            if picked.len() >= max {
-                break;
-            }
-            let d = entries[(cursor + step) % entries.len()];
-            // Telling a peer about itself is useless: merges drop it.
-            if d.node != peer && held(&k.seen, d.node).is_none() {
-                picked.push(d);
-            }
-        }
-        if picked.is_empty() {
-            return None;
-        }
-        note_seen(&mut k.seen, &picked, bound);
-        self.pb_tokens = self.pb_tokens.saturating_sub(picked.len());
-        self.record(TraceKind::PiggybackEmit, to.as_u64(), picked.len() as u64);
-        Some(Piggyback {
-            from: self.me,
-            descriptors: picked,
-            addrs: Vec::new(),
-        })
-    }
-
-    /// Records the trailer's descriptors as held by its sender and merges
-    /// them into the view, clamped like any exchange.
-    fn absorb_piggyback(&mut self, piggyback: &Piggyback, now: u64) {
-        if piggyback.from == self.me {
-            return;
-        }
-        let bound = knowledge_bound(&self.view);
-        let k = knowledge_mut(&mut self.knowledge, self.knowledge_peers, piggyback.from);
-        note_seen(&mut k.seen, &piggyback.descriptors, bound);
-        self.merge(piggyback.from, &piggyback.descriptors, now);
     }
 
     fn join_retries(&self) -> u64 {
@@ -1167,23 +1040,6 @@ mod tests {
     }
 
     #[test]
-    fn piggyback_spreads_descriptors_then_goes_quiet() {
-        let mut dirs = [
-            GossipDirectory::id_routed(NodeId::new(0), &gossip_config(0), 7),
-            GossipDirectory::id_routed(NodeId::new(1), &gossip_config(0), 7),
-        ];
-        let mut sink = Vec::new();
-        dirs[0].handle(&DirectoryPayload::Join { from: 2 }, None, 1, &mut sink);
-        let pb = dirs[0].piggyback(NodeId::new(1), 3).expect("news to share");
-        assert!(!pb.descriptors.is_empty());
-        assert!(pb.addrs.is_empty(), "a trailer carried addresses");
-        dirs[1].absorb_piggyback(&pb, 4);
-        assert!(dirs[1].view().contains(2));
-        // Nothing new to tell node 1 → no trailer at all.
-        assert!(dirs[0].piggyback(NodeId::new(1), 3).is_none());
-    }
-
-    #[test]
     fn introducer_with_no_contacts_is_quiet() {
         let config = GossipDirectoryConfig::new(8, 50).with_introducer_node(5);
         let mut dir = GossipDirectory::id_routed(NodeId::new(5), &config, 2);
@@ -1355,6 +1211,33 @@ mod tests {
     }
 
     #[test]
+    fn introduce_timestamps_are_clamped_like_any_merge() {
+        // Nodes accept an Introduce they never asked for, so its stamps
+        // get the clamp every other merge applies: now + one period.
+        let mut victim = node(9, &full_config(), 4);
+        victim.set_trace_capacity(8);
+        let entry = |node, timestamp| IntroduceEntry {
+            node,
+            timestamp,
+            addr: None,
+        };
+        let forged = DirectoryPayload::Introduce {
+            from: 1,
+            peers: vec![entry(1, u32::MAX), entry(2, u32::MAX), entry(3, 40)],
+        };
+        victim.handle(&forged, None, 100, &mut Vec::new());
+        assert_eq!(victim.view().len(), 3);
+        assert_eq!(victim.view().freshest(), Some(200), "unclamped Introduce");
+        let merges = victim.take_trace();
+        assert!(
+            merges
+                .iter()
+                .any(|e| e.kind == TraceKind::ViewMerge && e.peer == Some(1) && e.detail == 3),
+            "Introduce not traced as a view merge: {merges:?}"
+        );
+    }
+
+    #[test]
     fn draw_peer_returns_view_members() {
         let (mut a, _) = two_bootstrapped();
         for _ in 0..10 {
@@ -1465,56 +1348,6 @@ mod tests {
         for d in b.view().entries() {
             assert!(d.timestamp <= 300, "unclamped descriptor {d} (delta path)");
         }
-    }
-
-    #[test]
-    fn piggyback_picks_unknown_descriptors_then_goes_quiet() {
-        let mut a = node(0, &delta_config(), 1);
-        for p in 1..5 {
-            a.add_seed(p, 50);
-        }
-        let mut pick = |now| {
-            a.piggyback(NodeId::new(9), now)
-                .map_or_else(Vec::new, |pb| pb.descriptors)
-        };
-        let first = pick(100);
-        assert!(!first.is_empty() && first.len() <= PIGGYBACK_BUDGET);
-        assert!(first.iter().any(|d| d.node == 0), "fresh self not included");
-        // Everything picked is now recorded as known: repeating within the
-        // same cycle finds nothing new to say.
-        let total: usize = (0..4).map(|_| pick(101).len()).sum();
-        assert!(total <= 4, "piggyback kept repeating known descriptors");
-        // A fresh view entry becomes piggyback-worthy again.
-        a.add_seed(7, 120);
-        let later: Vec<Descriptor> = (0..6)
-            .flat_map(|_| {
-                a.piggyback(NodeId::new(9), 121)
-                    .map_or_else(Vec::new, |pb| pb.descriptors)
-            })
-            .collect();
-        assert!(
-            later.iter().any(|d| d.node == 7),
-            "new entry never rode along"
-        );
-    }
-
-    #[test]
-    fn absorbed_piggyback_updates_view_and_knowledge() {
-        let mut a = node(0, &delta_config(), 1);
-        let trailer = Piggyback {
-            from: 3,
-            descriptors: vec![Descriptor::new(3, 90), Descriptor::new(4, 80)],
-            addrs: Vec::new(),
-        };
-        a.absorb_piggyback(&trailer, 100);
-        assert!(a.view().contains(3));
-        assert!(a.view().contains(4));
-        // The sender proved it holds those descriptors: an exchange right
-        // after can already use delta form.
-        a.add_seed(3, 100);
-        let (payload, full) = a.outbound_for(3, 150);
-        assert!(!full, "knowledge from piggyback was not used");
-        assert!(payload.descriptors.len() < a.view().len() + 1);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!
 //! * [`stack`] — the **node**: [`stack::NodeStack`] owns the base
 //!   aggregate, its directory and the query plane, and is the only place
-//!   that decides poll order, piggyback attachment, deadline folding and
-//!   which traffic ledger a frame lands on. Sans-io: `step(input, now,
+//!   that decides poll order, deadline folding and which traffic ledger
+//!   a frame lands on. Sans-io: `step(input, now,
 //!   sink)` in, borrowed frames out. The mux runtime embeds it, and so
 //!   does the event simulator (`epidemic-sim`); [`stack::Convergence`] and
 //!   [`stack::Traffic`] publish the `epoch.*` and `io.*{plane}` series.

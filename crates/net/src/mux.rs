@@ -57,7 +57,7 @@
 //!
 //! Every datagram still crosses the kernel's UDP stack, so the runtime
 //! exercises the real codec, sockets and timing. The protocol wiring —
-//! poll order, piggybacks, deadline folding, plane classification, RPC
+//! poll order, deadline folding, plane classification, RPC
 //! dispatch — lives in [`crate::stack`]; what is left here is homing a
 //! vnode on its loop, re-arming its deadline, resolving a vnode id to a
 //! socket, and packing frames. Only a vnode's home loop steps its frames
@@ -636,8 +636,7 @@ struct Shared {
     /// The `epoch.*` convergence gauges, fed by the reports passing
     /// through [`Cluster::take_reports`] and the query epochs the loops
     /// drain, plus `agg.exchanges` and `membership.delta_bytes` (delta
-    /// view frames and piggybacked trailers), counted as the loops' sinks
-    /// see each frame.
+    /// view frames), counted as the loops' sinks see each frame.
     convergence: Convergence,
     start: Instant,
 }
@@ -1198,7 +1197,7 @@ fn rpc_loop(shared: &Shared, socket: &UdpSocket) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{decode_rpc_response, encode_rpc_request};
+    use crate::codec::{decode_rpc_response, encode_rpc_request, BUNDLE_VERSION};
     use crate::directory::GossipDirectoryConfig;
     use epidemic_aggregation::value::InstanceMap;
     use epidemic_aggregation::{AggregateKind, InstanceSpec, InstanceState, Message};
@@ -1464,13 +1463,26 @@ mod tests {
         let frame = WireFrame::Aggregation(&refuse);
         // At a reader: something that is not a bundle, a bundle whose one
         // frame is corrupt (header, length, vnode, then the message's
-        // version byte), and a good frame followed by a cut-off tail.
+        // version byte), a good frame followed by a cut-off tail, and a
+        // bundle whose one frame is a piggybacked trailer in front of a
+        // refuse, under the retired tag 10.
         let mut corrupt = Vec::new();
         push_bundle_frame(&mut corrupt, NodeId::new(0), &frame);
         let mut cut = corrupt.clone();
         corrupt[1 + 1 + 8] = 0xEE;
         cut.extend_from_slice(&[32, 1, 2, 3]);
-        for datagram in [&b"not a bundle"[..], &corrupt, &cut] {
+        let tag10 = "040a0c000000020100000009000000ffffffff000000000201000000040a010203591b020000000620010db8000000000000000000000009ffff040304000000000000000700000000000000";
+        let tag10: Vec<u8> = (0..tag10.len())
+            .step_by(2)
+            .map(|at| u8::from_str_radix(&tag10[at..at + 2], 16).unwrap())
+            .collect();
+        let retired = [
+            &[BUNDLE_VERSION, 8 + tag10.len() as u8][..],
+            &[0; 8],
+            &tag10,
+        ]
+        .concat();
+        for datagram in [&b"not a bundle"[..], &corrupt, &cut, &retired] {
             hostile.send_to(datagram, cluster.addr()).unwrap();
         }
         // At the RPC listener: noise, and a frame that is no request.
@@ -1480,7 +1492,7 @@ mod tests {
                 .unwrap();
         }
         std::thread::sleep(Duration::from_millis(900));
-        assert_eq!(cluster.registry().counter_value("io.decode_errors"), 5);
+        assert_eq!(cluster.registry().counter_value("io.decode_errors"), 6);
         assert_eq!(cluster.total_datagram_counts().send_errors, 0);
         let reports = cluster.take_all_reports();
         cluster.shutdown();
@@ -1652,7 +1664,7 @@ mod tests {
         let delta_bytes = registry.counter_value("membership.delta_bytes");
         let view_size = registry.gauge_value("membership.view_mean_size");
         cluster.shutdown();
-        assert!(delta_bytes > 0, "no delta/piggyback bytes counted");
+        assert!(delta_bytes > 0, "no delta view bytes counted");
         assert!(view_size.unwrap_or(0.0) > 0.0, "view health never sampled");
         let mut finals = Vec::new();
         for node_reports in &reports {

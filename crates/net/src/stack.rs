@@ -4,10 +4,9 @@
 //! over `GETNEIGHBOR()`, with every concurrent aggregate sharing that
 //! substrate. [`NodeStack`] is that thing — the base [`GossipNode`], its
 //! [`PeerDirectory`] and the multi-tenant [`QueryPlane`] — wired once:
-//! which plane is polled first, when a membership trailer rides an
-//! aggregation frame, how the three deadlines fold into one, which
-//! ledger a frame's bytes land on. An embedding supplies what is left:
-//! a clock, a transport, and a lock if it shares the stack with an
+//! which plane is polled first, how the three deadlines fold into one,
+//! which ledger a frame's bytes land on. An embedding supplies what is
+//! left: a clock, a transport, and a lock if it shares the stack with an
 //! operator handle. It feeds [`NodeStack::step`] a timer wake or a decoded
 //! frame and receives every outbound as a borrowed
 //! `(NodeId, WireFrame, Plane)` through a sink — nothing is encoded,
@@ -23,7 +22,7 @@
 //! computed in one place.
 
 use crate::cluster::TrafficCounts;
-use crate::codec::{piggyback_trailer_len, WireFrame, WirePayload};
+use crate::codec::{WireFrame, WirePayload};
 use crate::directory::{Destination, DirectoryMessage, DirectoryPayload, PeerDirectory};
 use epidemic_aggregation::convergence::{observed_rho, EpochWindow};
 use epidemic_aggregation::node::GossipNode;
@@ -54,13 +53,6 @@ pub enum Plane {
     Aggregation,
     /// View gossip and join/introduce bootstrap.
     Membership,
-    /// An aggregation frame whose first `trailer` bytes are a membership
-    /// trailer: one aggregation frame, the trailer bytes charged to the
-    /// membership ledger so the byte-overhead ratio stays honest.
-    Piggybacked {
-        /// Wire bytes of the trailer.
-        trailer: u32,
-    },
     /// Catalog gossip or a named query's exchange.
     Query,
 }
@@ -71,19 +63,15 @@ impl Plane {
         match frame {
             WireFrame::Aggregation(_) => Plane::Aggregation,
             WireFrame::Directory(_) => Plane::Membership,
-            WireFrame::Piggybacked(_, piggyback) => Plane::Piggybacked {
-                trailer: piggyback_trailer_len(piggyback) as u32,
-            },
             WireFrame::Catalog(..) | WireFrame::Query(..) => Plane::Query,
         }
     }
 
     /// The ledger a received frame counts on; `None` for client RPC,
-    /// which is not protocol traffic. A trailer is charged in bytes on
-    /// the send side only, so a piggybacked frame counts as aggregation.
+    /// which is not protocol traffic.
     pub fn of_received(payload: &WirePayload) -> Option<Plane> {
         match payload {
-            WirePayload::Aggregation(_) | WirePayload::Piggybacked(..) => Some(Plane::Aggregation),
+            WirePayload::Aggregation(_) => Some(Plane::Aggregation),
             WirePayload::Directory(_) => Some(Plane::Membership),
             WirePayload::Catalog { .. } | WirePayload::Query { .. } => Some(Plane::Query),
             WirePayload::Rpc(_) | WirePayload::RpcReply(_) => None,
@@ -91,13 +79,9 @@ impl Plane {
     }
 
     /// Index of the ledger this plane's frames count on — aggregation,
-    /// membership, query; a piggybacked frame is an aggregation frame.
+    /// membership, query.
     pub fn ledger(self) -> usize {
-        match self {
-            Plane::Aggregation | Plane::Piggybacked { .. } => 0,
-            Plane::Membership => 1,
-            Plane::Query => 2,
-        }
+        self as usize
     }
 }
 
@@ -212,10 +196,6 @@ impl<D: PeerDirectory> NodeStack<D> {
             }
             Input::Frame(payload) => match payload {
                 WirePayload::Aggregation(msg) => self.gossip.handle(msg, now),
-                WirePayload::Piggybacked(msg, piggyback) => {
-                    self.directory.absorb_piggyback(piggyback, now);
-                    self.gossip.handle(msg, now)
-                }
                 WirePayload::Directory(payload) => {
                     self.directory.handle(payload, None, now, &mut self.dir_out);
                     None
@@ -231,20 +211,10 @@ impl<D: PeerDirectory> NodeStack<D> {
                 WirePayload::Rpc(_) | WirePayload::RpcReply(_) => None,
             },
         };
-        // An outbound aggregation frame is a free ride for membership
-        // news: ask the directory for a trailer worth attaching (None in
-        // steady state, and always None for a static directory).
-        let piggyback = outbound
-            .as_ref()
-            .and_then(|out| self.directory.piggyback(out.to, now));
         let me = self.gossip.id();
         let mut emit = |to: NodeId, frame: WireFrame<'_>| sink(to, frame, Plane::of(&frame));
         if let Some(out) = &outbound {
-            let frame = match &piggyback {
-                Some(piggyback) => WireFrame::Piggybacked(&out.message, piggyback),
-                None => WireFrame::Aggregation(&out.message),
-            };
-            emit(out.to, frame);
+            emit(out.to, WireFrame::Aggregation(&out.message));
         }
         for msg in self.dir_out.drain(..) {
             let Destination::Node(to) = msg.to;
@@ -456,21 +426,11 @@ impl Convergence {
     }
 
     /// Counts one frame a sink was handed and charged `bytes` for: a
-    /// base-aggregate request is one exchange initiated; a delta view and
-    /// a membership trailer are delta bytes.
+    /// base-aggregate request is one exchange initiated; a delta view's
+    /// bytes are delta bytes.
     pub fn count(&self, frame: &WireFrame<'_>, bytes: u64) {
-        let base = matches!(
-            frame,
-            WireFrame::Aggregation(_) | WireFrame::Piggybacked(..)
-        );
-        if base && frame.opens_exchange() {
-            self.exchanges.inc();
-        }
         match frame {
-            WireFrame::Piggybacked(_, piggyback) => {
-                self.delta_bytes
-                    .add(piggyback_trailer_len(piggyback) as u64);
-            }
+            WireFrame::Aggregation(_) if frame.opens_exchange() => self.exchanges.inc(),
             WireFrame::Directory(DirectoryPayload::View { delta: true, .. }) => {
                 self.delta_bytes.add(bytes);
             }
@@ -483,8 +443,7 @@ impl Convergence {
 /// every stack it hosts: `io.{frames_sent,bytes_sent,frames_received}`
 /// per [`Plane`] ledger (and `sim.frames_lost` in the simulator),
 /// `io.send_errors`, `rpc.{requests,rejects}`. The one place a plane
-/// becomes a series and a trailer's bytes move to membership;
-/// [`TrafficCounts`] is a read of these series.
+/// becomes a series; [`TrafficCounts`] is a read of these series.
 #[derive(Debug, Clone)]
 pub struct Traffic {
     /// Per ledger, indexed by [`Plane::ledger`].
@@ -528,16 +487,10 @@ impl Traffic {
         }
     }
 
-    /// Counts one frame of `bytes` wire bytes sent on `plane`; a
-    /// piggybacked frame's trailer bytes land on the membership ledger.
+    /// Counts one frame of `bytes` wire bytes sent on `plane`.
     pub fn sent(&self, plane: Plane, bytes: u64) {
-        let mut own = bytes;
-        if let Plane::Piggybacked { trailer } = plane {
-            own -= u64::from(trailer);
-            self.bytes[Plane::Membership.ledger()].add(u64::from(trailer));
-        }
         self.sent[plane.ledger()].inc();
-        self.bytes[plane.ledger()].add(own);
+        self.bytes[plane.ledger()].add(bytes);
     }
 
     /// Counts one frame received on `plane`.
@@ -597,15 +550,19 @@ mod tests {
     use epidemic_query::RpcStatus;
 
     #[test]
-    fn traffic_charges_every_plane_and_moves_a_trailer_to_membership() {
+    fn traffic_charges_every_plane() {
         let registry = Registry::new();
         let traffic = Traffic::simulated(&registry);
         traffic.sent(Plane::Aggregation, 40);
-        traffic.sent(Plane::Piggybacked { trailer: 30 }, 100);
-        traffic.sent(Plane::Membership, 8);
+        traffic.sent(Plane::Aggregation, 70);
+        traffic.sent(Plane::Membership, 38);
         traffic.sent(Plane::Query, 24);
-        let trailer = Plane::Piggybacked { trailer: 9 };
-        for plane in [Plane::Aggregation, trailer, Plane::Membership, Plane::Query] {
+        for plane in [
+            Plane::Aggregation,
+            Plane::Aggregation,
+            Plane::Membership,
+            Plane::Query,
+        ] {
             traffic.received(plane);
         }
         traffic.lost(Plane::Query);
@@ -613,7 +570,6 @@ mod tests {
         traffic.rpc(&RpcResponse::reject(1, RpcStatus::UnknownQuery));
         traffic.rpc(&RpcResponse::ack(2));
         let c = TrafficCounts::read(&registry);
-        // Two frames on aggregation; the trailer's bytes on membership.
         assert_eq!((c.aggregation_sent, c.aggregation_bytes_sent), (2, 110));
         assert_eq!((c.membership_sent, c.membership_bytes_sent), (1, 38));
         assert_eq!((c.query_sent, c.query_bytes_sent), (1, 24));
@@ -632,7 +588,7 @@ mod tests {
         let zero = TrafficCounts::default();
         assert_eq!(zero.membership_byte_overhead(), 0.0);
         assert_eq!(zero.query_byte_overhead(), 0.0);
-        // The split loses no byte, and scrapers see the labelled series.
+        // No byte is lost, and scrapers see the labelled series.
         assert_eq!(registry.counter_value("io.bytes_sent"), 172);
         let text = registry.render_prometheus();
         assert!(text.contains("io_frames_sent{plane=\"aggregation\"} 2"));

@@ -20,10 +20,10 @@ use epidemic_net::codec::{
     bundle_frame_len, decode_bundle, decode_datagram, decode_message, decode_mux_datagram,
     decode_rpc_response, encode_message, encode_mux_catalog_frame, encode_mux_directory_frame,
     encode_mux_frame, encode_mux_query_frame, encode_rpc_request, encode_rpc_response, encoded_len,
-    piggyback_trailer_len, push_bundle_frame, DecodeError, WireFrame, WirePayload, BUNDLE_BUDGET,
-    BUNDLE_VERSION, MUX_WIRE_VERSION, WIRE_VERSION,
+    push_bundle_frame, DecodeError, WireFrame, WirePayload, BUNDLE_BUDGET, BUNDLE_VERSION,
+    MUX_WIRE_VERSION, WIRE_VERSION,
 };
-use epidemic_net::directory::{DirectoryPayload, IntroduceEntry, Piggyback, ViewPayload};
+use epidemic_net::directory::{DirectoryPayload, IntroduceEntry, ViewPayload};
 use epidemic_newscast::Descriptor;
 use epidemic_query::{
     kind_from_code, AdmissionConfig, CatalogEntry, QueryDescriptor, RpcRequest, RpcResponse,
@@ -144,11 +144,11 @@ fn socket_addr(kind: u8, ip: u32, port: u32) -> Option<SocketAddr> {
 
 /// One frame of any plane a mux socket carries, as the decoder reports
 /// it: the four aggregation bodies, full and delta views, join,
-/// introduce (with and without addresses), piggybacked trailers (with and
-/// without addresses), catalog pushes and named-query frames.
+/// introduce (with and without addresses), catalog pushes and named-query
+/// frames.
 fn wire_payload() -> impl Strategy<Value = WirePayload> {
     (
-        (0u8..7, any::<u64>(), any::<u64>(), any::<u8>()),
+        (0u8..6, any::<u64>(), any::<u64>(), any::<u8>()),
         prop::collection::vec(
             (
                 any::<bool>(),
@@ -187,28 +187,15 @@ fn wire_payload() -> impl Strategy<Value = WirePayload> {
                         reply: tag & 1 == 1,
                         delta: tag & 2 == 2,
                     }),
-                    2 => WirePayload::Piggybacked(
-                        msg,
-                        Piggyback {
-                            from: from as u32,
-                            descriptors,
-                            addrs: addrs
-                                .iter()
-                                .filter_map(|&(node, kind, ip, port)| {
-                                    Some((node, socket_addr(kind, ip, port)?))
-                                })
-                                .collect(),
-                        },
-                    ),
-                    3 => WirePayload::Catalog {
+                    2 => WirePayload::Catalog {
                         from: NodeId::new(from),
                         entries: catalog_entries(entries),
                     },
-                    4 => WirePayload::Query {
+                    3 => WirePayload::Query {
                         query: name,
                         message: msg,
                     },
-                    5 => WirePayload::Directory(DirectoryPayload::Join { from: from as u32 }),
+                    4 => WirePayload::Directory(DirectoryPayload::Join { from: from as u32 }),
                     _ => WirePayload::Directory(DirectoryPayload::Introduce {
                         from: from as u32,
                         peers: descs
@@ -233,7 +220,6 @@ fn frame_of(payload: &WirePayload) -> WireFrame<'_> {
     match payload {
         WirePayload::Aggregation(msg) => WireFrame::Aggregation(msg),
         WirePayload::Directory(payload) => WireFrame::Directory(payload),
-        WirePayload::Piggybacked(msg, pb) => WireFrame::Piggybacked(msg, pb),
         WirePayload::Catalog { from, entries } => WireFrame::Catalog(*from, entries),
         WirePayload::Query { query, message } => WireFrame::Query(query, message),
         WirePayload::Rpc(_) | WirePayload::RpcReply(_) => unreachable!("not generated"),
@@ -278,19 +264,11 @@ proptest! {
         frame.encode_into(&mut appended);
         prop_assert_eq!(&appended[1..], &encoded[..], "encode_into appends");
         prop_assert_eq!(decode_datagram(&encoded), Ok(payload.clone()));
-        match &payload {
-            // The plain-`Message` entry points are the same layout.
-            WirePayload::Aggregation(msg) => {
-                prop_assert_eq!(encoded_len(msg), encoded.len());
-                prop_assert_eq!(&encode_message(msg), &encoded);
-                prop_assert_eq!(decode_message(&encoded), Ok(msg.clone()));
-            }
-            // The trailer is what the membership ledger gets charged:
-            // exactly what it adds to the message it rides on.
-            WirePayload::Piggybacked(msg, piggyback) => {
-                prop_assert_eq!(piggyback_trailer_len(piggyback) + encoded_len(msg), encoded.len());
-            }
-            _ => {}
+        // The plain-`Message` entry points are the same layout.
+        if let WirePayload::Aggregation(msg) = &payload {
+            prop_assert_eq!(encoded_len(msg), encoded.len());
+            prop_assert_eq!(&encode_message(msg), &encoded);
+            prop_assert_eq!(decode_message(&encoded), Ok(msg.clone()));
         }
         // Every strict prefix runs out of input somewhere, and says so.
         for cut in 0..encoded.len() {
@@ -317,8 +295,7 @@ proptest! {
             WirePayload::Directory(directory) => encode_mux_directory_frame(to, directory),
             WirePayload::Catalog { from, entries } => encode_mux_catalog_frame(to, *from, entries),
             WirePayload::Query { query, message } => encode_mux_query_frame(to, query, message),
-            // No lone encoder exists for a trailer; the prefix is public.
-            _ => [&[MUX_WIRE_VERSION][..], &to.as_u64().to_le_bytes(), &encoded].concat(),
+            WirePayload::Rpc(_) | WirePayload::RpcReply(_) => unreachable!("not generated"),
         };
         prop_assert_eq!(lone.len(), 1 + 8 + encoded.len());
         prop_assert_eq!(&lone[9..], &encoded[..]);
@@ -492,8 +469,20 @@ fn encode(payload: &WirePayload) -> Vec<u8> {
     }
 }
 
-/// One fixed frame per body tag 0–14 (the four RPC ops each) next to its
-/// pinned bytes.
+/// The bytes tag 10 carried while it was live: a piggybacked membership
+/// trailer (sender 12, two descriptors, two addresses) in front of a
+/// refuse. The tag is retired, not reused, so these bytes must decode as
+/// an unknown tag — a lost message, not a frame.
+const RETIRED_TAG_10: &str = "040a0c000000020100000009000000ffffffff000000000201000000040a010203591b020000000620010db8000000000000000000000009ffff040304000000000000000700000000000000";
+
+/// `hex`'s inverse.
+fn unhex(hex: &str) -> Vec<u8> {
+    let digit = |at| u8::from_str_radix(&hex[at..at + 2], 16).unwrap();
+    (0..hex.len()).step_by(2).map(digit).collect()
+}
+
+/// One fixed frame per live body tag 0–14 (the four RPC ops each; tag 10
+/// is retired, see [`RETIRED_TAG_10`]) next to its pinned bytes.
 fn golden_frames() -> Vec<(WirePayload, &'static str)> {
     let v4: SocketAddr = "10.1.2.3:7001".parse().unwrap();
     let v6: SocketAddr = "[2001:db8::9]:65535".parse().unwrap();
@@ -561,13 +550,6 @@ fn golden_frames() -> Vec<(WirePayload, &'static str)> {
         (view(false, true), "0408efbeadde02000100000009000000ffffffff00000000"),
         (view(true, true), "0409efbeadde02000100000009000000ffffffff00000000"),
         (
-            WirePayload::Piggybacked(
-                Message::refuse(NodeId::new(4), 7),
-                Piggyback { from: 12, descriptors: descriptors.clone(), addrs: vec![(1, v4), (2, v6)] },
-            ),
-            "040a0c000000020100000009000000ffffffff000000000201000000040a010203591b020000000620010db8000000000000000000000009ffff040304000000000000000700000000000000",
-        ),
-        (
             WirePayload::Catalog {
                 from: NodeId::new(42),
                 entries: vec![
@@ -611,14 +593,18 @@ fn golden_bytes_pin_every_tag() {
             .map(|(_, bytes)| &bytes[2..4])
             .collect::<BTreeSet<_>>()
             .len(),
-        15,
-        "one frame per tag"
+        14,
+        "one frame per live tag"
     );
     for (payload, want) in &golden {
         let encoded = encode(payload);
         assert_eq!(hex(&encoded), *want, "encoding of {payload:?}");
         assert_eq!(decode_datagram(&encoded).as_ref(), Ok(payload));
     }
+    assert_eq!(
+        decode_datagram(&unhex(RETIRED_TAG_10)),
+        Err(DecodeError::BadTag(10))
+    );
     // A lone mux frame and a bundle of three around the same bodies.
     let WirePayload::Aggregation(request) = &golden[0].0 else {
         unreachable!("tag 0 comes first")
@@ -626,7 +612,7 @@ fn golden_bytes_pin_every_tag() {
     let lone = encode_mux_frame(NodeId::new(0x0102_0304_0506_0708), request);
     assert_eq!(hex(&lone), "020807060504030201040007000000000000002a000000000000000200000000000000000a400102000300000000000000000000000000c03f8403000000000000000000000000f03f");
     let frames: Vec<(u64, WirePayload)> =
-        [(5, &golden[3]), (u64::MAX, &golden[6]), (300, &golden[11])]
+        [(5, &golden[3]), (u64::MAX, &golden[6]), (300, &golden[10])]
             .map(|(to, (payload, _))| (to, payload.clone()))
             .to_vec();
     let (bundle, _) = bundle_of(&frames);
@@ -693,6 +679,8 @@ fn fuzz_damaged_input_never_panics_and_never_amplifies() {
         images.push((bundle, Some(tag_at)));
     }
     images.push((bundle_of(&framed).0, None));
+    // The retired tag's bytes too: damage turns them into every other tag.
+    images.push((unhex(RETIRED_TAG_10), Some(1)));
 
     let mut inputs = 0usize;
     let mut feed = |input: &[u8]| {

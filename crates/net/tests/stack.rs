@@ -9,8 +9,8 @@ use epidemic_aggregation::{AggregateKind, EpochReport, InstanceSpec, Message, No
 use epidemic_common::NodeId;
 use epidemic_net::codec::{decode_datagram, WireFrame, WirePayload};
 use epidemic_net::directory::{
-    DirectoryPayload, GossipDirectory, GossipDirectoryConfig, PeerDirectory, Piggyback,
-    StaticDirectory, ViewPayload,
+    DirectoryPayload, GossipDirectory, GossipDirectoryConfig, PeerDirectory, StaticDirectory,
+    ViewPayload,
 };
 use epidemic_net::stack::{Input, NodeStack, Plane};
 use epidemic_net::{Registry, TraceEvent, TraceKind};
@@ -146,10 +146,6 @@ impl<D: PeerDirectory> Net<D> {
     }
 }
 
-fn is_piggybacked(plane: Plane) -> bool {
-    matches!(plane, Plane::Piggybacked { .. })
-}
-
 #[test]
 fn average_converges_with_mass_conserved_per_epoch() {
     let (n, gamma) = (16, 40);
@@ -189,7 +185,7 @@ fn average_converges_with_mass_conserved_per_epoch() {
 }
 
 #[test]
-fn gossip_cluster_bootstraps_from_one_introducer_and_trailers_go_quiet() {
+fn gossip_cluster_bootstraps_from_one_introducer() {
     let n = 8;
     let gossip = GossipDirectoryConfig::new(8, CYCLE).with_introducer_node(0);
     let mut net = Net::new(n, 10, 11, Some(&gossip));
@@ -213,11 +209,6 @@ fn gossip_cluster_bootstraps_from_one_introducer_and_trailers_go_quiet() {
         assert!((est - truth).abs() < 0.05, "estimate {est} (truth {truth})");
     }
     assert!(net.count(0, horizon, |p| p == Plane::Membership) > 0);
-    // Trailers spread the membership news while there is some, then stop:
-    // the destination already knows everything worth telling.
-    assert!(net.count(0, horizon / 3, is_piggybacked) > 0, "no trailer");
-    let late_trailers = net.count(2 * horizon / 3, horizon, is_piggybacked);
-    assert_eq!(late_trailers, 0, "trailers never went quiet");
     assert!(net.count(2 * horizon / 3, horizon, |p| p == Plane::Aggregation) > 0);
 }
 
@@ -245,8 +236,8 @@ fn gossiped_membership_frames_and_views_hash_to_a_pinned_constant() {
             .with_full_views(),
     ];
     let mut hash = 0xcbf2_9ce4_8422_2325;
-    // [join, introduce, full view, delta view, trailer] frames per leg.
-    let mut kinds = [[0usize; 5]; 2];
+    // [join, introduce, full view, delta view] frames per leg.
+    let mut kinds = [[0usize; 4]; 2];
     for (leg, gossip) in legs.iter().enumerate() {
         let seed = 17 + leg as u64;
         let mut net = Net::with(16, 10, seed, |id| {
@@ -263,7 +254,6 @@ fn gossiped_membership_frames_and_views_hash_to_a_pinned_constant() {
                 WirePayload::Directory(DirectoryPayload::View { delta, .. }) => {
                     2 + usize::from(delta)
                 }
-                WirePayload::Piggybacked(..) => 4,
                 _ => continue,
             };
             kinds[leg][kind] += 1;
@@ -284,9 +274,9 @@ fn gossiped_membership_frames_and_views_hash_to_a_pinned_constant() {
         "one join each: {deltas:?}"
     );
     assert!(deltas[2..].iter().all(|&k| k > 0), "delta leg: {deltas:?}");
-    assert_eq!((full[3], full[4]), (0, 0), "full-view leg: {full:?}");
+    assert_eq!(full[3], 0, "full-view leg: {full:?}");
     assert_eq!(
-        hash, 17_251_383_622_229_152_934,
+        hash, 5_161_388_345_887_795_625,
         "membership frames or views moved"
     );
 }
@@ -415,37 +405,19 @@ fn every_wire_frame_maps_to_its_traffic_plane_and_owned_twin() {
         delta: true,
     };
     let join = DirectoryPayload::Join { from: 1 };
-    let trailer = Piggyback {
-        from: 1,
-        descriptors: vec![Descriptor::new(2, 3), Descriptor::new(4, 5)],
-        addrs: vec![(2, "127.0.0.1:9".parse().unwrap())],
-    };
-    let piggybacked = WireFrame::Piggybacked(&msg, &trailer);
-    let trailer_len = piggybacked.encoded_len() - WireFrame::Aggregation(&msg).encoded_len();
     let table = [
         (WireFrame::Aggregation(&msg), Plane::Aggregation),
         (WireFrame::Directory(&view), Plane::Membership),
         (WireFrame::Directory(&join), Plane::Membership),
-        (
-            piggybacked,
-            Plane::Piggybacked {
-                trailer: trailer_len as u32,
-            },
-        ),
         (WireFrame::Catalog(NodeId::new(1), &[]), Plane::Query),
         (WireFrame::Query("load", &msg), Plane::Query),
     ];
     for (frame, plane) in table {
         assert_eq!(Plane::of(&frame), plane, "{frame:?}");
-        // The receive side counts the same plane; a trailer is charged
-        // in bytes on the send side only.
+        // The receive side counts the same plane.
         let received = decode_datagram(&frame.encode()).unwrap();
         assert_eq!(frame.to_payload(), received, "{frame:?}");
-        let counted = match plane {
-            Plane::Piggybacked { .. } => Plane::Aggregation,
-            plane => plane,
-        };
-        assert_eq!(Plane::of_received(&received), Some(counted), "{frame:?}");
+        assert_eq!(Plane::of_received(&received), Some(plane), "{frame:?}");
     }
 }
 

@@ -20,7 +20,7 @@
 //!   protocol can draw peers from live views ([`overlay`]).
 //!
 //! One node's NEWSCAST protocol on the wire — view exchanges, delta
-//! knowledge, piggybacked trailers, join/introduce — is
+//! knowledge, join/introduce — is
 //! `epidemic_net::directory::GossipDirectory`, built on these two types.
 //!
 //! # Examples

@@ -87,17 +87,10 @@ impl LiveSet {
 
 /// The membership layer under one simulated node.
 ///
-/// The NEWSCAST variant *is* the wire runtimes' [`GossipDirectory`]: view
-/// gossip, delta views, `Join`/`Introduce` bootstrap with retry and
-/// backoff all run there, and every frame they emit crosses the simulated
-/// wire. What it leaves out is the piggyback trailer
-/// ([`PeerDirectory::piggyback`] / [`PeerDirectory::absorb_piggyback`]
-/// stay at the trait's `None` default). On the wire, trailers are what
-/// lets the membership plane tick at 1/8 of the aggregation cadence; the
-/// simulator pins membership *at* the aggregation cadence (the paper's
-/// Section 4.4 model), where trailers only add bytes and work — measured
-/// on `sim_churn`, seeds 2 and 5: `wire_bytes_per_node_epoch` +12.8 %,
-/// `node_epochs_per_cpu_s` −25 %, `peak_rss_mb` +22 %.
+/// The NEWSCAST variant *is* the mux runtime's [`GossipDirectory`],
+/// unchanged: view gossip, delta views, `Join`/`Introduce` bootstrap with
+/// retry and backoff all run there, and every frame they emit crosses the
+/// simulated wire.
 ///
 /// The NEWSCAST variant is large and stays inline on purpose: with one
 /// box per node, rebuilding an all-NEWSCAST `EventSim` regrew the heap on

@@ -32,11 +32,9 @@
 //! `GETNEIGHBOR()` draws from the node's own partial view (so stale
 //! entries really do cost timeouts), and a churn joiner knows only its
 //! introducer and bootstraps with `Join`/`Introduce` *over that wire*,
-//! retries and all (Section 4.2). It sends no piggyback trailers:
-//! membership ticks at the aggregation cadence here, where they only cost
-//! bytes and CPU (measured, see `SimDirectory`). Crash and churn
-//! schedules apply at cycle-boundary ticks by killing nodes, which drops
-//! their in-flight deliveries and stale wakes.
+//! retries and all (Section 4.2). Crash and churn schedules apply at
+//! cycle-boundary ticks by killing nodes, which drops their in-flight
+//! deliveries and stale wakes.
 //!
 //! The headline measurement is the *epoch entry spread* `T_j` (Section
 //! 4.3): the global-time window within which all live nodes enter epoch
@@ -1340,23 +1338,21 @@ mod tests {
     }
 
     #[test]
-    fn membership_ledger_is_the_codec_size_of_every_frame_and_no_trailer_rides() {
+    fn membership_ledger_is_the_codec_size_of_every_frame() {
         // Lossless, so every frame handed to the wire is delivered or
         // still queued when the run stops — the test sees them all.
         let mut cfg = base_config();
         cfg.scenario.overlay = OverlaySpec::Newscast { c: 15 };
         cfg.scenario.failure = FailureModel::Churn { per_cycle: 2 };
         let (mut frames, mut bytes, mut bootstrap) = (0, 0, 0);
-        let sim = run_inspecting(EventSim::new(&cfg, 4), |payload| match payload {
-            WirePayload::Piggybacked(..) => panic!("a trailer rode: {payload:?}"),
-            WirePayload::Directory(directory) => {
+        let sim = run_inspecting(EventSim::new(&cfg, 4), |payload| {
+            if let WirePayload::Directory(directory) = payload {
                 frames += 1;
                 bytes += WireFrame::Directory(directory).encoded_len();
                 if !matches!(directory, DirectoryPayload::View { .. }) {
                     bootstrap += 1;
                 }
             }
-            _ => {}
         });
         let out = sim.finish();
         assert!(bootstrap >= 2 * 40, "joiners did not join over the wire");

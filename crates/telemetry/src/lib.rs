@@ -13,7 +13,7 @@
 //!   as Prometheus text exposition.
 //! * [`trace`] — **protocol event tracing**: a bounded per-(v)node ring
 //!   buffer of structured [`TraceEvent`]s (exchange init / complete /
-//!   timeout, view merge, join retry, epoch transition, piggyback emit)
+//!   timeout, view merge, join retry, epoch transition)
 //!   recorded from the sans-io node cores, so the sim and both wire
 //!   runtimes are instrumented once; exported as JSONL for post-mortem
 //!   analysis of any failed run.

@@ -34,8 +34,6 @@ pub enum TraceKind {
     ViewMerge,
     /// A bootstrap `Join` was re-sent (`detail` = attempt number).
     JoinRetry,
-    /// `detail` descriptors were piggybacked onto a datagram to `peer`.
-    PiggybackEmit,
 }
 
 impl TraceKind {
@@ -48,7 +46,6 @@ impl TraceKind {
             TraceKind::EpochTransition => "epoch_transition",
             TraceKind::ViewMerge => "view_merge",
             TraceKind::JoinRetry => "join_retry",
-            TraceKind::PiggybackEmit => "piggyback_emit",
         }
     }
 }

@@ -505,7 +505,7 @@ fn report(label: &str, cluster: &MuxCluster, truth_avg: f64, n: usize) -> Option
 /// by CI to keep the cross-socket sharding path from rotting (combined
 /// with `--readers` / `--io` it smokes the multi-loop socket set and
 /// the portable fallback too, and with `--gossip` the cross-shard
-/// join/delta-view/piggyback path). Shard 0 always serves `/metrics` on
+/// join/delta-view path). Shard 0 always serves `/metrics` on
 /// an ephemeral loopback port and the run self-scrapes it at the end,
 /// failing if the load-bearing telemetry series are absent or zero.
 /// Exits with an error if the shards fail to converge.

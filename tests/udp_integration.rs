@@ -577,9 +577,9 @@ fn gossip_directory_mux_converges_without_static_peer_table() {
 
 #[test]
 fn delta_gossip_matches_full_view_gossip_over_the_wire() {
-    // Conformance: the delta view path (tags 8/9 + piggybacked trailers)
-    // must reach the same aggregation fidelity as full-view gossip on the
-    // same seed — while spending strictly fewer membership bytes.
+    // Conformance: the delta view path (tags 8/9) must reach the same
+    // aggregation fidelity as full-view gossip on the same seed — while
+    // spending strictly fewer membership bytes.
     let n = 64usize;
     let gamma = 12u32;
     let make_config = || {
@@ -646,7 +646,7 @@ fn delta_gossip_matches_full_view_gossip_over_the_wire() {
 #[test]
 fn sharded_gossip_cluster_fans_frames_across_reader_sets() {
     // Two shards, two reader sockets each, gossiped membership: joins,
-    // view deltas, piggybacked trailers, and aggregation frames all cross
+    // view deltas and aggregation frames all cross
     // between the shards — and every reader socket of both shards must
     // see remote traffic (the destination vnode's home socket, not just
     // the shard's first address).
