@@ -158,14 +158,17 @@ impl SimDirectory {
         SimDirectory::Newscast(directory)
     }
 
-    /// A node that knows one live member and joins through it.
+    /// A node that knows a few live members and joins through them, the
+    /// first one first.
     pub(crate) fn newscast_joiner(
         me: usize,
         config: &GossipDirectoryConfig,
-        introducer: u32,
+        introducers: impl IntoIterator<Item = u32>,
         seed: u64,
     ) -> Self {
-        let config = config.clone().with_introducer_node(u64::from(introducer));
+        let config = introducers.into_iter().fold(config.clone(), |config, id| {
+            config.with_introducer_node(u64::from(id))
+        });
         SimDirectory::Newscast(GossipDirectory::id_routed(
             NodeId::new(me as u64),
             &config,
