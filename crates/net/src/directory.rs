@@ -14,9 +14,9 @@
 //!   deterministic `(seed, id, initiated-exchange count)` stream the
 //!   same-seed parity tests rely on.
 //! * [`GossipDirectory`] — the whole NEWSCAST node (Section 4.4): the
-//!   partial view, what each recent partner is believed to hold and the
-//!   join state, in one type. Views travel as codec tags 4/5 (full) or
-//!   8/9 (deltas: only the descriptors the partner is believed to lack,
+//!   partial view, one 16-byte watermark per recent partner and the join
+//!   state, in one type. Views travel as codec tags 4/5 (full) or 8/9
+//!   (deltas: only the entries stamped after the partner's watermark,
 //!   with a periodic full-view anti-entropy fallback) in a
 //!   [`ViewPayload`], bootstrap as
 //!   [`DirectoryPayload::Join`] (tag 6) / [`DirectoryPayload::Introduce`]
@@ -41,7 +41,6 @@ use epidemic_common::rng::Xoshiro256;
 use epidemic_common::NodeId;
 use epidemic_newscast::{Descriptor, View};
 use epidemic_telemetry::{TraceEvent, TraceKind, TraceRing, ViewHealth};
-use std::cmp::Reverse;
 use std::fmt;
 use std::io;
 use std::net::SocketAddr;
@@ -87,15 +86,17 @@ pub struct ViewPayload {
 #[derive(Debug, Clone, PartialEq)]
 pub enum DirectoryPayload {
     /// A NEWSCAST view exchange (tags 4/5 full, 8/9 delta): the sender's
-    /// view — or just the part the partner is believed to lack — plus a
-    /// fresh self-descriptor. `reply` distinguishes the passive answer.
+    /// view — or just the entries stamped after the partner's watermark —
+    /// plus a fresh self-descriptor. `reply` distinguishes the passive
+    /// answer.
     View {
         /// Exchanged view contents.
         view: ViewPayload,
         /// `true` for the passive side's answer.
         reply: bool,
-        /// `true` when the payload is a delta (tags 8/9): the receiver
-        /// merges it into its record of the sender instead of replacing.
+        /// `true` when the payload is a delta (tags 8/9). A receiver
+        /// merges every payload the same way and never reads it; it
+        /// prices the frame as delta bytes (`membership.delta_bytes`).
         delta: bool,
     },
     /// Bootstrap request (tag 6): "introduce me to the overlay".
@@ -305,9 +306,9 @@ pub struct GossipDirectoryConfig {
     /// the always-full-view wire behavior for A/B comparison.
     pub delta_views: bool,
     /// Delta-knowledge LRU capacity: how many recent partners each node
-    /// remembers what it told. Deltas degrade to full views for partners
+    /// keeps a watermark for. Deltas degrade to full views for partners
     /// outside this horizon, so size it near the expected overlay size
-    /// when memory allows (~350 B per tracked partner).
+    /// (16 B per tracked partner, no heap).
     pub knowledge_peers: usize,
 }
 
@@ -367,8 +368,8 @@ impl GossipDirectoryConfig {
 /// One node's NEWSCAST protocol: `GETNEIGHBOR()` from a live partial
 /// view, no static peer table anywhere.
 ///
-/// It holds the view, the per-partner delta knowledge and the join
-/// state, and answers every [`PeerDirectory`] verb itself:
+/// It holds the view, a watermark per recent partner and the join state,
+/// and answers every [`PeerDirectory`] verb itself:
 /// [`poll`](PeerDirectory::poll) fires joins and view exchanges, and
 /// [`handle`](PeerDirectory::handle) answers them.
 #[derive(Debug)]
@@ -376,7 +377,7 @@ pub struct GossipDirectory {
     me: u32,
     /// Membership gossip period δ in ticks (also the join interval).
     cycle_length: u64,
-    /// Ship only what a partner lacks (see
+    /// Ship only what is fresher than a partner's watermark (see
     /// [`GossipDirectoryConfig::delta_views`]).
     delta_views: bool,
     /// Capacity of the `knowledge` LRU.
@@ -385,7 +386,7 @@ pub struct GossipDirectory {
     view: View,
     next_cycle_at: u64,
     rng: Xoshiro256,
-    /// Per-partner delta state, most recently used first.
+    /// Per-partner watermarks, most recently used first.
     knowledge: Vec<PeerKnowledge>,
     /// Bootstrap contacts (self already filtered out).
     introducers: Vec<NodeId>,
@@ -401,26 +402,30 @@ pub struct GossipDirectory {
     trace: TraceRing,
 }
 
-/// What one recent exchange partner is believed to hold.
+/// How far one recent exchange partner is believed to be up to date.
 #[derive(Debug)]
 struct PeerKnowledge {
     peer: u32,
-    /// Freshest copy per node of every descriptor we sent the partner or
-    /// received from it, bounded to `2c + 2` entries and kept sorted by
-    /// node so a lookup is a binary search.
-    seen: Vec<Descriptor>,
+    /// The partner's watermark: no descriptor we held when we last sent
+    /// it a view payload is stamped later than this (`None` before the
+    /// first payload). A delta carries only entries stamped after it.
+    known_until: Option<u32>,
     /// Delta payloads shipped since the last full view went out.
     deltas_since_full: u32,
 }
+
+// A partner costs 16 bytes of knowledge and no heap.
+const _: () = assert!(std::mem::size_of::<PeerKnowledge>() <= 16);
 
 /// Default delta-knowledge LRU capacity (see
 /// [`GossipDirectoryConfig::knowledge_peers`]).
 const KNOWLEDGE_PEERS: usize = 32;
 
 /// Anti-entropy cadence: after this many consecutive delta payloads to the
-/// same partner, the next payload ships the full view, so knowledge drift
-/// (the partner evicting entries we still believe it holds) cannot
-/// accumulate without bound.
+/// same partner, the next payload ships the full view. What deltas miss —
+/// an entry that reached our view after the watermark with an older
+/// stamp, or one the partner has since evicted — is repaired within this
+/// many exchanges.
 const FULL_EVERY: u32 = 4;
 
 /// Consecutive join attempts aimed at one introducer before rotating to
@@ -530,114 +535,74 @@ impl GossipDirectory {
         );
     }
 
-    /// Builds the outbound payload for `peer`: the full view when deltas
-    /// are disabled, the partner is unknown, or anti-entropy is due;
-    /// otherwise only descriptors the partner lacks outright or holds an
-    /// anti-entropy period staler. Every `FULL_EVERY`-th exchange ships
-    /// the full view anyway, so finer timestamp refreshes are repaired by
-    /// it at zero delta cost. A delta that covers the whole payload saves
-    /// nothing, so it ships as the full view (and resets the anti-entropy
-    /// clock) instead. What was sent is recorded as known to the partner;
-    /// the flag is `true` for a full view.
+    /// Builds the outbound payload for `peer` and moves its watermark.
+    /// The full view goes out when deltas are disabled, the partner has
+    /// no watermark yet, or `FULL_EVERY` deltas have gone out since the
+    /// last full view. Otherwise a delta carries the view entries stamped
+    /// after the watermark (a prefix: the view is freshest first) and the
+    /// fresh self-descriptor. A delta that keeps every entry saves
+    /// nothing, so it ships as the full view and resets the anti-entropy
+    /// clock. The flag is `true` for a full view.
+    ///
+    /// The new watermark is `now` plus one period, the bound [`merge`]
+    /// clamps incoming stamps to: nothing exchanged at this moment can be
+    /// stamped later. An entry that reaches our view later with an older
+    /// stamp is missed by the deltas and repaired by the next full view.
+    ///
+    /// [`merge`]: GossipDirectory::merge
     fn outbound_for(&mut self, peer: u32, now: u64) -> (ViewPayload, bool) {
-        let mut payload = self.payload(now);
-        let stale_after = self.period().saturating_mul(FULL_EVERY);
-        let bound = knowledge_bound(&self.view);
+        let stamp = timestamp(now);
+        let watermark = stamp.saturating_add(self.period());
         let k = knowledge_mut(&mut self.knowledge, self.knowledge_peers, peer);
-        let mut is_full =
-            !self.delta_views || k.seen.is_empty() || k.deltas_since_full >= FULL_EVERY;
-        if !is_full {
-            let full_len = payload.descriptors.len();
-            payload.descriptors.retain(|d| match held(&k.seen, d.node) {
-                Some(ts) => d.timestamp.saturating_sub(ts) >= stale_after,
-                None => true,
-            });
-            // A delta covering the whole payload *is* the full view: mark
-            // it as one so the partner replaces (not extends) its record
-            // and the anti-entropy clock resets.
-            is_full = payload.descriptors.len() == full_len;
-        }
+        let since = match k.known_until.replace(watermark) {
+            Some(since) if self.delta_views && k.deltas_since_full < FULL_EVERY => Some(since),
+            _ => None,
+        };
+        let entries = self.view.entries();
+        let fresh = since.map_or(entries.len(), |since| {
+            entries.partition_point(|d| d.timestamp > since)
+        });
+        let is_full = fresh == entries.len();
         if is_full {
             k.deltas_since_full = 0;
         } else {
             k.deltas_since_full += 1;
         }
-        note_seen(&mut k.seen, &payload.descriptors, bound);
+        let mut descriptors = Vec::with_capacity(fresh + 1);
+        descriptors.extend_from_slice(&entries[..fresh]);
+        descriptors.push(Descriptor::new(self.me, stamp));
+        let payload = ViewPayload {
+            from: self.me,
+            descriptors,
+        };
         (payload, is_full)
-    }
-
-    /// Records an incoming payload into the sender's knowledge entry. A
-    /// full payload is exactly the sender's view plus its self-descriptor,
-    /// so it replaces the record; a delta extends it.
-    fn note_received(&mut self, payload: &ViewPayload, full: bool) {
-        let bound = knowledge_bound(&self.view);
-        let k = knowledge_mut(&mut self.knowledge, self.knowledge_peers, payload.from);
-        if full {
-            k.seen.clear();
-        }
-        note_seen(&mut k.seen, &payload.descriptors, bound);
     }
 }
 
 /// The LRU knowledge entry for `peer` (most recently used first), created
-/// — and the LRU trimmed to `capacity` — if absent, promoted to the front
-/// either way. A free function over the field so callers can keep reading
-/// the view while they hold the entry.
+/// — evicting the least recently used partner at `capacity` — if absent,
+/// promoted to the front either way. A free function over the field so
+/// callers can keep reading the view while they hold the entry.
 fn knowledge_mut(
     knowledge: &mut Vec<PeerKnowledge>,
     capacity: usize,
     peer: u32,
 ) -> &mut PeerKnowledge {
-    if let Some(pos) = knowledge.iter().position(|k| k.peer == peer) {
-        let entry = knowledge.remove(pos);
-        knowledge.insert(0, entry);
-    } else {
-        knowledge.insert(
-            0,
-            PeerKnowledge {
+    match knowledge.iter().position(|k| k.peer == peer) {
+        Some(pos) => knowledge[..=pos].rotate_right(1),
+        None => {
+            if knowledge.len() >= capacity.max(1) {
+                knowledge.pop();
+            }
+            let entry = PeerKnowledge {
                 peer,
-                seen: Vec::new(),
+                known_until: None,
                 deltas_since_full: 0,
-            },
-        );
-        knowledge.truncate(capacity.max(1));
-    }
-    &mut knowledge[0]
-}
-
-/// Bound on one partner's `seen` record: its view plus ours can cover
-/// `2c` distinct nodes, plus the two self-descriptors. Trimming beyond
-/// that only makes future deltas conservative (larger), never wrong.
-fn knowledge_bound(view: &View) -> usize {
-    2 * view.capacity() + 2
-}
-
-/// Timestamp of the copy of `node` in a knowledge record, if it holds one.
-fn held(seen: &[Descriptor], node: u32) -> Option<u32> {
-    let at = seen.binary_search_by_key(&node, |e| e.node).ok()?;
-    Some(seen[at].timestamp)
-}
-
-/// Upserts `descriptors` into a knowledge record keeping the freshest copy
-/// per node, trimming the stalest entries beyond `bound`.
-fn note_seen(seen: &mut Vec<Descriptor>, descriptors: &[Descriptor], bound: usize) {
-    if seen.is_empty() {
-        // First contact fills the record in one allocation; after that it
-        // grows only by what the partner has genuinely not seen.
-        seen.reserve(descriptors.len());
-    }
-    for d in descriptors {
-        match seen.binary_search_by_key(&d.node, |e| e.node) {
-            Ok(at) => seen[at].timestamp = seen[at].timestamp.max(d.timestamp),
-            Err(at) => seen.insert(at, *d),
+            };
+            knowledge.insert(0, entry);
         }
     }
-    if seen.len() > bound {
-        // Freshest first (ties toward the smaller id), keep `bound`.
-        seen.sort_unstable_by_key(|d| (Reverse(d.timestamp), d.node));
-        seen.truncate(bound);
-        seen.sort_unstable_by_key(|d| d.node);
-    }
+    &mut knowledge[0]
 }
 
 /// Timestamps descriptor freshness in coarse ticks. NEWSCAST only needs a
@@ -752,11 +717,11 @@ impl PeerDirectory for GossipDirectory {
                     .collect();
                 self.merge(*from, &descriptors, now);
             }
-            DirectoryPayload::View { view, reply, delta } => {
-                // Record what the sender just proved it holds; the passive
-                // side builds its (possibly delta) answer from the
-                // pre-merge view, then merges.
-                self.note_received(view, !*delta);
+            DirectoryPayload::View { view, reply, .. } => {
+                // The passive side builds its (possibly delta) answer from
+                // the pre-merge view and the sender's old watermark, then
+                // merges. Whether the payload was a delta does not matter:
+                // every payload merges the same way.
                 if !*reply {
                     let (answer, full) = self.outbound_for(view.from, now);
                     out.push(DirectoryMessage {
@@ -1288,6 +1253,56 @@ mod tests {
         absorb(&mut a, &reply2, reply2_full, 210);
         assert!(a.view().contains(1));
         assert!(b.view().contains(0));
+    }
+
+    /// `a` and `b` share contacts 2..8 and have exchanged once at t = 100
+    /// (request full, reply full), so `a`'s watermark for `b` is 200 and
+    /// `b`'s for `a` is 205.
+    fn one_round_apart() -> (GossipDirectory, GossipDirectory) {
+        let mut a = node(0, &delta_config(), 1);
+        let mut b = node(1, &delta_config(), 2);
+        for p in 2..8 {
+            a.add_seed(p, 0);
+            b.add_seed(p, 0);
+        }
+        a.add_seed(1, 0);
+        let (req, full) = a.outbound_for(1, 100);
+        let (reply, reply_full) = answer(&mut b, &req, full, 105);
+        absorb(&mut a, &reply, reply_full, 110);
+        (a, b)
+    }
+
+    #[test]
+    fn a_reply_never_echoes_the_descriptors_its_request_carried() {
+        let (mut a, mut b) = one_round_apart();
+        // Contacts only `a` holds, stamped after both watermarks, ride the
+        // next request…
+        for p in 20..23 {
+            a.add_seed(p, 300);
+        }
+        let (req, full) = a.outbound_for(1, 400);
+        assert!(!full, "known partner should get a delta");
+        assert!((20..23).all(|p| req.descriptors.iter().any(|d| d.node == p)));
+        // …and `b` builds its answer before it merges them, so none of
+        // them, nor `a`'s fresh self-descriptor, comes back.
+        let (reply, _) = answer(&mut b, &req, full, 405);
+        for d in &reply.descriptors {
+            assert!(!req.descriptors.contains(d), "reply echoed {d}");
+        }
+        assert!((20..23).all(|p| b.view().contains(p)), "request not merged");
+    }
+
+    #[test]
+    fn a_contact_added_after_the_watermark_ships_in_the_next_delta() {
+        let (mut a, _) = one_round_apart();
+        a.add_seed(20, 250); // after the watermark (200)
+        a.add_seed(21, 150); // at or before it: left to the next full view
+        let (req, full) = a.outbound_for(1, 300);
+        assert!(!full, "known partner should get a delta");
+        assert_eq!(
+            req.descriptors,
+            vec![Descriptor::new(20, 250), Descriptor::new(0, 300)]
+        );
     }
 
     #[test]

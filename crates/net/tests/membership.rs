@@ -1,10 +1,9 @@
 //! The NEWSCAST node against its reference model.
 //!
-//! The view merge and the per-partner delta bookkeeping of
-//! [`GossipDirectory`] were rewritten for speed (in-place bounded
-//! insertion; a node-sorted `seen` record) under the promise that no
-//! payload byte and no view entry changes. The implementations they
-//! replaced live on here as reference models ([`reference_merge`],
+//! The view merge and the per-partner delta rule of [`GossipDirectory`]
+//! are written for speed: in-place bounded insertion, and a delta taken
+//! as a prefix of the freshest-first view. The same rules written the
+//! naive way live on here as reference models ([`reference_merge`],
 //! [`RefNode`]), and the real directory, driven only through
 //! [`PeerDirectory::poll`] and [`PeerDirectory::handle`], must match them
 //! payload for payload and view for view.
@@ -47,14 +46,19 @@ const FULL_EVERY: u32 = 4;
 /// What a [`RefNode`] believes one partner holds.
 struct RefKnowledge {
     peer: u32,
-    seen: Vec<Descriptor>,
+    /// `now + period` at the last payload sent to the partner.
+    known_until: Option<u32>,
     deltas_since_full: u32,
+    /// Every descriptor ever sent to the partner: not part of the rule,
+    /// only there to recognise the corner where a delta drops an entry
+    /// the partner was never sent.
+    sent: Vec<Descriptor>,
 }
 
-/// The delta-aware exchange logic as first shipped — an unordered `seen`
-/// record searched linearly, a delta collected beside the full payload —
-/// over [`reference_merge`]. Also notes whether a history exercised the
-/// two corners the sorted record could get wrong.
+/// The per-partner watermark rule written the naive way — the payload
+/// assembled as the full view, then filtered entry by entry against the
+/// watermark — over [`reference_merge`]. Also notes whether a history
+/// exercised the two corners of the rule.
 struct RefNode {
     id: u32,
     config: GossipDirectoryConfig,
@@ -63,8 +67,11 @@ struct RefNode {
     knowledge: Vec<RefKnowledge>,
     /// Full payloads sent because `FULL_EVERY` deltas had gone out.
     anti_entropy_fulls: usize,
-    /// Times a `seen` record outgrew `2c + 2` and was trimmed.
-    seen_overflows: usize,
+    /// Entries a delta dropped because they were stamped at or before the
+    /// partner's `known_until`, although the partner was never sent them
+    /// (they reached this view after the watermark, with an older stamp):
+    /// what the next full view repairs.
+    blind_drops: usize,
 }
 
 impl RefNode {
@@ -75,7 +82,7 @@ impl RefNode {
             view: Vec::new(),
             knowledge: Vec::new(),
             anti_entropy_fulls: 0,
-            seen_overflows: 0,
+            blind_drops: 0,
         }
     }
 
@@ -101,8 +108,9 @@ impl RefNode {
                 0,
                 RefKnowledge {
                     peer,
-                    seen: Vec::new(),
+                    known_until: None,
                     deltas_since_full: 0,
+                    sent: Vec::new(),
                 },
             );
             self.knowledge.truncate(self.config.knowledge_peers.max(1));
@@ -110,79 +118,64 @@ impl RefNode {
         &mut self.knowledge[0]
     }
 
-    fn note_seen(&mut self, peer: u32, descriptors: &[Descriptor], replace: bool) {
-        let bound = 2 * self.config.view_size + 2;
-        let k = self.knowledge_mut(peer);
-        if replace {
-            k.seen.clear();
-        }
-        for d in descriptors {
-            if let Some(e) = k.seen.iter_mut().find(|e| e.node == d.node) {
-                e.timestamp = e.timestamp.max(d.timestamp);
-            } else {
-                k.seen.push(*d);
-            }
-        }
-        if k.seen.len() > bound {
-            k.seen
-                .sort_unstable_by_key(|d| (Reverse(d.timestamp), d.node));
-            k.seen.truncate(bound);
-            self.seen_overflows += 1;
-        }
-    }
-
     fn outbound_for(&mut self, peer: u32, now: u64) -> (Vec<Descriptor>, bool) {
+        let me = Descriptor::new(self.id, now as u32);
         let mut full = self.view.clone();
-        full.push(Descriptor::new(self.id, now as u32));
+        full.push(me);
         let delta_enabled = self.config.delta_views;
-        let stale_after = self.period().saturating_mul(FULL_EVERY);
+        let watermark = (now as u32).saturating_add(self.period());
+        let view = self.view.clone();
         let k = self.knowledge_mut(peer);
+        let since = k.known_until;
+        k.known_until = Some(watermark);
         let due = k.deltas_since_full >= FULL_EVERY;
-        let send_full = !delta_enabled || k.seen.is_empty() || due;
-        let (descriptors, is_full) = if send_full {
-            (full, true)
-        } else {
-            let delta: Vec<Descriptor> = full
-                .iter()
-                .copied()
-                .filter(|d| match k.seen.iter().find(|e| e.node == d.node) {
-                    Some(e) => d.timestamp.saturating_sub(e.timestamp) >= stale_after,
-                    None => true,
-                })
-                .collect();
-            if delta.len() == full.len() {
-                (full, true)
-            } else {
-                (delta, false)
+        let (descriptors, is_full, blind) = match since {
+            Some(since) if delta_enabled && !due => {
+                let mut delta = Vec::new();
+                let mut blind = 0;
+                for d in &view {
+                    if d.timestamp > since {
+                        delta.push(*d);
+                    } else if !k
+                        .sent
+                        .iter()
+                        .any(|e| e.node == d.node && e.timestamp >= d.timestamp)
+                    {
+                        blind += 1;
+                    }
+                }
+                delta.push(me);
+                if delta.len() == full.len() {
+                    (full, true, 0)
+                } else {
+                    (delta, false, blind)
+                }
             }
+            _ => (full, true, 0),
         };
         if is_full {
             k.deltas_since_full = 0;
         } else {
             k.deltas_since_full += 1;
         }
-        if due && !k.seen.is_empty() {
-            self.anti_entropy_fulls += 1;
-        }
-        self.note_seen(peer, &descriptors, false);
+        k.sent.extend_from_slice(&descriptors);
+        self.anti_entropy_fulls += usize::from(due && since.is_some());
+        self.blind_drops += blind;
         (descriptors, is_full)
     }
 
-    fn handle_exchange_delta(
+    fn handle_exchange(
         &mut self,
-        from: u32,
         incoming: &[Descriptor],
-        full: bool,
+        from: u32,
         now: u64,
     ) -> (Vec<Descriptor>, bool) {
-        self.note_seen(from, incoming, full);
         let reply = self.outbound_for(from, now);
         self.merge(incoming, (now as u32).saturating_add(self.period()));
         reply
     }
 
-    fn absorb_reply_delta(&mut self, from: u32, reply: &[Descriptor], full: bool, now: u64) {
-        self.note_seen(from, reply, full);
+    fn absorb_reply(&mut self, reply: &[Descriptor], now: u64) {
         self.merge(reply, (now as u32).saturating_add(self.period()));
     }
 }
@@ -198,10 +191,10 @@ fn view_message(out: Vec<DirectoryMessage>) -> (u32, ViewPayload, bool) {
     }
 }
 
-/// Three delta-gossiping nodes with tiny views (`c = 2`, so a `seen`
-/// record is bounded to 6) and a trickle of fresh contacts that keeps the
-/// views churning: every payload either implementation emits, and every
-/// view after every step, must agree.
+/// Three delta-gossiping nodes with tiny views (`c = 2`) and a trickle of
+/// fresh contacts that keeps the views churning, so deltas keep dropping
+/// entries their partner was never sent: every payload either
+/// implementation emits, and every view after every step, must agree.
 #[test]
 fn delta_exchange_history_matches_the_reference_node() {
     let config = GossipDirectoryConfig::new(2, 100);
@@ -249,8 +242,7 @@ fn delta_exchange_history_matches_the_reference_node() {
             real[j].handle(&frame, None, now + 5, &mut out);
             let (to, reply, reply_full) = view_message(out);
             assert_eq!(to as usize, i, "step {step}: reply misrouted");
-            let expected =
-                model[j].handle_exchange_delta(request.from, &request.descriptors, full, now + 5);
+            let expected = model[j].handle_exchange(&request.descriptors, request.from, now + 5);
             assert_eq!(
                 (reply.descriptors.clone(), reply_full),
                 expected,
@@ -262,7 +254,7 @@ fn delta_exchange_history_matches_the_reference_node() {
                 delta: !reply_full,
             };
             real[i].handle(&frame, None, now + 10, &mut Vec::new());
-            model[i].absorb_reply_delta(reply.from, &reply.descriptors, reply_full, now + 10);
+            model[i].absorb_reply(&reply.descriptors, now + 10);
         }
         for (r, m) in real.iter().zip(&model) {
             assert_eq!(r.view().entries(), m.view.as_slice(), "step {step} view");
@@ -271,7 +263,11 @@ fn delta_exchange_history_matches_the_reference_node() {
     // The history is only worth its name if it walked through both corners.
     assert!(exchanges > 40, "only {exchanges} answered exchanges");
     let fulls: usize = model.iter().map(|m| m.anti_entropy_fulls).sum();
-    let overflows: usize = model.iter().map(|m| m.seen_overflows).sum();
+    let blind: usize = model.iter().map(|m| m.blind_drops).sum();
     assert!(fulls > 0, "no FULL_EVERY anti-entropy turn in the history");
-    assert!(overflows > 0, "no seen record ever outgrew 2c + 2");
+    assert!(
+        blind > 0,
+        "no delta ever dropped an entry stamped at or before known_until \
+         that the partner was never sent"
+    );
 }

@@ -220,8 +220,8 @@ fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
 
 /// Pins gossiped membership to the byte. Sixteen stacks bootstrap from one
 /// introducer and gossip for 80 cycles, once with delta views, a view of
-/// six and a knowledge LRU of four partners (so entries are evicted and
-/// records trimmed), once with full views. Every frame a sink emits, as
+/// six and a knowledge LRU of four partners (so watermarks are evicted),
+/// once with full views. Every frame a sink emits, as
 /// its destination and its encoded bytes, and every stack's final view
 /// fold into one hash: a refactor of the membership plane must leave it
 /// where it is.
@@ -276,7 +276,7 @@ fn gossiped_membership_frames_and_views_hash_to_a_pinned_constant() {
     assert!(deltas[2..].iter().all(|&k| k > 0), "delta leg: {deltas:?}");
     assert_eq!(full[3], 0, "full-view leg: {full:?}");
     assert_eq!(
-        hash, 5_161_388_345_887_795_625,
+        hash, 12_759_512_195_823_090_416,
         "membership frames or views moved"
     );
 }

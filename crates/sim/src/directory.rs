@@ -166,9 +166,10 @@ impl SimDirectory {
         introducers: impl IntoIterator<Item = u32>,
         seed: u64,
     ) -> Self {
-        let config = introducers.into_iter().fold(config.clone(), |config, id| {
-            config.with_introducer_node(u64::from(id))
-        });
+        let mut config = config.clone();
+        config
+            .introducers
+            .extend(introducers.into_iter().map(u64::from));
         SimDirectory::Newscast(GossipDirectory::id_routed(
             NodeId::new(me as u64),
             &config,

@@ -33,9 +33,9 @@
 //! entries really do cost timeouts), and a churn joiner knows only its
 //! introducer and one fallback contact, both drawn among members that
 //! have bootstrapped themselves, and bootstraps with `Join`/`Introduce`
-//! *over that wire*, retries and all (Section 4.2). Crash and churn schedules apply at
-//! cycle-boundary ticks by killing nodes, which drops their in-flight
-//! deliveries and stale wakes.
+//! *over that wire*, retries and all (Section 4.2). Crash and churn
+//! schedules apply at cycle-boundary ticks by killing nodes, which drops
+//! their in-flight deliveries and stale wakes.
 //!
 //! The headline measurement is the *epoch entry spread* `T_j` (Section
 //! 4.3): the global-time window within which all live nodes enter epoch
@@ -65,8 +65,8 @@ pub enum MembershipModel {
     /// Simulate NEWSCAST membership event by event: per-node partial
     /// views, view exchanges through the same delay/loss model as
     /// aggregation traffic, peers drawn from the local view. Exchanges
-    /// ship *delta* views — only the descriptors the partner has not
-    /// seen — with a periodic full-view anti-entropy fallback.
+    /// ship *delta* views — only the entries stamped after the partner's
+    /// watermark — with a periodic full-view anti-entropy fallback.
     #[default]
     Gossip,
     /// Like [`MembershipModel::Gossip`] but every exchange ships the
@@ -189,8 +189,8 @@ pub struct EventOutcome {
     /// Wire bytes of the transmitted membership frames, each priced by
     /// the real codec ([`WireFrame::encoded_len`]): a full view carries
     /// the sender's `c` descriptors plus a fresh self-descriptor; a delta
-    /// ([`MembershipModel::Gossip`]) carries only the descriptors the
-    /// partner has not seen, and is cheaper by exactly that.
+    /// ([`MembershipModel::Gossip`]) carries only the entries stamped
+    /// after the partner's watermark, and is cheaper by exactly that.
     pub view_bytes_sent: usize,
     /// Membership frames dropped by the loss model.
     pub view_messages_lost: usize,
@@ -469,7 +469,8 @@ impl EventSim {
             (OverlaySpec::Newscast { c }, model) => {
                 assert!(c >= 1 && c < n, "view size must satisfy 1 <= c < n");
                 // The sim hosts every node in one process: track the
-                // whole partner universe so deltas stay deltas.
+                // whole partner universe (16 B of watermark per partner,
+                // no heap) so deltas stay deltas.
                 let directory = GossipDirectoryConfig::new(c, config.node.cycle_length())
                     .with_knowledge_peers(n);
                 gossip = Some(match model {
@@ -863,6 +864,7 @@ mod tests {
     use epidemic_net::directory::{DirectoryPayload, ViewPayload};
     use epidemic_newscast::Descriptor;
     use epidemic_topology::TopologyKind;
+    use std::collections::HashSet;
 
     fn node_config(gamma: u32) -> NodeConfig {
         NodeConfig::builder()
@@ -1340,13 +1342,14 @@ mod tests {
         cfg.duration = 100_000;
         let cycles = cfg.duration / cfg.node.cycle_length();
         let (mut settled_total, mut stranded) = (0usize, 0usize);
+        let (mut checked_total, mut outside) = (0usize, Vec::new());
         for seed in 1..=20u64 {
             let (mut joins, mut introductions) = (0, 0);
             // Every (joiner, epoch) the joiner entered holding a
             // non-empty view. A view never empties again, so such an
             // epoch ran bootstrapped from start to end.
             let mut last_epoch: HashMap<usize, u64> = HashMap::new();
-            let mut bootstrapped = std::collections::HashSet::new();
+            let mut bootstrapped = HashSet::new();
             let sim = run_inspecting(
                 EventSim::new(&cfg, seed),
                 |payload| match payload {
@@ -1414,6 +1417,13 @@ mod tests {
             // mix and may still report close to its own 31.5, so it is
             // not held to the bound. Consensus itself drifts off the
             // truth with every lost reply.
+            //
+            // The bound is a tail, not a ceiling: founders miss it too.
+            // Over seeds 1..=500, 0.47 % of founder reports and 0.35 % of
+            // these joiner reports fall outside it, and 49 of those 500
+            // seeds hold at least one such joiner. So the sweep caps the
+            // share of checked joiners outside it at 1 %, twice the
+            // founders' share, instead of failing on the first.
             let out = sim.finish();
             let sigma0 = ((n * n - 1) as f64 / 12.0).sqrt();
             let rho = epidemic_aggregation::theory::link_failure_rho_bound(1.0 - 0.7 * 0.7);
@@ -1428,12 +1438,9 @@ mod tests {
                 }
                 let est = first.scalar(0).unwrap();
                 let consensus = out.mean_epoch_estimate(first.epoch).unwrap();
-                assert!(
-                    (est - consensus).abs() < bound,
-                    "seed {seed}, epoch {}: joiner reports {est}, consensus {consensus}, \
-                     bound {bound}",
-                    first.epoch
-                );
+                if (est - consensus).abs() >= bound {
+                    outside.push((seed, first.epoch, est, consensus));
+                }
                 assert!(
                     (est - 31.5).abs() < 31.5 * 0.5,
                     "seed {seed}: estimate {est}"
@@ -1444,7 +1451,14 @@ mod tests {
                 checked > 10,
                 "seed {seed}: only {checked} joiners ever reported"
             );
+            checked_total += checked;
         }
+        assert!(
+            outside.len() * 100 <= checked_total,
+            "{} of {checked_total} joiners reported outside the consensus bound: \
+             (seed, epoch, estimate, consensus) {outside:?}",
+            outside.len()
+        );
         // A settled joiner has lived ten cycles, long enough for its Join
         // attempts at 0, 1, 3 and 7 cycles after arrival. Each round trip
         // survives both 30 % losses with 0.7² = 0.49, so all four fail
