@@ -535,7 +535,8 @@ impl GossipDirectory {
         );
     }
 
-    /// Builds the outbound payload for `peer` and moves its watermark.
+    /// Builds the outbound payload for `peer` and moves its watermark;
+    /// `request` is the partner's request when this is the answer to it.
     /// The full view goes out when deltas are disabled, the partner has
     /// no watermark yet, or `FULL_EVERY` deltas have gone out since the
     /// last full view. Otherwise a delta carries the view entries stamped
@@ -544,32 +545,50 @@ impl GossipDirectory {
     /// nothing, so it ships as the full view and resets the anti-entropy
     /// clock. The flag is `true` for a full view.
     ///
+    /// An answer also leaves out what its request already carries at an
+    /// equal or fresher stamp: the request shows the partner holds it.
+    /// This matters most on a first contact, where the request is the
+    /// partner's whole view.
+    ///
     /// The new watermark is `now` plus one period, the bound [`merge`]
     /// clamps incoming stamps to: nothing exchanged at this moment can be
     /// stamped later. An entry that reaches our view later with an older
     /// stamp is missed by the deltas and repaired by the next full view.
     ///
     /// [`merge`]: GossipDirectory::merge
-    fn outbound_for(&mut self, peer: u32, now: u64) -> (ViewPayload, bool) {
+    fn outbound_for(
+        &mut self,
+        peer: u32,
+        now: u64,
+        request: Option<&[Descriptor]>,
+    ) -> (ViewPayload, bool) {
         let stamp = timestamp(now);
         let watermark = stamp.saturating_add(self.period());
         let k = knowledge_mut(&mut self.knowledge, self.knowledge_peers, peer);
-        let since = match k.known_until.replace(watermark) {
-            Some(since) if self.delta_views && k.deltas_since_full < FULL_EVERY => Some(since),
-            _ => None,
-        };
+        let since = k.known_until.replace(watermark);
         let entries = self.view.entries();
-        let fresh = since.map_or(entries.len(), |since| {
-            entries.partition_point(|d| d.timestamp > since)
-        });
-        let is_full = fresh == entries.len();
+        let mut descriptors = Vec::with_capacity(entries.len() + 1);
+        if !self.delta_views || k.deltas_since_full >= FULL_EVERY {
+            descriptors.extend_from_slice(entries);
+        } else {
+            let fresh = since.map_or(entries.len(), |since| {
+                entries.partition_point(|d| d.timestamp > since)
+            });
+            let carried = |d: &Descriptor| {
+                request.is_some_and(|request| {
+                    request
+                        .iter()
+                        .any(|r| r.node == d.node && r.timestamp >= d.timestamp)
+                })
+            };
+            descriptors.extend(entries[..fresh].iter().filter(|d| !carried(d)));
+        }
+        let is_full = descriptors.len() == entries.len();
         if is_full {
             k.deltas_since_full = 0;
         } else {
             k.deltas_since_full += 1;
         }
-        let mut descriptors = Vec::with_capacity(fresh + 1);
-        descriptors.extend_from_slice(&entries[..fresh]);
         descriptors.push(Descriptor::new(self.me, stamp));
         let payload = ViewPayload {
             from: self.me,
@@ -663,7 +682,7 @@ impl PeerDirectory for GossipDirectory {
         let Some(peer) = self.draw_peer() else {
             return;
         };
-        let (view, full) = self.outbound_for(peer.as_u64() as u32, now);
+        let (view, full) = self.outbound_for(peer.as_u64() as u32, now, None);
         out.push(DirectoryMessage {
             to: Destination::Node(peer),
             payload: DirectoryPayload::View {
@@ -719,11 +738,11 @@ impl PeerDirectory for GossipDirectory {
             }
             DirectoryPayload::View { view, reply, .. } => {
                 // The passive side builds its (possibly delta) answer from
-                // the pre-merge view and the sender's old watermark, then
-                // merges. Whether the payload was a delta does not matter:
-                // every payload merges the same way.
+                // the pre-merge view, the sender's old watermark and the
+                // request itself, then merges. Whether the payload was a
+                // delta does not matter: every payload merges the same way.
                 if !*reply {
-                    let (answer, full) = self.outbound_for(view.from, now);
+                    let (answer, full) = self.outbound_for(view.from, now, Some(&view.descriptors));
                     out.push(DirectoryMessage {
                         to: Destination::Node(NodeId::new(u64::from(view.from))),
                         payload: DirectoryPayload::View {
@@ -1232,14 +1251,14 @@ mod tests {
         // First round: a knows nothing about b, so the request is full.
         // The reply may already be a delta — b just learned exactly what a
         // holds from the request itself.
-        let (req, full) = a.outbound_for(1, 100);
+        let (req, full) = a.outbound_for(1, 100, None);
         assert!(full, "unknown partner must get a full view");
         let (reply, reply_full) = answer(&mut b, &req, full, 105);
         absorb(&mut a, &reply, reply_full, 110);
         // Second round, nothing changed but the self-descriptors: the
         // request collapses to a delta far below the full view.
         let full_len = a.view().len() + 1;
-        let (req2, full2) = a.outbound_for(1, 200);
+        let (req2, full2) = a.outbound_for(1, 200, None);
         assert_eq!(req2.from, 0);
         assert!(!full2, "known partner should get a delta");
         assert!(
@@ -1256,8 +1275,9 @@ mod tests {
     }
 
     /// `a` and `b` share contacts 2..8 and have exchanged once at t = 100
-    /// (request full, reply full), so `a`'s watermark for `b` is 200 and
-    /// `b`'s for `a` is 205.
+    /// (request full; the reply is `b`'s self-descriptor alone, since the
+    /// request carried all of `b`'s view), so `a`'s watermark for `b` is
+    /// 200 and `b`'s for `a` is 205.
     fn one_round_apart() -> (GossipDirectory, GossipDirectory) {
         let mut a = node(0, &delta_config(), 1);
         let mut b = node(1, &delta_config(), 2);
@@ -1266,7 +1286,7 @@ mod tests {
             b.add_seed(p, 0);
         }
         a.add_seed(1, 0);
-        let (req, full) = a.outbound_for(1, 100);
+        let (req, full) = a.outbound_for(1, 100, None);
         let (reply, reply_full) = answer(&mut b, &req, full, 105);
         absorb(&mut a, &reply, reply_full, 110);
         (a, b)
@@ -1280,7 +1300,7 @@ mod tests {
         for p in 20..23 {
             a.add_seed(p, 300);
         }
-        let (req, full) = a.outbound_for(1, 400);
+        let (req, full) = a.outbound_for(1, 400, None);
         assert!(!full, "known partner should get a delta");
         assert!((20..23).all(|p| req.descriptors.iter().any(|d| d.node == p)));
         // …and `b` builds its answer before it merges them, so none of
@@ -1297,11 +1317,35 @@ mod tests {
         let (mut a, _) = one_round_apart();
         a.add_seed(20, 250); // after the watermark (200)
         a.add_seed(21, 150); // at or before it: left to the next full view
-        let (req, full) = a.outbound_for(1, 300);
+        let (req, full) = a.outbound_for(1, 300, None);
         assert!(!full, "known partner should get a delta");
         assert_eq!(
             req.descriptors,
             vec![Descriptor::new(20, 250), Descriptor::new(0, 300)]
+        );
+    }
+
+    #[test]
+    fn a_first_answer_leaves_out_what_the_request_carried() {
+        let mut a = node(0, &delta_config(), 1);
+        let mut b = node(1, &delta_config(), 2);
+        a.add_seed(1, 0);
+        a.add_seed(2, 50);
+        a.add_seed(3, 50);
+        b.add_seed(2, 50); // `a` carries it at the same stamp
+        b.add_seed(3, 80); // fresher here than in the request
+        b.add_seed(4, 50); // `a` does not carry it at all
+        let (req, full) = a.outbound_for(1, 100, None);
+        assert!(full, "unknown partner must get a full view");
+        let (reply, reply_full) = answer(&mut b, &req, full, 105);
+        assert!(!reply_full, "the request showed what `a` holds");
+        assert_eq!(
+            reply.descriptors,
+            vec![
+                Descriptor::new(3, 80),
+                Descriptor::new(4, 50),
+                Descriptor::new(1, 105)
+            ]
         );
     }
 

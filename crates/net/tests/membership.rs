@@ -57,8 +57,9 @@ struct RefKnowledge {
 
 /// The per-partner watermark rule written the naive way — the payload
 /// assembled as the full view, then filtered entry by entry against the
-/// watermark — over [`reference_merge`]. Also notes whether a history
-/// exercised the two corners of the rule.
+/// watermark and, in an answer, against the request — over
+/// [`reference_merge`]. Also notes whether a history exercised the
+/// corners of the rule.
 struct RefNode {
     id: u32,
     config: GossipDirectoryConfig,
@@ -72,6 +73,9 @@ struct RefNode {
     /// (they reached this view after the watermark, with an older stamp):
     /// what the next full view repairs.
     blind_drops: usize,
+    /// Entries an answer left out only because the partner's request
+    /// carried them at an equal or fresher stamp.
+    carried_drops: usize,
 }
 
 impl RefNode {
@@ -83,6 +87,7 @@ impl RefNode {
             knowledge: Vec::new(),
             anti_entropy_fulls: 0,
             blind_drops: 0,
+            carried_drops: 0,
         }
     }
 
@@ -118,7 +123,12 @@ impl RefNode {
         &mut self.knowledge[0]
     }
 
-    fn outbound_for(&mut self, peer: u32, now: u64) -> (Vec<Descriptor>, bool) {
+    fn outbound_for(
+        &mut self,
+        peer: u32,
+        now: u64,
+        request: Option<&[Descriptor]>,
+    ) -> (Vec<Descriptor>, bool) {
         let me = Descriptor::new(self.id, now as u32);
         let mut full = self.view.clone();
         full.push(me);
@@ -129,30 +139,32 @@ impl RefNode {
         let since = k.known_until;
         k.known_until = Some(watermark);
         let due = k.deltas_since_full >= FULL_EVERY;
-        let (descriptors, is_full, blind) = match since {
-            Some(since) if delta_enabled && !due => {
-                let mut delta = Vec::new();
-                let mut blind = 0;
-                for d in &view {
-                    if d.timestamp > since {
-                        delta.push(*d);
-                    } else if !k
-                        .sent
+        let (mut delta, mut blind, mut carried) = (Vec::new(), 0, 0);
+        for d in &view {
+            let keep = if !delta_enabled || due {
+                true
+            } else {
+                let fresh = since.map_or(true, |since| d.timestamp > since);
+                let sent = k
+                    .sent
+                    .iter()
+                    .any(|e| e.node == d.node && e.timestamp >= d.timestamp);
+                blind += usize::from(!fresh && !sent);
+                let held = request.is_some_and(|request| {
+                    request
                         .iter()
                         .any(|e| e.node == d.node && e.timestamp >= d.timestamp)
-                    {
-                        blind += 1;
-                    }
-                }
-                delta.push(me);
-                if delta.len() == full.len() {
-                    (full, true, 0)
-                } else {
-                    (delta, false, blind)
-                }
+                });
+                carried += usize::from(fresh && held);
+                fresh && !held
+            };
+            if keep {
+                delta.push(*d);
             }
-            _ => (full, true, 0),
-        };
+        }
+        delta.push(me);
+        let is_full = delta.len() == full.len();
+        let descriptors = if is_full { full } else { delta };
         if is_full {
             k.deltas_since_full = 0;
         } else {
@@ -160,7 +172,10 @@ impl RefNode {
         }
         k.sent.extend_from_slice(&descriptors);
         self.anti_entropy_fulls += usize::from(due && since.is_some());
-        self.blind_drops += blind;
+        if !is_full {
+            self.blind_drops += blind;
+            self.carried_drops += carried;
+        }
         (descriptors, is_full)
     }
 
@@ -170,7 +185,7 @@ impl RefNode {
         from: u32,
         now: u64,
     ) -> (Vec<Descriptor>, bool) {
-        let reply = self.outbound_for(from, now);
+        let reply = self.outbound_for(from, now, Some(incoming));
         self.merge(incoming, (now as u32).saturating_add(self.period()));
         reply
     }
@@ -225,7 +240,7 @@ fn delta_exchange_history_matches_the_reference_node() {
             "step {step}: node {i}'s timer did not fire"
         );
         let (peer, request, full) = view_message(out);
-        let expected = model[i].outbound_for(peer, now);
+        let expected = model[i].outbound_for(peer, now, None);
         assert_eq!(
             (request.descriptors.clone(), full),
             expected,
@@ -260,14 +275,19 @@ fn delta_exchange_history_matches_the_reference_node() {
             assert_eq!(r.view().entries(), m.view.as_slice(), "step {step} view");
         }
     }
-    // The history is only worth its name if it walked through both corners.
+    // The history is only worth its name if it walked through every corner.
     assert!(exchanges > 40, "only {exchanges} answered exchanges");
     let fulls: usize = model.iter().map(|m| m.anti_entropy_fulls).sum();
     let blind: usize = model.iter().map(|m| m.blind_drops).sum();
+    let carried: usize = model.iter().map(|m| m.carried_drops).sum();
     assert!(fulls > 0, "no FULL_EVERY anti-entropy turn in the history");
     assert!(
         blind > 0,
         "no delta ever dropped an entry stamped at or before known_until \
          that the partner was never sent"
+    );
+    assert!(
+        carried > 0,
+        "no answer ever left out an entry its request carried"
     );
 }
