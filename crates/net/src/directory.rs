@@ -545,10 +545,14 @@ impl GossipDirectory {
     /// nothing, so it ships as the full view and resets the anti-entropy
     /// clock. The flag is `true` for a full view.
     ///
-    /// An answer also leaves out what its request already carries at an
-    /// equal or fresher stamp: the request shows the partner holds it.
-    /// This matters most on a first contact, where the request is the
-    /// partner's whole view.
+    /// An answer also leaves out every node its request already carries,
+    /// unless our copy is at least `FULL_EVERY` periods fresher: the
+    /// request shows the partner holds that node, and a smaller refresh
+    /// waits for the next full view (the seen sets' refresh threshold,
+    /// applied to the one record of the partner's view in hand). This
+    /// matters most on a first contact, where the request is the
+    /// partner's whole view. Refreshes cost bytes and, in a small overlay,
+    /// mixing: a view whose entries are kept fresh turns over less.
     ///
     /// The new watermark is `now` plus one period, the bound [`merge`]
     /// clamps incoming stamps to: nothing exchanged at this moment can be
@@ -564,6 +568,7 @@ impl GossipDirectory {
     ) -> (ViewPayload, bool) {
         let stamp = timestamp(now);
         let watermark = stamp.saturating_add(self.period());
+        let refresh_after = self.period().saturating_mul(FULL_EVERY);
         let k = knowledge_mut(&mut self.knowledge, self.knowledge_peers, peer);
         let since = k.known_until.replace(watermark);
         let entries = self.view.entries();
@@ -576,9 +581,9 @@ impl GossipDirectory {
             });
             let carried = |d: &Descriptor| {
                 request.is_some_and(|request| {
-                    request
-                        .iter()
-                        .any(|r| r.node == d.node && r.timestamp >= d.timestamp)
+                    request.iter().any(|r| {
+                        r.node == d.node && r.timestamp.saturating_add(refresh_after) > d.timestamp
+                    })
                 })
             };
             descriptors.extend(entries[..fresh].iter().filter(|d| !carried(d)));
@@ -1330,21 +1335,24 @@ mod tests {
         let mut a = node(0, &delta_config(), 1);
         let mut b = node(1, &delta_config(), 2);
         a.add_seed(1, 0);
-        a.add_seed(2, 50);
-        a.add_seed(3, 50);
+        for p in 2..5 {
+            a.add_seed(p, 50);
+        }
+        // An anti-entropy period is 4 periods of 100 ticks.
         b.add_seed(2, 50); // `a` carries it at the same stamp
-        b.add_seed(3, 80); // fresher here than in the request
-        b.add_seed(4, 50); // `a` does not carry it at all
-        let (req, full) = a.outbound_for(1, 100, None);
+        b.add_seed(3, 440); // fresher here, by less than that period
+        b.add_seed(4, 450); // fresher here by a whole one
+        b.add_seed(5, 50); // `a` does not carry it at all
+        let (req, full) = a.outbound_for(1, 500, None);
         assert!(full, "unknown partner must get a full view");
-        let (reply, reply_full) = answer(&mut b, &req, full, 105);
+        let (reply, reply_full) = answer(&mut b, &req, full, 505);
         assert!(!reply_full, "the request showed what `a` holds");
         assert_eq!(
             reply.descriptors,
             vec![
-                Descriptor::new(3, 80),
-                Descriptor::new(4, 50),
-                Descriptor::new(1, 105)
+                Descriptor::new(4, 450),
+                Descriptor::new(5, 50),
+                Descriptor::new(1, 505)
             ]
         );
     }

@@ -74,7 +74,7 @@ struct RefNode {
     /// what the next full view repairs.
     blind_drops: usize,
     /// Entries an answer left out only because the partner's request
-    /// carried them at an equal or fresher stamp.
+    /// carried the node at most an anti-entropy period staler.
     carried_drops: usize,
 }
 
@@ -133,12 +133,14 @@ impl RefNode {
         let mut full = self.view.clone();
         full.push(me);
         let delta_enabled = self.config.delta_views;
+        let config_period = self.config.cycle_length;
         let watermark = (now as u32).saturating_add(self.period());
         let view = self.view.clone();
         let k = self.knowledge_mut(peer);
         let since = k.known_until;
         k.known_until = Some(watermark);
         let due = k.deltas_since_full >= FULL_EVERY;
+        let refresh_after = u64::from(FULL_EVERY) * config_period;
         let (mut delta, mut blind, mut carried) = (Vec::new(), 0, 0);
         for d in &view {
             let keep = if !delta_enabled || due {
@@ -151,9 +153,10 @@ impl RefNode {
                     .any(|e| e.node == d.node && e.timestamp >= d.timestamp);
                 blind += usize::from(!fresh && !sent);
                 let held = request.is_some_and(|request| {
-                    request
-                        .iter()
-                        .any(|e| e.node == d.node && e.timestamp >= d.timestamp)
+                    request.iter().any(|e| {
+                        e.node == d.node
+                            && u64::from(e.timestamp) + refresh_after > u64::from(d.timestamp)
+                    })
                 });
                 carried += usize::from(fresh && held);
                 fresh && !held

@@ -276,7 +276,7 @@ fn gossiped_membership_frames_and_views_hash_to_a_pinned_constant() {
     assert!(deltas[2..].iter().all(|&k| k > 0), "delta leg: {deltas:?}");
     assert_eq!(full[3], 0, "full-view leg: {full:?}");
     assert_eq!(
-        hash, 16_472_850_895_285_942_893,
+        hash, 9_859_571_692_220_870_202,
         "membership frames or views moved"
     );
 }
