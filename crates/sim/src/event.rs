@@ -1353,6 +1353,19 @@ mod tests {
         attempts
     }
 
+    /// The least `k` with `P(X > k) ≤ tail` for `X ~ Binomial(trials, p)`.
+    fn binomial_upper_tail(trials: usize, p: f64, tail: f64) -> usize {
+        let mut pmf = (1.0 - p).powi(trials as i32);
+        let mut cdf = pmf;
+        let mut k = 0;
+        while 1.0 - cdf > tail && k < trials {
+            pmf *= (trials - k) as f64 / (k + 1) as f64 * p / (1.0 - p);
+            cdf += pmf;
+            k += 1;
+        }
+        k
+    }
+
     /// The churn-joiner scenario: n = 64 founders, c = 15, γ = 20, one
     /// joiner per cycle boundary for 100 cycles, 30 % loss on every frame.
     fn churn_joiner_config() -> (EventConfig, usize, usize, u32) {
@@ -1378,6 +1391,7 @@ mod tests {
         let (cfg, n, c, gamma) = churn_joiner_config();
         let cycles = cfg.duration / cfg.node.cycle_length();
         let (mut settled_total, mut stranded) = (0usize, 0usize);
+        let (mut checked_total, mut outside) = (0usize, 0usize);
         for seed in 1..=20u64 {
             let (mut joins, mut introductions) = (0, 0);
             // Every (joiner, epoch) the joiner entered holding a
@@ -1466,12 +1480,9 @@ mod tests {
                 }
                 let est = first.scalar(0).unwrap();
                 let consensus = out.mean_epoch_estimate(first.epoch).unwrap();
-                assert!(
-                    (est - consensus).abs() < bound,
-                    "seed {seed}, epoch {}: joiner reports {est}, consensus {consensus}, \
-                     bound {bound}",
-                    first.epoch
-                );
+                if (est - consensus).abs() >= bound {
+                    outside += 1;
+                }
                 assert!(
                     (est - 31.5).abs() < 31.5 * 0.5,
                     "seed {seed}: estimate {est}"
@@ -1482,7 +1493,20 @@ mod tests {
                 checked > 10,
                 "seed {seed}: only {checked} joiners ever reported"
             );
+            checked_total += checked;
         }
+        // The consensus bound is a tail, not a certainty: over seeds
+        // 1..=300 of this scenario 30 of 10,479 checked joiners reported
+        // outside it. The sweep may hold as many as that rate leaves with
+        // probability 10⁻³ (the binomial upper tail over the joiners it
+        // checked), so a change that moves every draw is held to the rate,
+        // not to the luck of twenty seeds.
+        let limit = binomial_upper_tail(checked_total, 30.0 / 10_479.0, 1e-3);
+        assert!(
+            outside <= limit,
+            "{outside} of {checked_total} checked joiners outside the consensus bound \
+             (limit {limit})"
+        );
         // A settled joiner has lived ten cycles, long enough for its Join
         // attempts at 0, 1, 3 and 7 cycles after arrival. Each round trip
         // survives both 30 % losses with 0.7² = 0.49, so all four fail
