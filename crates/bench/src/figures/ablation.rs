@@ -221,8 +221,9 @@ pub fn ablation_event(scale: Scale, seed: u64) -> FigureOutput {
 /// Compares the event engine's two NEWSCAST realizations — idealized
 /// live-set sampling vs gossiped per-node views — on a churned, lossy
 /// scenario. Columns: message loss, epoch-0 relative error under each
-/// model, and the membership traffic (view messages per aggregation
-/// message) that only the gossiped model pays.
+/// model, the membership traffic (view messages per aggregation
+/// message) that only the gossiped model pays, and each model's observed
+/// per-cycle variance reduction `epoch.variance_reduction_rho`.
 pub fn ablation_membership(scale: Scale, seed: u64) -> FigureOutput {
     let n = scale.n(10_000).min(20_000);
     let reps = scale.reps(10);
@@ -246,6 +247,7 @@ pub fn ablation_membership(scale: Scale, seed: u64) -> FigureOutput {
         let mut row = vec![loss];
         let mut overhead = 0.0;
         let mut byte_overhead = 0.0;
+        let mut rho = Vec::new();
         for membership in [MembershipModel::Idealized, MembershipModel::Gossip] {
             let config = EventConfig {
                 scenario: Scenario {
@@ -271,6 +273,11 @@ pub fn ablation_membership(scale: Scale, seed: u64) -> FigureOutput {
                 .map(|est| (est - truth).abs() / truth)
                 .collect();
             row.push(epidemic_common::stats::mean(&errors));
+            let rhos: Vec<f64> = outcomes
+                .iter()
+                .filter_map(|o| o.registry.gauge_value("epoch.variance_reduction_rho"))
+                .collect();
+            rho.push(epidemic_common::stats::mean(&rhos));
             if membership == MembershipModel::Gossip {
                 let ratios: Vec<f64> = outcomes
                     .iter()
@@ -290,6 +297,7 @@ pub fn ablation_membership(scale: Scale, seed: u64) -> FigureOutput {
         }
         row.push(overhead);
         row.push(byte_overhead);
+        row.extend(rho);
         rows.push(row);
     }
     FigureOutput {
@@ -306,6 +314,8 @@ pub fn ablation_membership(scale: Scale, seed: u64) -> FigureOutput {
             "gossiped_err",
             "view_msgs_per_agg_msg",
             "view_bytes_per_agg_msg",
+            "idealized_rho",
+            "gossiped_rho",
         ]
         .iter()
         .map(|s| s.to_string())
@@ -363,6 +373,7 @@ mod tests {
             assert!(row[1] < 0.25, "idealized error out of band: {row:?}");
             assert!(row[2] < 0.25, "gossiped error out of band: {row:?}");
             assert!(row[3] > 0.0, "no view traffic recorded: {row:?}");
+            assert!(row[5] > 0.0 && row[6] > 0.0, "no rho observed: {row:?}");
         }
     }
 
