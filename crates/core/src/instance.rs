@@ -185,6 +185,15 @@ impl InstanceState {
             InstanceState::Map(m) => Some(m),
         }
     }
+
+    /// `true` when every estimate the state holds is finite — a NaN or
+    /// ±∞ merged in would spread to every estimate it meets.
+    pub fn is_finite(&self) -> bool {
+        match self {
+            InstanceState::Scalar(v) => v.is_finite(),
+            InstanceState::Map(m) => m.iter().all(|(_, v)| v.is_finite()),
+        }
+    }
 }
 
 #[cfg(test)]

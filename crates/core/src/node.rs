@@ -27,7 +27,7 @@ use crate::message::{Message, MessageBody};
 use crate::report::EpochReport;
 use epidemic_common::rng::Xoshiro256;
 use epidemic_common::NodeId;
-use epidemic_telemetry::{TraceEvent, TraceKind, TraceRing};
+use epidemic_telemetry::{Registry, TraceEvent, TraceKind, TraceRing};
 
 /// A message together with its destination.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,6 +99,10 @@ pub struct GossipNode {
     rng: Xoshiro256,
     local_value: f64,
     epoch: u64,
+    /// Local tick at which the node entered `epoch` (for a joiner, when
+    /// the introducer's running epoch began): how far ahead a newer epoch
+    /// may be and still be adopted grows with the time since.
+    epoch_entered_at: u64,
     activation_epoch: u64,
     /// Tick at which a still-waiting joiner unilaterally enters its
     /// activation epoch (the "time until next epoch" hint of Section 4.2).
@@ -115,6 +119,8 @@ pub struct GossipNode {
     /// coordinates, so same-seed runs under different embeddings
     /// produce identical traces.
     trace: TraceRing,
+    /// Where refusals are counted (see [`GossipNode::set_registry`]).
+    registry: Registry,
 }
 
 impl GossipNode {
@@ -131,6 +137,7 @@ impl GossipNode {
             rng,
             local_value,
             epoch: 0,
+            epoch_entered_at: 0,
             activation_epoch: 0,
             activation_at: None,
             active: true,
@@ -140,6 +147,7 @@ impl GossipNode {
             pending: None,
             reports: Vec::new(),
             trace: TraceRing::disabled(),
+            registry: Registry::disabled(),
         };
         node.init_epoch_states();
         node
@@ -149,7 +157,9 @@ impl GossipNode {
     /// member supplied the running epoch identifier `current_epoch` and the
     /// tick `next_epoch_at` when the next epoch is expected to start; the
     /// joiner refuses exchanges until then (or until it observes a message
-    /// from a newer epoch, whichever happens first).
+    /// from a newer epoch, whichever happens first). It trusts
+    /// `current_epoch`: with no history of its own, it has nothing to
+    /// bound it against.
     pub fn joiner(
         id: NodeId,
         config: NodeConfig,
@@ -160,6 +170,7 @@ impl GossipNode {
     ) -> Self {
         let mut rng = Xoshiro256::stream(seed, id.as_u64());
         let phase = rng.next_below(config.cycle_length());
+        let epoch_length = epoch_length(&config);
         GossipNode {
             id,
             size_estimate: config.initial_size_guess(),
@@ -167,7 +178,8 @@ impl GossipNode {
             rng,
             local_value,
             epoch: current_epoch,
-            activation_epoch: current_epoch + 1,
+            epoch_entered_at: next_epoch_at.saturating_sub(epoch_length),
+            activation_epoch: current_epoch.saturating_add(1),
             activation_at: Some(next_epoch_at),
             active: false,
             cycles_run: 0,
@@ -176,7 +188,16 @@ impl GossipNode {
             pending: None,
             reports: Vec::new(),
             trace: TraceRing::disabled(),
+            registry: Registry::disabled(),
         }
+    }
+
+    /// Counts what the node refuses in `registry`: requests and replies
+    /// carrying a non-finite estimate (`agg.states_refused{reason=
+    /// "non_finite"}`) and epochs too far ahead to adopt
+    /// (`agg.epoch_jumps_refused`). Disabled until called.
+    pub fn set_registry(&mut self, registry: Registry) {
+        self.registry = registry;
     }
 
     /// Enables protocol event tracing with a ring of `capacity` events
@@ -243,9 +264,12 @@ impl GossipNode {
     /// Updates the local value. Takes effect at the next epoch
     /// initialization — running epochs keep aggregating over the values
     /// they started from, which is what makes every epoch's output a
-    /// consistent snapshot.
+    /// consistent snapshot. A non-finite value is ignored: it would
+    /// poison every estimate it is averaged into.
     pub fn set_local_value(&mut self, value: f64) {
-        self.local_value = value;
+        if value.is_finite() {
+            self.local_value = value;
+        }
     }
 
     /// Current local value.
@@ -317,14 +341,14 @@ impl GossipNode {
         }
         if let (false, Some(at)) = (self.active, self.activation_at) {
             if now >= at {
-                self.enter_epoch(self.activation_epoch);
+                self.enter_epoch(self.activation_epoch, now);
             }
         }
         let mut initiate = false;
         while now >= self.next_cycle_at {
             self.next_cycle_at += self.config.cycle_length();
             if self.active {
-                self.complete_cycle();
+                self.complete_cycle(now);
                 initiate = true;
             }
         }
@@ -363,16 +387,16 @@ impl GossipNode {
     }
 
     /// Processes an incoming message, possibly producing a response.
-    pub fn handle(&mut self, msg: &Message, _now: u64) -> Option<Outbound> {
+    pub fn handle(&mut self, msg: &Message, now: u64) -> Option<Outbound> {
         match &msg.body {
-            MessageBody::Request(remote_states) => self.handle_request(msg, remote_states),
+            MessageBody::Request(remote_states) => self.handle_request(msg, remote_states, now),
             MessageBody::Reply(remote_states) => {
-                self.handle_reply(msg, remote_states);
+                self.handle_reply(msg, remote_states, now);
                 None
             }
             MessageBody::EpochNotice => {
                 self.clear_pending_for(msg.from);
-                self.maybe_jump(msg.epoch);
+                self.maybe_jump(msg.epoch, now);
                 None
             }
             MessageBody::Refuse => {
@@ -382,9 +406,14 @@ impl GossipNode {
         }
     }
 
-    fn handle_request(&mut self, msg: &Message, remote: &[InstanceState]) -> Option<Outbound> {
+    fn handle_request(
+        &mut self,
+        msg: &Message,
+        remote: &[InstanceState],
+        now: u64,
+    ) -> Option<Outbound> {
         if msg.epoch > self.epoch {
-            self.maybe_jump(msg.epoch);
+            self.maybe_jump(msg.epoch, now);
         }
         if msg.epoch < self.epoch {
             // The sender lags; pull it forward epidemically (Section 4.3).
@@ -401,10 +430,10 @@ impl GossipNode {
                 message: Message::refuse(self.id, self.epoch),
             });
         }
-        if !self.states_compatible(remote) {
-            // Differently-configured (or buggy) peer: decline rather than
-            // corrupt our state. A refusal also clears the peer's pending
-            // exchange promptly.
+        if !self.states_compatible(remote) || !self.states_finite(remote) {
+            // Differently-configured, buggy or hostile peer: decline
+            // rather than corrupt our state. A refusal also clears the
+            // peer's pending exchange promptly.
             return Some(Outbound {
                 to: msg.from,
                 message: Message::refuse(self.id, self.epoch),
@@ -419,7 +448,7 @@ impl GossipNode {
         })
     }
 
-    fn handle_reply(&mut self, msg: &Message, remote: &[InstanceState]) {
+    fn handle_reply(&mut self, msg: &Message, remote: &[InstanceState], now: u64) {
         let Some(p) = self.pending else {
             return; // timed out earlier; drop the late reply (Section 4.2)
         };
@@ -429,13 +458,14 @@ impl GossipNode {
         self.pending = None;
         if msg.epoch > self.epoch {
             self.record(TraceKind::ExchangeComplete, Some(msg.from), 0);
-            self.maybe_jump(msg.epoch);
+            self.maybe_jump(msg.epoch, now);
             return; // states belong to different epochs: no merge
         }
         if msg.epoch == self.epoch
             && p.epoch == self.epoch
             && self.active
             && self.states_compatible(remote)
+            && self.states_finite(remote)
         {
             self.merge_states(remote);
             self.record(TraceKind::ExchangeComplete, Some(msg.from), 1);
@@ -461,6 +491,19 @@ impl GossipNode {
                 })
     }
 
+    /// `true` when every estimate in `remote` is finite; otherwise the
+    /// states are refused like a lost message (Section 6) and counted.
+    fn states_finite(&self, remote: &[InstanceState]) -> bool {
+        let finite = remote.iter().all(InstanceState::is_finite);
+        if !finite {
+            let labels = [("reason", "non_finite")];
+            self.registry
+                .counter_with("agg.states_refused", &labels)
+                .inc();
+        }
+        finite
+    }
+
     fn clear_pending_for(&mut self, peer: NodeId) {
         if let Some(p) = self.pending {
             if p.peer == peer {
@@ -473,14 +516,30 @@ impl GossipNode {
     /// State of the abandoned epoch is discarded (the node was too slow;
     /// its unfinished estimate would be misleading). No-op when epoch
     /// synchronization is disabled (ablation only).
-    fn maybe_jump(&mut self, epoch: u64) {
-        if self.config.epoch_sync() && epoch > self.epoch {
-            self.enter_epoch(epoch);
+    ///
+    /// An epoch is adopted only if it is at most `elapsed / (γ·δ) + 2`
+    /// ahead of the current one, `elapsed` being the local time since the
+    /// node entered it: no honest peer can have run further. A node cut
+    /// off for hours still catches up in one step, while one forged epoch
+    /// id cannot carry the cluster to the end of the number line. A
+    /// refused jump is counted (`agg.epoch_jumps_refused`) and the message
+    /// is otherwise handled as from an older epoch's peer.
+    fn maybe_jump(&mut self, epoch: u64, now: u64) {
+        if !self.config.epoch_sync() || epoch <= self.epoch {
+            return;
         }
+        let elapsed = now.saturating_sub(self.epoch_entered_at);
+        let reach = elapsed / epoch_length(&self.config) + 2;
+        if epoch - self.epoch > reach {
+            self.registry.counter("agg.epoch_jumps_refused").inc();
+            return;
+        }
+        self.enter_epoch(epoch, now);
     }
 
-    fn enter_epoch(&mut self, epoch: u64) {
+    fn enter_epoch(&mut self, epoch: u64, now: u64) {
         self.epoch = epoch;
+        self.epoch_entered_at = now;
         self.cycles_run = 0;
         self.pending = None;
         if self.epoch >= self.activation_epoch {
@@ -493,7 +552,7 @@ impl GossipNode {
 
     /// Counts one completed cycle; at γ the epoch's states are reported and
     /// the next epoch starts from fresh local values (Section 4.1).
-    fn complete_cycle(&mut self) {
+    fn complete_cycle(&mut self, now: u64) {
         self.cycles_run += 1;
         if self.cycles_run >= self.config.gamma() {
             let report = EpochReport {
@@ -505,7 +564,10 @@ impl GossipNode {
                 self.size_estimate = estimate;
             }
             self.reports.push(report);
-            self.epoch += 1;
+            // Checked: an epoch id never wraps back to 0. The jump bound
+            // keeps it within reach of the clock, far below the end.
+            self.epoch = self.epoch.saturating_add(1);
+            self.epoch_entered_at = now;
             self.cycles_run = 0;
             self.pending = None;
             self.init_epoch_states();
@@ -550,6 +612,11 @@ impl GossipNode {
             *local = spec.merge(local, remote);
         }
     }
+}
+
+/// One epoch γ·δ in ticks.
+fn epoch_length(config: &NodeConfig) -> u64 {
+    u64::from(config.gamma()).saturating_mul(config.cycle_length())
 }
 
 /// Returns `true` if the [`LeaderPolicy`] would make this node lead with
@@ -725,11 +792,12 @@ mod tests {
         let cfg = config(10);
         let mut ahead = GossipNode::founder(NodeId::new(0), cfg.clone(), 1.0, 1);
         let behind = GossipNode::founder(NodeId::new(1), cfg, 2.0, 2);
-        // Push `ahead` into epoch 3 artificially via a notice.
-        ahead.handle(&Message::epoch_notice(NodeId::new(9), 3), 0);
+        // Push `ahead` into epoch 3 artificially via a notice, one epoch
+        // (γ·δ = 1,000 ticks) in, when epoch 3 is within reach.
+        ahead.handle(&Message::epoch_notice(NodeId::new(9), 3), 1_000);
         assert_eq!(ahead.epoch(), 3);
         let req = Message::request(behind.id(), 0, vec![InstanceState::Scalar(2.0)]);
-        let resp = ahead.handle(&req, 5).unwrap();
+        let resp = ahead.handle(&req, 1_005).unwrap();
         assert!(matches!(resp.message.body, MessageBody::EpochNotice));
         assert_eq!(resp.message.epoch, 3);
         // The merged state must be untouched.
@@ -745,9 +813,10 @@ mod tests {
             0,
         );
         assert_eq!(node.scalar_estimate(0), Some(10.0));
-        // Newer epoch arrives: jump and re-init from the local value.
+        // Newer epoch arrives two epochs in: jump and re-init from the
+        // local value.
         let req = Message::request(NodeId::new(2), 4, vec![InstanceState::Scalar(3.0)]);
-        let resp = node.handle(&req, 1).unwrap();
+        let resp = node.handle(&req, 2_000).unwrap();
         assert_eq!(node.epoch(), 4);
         // The response is a reply for epoch 4 and the merge used the fresh
         // initial value 5.0: (5+3)/2 = 4.
@@ -995,6 +1064,105 @@ mod tests {
         assert!(trace
             .iter()
             .any(|e| e.kind == TraceKind::ExchangeTimeout && e.peer == Some(1)));
+    }
+
+    /// `registry`'s count of non-finite states refused.
+    fn non_finite_refusals(registry: &Registry) -> u64 {
+        registry
+            .counter_with("agg.states_refused", &[("reason", "non_finite")])
+            .get()
+    }
+
+    #[test]
+    fn a_non_finite_request_is_refused_and_counted() {
+        let registry = Registry::new();
+        let mut a = GossipNode::founder(NodeId::new(0), config(10), 1.0, 1);
+        a.set_registry(registry.clone());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let msg = Message::request(NodeId::new(1), 0, vec![InstanceState::Scalar(bad)]);
+            let resp = a.handle(&msg, 0).unwrap();
+            assert!(matches!(resp.message.body, MessageBody::Refuse), "{bad}");
+            assert_eq!(a.scalar_estimate(0), Some(1.0), "{bad} merged");
+        }
+        assert_eq!(non_finite_refusals(&registry), 3);
+        // A COUNT map with one non-finite share is refused the same way.
+        let count = NodeConfig::builder()
+            .gamma(10)
+            .cycle_length(100)
+            .timeout(30)
+            .instance(InstanceSpec::CountMap {
+                leader: LeaderPolicy::Always,
+            })
+            .build()
+            .unwrap();
+        let mut c = GossipNode::founder(NodeId::new(0), count, 0.0, 1);
+        c.set_registry(registry.clone());
+        let map = crate::value::InstanceMap::from_entries([(0, 0.5), (7, f64::NAN)]);
+        let msg = Message::request(NodeId::new(1), 0, vec![InstanceState::Map(map)]);
+        let resp = c.handle(&msg, 0).unwrap();
+        assert!(matches!(resp.message.body, MessageBody::Refuse));
+        assert_eq!(non_finite_refusals(&registry), 4);
+    }
+
+    #[test]
+    fn a_non_finite_reply_is_dropped_and_counted() {
+        let registry = Registry::new();
+        let mut a = GossipNode::founder(NodeId::new(0), config(10), 1.0, 1);
+        a.set_registry(registry.clone());
+        let mut t = 0;
+        while a.poll(t, Some(NodeId::new(1))).is_none() {
+            t += 1;
+        }
+        let reply = Message::reply(NodeId::new(1), 0, vec![InstanceState::Scalar(f64::NAN)]);
+        assert!(a.handle(&reply, t).is_none());
+        assert_eq!(a.scalar_estimate(0), Some(1.0));
+        assert_eq!(non_finite_refusals(&registry), 1);
+    }
+
+    #[test]
+    fn a_non_finite_local_value_is_ignored() {
+        let mut a = GossipNode::founder(NodeId::new(0), config(10), 4.0, 1);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            a.set_local_value(bad);
+        }
+        assert_eq!(a.local_value(), 4.0);
+    }
+
+    #[test]
+    fn an_epoch_notice_at_the_end_of_the_number_line_is_refused() {
+        let registry = Registry::new();
+        let mut a = GossipNode::founder(NodeId::new(0), config(2), 4.0, 1);
+        a.set_registry(registry.clone());
+        a.handle(&Message::epoch_notice(NodeId::new(9), u64::MAX), 50);
+        assert_eq!(a.epoch(), 0);
+        assert_eq!(registry.counter_value("agg.epoch_jumps_refused"), 1);
+        // The node keeps running its own epochs.
+        let mut t = 50;
+        while a.epoch() < 3 {
+            t += 1;
+            a.poll(t, None);
+        }
+        assert_eq!(a.take_reports().len(), 3);
+    }
+
+    #[test]
+    fn a_node_cut_off_for_ten_thousand_epochs_catches_up_in_one_step() {
+        let registry = Registry::new();
+        let mut a = GossipNode::founder(NodeId::new(0), config(10), 4.0, 1);
+        a.set_registry(registry.clone());
+        // Never polled while the cluster ran 10⁴ epochs of γ·δ = 1,000
+        // ticks; the first message it hears is from the running epoch.
+        let now = 10_000 * 1_000 + 500;
+        let req = Message::request(NodeId::new(1), 10_000, vec![InstanceState::Scalar(8.0)]);
+        let resp = a.handle(&req, now).unwrap();
+        assert!(matches!(resp.message.body, MessageBody::Reply(_)));
+        assert_eq!(a.epoch(), 10_000);
+        assert_eq!(a.scalar_estimate(0), Some(6.0));
+        assert_eq!(registry.counter_value("agg.epoch_jumps_refused"), 0);
+        // Right after the jump, an epoch three ahead is out of reach again.
+        a.handle(&Message::epoch_notice(NodeId::new(1), 10_003), now);
+        assert_eq!(a.epoch(), 10_000);
+        assert_eq!(registry.counter_value("agg.epoch_jumps_refused"), 1);
     }
 
     #[test]

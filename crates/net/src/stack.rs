@@ -149,12 +149,13 @@ impl<D: PeerDirectory> NodeStack<D> {
     }
 
     fn assemble(
-        gossip: GossipNode,
+        mut gossip: GossipNode,
         seed: u64,
         directory: D,
         query: QueryPlaneConfig,
         registry: Registry,
     ) -> Self {
+        gossip.set_registry(registry.clone());
         NodeStack {
             plane: QueryPlane::new(gossip.id(), query, seed, registry),
             gossip,
@@ -344,8 +345,10 @@ impl<D: PeerDirectory> NodeStack<D> {
 
 /// The convergence-health series of one cluster, whichever embedding
 /// hosts it: `epoch.variance_reduction_rho` next to the `epoch.rho_theory`
-/// bound 1/(2√e), `epoch.estimate_drift` (and its `{query=…}` twins), and
-/// the two sink-side counters `agg.exchanges` and `membership.delta_bytes`.
+/// bound 1/(2√e), `epoch.estimate_drift` (and its `{query=…}` twins), the
+/// two sink-side counters `agg.exchanges` and `membership.delta_bytes`,
+/// and, at zero until a node counts one, the refusals
+/// `agg.states_refused{reason="non_finite"}` and `agg.epoch_jumps_refused`.
 /// An embedding feeds it what it drains from its stacks and what its
 /// sinks are handed; nothing here is per node.
 #[derive(Debug)]
@@ -372,6 +375,8 @@ impl Convergence {
         registry
             .gauge("epoch.rho_theory")
             .set(0.5 / std::f64::consts::E.sqrt());
+        registry.counter_with("agg.states_refused", &[("reason", "non_finite")]);
+        registry.counter("agg.epoch_jumps_refused");
         Convergence {
             var0,
             gamma,

@@ -5,7 +5,9 @@
 //! exactly what the mux runtime and the event simulator embed, minus
 //! their transports.
 
-use epidemic_aggregation::{AggregateKind, EpochReport, InstanceSpec, Message, NodeConfig};
+use epidemic_aggregation::{
+    AggregateKind, EpochReport, InstanceSpec, InstanceState, Message, NodeConfig,
+};
 use epidemic_common::NodeId;
 use epidemic_net::codec::{decode_datagram, WireFrame, WirePayload};
 use epidemic_net::directory::{
@@ -15,7 +17,9 @@ use epidemic_net::directory::{
 use epidemic_net::stack::{Input, NodeStack, Plane};
 use epidemic_net::{Registry, TraceEvent, TraceKind};
 use epidemic_newscast::Descriptor;
-use epidemic_query::{CatalogEntry, QueryDescriptor, QueryPlaneConfig, RpcRequest, RpcStatus};
+use epidemic_query::{
+    CatalogEntry, QueryDescriptor, QueryError, QueryPlaneConfig, RpcRequest, RpcStatus,
+};
 use std::collections::VecDeque;
 
 const CYCLE: u64 = 20;
@@ -486,4 +490,69 @@ fn hostile_catalog_entries_and_installs_degrade_to_lost_messages() {
     net.step(0, Input::Frame(&payload));
     net.run(2 * CYCLE);
     assert_eq!(net.stacks[0].installed_queries(), ["z"]);
+}
+
+#[test]
+fn a_non_finite_request_is_refused_and_every_report_stays_finite() {
+    // One hostile Request at epoch 0 handed to node 0: refused like a lost
+    // message, so every epoch-0 report is still finite and on the truth.
+    let (n, gamma) = (32, 10);
+    let truth = (n - 1) as f64 / 2.0;
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let mut net = Net::new(n, gamma, 11, None);
+        net.run(3 * CYCLE);
+        let hostile = Message::request(NodeId::new(1), 0, vec![InstanceState::Scalar(bad)]);
+        net.step(0, Input::Frame(&WirePayload::Aggregation(hostile)));
+        net.run(u64::from(gamma + 2) * CYCLE);
+        let reports: Vec<f64> = net
+            .reports()
+            .iter()
+            .filter(|r| r.epoch == 0)
+            .map(|r| r.scalar(0).unwrap())
+            .collect();
+        assert!(reports.len() >= 2, "{bad}: {reports:?}");
+        for est in reports {
+            assert!((est - truth).abs() < 0.05 * truth, "{bad}: reported {est}");
+        }
+    }
+}
+
+#[test]
+fn a_non_finite_tenant_request_is_refused_and_the_query_stays_finite() {
+    let n = 8;
+    let gamma = 12;
+    let mut net = Net::new(n, 10, 3, None);
+    let descriptor = QueryDescriptor::new("load", AggregateKind::Average)
+        .with_gamma(gamma)
+        .with_cycle_length(CYCLE);
+    net.stacks[0].install(descriptor, net.now).unwrap();
+    // Query epoch k spans (k-1)·γδ..k·γδ from the install: these submits
+    // land in epoch 5 and take effect in epoch 6 (1,200..1,440).
+    net.run(1_000);
+    for (i, stack) in net.stacks.iter_mut().enumerate() {
+        stack.submit("load", 10.0 * i as f64, 1_000).unwrap();
+        let refused = stack.submit("load", f64::NAN, 1_000);
+        assert_eq!(refused, Err(QueryError::NonFiniteValue), "node {i}");
+    }
+    net.run(1_250);
+    let hostile = Message::request(NodeId::new(1), 6, vec![InstanceState::Scalar(f64::NAN)]);
+    let payload = WirePayload::Query {
+        query: "load".into(),
+        message: hostile,
+    };
+    net.step(0, Input::Frame(&payload));
+    net.run(1_440 + 2 * CYCLE);
+    let truth = 10.0 * (n - 1) as f64 / 2.0;
+    let mut epoch6 = 0;
+    for stack in &mut net.stacks {
+        for e in stack.take_query_epochs() {
+            let est = e.estimate.expect("an AVERAGE estimate");
+            assert!(est.is_finite(), "epoch {}: {est}", e.epoch);
+            if e.epoch == 6 {
+                epoch6 += 1;
+                assert!((est - truth).abs() < 0.05 * truth, "epoch 6: {est}");
+            }
+        }
+    }
+    assert!(epoch6 >= n / 2, "{epoch6} nodes completed epoch 6");
 }

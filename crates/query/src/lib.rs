@@ -56,6 +56,8 @@ pub enum QueryError {
     InvalidDescriptor(&'static str),
     /// The query runs but has no readable estimate yet.
     NotReady,
+    /// A submitted value was NaN or ±∞.
+    NonFiniteValue,
 }
 
 impl fmt::Display for QueryError {
@@ -68,6 +70,7 @@ impl fmt::Display for QueryError {
             }
             QueryError::InvalidDescriptor(why) => write!(f, "invalid descriptor: {why}"),
             QueryError::NotReady => f.write_str("query has no estimate yet"),
+            QueryError::NonFiniteValue => f.write_str("submitted value is not finite"),
         }
     }
 }
@@ -86,6 +89,7 @@ mod tests {
             QueryError::Conflict,
             QueryError::InvalidDescriptor("empty query name"),
             QueryError::NotReady,
+            QueryError::NonFiniteValue,
         ];
         for err in all {
             assert!(!err.to_string().is_empty());

@@ -233,11 +233,15 @@ impl QueryPlane {
     ///
     /// # Errors
     ///
-    /// [`QueryError::UnknownQuery`] or [`QueryError::AdmissionRejected`]
-    /// — the latter is also counted in the per-query
-    /// `query.admission_rejects` series, never swallowed.
+    /// [`QueryError::UnknownQuery`], [`QueryError::NonFiniteValue`] for a
+    /// NaN or ±∞, or [`QueryError::AdmissionRejected`] — the latter is
+    /// also counted in the per-query `query.admission_rejects` series,
+    /// never swallowed.
     pub fn submit(&mut self, name: &str, value: f64, now: u64) -> Result<(), QueryError> {
         let query = self.running.get_mut(name).ok_or(QueryError::UnknownQuery)?;
+        if !value.is_finite() {
+            return Err(QueryError::NonFiniteValue);
+        }
         if !query.bucket.try_take(now) {
             query.rejects.inc();
             return Err(QueryError::AdmissionRejected);
@@ -469,7 +473,7 @@ impl QueryPlane {
             let epoch_len = u64::from(d.gamma) * d.cycle_length;
             let anchor = entry.installed_at;
             let elapsed = now.saturating_sub(anchor);
-            let node = if elapsed == 0 {
+            let mut node = if elapsed == 0 {
                 let mut node =
                     GossipNode::joiner(self.id, config, d.default_value, seed, 0, anchor);
                 // The activation is due immediately; perform it now so an
@@ -488,6 +492,7 @@ impl QueryPlane {
                     anchor + boundary * epoch_len,
                 )
             };
+            node.set_registry(self.registry.clone());
             let labels = [("query", name.as_str())];
             self.running.insert(
                 name.clone(),

@@ -113,7 +113,7 @@ impl From<QueryError> for RpcStatus {
             QueryError::UnknownQuery => RpcStatus::UnknownQuery,
             QueryError::AdmissionRejected => RpcStatus::AdmissionRejected,
             QueryError::Conflict => RpcStatus::Conflict,
-            QueryError::InvalidDescriptor(_) => RpcStatus::BadRequest,
+            QueryError::InvalidDescriptor(_) | QueryError::NonFiniteValue => RpcStatus::BadRequest,
             QueryError::NotReady => RpcStatus::NotReady,
         }
     }

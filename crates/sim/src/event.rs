@@ -1522,6 +1522,44 @@ mod tests {
     }
 
     #[test]
+    fn a_forged_epoch_notice_leaves_epochs_monotone_and_reads_accurate() {
+        // One EpochNotice at u64::MAX reaches a converged 256-node
+        // cluster in epoch 1. Adopted, it would spread with every message
+        // and wrap the cluster back to epoch 0 at the next epoch end.
+        let mut cfg = base_config();
+        cfg.scenario.n = 256;
+        let notice = epidemic_aggregation::Message::epoch_notice(NodeId::new(7), u64::MAX);
+        let mut sim = EventSim::new(&cfg, 3);
+        sim.wire.push(
+            20_000,
+            EventKind::Deliver(5, WirePayload::Aggregation(notice)),
+        );
+        let mut epochs = vec![0u64; cfg.scenario.n];
+        let sim = run_inspecting(
+            sim,
+            |_| {},
+            |sim, i| {
+                let epoch = sim.stacks[i].epoch();
+                assert!(epoch >= epochs[i], "node {i} went {} -> {epoch}", epochs[i]);
+                epochs[i] = epoch;
+            },
+        );
+        let out = sim.finish();
+        assert_eq!(out.registry.counter_value("agg.epoch_jumps_refused"), 1);
+        assert!(epochs.iter().all(|&e| e == 2), "epochs {epochs:?}");
+        let truth = 255.0 / 2.0;
+        let mut reported = 0;
+        for r in out.reports.iter().flatten() {
+            let v = r.scalar(0).unwrap();
+            assert!((v - truth).abs() < 0.05 * truth, "epoch {}: {v}", r.epoch);
+            reported += 1;
+        }
+        // About half the nodes report an epoch; the rest are pulled into
+        // the next one early by a faster peer (Section 4.3).
+        assert!(reported >= cfg.scenario.n, "only {reported} reports");
+    }
+
+    #[test]
     fn membership_ledger_is_the_codec_size_of_every_frame() {
         // Lossless, so every frame handed to the wire is delivered or
         // still queued when the run stops — the test sees them all.

@@ -94,7 +94,9 @@ fn epoch_identifiers_synchronize_epidemically() {
     let cfg = config(10);
     let mut slow = GossipNode::founder(NodeId::new(0), cfg.clone(), 1.0, 1);
     assert_eq!(slow.epoch(), 0);
-    // A message from epoch 7 drags the slow node forward immediately.
+    // A message from epoch 7 drags the slow node forward immediately. An
+    // epoch is adopted only within `elapsed / (γ·δ) + 2` of the node's
+    // own, so the message arrives five epochs (γ·δ = 10,000 ticks) in.
     let msg = Message::request(
         NodeId::new(9),
         7,
@@ -103,7 +105,7 @@ fn epoch_identifiers_synchronize_epidemically() {
             epidemic::aggregation::InstanceState::Map(Default::default()),
         ],
     );
-    let resp = slow.handle(&msg, 100).unwrap();
+    let resp = slow.handle(&msg, 50_100).unwrap();
     assert_eq!(slow.epoch(), 7);
     assert!(matches!(
         resp.message.body,
