@@ -5,8 +5,8 @@
 //! module makes that seam explicit: a [`PeerDirectory`] answers
 //! `GETNEIGHBOR()` ([`PeerSampler::draw_peer`]) and — when the membership
 //! itself is gossiped — emits and consumes its own frames through the same
-//! transport and timer path as the aggregation protocol. Peers are named
-//! by node id only; the embedding owns the id → socket map.
+//! transport as the aggregation protocol. Peers are named by node id
+//! only; the embedding owns the id → socket map.
 //!
 //! Two implementations ship:
 //!
@@ -25,16 +25,10 @@
 //!   backoff, rotating across introducers, so a lost tag-6 frame delays
 //!   bootstrap instead of stranding the node. No static peer table exists
 //!   anywhere; `GETNEIGHBOR()` is served from the live partial view.
-//!   Nothing rides on aggregation frames: membership moves only in these
-//!   frames of its own.
 //!
-//! Directories are sans-io. Three embeddings step them through
-//! [`NodeStack`](crate::stack::NodeStack) — the mux runtime, the event
-//! simulator and the logical-time harness of `tests/stack.rs` — each
-//! owning transport and clock: it calls [`PeerDirectory::poll`] on timer
-//! wake-ups, feeds incoming membership frames to
-//! [`PeerDirectory::handle`], and transmits whatever [`DirectoryMessage`]s
-//! come back.
+//! Directories are sans-io: every embedding steps them through
+//! [`NodeStack`](crate::stack::NodeStack), which polls on each wake, feeds
+//! in membership frames and transmits the [`DirectoryMessage`]s that result.
 
 use epidemic_aggregation::node::PeerSampler;
 use epidemic_common::rng::Xoshiro256;
@@ -129,8 +123,7 @@ pub struct IntroduceEntry {
 /// A membership service below the aggregation plane.
 ///
 /// Extends [`PeerSampler`] — `draw_peer` *is* `GETNEIGHBOR()` — with the
-/// machinery a real network needs: its own timers and its own wire
-/// traffic.
+/// machinery a real network needs: its own wire traffic and deadlines.
 pub trait PeerDirectory: PeerSampler + Send + fmt::Debug {
     /// Earliest tick at which [`poll`](Self::poll) wants to run again
     /// (`u64::MAX` when the directory is purely passive).
@@ -138,8 +131,8 @@ pub trait PeerDirectory: PeerSampler + Send + fmt::Debug {
         u64::MAX
     }
 
-    /// Advances the directory's timers to `now`, pushing any membership
-    /// messages to transmit into `out`.
+    /// Runs the active side at `now`, after the wake's peer draws, pushing
+    /// any membership messages to transmit into `out`.
     fn poll(&mut self, now: u64, out: &mut Vec<DirectoryMessage>) {
         let _ = (now, out);
     }
@@ -296,7 +289,8 @@ impl PeerDirectory for StaticDirectory {
 pub struct GossipDirectoryConfig {
     /// NEWSCAST view size `c`.
     pub view_size: usize,
-    /// Membership gossip period in milliseconds.
+    /// Least spacing of view requests in ticks (also the join interval).
+    /// Requests ride exchanges, so it rounds up to a multiple of δ.
     pub cycle_length: u64,
     /// Bootstrap contacts, by node id. Nodes that are themselves
     /// introducers simply wait to be joined.
@@ -313,8 +307,8 @@ pub struct GossipDirectoryConfig {
 }
 
 impl GossipDirectoryConfig {
-    /// A config with the given view size and gossip period and no
-    /// introducers yet. Delta view gossip is on.
+    /// A config with the given view size and least view-request spacing
+    /// and no introducers yet. Delta view gossip is on.
     pub fn new(view_size: usize, cycle_length: u64) -> Self {
         GossipDirectoryConfig {
             view_size,
@@ -370,12 +364,15 @@ impl GossipDirectoryConfig {
 ///
 /// It holds the view, a watermark per recent partner and the join state,
 /// and answers every [`PeerDirectory`] verb itself:
-/// [`poll`](PeerDirectory::poll) fires joins and view exchanges, and
-/// [`handle`](PeerDirectory::handle) answers them.
+/// [`poll`](PeerDirectory::poll) fires joins and view requests, and
+/// [`handle`](PeerDirectory::handle) answers them. A poll after
+/// [`draw_peer`](PeerSampler::draw_peer) opened an exchange sends a view
+/// request, at most once per `cycle_length`, to a view member drawn for it
+/// (not the exchange's partner: `tests/theory_validation.rs`).
 #[derive(Debug)]
 pub struct GossipDirectory {
     me: u32,
-    /// Membership gossip period δ in ticks (also the join interval).
+    /// See [`GossipDirectoryConfig::cycle_length`].
     cycle_length: u64,
     /// Ship only what is fresher than a partner's watermark (see
     /// [`GossipDirectoryConfig::delta_views`]).
@@ -384,8 +381,11 @@ pub struct GossipDirectory {
     knowledge_peers: usize,
     /// The partial view, freshest first.
     view: View,
-    next_cycle_at: u64,
     rng: Xoshiro256,
+    /// `draw_peer` opened an exchange since the last poll.
+    drawn: bool,
+    /// Earliest tick for the next view request (the first: one period in).
+    next_request_at: u64,
     /// Per-partner watermarks, most recently used first.
     knowledge: Vec<PeerKnowledge>,
     /// Bootstrap contacts (self already filtered out).
@@ -445,8 +445,6 @@ impl GossipDirectory {
     pub fn id_routed(me: NodeId, config: &GossipDirectoryConfig, seed: u64) -> Self {
         assert!(config.cycle_length > 0, "cycle length must be positive");
         let id = me.as_u64() as u32;
-        let mut rng = Xoshiro256::stream(seed ^ GOSSIP_SEED_SALT, u64::from(id));
-        let phase = rng.next_below(config.cycle_length);
         let introducers = config
             .introducers
             .iter()
@@ -459,8 +457,9 @@ impl GossipDirectory {
             delta_views: config.delta_views,
             knowledge_peers: config.knowledge_peers,
             view: View::new(config.view_size),
-            next_cycle_at: phase,
-            rng,
+            rng: Xoshiro256::stream(seed ^ GOSSIP_SEED_SALT, u64::from(id)),
+            drawn: false,
+            next_request_at: config.cycle_length,
             knowledge: Vec::new(),
             introducers,
             next_join_at: 0,
@@ -481,6 +480,11 @@ impl GossipDirectory {
         if peer != self.me {
             self.view.insert(Descriptor::new(peer, timestamp(now)));
         }
+    }
+
+    fn random_member(&mut self) -> Option<u32> {
+        let entries = self.view.entries();
+        (!entries.is_empty()).then(|| entries[self.rng.index(entries.len())].node)
     }
 
     /// `true` while the node should (re-)contact an introducer: it has
@@ -638,22 +642,19 @@ fn timestamp(now: u64) -> u32 {
 
 impl PeerSampler for GossipDirectory {
     fn draw_peer(&mut self) -> Option<NodeId> {
-        let entries = self.view.entries();
-        if entries.is_empty() {
-            return None;
-        }
-        let idx = self.rng.index(entries.len());
-        Some(NodeId::new(u64::from(entries[idx].node)))
+        let node = self.random_member()?;
+        self.drawn = true;
+        Some(NodeId::new(u64::from(node)))
     }
 }
 
 impl PeerDirectory for GossipDirectory {
     fn next_deadline(&self) -> u64 {
-        let mut deadline = self.next_cycle_at;
         if self.wants_join() {
-            deadline = deadline.min(self.next_join_at);
+            self.next_join_at
+        } else {
+            u64::MAX
         }
-        deadline
     }
 
     fn poll(&mut self, now: u64, out: &mut Vec<DirectoryMessage>) {
@@ -676,26 +677,21 @@ impl PeerDirectory for GossipDirectory {
                 payload: DirectoryPayload::Join { from: self.me },
             });
         }
-        // The gossip timer: once per period, exchange views with a
-        // random view member (none while the view is empty).
-        if now < self.next_cycle_at {
+        if !std::mem::take(&mut self.drawn) || now < self.next_request_at {
             return;
         }
-        while self.next_cycle_at <= now {
-            self.next_cycle_at += self.cycle_length;
+        if let Some(partner) = self.random_member() {
+            self.next_request_at = now.saturating_add(self.cycle_length);
+            let (view, full) = self.outbound_for(partner, now, None);
+            out.push(DirectoryMessage {
+                to: Destination::Node(NodeId::new(u64::from(partner))),
+                payload: DirectoryPayload::View {
+                    view,
+                    reply: false,
+                    delta: !full,
+                },
+            });
         }
-        let Some(peer) = self.draw_peer() else {
-            return;
-        };
-        let (view, full) = self.outbound_for(peer.as_u64() as u32, now, None);
-        out.push(DirectoryMessage {
-            to: Destination::Node(peer),
-            payload: DirectoryPayload::View {
-                view,
-                reply: false,
-                delta: !full,
-            },
-        });
     }
 
     fn handle(
@@ -810,6 +806,13 @@ mod tests {
         GossipDirectoryConfig::new(8, 50).with_introducer_node(introducer)
     }
 
+    /// One wake as `NodeStack` runs it: the plane above draws its partner,
+    /// then the directory polls.
+    fn wake(dir: &mut GossipDirectory, now: u64, out: &mut Vec<DirectoryMessage>) {
+        dir.draw_peer();
+        dir.poll(now, out);
+    }
+
     /// Drives `msg` into the addressed directory (out of `dirs`, indexed
     /// by id), returning any responses.
     fn deliver(
@@ -888,7 +891,7 @@ mod tests {
         for t in 0..40u64 {
             let now = t * 25;
             for dir in dirs.iter_mut() {
-                dir.poll(now, &mut inflight);
+                wake(dir, now, &mut inflight);
             }
             while let Some(msg) = inflight.pop() {
                 let responses = deliver(&mut dirs, &msg, now);
@@ -981,7 +984,7 @@ mod tests {
         for t in 0..rounds {
             let now = t * 25;
             for dir in dirs.iter_mut() {
-                dir.poll(now, &mut inflight);
+                wake(dir, now, &mut inflight);
             }
             while let Some(msg) = inflight.pop() {
                 if let DirectoryPayload::View { view, delta, .. } = &msg.payload {
@@ -1032,9 +1035,10 @@ mod tests {
     fn introducer_with_no_contacts_is_quiet() {
         let config = GossipDirectoryConfig::new(8, 50).with_introducer_node(5);
         let mut dir = GossipDirectory::id_routed(NodeId::new(5), &config, 2);
+        assert_eq!(dir.next_deadline(), u64::MAX);
         let mut out = Vec::new();
-        dir.poll(0, &mut out);
-        dir.poll(1_000, &mut out);
+        wake(&mut dir, 0, &mut out);
+        wake(&mut dir, 1_000, &mut out);
         assert!(out.is_empty(), "self-introducer produced traffic: {out:?}");
     }
 
@@ -1069,11 +1073,12 @@ mod tests {
         }
     }
 
-    /// The view exchange `dir` starts at `now`, as `(partner, payload,
-    /// full)`; `None` while its timer has not fired or its view is empty.
+    /// The view exchange `dir` starts on a wake at `now`, as `(partner,
+    /// payload, full)`; `None` within `cycle_length` of its last request
+    /// or while its view is empty.
     fn start_exchange(dir: &mut GossipDirectory, now: u64) -> Option<(u32, ViewPayload, bool)> {
         let mut out = Vec::new();
-        dir.poll(now, &mut out);
+        wake(dir, now, &mut out);
         out.into_iter().find_map(|m| match (m.to, m.payload) {
             (Destination::Node(to), DirectoryPayload::View { view, delta, .. }) => {
                 Some((to.as_u64() as u32, view, !delta))
@@ -1131,7 +1136,7 @@ mod tests {
         let mut lonely = node(9, &full_config(), 3);
         let mut out = Vec::new();
         for t in 0..1_000 {
-            lonely.poll(t, &mut out);
+            wake(&mut lonely, t, &mut out);
         }
         assert!(out.is_empty(), "an empty view gossiped: {out:?}");
     }
@@ -1160,12 +1165,42 @@ mod tests {
     }
 
     #[test]
-    fn poll_respects_cycle_cadence() {
-        let (mut a, _) = two_bootstrapped();
-        assert!(start_exchange(&mut a, 250).is_some(), "fired");
-        // Immediately afterwards the timer is re-armed.
-        assert!(start_exchange(&mut a, 260).is_none());
-        assert!(start_exchange(&mut a, 400).is_some());
+    fn a_view_request_rides_an_exchange_at_most_once_per_cycle() {
+        let mut a = node(0, &full_config(), 1);
+        for p in 1..6 {
+            a.add_seed(p, 0);
+        }
+        // A bootstrapped directory has no deadline of its own.
+        assert_eq!(a.next_deadline(), u64::MAX);
+        let requests = |a: &mut GossipDirectory, now: u64| -> Vec<u32> {
+            let mut out = Vec::new();
+            a.poll(now, &mut out);
+            let to = |m: &DirectoryMessage| match (m.to, &m.payload) {
+                (Destination::Node(to), DirectoryPayload::View { reply: false, .. }) => {
+                    Some(to.as_u64() as u32)
+                }
+                _ => None,
+            };
+            out.iter().filter_map(to).collect()
+        };
+        // No exchange opened, no request, however long the wait.
+        assert!(requests(&mut a, 250).is_empty());
+        assert!(requests(&mut a, 5_000).is_empty());
+        // An exchange opened: one request, to a view member.
+        a.draw_peer();
+        a.draw_peer();
+        let sent = requests(&mut a, 5_000);
+        assert_eq!(sent.len(), 1);
+        assert!(a.view().contains(sent[0]));
+        // Another exchange within a period: no second request, and the
+        // exchange is forgotten at the poll.
+        a.draw_peer();
+        assert!(requests(&mut a, 5_099).is_empty());
+        assert!(requests(&mut a, 5_100).is_empty());
+        // A period after the last request, the next exchange carries one.
+        a.draw_peer();
+        assert_eq!(requests(&mut a, 5_100).len(), 1);
+        assert_eq!(a.next_deadline(), u64::MAX);
     }
 
     #[test]

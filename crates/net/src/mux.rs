@@ -24,7 +24,7 @@
 //!   every frame's vnode inline, so a vnode's frames are stepped in
 //!   arrival order and the payload never leaves the stack frame. It fires
 //!   the due deadlines ([`NodeStack::next_deadline`]: cycle boundaries,
-//!   exchange timeouts, joiner activations, membership and catalog
+//!   exchange timeouts, joiner activations, join retries and catalog
 //!   gossip), each stepping its vnode. Then it flushes.
 //! * No thread blocks on an exchange: the pending exchange is a
 //!   timer-guarded continuation inside the [`NodeStack`]. A step's frames
@@ -53,7 +53,7 @@
 //! ([`MuxClusterConfig::with_directory`]): a [`DirectorySpec::Static`]
 //! table by default, or NEWSCAST gossip ([`DirectorySpec::Gossip`]) whose
 //! view exchanges and join/introduce bootstrap travel as mux frames
-//! through the same sockets, wheels and loops as the aggregation traffic.
+//! through the same sockets and loops as the aggregation traffic.
 //!
 //! Every datagram still crosses the kernel's UDP stack, so the runtime
 //! exercises the real codec, sockets and timing. The protocol wiring —

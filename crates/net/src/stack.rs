@@ -345,10 +345,8 @@ impl<D: PeerDirectory> NodeStack<D> {
 
 /// The convergence-health series of one cluster, whichever embedding
 /// hosts it: `epoch.variance_reduction_rho` next to the `epoch.rho_theory`
-/// bound 1/(2√e), `epoch.estimate_drift` (and its `{query=…}` twins), the
-/// two sink-side counters `agg.exchanges` and `membership.delta_bytes`,
-/// and, at zero until a node counts one, the refusals
-/// `agg.states_refused{reason="non_finite"}` and `agg.epoch_jumps_refused`.
+/// bound 1/(2√e), `epoch.estimate_drift` (and its `{query=…}` twins), and
+/// the counters `agg.exchanges`, `membership.delta_bytes`, `agg.*_refused`.
 /// An embedding feeds it what it drains from its stacks and what its
 /// sinks are handed; nothing here is per node.
 #[derive(Debug)]

@@ -5,9 +5,11 @@
 //! as a prefix of the freshest-first view. The same rules written the
 //! naive way live on here as reference models ([`reference_merge`],
 //! [`RefNode`]), and the real directory, driven only through
-//! [`PeerDirectory::poll`] and [`PeerDirectory::handle`], must match them
-//! payload for payload and view for view.
+//! `GETNEIGHBOR()` ([`PeerSampler::draw_peer`]), [`PeerDirectory::poll`]
+//! and [`PeerDirectory::handle`], must match them payload for payload and
+//! view for view.
 
+use epidemic_aggregation::PeerSampler;
 use epidemic_common::NodeId;
 use epidemic_net::directory::{
     Destination, DirectoryMessage, DirectoryPayload, GossipDirectory, GossipDirectoryConfig,
@@ -236,12 +238,12 @@ fn delta_exchange_history_matches_the_reference_node() {
             real[who].add_seed(contact, now);
             model[who].add_seed(contact, now);
         }
+        // A wake as the stack runs it: GETNEIGHBOR() names the partner,
+        // then the directory polls and sends it the view request.
         let mut out = Vec::new();
+        real[i].draw_peer();
         real[i].poll(now, &mut out);
-        assert!(
-            !out.is_empty(),
-            "step {step}: node {i}'s timer did not fire"
-        );
+        assert!(!out.is_empty(), "step {step}: node {i} sent no request");
         let (peer, request, full) = view_message(out);
         let expected = model[i].outbound_for(peer, now, None);
         assert_eq!(

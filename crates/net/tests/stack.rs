@@ -280,7 +280,7 @@ fn gossiped_membership_frames_and_views_hash_to_a_pinned_constant() {
     assert!(deltas[2..].iter().all(|&k| k > 0), "delta leg: {deltas:?}");
     assert_eq!(full[3], 0, "full-view leg: {full:?}");
     assert_eq!(
-        hash, 9_859_571_692_220_870_202,
+        hash, 14_421_560_288_853_560_149,
         "membership frames or views moved"
     );
 }

@@ -17,7 +17,9 @@
 //!   after a uniformly random delay — all drawn from one transport stream.
 //! * A node is woken exactly at [`NodeStack::next_deadline`], by one live
 //!   timer: a deadline that moves earlier queues a new wake and strands
-//!   the old one, which is skipped when it pops.
+//!   the old one, which is skipped when it pops. Membership adds no
+//!   timer but a joiner's retry: a view request rides the step in which
+//!   its node's `GETNEIGHBOR()` opened an exchange.
 //!
 //! That delay/loss/crash/churn model is thereby the seeded, deterministic
 //! in-memory transport under the wire runtime's own logic.
@@ -28,9 +30,10 @@
 //! uniform over the live population (complete graph, and NEWSCAST under
 //! [`MembershipModel::Idealized`]), a static graph, or — for
 //! `OverlaySpec::Newscast`, Section 4.4 — the real `GossipDirectory`:
-//! view exchanges travel the same wire as aggregation messages,
-//! `GETNEIGHBOR()` draws from the node's own partial view (so stale
-//! entries really do cost timeouts), and a churn joiner knows only its
+//! view exchanges travel the same wire as aggregation messages, one riding
+//! each exchange period's aggregation exchange, `GETNEIGHBOR()` draws from
+//! the node's own partial view (so stale entries really do cost
+//! timeouts), and a churn joiner knows only its
 //! introducer and one fallback contact, both drawn among members that
 //! have bootstrapped themselves, and bootstraps with `Join`/`Introduce`
 //! *over that wire*, retries and all (Section 4.2). Crash and churn
