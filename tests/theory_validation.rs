@@ -162,7 +162,7 @@ fn gossiped_newscast_mixes_like_uniform_sampling() {
     // groups of four seeds (1..=40) the gossiped/idealized ratio of the
     // group means spread over 1.022–1.047 (ρ ≈ 0.320–0.325 against
     // 0.308–0.315) with view exchanges on their own timer, and over
-    // 1.015–1.057 with view requests riding the aggregation exchanges, so
+    // 1.024–1.049 with view requests riding the aggregation exchanges, so
     // the band needs no widening. Sending the view request to the
     // exchange's own partner read 1.29 on seeds 1–4 (ρ 0.401).
     let seeds = [1, 2, 3, 4];
