@@ -529,7 +529,7 @@ impl GossipNode {
             return;
         }
         let elapsed = now.saturating_sub(self.epoch_entered_at);
-        let reach = elapsed / epoch_length(&self.config) + 2;
+        let reach = (elapsed / epoch_length(&self.config)).saturating_add(2);
         if epoch - self.epoch > reach {
             self.registry.counter("agg.epoch_jumps_refused").inc();
             return;
