@@ -77,4 +77,4 @@ pub use message::{Message, MessageBody};
 pub use node::{GossipNode, PeerSampler};
 pub use report::EpochReport;
 pub use rule::{Rule, UpdateRule};
-pub use value::InstanceMap;
+pub use value::{InstanceMap, MAX_MAP_LEADERS};

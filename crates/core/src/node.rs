@@ -25,6 +25,7 @@ use crate::config::NodeConfig;
 use crate::instance::{InstanceSpec, InstanceState, LeaderPolicy};
 use crate::message::{Message, MessageBody};
 use crate::report::EpochReport;
+use crate::value::{InstanceMap, MAX_MAP_LEADERS};
 use epidemic_common::rng::Xoshiro256;
 use epidemic_common::NodeId;
 use epidemic_telemetry::{Registry, TraceEvent, TraceKind, TraceRing};
@@ -430,7 +431,10 @@ impl GossipNode {
                 message: Message::refuse(self.id, self.epoch),
             });
         }
-        if !self.states_compatible(remote) || !self.states_finite(remote) {
+        if !self.states_compatible(remote)
+            || !self.states_finite(remote)
+            || !self.maps_bounded(remote)
+        {
             // Differently-configured, buggy or hostile peer: decline
             // rather than corrupt our state. A refusal also clears the
             // peer's pending exchange promptly.
@@ -466,6 +470,7 @@ impl GossipNode {
             && self.active
             && self.states_compatible(remote)
             && self.states_finite(remote)
+            && self.maps_bounded(remote)
         {
             self.merge_states(remote);
             self.record(TraceKind::ExchangeComplete, Some(msg.from), 1);
@@ -502,6 +507,27 @@ impl GossipNode {
                 .inc();
         }
         finite
+    }
+
+    /// `true` unless a remote COUNT map, or its union with ours, holds
+    /// more than [`MAX_MAP_LEADERS`] leaders; otherwise the states are
+    /// refused like a lost message and counted. Call it after
+    /// [`states_compatible`](Self::states_compatible).
+    fn maps_bounded(&self, remote: &[InstanceState]) -> bool {
+        let bounded = self.states.iter().zip(remote).all(|pair| match pair {
+            (InstanceState::Map(local), InstanceState::Map(remote)) => {
+                remote.len() <= MAX_MAP_LEADERS
+                    && InstanceMap::union_len(local, remote) <= MAX_MAP_LEADERS
+            }
+            _ => true,
+        });
+        if !bounded {
+            let labels = [("reason", "map_too_large")];
+            self.registry
+                .counter_with("agg.states_refused", &labels)
+                .inc();
+        }
+        bounded
     }
 
     fn clear_pending_for(&mut self, peer: NodeId) {
@@ -1102,6 +1128,47 @@ mod tests {
         let resp = c.handle(&msg, 0).unwrap();
         assert!(matches!(resp.message.body, MessageBody::Refuse));
         assert_eq!(non_finite_refusals(&registry), 4);
+    }
+
+    #[test]
+    fn a_count_map_over_the_bound_is_refused_and_one_at_it_merges() {
+        let registry = Registry::new();
+        let count = NodeConfig::builder()
+            .gamma(10)
+            .cycle_length(100)
+            .timeout(30)
+            .instance(InstanceSpec::CountMap {
+                leader: LeaderPolicy::Never,
+            })
+            .build()
+            .unwrap();
+        let mut c = GossipNode::founder(NodeId::new(0), count, 0.0, 1);
+        c.set_registry(registry.clone());
+        let too_large = || {
+            registry
+                .counter_with("agg.states_refused", &[("reason", "map_too_large")])
+                .get()
+        };
+        let request = |leaders: usize| {
+            let map = InstanceMap::from_entries((0..leaders as u64).map(|l| (l + 1, 0.5)));
+            Message::request(NodeId::new(1), 0, vec![InstanceState::Map(map)])
+        };
+        let over = c.handle(&request(MAX_MAP_LEADERS + 1), 0).unwrap();
+        assert!(matches!(over.message.body, MessageBody::Refuse));
+        assert_eq!(too_large(), 1);
+        let at = c.handle(&request(MAX_MAP_LEADERS), 0).unwrap();
+        assert!(matches!(at.message.body, MessageBody::Reply(_)));
+        assert_eq!(too_large(), 1);
+        let InstanceState::Map(held) = &c.states[0] else {
+            panic!("a COUNT node holds a map");
+        };
+        assert_eq!(held.len(), MAX_MAP_LEADERS);
+        // One leader it does not hold yet would take the union over.
+        let fresh = InstanceMap::from_entries([(u64::MAX, 0.5)]);
+        let msg = Message::request(NodeId::new(2), 0, vec![InstanceState::Map(fresh)]);
+        let union = c.handle(&msg, 0).unwrap();
+        assert!(matches!(union.message.body, MessageBody::Refuse));
+        assert_eq!(too_large(), 2);
     }
 
     #[test]

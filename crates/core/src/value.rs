@@ -20,6 +20,16 @@
 
 use std::fmt;
 
+/// Most leaders a COUNT map may hold: as many 16-byte `(leader,
+/// estimate)` entries as one UDP datagram (65,507 payload bytes over
+/// IPv4) carries next to a lone bundle frame's fixed fields — bundle
+/// version, length varint and vnode (12 B), message header, sender and
+/// epoch (18 B), state count, state tag and entry count (5 B):
+/// (65,507 − 35) / 16 = 4,092. A node refuses a map, or a merge, that
+/// would hold more (`agg.states_refused{reason="map_too_large"}`), so no
+/// map it holds or sends ever does.
+pub const MAX_MAP_LEADERS: usize = (65_507 - 35) / 16;
+
 /// Sparse map from leader identifier to average estimate, kept sorted by
 /// leader id.
 ///
@@ -135,6 +145,18 @@ impl InstanceMap {
         }
         entries.extend(a.entries[i..].iter().map(|&(l, e)| (l, e / 2.0)));
         entries.extend(b.entries[j..].iter().map(|&(l, e)| (l, e / 2.0)));
+    }
+
+    /// Number of leaders in `a ∪ b`: the length of their merge.
+    pub fn union_len(a: &InstanceMap, b: &InstanceMap) -> usize {
+        let (mut i, mut j, mut shared) = (0, 0, 0);
+        while i < a.entries.len() && j < b.entries.len() {
+            let order = a.entries[i].0.cmp(&b.entries[j].0);
+            shared += usize::from(order.is_eq());
+            i += usize::from(order.is_le());
+            j += usize::from(order.is_ge());
+        }
+        a.entries.len() + b.entries.len() - shared
     }
 
     /// Overwrites this map with `src`'s contents, reusing the existing

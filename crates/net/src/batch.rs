@@ -235,8 +235,8 @@ pub(crate) fn wait_readable(socket: &UdpSocket, timeout: Duration) -> io::Result
 
 /// Outbound frames accumulated for ONE socket, flushed with `sendmmsg`
 /// (or a `send_to` loop on the portable backend). `M` is caller metadata
-/// carried per frame — the mux runtime stores `(node, membership)` so a
-/// flush can charge each node's traffic cell.
+/// carried per frame — the mux runtime stores the datagram's index in its
+/// flush, so each frame it bundled is charged with that datagram's fate.
 #[derive(Debug, Default)]
 pub struct SendBatch<M> {
     frames: Vec<(Vec<u8>, SocketAddr)>,

@@ -333,7 +333,7 @@ fn put_message<W: WireWrite>(buf: &mut W, msg: &Message) {
                 }
                 InstanceState::Map(map) => {
                     buf.put_u8(1);
-                    buf.put_u16_le(map.len() as u16);
+                    buf.put_u16_le(u16::try_from(map.len()).expect("COUNT map over u16"));
                     for (leader, estimate) in map.iter() {
                         buf.put_u64_le(leader);
                         buf.put_f64_le(estimate);
@@ -980,6 +980,28 @@ mod tests {
         let encoded = encode_message(msg);
         let decoded = decode_message(&encoded).expect("decode");
         assert_eq!(&decoded, msg);
+    }
+
+    #[test]
+    fn a_count_frame_at_the_map_bound_fills_one_datagram_exactly() {
+        use epidemic_aggregation::{InstanceMap, MAX_MAP_LEADERS};
+        let map = InstanceMap::from_entries((0..MAX_MAP_LEADERS as u64).map(|l| (l, 0.5)));
+        let msg = Message::request(NodeId::new(1), 9, vec![InstanceState::Map(map)]);
+        let mut bundle = Vec::new();
+        push_bundle_frame(&mut bundle, NodeId::new(2), &WireFrame::Aggregation(&msg));
+        // The largest UDP payload over IPv4: 65,535 − 20 (IP) − 8 (UDP).
+        assert_eq!(bundle.len(), 65_507);
+        let mut frames = decode_bundle(&bundle).unwrap();
+        let (to, payload) = frames.next().unwrap().unwrap();
+        assert_eq!(
+            (to, payload),
+            (NodeId::new(2), WirePayload::Aggregation(msg))
+        );
+        assert!(frames.next().is_none());
+        // The kernel takes it as one datagram.
+        let socket = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+        let sent = socket.send_to(&bundle, socket.local_addr().unwrap());
+        assert_eq!(sent.unwrap(), bundle.len());
     }
 
     #[test]

@@ -32,13 +32,13 @@
 //!   bootstrap, virtual-node-routed mux frames, and exact `*_len` size
 //!   twins for traffic accounting.
 //! * [`mux`] — the wire runtime ([`mux::MuxCluster`]): N virtual nodes on
-//!   a few **loops** (vnode `i` homed on loop `i % loops`); a loop is one
-//!   thread that owns one socket and, behind one lock, its vnodes and one
-//!   hashed timer wheel ([`timer::TimerWheel`]), and receives, steps,
-//!   fires and flushes in turn — one loop per vnode is the paper's
-//!   Figure 1 literally — and shardable across sockets, processes, and
-//!   hosts via a [`mux::PeerTable`] mapping vnode-id ranges to shard
-//!   addresses.
+//!   a few **loops** (vnode `i` homed on loop `i % loops`), each owning,
+//!   behind one lock, its vnodes and a [`timer::TimerWheel`], and taking
+//!   one turn at a time: receive, step, fire, flush. The turn's transport
+//!   is the seam: a UDP socket with a thread per loop (`spawn`), or a port
+//!   on an in-memory network stepped in virtual milliseconds
+//!   ([`mux::MemNetwork`]). Shardable via a [`mux::PeerTable`] mapping
+//!   vnode-id ranges to shard addresses.
 //! * [`batch`] — syscall-batched datagram I/O ([`batch::IoBackend`]):
 //!   `recvmmsg`/`sendmmsg` on Linux with a portable one-per-syscall
 //!   fallback, runtime-selectable for A/B measurement.
@@ -115,7 +115,7 @@ pub use codec::{decode_message, encode_message, DecodeError};
 pub use directory::{
     DirectorySpec, GossipDirectory, GossipDirectoryConfig, PeerDirectory, StaticDirectory,
 };
-pub use mux::{MuxCluster, MuxClusterConfig, PeerTable, SyscallCounts};
+pub use mux::{MemNetwork, MuxCluster, MuxClusterConfig, PeerTable, SyscallCounts};
 
 // The telemetry plane's vocabulary, re-exported so operators of this
 // crate need no direct `epidemic-telemetry` dependency.

@@ -1,98 +1,81 @@
-//! Multiplexed UDP cluster runtime: thousands of nodes, a handful of
-//! threads — optionally sharded across sockets, processes, and hosts.
+//! Multiplexed cluster runtime: thousands of nodes, a handful of threads
+//! — optionally sharded across sockets, processes, and hosts.
 //!
 //! The sans-io [`NodeStack`] folds the paper's Figure 1 — an active and a
 //! passive thread per node — into one `step`, so this module hosts N
-//! virtual nodes in one process on a few **loops**: one OS thread each,
-//! plus one for the client RPC listener when it is enabled. One loop per
-//! vnode (`with_readers(n)`: a socket and a thread per node) is Figure 1
-//! literally; a few loops carry thousands of vnodes per host.
+//! virtual nodes in one process on a few **loops**. Loop `k` owns one
+//! endpoint and its bundle packer, and is the home of local vnode `i`
+//! when `i % loops == k` ([`MuxClusterConfig::with_readers`] sets the
+//! count; one loop per vnode is Figure 1 literally). The vnodes it homes
+//! and the [`TimerWheel`] their deadlines wait in sit behind one lock,
+//! the loop's. A shard's loops are exactly its published endpoint set, so
+//! a vnode's datagrams arrive at its home endpoint and its frames leave
+//! from it; a frame that reaches any other endpoint is dropped.
 //!
-//! * Loop `k` owns one UDP socket, its receive buffers and its bundle
-//!   packer, and is the home of local vnode `i` when `i % loops == k`
-//!   ([`MuxClusterConfig::with_readers`] sets the count; 1 reproduces the
-//!   original single-socket runtime). The vnodes it homes and the
-//!   [`TimerWheel`] their deadlines wait in sit behind one lock, the
-//!   loop's. A shard's loops are exactly its published socket set, so a
-//!   vnode's datagrams arrive at its home socket and its frames leave
-//!   from it; a frame that reaches any other socket is dropped.
-//! * Each turn does four things in order. It waits at most one 1 ms wheel
-//!   tick for a datagram (a `poll`: a socket read timeout is kept in
-//!   scheduler ticks) and receives (up to [`crate::batch::BATCH`]
-//!   datagrams per `recvmmsg` on the batched [`crate::batch::IoBackend`]).
-//!   It walks each bundle ([`crate::codec::decode_bundle`]) and steps
-//!   every frame's vnode inline, so a vnode's frames are stepped in
-//!   arrival order and the payload never leaves the stack frame. It fires
-//!   the due deadlines ([`NodeStack::next_deadline`]: cycle boundaries,
-//!   exchange timeouts, joiner activations, join retries and catalog
-//!   gossip), each stepping its vnode. Then it flushes.
-//! * No thread blocks on an exchange: the pending exchange is a
-//!   timer-guarded continuation inside the [`NodeStack`]. A step's frames
-//!   are encoded, borrowed, into the loop's open bundle datagram for their
-//!   destination socket (at most [`crate::codec::BUNDLE_BUDGET`] bytes),
-//!   and the turn's flush sends them as one `sendmmsg` burst. A frame is
-//!   charged to its plane's [`Traffic`] series once the kernel took its
-//!   datagram, to `io.send_errors` if it refused. A loop that stepped for
-//!   5 µs without blocking yields its core, so a thread sharing it (the
-//!   RPC listener, another loop) waits about one step, not one turn.
+//! # The turn
 //!
-//! # Cross-host sharding
+//! A loop is scheduled one turn at a time, at a millisecond `now` that
+//! whatever runs it passes in. A turn receives what its transport has ready, walks
+//! each bundle ([`crate::codec::decode_bundle`]) and steps every frame's
+//! vnode inline, in arrival order, without copying the payload. It fires
+//! the due deadlines ([`NodeStack::next_deadline`]: cycle boundaries,
+//! exchange timeouts, joiner activations, join retries and catalog
+//! gossip). Then it flushes the bundles its steps packed, one per
+//! destination (at most [`crate::codec::BUNDLE_BUDGET`] bytes), charging
+//! each frame to its plane's [`Traffic`] series once its datagram left.
+//! No loop blocks on an exchange: it is a timer-guarded continuation.
 //!
-//! The mux wire frame is address-agnostic: it routes by *cluster-wide*
-//! virtual-node id. A [`PeerTable`] maps contiguous vnode-id ranges to
-//! shard socket addresses, so a cluster can be split over multiple
-//! sockets, processes, or hosts ([`MuxClusterConfig::sharded`]): each
-//! process hosts one range and transmits frames for foreign vnodes to
-//! the owning shard's socket. Same-seed determinism is preserved — node
-//! state is a function of the cluster-wide id, not of shard layout — so
-//! a sharded and an unsharded cluster draw identical peer sequences.
+//! The turn is generic over its transport, and there are two:
+//! * **A UDP socket** ([`MuxCluster::spawn`]): one thread per loop waits
+//!   at most one 1 ms tick for a datagram (a `poll`: a socket read timeout
+//!   is kept in scheduler ticks), then takes a turn at the wall clock's
+//!   now, receiving with `recvmmsg` and flushing with `sendmmsg` on the
+//!   batched [`crate::batch::IoBackend`]. A loop that stepped for 5 µs
+//!   without blocking yields its core after the step, so a thread sharing
+//!   it (the RPC listener, another loop) waits about one step, not a turn.
+//! * **A port on a [`MemNetwork`]** ([`MuxCluster::in_memory`]): lossless,
+//!   shared by any number of shards, keyed by the addresses their
+//!   [`PeerTable`] publishes. It binds no socket and starts no thread; its
+//!   virtual clock advances only in [`MemNetwork::advance`], which runs
+//!   every loop's turn per tick. A datagram flushed at tick `t` is
+//!   received at `t + 1`. Frames and datagrams are counted as on a socket;
+//!   syscalls are not.
 //!
-//! # Membership
+//! # Sharding, membership and the operator seam
 //!
-//! `GETNEIGHBOR()` is served by a per-vnode [`PeerDirectory`]
-//! ([`MuxClusterConfig::with_directory`]): a [`DirectorySpec::Static`]
-//! table by default, or NEWSCAST gossip ([`DirectorySpec::Gossip`]) whose
-//! view exchanges and join/introduce bootstrap travel as mux frames
-//! through the same sockets and loops as the aggregation traffic.
-//!
-//! Every datagram still crosses the kernel's UDP stack, so the runtime
-//! exercises the real codec, sockets and timing. The protocol wiring —
-//! poll order, deadline folding, plane classification, RPC
-//! dispatch — lives in [`crate::stack`]; what is left here is homing a
-//! vnode on its loop, re-arming its deadline, resolving a vnode id to a
-//! socket, and packing frames. Only a vnode's home loop steps its frames
-//! and timers. The loop's lock is also the operator seam's door:
-//! [`Cluster::with_stack`] and the RPC listener take it from their own
-//! threads. A loop holds it only while it steps or fires — never across a
-//! `poll` wait, a yield or a flush — no thread holds two, and it is taken
-//! before any [`Convergence`] or registry lock. Whoever held it re-arms
-//! the stack's next deadline straight into the home wheel if it moved
-//! earlier than the one live wheel entry; only the live entry's wake
-//! steps the vnode. A node's seeds and lazy per-exchange peer draws depend
-//! on its id alone, so same-seed clusters select the same peer sequence
-//! per node whatever their loop count or shard split.
+//! The wire frame routes by *cluster-wide* vnode id. A [`PeerTable`] maps
+//! contiguous id ranges to shard endpoint sets, so a cluster can be split
+//! over sockets, processes, or hosts ([`MuxClusterConfig::sharded`]).
+//! `GETNEIGHBOR()` is a per-vnode [`PeerDirectory`]
+//! ([`MuxClusterConfig::with_directory`]): a static table, or NEWSCAST
+//! gossip whose frames travel through the same loops. The loop's lock is
+//! also the operator seam's door: [`Cluster::with_stack`] and the RPC
+//! listener take it from their own threads. A loop holds it only while it
+//! steps or fires — never across a wait, a yield or a flush — no thread
+//! holds two, and it is taken before any [`Convergence`] or registry
+//! lock. Whoever held it re-arms the stack's next deadline straight into
+//! the home wheel if it moved earlier than the one live wheel entry; only
+//! the live entry's wake steps the vnode. A node's seeds and peer draws
+//! depend on its id alone, so same-seed clusters select the same peer
+//! sequence per node whatever their loop count or shard split.
 //!
 //! # Examples
 //!
-//! ```no_run
+//! ```
 //! use epidemic_aggregation::{InstanceSpec, NodeConfig};
 //! use epidemic_net::cluster::Cluster;
-//! use epidemic_net::mux::{MuxCluster, MuxClusterConfig};
+//! use epidemic_net::mux::{MemNetwork, MuxCluster, MuxClusterConfig};
 //!
-//! let node_config = NodeConfig::builder()
-//!     .gamma(10)
-//!     .cycle_length(50)
-//!     .timeout(20)
-//!     .instance(InstanceSpec::AVERAGE)
-//!     .build()?;
-//! // 1024 gossip nodes on two loops: two sockets, two OS threads.
-//! let cluster = MuxCluster::spawn(
-//!     MuxClusterConfig::new(1024, node_config).with_readers(2),
-//!     |i| i as f64,
-//! )?;
-//! std::thread::sleep(std::time::Duration::from_millis(1_200));
+//! let mut node_config = NodeConfig::builder();
+//! let node_config = node_config.gamma(10).cycle_length(50).timeout(20).instance(InstanceSpec::AVERAGE).build()?;
+//! // 1024 nodes on two loops; `MuxCluster::spawn` would bind two sockets
+//! // and start two threads instead.
+//! let network = MemNetwork::new();
+//! let config = MuxClusterConfig::new(1024, node_config).with_readers(2);
+//! let cluster = MuxCluster::in_memory(config, &network, |i| i as f64)?;
+//! network.advance(1_200); // virtual milliseconds
 //! let reports = cluster.take_all_reports();
-//! cluster.shutdown();
+//! assert!(reports.iter().filter(|r| !r.is_empty()).count() > 1024 * 3 / 4);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -110,12 +93,14 @@ use epidemic_common::stats::OnlineStats;
 use epidemic_common::NodeId;
 use epidemic_query::QueryPlaneConfig;
 use epidemic_telemetry::{Counter, Gauge, Histogram, MetricsServer, Registry};
-use std::io;
+use std::collections::{HashMap, VecDeque};
+use std::io::{self, ErrorKind};
 use std::net::{SocketAddr, UdpSocket};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+use std::vec::Drain;
 
 /// The wheel's tick and the longest a loop waits for a datagram.
 const TICK: Duration = Duration::from_millis(1);
@@ -207,20 +192,9 @@ impl PeerTable {
         PeerTable { starts, sets }
     }
 
-    /// Binds (and immediately releases) `shards` loopback sockets on
-    /// ephemeral ports and splits `0..total` across them — the
-    /// same-host convenience for multi-process experiments and tests.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket binding errors.
-    pub fn loopback_split(total: usize, shards: usize) -> io::Result<Self> {
-        Ok(PeerTable::split(total, reserve_loopback_addrs(shards)?))
-    }
-
-    /// Like [`PeerTable::loopback_split`], but publishes `readers`
-    /// loopback sockets per shard, so every shard runs `readers` loops and
-    /// cross-shard senders fan across their sockets.
+    /// Binds (and immediately releases) `readers` loopback sockets per
+    /// shard on ephemeral ports and splits `0..total` across the shards —
+    /// the same-host convenience for multi-process experiments and tests.
     ///
     /// # Errors
     ///
@@ -491,8 +465,7 @@ struct Packer {
     datagrams: Vec<(SocketAddr, Vec<u8>)>,
     /// One entry per queued frame, in push order.
     charges: Vec<Charge>,
-    batch: SendBatch<usize>,
-    /// Per datagram of the running flush: did the kernel take it?
+    /// Per datagram of the running flush: did the transport take it?
     taken: Vec<bool>,
 }
 
@@ -521,25 +494,180 @@ impl Packer {
         u64::from(bytes)
     }
 
-    /// Transmits every queued datagram, reporting each frame's [`Charge`]
-    /// with its datagram's fate; returns `(syscalls, datagrams accepted)`.
-    fn flush(
-        &mut self,
-        socket: &UdpSocket,
-        io: IoBackend,
-        mut on_frame: impl FnMut(&Charge, bool),
-    ) -> (u64, u64) {
+    /// Hands every queued datagram to `transport`, charging each frame to
+    /// its plane's series — or one `io.send_errors` if its datagram did
+    /// not leave — and each datagram that left to `io.datagrams_sent`.
+    fn flush(&mut self, shared: &Shared, transport: &mut impl Transport) {
         let taken = &mut self.taken;
         taken.clear();
         taken.resize(self.datagrams.len(), false);
-        for (datagram, (target, buf)) in self.datagrams.drain(..).enumerate() {
-            self.batch.push(buf, target, datagram);
-        }
-        let syscalls = self.batch.flush(socket, io, |&d, _len, ok| taken[d] = ok);
+        transport.send(shared, self.datagrams.drain(..), taken);
         for charge in self.charges.drain(..) {
-            on_frame(&charge, taken[charge.datagram]);
+            if taken[charge.datagram] {
+                shared.traffic.sent(charge.plane, u64::from(charge.bytes));
+            } else {
+                shared.traffic.send_error();
+            }
         }
-        (syscalls, taken.iter().filter(|&&ok| ok).count() as u64)
+        shared
+            .datagrams_sent
+            .add(taken.iter().filter(|&&ok| ok).count() as u64);
+    }
+}
+
+/// A loop's datagram source and sink: its kernel socket ([`SocketPort`])
+/// or its port on a [`MemNetwork`] ([`MemPort`]). [`Loop::turn`] is
+/// generic over it, so neither is a `dyn`.
+trait Transport {
+    /// Hands each datagram that is ready, and its source, to `deliver`.
+    fn recv(&mut self, shared: &Shared, deliver: impl FnMut(Option<SocketAddr>, &[u8]));
+
+    /// Sends one flush's datagrams, marking `taken[i]` for each that left.
+    fn send(&mut self, shared: &Shared, out: Drain<'_, (SocketAddr, Vec<u8>)>, taken: &mut [bool]);
+
+    /// Runs after every step, unlocked; `ran_since`: the last block or yield.
+    fn after_step(_ran_since: &mut Option<Instant>) {}
+}
+
+/// A loop's kernel socket, its batch buffers, and whether the turn's
+/// readiness wait found a datagram.
+#[derive(Debug)]
+struct SocketPort {
+    socket: UdpSocket,
+    readable: bool,
+    recv: RecvBatch,
+    send: SendBatch<usize>,
+}
+
+impl Transport for SocketPort {
+    fn recv(&mut self, shared: &Shared, mut deliver: impl FnMut(Option<SocketAddr>, &[u8])) {
+        let received = if self.readable {
+            shared.recv_calls.inc();
+            self.recv.recv(&self.socket, shared.io)
+        } else {
+            Err(ErrorKind::TimedOut.into())
+        };
+        match received {
+            Ok(count) => (0..count).for_each(|i| deliver(self.recv.src(i), self.recv.datagram(i))),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                shared.recv_timeouts.inc();
+            }
+            Err(_) => {}
+        }
+    }
+
+    fn send(&mut self, shared: &Shared, out: Drain<'_, (SocketAddr, Vec<u8>)>, taken: &mut [bool]) {
+        for (datagram, (target, buf)) in out.enumerate() {
+            self.send.push(buf, target, datagram);
+        }
+        let syscalls = self
+            .send
+            .flush(&self.socket, shared.io, |&d, _, ok| taken[d] = ok);
+        shared.send_calls.add(syscalls);
+    }
+
+    /// Yields the core once the loop has stepped for a [`SLICE`] since it
+    /// last blocked.
+    fn after_step(ran_since: &mut Option<Instant>) {
+        if ran_since.is_some_and(|at| at.elapsed() >= SLICE) {
+            std::thread::yield_now();
+            *ran_since = Some(Instant::now());
+        }
+    }
+}
+
+/// A datagram in flight: due tick, source, bytes.
+type InFlight = (u64, SocketAddr, Vec<u8>);
+
+/// A lossless in-memory datagram network on a virtual millisecond clock,
+/// shared by any number of [`MuxCluster::in_memory`] clusters: no socket,
+/// no thread. [`MemNetwork::advance`] runs every attached loop's turn at
+/// each tick, in attach order; a datagram flushed at tick `t` reaches its
+/// destination's turn at `t + 1`.
+#[derive(Debug, Clone, Default)]
+pub struct MemNetwork {
+    now: Arc<AtomicU64>,
+    inner: Arc<Mutex<MemInner>>,
+}
+
+#[derive(Debug, Default)]
+struct MemInner {
+    /// Datagrams in flight per destination address, in flush order.
+    wires: HashMap<SocketAddr, VecDeque<InFlight>>,
+    /// Each attached loop and its shard.
+    loops: Vec<(Arc<Shared>, Loop)>,
+    /// Addresses handed out so far.
+    issued: u16,
+}
+
+/// One loop's port on a [`MemNetwork`], for one turn.
+struct MemPort<'a> {
+    addr: SocketAddr,
+    wires: &'a mut HashMap<SocketAddr, VecDeque<InFlight>>,
+    now: u64,
+}
+
+impl Transport for MemPort<'_> {
+    fn recv(&mut self, _: &Shared, mut deliver: impl FnMut(Option<SocketAddr>, &[u8])) {
+        let wire = self.wires.entry(self.addr).or_default();
+        while wire.front().is_some_and(|d| d.0 <= self.now) {
+            let (_, src, datagram) = wire.pop_front().unwrap();
+            deliver(Some(src), &datagram);
+        }
+    }
+
+    fn send(&mut self, _: &Shared, out: Drain<'_, (SocketAddr, Vec<u8>)>, taken: &mut [bool]) {
+        for ((target, buf), taken) in out.zip(taken) {
+            let wire = self.wires.entry(target).or_default();
+            wire.push_back((self.now + 1, self.addr, buf));
+            *taken = true;
+        }
+    }
+}
+
+impl MemNetwork {
+    /// An empty network at tick 0.
+    pub fn new() -> MemNetwork {
+        MemNetwork::default()
+    }
+
+    /// `n` fresh addresses in the documentation range 192.0.2.0/24, which
+    /// nothing binds: the published sets of in-memory shards.
+    ///
+    /// # Panics
+    ///
+    /// Panics past 65,535 addresses.
+    pub fn addrs(&self, n: usize) -> Vec<SocketAddr> {
+        let mut inner = self.inner.lock().unwrap();
+        let first = inner.issued + 1;
+        inner.issued = u16::try_from(n)
+            .ok()
+            .and_then(|n| inner.issued.checked_add(n))
+            .expect("address space exhausted");
+        (first..=inner.issued)
+            .map(|port| SocketAddr::from(([192, 0, 2, 1], port)))
+            .collect()
+    }
+
+    /// The virtual millisecond the next turns run at.
+    pub fn now(&self) -> u64 {
+        self.now.load(Ordering::Relaxed)
+    }
+
+    /// Runs `ms` ticks: at each, every loop of every attached cluster not
+    /// shut down takes one turn, then the clock moves on by one.
+    pub fn advance(&self, ms: u64) {
+        let mut inner = self.inner.lock().unwrap();
+        let MemInner { wires, loops, .. } = &mut *inner;
+        loops.retain(|(shared, ..)| !shared.stop.load(Ordering::Relaxed));
+        for _ in 0..ms {
+            let now = self.now();
+            for (shared, own) in loops.iter_mut() {
+                let (addr, wires) = (shared.addrs()[own.k], &mut *wires);
+                own.turn(shared, &mut MemPort { addr, wires, now }, now);
+            }
+            self.now.store(now + 1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -639,11 +767,16 @@ struct Shared {
     /// view frames), counted as the loops' sinks see each frame.
     convergence: Convergence,
     start: Instant,
+    /// An in-memory shard's [`MemNetwork`] clock, read instead of `start`'s.
+    tick: Option<Arc<AtomicU64>>,
 }
 
 impl Shared {
     fn now_ms(&self) -> u64 {
-        self.start.elapsed().as_millis() as u64
+        match &self.tick {
+            Some(tick) => tick.load(Ordering::Relaxed),
+            None => self.start.elapsed().as_millis() as u64,
+        }
     }
 
     /// Each loop's socket address, in loop order; address 0 is the
@@ -685,6 +818,121 @@ pub struct MuxCluster {
     rpc_addr: Option<SocketAddr>,
 }
 
+/// Builds a shard's vnodes, wheels and registry behind one endpoint per
+/// loop — `fresh` makes one when the shard publishes no set of its own,
+/// `bind` opens a published address — on the wall clock, or on `tick`'s.
+fn build<E>(
+    config: &MuxClusterConfig,
+    values: impl Fn(usize) -> f64,
+    mut fresh: impl FnMut() -> io::Result<(SocketAddr, E)>,
+    bind: impl FnMut(SocketAddr) -> io::Result<E>,
+    tick: Option<Arc<AtomicU64>>,
+) -> io::Result<(Shared, Vec<E>)> {
+    let (n, seed) = (config.n, config.seed);
+    if let DirectorySpec::Gossip(gossip) = &config.directory {
+        gossip.check_introducers(n)?;
+    }
+    // Core-aware loop count; explicit overrides win, clamped to the
+    // local vnode count.
+    let cores = std::thread::available_parallelism()
+        .map(usize::from)
+        .unwrap_or(2);
+    let wanted = |local: usize| config.loops.unwrap_or(cores.min(8)).clamp(1, local);
+    // A shard opens its published set, one loop each, and no more: other
+    // shards fan frames across exactly that set.
+    let (table, shard, ends) = match &config.sharding {
+        None => {
+            let opened = (0..wanted(n)).map(|_| fresh());
+            let (set, ends) = opened.collect::<io::Result<Vec<_>>>()?.into_iter().unzip();
+            (PeerTable::split_sets(n, vec![set]), 0, ends)
+        }
+        Some((table, shard)) => {
+            let (published, shard) = (table.shard_sockets(*shard), *shard);
+            let loops = wanted(table.shard_range(shard).len());
+            if loops > published.len() {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!(
+                        "{loops} loops for shard {shard}, which publishes {} sockets",
+                        published.len()
+                    ),
+                ));
+            }
+            let ends = published.iter().copied().map(bind);
+            let ends = ends.collect::<io::Result<Vec<_>>>()?;
+            (table.clone(), shard, ends)
+        }
+    };
+    let loops = ends.len();
+    let local = table.shard_range(shard);
+    let registry = Registry::new();
+    let cycle = config.node_config.cycle_length().max(1);
+    let mut homed: Vec<Homed> = (0..loops)
+        .map(|_| Homed {
+            nodes: Vec::with_capacity(local.len().div_ceil(loops)),
+            wheel: TimerWheel::for_cycle(cycle),
+        })
+        .collect();
+    let mut spawn_stats = OnlineStats::new();
+    for global in local.clone() {
+        let id = NodeId::new(global as u64);
+        let dir: Box<dyn PeerDirectory> = match &config.directory {
+            DirectorySpec::Static => Box::new(StaticDirectory::id_routed(n, id, seed)),
+            DirectorySpec::Gossip(g) => Box::new(GossipDirectory::id_routed(id, g, seed)),
+        };
+        let value = values(global);
+        spawn_stats.push(value);
+        let (node_config, registry) = (config.node_config.clone(), registry.clone());
+        let mut stack =
+            NodeStack::founder(id, node_config, value, seed, dir, config.query, registry);
+        stack.set_trace_capacity(config.trace_capacity);
+        let home = &mut homed[(global - local.start) % loops];
+        home.nodes.push(VNode {
+            stack,
+            next_wake: u64::MAX,
+        });
+        // The first deadline (a gossip directory's is its join, due at
+        // once) is live before any thread or operator can reach the
+        // node: from here on `next_wake` always names a wheel entry.
+        home.rearm(home.nodes.len() - 1);
+    }
+    let backend = &[("backend", config.io.as_str())];
+    let shared = Shared {
+        io: config.io,
+        stop: AtomicBool::new(false),
+        local,
+        table,
+        shard,
+        loops: homed.into_iter().map(Mutex::new).collect(),
+        traffic: Traffic::new(&registry),
+        recv_calls: registry.counter_with("io.recv_syscalls", backend),
+        send_calls: registry.counter_with("io.send_syscalls", backend),
+        recv_timeouts: registry.counter("io.recv_timeouts"),
+        fire_lag: registry.histogram("timer.fire_lag_us"),
+        datagrams_sent: registry.counter("io.datagrams_sent"),
+        datagrams_received: (0..loops)
+            .map(|k| {
+                ["local", "remote"].map(|origin| {
+                    let labels = [("socket", &*k.to_string()), ("origin", origin)];
+                    registry.counter_with("io.datagrams_received", &labels)
+                })
+            })
+            .collect(),
+        decode_errors: registry.counter("io.decode_errors"),
+        view_mean_size: registry.gauge("membership.view_mean_size"),
+        view_dead_fraction: registry.gauge("membership.view_dead_fraction"),
+        convergence: Convergence::new(
+            &registry,
+            spawn_stats.population_variance(),
+            config.node_config.gamma(),
+        ),
+        registry,
+        start: Instant::now(),
+        tick,
+    };
+    Ok((shared, ends))
+}
+
 impl MuxCluster {
     /// Binds the shard's socket set, builds its virtual nodes with local
     /// values `values(id)` (`id` is the *cluster-wide* vnode id), and
@@ -700,153 +948,33 @@ impl MuxCluster {
         config: MuxClusterConfig,
         values: impl Fn(usize) -> f64,
     ) -> io::Result<MuxCluster> {
-        let MuxClusterConfig {
-            n,
-            sharding,
-            node_config,
-            seed,
-            loops,
-            io,
-            directory,
-            trace_capacity,
-            metrics_addr,
-            query,
-            rpc_addr,
-        } = config;
-        if let DirectorySpec::Gossip(gossip) = &directory {
-            gossip.check_introducers(n)?;
-        }
-        // Core-aware loop count; explicit overrides win, clamped to the
-        // local vnode count.
-        let cores = std::thread::available_parallelism()
-            .map(usize::from)
-            .unwrap_or(2);
-        let wanted = |local: usize| loops.unwrap_or(cores.min(8)).clamp(1, local);
-        // A shard binds its published set, one loop each, and no more:
-        // other shards fan frames across exactly that set.
-        let (table, shard, sockets) = match sharding {
-            None => {
-                let sockets = (0..wanted(n))
-                    .map(|_| UdpSocket::bind(("127.0.0.1", 0)))
-                    .collect::<io::Result<Vec<_>>>()?;
-                let addrs = sockets.iter().map(UdpSocket::local_addr);
-                let set = addrs.collect::<io::Result<Vec<_>>>()?;
-                (PeerTable::split_sets(n, vec![set]), 0, sockets)
-            }
-            Some((table, shard)) => {
-                let published = table.shard_sockets(shard);
-                let loops = wanted(table.shard_range(shard).len());
-                if loops > published.len() {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        format!(
-                            "{loops} loops for shard {shard}, which publishes {} sockets",
-                            published.len()
-                        ),
-                    ));
-                }
-                let sockets = published.iter().map(UdpSocket::bind);
-                let sockets = sockets.collect::<io::Result<Vec<_>>>()?;
-                (table, shard, sockets)
-            }
-        };
+        let ephemeral = || UdpSocket::bind(("127.0.0.1", 0)).and_then(|s| Ok((s.local_addr()?, s)));
+        let (shared, sockets) = build(&config, values, ephemeral, UdpSocket::bind, None)?;
         for socket in &sockets {
             socket.set_read_timeout(Some(TICK))?;
         }
-        let loops = sockets.len();
-        let local = table.shard_range(shard);
-        let registry = Registry::new();
-        // Bind the scrape endpoint before the protocol threads start, so
-        // a bind failure leaks nothing.
-        let metrics = metrics_addr
-            .map(|addr| MetricsServer::bind(addr, registry.clone()))
+        let shared = Arc::new(shared);
+        // Bind the scrape endpoint and the client RPC listener (if any)
+        // before the protocol threads start, so a bind failure leaks
+        // nothing.
+        let metrics = config
+            .metrics_addr
+            .map(|addr| MetricsServer::bind(addr, shared.registry.clone()))
             .transpose()?;
-        let cycle = node_config.cycle_length().max(1);
-        let mut homed: Vec<Homed> = (0..loops)
-            .map(|_| Homed {
-                nodes: Vec::with_capacity(local.len().div_ceil(loops)),
-                wheel: TimerWheel::for_cycle(cycle),
-            })
-            .collect();
-        let mut spawn_stats = OnlineStats::new();
-        for global in local.clone() {
-            let id = NodeId::new(global as u64);
-            let dir: Box<dyn PeerDirectory> = match &directory {
-                DirectorySpec::Static => Box::new(StaticDirectory::id_routed(n, id, seed)),
-                DirectorySpec::Gossip(g) => Box::new(GossipDirectory::id_routed(id, g, seed)),
-            };
-            let value = values(global);
-            spawn_stats.push(value);
-            let config = node_config.clone();
-            let mut stack =
-                NodeStack::founder(id, config, value, seed, dir, query, registry.clone());
-            stack.set_trace_capacity(trace_capacity);
-            let home = &mut homed[(global - local.start) % loops];
-            home.nodes.push(VNode {
-                stack,
-                next_wake: u64::MAX,
-            });
-            // The first deadline (a gossip directory's is its join, due at
-            // once) is live before any thread or operator can reach the
-            // node: from here on `next_wake` always names a wheel entry.
-            home.rearm(home.nodes.len() - 1);
-        }
-        let backend = &[("backend", io.as_str())];
-        let shared = Arc::new(Shared {
-            io,
-            stop: AtomicBool::new(false),
-            local,
-            table,
-            shard,
-            loops: homed.into_iter().map(Mutex::new).collect(),
-            traffic: Traffic::new(&registry),
-            recv_calls: registry.counter_with("io.recv_syscalls", backend),
-            send_calls: registry.counter_with("io.send_syscalls", backend),
-            recv_timeouts: registry.counter("io.recv_timeouts"),
-            fire_lag: registry.histogram("timer.fire_lag_us"),
-            datagrams_sent: registry.counter("io.datagrams_sent"),
-            datagrams_received: (0..loops)
-                .map(|k| {
-                    ["local", "remote"].map(|origin| {
-                        let labels = [("socket", &*k.to_string()), ("origin", origin)];
-                        registry.counter_with("io.datagrams_received", &labels)
-                    })
-                })
-                .collect(),
-            decode_errors: registry.counter("io.decode_errors"),
-            view_mean_size: registry.gauge("membership.view_mean_size"),
-            view_dead_fraction: registry.gauge("membership.view_dead_fraction"),
-            convergence: Convergence::new(
-                &registry,
-                spawn_stats.population_variance(),
-                node_config.gamma(),
-            ),
-            registry,
-            start: Instant::now(),
-        });
-
-        // Bind the client RPC listener (if any) before the protocol
-        // threads start, so a bind failure leaks nothing.
-        let rpc_socket = rpc_addr.map(UdpSocket::bind).transpose()?;
+        let rpc_socket = config.rpc_addr.map(UdpSocket::bind).transpose()?;
         if let Some(socket) = &rpc_socket {
             socket.set_read_timeout(Some(Duration::from_millis(20)))?;
         }
         let rpc_addr = rpc_socket.as_ref().map(UdpSocket::local_addr).transpose()?;
 
-        let mut threads = Vec::with_capacity(loops + usize::from(rpc_socket.is_some()));
+        let mut threads = Vec::with_capacity(sockets.len() + usize::from(rpc_socket.is_some()));
         let spawned = (|| -> io::Result<()> {
             for (k, socket) in sockets.into_iter().enumerate() {
                 let loop_shared = Arc::clone(&shared);
-                let own = Loop {
-                    k,
-                    socket,
-                    packer: Packer::default(),
-                    ran_since: Instant::now(),
-                };
                 threads.push(
                     std::thread::Builder::new()
                         .name(format!("mux-loop-{k}"))
-                        .spawn(move || run_loop(&loop_shared, own))?,
+                        .spawn(move || run_loop(&loop_shared, k, socket))?,
                 );
             }
             if let Some(socket) = rpc_socket {
@@ -874,6 +1002,37 @@ impl MuxCluster {
             threads,
             metrics,
             rpc_addr,
+        })
+    }
+
+    /// Builds the shard as [`MuxCluster::spawn`] does, but on `network`'s
+    /// ports and clock (a sharded config publishes [`MemNetwork::addrs`]):
+    /// nothing runs until [`MemNetwork::advance`].
+    ///
+    /// # Errors
+    ///
+    /// As [`MuxCluster::spawn`]; [`io::ErrorKind::InvalidInput`] also for
+    /// an RPC or metrics address, each a thread on a kernel socket.
+    pub fn in_memory(
+        config: MuxClusterConfig,
+        network: &MemNetwork,
+        values: impl Fn(usize) -> f64,
+    ) -> io::Result<MuxCluster> {
+        if config.rpc_addr.is_some() || config.metrics_addr.is_some() {
+            let refused = "an in-memory cluster serves no RPC or metrics socket";
+            return Err(io::Error::new(ErrorKind::InvalidInput, refused));
+        }
+        let fresh = || Ok(network.addrs(1)[0]).map(|addr| (addr, addr));
+        let tick = Some(Arc::clone(&network.now));
+        let (shared, addrs) = build(&config, values, fresh, Ok, tick)?;
+        let shared = Arc::new(shared);
+        let attached = (0..addrs.len()).map(|k| (Arc::clone(&shared), Loop::new(k)));
+        network.inner.lock().unwrap().loops.extend(attached);
+        Ok(MuxCluster {
+            shared,
+            threads: Vec::new(),
+            metrics: None,
+            rpc_addr: None,
         })
     }
 
@@ -997,52 +1156,61 @@ impl Drop for MuxCluster {
     }
 }
 
-/// What only loop `k`'s thread touches: its socket and the packer its
-/// vnodes' frames leave through.
-#[derive(Debug)]
+/// The state of loop `k` that only its turns touch: the packer its
+/// vnodes' frames leave through, and the turn's scratch state.
+#[derive(Debug, Default)]
 struct Loop {
-    /// The loop's index — of its socket, its lock in [`Shared::loops`]
+    /// The loop's index — of its endpoint, its lock in [`Shared::loops`]
     /// and its `io.datagrams_received` series.
     k: usize,
-    socket: UdpSocket,
     packer: Packer,
-    /// When the loop last blocked or yielded (see [`SLICE`]).
-    ran_since: Instant,
+    /// This turn's tick, and its due wheel entries.
+    now: u64,
+    due: Vec<(u64, u32)>,
+    /// When a socket loop last blocked or yielded (see [`SLICE`]).
+    ran_since: Option<Instant>,
+    /// When the next view-health sample is due, and whose it is.
+    next_health: u64,
+    health_cursor: usize,
 }
 
-/// Runs loop `own` until shutdown, one turn at a time: receive (waiting
-/// at most one [`TICK`]), step every frame inline, fire due wheel
-/// entries, flush. Each loop also samples view health from its vnodes.
-fn run_loop(shared: &Shared, mut own: Loop) {
-    let mut batch = RecvBatch::new();
-    let mut due: Vec<(u64, u32)> = Vec::new();
-    let (mut next_health, mut health_cursor) = (0, 0);
+/// Runs loop `k` on its socket until shutdown: wait at most one [`TICK`]
+/// for a datagram, then take one turn at the wall clock's now.
+fn run_loop(shared: &Shared, k: usize, socket: UdpSocket) {
+    let (recv, send) = (RecvBatch::new(), SendBatch::new());
+    let mut port = SocketPort {
+        socket,
+        readable: false,
+        recv,
+        send,
+    };
+    let mut own = Loop::new(k);
     while !shared.stop.load(Ordering::Relaxed) {
         shared.recv_calls.inc();
-        let received = match wait_readable(&own.socket, TICK) {
-            Ok(true) => {
-                shared.recv_calls.inc();
-                batch.recv(&own.socket, shared.io)
-            }
-            Ok(false) => Err(io::ErrorKind::TimedOut.into()),
-            Err(e) => Err(e),
-        };
-        own.ran_since = Instant::now();
-        match received {
-            Ok(count) => {
-                for i in 0..count {
-                    own.deliver(shared, batch.src(i), batch.datagram(i));
-                }
-            }
-            Err(ref e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                shared.recv_timeouts.inc();
-            }
-            Err(_) => {}
+        port.readable = wait_readable(&port.socket, TICK).unwrap_or(false);
+        own.ran_since = Some(Instant::now());
+        own.turn(shared, &mut port, shared.now_ms());
+    }
+}
+
+impl Loop {
+    fn new(k: usize) -> Loop {
+        Loop {
+            k,
+            ..Loop::default()
         }
-        let now = shared.now_ms();
-        let home = &shared.loops[own.k];
+    }
+
+    /// One turn at `now`: receive what `transport` has ready, step every
+    /// frame inline, fire the due wheel entries, flush, and now and then
+    /// sample view health from one of the loop's vnodes.
+    fn turn<T: Transport>(&mut self, shared: &Shared, transport: &mut T, now: u64) {
+        self.now = now;
+        transport.recv(shared, |src, datagram| {
+            self.deliver::<T>(shared, src, datagram)
+        });
+        let home = &shared.loops[self.k];
+        let mut due = std::mem::take(&mut self.due);
         home.lock()
             .unwrap()
             .wheel
@@ -1055,22 +1223,21 @@ fn run_loop(shared: &Shared, mut own: Loop) {
             // wake in `EventSim` does: no second timer chain.
             if deadline == vnode.next_wake {
                 vnode.next_wake = u64::MAX; // claimed: the step re-arms
-                own.step(shared, homed, slot, Input::Wake);
+                self.step::<T>(shared, homed, slot, Input::Wake);
             }
         }
-        own.flush(shared);
+        self.due = due;
+        self.packer.flush(shared, transport);
         // A sampled gauge only needs to move on scrape timescales.
-        if now >= next_health {
-            next_health = now + 256;
+        if now >= self.next_health {
+            self.next_health = now + 256;
             let homed = home.lock().unwrap();
-            sample_view_health(shared, &homed.nodes, now, &mut health_cursor);
+            sample_view_health(shared, &homed.nodes, now, &mut self.health_cursor);
         }
     }
-}
 
-impl Loop {
     /// Walks one received bundle and steps each frame's vnode inline.
-    fn deliver(&mut self, shared: &Shared, src: Option<SocketAddr>, datagram: &[u8]) {
+    fn deliver<T: Transport>(&mut self, shared: &Shared, src: Option<SocketAddr>, datagram: &[u8]) {
         let [local, remote] = &shared.datagrams_received[self.k];
         match src {
             Some(src) if !shared.addrs().contains(&src) => remote.inc(),
@@ -1101,23 +1268,22 @@ impl Loop {
             };
             shared.traffic.received(plane);
             let homed = shared.loops[self.k].lock().unwrap();
-            self.step(shared, homed, index / loops, Input::Frame(&payload));
+            self.step::<T>(shared, homed, index / loops, Input::Frame(&payload));
         }
     }
 
     /// Steps slot `slot` of this loop's vnodes, under the loop lock the
     /// caller hands over, encoding the frames it emits into this loop's
-    /// packer, and re-arms its next deadline into this loop's wheel. Once
-    /// the loop has stepped for a [`SLICE`] since it last blocked, it
-    /// yields — after unlocking.
-    fn step(
+    /// packer, and re-arms its next deadline into this loop's wheel; then,
+    /// unlocked, runs the transport's [`Transport::after_step`].
+    fn step<T: Transport>(
         &mut self,
         shared: &Shared,
         mut homed: MutexGuard<'_, Homed>,
         slot: usize,
         input: Input<'_>,
     ) {
-        let (packer, now) = (&mut self.packer, shared.now_ms());
+        let (packer, now) = (&mut self.packer, self.now);
         let stack = &mut homed.nodes[slot].stack;
         stack.step(input, now, |to, frame, plane| {
             // An id outside the peer table has no socket: drop the frame.
@@ -1132,24 +1298,7 @@ impl Loop {
         shared.convergence.observe_query_epochs(&query_epochs);
         homed.rearm(slot);
         drop(homed);
-        if self.ran_since.elapsed() >= SLICE {
-            std::thread::yield_now();
-            self.ran_since = Instant::now();
-        }
-    }
-
-    /// Transmits every queued bundle, charging each frame to its plane's
-    /// series — or one `io.send_errors` if the kernel refused its datagram.
-    fn flush(&mut self, shared: &Shared) {
-        let (syscalls, datagrams) = self.packer.flush(&self.socket, shared.io, |charge, ok| {
-            if ok {
-                shared.traffic.sent(charge.plane, u64::from(charge.bytes));
-            } else {
-                shared.traffic.send_error();
-            }
-        });
-        shared.send_calls.add(syscalls);
-        shared.datagrams_sent.add(datagrams);
+        T::after_step(&mut self.ran_since);
     }
 }
 
@@ -1197,6 +1346,7 @@ fn rpc_loop(shared: &Shared, socket: &UdpSocket) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::TrafficCounts;
     use crate::codec::{decode_rpc_response, encode_rpc_request, BUNDLE_VERSION};
     use crate::directory::GossipDirectoryConfig;
     use epidemic_aggregation::value::InstanceMap;
@@ -1211,6 +1361,16 @@ mod tests {
             .instance(InstanceSpec::AVERAGE)
             .build()
             .unwrap()
+    }
+
+    /// A cluster on a network of its own, at tick 0.
+    fn in_memory(
+        config: MuxClusterConfig,
+        values: impl Fn(usize) -> f64,
+    ) -> (MemNetwork, MuxCluster) {
+        let network = MemNetwork::new();
+        let cluster = MuxCluster::in_memory(config, &network, values).unwrap();
+        (network, cluster)
     }
 
     #[test]
@@ -1317,25 +1477,41 @@ mod tests {
     }
 
     #[test]
-    fn packer_flush_reports_every_frame_and_an_empty_flush_sends_nothing() {
-        let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
+    fn packer_flush_charges_every_frame_and_an_empty_flush_sends_nothing() {
+        let config = MuxClusterConfig::new(1, node_config(2, 20)).with_io(IoBackend::Portable);
+        let fresh = || UdpSocket::bind("127.0.0.1:0").and_then(|s| Ok((s.local_addr()?, s)));
+        let (shared, mut sockets) = build(&config, |_| 0.0, fresh, UdpSocket::bind, None).unwrap();
+        let (recv, send) = (RecvBatch::new(), SendBatch::new());
+        let socket = sockets.pop().unwrap();
+        let mut port = SocketPort {
+            socket,
+            readable: false,
+            recv,
+            send,
+        };
         let mut packer = Packer::default();
-        let sent = packer.flush(&socket, IoBackend::Portable, |_, _| unreachable!());
-        assert_eq!(sent, (0, 0));
+        let mut flush = |packer: &mut Packer| {
+            packer.flush(&shared, &mut port);
+            let traffic = TrafficCounts::read(&shared.registry);
+            let datagrams = shared.datagrams_sent.get();
+            (
+                shared.send_calls.get(),
+                datagrams,
+                traffic.sent(),
+                traffic.send_errors,
+            )
+        };
+        assert_eq!(flush(&mut packer), (0, 0, 0, 0));
         // An IPv6 destination on an IPv4 socket: the kernel refuses that
-        // datagram (the first), and both of its frames must hear about it.
+        // datagram (the first), and both of its frames are charged to
+        // `io.send_errors`; the other datagram's one frame is sent.
         let bad: SocketAddr = "[::1]:9".parse().unwrap();
         let msg = Message::refuse(NodeId::new(0), 0);
-        for (i, target) in [(0, bad), (1, socket.local_addr().unwrap()), (2, bad)] {
+        let own = shared.addrs()[0];
+        for (i, target) in [(0, bad), (1, own), (2, bad)] {
             push(&mut packer, target, i, &msg);
         }
-        let mut fates = Vec::new();
-        let sent = packer.flush(&socket, IoBackend::Portable, |c, ok| {
-            fates.push((c.datagram, ok))
-        });
-        assert_eq!(sent, (2, 1), "two datagrams, one accepted");
-        fates.sort_unstable();
-        assert_eq!(fates, [(0, false), (0, false), (1, true)]);
+        assert_eq!(flush(&mut packer), (2, 1, 1, 2), "two datagrams, one taken");
         assert!(packer.charges.is_empty() && packer.datagrams.is_empty());
     }
 
@@ -1506,26 +1682,25 @@ mod tests {
     }
 
     #[test]
-    fn sharded_pair_converges_across_two_sockets() {
-        // The smallest cross-socket cluster: vnode 0 on shard 0, vnode 1
-        // on shard 1, every exchange crossing between the two sockets.
-        let table = PeerTable::loopback_split(2, 2).unwrap();
+    fn sharded_pair_converges_across_two_shards() {
+        // The smallest cross-shard cluster: vnode 0 on shard 0, vnode 1 on
+        // shard 1, every exchange crossing between the two ports.
+        let network = MemNetwork::new();
+        let table = PeerTable::split(2, network.addrs(2));
         let config = node_config(8, 25);
-        let shard0 = MuxCluster::spawn(
-            MuxClusterConfig::sharded(table.clone(), 0, config.clone()).with_workers(1),
-            |i| (i as f64 + 1.0) * 10.0,
-        )
-        .unwrap();
-        let shard1 = MuxCluster::spawn(
-            MuxClusterConfig::sharded(table, 1, config).with_workers(1),
-            |i| (i as f64 + 1.0) * 10.0,
-        )
-        .unwrap();
+        let shard = |s: usize| {
+            let config = MuxClusterConfig::sharded(table.clone(), s, config.clone());
+            MuxCluster::in_memory(config.with_workers(1), &network, |i| {
+                (i as f64 + 1.0) * 10.0
+            })
+            .unwrap()
+        };
+        let (shard0, shard1) = (shard(0), shard(1));
         assert_eq!(shard0.len(), 1);
         assert_eq!(shard1.len(), 1);
         assert_eq!(shard0.total_len(), 2);
         assert_ne!(shard0.addr(), shard1.addr());
-        std::thread::sleep(Duration::from_millis(900));
+        network.advance(900);
         let mut estimates = Vec::new();
         for shard in [&shard0, &shard1] {
             for r in shard.take_reports(0) {
@@ -1533,8 +1708,6 @@ mod tests {
             }
         }
         let counts = shard0.total_datagram_counts();
-        shard0.shutdown();
-        shard1.shutdown();
         assert!(!estimates.is_empty(), "no epochs completed");
         let last = *estimates.last().unwrap();
         assert!((last - 15.0).abs() < 0.5, "final estimate {last}");
@@ -1542,28 +1715,27 @@ mod tests {
     }
 
     #[test]
-    fn cross_shard_sends_fan_across_the_remote_socket_set() {
-        // Two shards of two vnodes each, two reader sockets per shard.
-        // Every shard-0 → shard-1 frame must land on the destination
-        // vnode's home socket, so BOTH shard-1 sockets see remote
-        // traffic — the old behavior piled everything onto the first.
-        let table = PeerTable::loopback_split_readers(4, 2, 2).unwrap();
+    fn cross_shard_sends_fan_across_the_remote_port_set() {
+        // Two shards of two vnodes each, two ports per shard. Every
+        // shard-0 → shard-1 frame must land on the destination vnode's
+        // home port, so BOTH shard-1 ports see remote traffic.
+        let network = MemNetwork::new();
+        let sets = network
+            .addrs(4)
+            .chunks(2)
+            .map(<[SocketAddr]>::to_vec)
+            .collect();
+        let table = PeerTable::split_sets(4, sets);
         let config = node_config(8, 25);
         let spawn = |shard: usize| {
-            MuxCluster::spawn(
-                MuxClusterConfig::sharded(table.clone(), shard, config.clone())
-                    .with_workers(1)
-                    .with_readers(2),
-                |i| i as f64,
-            )
-            .unwrap()
+            let config = MuxClusterConfig::sharded(table.clone(), shard, config.clone());
+            let config = config.with_workers(1).with_readers(2);
+            MuxCluster::in_memory(config, &network, |i| i as f64).unwrap()
         };
-        let shard0 = spawn(0);
-        let shard1 = spawn(1);
-        assert_eq!(shard0.reader_count(), 2);
+        let (_shard0, shard1) = (spawn(0), spawn(1));
         assert_eq!(shard1.reader_count(), 2);
         assert_eq!(Cluster::addrs(&shard1), table.shard_sockets(1));
-        std::thread::sleep(Duration::from_millis(900));
+        network.advance(900);
         // `io.datagrams_received{socket, origin}` of shard 1.
         let received = |socket: usize, origin| {
             let labels = [("socket", &*socket.to_string()), ("origin", origin)];
@@ -1575,22 +1747,20 @@ mod tests {
         let remote = [received(0, "remote"), received(1, "remote")];
         let local = received(0, "local") + received(1, "local");
         let total = shard1.registry().counter_value("io.datagrams_received");
-        shard0.shutdown();
-        shard1.shutdown();
         assert!(
             remote.iter().all(|&datagrams| datagrams > 0),
-            "a shard-1 socket never saw cross-shard traffic: {remote:?}"
+            "a shard-1 port never saw cross-shard traffic: {remote:?}"
         );
         assert!(local > 0, "shard 1's own vnodes never exchanged");
         // The unlabelled read every other consumer does sums the series.
-        assert!(total >= remote[0] + remote[1] + local);
+        assert_eq!(total, remote[0] + remote[1] + local);
     }
 
     #[test]
     fn a_shard_asked_for_more_loops_than_it_publishes_fails_spawn() {
         // Two vnodes and one published socket per shard: a second loop
         // would need a socket no other shard sends to.
-        let table = PeerTable::loopback_split(4, 2).unwrap();
+        let table = PeerTable::loopback_split_readers(4, 2, 1).unwrap();
         let config = MuxClusterConfig::sharded(table, 0, node_config(4, 30)).with_readers(2);
         let err = MuxCluster::spawn(config, |_| 0.0).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
@@ -1604,13 +1774,10 @@ mod tests {
     fn a_frame_at_a_socket_that_is_not_its_vnodes_home_is_dropped() {
         // Two vnodes on two loops and a ten-minute cycle: neither vnode
         // sends or receives a frame of its own inside this test.
-        let cluster = MuxCluster::spawn(
-            MuxClusterConfig::new(2, node_config(10, 600_000)).with_readers(2),
-            |i| i as f64,
-        )
-        .unwrap();
+        let config = MuxClusterConfig::new(2, node_config(10, 600_000)).with_readers(2);
+        let (network, cluster) = in_memory(config, |i| i as f64);
         let addrs = Cluster::addrs(&cluster);
-        // A request from vnode 1 for vnode 0, whose home is socket 0.
+        // A request from vnode 1 for vnode 0, whose home is port 0.
         let request = Message::request(NodeId::new(1), 0, vec![InstanceState::Scalar(1.0)]);
         let mut bundle = Vec::new();
         push_bundle_frame(
@@ -1626,23 +1793,23 @@ mod tests {
                 .get()
         };
         let frames = |name| registry.counter_value(name);
-        let wait_for = |done: &dyn Fn() -> bool| {
-            let deadline = Instant::now() + Duration::from_secs(5);
-            while !done() {
-                assert!(Instant::now() < deadline, "timed out");
-                std::thread::sleep(Duration::from_millis(5));
-            }
+        let client = network.addrs(1)[0];
+        let inject = |to: SocketAddr| {
+            let mut inner = network.inner.lock().unwrap();
+            let datagram = (network.now(), client, bundle.clone());
+            inner.wires.entry(to).or_default().push_back(datagram);
         };
-        let client = UdpSocket::bind("127.0.0.1:0").unwrap();
-        client.send_to(&bundle, addrs[1]).unwrap();
-        wait_for(&|| arrived(1) == 1);
-        std::thread::sleep(Duration::from_millis(100));
+        inject(addrs[1]);
+        network.advance(100);
+        assert_eq!(arrived(1), 1);
         assert_eq!(frames("io.frames_received"), 0, "a misrouted frame arrived");
         assert_eq!(frames("io.frames_sent"), 0, "a misrouted frame was stepped");
-        // The same bundle at the home socket is stepped and answered.
-        client.send_to(&bundle, addrs[0]).unwrap();
-        wait_for(&|| frames("io.frames_received") >= 1 && frames("io.frames_sent") >= 1);
-        cluster.shutdown();
+        // The same bundle at the home port is stepped and answered at once.
+        inject(addrs[0]);
+        network.advance(1);
+        assert_eq!(arrived(0), 1);
+        assert_eq!(frames("io.frames_received"), 1);
+        assert_eq!(frames("io.frames_sent"), 1);
     }
 
     #[test]
@@ -1650,20 +1817,16 @@ mod tests {
         // No static peer table anywhere: vnode 0 introduces, everyone
         // else bootstraps over the wire and gossips views as mux frames.
         let spec = DirectorySpec::Gossip(GossipDirectoryConfig::new(8, 20).with_introducer_node(0));
-        let cluster = MuxCluster::spawn(
-            MuxClusterConfig::new(6, node_config(8, 30))
-                .with_workers(2)
-                .with_directory(spec),
-            |i| i as f64, // truth 2.5
-        )
-        .unwrap();
-        std::thread::sleep(Duration::from_millis(1_500));
+        let config = MuxClusterConfig::new(6, node_config(8, 30))
+            .with_workers(2)
+            .with_directory(spec);
+        let (network, cluster) = in_memory(config, |i| i as f64); // truth 2.5
+        network.advance(1_500);
         let reports = cluster.take_all_reports();
         let totals = cluster.total_datagram_counts();
         let registry = cluster.registry();
         let delta_bytes = registry.counter_value("membership.delta_bytes");
         let view_size = registry.gauge_value("membership.view_mean_size");
-        cluster.shutdown();
         assert!(delta_bytes > 0, "no delta view bytes counted");
         assert!(view_size.unwrap_or(0.0) > 0.0, "view health never sampled");
         let mut finals = Vec::new();
@@ -1684,14 +1847,10 @@ mod tests {
 
     #[test]
     fn single_node_completes_epochs_alone() {
-        let cluster = MuxCluster::spawn(
-            MuxClusterConfig::new(1, node_config(2, 30)).with_workers(1),
-            |_| 7.0,
-        )
-        .unwrap();
-        std::thread::sleep(Duration::from_millis(250));
+        let config = MuxClusterConfig::new(1, node_config(2, 30)).with_workers(1);
+        let (network, cluster) = in_memory(config, |_| 7.0);
+        network.advance(250);
         let reports = cluster.take_reports(0);
-        cluster.shutdown();
         assert!(!reports.is_empty());
         for r in &reports {
             assert_eq!(r.scalar(0), Some(7.0));
@@ -1700,39 +1859,31 @@ mod tests {
 
     #[test]
     fn set_local_value_applies_next_epoch() {
-        let cluster = MuxCluster::spawn(
-            MuxClusterConfig::new(1, node_config(2, 20)).with_workers(1),
-            |_| 1.0,
-        )
-        .unwrap();
+        let config = MuxClusterConfig::new(1, node_config(2, 20)).with_workers(1);
+        let (network, cluster) = in_memory(config, |_| 1.0);
         cluster.set_local_value(0, 100.0);
-        std::thread::sleep(Duration::from_millis(400));
+        network.advance(400);
         let reports = cluster.take_reports(0);
-        cluster.shutdown();
         let last = reports.last().and_then(|r| r.scalar(0)).unwrap();
         assert_eq!(last, 100.0, "local value update never took effect");
     }
 
     #[test]
     fn an_operator_call_at_spawn_does_not_fork_the_timer_chain() {
-        // Spawn schedules each first deadline in its home wheel before the
-        // handle exists, so an operator call racing the first step finds
-        // it live and schedules nothing: one timer chain per vnode from
-        // the start.
-        let cluster = MuxCluster::spawn(
-            MuxClusterConfig::new(8, node_config(30, 20)).with_workers(2),
-            |i| i as f64,
-        )
-        .unwrap();
+        // The constructor schedules each first deadline in its home wheel
+        // before the handle exists, so an operator call before the first
+        // step finds it live and schedules nothing: one timer chain per
+        // vnode from the start.
+        let config = MuxClusterConfig::new(8, node_config(30, 20)).with_workers(2);
+        let (network, cluster) = in_memory(config, |i| i as f64);
         for i in 0..cluster.len() {
             cluster.set_local_value(i, 1.0);
         }
-        std::thread::sleep(Duration::from_millis(600));
+        network.advance(600);
         let registry = cluster.registry();
         let fire_lag = registry.histogram("timer.fire_lag_us");
         let fires: u64 = fire_lag.bucket_counts().iter().sum();
         let exchanges = registry.counter_value("agg.exchanges");
-        cluster.shutdown();
         // One fire per cycle plus one per exchange timeout entry: 2 per
         // exchange; a forked chain doubles that.
         assert!(exchanges > 100, "only {exchanges} exchanges");
@@ -1747,12 +1898,9 @@ mod tests {
         // An install (and then catalog gossip) moves every deadline earlier
         // while a later wheel entry is parked: re-arming from that stale
         // entry would run a second timer chain for the rest of the run.
-        let cluster = MuxCluster::spawn(
-            MuxClusterConfig::new(8, node_config(30, 20)).with_workers(2),
-            |i| i as f64,
-        )
-        .unwrap();
-        std::thread::sleep(Duration::from_millis(100));
+        let config = MuxClusterConfig::new(8, node_config(30, 20)).with_workers(2);
+        let (network, cluster) = in_memory(config, |i| i as f64);
+        network.advance(100);
         let fires = || cluster.registry().histogram("timer.fire_lag_us").count();
         let exchanges = || cluster.registry().counter_value("agg.exchanges");
         let (fires0, exchanges0) = (fires(), exchanges());
@@ -1760,9 +1908,8 @@ mod tests {
         for i in 0..cluster.len() {
             cluster.install_query(i, query.clone()).unwrap();
         }
-        std::thread::sleep(Duration::from_millis(600));
+        network.advance(600);
         let (fires, exchanges) = (fires() - fires0, exchanges() - exchanges0);
-        cluster.shutdown();
         // 2 fires per exchange as above, plus each stranded entry's one
         // fire and a few catalog rounds; a fork doubles the 2.
         assert!(exchanges > 100, "only {exchanges} exchanges");
@@ -1770,6 +1917,8 @@ mod tests {
             fires < 3 * exchanges,
             "{fires} fires for {exchanges} exchanges"
         );
+        // On the virtual clock every entry fires in its own tick.
+        assert_eq!(cluster.registry().histogram("timer.fire_lag_us").sum(), 0);
     }
 
     #[test]
@@ -1818,27 +1967,22 @@ mod tests {
     }
 
     #[test]
-    fn bytes_sent_are_the_udp_payload_the_kernel_took() {
-        // Vnode 1's shard is a bare socket that only listens: every
-        // datagram this one-vnode shard sends lands there.
-        let table = PeerTable::loopback_split(2, 2).unwrap();
-        let sink = UdpSocket::bind(table.shard_addr(1)).unwrap();
-        let mut shard = MuxCluster::spawn(
-            MuxClusterConfig::sharded(table, 0, node_config(30, 20)).with_workers(1),
-            |i| i as f64,
-        )
-        .unwrap();
+    fn bytes_sent_are_the_payload_the_transport_took() {
+        // Vnode 1's shard is never built: every datagram this one-vnode
+        // shard sends waits at vnode 1's port.
+        let network = MemNetwork::new();
+        let table = PeerTable::split(2, network.addrs(2));
+        let sink = table.shard_addr(1);
+        let config = MuxClusterConfig::sharded(table, 0, node_config(30, 20)).with_workers(1);
+        let shard = MuxCluster::in_memory(config, &network, |i| i as f64).unwrap();
         // A tenant adds catalog frames to the aggregation requests.
         let tenant = QueryDescriptor::new("tenant", AggregateKind::Average);
         shard.install_query(0, tenant).unwrap();
-        std::thread::sleep(Duration::from_millis(400));
-        shard.stop_and_join(); // quiesced: no loop is mid-flush
-        sink.set_nonblocking(true).unwrap();
-        let (mut datagrams, mut payload, mut buf) = (0, 0, [0u8; 65_536]);
-        while let Ok(len) = sink.recv(&mut buf) {
-            datagrams += 1;
-            payload += len as u64;
-        }
+        network.advance(400);
+        let inner = network.inner.lock().unwrap();
+        let arrived = &inner.wires[&sink];
+        let datagrams = arrived.len() as u64;
+        let payload: u64 = arrived.iter().map(|d| d.2.len() as u64).sum();
         let (registry, t) = (shard.registry(), shard.total_datagram_counts());
         let series = |name, plane| registry.counter_with(name, &[("plane", plane)]).get();
         for (plane, frames, bytes) in [
@@ -1849,11 +1993,22 @@ mod tests {
             assert_eq!(series("io.frames_sent", plane), frames, "{plane}");
             assert_eq!(series("io.bytes_sent", plane), bytes, "{plane}");
         }
-        assert_eq!(t.send_errors, registry.counter_value("io.send_errors"));
+        assert_eq!(t.send_errors, 0);
         assert!(t.aggregation_sent > 0 && t.query_sent > 0, "{t:?}");
-        // Per-frame charges add up to exactly what the kernel carried.
+        // Per-frame charges add up to exactly what the network carried,
+        // and no syscall is counted off the socket transport.
         assert_eq!(registry.counter_value("io.datagrams_sent"), datagrams);
         assert_eq!(registry.counter_value("io.bytes_sent"), payload);
+        assert_eq!(shard.syscall_counts(), SyscallCounts::default());
+    }
+
+    #[test]
+    fn an_in_memory_cluster_refuses_the_rpc_listener() {
+        let network = MemNetwork::new();
+        let config = MuxClusterConfig::new(2, node_config(4, 30))
+            .with_rpc_addr("127.0.0.1:0".parse().unwrap());
+        let err = MuxCluster::in_memory(config, &network, |_| 0.0).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
     #[test]

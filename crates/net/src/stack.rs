@@ -374,6 +374,7 @@ impl Convergence {
             .gauge("epoch.rho_theory")
             .set(0.5 / std::f64::consts::E.sqrt());
         registry.counter_with("agg.states_refused", &[("reason", "non_finite")]);
+        registry.counter_with("agg.states_refused", &[("reason", "map_too_large")]);
         registry.counter("agg.epoch_jumps_refused");
         Convergence {
             var0,

@@ -6,7 +6,8 @@
 //! their transports.
 
 use epidemic_aggregation::{
-    AggregateKind, EpochReport, InstanceSpec, InstanceState, Message, NodeConfig,
+    AggregateKind, EpochReport, InstanceMap, InstanceSpec, InstanceState, Message, MessageBody,
+    NodeConfig, MAX_MAP_LEADERS,
 };
 use epidemic_common::NodeId;
 use epidemic_net::codec::{decode_datagram, WireFrame, WirePayload};
@@ -555,4 +556,67 @@ fn a_non_finite_tenant_request_is_refused_and_the_query_stays_finite() {
         }
     }
     assert!(epoch6 >= n / 2, "{epoch6} nodes completed epoch 6");
+}
+
+#[test]
+fn a_count_tenant_refuses_a_map_over_the_bound() {
+    // The base node's COUNT-map bound holds for a tenant too: its
+    // GossipNode refuses the frame and counts it in the stack's registry.
+    let registry = Registry::new();
+    let directory: Box<dyn PeerDirectory> =
+        Box::new(StaticDirectory::id_routed(2, NodeId::new(0), 7));
+    let query = QueryPlaneConfig::default();
+    let mut stack = NodeStack::founder(
+        NodeId::new(0),
+        node_config(10),
+        0.0,
+        7,
+        directory,
+        query,
+        registry.clone(),
+    );
+    let count = QueryDescriptor::new("n", AggregateKind::Count)
+        .with_gamma(10)
+        .with_cycle_length(CYCLE);
+    stack.install(count, 0).unwrap();
+    // The tenant's epoch, read off its first request.
+    let (mut now, mut epoch) = (0, None);
+    while epoch.is_none() {
+        stack.step(Input::Wake, now, |_, frame, _| {
+            if let WireFrame::Query(_, msg) = frame {
+                epoch = epoch.or(Some(msg.epoch));
+            }
+        });
+        now += 1;
+    }
+    // Leaders 0..k: node 0's own entry, if it leads, is among them.
+    let mut answer = |leaders: u64| {
+        let map = InstanceMap::from_entries((0..leaders).map(|l| (l, 0.5)));
+        let message = Message::request(
+            NodeId::new(1),
+            epoch.unwrap(),
+            vec![InstanceState::Map(map)],
+        );
+        let payload = WirePayload::Query {
+            query: "n".into(),
+            message,
+        };
+        let mut body = None;
+        stack.step(Input::Frame(&payload), now, |_, frame, _| {
+            if let WireFrame::Query(_, msg) = frame {
+                body = Some(msg.body.clone());
+            }
+        });
+        body.expect("the tenant answers a request")
+    };
+    let refused = || {
+        registry
+            .counter_with("agg.states_refused", &[("reason", "map_too_large")])
+            .get()
+    };
+    let bound = MAX_MAP_LEADERS as u64;
+    assert!(matches!(answer(bound + 1), MessageBody::Refuse));
+    assert_eq!(refused(), 1);
+    assert!(matches!(answer(bound), MessageBody::Reply(_)));
+    assert_eq!(refused(), 1);
 }

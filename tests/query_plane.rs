@@ -2,15 +2,17 @@
 //! runtime drive the *same* sans-io [`epidemic::query::QueryPlane`], so a
 //! named query installed at one node must spread epidemically, serve
 //! submits and reads at *any* node, and converge to the same answer in
-//! both time models. The wire test is the acceptance scenario: a plain
-//! UDP client installs a query through the RPC listener of a running mux
-//! cluster — no restart — and reads the converged estimate back through
-//! a different node.
+//! both time models. The operator-seam tests drive the mux on an
+//! in-memory network in virtual milliseconds. The wire test is the
+//! acceptance scenario, on real sockets because its subject is the RPC
+//! listener: a plain UDP client installs a query through the listener of
+//! a running mux cluster — no restart — and reads the converged estimate
+//! back through a different node.
 
 use epidemic::aggregation::{AggregateKind, InstanceSpec, NodeConfig};
 use epidemic::net::cluster::Cluster;
 use epidemic::net::codec::{decode_rpc_response, encode_rpc_request};
-use epidemic::net::mux::{MuxCluster, MuxClusterConfig};
+use epidemic::net::mux::{MemNetwork, MuxCluster, MuxClusterConfig};
 use epidemic::query::{QueryDescriptor, QueryError, QueryPlaneConfig, RpcRequest, RpcStatus};
 use epidemic::sim::event::{EventConfig, QueryAction};
 use epidemic::sim::scenario::{Scenario, ValueInit};
@@ -100,21 +102,39 @@ fn run_sim_side(seed: u64) -> (Vec<f64>, Vec<f64>) {
     (out.query_values("load"), out.query_values("tmp"))
 }
 
-/// Polls `read` every 30 ms until it returns a value within `tol` of
-/// `truth`, panicking with `what` after 15 s.
-fn drive_until(what: &str, truth: f64, tol: f64, mut read: impl FnMut() -> Option<f64>) -> f64 {
-    let deadline = Instant::now() + Duration::from_secs(15);
+/// Polls `read` every 30 virtual ms of `network` until it returns a value
+/// within `tol` of `truth`, panicking with `what` after 15 virtual s.
+fn drive_until(
+    network: &MemNetwork,
+    what: &str,
+    truth: f64,
+    tol: f64,
+    mut read: impl FnMut() -> Option<f64>,
+) -> f64 {
     let mut last = f64::NAN;
-    while Instant::now() < deadline {
+    for _ in 0..500 {
         if let Some(value) = read() {
             last = value;
             if (value - truth).abs() < tol {
                 return value;
             }
         }
-        std::thread::sleep(Duration::from_millis(30));
+        network.advance(30);
     }
     panic!("{what} never converged: last {last} vs truth {truth} (tol {tol})");
+}
+
+/// Retries `attempt` every 30 ms of wall clock until it returns a value,
+/// panicking with `what` after 15 s.
+fn retry_until<T>(what: &str, mut attempt: impl FnMut() -> Option<T>) -> T {
+    let deadline = Instant::now() + Duration::from_secs(15);
+    loop {
+        if let Some(value) = attempt() {
+            return value;
+        }
+        assert!(Instant::now() < deadline, "{what} timed out");
+        std::thread::sleep(Duration::from_millis(30));
+    }
 }
 
 #[test]
@@ -137,7 +157,8 @@ fn query_conformance_sim_vs_mux_on_one_seed() {
         .instance(InstanceSpec::AVERAGE)
         .build()
         .unwrap();
-    let cluster = MuxCluster::spawn(
+    let network = MemNetwork::new();
+    let cluster = MuxCluster::in_memory(
         MuxClusterConfig::new(N, node_config)
             .with_workers(2)
             .with_seed(11)
@@ -145,43 +166,54 @@ fn query_conformance_sim_vs_mux_on_one_seed() {
                 gossip_period: 50,
                 ..QueryPlaneConfig::default()
             }),
+        &network,
         |i| i as f64,
     )
     .unwrap();
     cluster.install_query(1, mux_descriptor("load")).unwrap();
     cluster.install_query(2, mux_descriptor("tmp")).unwrap();
     // Submit at a different node once catalog gossip reaches it.
-    drive_until("mux submit at node 5", 0.0, 0.5, || {
-        match cluster.submit_query(5, "load", 10.0) {
-            Ok(()) => Some(0.0),
-            Err(QueryError::UnknownQuery) => None,
-            Err(err) => panic!("submit failed: {err}"),
-        }
+    drive_until(&network, "mux submit at node 5", 0.0, 0.5, || match cluster
+        .submit_query(5, "load", 10.0)
+    {
+        Ok(()) => Some(0.0),
+        Err(QueryError::UnknownQuery) => None,
+        Err(err) => panic!("submit failed: {err}"),
     });
     // Remove the second tenant mid-epoch via yet another node.
-    drive_until("mux remove at node 9", 0.0, 0.5, || {
-        match cluster.remove_query(9, "tmp") {
+    drive_until(
+        &network,
+        "mux remove at node 9",
+        0.0,
+        0.5,
+        || match cluster.remove_query(9, "tmp") {
             Ok(()) => Some(0.0),
             Err(QueryError::UnknownQuery) => None,
             Err(err) => panic!("remove failed: {err}"),
-        }
-    });
+        },
+    );
     // Read the converged estimate at an uninvolved node.
-    let mux_value = drive_until("mux read at node 20", TRUTH, 0.2, || {
-        match cluster.query_estimate(20, "load") {
+    let mux_value = drive_until(
+        &network,
+        "mux read at node 20",
+        TRUTH,
+        0.2,
+        || match cluster.query_estimate(20, "load") {
             Ok(est) if est.settled => Some(est.value),
             _ => None,
-        }
-    });
+        },
+    );
     // The tombstone spreads until reads at other nodes reject.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        match cluster.query_estimate(20, "tmp") {
-            Err(QueryError::UnknownQuery) => break,
-            _ if Instant::now() >= deadline => panic!("mux: removed query still readable"),
-            _ => std::thread::sleep(Duration::from_millis(30)),
-        }
-    }
+    drive_until(
+        &network,
+        "mux tombstone at node 20",
+        0.0,
+        0.5,
+        || match cluster.query_estimate(20, "tmp") {
+            Err(QueryError::UnknownQuery) => Some(0.0),
+            _ => None,
+        },
+    );
     // Per-query telemetry reached the shared registry.
     let text = cluster.registry().render_prometheus();
     assert!(
@@ -230,13 +262,13 @@ fn unknown_query_is_rejected_and_counted(cluster: &MuxCluster, addr: SocketAddr)
 /// The operator script of [`install_through_the_seam_needs_no_wake`]:
 /// each call is one of `Cluster`'s provided verbs, i.e.
 /// `Cluster::with_stack` and nothing else.
-fn installed_query_spreads(cluster: &MuxCluster, what: &str) {
+fn installed_query_spreads(network: &MemNetwork, cluster: &MuxCluster, what: &str) {
     cluster
         .install_query(0, mux_descriptor("seam").with_default_value(6.0))
         .unwrap();
     // Every node (installer or not) converges on the default fixed point.
     let last = cluster.node_count() - 1;
-    drive_until(what, 6.0, 1e-6, || {
+    drive_until(network, what, 6.0, 1e-6, || {
         match cluster.query_estimate(last, "seam") {
             Ok(est) if est.settled => Some(est.value),
             _ => None,
@@ -265,8 +297,9 @@ fn install_through_the_seam_needs_no_wake() {
     let mux = MuxClusterConfig::new(8, node_config)
         .with_workers(2)
         .with_query_config(query);
-    let cluster = MuxCluster::spawn(mux, |i| i as f64).unwrap();
-    installed_query_spreads(&cluster, "mux cluster");
+    let network = MemNetwork::new();
+    let cluster = MuxCluster::in_memory(mux, &network, |i| i as f64).unwrap();
+    installed_query_spreads(&network, &cluster, "mux cluster");
     // Admission errors surface through the seam, not as silent drops.
     assert!(matches!(
         cluster.submit_query(3, "nope", 1.0),
@@ -349,43 +382,29 @@ fn query_rpc_over_the_wire_at_any_node() {
     // Submit through a *different* node: the next requests round-robin
     // onward, and succeed only once catalog gossip delivered the query
     // there — retry until it has.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
+    retry_until("submit at another node", || {
         let response = rpc(RpcRequest::Submit {
             id: id(),
             name: "cpu".into(),
             value: 18.0,
         });
         match response.status {
-            RpcStatus::Ok => break,
-            RpcStatus::UnknownQuery if Instant::now() < deadline => {
-                std::thread::sleep(Duration::from_millis(30));
-            }
+            RpcStatus::Ok => Some(()),
+            RpcStatus::UnknownQuery => None,
             other => panic!("submit failed with {other:?}"),
         }
-    }
+    });
 
     // Read until the estimate settles on the truth — each read lands on
     // yet another node, so this also proves every node serves the query.
-    let deadline = Instant::now() + Duration::from_secs(15);
-    let mut last = f64::NAN;
-    loop {
+    retry_until("a converged read", || {
         let response = rpc(RpcRequest::Read {
             id: id(),
             name: "cpu".into(),
         });
-        if response.status == RpcStatus::Ok {
-            last = response.estimate;
-            if (last - truth).abs() < 0.2 {
-                break;
-            }
-        }
-        assert!(
-            Instant::now() < deadline,
-            "estimate never converged: last {last} vs truth {truth}"
-        );
-        std::thread::sleep(Duration::from_millis(30));
-    }
+        let converged = (response.estimate - truth).abs() < 0.2;
+        (response.status == RpcStatus::Ok && converged).then_some(())
+    });
 
     // A bad request is rejected — visibly, in the response, the traffic
     // counters, and the registry; never swallowed.

@@ -5,14 +5,14 @@
 //! wall clock). Every engine that drives those cores therefore emits the
 //! same event sequence for the same seed and scenario. This test pins
 //! that property across the widest gap in the repo: the event-driven
-//! simulator versus the multiplexed UDP runtime moving real datagrams
-//! through the kernel.
+//! simulator versus the multiplexed runtime's turn, stepped on an
+//! in-memory network in virtual milliseconds.
 //!
 //! The scenario is the smallest one where timing cannot reorder logical
 //! history: two nodes, zero simulated delay, no drift, no failures. Both
 //! engines draw `GETNEIGHBOR()` lazily, once per initiated exchange, but
-//! from different RNG streams, and the mux delivers datagrams in
-//! wall-clock arrival order: with more than one candidate peer the
+//! from different RNG streams, and the mux delivers datagrams one tick
+//! after their flush, in flush order: with more than one candidate peer the
 //! partner sequences (and which of two crossing requests is handled
 //! first) would differ between engines. With one candidate they cannot.
 //! Both engines seed the gossip cores identically — the simulator hands
@@ -23,7 +23,7 @@
 
 use epidemic_aggregation::{InstanceSpec, NodeConfig};
 use epidemic_net::cluster::Cluster;
-use epidemic_net::mux::{MuxCluster, MuxClusterConfig};
+use epidemic_net::mux::{MemNetwork, MuxCluster, MuxClusterConfig};
 use epidemic_net::TraceEvent;
 use epidemic_sim::event::EventConfig;
 use epidemic_sim::scenario::{Scenario, ValueInit};
@@ -80,24 +80,25 @@ fn sim_and_mux_emit_identical_event_traces() {
     .run(SEED);
     let sim_events: Vec<TraceEvent> = sim_out.traces.into_iter().flatten().collect();
 
-    // Wire run: the same cores behind real UDP sockets. The simulator
-    // seeds its gossip nodes with `seed ^ 0xE7E7` (its joiner stream);
-    // handing the cluster that value aligns the per-node RNG streams.
-    let cluster = MuxCluster::spawn(
+    // Mux run: the same cores behind the mux turn. The simulator seeds
+    // its gossip nodes with `seed ^ 0xE7E7` (its joiner stream); handing
+    // the cluster that value aligns the per-node RNG streams.
+    let network = MemNetwork::new();
+    let cluster = MuxCluster::in_memory(
         MuxClusterConfig::new(2, node_config())
             .with_seed(SEED ^ 0xE7E7)
             .with_workers(1)
             .with_readers(1)
             .with_trace(4_096),
+        &network,
         |i| i as f64,
     )
     .unwrap();
-    std::thread::sleep(std::time::Duration::from_millis(1_400));
+    network.advance(1_400);
     let mut mux_events: Vec<TraceEvent> = Vec::new();
     for i in 0..cluster.len() {
         mux_events.extend(cluster.take_trace(i));
     }
-    cluster.shutdown();
 
     // Compare each node's history over the epochs BOTH runs completed.
     let common = [0u64, 1]
