@@ -10,7 +10,7 @@
 //!
 //! The build environment has no crates.io access, so the syscall
 //! wrappers — `recvmmsg`, `sendmmsg`, and the `poll` behind
-//! `wait_readable` — are declared here directly (glibc exports them on
+//! `PollSet` — are declared here directly (glibc exports them on
 //! every supported Linux target) behind `#[cfg(target_os = "linux")]`. A
 //! portable one-datagram-per-syscall path compiles everywhere and is
 //! selectable at runtime ([`IoBackend::Portable`]) for A/B measurement
@@ -199,37 +199,83 @@ impl RecvBatch {
     }
 }
 
-/// Waits until `socket` has a datagram to read or `timeout` passes, and
-/// says which. A socket read timeout cannot bound a wait this finely: the
-/// kernel keeps it in scheduler ticks (a 1 ms `SO_RCVTIMEO` waits ≈ 8 ms
-/// on a 250 Hz kernel), while Linux `poll(2)` sleeps on a high-resolution
-/// timer. Elsewhere this returns `true` at once, and the receive that
-/// follows waits out the socket's read timeout instead.
-///
-/// # Errors
-///
-/// Propagates a failed `poll`.
-pub(crate) fn wait_readable(socket: &UdpSocket, timeout: Duration) -> io::Result<bool> {
+/// A readiness wait over a fixed set of sockets: one `poll(2)` per
+/// [`PollSet::wait`], however many sockets it holds. A socket read timeout
+/// cannot bound a wait this finely: the kernel keeps it in scheduler ticks
+/// (a 1 ms `SO_RCVTIMEO` waits ≈ 8 ms on a 250 Hz kernel), while Linux
+/// `poll` sleeps on a high-resolution timer. Elsewhere every socket reads
+/// as ready at once, and a receive that follows waits out that socket's
+/// read timeout instead.
+#[derive(Debug)]
+pub(crate) struct PollSet {
+    /// One entry per socket, in the order given; `revents` holds the last
+    /// wait's answer.
     #[cfg(target_os = "linux")]
-    {
-        use std::os::fd::AsRawFd;
-        let mut fd = sys::PollFd {
-            fd: socket.as_raw_fd(),
-            events: sys::POLLIN,
-            revents: 0,
-        };
-        let ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
-        // SAFETY: one live pollfd for the call's duration; the fd is valid
-        // for the borrow.
-        match unsafe { sys::poll(&mut fd, 1, ms) } {
-            -1 => Err(io::Error::last_os_error()),
-            ready => Ok(ready > 0),
+    fds: Vec<sys::PollFd>,
+}
+
+impl PollSet {
+    /// A set over `sockets`, which must outlive every wait on it.
+    pub(crate) fn new<'a>(sockets: impl IntoIterator<Item = &'a UdpSocket>) -> PollSet {
+        #[cfg(target_os = "linux")]
+        {
+            use std::os::fd::AsRawFd;
+            let fds = sockets.into_iter().map(|socket| sys::PollFd {
+                fd: socket.as_raw_fd(),
+                events: sys::POLLIN,
+                revents: 0,
+            });
+            PollSet { fds: fds.collect() }
+        }
+        #[cfg(not(target_os = "linux"))]
+        {
+            let _ = sockets;
+            PollSet {}
         }
     }
-    #[cfg(not(target_os = "linux"))]
-    {
-        let _ = (socket, timeout);
-        Ok(true)
+
+    /// Waits until a socket of the set has a datagram to read or `timeout`
+    /// passes, and says whether one has.
+    ///
+    /// # Errors
+    ///
+    /// Propagates a failed `poll`; every socket then reads as not ready.
+    pub(crate) fn wait(&mut self, timeout: Duration) -> io::Result<bool> {
+        #[cfg(target_os = "linux")]
+        {
+            self.fds.iter_mut().for_each(|fd| fd.revents = 0);
+            let ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+            let len = self.fds.len() as std::ffi::c_ulong;
+            // SAFETY: `len` live pollfds for the call's duration; each fd
+            // belongs to a socket that outlives the set.
+            match unsafe { sys::poll(self.fds.as_mut_ptr(), len, ms) } {
+                -1 => Err(io::Error::last_os_error()),
+                ready => Ok(ready > 0),
+            }
+        }
+        #[cfg(not(target_os = "linux"))]
+        {
+            let _ = timeout;
+            Ok(true)
+        }
+    }
+
+    /// Whether the last [`PollSet::wait`] found socket `i` ready: a
+    /// datagram, or an error the receive will collect.
+    ///
+    /// # Panics
+    ///
+    /// Panics on Linux if `i` is not an index of the set.
+    pub(crate) fn readable(&self, i: usize) -> bool {
+        #[cfg(target_os = "linux")]
+        {
+            self.fds[i].revents != 0
+        }
+        #[cfg(not(target_os = "linux"))]
+        {
+            let _ = i;
+            true
+        }
     }
 }
 
@@ -468,6 +514,7 @@ mod sys {
     }
 
     #[repr(C)]
+    #[derive(Debug)]
     pub struct PollFd {
         pub fd: i32,
         pub events: i16,

@@ -35,7 +35,8 @@
 //!   a few **loops** (vnode `i` homed on loop `i % loops`), each owning,
 //!   behind one lock, its vnodes and a [`timer::TimerWheel`], and taking
 //!   one turn at a time: receive, step, fire, flush. The turn's transport
-//!   is the seam: a UDP socket with a thread per loop (`spawn`), or a port
+//!   is the seam: a UDP socket per loop, turned by one thread per core
+//!   (`spawn`), or a port
 //!   on an in-memory network stepped in virtual milliseconds
 //!   ([`mux::MemNetwork`]). Shardable via a [`mux::PeerTable`] mapping
 //!   vnode-id ranges to shard addresses.
@@ -46,8 +47,9 @@
 //!
 //! # Examples
 //!
-//! A two-node loopback cluster computing an average — one socket and one
-//! loop thread per node — driven through the operator seam:
+//! A two-node loopback cluster computing an average — one socket per
+//! node, and one thread per core for them — driven through the operator
+//! seam:
 //!
 //! ```no_run
 //! use epidemic_aggregation::{InstanceSpec, NodeConfig};

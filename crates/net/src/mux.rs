@@ -26,13 +26,20 @@
 //! No loop blocks on an exchange: it is a timer-guarded continuation.
 //!
 //! The turn is generic over its transport, and there are two:
-//! * **A UDP socket** ([`MuxCluster::spawn`]): one thread per loop waits
-//!   at most one 1 ms tick for a datagram (a `poll`: a socket read timeout
-//!   is kept in scheduler ticks), then takes a turn at the wall clock's
-//!   now, receiving with `recvmmsg` and flushing with `sendmmsg` on the
-//!   batched [`crate::batch::IoBackend`]. A loop that stepped for 5 µs
-//!   without blocking yields its core after the step, so a thread sharing
-//!   it (the RPC listener, another loop) waits about one step, not a turn.
+//! * **A UDP socket** ([`MuxCluster::spawn`]): a shard runs
+//!   `min(loops, available_parallelism())` protocol threads, and thread
+//!   `t` owns the loops `k ≡ t (mod threads)`. It waits at most one 1 ms
+//!   tick in one `poll` over their sockets (a socket read timeout is kept
+//!   in scheduler ticks), then turns each of its loops at the wall
+//!   clock's now, receiving with `recvmmsg` and flushing with `sendmmsg`
+//!   on the batched [`crate::batch::IoBackend`]. No thread offers its core
+//!   back between steps: one that blocks only in its wait keeps its share
+//!   of a core it shares with a busy stranger. Thread 0 also serves the client
+//!   RPC socket, which joins its `poll`: it answers at the start of a
+//!   turn, after each received bundle and every few due fires, and yields
+//!   after an answer, so a client on the same core reads its reply, until
+//!   a yield comes back late: a busy stranger gains at most one slice per
+//!   turn.
 //! * **A port on a [`MemNetwork`]** ([`MuxCluster::in_memory`]): lossless,
 //!   shared by any number of shards, keyed by the addresses their
 //!   [`PeerTable`] publishes. It binds no socket and starts no thread; its
@@ -49,11 +56,11 @@
 //! `GETNEIGHBOR()` is a per-vnode [`PeerDirectory`]
 //! ([`MuxClusterConfig::with_directory`]): a static table, or NEWSCAST
 //! gossip whose frames travel through the same loops. The loop's lock is
-//! also the operator seam's door: [`Cluster::with_stack`] and the RPC
-//! listener take it from their own threads. A loop holds it only while it
-//! steps or fires — never across a wait, a yield or a flush — no thread
-//! holds two, and it is taken before any [`Convergence`] or registry
-//! lock. Whoever held it re-arms the stack's next deadline straight into
+//! also the operator seam's door: [`Cluster::with_stack`] takes it from
+//! the operator's thread, and an RPC from thread 0's. A loop holds it only
+//! while it steps or fires — never across a wait, an answer or a flush —
+//! no thread holds two, and it is taken before any [`Convergence`] or
+//! registry lock. Whoever held it re-arms the stack's next deadline straight into
 //! the home wheel if it moved earlier than the one live wheel entry; only
 //! the live entry's wake steps the vnode. A node's seeds and peer draws
 //! depend on its id alone, so same-seed clusters select the same peer
@@ -69,7 +76,7 @@
 //! let mut node_config = NodeConfig::builder();
 //! let node_config = node_config.gamma(10).cycle_length(50).timeout(20).instance(InstanceSpec::AVERAGE).build()?;
 //! // 1024 nodes on two loops; `MuxCluster::spawn` would bind two sockets
-//! // and start two threads instead.
+//! // and start a thread per core, at most two, instead.
 //! let network = MemNetwork::new();
 //! let config = MuxClusterConfig::new(1024, node_config).with_readers(2);
 //! let cluster = MuxCluster::in_memory(config, &network, |i| i as f64)?;
@@ -79,7 +86,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::batch::{wait_readable, IoBackend, RecvBatch, SendBatch};
+use crate::batch::{IoBackend, PollSet, RecvBatch, SendBatch, BATCH};
 use crate::cluster::Cluster;
 use crate::codec::{
     bundle_frame_len, decode_bundle, decode_datagram, encode_rpc_response, push_bundle_frame,
@@ -102,14 +109,17 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use std::vec::Drain;
 
-/// The wheel's tick and the longest a loop waits for a datagram.
+/// The wheel's tick and the longest a protocol thread waits for a
+/// datagram.
 const TICK: Duration = Duration::from_millis(1);
 
-/// The longest a loop steps before it offers its core back
-/// (`sched_yield`), so a thread sharing the core — the RPC listener, the
-/// client it answers, another loop with due timers — waits about one step
-/// for it, not a whole turn.
-const SLICE: Duration = Duration::from_micros(5);
+/// Due fires between two looks at the RPC socket within a turn.
+const FIRES_PER_SERVE: usize = 8;
+
+/// A yield that takes longer than this handed a busy stranger on the core
+/// a scheduler slice (about a millisecond); one that lets a client on the
+/// core read its reply comes back within a few microseconds.
+const BUSY_YIELD: Duration = Duration::from_micros(100);
 
 /// Reserves `n` distinct loopback addresses by binding ephemeral-port
 /// sockets, recording their addresses, and releasing them only after all
@@ -284,8 +294,7 @@ pub struct MuxClusterConfig {
     sharding: Option<(PeerTable, usize)>,
     node_config: NodeConfig,
     seed: u64,
-    /// Loop count (a socket and a thread each); `None` resolves
-    /// core-aware at spawn.
+    /// Loop count (a socket each); `None` resolves core-aware at spawn.
     loops: Option<usize>,
     io: IoBackend,
     directory: DirectorySpec,
@@ -297,14 +306,14 @@ pub struct MuxClusterConfig {
     /// cadence, rumor boost, COUNT leader concurrency).
     query: QueryPlaneConfig,
     /// Address to serve client query RPCs on (wire tags 13/14); `None`
-    /// disables the listener.
+    /// binds no RPC socket.
     rpc_addr: Option<SocketAddr>,
 }
 
 impl MuxClusterConfig {
     /// Describes a cluster of `n` virtual nodes behind a loopback socket
-    /// set. The loop count defaults to one per core, at most 8, and the
-    /// I/O backend to [`IoBackend::auto`].
+    /// set. The loop count defaults to one per core, at most 8 (so one
+    /// thread per loop), and the I/O backend to [`IoBackend::auto`].
     ///
     /// # Panics
     ///
@@ -357,7 +366,8 @@ impl MuxClusterConfig {
     }
 
     /// Same as [`MuxClusterConfig::with_readers`]: workers and readers
-    /// are one pool of loops, so the larger explicit count wins.
+    /// are one pool of loops, so the larger explicit count wins. Neither
+    /// sets the thread count, which is one per core, at most one per loop.
     ///
     /// # Panics
     ///
@@ -367,9 +377,11 @@ impl MuxClusterConfig {
     }
 
     /// Raises the loop count to at least `loops` (the larger of this and
-    /// [`MuxClusterConfig::with_workers`] wins). Each loop is one socket
-    /// and one thread, and homes local vnode `i` when `i % loops` is its
-    /// index; `1` reproduces the original single-socket runtime exactly.
+    /// [`MuxClusterConfig::with_workers`] wins). Each loop is one socket,
+    /// and homes local vnode `i` when `i % loops` is its index; `1`
+    /// reproduces the original single-socket runtime exactly. A spawned
+    /// shard turns its loops on `min(loops, available_parallelism())`
+    /// threads, thread `t` turning loops `k ≡ t (mod threads)`.
     /// At spawn the count is clamped to the local vnode count (an extra
     /// socket would never receive anything). A shard of a
     /// [`MuxClusterConfig::sharded`] cluster runs exactly its published
@@ -423,8 +435,9 @@ impl MuxClusterConfig {
     }
 
     /// Serves client query RPCs (install/remove/submit/read, wire tags
-    /// 13/14) on a dedicated UDP listener at `addr` (port 0 picks an
-    /// ephemeral port; read it back via [`MuxCluster::rpc_addr`]).
+    /// 13/14) on a UDP socket at `addr` (port 0 picks an ephemeral port;
+    /// read it back via [`MuxCluster::rpc_addr`]). Protocol thread 0
+    /// answers them between its steps, with no thread of their own.
     /// Requests are routed round-robin over the shard's vnodes — every
     /// node holds the aggregate, so any node is a valid endpoint.
     pub fn with_rpc_addr(mut self, addr: SocketAddr) -> Self {
@@ -525,30 +538,44 @@ trait Transport {
     /// Sends one flush's datagrams, marking `taken[i]` for each that left.
     fn send(&mut self, shared: &Shared, out: Drain<'_, (SocketAddr, Vec<u8>)>, taken: &mut [bool]);
 
-    /// Runs after every step, unlocked; `ran_since`: the last block or yield.
-    fn after_step(_ran_since: &mut Option<Instant>) {}
+    /// Answers the clients waiting on this transport; runs between steps,
+    /// unlocked.
+    fn serve(&mut self, _shared: &Shared) {}
 }
 
-/// A loop's kernel socket, its batch buffers, and whether the turn's
-/// readiness wait found a datagram.
+/// A loop's kernel socket and its batch buffers.
 #[derive(Debug)]
-struct SocketPort {
+struct LoopSocket {
     socket: UdpSocket,
-    readable: bool,
     recv: RecvBatch,
     send: SendBatch<usize>,
 }
 
-impl Transport for SocketPort {
+/// One turn's transport on a protocol thread: the loop's socket, whether
+/// the thread's wait found it readable, and the RPC socket when the
+/// thread serves one.
+struct SocketPort<'a> {
+    socket: &'a mut LoopSocket,
+    readable: bool,
+    rpc: Option<&'a mut Rpc>,
+}
+
+impl Transport for SocketPort<'_> {
     fn recv(&mut self, shared: &Shared, mut deliver: impl FnMut(Option<SocketAddr>, &[u8])) {
-        let received = if self.readable {
-            shared.recv_calls.inc();
-            self.recv.recv(&self.socket, shared.io)
-        } else {
-            Err(ErrorKind::TimedOut.into())
-        };
-        match received {
-            Ok(count) => (0..count).for_each(|i| deliver(self.recv.src(i), self.recv.datagram(i))),
+        if !self.readable {
+            return;
+        }
+        shared.recv_calls.inc();
+        let LoopSocket { socket, recv, .. } = &mut *self.socket;
+        match recv.recv(socket, shared.io) {
+            Ok(count) => {
+                for i in 0..count {
+                    deliver(recv.src(i), recv.datagram(i));
+                    if let Some(rpc) = self.rpc.as_deref_mut() {
+                        rpc.serve(shared);
+                    }
+                }
+            }
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 shared.recv_timeouts.inc();
             }
@@ -557,21 +584,79 @@ impl Transport for SocketPort {
     }
 
     fn send(&mut self, shared: &Shared, out: Drain<'_, (SocketAddr, Vec<u8>)>, taken: &mut [bool]) {
+        let LoopSocket { socket, send, .. } = &mut *self.socket;
         for (datagram, (target, buf)) in out.enumerate() {
-            self.send.push(buf, target, datagram);
+            send.push(buf, target, datagram);
         }
-        let syscalls = self
-            .send
-            .flush(&self.socket, shared.io, |&d, _, ok| taken[d] = ok);
+        let syscalls = send.flush(socket, shared.io, |&d, _, ok| taken[d] = ok);
         shared.send_calls.add(syscalls);
     }
 
-    /// Yields the core once the loop has stepped for a [`SLICE`] since it
-    /// last blocked.
-    fn after_step(ran_since: &mut Option<Instant>) {
-        if ran_since.is_some_and(|at| at.elapsed() >= SLICE) {
-            std::thread::yield_now();
-            *ran_since = Some(Instant::now());
+    fn serve(&mut self, shared: &Shared) {
+        if let Some(rpc) = self.rpc.as_deref_mut() {
+            rpc.serve(shared);
+        }
+    }
+}
+
+/// The client RPC socket (wire tags 13/14), non-blocking, that protocol
+/// thread 0 serves between its steps.
+#[derive(Debug)]
+struct Rpc {
+    socket: UdpSocket,
+    buf: Box<[u8]>,
+    /// The vnode the next request goes to, round-robin.
+    next: usize,
+    /// Whether an answer may still yield the core this turn: until one
+    /// yield comes back late.
+    yields: bool,
+}
+
+impl Rpc {
+    fn bind(addr: SocketAddr) -> io::Result<Rpc> {
+        let socket = UdpSocket::bind(addr)?;
+        socket.set_nonblocking(true)?;
+        Ok(Rpc {
+            socket,
+            buf: vec![0; 64 * 1024].into_boxed_slice(),
+            next: 0,
+            yields: true,
+        })
+    }
+
+    /// Answers the requests waiting at the socket, at most [`BATCH`] of
+    /// them, so a flood of clients cannot hold the loops' timers back.
+    /// Every node holds the aggregate — any of them is a valid endpoint —
+    /// so requests go round-robin over the shard's vnodes, and each
+    /// response straight back to the client's source address. Rejections
+    /// surface both in the response status and in `rpc.rejects` — never
+    /// silently swallowed.
+    ///
+    /// Each answer yields the core, so a client sharing it reads its reply
+    /// now, not after the turn, until a yield comes back late: a busy
+    /// stranger shares the core, and the turn yields no more. A stranger
+    /// gains at most one slice per turn.
+    fn serve(&mut self, shared: &Shared) {
+        for _ in 0..BATCH {
+            let Ok((len, src)) = self.socket.recv_from(&mut self.buf) else {
+                break; // nothing waiting
+            };
+            let Ok(WirePayload::Rpc(request)) = decode_datagram(&self.buf[..len]) else {
+                shared.decode_errors.inc();
+                continue; // not a client request: drop, stay alive
+            };
+            let index = self.next % shared.local.len();
+            self.next = self.next.wrapping_add(1);
+            // An install or a remove moves the plane's gossip deadline: the
+            // re-arm lands in the vnode's home wheel.
+            let response = shared.with_vnode(index, |stack| stack.rpc(&request, shared.now_ms()));
+            shared.traffic.rpc(&response);
+            let _ = self.socket.send_to(&encode_rpc_response(&response), src);
+            if self.yields {
+                let yielded_at = Instant::now();
+                std::thread::yield_now();
+                self.yields = yielded_at.elapsed() < BUSY_YIELD;
+            }
         }
     }
 }
@@ -693,7 +778,7 @@ struct Homed {
 impl Homed {
     /// Schedules slot `slot`'s next deadline when it moved earlier than
     /// the live wheel entry (an exchange's timeout, a query install): the
-    /// one re-arm rule for spawn, the loop, the seam and the listener.
+    /// one re-arm rule for spawn, the loop, the seam and an RPC.
     fn rearm(&mut self, slot: usize) {
         let vnode = &mut self.nodes[slot];
         let deadline = vnode.stack.next_deadline();
@@ -710,9 +795,10 @@ impl Homed {
 /// `io.send_syscalls` registry counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SyscallCounts {
-    /// Receive-side syscalls issued by the loops: each turn's readiness
-    /// wait (one `poll` on Linux) and the `recvmmsg` or
-    /// `recv_from` that drains the socket.
+    /// Receive-side syscalls issued by the protocol threads: each wait
+    /// (one `poll` on Linux, across all of that thread's loops) and the
+    /// `recvmmsg` or `recv_from` that drains a loop socket it found
+    /// readable.
     pub recv_calls: u64,
     /// Send syscalls issued by the loops (`sendmmsg` or `send_to`).
     pub send_calls: u64,
@@ -736,12 +822,14 @@ struct Shared {
     registry: Registry,
     /// Per-plane frames and bytes, send errors, client RPCs.
     traffic: Traffic,
-    /// `io.recv_syscalls{backend=…}` — the loops' waits and receives.
+    /// `io.recv_syscalls{backend=…}` — the threads' waits and the loops'
+    /// receives.
     recv_calls: Counter,
     /// `io.send_syscalls{backend=…}` — the loops' send crossings.
     send_calls: Counter,
     /// `io.recv_timeouts` — the subset of recv syscalls that returned
-    /// empty-handed: loop turns on which one 1 ms wheel tick passed idle.
+    /// empty-handed: mostly thread waits on which one 1 ms wheel tick
+    /// passed idle.
     recv_timeouts: Counter,
     /// `timer.fire_lag_us` — how late the wheel fired each deadline.
     fire_lag: Histogram,
@@ -754,7 +842,7 @@ struct Shared {
     datagrams_received: Vec<[Counter; 2]>,
     /// `io.decode_errors` — input dropped undecoded: a datagram that is
     /// not a bundle, a bundle frame that fails to decode, a cut-off
-    /// bundle tail, a non-request at the RPC listener.
+    /// bundle tail, a non-request at the RPC socket.
     decode_errors: Counter,
     /// `membership.view_mean_size` — sampled round-robin over vnodes.
     view_mean_size: Gauge,
@@ -806,7 +894,7 @@ impl Shared {
 /// Handle to a running multiplexed cluster (or one shard of one).
 ///
 /// Dropping the handle shuts the cluster down (all threads exit within
-/// one poll interval).
+/// one wait).
 #[derive(Debug)]
 pub struct MuxCluster {
     shared: Arc<Shared>,
@@ -814,8 +902,16 @@ pub struct MuxCluster {
     /// The `/metrics` HTTP endpoint, when configured; shut down (and its
     /// thread joined) when the cluster handle drops.
     metrics: Option<MetricsServer>,
-    /// Bound address of the client RPC listener, when configured.
+    /// Bound address of the client RPC socket, when configured.
     rpc_addr: Option<SocketAddr>,
+}
+
+/// The cores this thread may run on: the default loop count, at most 8,
+/// and the protocol thread count, at most the loop count.
+fn cores() -> usize {
+    std::thread::available_parallelism()
+        .map(usize::from)
+        .unwrap_or(2)
 }
 
 /// Builds a shard's vnodes, wheels and registry behind one endpoint per
@@ -834,10 +930,7 @@ fn build<E>(
     }
     // Core-aware loop count; explicit overrides win, clamped to the
     // local vnode count.
-    let cores = std::thread::available_parallelism()
-        .map(usize::from)
-        .unwrap_or(2);
-    let wanted = |local: usize| config.loops.unwrap_or(cores.min(8)).clamp(1, local);
+    let wanted = |local: usize| config.loops.unwrap_or(cores().min(8)).clamp(1, local);
     // A shard opens its published set, one loop each, and no more: other
     // shards fan frames across exactly that set.
     let (table, shard, ends) = match &config.sharding {
@@ -934,9 +1027,11 @@ fn build<E>(
 }
 
 impl MuxCluster {
-    /// Binds the shard's socket set, builds its virtual nodes with local
-    /// values `values(id)` (`id` is the *cluster-wide* vnode id), and
-    /// starts one thread per loop (and the RPC listener's, if any).
+    /// Binds the shard's socket set (and the RPC socket, if any), builds
+    /// its virtual nodes with local values `values(id)` (`id` is the
+    /// *cluster-wide* vnode id), and starts `min(loops,
+    /// available_parallelism())` protocol threads: thread `t` turns loops
+    /// `k ≡ t (mod threads)`, and thread 0 also serves the RPC socket.
     ///
     /// # Errors
     ///
@@ -954,35 +1049,33 @@ impl MuxCluster {
             socket.set_read_timeout(Some(TICK))?;
         }
         let shared = Arc::new(shared);
-        // Bind the scrape endpoint and the client RPC listener (if any)
+        // Bind the scrape endpoint and the client RPC socket (if any)
         // before the protocol threads start, so a bind failure leaks
         // nothing.
         let metrics = config
             .metrics_addr
             .map(|addr| MetricsServer::bind(addr, shared.registry.clone()))
             .transpose()?;
-        let rpc_socket = config.rpc_addr.map(UdpSocket::bind).transpose()?;
-        if let Some(socket) = &rpc_socket {
-            socket.set_read_timeout(Some(Duration::from_millis(20)))?;
-        }
-        let rpc_addr = rpc_socket.as_ref().map(UdpSocket::local_addr).transpose()?;
+        let mut rpc = config.rpc_addr.map(Rpc::bind).transpose()?;
+        let rpc_addr = rpc
+            .as_ref()
+            .map(|rpc| rpc.socket.local_addr())
+            .transpose()?;
 
-        let mut threads = Vec::with_capacity(sockets.len() + usize::from(rpc_socket.is_some()));
+        let count = sockets.len().min(cores());
+        let mut owned: Vec<Vec<_>> = (0..count).map(|_| Vec::new()).collect();
+        for (k, socket) in sockets.into_iter().enumerate() {
+            let (recv, send) = (RecvBatch::new(), SendBatch::new());
+            owned[k % count].push((Loop::new(k), LoopSocket { socket, recv, send }));
+        }
+        let mut threads = Vec::with_capacity(count);
         let spawned = (|| -> io::Result<()> {
-            for (k, socket) in sockets.into_iter().enumerate() {
-                let loop_shared = Arc::clone(&shared);
+            for (t, loops) in owned.into_iter().enumerate() {
+                let (shared, rpc) = (Arc::clone(&shared), rpc.take());
                 threads.push(
                     std::thread::Builder::new()
-                        .name(format!("mux-loop-{k}"))
-                        .spawn(move || run_loop(&loop_shared, k, socket))?,
-                );
-            }
-            if let Some(socket) = rpc_socket {
-                let rpc_shared = Arc::clone(&shared);
-                threads.push(
-                    std::thread::Builder::new()
-                        .name("mux-rpc".into())
-                        .spawn(move || rpc_loop(&rpc_shared, &socket))?,
+                        .name(format!("mux-{t}"))
+                        .spawn(move || run_thread(&shared, loops, rpc))?,
                 );
             }
             Ok(())
@@ -1012,14 +1105,15 @@ impl MuxCluster {
     /// # Errors
     ///
     /// As [`MuxCluster::spawn`]; [`io::ErrorKind::InvalidInput`] also for
-    /// an RPC or metrics address, each a thread on a kernel socket.
+    /// an RPC or metrics address: each is a kernel socket, and an
+    /// in-memory cluster has no thread to serve one.
     pub fn in_memory(
         config: MuxClusterConfig,
         network: &MemNetwork,
         values: impl Fn(usize) -> f64,
     ) -> io::Result<MuxCluster> {
         if config.rpc_addr.is_some() || config.metrics_addr.is_some() {
-            let refused = "an in-memory cluster serves no RPC or metrics socket";
+            let refused = "an in-memory cluster has no thread to serve an RPC or metrics socket";
             return Err(io::Error::new(ErrorKind::InvalidInput, refused));
         }
         let fresh = || Ok(network.addrs(1)[0]).map(|addr| (addr, addr));
@@ -1036,7 +1130,7 @@ impl MuxCluster {
         })
     }
 
-    /// The bound address of the client RPC listener, if one was
+    /// The bound address of the client RPC socket, if one was
     /// configured with [`MuxClusterConfig::with_rpc_addr`]. Clients send
     /// encoded [`epidemic_query::RpcRequest`] datagrams (wire tag 13)
     /// here and receive tag-14 responses from the same socket.
@@ -1050,7 +1144,7 @@ impl MuxCluster {
         self.shared.addrs()[0]
     }
 
-    /// Number of loops this shard runs: one socket and one thread each.
+    /// Number of loops this shard runs: one socket each.
     pub fn reader_count(&self) -> usize {
         self.shared.loops.len()
     }
@@ -1093,8 +1187,11 @@ impl MuxCluster {
         self.shared.table.total()
     }
 
-    /// OS threads the cluster runs on: one per loop, plus one when the
-    /// client RPC listener is enabled.
+    /// Protocol threads the cluster runs on: `min(loops,
+    /// available_parallelism())`, each turning the loops whose index it
+    /// is congruent to. The RPC socket adds none (thread 0 serves it), and
+    /// the `/metrics` endpoint's thread is not counted. An in-memory
+    /// cluster runs none.
     pub fn thread_count(&self) -> usize {
         self.threads.len()
     }
@@ -1167,29 +1264,33 @@ struct Loop {
     /// This turn's tick, and its due wheel entries.
     now: u64,
     due: Vec<(u64, u32)>,
-    /// When a socket loop last blocked or yielded (see [`SLICE`]).
-    ran_since: Option<Instant>,
     /// When the next view-health sample is due, and whose it is.
     next_health: u64,
     health_cursor: usize,
 }
 
-/// Runs loop `k` on its socket until shutdown: wait at most one [`TICK`]
-/// for a datagram, then take one turn at the wall clock's now.
-fn run_loop(shared: &Shared, k: usize, socket: UdpSocket) {
-    let (recv, send) = (RecvBatch::new(), SendBatch::new());
-    let mut port = SocketPort {
-        socket,
-        readable: false,
-        recv,
-        send,
-    };
-    let mut own = Loop::new(k);
+/// Runs one protocol thread until shutdown: wait at most one [`TICK`] in
+/// one `poll` over its loops' sockets (and the RPC socket, if it serves
+/// it), then turn each of its loops at the wall clock's now.
+fn run_thread(shared: &Shared, mut loops: Vec<(Loop, LoopSocket)>, mut rpc: Option<Rpc>) {
+    let sockets = loops.iter().map(|(_, own)| &own.socket);
+    let mut ready = PollSet::new(sockets.chain(rpc.as_ref().map(|rpc| &rpc.socket)));
     while !shared.stop.load(Ordering::Relaxed) {
         shared.recv_calls.inc();
-        port.readable = wait_readable(&port.socket, TICK).unwrap_or(false);
-        own.ran_since = Some(Instant::now());
-        own.turn(shared, &mut port, shared.now_ms());
+        if !ready.wait(TICK).unwrap_or(false) {
+            shared.recv_timeouts.inc();
+        }
+        for (i, (own, socket)) in loops.iter_mut().enumerate() {
+            if let Some(rpc) = &mut rpc {
+                rpc.yields = true;
+            }
+            let mut port = SocketPort {
+                socket,
+                readable: ready.readable(i),
+                rpc: rpc.as_mut(),
+            };
+            own.turn(shared, &mut port, shared.now_ms());
+        }
     }
 }
 
@@ -1201,21 +1302,25 @@ impl Loop {
         }
     }
 
-    /// One turn at `now`: receive what `transport` has ready, step every
-    /// frame inline, fire the due wheel entries, flush, and now and then
-    /// sample view health from one of the loop's vnodes.
+    /// One turn at `now`: answer waiting clients, receive what
+    /// `transport` has ready, step every frame inline, fire the due wheel
+    /// entries, flush, and now and then sample view health from one of
+    /// the loop's vnodes. Clients are answered again between received
+    /// bundles and every [`FIRES_PER_SERVE`] fires.
     fn turn<T: Transport>(&mut self, shared: &Shared, transport: &mut T, now: u64) {
         self.now = now;
-        transport.recv(shared, |src, datagram| {
-            self.deliver::<T>(shared, src, datagram)
-        });
+        transport.serve(shared);
+        transport.recv(shared, |src, datagram| self.deliver(shared, src, datagram));
         let home = &shared.loops[self.k];
         let mut due = std::mem::take(&mut self.due);
         home.lock()
             .unwrap()
             .wheel
             .advance_entries(now, |at, slot| due.push((at, slot)));
-        for (deadline, slot) in due.drain(..) {
+        for (fired, (deadline, slot)) in due.drain(..).enumerate() {
+            if fired % FIRES_PER_SERVE == FIRES_PER_SERVE - 1 {
+                transport.serve(shared);
+            }
             shared.fire_lag.record(now.saturating_sub(deadline) * 1_000);
             let (mut homed, slot) = (home.lock().unwrap(), slot as usize);
             let vnode = &mut homed.nodes[slot];
@@ -1223,7 +1328,7 @@ impl Loop {
             // wake in `EventSim` does: no second timer chain.
             if deadline == vnode.next_wake {
                 vnode.next_wake = u64::MAX; // claimed: the step re-arms
-                self.step::<T>(shared, homed, slot, Input::Wake);
+                self.step(shared, homed, slot, Input::Wake);
             }
         }
         self.due = due;
@@ -1237,7 +1342,7 @@ impl Loop {
     }
 
     /// Walks one received bundle and steps each frame's vnode inline.
-    fn deliver<T: Transport>(&mut self, shared: &Shared, src: Option<SocketAddr>, datagram: &[u8]) {
+    fn deliver(&mut self, shared: &Shared, src: Option<SocketAddr>, datagram: &[u8]) {
         let [local, remote] = &shared.datagrams_received[self.k];
         match src {
             Some(src) if !shared.addrs().contains(&src) => remote.inc(),
@@ -1261,22 +1366,21 @@ impl Loop {
             let Some(index) = local.filter(homed_here) else {
                 continue;
             };
-            // Client RPC rides the dedicated listener socket (`rpc_loop`);
-            // one arriving as a mux frame is misrouted and dropped.
+            // Client RPC rides its own socket (`Rpc::serve`); one arriving
+            // as a mux frame is misrouted and dropped.
             let Some(plane) = Plane::of_received(&payload) else {
                 continue;
             };
             shared.traffic.received(plane);
             let homed = shared.loops[self.k].lock().unwrap();
-            self.step::<T>(shared, homed, index / loops, Input::Frame(&payload));
+            self.step(shared, homed, index / loops, Input::Frame(&payload));
         }
     }
 
     /// Steps slot `slot` of this loop's vnodes, under the loop lock the
     /// caller hands over, encoding the frames it emits into this loop's
-    /// packer, and re-arms its next deadline into this loop's wheel; then,
-    /// unlocked, runs the transport's [`Transport::after_step`].
-    fn step<T: Transport>(
+    /// packer, and re-arms its next deadline into this loop's wheel.
+    fn step(
         &mut self,
         shared: &Shared,
         mut homed: MutexGuard<'_, Homed>,
@@ -1297,8 +1401,6 @@ impl Loop {
         let query_epochs = stack.take_query_epochs();
         shared.convergence.observe_query_epochs(&query_epochs);
         homed.rearm(slot);
-        drop(homed);
-        T::after_step(&mut self.ran_since);
     }
 }
 
@@ -1312,34 +1414,6 @@ fn sample_view_health(shared: &Shared, nodes: &[VNode], now: u64, health_cursor:
     if let Some(health) = vnode.stack.view_health(now) {
         shared.view_mean_size.set(health.mean_size);
         shared.view_dead_fraction.set(health.dead_entry_fraction);
-    }
-}
-
-/// Serves client query RPCs on the dedicated listener socket. Every node
-/// holds the aggregate — any of them is a valid endpoint — so requests
-/// are routed round-robin over the shard's vnodes and each response goes
-/// straight back to the client's source address. Rejections surface both
-/// in the response status and in `rpc.rejects` — never silently
-/// swallowed.
-fn rpc_loop(shared: &Shared, socket: &UdpSocket) {
-    let mut buf = [0u8; 64 * 1024];
-    let mut next = 0usize;
-    while !shared.stop.load(Ordering::Relaxed) {
-        // A read timeout (or spurious wake) re-checks the stop flag.
-        let Ok((len, src)) = socket.recv_from(&mut buf) else {
-            continue;
-        };
-        let Ok(WirePayload::Rpc(request)) = decode_datagram(&buf[..len]) else {
-            shared.decode_errors.inc();
-            continue; // not a client request: drop, stay alive
-        };
-        let index = next % shared.local.len();
-        next = next.wrapping_add(1);
-        // An install or a remove moves the plane's gossip deadline: the
-        // re-arm lands in the vnode's home wheel.
-        let response = shared.with_vnode(index, |stack| stack.rpc(&request, shared.now_ms()));
-        shared.traffic.rpc(&response);
-        let _ = socket.send_to(&encode_rpc_response(&response), src);
     }
 }
 
@@ -1483,11 +1557,11 @@ mod tests {
         let (shared, mut sockets) = build(&config, |_| 0.0, fresh, UdpSocket::bind, None).unwrap();
         let (recv, send) = (RecvBatch::new(), SendBatch::new());
         let socket = sockets.pop().unwrap();
+        let mut socket = LoopSocket { socket, recv, send };
         let mut port = SocketPort {
-            socket,
+            socket: &mut socket,
             readable: false,
-            recv,
-            send,
+            rpc: None,
         };
         let mut packer = Packer::default();
         let mut flush = |packer: &mut Packer| {
@@ -1516,23 +1590,24 @@ mod tests {
     }
 
     #[test]
-    fn one_thread_and_one_socket_per_loop() {
+    fn one_socket_per_loop_and_one_thread_per_core() {
         // Workers and readers are one pool: the larger count wins.
         let config = |workers, readers| {
             let config = MuxClusterConfig::new(64, node_config(4, 40));
             config.with_workers(workers).with_readers(readers)
         };
+        let threads = |loops: usize| loops.min(cores());
         let cluster = MuxCluster::spawn(config(3, 1), |_| 0.0).unwrap();
         assert_eq!(cluster.len(), 64);
         assert_eq!(cluster.total_len(), 64);
         assert_eq!(cluster.reader_count(), 3);
-        assert_eq!(cluster.thread_count(), 3);
+        assert_eq!(cluster.thread_count(), threads(3));
         assert_eq!(Cluster::addrs(&cluster)[0], cluster.addr());
         cluster.shutdown();
 
         let wide = MuxCluster::spawn(config(3, 4), |_| 0.0).unwrap();
         assert_eq!(wide.reader_count(), 4);
-        assert_eq!(wide.thread_count(), 4);
+        assert_eq!(wide.thread_count(), threads(4));
         let addrs = Cluster::addrs(&wide);
         assert_eq!(addrs.len(), 4);
         assert_eq!(addrs[0], wide.addr());
@@ -1543,10 +1618,11 @@ mod tests {
         );
         wide.shutdown();
 
-        // The RPC listener is the one thread that is not a loop.
+        // Thread 0 serves the RPC socket: it adds no thread.
         let rpc = config(3, 4).with_rpc_addr("127.0.0.1:0".parse().unwrap());
         let served = MuxCluster::spawn(rpc, |_| 0.0).unwrap();
-        assert_eq!(served.thread_count(), 4 + 1);
+        assert!(served.rpc_addr().is_some());
+        assert_eq!(served.thread_count(), threads(4));
         served.shutdown();
     }
 
@@ -1661,7 +1737,7 @@ mod tests {
         for datagram in [&b"not a bundle"[..], &corrupt, &cut, &retired] {
             hostile.send_to(datagram, cluster.addr()).unwrap();
         }
-        // At the RPC listener: noise, and a frame that is no request.
+        // At the RPC socket: noise, and a frame that is no request.
         for datagram in [&b"junk"[..], &frame.encode()] {
             hostile
                 .send_to(datagram, cluster.rpc_addr().unwrap())
@@ -1924,7 +2000,7 @@ mod tests {
     #[test]
     fn an_install_at_the_rpc_listener_spreads_to_every_vnode() {
         // A ten-minute base cycle: no vnode has a deadline of its own
-        // inside this test, so the install spreads only if the listener's
+        // inside this test, so the install spreads only if the RPC's
         // re-arm lands in vnode 0's home wheel under its loop's lock.
         let query = QueryPlaneConfig {
             gossip_period: 50,
@@ -1953,10 +2029,10 @@ mod tests {
         assert_eq!(
             response.status,
             RpcStatus::Ok,
-            "the listener serves vnode 0"
+            "the RPC socket serves vnode 0"
         );
         // Read the other vnodes only: `with_stack` on vnode 0 would re-arm
-        // it and hide a lost listener park.
+        // it and hide a lost RPC park.
         let deadline = Instant::now() + Duration::from_secs(10);
         while (1..8).any(|i| cluster.with_stack(i, |stack, _| stack.installed_queries().is_empty()))
         {

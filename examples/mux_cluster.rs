@@ -4,10 +4,12 @@
 //! The `udp_cluster` example runs the paper's Figure 1 literally: one OS
 //! thread per node. This example runs the same protocol at a scale that
 //! architecture cannot reach on a laptop: 1024 virtual nodes (or far
-//! more — see `--n`) multiplexed over a few loops, one socket and one OS
-//! thread each (`net::mux`), with `recvmmsg`/`sendmmsg` syscall batching
-//! on Linux. Every exchange still crosses the kernel's UDP stack; only
-//! the per-node thread and socket are gone.
+//! more — see `--n`) multiplexed over a few loops, one socket each,
+//! turned by one OS thread per core (`net::mux`), with
+//! `recvmmsg`/`sendmmsg` syscall batching on Linux. Every exchange still
+//! crosses the kernel's UDP stack; only the per-node thread and socket
+//! are gone. The client RPC socket (`--query`) has no thread of its own:
+//! protocol thread 0 answers it between steps.
 //!
 //! The mux wire frame routes by cluster-wide virtual-node id, so the
 //! same cluster can be sharded over multiple sockets, processes, or
@@ -17,7 +19,7 @@
 //! # one process, 1024 vnodes (the default)
 //! cargo run --release --example mux_cluster
 //!
-//! # four loops (a socket and a thread each), forced portable
+//! # four loops (a socket each, on one thread per core), forced portable
 //! # (one-syscall-per-datagram) I/O
 //! cargo run --release --example mux_cluster -- --readers 4 --io portable
 //!
@@ -75,7 +77,7 @@ const TRACE_CAPACITY: usize = 4_096;
 #[derive(Debug)]
 struct Args {
     n: usize,
-    readers: Option<usize>, // loop count: a socket and a thread each
+    readers: Option<usize>, // loop count: a socket each
     io: Option<IoBackend>,
     cycle_ms: u64,
     gamma: u32,
@@ -248,7 +250,7 @@ fn with_io_layout(mut config: MuxClusterConfig, args: &Args) -> MuxClusterConfig
 
 /// Applies the `--query` flag: enables the query plane with a
 /// smoke-friendly catalog gossip period, and (when `rpc` asks for it)
-/// binds the client RPC listener on an ephemeral loopback port.
+/// binds the client RPC socket on an ephemeral loopback port.
 fn with_query_flags(mut config: MuxClusterConfig, args: &Args, rpc: bool) -> MuxClusterConfig {
     if args.query {
         config = config.with_query_config(QueryPlaneConfig {
@@ -333,14 +335,12 @@ fn series_value(body: &str, name: &str) -> Option<f64> {
 
 /// `--smoke --query`: the wire leg. With the cluster already running —
 /// no restart — a plain UDP client installs a *second* named query
-/// through shard 0's RPC listener, submits one sample through whichever
+/// through shard 0's RPC socket, submits one sample through whichever
 /// node the round-robin picks next, and reads the estimate back until it
 /// converges on the cluster-wide truth. Returns `false` (after
 /// explaining why) if any step fails or the estimate never settles.
 fn run_query_leg(shards: &[MuxCluster], n: usize) -> Result<bool, Box<dyn std::error::Error>> {
-    let rpc_addr = shards[0]
-        .rpc_addr()
-        .ok_or("query: rpc listener not bound")?;
+    let rpc_addr = shards[0].rpc_addr().ok_or("query: rpc socket not bound")?;
     let client = UdpSocket::bind("127.0.0.1:0")?;
     client.set_read_timeout(Some(Duration::from_millis(500)))?;
     let rpc = |request: RpcRequest| -> Result<_, Box<dyn std::error::Error>> {
@@ -383,7 +383,7 @@ fn run_query_leg(shards: &[MuxCluster], n: usize) -> Result<bool, Box<dyn std::e
         return Ok(false);
     }
 
-    // Submit through a different node (the listener round-robins): this
+    // Submit through a different node (requests round-robin): this
     // succeeds only once catalog gossip delivered the query there.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
@@ -628,7 +628,7 @@ fn run_smoke(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     }
     if smoke_args.query {
         // Both tenants live → installed gauge ≥ 2; the wire leg's
-        // install/submit/read all ran through shard 0's RPC listener.
+        // install/submit/read all ran through shard 0's RPC socket.
         required.extend([
             "query_installed",
             "query_submits",

@@ -1,7 +1,8 @@
 //! A real gossip cluster over UDP on localhost.
 //!
-//! Spawns twelve OS processes' worth of protocol — one socket and one
-//! thread per node (a mux cluster with one loop per node) — each running
+//! Spawns twelve OS processes' worth of protocol — one socket per node (a
+//! mux cluster with one loop per node, turned by one thread per core) —
+//! each running
 //! the active/passive behaviour of the paper's Figure 1 over real
 //! datagrams, operated through the `Cluster` seam. The nodes aggregate
 //! AVERAGE and COUNT simultaneously; after a few wall-clock epochs every

@@ -10,15 +10,19 @@
 //! 2-shard cluster — to the same answers: identical n = 2 epoch-report
 //! sequences on the same seed, and agreeing convergence within paper
 //! theory bounds at n = 256 (and n = 1024 for the multi-loop set). The
-//! two tests whose subject is a kernel socket — hostile datagrams, and
-//! both I/O backends with their syscall counts — run on real loopback
-//! UDP sockets.
+//! tests whose subject is a kernel socket or the scheduler — hostile
+//! datagrams, both I/O backends with their syscall counts, and a cluster
+//! sharing its one core with a busy thread — run on real loopback UDP
+//! sockets.
 
 use epidemic::aggregation::{theory, EpochReport, InstanceSpec, LeaderPolicy, NodeConfig};
 use epidemic::net::batch::IoBackend;
 use epidemic::net::cluster::Cluster;
 use epidemic::net::directory::{DirectorySpec, GossipDirectoryConfig};
 use epidemic::net::mux::{MemNetwork, MuxCluster, MuxClusterConfig, PeerTable};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Per-node report streams keyed by cluster-wide node id.
@@ -763,4 +767,96 @@ fn both_io_backends_converge_and_count_their_syscalls() {
             assert_eq!(syscalls.send_calls, datagrams, "{io:?}");
         }
     }
+}
+
+/// Pins the calling thread, and every thread it starts afterwards, to the
+/// first core it may run on. The syscalls are hand-declared: the build has
+/// no `libc` crate. Off Linux this does nothing.
+#[cfg(target_os = "linux")]
+fn pin_to_first_core() {
+    extern "C" {
+        fn sched_getaffinity(pid: i32, cpusetsize: usize, mask: *mut u64) -> i32;
+        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
+    }
+    // 1024 CPUs, the glibc `cpu_set_t`.
+    let mut mask = [0u64; 16];
+    let bytes = std::mem::size_of_val(&mask);
+    // SAFETY: `mask` is a live, writable buffer of exactly `bytes` bytes;
+    // pid 0 names the calling thread.
+    assert_eq!(unsafe { sched_getaffinity(0, bytes, mask.as_mut_ptr()) }, 0);
+    let word = mask.iter().position(|&w| w != 0).expect("no allowed core");
+    let mut single = [0u64; 16];
+    single[word] = 1 << mask[word].trailing_zeros();
+    // SAFETY: `single` is a live buffer of `bytes` bytes, only read.
+    assert_eq!(unsafe { sched_setaffinity(0, bytes, single.as_ptr()) }, 0);
+}
+
+#[cfg(not(target_os = "linux"))]
+fn pin_to_first_core() {}
+
+/// One thread that spins on its core until dropped.
+struct Spinner {
+    stop: Arc<AtomicBool>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Spinner {
+    fn start() -> Spinner {
+        let stop = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&stop);
+        let thread = std::thread::spawn(move || {
+            while !flag.load(Ordering::Relaxed) {
+                std::hint::spin_loop();
+            }
+        });
+        Spinner {
+            stop,
+            thread: Some(thread),
+        }
+    }
+}
+
+impl Drop for Spinner {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::Relaxed);
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
+#[test]
+fn a_busy_thread_on_the_same_core_does_not_stall_the_cluster() {
+    // Real sockets and threads: the subject is the scheduler. This
+    // thread, one spinning thread and the cluster's one protocol thread
+    // share one core. A protocol thread that offers the core back mid-turn
+    // hands the spinner a whole scheduler slice each time: its nodes miss
+    // exchanges, and their epochs end unconverged.
+    pin_to_first_core();
+    let spinner = Spinner::start();
+    let (n, truth) = (300, 49.5);
+    let config = NodeConfig::builder()
+        .gamma(15)
+        .cycle_length(20)
+        .timeout(10)
+        .instance(InstanceSpec::AVERAGE)
+        .build()
+        .unwrap();
+    let cluster =
+        MuxCluster::spawn(MuxClusterConfig::new(n, config), |i| (i % 100) as f64).unwrap();
+    std::thread::sleep(Duration::from_secs(3));
+    let reports: Vec<EpochReport> = cluster.take_all_reports().into_iter().flatten().collect();
+    cluster.shutdown();
+    drop(spinner);
+    let outside = reports
+        .iter()
+        .filter(|r| (r.scalar(0).unwrap() - truth).abs() > 0.05 * truth)
+        .count();
+    assert!(reports.len() >= n, "only {} reports in 3 s", reports.len());
+    assert_eq!(
+        outside,
+        0,
+        "{outside} of {} reports outside ε = 5 %",
+        reports.len()
+    );
 }
